@@ -2096,9 +2096,11 @@ def query_api_experiment(scale: Scale) -> ExperimentReport:
     report.add_note(
         "expected shape: execute_batch beats the loop on every index — "
         "Scan answers the whole batch from (B, n) candidate matrices, "
-        "Grid/SFC refine all candidates in one stacked kernel per "
-        "predicate, the sharded engine fans out one sub-batch per shard; "
-        f"measured Scan {speedups['Scan']:.2f}x, Grid {speedups['Grid']:.2f}x"
+        "Grid/SFC/QUASII refine all candidates in one stacked kernel per "
+        "predicate (QUASII still walks and cracks per query), the sharded "
+        "engine fans out one sub-batch per shard; measured "
+        f"Scan {speedups['Scan']:.2f}x, Grid {speedups['Grid']:.2f}x, "
+        f"QUASII {speedups['QUASII']:.2f}x"
     )
 
     # Predicate mix: every predicate on every index vs the Scan oracle.

@@ -10,14 +10,13 @@ from repro.core.cracking import (
     representative_keys,
 )
 from repro.core.quasii import QuasiiIndex
-from repro.core.slices import Slice, SliceList
+from repro.core.slices import SliceList
 
 __all__ = [
     "PAPER_TAU",
     "REPRESENTATIVES",
     "QuasiiConfig",
     "QuasiiIndex",
-    "Slice",
     "SliceList",
     "crack",
     "crack_values",

@@ -35,6 +35,8 @@ re-tighten to the surviving rows.
 
 from __future__ import annotations
 
+from time import perf_counter
+from typing import Iterator
 
 import numpy as np
 
@@ -45,12 +47,13 @@ from repro.core.cracking import (
     range_dim_stats,
     representative_keys,
 )
-from repro.core.slices import Slice, SliceList
+from repro.core.slices import COLUMN_DTYPES, Piece, SliceList
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, DatasetError, GeometryError
-from repro.index.base import MutableSpatialIndex
+from repro.index.base import IndexStats, MutableSpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
 from repro.updates.buffer import UpdateBuffer
+from repro.util.arrays import gather_ranges
 
 _INF = float("inf")
 
@@ -177,9 +180,7 @@ class QuasiiIndex(MutableSpatialIndex):
         # empty store starts with an empty forest; the first absorbed run
         # becomes its root.
         self._tops: list[SliceList] = (
-            [SliceList(0, [self._make_slice(0, 0, store.n, -_INF)])]
-            if store.n
-            else []
+            [self._coarse_run(0, store.n)] if store.n else []
         )
         # Pending inserts, drained into the store by the next query.
         self._buffer = UpdateBuffer(store)
@@ -207,22 +208,23 @@ class QuasiiIndex(MutableSpatialIndex):
         """Number of top-level slice lists (1 + absorbed insert runs)."""
         return len(self._tops)
 
-    def _extended_bounds(self, query: Query, dim: int) -> tuple[float, float]:
-        """Query range on ``dim`` extended for the chosen representative.
+    def _extended_bounds(self, query: Query) -> tuple[list[float], list[float]]:
+        """Per-dimension key range of ``query``, extended for the representative.
 
         An object intersecting the window can have its representative key
         outside the window by at most the maximum object extent (lower
         representative: only below; upper: only above; center: half on
         each side) — the query-extension technique of Section 5.2.
+        Computed once per query; the walk indexes it by level.
         """
-        lo = float(query.lo[dim])
-        hi = float(query.hi[dim])
-        ext = float(self._max_extent[dim])
+        ext = self._max_extent
         if self._representative == "lower":
-            return lo - ext, hi
-        if self._representative == "upper":
-            return lo, hi + ext
-        return lo - ext / 2.0, hi + ext / 2.0
+            lo, hi = query.lo - ext, query.hi
+        elif self._representative == "upper":
+            lo, hi = query.lo, query.hi + ext
+        else:
+            lo, hi = query.lo - ext / 2.0, query.hi + ext / 2.0
+        return lo.tolist(), hi.tolist()
 
     def build(self) -> None:
         """No-op: QUASII has no pre-processing step (that is the point)."""
@@ -231,58 +233,72 @@ class QuasiiIndex(MutableSpatialIndex):
     def _candidates(self, query: Query) -> np.ndarray:
         if len(self._buffer):
             self._absorb_pending()
-        out: list[np.ndarray] = []
-        for top in self._tops:
-            self._query_level(top, query, out)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
+        leaves = self._leaves(query)
+        rows = gather_ranges(leaves[0::2], leaves[1::2])
+        self.stats.objects_tested += int(rows.size)
+        return rows
 
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """Amortize the buffer merge across the batch, then crack per query.
+        """Crack per query, refine once per batch.
 
-        Draining the update buffer (and any run collapse / STR bulk load
-        it triggers) happens at most once per batch instead of being
-        re-checked on every call; each query then refines the forest
-        exactly as in single-shot execution — cracking is inherently
-        per-query, that is the point of the index.
+        The update buffer is drained at most once per batch.  Each query
+        then walks — and refines — the forest exactly as in single-shot
+        execution (cracking is inherently per-query, that is the point of
+        the index) but only *collects* its leaves; the candidate rows of
+        the whole batch are gathered in one pass and handed to the stacked
+        refine kernel.  :meth:`_leaves` says why reading them late is safe.
         """
+        t0 = perf_counter()
         if len(self._buffer):
             self._absorb_pending()
-        return super()._execute_batch(queries)
+        stats = self.stats
+        leaves: list[int] = []
+        offsets = [0]  # candidate rows up to and including each query
+        per_stats: list[IndexStats] = []
+        for query in queries:
+            before = (stats.cracks, stats.rows_reorganized, stats.nodes_visited)
+            found = self._leaves(query)
+            leaves += found
+            tested = sum(found[1::2]) - sum(found[0::2])
+            offsets.append(offsets[-1] + tested)
+            per_stats.append(
+                IndexStats(
+                    objects_tested=tested,
+                    cracks=stats.cracks - before[0],
+                    rows_reorganized=stats.rows_reorganized - before[1],
+                    nodes_visited=stats.nodes_visited - before[2],
+                )
+            )
+        stats.objects_tested += offsets[-1]
+        rows = gather_ranges(leaves[0::2], leaves[1::2])
+        rows_list = [rows[a:b] for a, b in zip(offsets, offsets[1:])]
+        payloads = self._refine_stacked(queries, rows_list)
+        return self._wrap_batch(queries, payloads, per_stats, perf_counter() - t0)
 
     def _plan(self, query: Query) -> QueryPlan:
         """Walk the current forest without refining or merging anything.
 
-        Counts the slices the walk would visit and the rows of every
+        Counts the slices the walk would test (the same
+        :meth:`SliceList.probe` the walk runs) and the rows of every
         overlapping deepest-materialized slice; pending buffered rows
         are added whole (execution would absorb them into a coarse run
         first).  ``exact=False`` — execution cracks oversized slices,
         so the real scan is typically narrower.
         """
         nodes = 0
-        candidates = 0
+        candidates = len(self._buffer)
+        key_lo, key_hi = self._extended_bounds(query)
         stack: list[SliceList] = list(self._tops)
         while stack:
-            slices = stack.pop()
-            dim = slices.level
-            extended_lo, extended_hi = self._extended_bounds(query, dim)
-            i = slices.find_start(extended_lo)
-            while i < len(slices):
-                node = slices[i]
-                if node.cut_lo > extended_hi:
-                    break
-                nodes += 1
-                if node.intersects(query.lo, query.hi):
-                    if (
-                        node.level == self._config.ndim - 1
-                        or node.children is None
-                    ):
-                        candidates += node.size
-                    else:
-                        stack.append(node.children)
-                i += 1
-        candidates += len(self._buffer)
+            lst = stack.pop()
+            i, j, hits = lst.probe(key_lo[lst.level], key_hi[lst.level], query.lo, query.hi)
+            nodes += j - i
+            for h in hits:
+                child = lst.child(h)
+                if child is None:
+                    candidates += int(lst.end[h] - lst.begin[h])
+                else:
+                    stack.append(child)
         return QueryPlan(
             index=self.name,
             query=query,
@@ -366,13 +382,12 @@ class QuasiiIndex(MutableSpatialIndex):
             if not self._explicit_bulk_flush:
                 self._bulk_flush_threshold = self._config.threshold(0)
             self._provisional_config = False
-        tail_list = self._tops[-1] if self._tops else None
-        tail = tail_list.slices[-1] if tail_list is not None else None
+        tail = self._tops[-1] if self._tops else None
         coalesce = (
-            tail_list is not None
-            and len(tail_list) == 1
-            and tail.children is None
-            and tail.cut_lo == -_INF
+            tail is not None
+            and len(tail) == 1
+            and tail.child(0) is None
+            and tail.cut_lo[0] == -_INF
         )
         # A still-virgin tail *insert run* and the fresh batch form one
         # contiguous coarse region; treat them as a single run for the
@@ -383,56 +398,43 @@ class QuasiiIndex(MutableSpatialIndex):
         tail_is_insert_run = coalesce and (
             len(self._tops) > 1 or self._initial_rows == 0
         )
-        run_begin = tail.begin if tail_is_insert_run else begin
+        run_begin = int(tail.begin[0]) if tail_is_insert_run else begin
         if end - run_begin >= self._bulk_flush_threshold:
             # Large run: STR bulk load it into an already-refined slice
             # hierarchy instead of leaving a coarse run for queries to
             # crack from scratch.
             if tail_is_insert_run:
                 self._tops.pop()
-            self._tops.append(self._build_str_run(run_begin, end))
-            if len(self._tops) - 1 > self._max_runs:
-                self._collapse_runs()
+            self._tops.append(
+                self._str_slices(0, run_begin, end, *self._open_box())
+            )
         elif coalesce:
             # The previous run is still one uncracked slice holding the
             # whole key range: coalesce into it (union the recorded MBB
             # over the batch, then re-check the threshold) instead of
             # growing the forest — consecutive insert batches pile into a
             # single coarse run until a query cracks it.
-            tail.end = end
-            tail.mbb_lo = np.minimum(tail.mbb_lo, lo.min(axis=0))
-            tail.mbb_hi = np.maximum(tail.mbb_hi, hi.max(axis=0))
-            tail.final = False
-            self._maybe_finalize(tail)
+            tail.end[0] = end
+            tail.mbb_lo[0] = np.minimum(tail.mbb_lo[0], lo.min(axis=0))
+            tail.mbb_hi[0] = np.maximum(tail.mbb_hi[0], hi.max(axis=0))
+            tail.final[0] = False
+            tail.finalize(self._store, self._config.threshold(0))
         else:
-            self._tops.append(
-                SliceList(0, [self._make_slice(0, begin, end, -_INF)])
-            )
-            if len(self._tops) - 1 > self._max_runs:
-                self._collapse_runs()
+            self._tops.append(self._coarse_run(begin, end))
+        if len(self._tops) - 1 > self._max_runs:
+            self._collapse_runs()
         self.stats.merges += 1
 
-    def _build_str_run(self, begin: int, end: int) -> SliceList:
-        """STR bulk load rows ``[begin, end)`` into a refined run.
+    def _open_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recorded MBB of a slice nothing is known about yet."""
+        inf = np.full(self._store.ndim, _INF, dtype=np.float64)
+        return -inf, inf
 
-        Applies STR's sort-and-slab recursion with the ladder's per-level
-        thresholds: sort the range on the level's representative key, cut
-        it into slabs of at most the level threshold, recurse on the next
-        dimension inside each slab.  The result is the hierarchy the
-        incremental path would converge to if queries covered the run —
-        built eagerly for the price of ``d`` sorts over the run.
-        """
-        ndim = self._store.ndim
-        return SliceList(
-            0,
-            self._str_slices(
-                0,
-                begin,
-                end,
-                np.full(ndim, -_INF, dtype=np.float64),
-                np.full(ndim, _INF, dtype=np.float64),
-            ),
-        )
+    def _coarse_run(self, begin: int, end: int) -> SliceList:
+        """An unrefined run: one top-level slice with a fully open MBB."""
+        run = SliceList(0, [-_INF], [begin], [end], *self._open_box())
+        run.finalize(self._store, self._config.threshold(0))
+        return run
 
     def _str_slices(
         self,
@@ -441,14 +443,18 @@ class QuasiiIndex(MutableSpatialIndex):
         end: int,
         parent_lo: np.ndarray,
         parent_hi: np.ndarray,
-    ) -> list[Slice]:
-        """One sorted sibling run of the STR bulk load, children included.
+    ) -> SliceList:
+        """STR bulk load rows ``[begin, end)``: one sibling run plus children.
 
-        Slab boundaries land only between *distinct* representative keys
-        (ties push a boundary outward), so every cut bound satisfies the
-        strict sibling invariants; a slab stretched past the threshold by
-        duplicate keys simply stays non-final and is refined — or passed
-        through, its keys being indistinguishable — by later queries.
+        Sort the range on the level's representative key, cut it into
+        slabs of at most the level threshold, recurse on the next dimension
+        inside each slab: the hierarchy the incremental path would converge
+        to if queries covered the run, built eagerly for ``d`` sorts over
+        it.  Slab boundaries land only between *distinct* keys (ties push a
+        boundary outward), so every cut bound satisfies the strict sibling
+        invariants; a slab stretched past the threshold by duplicate keys
+        stays non-final and is refined — or passed through, its keys being
+        indistinguishable — by later queries.
         """
         store = self._store
         keys = representative_keys(store, begin, end, level, self._representative)
@@ -458,15 +464,12 @@ class QuasiiIndex(MutableSpatialIndex):
         # Re-read after the permutation: the range is now key-sorted.
         keys = representative_keys(store, begin, end, level, self._representative)
         tau = self._config.threshold(level)
-        out: list[Slice] = []
+        pieces: list[Piece] = []
         pos = begin
         while pos < end:
             nxt = min(pos + tau, end)
             if nxt < end and keys[nxt - begin] == keys[nxt - begin - 1]:
-                # Only the not-yet-slabbed tail [pos, end) is still
-                # key-sorted (child recursion permutes finished slabs on
-                # deeper dimensions), so search within it.
-                tail = keys[pos - begin : end - begin]
+                tail = keys[pos - begin :]
                 bound = keys[nxt - begin]
                 first = pos + int(np.searchsorted(tail, bound, side="left"))
                 if first > pos:
@@ -474,20 +477,21 @@ class QuasiiIndex(MutableSpatialIndex):
                 else:
                     nxt = pos + int(np.searchsorted(tail, bound, side="right"))
             cut_lo = -_INF if pos == begin else float(keys[pos - begin])
-            mbb_lo = parent_lo.copy()
-            mbb_hi = parent_hi.copy()
-            mbb_lo[level] = float(store.lo[pos:nxt, level].min())
-            mbb_hi[level] = float(store.hi[pos:nxt, level].max())
-            node = Slice(level, pos, nxt, cut_lo, mbb_lo, mbb_hi)
-            if level + 1 < self._config.ndim:
-                node.children = SliceList(
-                    level + 1,
-                    self._str_slices(level + 1, pos, nxt, mbb_lo, mbb_hi),
-                )
-            self._maybe_finalize(node)
-            out.append(node)
+            dim_lo = float(store.lo[pos:nxt, level].min())
+            dim_hi = float(store.hi[pos:nxt, level].max())
+            pieces.append((cut_lo, pos, nxt, dim_lo, dim_hi))
             pos = nxt
-        return out
+        run = SliceList.from_pieces(level, pieces, parent_lo, parent_hi)
+        if level + 1 < self._config.ndim:
+            # Children inherit the slab's still open-ended box, so they are
+            # built (permuting rows inside their slab only) before the
+            # slabs' own exact boxes are computed.
+            run.children = [
+                self._str_slices(level + 1, b, e, run.mbb_lo[i], run.mbb_hi[i])
+                for i, (_, b, e, _, _) in enumerate(pieces)
+            ]
+        run.finalize(store, tau)
+        return run
 
     def _collapse_runs(self) -> None:
         """Defragment: fold every appended run back into one coarse run.
@@ -498,10 +502,10 @@ class QuasiiIndex(MutableSpatialIndex):
         the queries that still need it.  This bounds the per-query forest
         walk at ``max_runs + 1`` MBB tests plus the main hierarchy.
         """
-        begin = self._tops[1].slices[0].begin
-        end = self._tops[-1].slices[-1].end
+        begin = int(self._tops[1].begin[0])
+        end = int(self._tops[-1].end[-1])
         del self._tops[1:]
-        self._tops.append(SliceList(0, [self._make_slice(0, begin, end, -_INF)]))
+        self._tops.append(self._coarse_run(begin, end))
 
     # ------------------------------------------------------------------
     # Compaction: slice-forest defragmentation
@@ -511,9 +515,9 @@ class QuasiiIndex(MutableSpatialIndex):
 
         Compaction is stable, so the new position of any range boundary
         ``b`` is the number of surviving rows in ``[0, b)``; every
-        slice's ``begin``/``end`` remaps through that prefix sum and
-        siblings stay contiguous by construction.  Slices left empty are
-        dropped (the paper's s23 rule, applied at maintenance time),
+        list's ``begin``/``end`` columns remap through that prefix sum
+        and siblings stay contiguous by construction.  Slices left empty
+        are dropped (the paper's s23 rule, applied at maintenance time),
         adjacent survivors whose remains now fit one slice are merged
         back together, and every slice meeting its threshold is
         finalized with an exact MBB recomputed from the surviving rows —
@@ -522,158 +526,145 @@ class QuasiiIndex(MutableSpatialIndex):
         """
         pos = np.concatenate(([0], np.cumsum(remap >= 0)))
         self._tops = [
-            lst
-            for lst in (self._remap_list(top, pos) for top in self._tops)
-            if lst is not None
+            top for top in self._tops if self._remap_list(top, pos) is not None
         ]
         # Size of the surviving main hierarchy; 0 hands "first run may
         # bulk-load" semantics over when the initial rows all died.
         self._initial_rows = int(pos[self._initial_rows])
 
     def _remap_list(self, lst: SliceList, pos: np.ndarray) -> SliceList | None:
-        """Remap one sibling list through ``pos``; None when it empties."""
-        survivors: list[Slice] = []
-        for s in lst:
-            begin = int(pos[s.begin])
-            end = int(pos[s.end])
-            if begin == end:
-                continue  # fully tombstoned: nothing left to cover
-            s.begin = begin
-            s.end = end
-            if s.children is not None:
-                s.children = self._remap_list(s.children, pos)
-            survivors.append(s)
-        if not survivors:
-            return None
-        merged = self._merge_siblings(survivors)
-        for s in merged:
-            self._retighten(s)
-        return SliceList(lst.level, merged)
+        """Remap one sibling list in place; None when nothing survives.
 
-    def _merge_siblings(self, slices: list[Slice]) -> list[Slice]:
-        """Greedily merge adjacent *childless* siblings that fit one slice.
-
-        Deletes can hollow a refined region into long runs of near-empty
-        fragments; folding neighbours back into threshold-sized slices
-        keeps the per-query sibling walk proportional to the live data,
-        not to the history of cracks.  A merge keeps the left piece's
-        cut bound (all absorbed keys lie above it).  Only slices without
-        materialized children merge: discarding a refined subtree would
-        hand its cracking cost right back to the next queries, turning
-        the maintenance step into a latency regression.
+        Adjacent *childless* survivors merge greedily while they fit one
+        slice, which keeps the sibling walk proportional to the live data,
+        not to the history of cracks; a merge keeps the left piece's row
+        (its cut bound lies below every absorbed key) and extends its
+        ``end``.  Slices with materialized children never merge: dropping
+        a refined subtree would hand its cracking cost back to the next
+        queries.  The closing ``finalize`` recomputes boxes from live rows
+        only, so boxes that existed solely in tombstones stop inflating
+        slice bounds (and every ancestor test a query pays).
         """
-        tau = self._config.threshold(slices[0].level)
-        out = [slices[0]]
-        for s in slices[1:]:
-            last = out[-1]
-            if (
-                last.children is None
-                and s.children is None
-                and last.size + s.size <= tau
-            ):
-                last.end = s.end
-                last.mbb_lo = np.minimum(last.mbb_lo, s.mbb_lo)
-                last.mbb_hi = np.maximum(last.mbb_hi, s.mbb_hi)
-                last.final = False  # re-finalized by _retighten
+        lst.begin, lst.end = pos[lst.begin], pos[lst.end]
+        alive = (lst.begin < lst.end).nonzero()[0]
+        if alive.size == 0:
+            return None  # fully tombstoned: nothing left to cover
+        lst.select(alive)
+        lst.children = [
+            None if child is None else self._remap_list(child, pos)
+            for child in lst.children
+        ]
+        tau = self._config.threshold(lst.level)
+        heads: list[int] = []
+        room = -1  # rows the open merge group can still absorb
+        for i, size in enumerate((lst.end - lst.begin).tolist()):
+            childless = lst.child(i) is None
+            if childless and size <= room:
+                room -= size
             else:
-                out.append(s)
-        return out
-
-    def _retighten(self, node: Slice) -> None:
-        """Exact-MBB finalize for slices that now meet their threshold.
-
-        Survivor MBBs recompute from live rows only, so boxes that
-        existed solely in tombstones stop inflating slice bounds (and
-        with them, every ancestor test a query pays).
-        """
-        if node.size <= self._config.threshold(node.level):
-            node.finalize_mbb(self._store)
-            node.final = True
+                heads.append(i)
+                room = tau - size if childless else -1
+        if len(heads) < len(lst):
+            run_end = lst.end[-1]
+            lst.select(np.array(heads, dtype=np.int64))
+            lst.end = np.append(lst.begin[1:], run_end)
+        lst.finalize(self._store, tau, refresh=True)
+        return lst
 
     # ------------------------------------------------------------------
     # Algorithm 1: query processing
     # ------------------------------------------------------------------
-    def _query_level(
-        self, slices: SliceList, query: Query, out: list[np.ndarray]
-    ) -> None:
-        dim = slices.level
-        extended_lo, extended_hi = self._extended_bounds(query, dim)
-        i = slices.find_start(extended_lo)
-        while i < len(slices):
-            node = slices[i]
-            if node.cut_lo > extended_hi:
-                break
-            self.stats.nodes_visited += 1
-            if not node.intersects(query.lo, query.hi):
-                i += 1
-                continue
-            refined = self._refine(node, query)
-            if refined is not None:
-                slices.replace(i, refined)
-                # Re-enter the loop at the same position: the sub-slices are
-                # individually below threshold (or non-overlapping) so each
-                # is handled in a single further iteration.
-                continue
-            if node.level == self._config.ndim - 1:
-                self._scan_leaf(node, query, out)
-            else:
-                if node.children is None:
-                    node.children = self._default_child(node)
-                self._query_level(node.children, query, out)
-            i += 1
+    def _leaves(self, query: Query) -> list[int]:
+        """Walk (and refine) the forest for one query.
 
-    def _scan_leaf(
-        self, node: Slice, query: Query, out: list[np.ndarray]
-    ) -> None:
-        """Bottom level: emit the slice members as candidate rows.
-
-        The exact predicate test happens once in the shared refine
-        kernel, after the walk finishes — safe because cracking is
-        range-local, so later refinements of *other* slices never move
-        rows out of an already-collected leaf range.
+        Returns the collected bottom-level slices as a flat
+        ``[begin, end, begin, end, ...]`` list, depth-first left to right.
+        Their members are the candidate rows; the exact predicate test
+        happens later in the shared refine kernel (for a batch, after
+        *every* query's walk).  That is safe: a collected leaf and its
+        ancestors were refined when the walk descended through them,
+        refined slices are never cracked again, and cracking any other
+        slice only permutes rows inside its own disjoint range.
         """
-        self.stats.objects_tested += node.size
-        out.append(np.arange(node.begin, node.end, dtype=np.int64))
+        keys = self._extended_bounds(query)
+        leaves: list[int] = []
+        for top in self._tops:
+            self._walk(top, query, keys, leaves)
+        return leaves
 
-    def _default_child(self, node: Slice) -> SliceList:
-        """Lazy default child (Algorithm 1, Line 15): same rows, next level."""
-        child = Slice(
-            node.level + 1,
-            node.begin,
-            node.end,
-            -_INF,
-            node.mbb_lo.copy(),
-            node.mbb_hi.copy(),
-        )
-        self._maybe_finalize(child)
-        return SliceList(node.level + 1, [child])
+    def _walk(
+        self,
+        lst: SliceList,
+        query: Query,
+        keys: tuple[list[float], list[float]],
+        leaves: list[int],
+    ) -> None:
+        """Algorithm 1 over one sibling list: probe once, Python per hit."""
+        dim = lst.level
+        bottom = dim == self._config.ndim - 1
+        key_lo, key_hi = keys[0][dim], keys[1][dim]
+        start, stop, hits = lst.probe(key_lo, key_hi, query.lo, query.hi)
+        visited = stop - start
+        n = 0
+        while n < len(hits):
+            h = hits[n]
+            n += 1
+            if self._refine(lst, h, query, keys):
+                # The slice was replaced by its sub-slices: re-enter at the
+                # same position, testing each piece once.  Pieces meet the
+                # threshold or miss the query, so none is refined again;
+                # the siblings behind them are re-tested but not re-counted.
+                _, new_stop, hits = lst.probe(key_lo, key_hi, query.lo, query.hi, h)
+                visited += new_stop - stop + 1
+                stop, n = new_stop, 0
+            elif bottom:
+                leaves.append(int(lst.begin[h]))
+                leaves.append(int(lst.end[h]))
+            else:
+                child = lst.children[h]
+                if child is None:
+                    # Lazy default child (Line 15): same rows, next level.
+                    child = lst.children[h] = SliceList(
+                        dim + 1, [-_INF], [lst.begin[h]], [lst.end[h]],
+                        lst.mbb_lo[h], lst.mbb_hi[h],
+                    )
+                    child.finalize(self._store, self._config.threshold(dim + 1))
+                self._walk(child, query, keys, leaves)
+        self.stats.nodes_visited += visited
 
     # ------------------------------------------------------------------
     # Algorithm 2: refinement
     # ------------------------------------------------------------------
-    def _refine(self, node: Slice, query: Query) -> list[Slice] | None:
-        """Refine ``node`` against ``query``; None means "already refined".
+    def _refine(
+        self,
+        lst: SliceList,
+        h: int,
+        query: Query,
+        keys: tuple[list[float], list[float]],
+    ) -> bool:
+        """Refine slice ``h`` of ``lst`` against ``query``.
 
-        Returns the replacement sibling run (>= 1 slices, query-overlapping
-        ones guaranteed at/below threshold) after physically cracking the
-        store, or ``None`` when no reorganization is possible/needed.
+        Physically cracks the store and splices the replacement sibling
+        run (>= 1 slices, query-overlapping ones guaranteed at/below
+        threshold) over the slice; False means "already refined" — no
+        reorganization possible/needed, ``lst`` unchanged.
         """
-        tau = self._config.threshold(node.level)
-        if node.final or node.size <= tau:
-            return None
-        dim = node.level
+        dim = lst.level
+        tau = self._config.threshold(dim)
+        begin, end = int(lst.begin[h]), int(lst.end[h])
+        if lst.final[h] or end - begin <= tau:
+            return False
         kmin, kmax, dim_lo, dim_hi = range_dim_stats(
-            self._store, node.begin, node.end, dim, self._representative
+            self._store, begin, end, dim, self._representative
         )
         # Tighten the recorded open-ended bounds while we have them.
-        node.mbb_lo[dim] = dim_lo
-        node.mbb_hi[dim] = dim_hi
+        lst.mbb_lo[h, dim] = dim_lo
+        lst.mbb_hi[h, dim] = dim_hi
         if kmin == kmax:
             # Every representative key identical: this dimension cannot
             # discriminate.  Treat as refined; deeper levels take over.
-            return None
-
-        extended_lo, extended_hi = self._extended_bounds(query, dim)
+            return False
+        extended_lo, extended_hi = keys[0][dim], keys[1][dim]
         # Upper crack bound is exclusive ("keys < b"), so nudge one ulp up
         # to keep keys == the extended upper bound inside the middle slice.
         upper = float(np.nextafter(extended_hi, _INF))
@@ -681,48 +672,34 @@ class QuasiiIndex(MutableSpatialIndex):
         # Deduplicate the degenerate case extended_lo == upper.
         if len(bounds) == 2 and bounds[0] == bounds[1]:
             bounds = bounds[:1]
-
+        edges = [begin, end]
         if bounds:
-            # Three-way (both bounds interior) or two-way slicing.
-            splits = crack(
-                self._store,
-                node.begin,
-                node.end,
-                dim,
-                bounds,
-                self._representative,
+            # Three-way (both bounds interior) or two-way slicing;
+            # otherwise the query covers the slice's key range and only
+            # artificial slicing applies.
+            edges[1:1] = crack(
+                self._store, begin, end, dim, bounds, self._representative
             )
             self.stats.cracks += 1
-            self.stats.rows_reorganized += node.size
-            edges = [node.begin, *splits, node.end]
-            cut_los = [node.cut_lo, *bounds]
-        else:
-            # Query covers the slice's key range: artificial slicing only.
-            edges = [node.begin, node.end]
-            cut_los = [node.cut_lo]
-
-        produced: list[Slice] = []
-        for piece_idx in range(len(edges) - 1):
-            self._emit_refined(
-                node,
-                edges[piece_idx],
-                edges[piece_idx + 1],
-                cut_los[piece_idx],
-                query,
-                tau,
-                produced,
-            )
-        return produced
+            self.stats.rows_reorganized += end - begin
+        pieces: list[Piece] = []
+        cut_los = [float(lst.cut_lo[h]), *bounds]
+        for cut_lo, b, e in zip(cut_los, edges, edges[1:]):
+            self._emit_refined(dim, b, e, cut_lo, query, tau, pieces)
+        refined = SliceList.from_pieces(dim, pieces, lst.mbb_lo[h], lst.mbb_hi[h])
+        refined.finalize(self._store, tau)
+        lst.replace(h, refined)
+        return True
 
     def _emit_refined(
         self,
-        parent: Slice,
+        dim: int,
         begin: int,
         end: int,
         cut_lo: float,
         query: Query,
         tau: int,
-        out: list[Slice],
+        out: list[Piece],
     ) -> None:
         """Recursive artificial refinement (Algorithm 2, Lines 8–13).
 
@@ -733,7 +710,6 @@ class QuasiiIndex(MutableSpatialIndex):
         """
         if begin == end:
             return  # drop empty slices (paper's s23)
-        dim = parent.level
         size = end - begin
         kmin, kmax, dim_lo, dim_hi = range_dim_stats(
             self._store, begin, end, dim, self._representative
@@ -742,75 +718,24 @@ class QuasiiIndex(MutableSpatialIndex):
         # regardless of the representative in use.
         overlaps = dim_hi >= query.lo[dim] and dim_lo <= query.hi[dim]
         if size <= tau or not overlaps or kmin == kmax:
-            out.append(
-                self._make_child_slice(parent, begin, end, cut_lo, dim_lo, dim_hi)
-            )
+            out.append((cut_lo, begin, end, dim_lo, dim_hi))
             return
         if self._artificial_split == "median":
             keys = representative_keys(
                 self._store, begin, end, dim, self._representative
             )
             mid = float(np.median(keys))
-            # The median can coincide with kmin when keys are skewed;
-            # cracking needs a cut with a non-empty left side.
-            if mid <= kmin:
-                mid = float(np.nextafter(kmin, kmax))
         else:
             mid = (kmin + kmax) / 2.0
-            if mid <= kmin:
-                mid = float(np.nextafter(kmin, kmax))
+        # The cut can coincide with kmin (skewed median, adjacent floats);
+        # cracking needs a cut with a non-empty left side.
+        if mid <= kmin:
+            mid = float(np.nextafter(kmin, kmax))
         splits = crack(self._store, begin, end, dim, [mid], self._representative)
         self.stats.cracks += 1
         self.stats.rows_reorganized += size
-        self._emit_refined(parent, begin, splits[0], cut_lo, query, tau, out)
-        self._emit_refined(parent, splits[0], end, mid, query, tau, out)
-
-    # ------------------------------------------------------------------
-    # Slice construction
-    # ------------------------------------------------------------------
-    def _make_slice(self, level: int, begin: int, end: int, cut_lo: float) -> Slice:
-        """A root-level slice with fully open MBB."""
-        ndim = self._store.ndim
-        node = Slice(
-            level,
-            begin,
-            end,
-            cut_lo,
-            np.full(ndim, -_INF, dtype=np.float64),
-            np.full(ndim, _INF, dtype=np.float64),
-        )
-        self._maybe_finalize(node)
-        return node
-
-    def _make_child_slice(
-        self,
-        parent: Slice,
-        begin: int,
-        end: int,
-        cut_lo: float,
-        dim_lo: float,
-        dim_hi: float,
-    ) -> Slice:
-        """A refinement product: inherits the parent's recorded bounds on
-        other dimensions, records exact bounds on the sliced dimension."""
-        mbb_lo = parent.mbb_lo.copy()
-        mbb_hi = parent.mbb_hi.copy()
-        dim = parent.level
-        mbb_lo[dim] = dim_lo
-        mbb_hi[dim] = dim_hi
-        node = Slice(parent.level, begin, end, cut_lo, mbb_lo, mbb_hi)
-        self._maybe_finalize(node)
-        return node
-
-    def _maybe_finalize(self, node: Slice) -> None:
-        """Mark slices meeting their threshold final with an exact MBB.
-
-        The paper computes the full MBB "only when a slice is completely
-        refined" — this is that moment.
-        """
-        if node.size <= self._config.threshold(node.level):
-            node.finalize_mbb(self._store)
-            node.final = True
+        self._emit_refined(dim, begin, splits[0], cut_lo, query, tau, out)
+        self._emit_refined(dim, splits[0], end, mid, query, tau, out)
 
     # ------------------------------------------------------------------
     # Introspection & verification
@@ -825,22 +750,17 @@ class QuasiiIndex(MutableSpatialIndex):
         dims = "xyzwvu"
         lines: list[str] = []
 
-        def fmt_cut(value: float) -> str:
-            return "-inf" if value == -_INF else f"{value:g}"
-
         def walk(lst: SliceList, depth: int) -> None:
-            shown = 0
-            for s in lst:
+            dim = dims[lst.level] if lst.level < len(dims) else str(lst.level)
+            for shown, s in enumerate(lst):
                 if shown == max_slices_per_level:
                     lines.append("  " * depth + f"... {len(lst) - shown} more")
                     break
-                shown += 1
-                dim = dims[s.level] if s.level < len(dims) else str(s.level)
                 state = "final" if s.final else "coarse"
                 lines.append(
                     "  " * depth
                     + f"{dim}-slice rows[{s.begin}:{s.end}) "
-                    + f"cut>={fmt_cut(s.cut_lo)} |{s.size}| {state}"
+                    + f"cut>={s.cut_lo:g} |{s.size}| {state}"
                 )
                 if s.children is not None:
                     walk(s.children, depth + 1)
@@ -853,92 +773,92 @@ class QuasiiIndex(MutableSpatialIndex):
             lines.append(f"-- update buffer: {len(self._buffer)} pending rows")
         return "\n".join(lines)
 
+    def _lists(self) -> Iterator[SliceList]:
+        """Every sibling list; O(lists): bottom lists keep no child column."""
+        stack: list[SliceList] = list(self._tops)
+        while stack:
+            lst = stack.pop()
+            yield lst
+            stack.extend(c for c in lst.children if c is not None)
+
     def slice_counts(self) -> list[int]:
         """Number of materialized slices per level (index growth measure)."""
         counts = [0] * self._config.ndim
-        stack: list[SliceList] = list(self._tops)
-        while stack:
-            lst = stack.pop()
+        for lst in self._lists():
             counts[lst.level] += len(lst)
-            for s in lst:
-                if s.children is not None:
-                    stack.append(s.children)
         return counts
 
     def memory_bytes(self) -> int:
-        """Approximate footprint of the slice forest plus the update buffer."""
-        total = self._buffer.memory_bytes()
-        stack: list[SliceList] = list(self._tops)
-        while stack:
-            lst = stack.pop()
-            total += lst.memory_bytes()
-            for s in lst:
-                if s.children is not None:
-                    stack.append(s.children)
-        return total
+        """Footprint of the slice forest's columns plus the update buffer."""
+        return self._buffer.memory_bytes() + sum(
+            lst.memory_bytes() for lst in self._lists()
+        )
 
     def validate_structure(self) -> None:
         """Assert every structural invariant; raises AssertionError on breakage.
 
-        Used by the test suite (and available for debugging) to check:
-        sibling ranges tile the parent contiguously in order; cut bounds
-        strictly increase and bracket the member keys; recorded MBBs cover
-        members (exactly for final slices); thresholds hold for final
-        slices; levels are consistent; the forest's runs tile the whole
-        store.  Tombstoned rows participate in every structural check
-        (they stay physically in place), so the invariants are unaffected
-        by deletes.
+        Used by the test suite (and available for debugging) to check, one
+        vectorized pass per sibling list: the columns agree in length,
+        shape and dtype; sibling ranges tile the parent contiguously in
+        order; cut bounds strictly increase and bracket the member keys;
+        recorded MBB rows cover members (finite for final slices);
+        thresholds hold for final slices; levels are consistent; the
+        forest's runs tile the whole store.  Tombstoned rows participate
+        in every structural check (they stay physically in place), so the
+        invariants are unaffected by deletes.
         """
         d = self._config.ndim
         store = self._store
 
         def check_list(lst: SliceList, begin: int, end: int) -> None:
             assert lst.level < d, f"level {lst.level} out of range"
-            assert len(lst) > 0, "empty sibling list"
-            cursor = begin
-            prev_cut = None
-            for s in lst:
-                assert s.level == lst.level, "slice/list level mismatch"
-                assert s.begin == cursor, (
-                    f"non-contiguous siblings: expected begin {cursor}, "
-                    f"got {s.begin}"
+            n = len(lst)
+            assert n > 0, "empty sibling list"
+            for name, dtype in COLUMN_DTYPES.items():
+                column = getattr(lst, name)
+                shape = (n, d) if name.startswith("mbb") else (n,)
+                assert column.dtype == dtype and column.shape == shape, (
+                    f"column {name} is {column.dtype}{column.shape}, "
+                    f"expected {np.dtype(dtype)}{shape}"
                 )
-                assert s.begin < s.end, "empty slice materialized"
-                cursor = s.end
-                if prev_cut is not None:
-                    assert s.cut_lo > prev_cut, "cut bounds not increasing"
-                prev_cut = s.cut_lo
-                keys = representative_keys(
-                    store, s.begin, s.end, lst.level, self._representative
-                )
-                assert np.all(keys >= s.cut_lo), "key below slice cut bound"
-                sub_lo = store.lo[s.begin : s.end]
-                sub_hi = store.hi[s.begin : s.end]
-                assert np.all(sub_lo >= s.mbb_lo - 1e-9) and np.all(
-                    sub_hi <= s.mbb_hi + 1e-9
-                ), "recorded MBB does not cover slice members"
-                if s.final:
-                    assert s.size <= self._config.threshold(s.level), (
-                        f"final slice of {s.size} objects exceeds "
-                        f"threshold {self._config.threshold(s.level)}"
-                    )
-                    assert np.all(np.isfinite(s.mbb_lo)) and np.all(
-                        np.isfinite(s.mbb_hi)
-                    ), "final slice MBB not fully computed"
-                if s.children is not None:
-                    assert s.children.level == s.level + 1, "child level skew"
-                    check_list(s.children, s.begin, s.end)
-            assert cursor == end, "siblings do not cover parent range"
-            # Keys must stay below the next sibling's cut bound.
-            for left, right in zip(lst.slices, lst.slices[1:]):
-                keys = representative_keys(
-                    store, left.begin, left.end, lst.level, self._representative
-                )
-                assert np.all(keys < right.cut_lo), "key spills past cut bound"
+            assert len(lst.children) == (n if lst.level + 1 < d else 0), (
+                "child column out of step with the slice columns"
+            )
+            assert (
+                lst.begin[0] == begin
+                and lst.end[-1] == end
+                and np.array_equal(lst.begin[1:], lst.end[:-1])
+            ), f"siblings do not tile the parent range [{begin}, {end})"
+            sizes = lst.end - lst.begin
+            assert np.all(sizes > 0), "empty slice materialized"
+            assert np.all(np.diff(lst.cut_lo) > 0), "cut bounds not increasing"
+            keys = representative_keys(
+                store, begin, end, lst.level, self._representative
+            )
+            next_cut = np.append(lst.cut_lo[1:], _INF)
+            assert np.all(keys >= np.repeat(lst.cut_lo, sizes)) and np.all(
+                keys < np.repeat(next_cut, sizes)
+            ), "key outside its slice's cut interval"
+            assert np.all(
+                store.lo[begin:end] >= np.repeat(lst.mbb_lo, sizes, axis=0) - 1e-9
+            ) and np.all(
+                store.hi[begin:end] <= np.repeat(lst.mbb_hi, sizes, axis=0) + 1e-9
+            ), "recorded MBB does not cover slice members"
+            tau = self._config.threshold(lst.level)
+            assert np.all(sizes[lst.final] <= tau), (
+                f"final slice exceeds threshold {tau}"
+            )
+            assert np.all(np.isfinite(lst.mbb_lo[lst.final])) and np.all(
+                np.isfinite(lst.mbb_hi[lst.final])
+            ), "final slice MBB not fully computed"
+            for i, child in enumerate(lst.children):
+                if child is not None:
+                    assert child.level == lst.level + 1, "child level skew"
+                    check_list(child, int(lst.begin[i]), int(lst.end[i]))
 
         cursor = 0
         for top in self._tops:
-            run_end = top.slices[-1].end
+            run_end = int(top.end[-1])
             check_list(top, cursor, run_end)
             cursor = run_end
         assert cursor == store.n, "slice forest does not cover the store"

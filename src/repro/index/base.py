@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Sequence
 
 import numpy as np
@@ -122,29 +122,17 @@ class IndexStats:
     shards_visited: int = 0
     shards_pruned: int = 0
 
+    # Coverage guarantee: every counter is a dataclass field, and
+    # reset/as_dict/snapshot/delta_since iterate ``dataclass_fields`` — so
+    # a newly added counter is automatically covered by all four (and by
+    # the telemetry ``stats.*`` flow built on as_dict).  A counter can
+    # only escape by not being a field at all, which
+    # tests/unit/test_index_stats.py asserts cannot happen silently.
+
     def reset(self) -> None:
         """Zero all counters."""
-        self.queries = 0
-        self.objects_tested = 0
-        self.results_returned = 0
-        self.nodes_visited = 0
-        self.cracks = 0
-        self.rows_reorganized = 0
-        self.inserts = 0
-        self.deletes = 0
-        self.merges = 0
-        self.compactions = 0
-        self.rebalances = 0
-        self.rows_migrated = 0
-        self.shards_visited = 0
-        self.shards_pruned = 0
-
-    # Coverage guarantee: every counter is a dataclass field, and
-    # as_dict/snapshot/delta_since iterate ``dataclass_fields`` — so a
-    # newly added counter is automatically covered by all three (and by
-    # the telemetry ``stats.*`` flow built on as_dict).  A counter can
-    # only escape deltas by not being a field at all, which
-    # tests/unit/test_index_stats.py asserts cannot happen silently.
+        for f in dataclass_fields(self):
+            setattr(self, f.name, 0)
 
     def as_dict(self) -> dict[str, int]:
         """All counters as ``{name: value}``, in field order."""
@@ -400,8 +388,8 @@ class SpatialIndex(abc.ABC):
         queries sharing a predicate are concatenated and tested in a
         single vectorized call against per-row window matrices, then
         split back per query.  Used by the natively batched paths
-        (Grid, SFC) whose candidate gathering is per-query but whose
-        refine cost dominates.
+        (Grid, SFC, QUASII) whose candidate gathering is per-query but
+        whose refine step need not be.
         """
         store = self._store
         payloads: list = [None] * len(queries)

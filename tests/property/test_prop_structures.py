@@ -1,4 +1,4 @@
-"""Property tests for structural helpers: STR packing, SliceList search,
+"""Property tests for structural helpers: STR packing, SliceList probing,
 grid assignment, and the gather-ranges kernel."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.grid import UniformGridIndex
 from repro.baselines.rtree import str_pack
-from repro.core.slices import Slice, SliceList
+from repro.core.slices import SliceList
 from repro.datasets import BoxStore
 from repro.geometry import Box
 from repro.queries import RangeQuery
@@ -31,7 +31,7 @@ def test_str_pack_partitions_rows(n, capacity, seed):
 
 @given(st.data())
 @settings(max_examples=80)
-def test_slicelist_find_start_matches_linear_scan(data):
+def test_slicelist_probe_range_matches_linear_scan(data):
     # Build a valid sibling run with strictly increasing cut bounds.
     n_slices = data.draw(st.integers(1, 12))
     cuts = sorted(
@@ -44,24 +44,26 @@ def test_slicelist_find_start_matches_linear_scan(data):
             )
         )
     )
-    cut_los = [-INF, *cuts]
-    slices = []
+    pieces = []
     begin = 0
-    for cut in cut_los:
+    for cut in [-INF, *cuts]:
         end = begin + data.draw(st.integers(1, 5))
-        slices.append(
-            Slice(0, begin, end, cut, np.full(2, -INF), np.full(2, INF))
-        )
+        pieces.append((cut, begin, end, -INF, INF))
         begin = end
-    lst = SliceList(0, slices)
-    value = data.draw(st.floats(-2e6, 2e6, allow_nan=False))
-    got = lst.find_start(value)
-    # Linear reference: last slice whose cut_lo <= value, clamped to 0.
-    expected = 0
-    for i, s in enumerate(slices):
-        if s.cut_lo <= value:
-            expected = i
-    assert got == expected
+    lst = SliceList.from_pieces(0, pieces, np.full(2, -INF), np.full(2, INF))
+    key_lo = data.draw(st.floats(-2e6, 2e6, allow_nan=False))
+    key_hi = key_lo + data.draw(st.floats(0, 1e6, allow_nan=False))
+    window = np.zeros(2), np.ones(2)
+    start, stop, hits = lst.probe(key_lo, key_hi, *window)
+    # Linear reference (Algorithm 1): start at the last slice whose cut
+    # bound is <= the lower key, stop at the first whose bound is above
+    # the upper key; open boxes make every slice in between a hit.
+    expected_start = max(
+        (i for i, (cut, *_) in enumerate(pieces) if cut <= key_lo), default=0
+    )
+    expected_stop = sum(cut <= key_hi for cut, *_ in pieces)
+    assert (start, stop) == (expected_start, expected_stop)
+    assert hits == list(range(start, stop))
 
 
 @given(st.integers(1, 10), st.integers(2, 120), st.integers(0, 2**31 - 1))

@@ -11,7 +11,7 @@ a field, which ``reset`` parity would catch).
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import pytest
 
@@ -69,6 +69,20 @@ class TestCoverageGuarantee:
         stats = _filled()
         stats.reset()
         assert stats.as_dict() == {name: 0 for name in FIELD_NAMES}
+
+    def test_reset_covers_a_counter_added_later(self):
+        # reset() must iterate the fields like as_dict/snapshot/delta do:
+        # a hand-written list of assignments would leave a new counter
+        # (simulated by a subclass field) at its old value.
+        @dataclass
+        class Extended(IndexStats):
+            slices_spliced: int = 0
+
+        stats = Extended(queries=3, slices_spliced=9)
+        stats.reset()
+        assert stats.as_dict() == dict.fromkeys(
+            [*FIELD_NAMES, "slices_spliced"], 0
+        )
 
     @pytest.mark.parametrize("name", ["rebalances", "rows_migrated"])
     def test_sharding_counters_flow_through_deltas(self, name):

@@ -105,7 +105,7 @@ class TestBulkFlush:
         assert np.array_equal(np.sort(index.query(FULL)), np.sort(scan.query(FULL)))
         index.validate_structure()
         assert index.runs == 2  # main hierarchy + one bulk-loaded run
-        assert index._tops[0].slices[-1].end == 4  # initial rows left alone
+        assert index._tops[0].end[-1] == 4  # initial rows left alone
 
     def test_virgin_main_hierarchy_is_never_bulk_loaded(self):
         # Regression: a large flush into a store that has never been
@@ -119,7 +119,7 @@ class TestBulkFlush:
         # The merge only reorganized the appended run (2 levels x 12 rows),
         # not the 40 initial rows.
         assert index.runs == 2
-        assert index._tops[1].slices[0].begin == 40
+        assert index._tops[1].begin[0] == 40
         assert index.stats.rows_reorganized - moved_before <= 2 * 12
         index.validate_structure()
 

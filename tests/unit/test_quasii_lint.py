@@ -43,7 +43,7 @@ def run_rules(
 def test_registry_holds_the_documented_rule_set():
     assert sorted(analysis.RULES) == [
         "QL001", "QL002", "QL003", "QL004", "QL005", "QL006", "QL007",
-        "QL008",
+        "QL008", "QL009",
     ]
     for rule in analysis.all_rules():
         assert rule.id in analysis.RULES
@@ -327,6 +327,87 @@ def test_ql008_covers_the_frozen_dataclass_setattr_idiom(tmp_path):
 def test_ql008_stays_silent_on_the_live_parallel_package():
     findings = run_rules(REPO / "src" / "repro", ["QL008"])
     assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# QL009 slice-column write discipline
+# ---------------------------------------------------------------------------
+_COLUMN_WRITES = (
+    "def poke(index, rows):\n"
+    "    top = index._tops[0]\n"
+    "    top.begin[0] = 5\n"
+    "    top.final |= True\n"
+    "    top.mbb_lo[0, 1] = 0.0\n"
+    "    top.begin, top.end = rows, rows\n"
+    "    top.children.append(None)\n"
+    "    top.children[2].cut_lo.fill(0.0)\n"
+    "    del top.mbb_hi\n"
+)
+
+
+def test_ql009_flags_column_writes_outside_the_two_writer_modules(tmp_path):
+    write_tree(tmp_path, {
+        "bench/gauges.py": _COLUMN_WRITES,
+        # The very same code inside the modules that own the invariants.
+        "core/quasii.py": _COLUMN_WRITES,
+        "core/slices.py": "class SliceList:\n" + _COLUMN_WRITES.replace(
+            "def poke(index, rows)", "    def poke(self, index, rows)"
+        ).replace("\n    ", "\n        "),
+    })
+    findings = run_rules(tmp_path, ["QL009"])
+    assert [f.tag for f in findings] == [
+        "top.begin", "top.final", "top.mbb_lo", "top.begin", "top.end",
+        "top.children", "top.children[2].cut_lo", "top.mbb_hi",
+    ]
+    assert {f.path for f in findings} == {"bench/gauges.py"}
+    assert all(f.symbol == "bench.gauges:poke" for f in findings)
+
+
+def test_ql009_allows_reads_own_attributes_and_unrelated_modules(tmp_path):
+    write_tree(tmp_path, {
+        # Reads of every kind, in a module that does hold slice lists.
+        "report.py": (
+            "def sizes(index):\n"
+            "    out = []\n"
+            "    for lst in index._lists():\n"
+            "        out.append((lst.end - lst.begin).tolist())\n"
+            "        kids = [c for c in lst.children if c is not None]\n"
+            "        first = lst.mbb_lo[0].copy()\n"
+            "        first[0] = 0.0\n"
+            "    return out, kids, sorted(lst.cut_lo)\n"
+        ),
+        # A class with same-named attributes of its own, next to a forest.
+        "shard.py": (
+            "from core.slices import SliceList\n"
+            "class Shard:\n"
+            "    def __init__(self, box):\n"
+            "        self.mbb_lo, self.mbb_hi = box\n"
+            "    def widen(self, lo):\n"
+            "        self.mbb_lo[0] = lo\n"
+        ),
+        # Column-like names in a module that cannot hold a slice list.
+        "rtree.py": (
+            "def split(node, extra):\n"
+            "    node.children.append(extra)\n"
+            "    node.children = node.children[:4]\n"
+            "    node.end = 3\n"
+        ),
+    })
+    assert run_rules(tmp_path, ["QL009"]) == []
+
+
+def test_ql009_reports_a_nested_function_once(tmp_path):
+    write_tree(tmp_path, {"mod.py": (
+        "def outer(index):\n"
+        "    def inner(lst):\n"
+        "        lst.final[0] = True\n"
+        "    inner(index._top)\n"
+    )})
+    assert [f.tag for f in run_rules(tmp_path, ["QL009"])] == ["lst.final"]
+
+
+def test_ql009_stays_silent_on_the_live_tree():
+    assert run_rules(REPO / "src" / "repro", ["QL009"]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ concurrency rule on the ``QueryExecutor`` fan-out path, explicit numpy
 dtypes, and the canonical telemetry vocabulary.  This package parses
 ``src/repro`` with :mod:`ast`, builds a lightweight module/class/call
 index (:class:`~analysis.core.RepoIndex`), and runs pluggable rules
-(QL001..QL007, registered in :mod:`analysis.rules`) over it.
+(QL001..QL009, registered in :mod:`analysis.rules`) over it.
 
 Usage (from the repository root)::
 

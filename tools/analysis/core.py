@@ -31,6 +31,7 @@ __all__ = [
     "RepoIndex",
     "SourceFile",
     "analyze",
+    "flatten_targets",
     "iter_with_stack",
     "lock_guarded",
     "self_assign_targets",
@@ -250,6 +251,26 @@ class AnalysisConfig:
         }
     )
 
+    # QL009 -- slice-column write discipline
+    slice_list_class: str = "SliceList"
+    slice_columns: frozenset[str] = frozenset(
+        {"cut_lo", "begin", "end", "mbb_lo", "mbb_hi", "final", "children"}
+    )
+    #: Modules (dotted, relative to the scan root) that maintain the
+    #: invariants between the columns and may therefore write them.
+    slice_writer_modules: frozenset[str] = frozenset(
+        {"core.slices", "core.quasii"}
+    )
+    #: Attribute names through which other code reaches a slice forest.
+    forest_accessors: frozenset[str] = frozenset({"_tops", "_top", "_lists"})
+    #: ndarray / list methods that mutate their receiver in place.
+    inplace_mutators: frozenset[str] = frozenset(
+        {
+            "append", "extend", "insert", "pop", "remove", "clear",
+            "reverse", "sort", "fill", "put", "resize", "partition",
+        }
+    )
+
     def with_vocab(self, names: Iterable[str]) -> "AnalysisConfig":
         return replace(self, vocab=frozenset(names))
 
@@ -403,7 +424,7 @@ def self_assign_targets(
             ):
                 attrs.add(node.args[1].value)
         for target in targets:
-            for leaf in _flatten_targets(target):
+            for leaf in flatten_targets(target):
                 if (
                     isinstance(leaf, ast.Attribute)
                     and isinstance(leaf.value, ast.Name)
@@ -413,10 +434,10 @@ def self_assign_targets(
     return attrs
 
 
-def _flatten_targets(target: ast.expr) -> Iterator[ast.expr]:
+def flatten_targets(target: ast.expr) -> Iterator[ast.expr]:
     if isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:
-            yield from _flatten_targets(element)
+            yield from flatten_targets(element)
     else:
         yield target
 
