@@ -1,5 +1,4 @@
-"""Command-line entry point: ``quasii-bench`` / ``repro-bench`` /
-``python -m repro.bench``.
+"""Command-line entry point: ``quasii-bench`` / ``python -m repro.bench``.
 
 Examples::
 

@@ -60,7 +60,6 @@ from repro.sharding import (
     FaultInjector,
     MaintenancePolicy,
     QueryExecutor,
-    ReplicatedShardedIndex,
     ShardedIndex,
 )
 from repro.telemetry import EventLog
@@ -1824,7 +1823,7 @@ def replication_experiment(scale: Scale) -> ExperimentReport:
 
     def run_batch(replication: int, kill: bool):
         events = EventLog()
-        engine = ReplicatedShardedIndex(
+        engine = ShardedIndex(
             ds.store.copy(),
             n_shards=n_shards,
             replication=replication,
@@ -1927,12 +1926,11 @@ def replication_experiment(scale: Scale) -> ExperimentReport:
         blo = rng.uniform(ulo, uhi, size=(scale.replication_insert_batch, ndim))
         bhi = np.minimum(blo + rng.uniform(0.1, 2.0, size=blo.shape), uhi)
         engine.insert(blo, bhi)
-        replayed = engine.shards[0].replica_set.ledger.log_length
+        replayed = engine.shards[0].ledger.log_length
         engine.recover_replica(0, 0)
         recovered = events.recent(kind="replica.recover")
-        replica_set = engine.shards[0].replica_set
         fingerprints = {
-            r.store.live_fingerprint() for r in replica_set.replicas
+            r.store.live_fingerprint() for r in engine.shards[0].replicas
         }
         killed = {
             "qps": qps,

@@ -36,7 +36,6 @@ from repro.queries.query import as_query
 from repro.queries.workloads import WorkloadOp, drifting_hotspot_workload
 from repro.sharding.executor import QueryExecutor
 from repro.sharding.maintenance import MaintenancePolicy
-from repro.sharding.replication import ReplicatedShardedIndex
 from repro.sharding.sharded_index import ShardedIndex
 from repro.telemetry import (
     EventLog,
@@ -127,19 +126,12 @@ def soak_experiment(
     ds = make_uniform(
         min(scale.rebalance_n, scale.uniform_n), seed=scale.seed
     )
-    if chaos:
-        engine: ShardedIndex = ReplicatedShardedIndex(
-            ds.store.copy(),
-            n_shards=max(scale.shard_counts),
-            replication=scale.soak_chaos_replication,
-            partitioner="str",
-        )
-    else:
-        engine = ShardedIndex(
-            ds.store.copy(),
-            n_shards=max(scale.shard_counts),
-            partitioner="str",
-        )
+    engine = ShardedIndex(
+        ds.store.copy(),
+        n_shards=max(scale.shard_counts),
+        partitioner="str",
+        replication=scale.soak_chaos_replication if chaos else 1,
+    )
     engine.build()
     # The oracle's store starts as the same copy, so both sides assign
     # identical id streams and every query is exactly comparable.
@@ -208,8 +200,7 @@ def soak_experiment(
         # proves *degraded* serving stays correct while healing.
         flush_queries()
         sid = int(chaos_rng.integers(engine.n_shards))
-        replica_set = engine.shards[sid].replica_set
-        live = replica_set.live_replicas()
+        live = engine.shards[sid].live_replicas()
         if len(live) >= 2:
             rid = int(chaos_rng.choice([r.rid for r in live]))
             engine.kill_replica(sid, rid)

@@ -9,12 +9,18 @@ intact:
 * :class:`Partitioner` / :class:`STRPartitioner` /
   :class:`RoundRobinPartitioner` — build-time row splits and insert-time
   routing policies (:data:`PARTITIONERS` is the registry).
-* :class:`Shard` — one shard: a private :class:`BoxStore` copy, its own
-  index, and the MBB used for query pruning.
+* :class:`Shard` / :class:`ShardReplica` — one shard: ``R >= 1``
+  replicas (each a private :class:`BoxStore` copy plus its own index)
+  with least-loaded read routing and automatic failover, the primary's
+  store+index, the MBB used for query pruning, and — iff R > 1 — the
+  per-shard :class:`~repro.updates.ledger.UpdateLedger` that is the
+  replication stream (ledger-first writes, ledger-replay recovery with
+  fingerprint verification).
 * :class:`ShardedIndex` — the engine: the full
   :class:`~repro.index.base.MutableSpatialIndex` contract over K shards
-  with pruned fan-out queries, merged + deduplicated results, and
-  ownership-routed inserts/deletes.
+  with pruned fan-out queries, merged + deduplicated results,
+  ownership-routed inserts/deletes, and the fault seam
+  (``replication=``, ``fault_injector=``, kill/stall/slow/recover).
 * :class:`QueryExecutor` / :class:`BatchResult` — batch execution with
   shard affinity on a thread pool, and a sequential fallback.
 * :class:`WorkloadProfile` / :class:`ShardLoad` — the observed query
@@ -27,12 +33,6 @@ intact:
   :class:`MaintenanceReport` — automatic maintenance on the query path:
   dead-fraction-gated compaction plus drift-gated rebalancing, ticked
   by the executors instead of ad-hoc call sites.
-* :class:`ReplicatedShardedIndex` / :class:`ReplicaSet` /
-  :class:`ShardReplica` / :class:`ReplicatedShard` — the replication
-  tier: R replicas per shard with least-loaded read routing, automatic
-  failover, write application through the per-shard
-  :class:`~repro.updates.ledger.UpdateLedger` (the replication stream),
-  and ledger-replay recovery with fingerprint verification.
 * :class:`FaultInjector` / :class:`Fault` — deterministic, seed-driven
   kill/stall/slow faults, ticked on the engine's routing path so
   failures are first-class test inputs.
@@ -67,13 +67,11 @@ from repro.sharding.rebalancer import (
 from repro.sharding.replication import (
     Fault,
     FaultInjector,
-    ReplicaSet,
-    ReplicatedShard,
-    ReplicatedShardedIndex,
+    IndexFactory,
     ShardReplica,
 )
 from repro.sharding.shard import Shard
-from repro.sharding.sharded_index import IndexFactory, ShardedIndex
+from repro.sharding.sharded_index import ShardedIndex
 
 __all__ = [
     "BatchResult",
@@ -88,9 +86,6 @@ __all__ = [
     "QueryExecutor",
     "RebalanceResult",
     "Rebalancer",
-    "ReplicaSet",
-    "ReplicatedShard",
-    "ReplicatedShardedIndex",
     "RoundRobinPartitioner",
     "STRPartitioner",
     "Shard",

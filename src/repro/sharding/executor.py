@@ -25,10 +25,11 @@ from shared-memory snapshots).  An explicit ``backend=`` argument wins;
 otherwise ``QUASII_EXECUTOR_BACKEND`` is consulted (only when the
 resolved ``max_workers`` exceeds 1, so single-worker setups keep their
 sequential contract); otherwise the historical default stands:
-``threads`` when ``max_workers > 1``, else ``sequential``.  Replicated
-engines route reads through per-shard replica picks, which the process
-tier bypasses by design — asking for ``backend="processes"`` on one
-raises, and an env-sourced request quietly downgrades to threads.
+``threads`` when ``max_workers > 1``, else ``sequential``.  Engines
+with ``replication > 1`` route reads through per-shard replica picks,
+which the process tier bypasses by design — asking for
+``backend="processes"`` on one raises, and an env-sourced request
+quietly downgrades to threads.
 
 Passing a :class:`~repro.sharding.maintenance.MaintenancePolicy` makes
 the executor the maintenance driver too: after every batch it ticks a
@@ -55,7 +56,7 @@ from repro.index.base import IndexStats
 from repro.queries.query import Query, QueryResult, as_query
 from repro.queries.range_query import RangeQuery
 from repro.sharding.maintenance import MaintenancePolicy, MaintenanceScheduler
-from repro.sharding.replication import FaultInjector, ReplicatedShardedIndex
+from repro.sharding.replication import FaultInjector
 from repro.sharding.shard import Shard
 from repro.sharding.sharded_index import ShardedIndex
 from repro.telemetry import Telemetry
@@ -189,11 +190,10 @@ class QueryExecutor:
         split).  ``None`` (default) disables the check entirely.
     fault_injector:
         Optional :class:`~repro.sharding.replication.FaultInjector`,
-        attached to a replication-aware engine
-        (:class:`~repro.sharding.replication.ReplicatedShardedIndex`)
-        so deterministic kill/stall/slow faults fire on the serving
-        path.  Passing one with a plain :class:`ShardedIndex` raises —
-        faults are first-class inputs, never silently dropped.
+        attached to the engine so deterministic kill/stall/slow faults
+        fire on the serving path.  A fault aimed at a replica the
+        engine does not have raises when it fires — faults are
+        first-class inputs, never silently dropped.
     """
 
     def __init__(
@@ -228,17 +228,9 @@ class QueryExecutor:
         self._events = events
         self._slow_query_threshold = slow_query_threshold
         if fault_injector is not None:
-            attach = getattr(index, "attach_fault_injector", None)
-            if attach is None:
-                raise ConfigurationError(
-                    f"{type(index).__name__} has no fault-injection seam; "
-                    "use a ReplicatedShardedIndex"
-                )
-            attach(fault_injector)
+            index.attach_fault_injector(fault_injector)
         if events is not None:
-            attach_events = getattr(index, "attach_event_log", None)
-            if attach_events is not None:
-                attach_events(events)
+            index.attach_event_log(events)
         self._scheduler = (
             MaintenanceScheduler(
                 index,
@@ -259,10 +251,11 @@ class QueryExecutor:
         worker was resolved — the env knob widens parallel setups, it
         never un-sequentializes a deliberate single-worker executor) >
         the historical worker-count default.  Unknown names raise either
-        way; ``processes`` on a replicated engine raises when asked
-        explicitly and downgrades to ``threads`` when the env asked,
-        because the process tier serves from driver-published snapshots
-        and would silently bypass replica routing and fault injection.
+        way; ``processes`` on an engine with ``replication > 1`` raises
+        when asked explicitly and downgrades to ``threads`` when the
+        env asked, because the process tier serves from driver-published
+        snapshots of each shard's primary and would silently bypass
+        replica routing and failover.
         """
         explicit = requested is not None
         backend = requested
@@ -276,13 +269,12 @@ class QueryExecutor:
                 f"unknown executor backend {backend!r} (from {source}); "
                 f"choose from {BACKENDS}"
             )
-        if backend == "processes" and isinstance(index, ReplicatedShardedIndex):
+        if backend == "processes" and index.replication > 1:
             if explicit:
                 raise ConfigurationError(
-                    "backend='processes' cannot serve a "
-                    "ReplicatedShardedIndex: process workers read "
-                    "driver-published snapshots and would bypass replica "
-                    "routing and fault injection"
+                    f"backend='processes' cannot serve {index.name}: "
+                    "process workers read driver-published snapshots and "
+                    "would bypass replica routing and failover"
                 )
             return "threads"
         return backend
@@ -436,9 +428,21 @@ class QueryExecutor:
             )
             out.seconds = time.perf_counter() - t0
             return out
+        # Threads and processes share one shape — route on this thread,
+        # serve one sub-batch per shard, merge on this thread — and differ
+        # only in who does the per-shard labor.
+        queues = self._route(queries)
+        t_routed = time.perf_counter()
         if self._backend == "processes":
-            return self._run_processes(queries, t0)
-        return self._run_parallel(queries, t0)
+            # shard_seconds carry the worker-measured in-process
+            # wall-clock, so skew stays observable across the boundary.
+            pool = self._ensure_pool()
+            workers, mode = pool.n_workers, "processes"
+            served = pool.run_batch(queries, queues)
+        else:
+            workers, mode = max(1, self._max_workers), "parallel"
+            served = self._run_parallel(queries, queues, workers)
+        return self._finish_fanout(queries, served, mode, workers, t0, t_routed)
 
     def _route(self, queries: list[Query]) -> dict[int, list[int]]:
         """Route every query onto shard queues, on the calling thread.
@@ -462,11 +466,11 @@ class QueryExecutor:
                 queues.setdefault(shard.sid, []).append(i)
         return queues
 
-    def _run_parallel(self, queries: list[Query], t0: float) -> BatchResult:
-        index = self._index
-        queues = self._route(queries)
-        t_routed = time.perf_counter()
-        workers = max(1, self._max_workers)
+    def _run_parallel(
+        self, queries: list[Query], queues: dict[int, list[int]], workers: int
+    ) -> dict[int, tuple[list[int], list[QueryResult], float]]:
+        """The thread backend's labor: one timed task per routed shard."""
+        shards = self._index.shards
 
         def work(
             shard: Shard, idxs: list[int]
@@ -476,42 +480,56 @@ class QueryExecutor:
             # indexes batch their own candidate matrices / merges.  Each
             # task times itself — pool queueing excluded, so the numbers
             # expose shard skew rather than dispatch order.
-            # serving_index() is the replication seam: a replicated
-            # shard picks its least-loaded live replica here, once per
-            # shard per batch, so the chosen replica stays
-            # single-threaded for the whole sub-batch.
+            # serving_index() is the replication seam: the shard picks
+            # its least-loaded live replica here, once per shard per
+            # batch, so the chosen replica stays single-threaded for the
+            # whole sub-batch.
             w0 = time.perf_counter()
             sub = shard.serving_index().execute_batch(
                 [queries[i] for i in idxs]
             )
             return idxs, sub, time.perf_counter() - w0
 
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                (sid, pool.submit(work, shards[sid], idxs))
+                for sid, idxs in queues.items()
+            ]
+            return {sid: future.result() for sid, future in futures}
+
+    def _finish_fanout(
+        self,
+        queries: list[Query],
+        served: dict[int, tuple[list[int], list[QueryResult], float]],
+        mode: str,
+        workers: int,
+        t0: float,
+        t_routed: float,
+    ) -> BatchResult:
+        """The shared tail of the thread and process backends.
+
+        ``served`` maps shard id to ``(query indexes, sub-batch results,
+        worker seconds)``.  Merging is shared with the engine's native
+        sequential batch: counters, equal-share seconds, and the
+        post-merge wall-clock capture all live in ``_assemble_batch``.
+        """
+        t_joined = time.perf_counter()
+        index = self._index
         partials: dict[int, list[QueryResult]] = {}
         shard_queries = [0] * index.n_shards
         shard_seconds = [0.0] * index.n_shards
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (sid, pool.submit(work, index.shards[sid], idxs))
-                for sid, idxs in queues.items()
-            ]
-            for sid, future in futures:
-                idxs, sub, seconds = future.result()
-                shard_seconds[sid] = seconds
-                for i, res in zip(idxs, sub):
-                    partials.setdefault(i, []).append(res)
-        t_joined = time.perf_counter()
-        for sid, idxs in queues.items():
+        for sid, (idxs, sub, seconds) in served.items():
             shard_queries[sid] = len(idxs)
-        # Merging (and its timing) is shared with the engine's native
-        # sequential batch: counters, equal-share seconds, and the
-        # post-merge wall-clock capture all live in _assemble_batch.
+            shard_seconds[sid] = seconds
+            for i, res in zip(idxs, sub):
+                partials.setdefault(i, []).append(res)
         query_results = index._assemble_batch(queries, partials, t0)
         t_done = time.perf_counter()
         return BatchResult(
             results=[self._ids_of(r) for r in query_results],
             query_results=query_results,
             seconds=t_done - t0,
-            mode="parallel",
+            mode=mode,
             workers=workers,
             shard_queries=shard_queries,
             shard_seconds=shard_seconds,
@@ -538,45 +556,6 @@ class QueryExecutor:
                 events=self._events,
             )
         return self._pool
-
-    def _run_processes(self, queries: list[Query], t0: float) -> BatchResult:
-        """The process backend: same shape as threads, different labor.
-
-        Routing, merging, counters, and maintenance all stay
-        driver-side (identical to :meth:`_run_parallel`); only the
-        per-shard sub-batch execution crosses the process boundary.
-        ``shard_seconds`` carries the worker-measured in-process
-        wall-clock, so skew stays observable without clock-domain
-        games.
-        """
-        index = self._index
-        queues = self._route(queries)
-        t_routed = time.perf_counter()
-        pool = self._ensure_pool()
-        served = pool.run_batch(queries, queues)
-        t_joined = time.perf_counter()
-        partials: dict[int, list[QueryResult]] = {}
-        shard_queries = [0] * index.n_shards
-        shard_seconds = [0.0] * index.n_shards
-        for sid, (idxs, sub, seconds) in served.items():
-            shard_queries[sid] = len(idxs)
-            shard_seconds[sid] = seconds
-            for i, res in zip(idxs, sub):
-                partials.setdefault(i, []).append(res)
-        query_results = index._assemble_batch(queries, partials, t0)
-        t_done = time.perf_counter()
-        return BatchResult(
-            results=[self._ids_of(r) for r in query_results],
-            query_results=query_results,
-            seconds=t_done - t0,
-            mode="processes",
-            workers=pool.n_workers,
-            shard_queries=shard_queries,
-            shard_seconds=shard_seconds,
-            route_seconds=t_routed - t0,
-            fanout_seconds=t_joined - t_routed,
-            merge_seconds=t_done - t_joined,
-        )
 
     def close(self) -> None:
         """Tear down backend resources (the process pool, if started).

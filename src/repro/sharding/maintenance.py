@@ -64,10 +64,11 @@ class MaintenancePolicy:
         Profiled queries required before the first pass after (re)build
         or a previous pass; guards against re-tiling on noise.
     recover_replicas:
-        Whether maintenance checks heal dead replicas on replication-
-        aware engines (ledger replay via ``recover_all``).  Irrelevant
-        for plain engines; ``False`` leaves recovery to explicit calls
-        (fault-injection tests want the corpse to stay dead).
+        Whether maintenance checks heal dead replicas of a sharded
+        engine (ledger replay via ``recover_all``; needs
+        ``replication > 1``).  Irrelevant for plain indexes; ``False``
+        leaves recovery to explicit calls (fault-injection tests want
+        the corpse to stay dead).
     """
 
     check_every: int = 64
@@ -128,7 +129,7 @@ class MaintenanceReport:
         Rows whose owning shard changed across those passes.
     replicas_recovered:
         Dead replicas healed by ledger replay during checks (only with
-        ``policy.recover_replicas`` on a replication-aware engine).
+        ``policy.recover_replicas`` on a sharded engine).
     seconds:
         Wall-clock spent inside maintenance (off the per-query timings;
         the amortized price of staying tight).
@@ -270,15 +271,13 @@ class MaintenanceScheduler:
                             check=self.report.checks,
                         )
             recovered = 0
-            if self.policy.recover_replicas:
-                # Self-healing for replication-aware engines: ledger-
-                # replay every dead replica back to life.  Last in the
-                # check so recovery fingerprints compare against
-                # already-compacted, already-rebalanced peers.
-                recover_all = getattr(index, "recover_all", None)
-                if recover_all is not None:
-                    recovered = int(recover_all())
-                    self.report.replicas_recovered += recovered
+            if self.policy.recover_replicas and isinstance(index, ShardedIndex):
+                # Self-healing: ledger-replay every dead replica back to
+                # life.  Last in the check so recovery fingerprints
+                # compare against already-compacted, already-rebalanced
+                # peers.
+                recovered = index.recover_all()
+                self.report.replicas_recovered += recovered
             check.set(
                 rows_reclaimed=reclaimed,
                 rows_migrated=rows_migrated,

@@ -335,13 +335,13 @@ class Rebalancer:
         if engine.balance_factor() > self.max_balance:
             return "balance"
         if engine.profile.query_skew(engine.shards) > self.max_query_skew:
-            # Replica-aware placement: on a replicated engine the hot
-            # tile already serves from R independent replicas, which
+            # Replica-aware placement: with R > 1 the hot tile
+            # already serves from R independent replicas, which
             # absorbs *traffic* concentration directly — splitting the
             # tile would shed no load (the queries still hit the same
             # window) while paying a full re-tile.  Data imbalance
             # ("balance", above) still re-tiles regardless of R.
-            if getattr(engine, "replication_factor", 1) > 1:
+            if engine.replication > 1:
                 return None
             return "skew"
         return None

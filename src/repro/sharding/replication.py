@@ -1,42 +1,26 @@
-"""Replicated shard serving: R replicas per shard, faults, ledger recovery.
+"""Replicas and faults: the parts a shard's fault tolerance is made of.
 
-QUASII's splitting fixes *data* hotspots; this module addresses the
-*traffic* hotspot splitting cannot fix (ROADMAP open item 2, the LiLIS
-framing): when queries concentrate on one tile, splitting it just moves
-the load, but serving the tile from R independent replicas divides it.
+QUASII's splitting fixes *data* hotspots; replication addresses the
+*traffic* hotspot splitting cannot fix (the LiLIS framing): when queries
+concentrate on one tile, splitting it just moves the load, but serving
+the tile from R independent replicas divides it.  Every
+:class:`~repro.sharding.shard.Shard` owns ``R >= 1`` replicas (routing,
+the ledger-first write stream and ledger-replay recovery live there)
+and :class:`~repro.sharding.sharded_index.ShardedIndex` owns the fault
+seam.  This module holds the components both are built from:
 
-Three pieces, each a first-class object rather than a monkeypatch:
-
-* :class:`ReplicaSet` — R replicas of one shard, each a private
-  :class:`~repro.datasets.store.BoxStore` plus its own index (replicas
-  crack independently, so their physical layouts diverge while their
-  live ``(id, box)`` multisets stay identical).  Reads route to the
-  least-loaded live replica (automatic failover: dead replicas are
-  never picked); writes apply to every live replica *through* the
-  per-shard :class:`~repro.updates.ledger.UpdateLedger`, which doubles
-  as the replication stream.  A dead replica recovers by replaying the
-  ledger into a fresh store (:meth:`ReplicaSet.recover`) and is proven
-  identical to its peers by the order-insensitive
-  ``BoxStore.live_fingerprint`` plus ``UpdateLedger.assert_matches``.
-* :class:`FaultInjector` — a deterministic, seed-driven failure
-  schedule: kill/stall/slow a chosen replica at a chosen operation
-  count.  It is ticked on the engine's routing path (exactly once per
-  query or update, on the coordinating thread), so the same seed always
-  produces the same failure interleaving — failures are test *inputs*.
-* :class:`ReplicatedShardedIndex` — the :class:`ShardedIndex` engine
-  with every shard replaced by a :class:`ReplicatedShard`.  The whole
-  :class:`~repro.index.base.MutableSpatialIndex` contract (queries,
-  routed updates, compaction, rebalancing, migration) is preserved; the
-  executor's shard affinity extends to replicas because the serving
-  replica is picked once per shard per batch
-  (:meth:`ReplicatedShard.serving_index`), keeping every incremental
-  index single-threaded.
-
-The ledger-as-replication-stream invariant: every applied write is
-recorded in the shard's ledger *before* it reaches any replica, so the
-ledger's base snapshot plus its op log is always a superset-in-time of
-any replica's state, and replay reconstructs exactly the live multiset
-every live replica holds.  See docs/ARCHITECTURE.md (Replication).
+* :class:`ShardReplica` / :func:`build_replica` — one replica is a
+  private :class:`~repro.datasets.store.BoxStore` plus its own index
+  (replicas crack independently, so their physical layouts diverge
+  while their live ``(id, box)`` multisets stay identical) plus health
+  state; :func:`build_replica` is the one way a replica comes to exist,
+  at build, rebuild and recovery alike.
+* :class:`Fault` / :class:`FaultInjector` — a deterministic,
+  seed-driven failure schedule: kill/stall/slow a chosen replica at a
+  chosen operation count.  It is ticked on the engine's routing path
+  (exactly once per query or update, on the coordinating thread), so
+  the same seed always produces the same failure interleaving —
+  failures are test *inputs*.
 """
 
 from __future__ import annotations
@@ -47,14 +31,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.datasets.store import BoxStore
-from repro.errors import ConfigurationError, DatasetError, ReplicationError
+from repro.errors import ConfigurationError
 from repro.index.base import MutableSpatialIndex, SpatialIndex
-from repro.queries.query import Query
-from repro.queries.range_query import RangeQuery
-from repro.sharding.shard import Shard
-from repro.sharding.sharded_index import IndexFactory, ShardedIndex
-from repro.telemetry.events import EventLog
-from repro.updates.ledger import UpdateLedger
+
+#: Builds one replica's index over the private store it is handed.
+IndexFactory = Callable[[BoxStore], SpatialIndex]
 
 #: Fault actions the injector understands.
 FAULT_ACTIONS = ("kill", "stall", "slow")
@@ -147,6 +128,14 @@ class FaultInjector:
             raise ConfigurationError(f"need n_faults >= 0, got {n_faults}")
         if max_op < 1:
             raise ConfigurationError(f"need max_op >= 1, got {max_op}")
+        if n_shards < 1:
+            raise ConfigurationError(f"need n_shards >= 1, got {n_shards}")
+        if replication < 1:
+            raise ConfigurationError(
+                f"need replication >= 1, got {replication}"
+            )
+        if not actions:
+            raise ConfigurationError("need at least one fault action")
         rng = np.random.default_rng(seed)
         faults = [
             Fault(
@@ -214,7 +203,6 @@ class ShardReplica:
         "index",
         "state",
         "reads_served",
-        "writes_applied",
         "stall_remaining",
         "slow_factor",
     )
@@ -227,8 +215,6 @@ class ShardReplica:
         #: Read batches this replica served (the load measure routing
         #: minimizes; frozen while dead — the no-dead-reads invariant).
         self.reads_served = 0
-        #: Write batches applied (ledger stream position, effectively).
-        self.writes_applied = 0
         #: Routing decisions this replica still sits out (stall fault).
         self.stall_remaining = 0
         #: Synthetic load multiplier (slow fault; 1.0 = healthy).
@@ -245,707 +231,42 @@ class ShardReplica:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ShardReplica(rid={self.rid}, state={self.state!r}, "
-            f"reads={self.reads_served}, writes={self.writes_applied})"
+            f"reads={self.reads_served})"
         )
 
 
-class ReplicaSet:
-    """R replicas of one shard behind least-loaded routing + the ledger.
+def build_replica(
+    factory: IndexFactory, rid: int, store: BoxStore, via_insert: bool = False
+) -> ShardReplica:
+    """Build one replica over ``store``, which the replica then owns.
 
-    Parameters
-    ----------
-    sid:
-        The owning shard id (event payloads and error messages).
-    replicas:
-        The initial replica fleet; all live, identical live multisets.
-    ledger:
-        The shard's replication stream: seeded from the initial rows,
-        it records every write *before* replicas apply it and replays
-        into a fresh store at recovery time.
-    factory:
-        Builds ``(store, index)`` over a recovered store — the engine's
-        contract-enforcing ``_make_shard_index``.
-    on_event:
-        Optional callback ``(kind, **payload)`` for ``replica.*``
-        telemetry events (the engine wires its event log here).
+    The single spelling of "factory, contract check, build" that engine
+    build, shard rebuild and ledger-replay recovery all go through.
+    With ``via_insert`` a mutable factory starts empty and takes the
+    rows through its own insert/flush path: a large batch then lands as
+    an STR bulk-loaded, already-refined run (``bulk_flush_threshold``)
+    instead of one coarse slice, so queries after a rebuild do not
+    re-crack the shard from scratch on the serving path.
     """
-
-    def __init__(
-        self,
-        sid: int,
-        replicas: list[ShardReplica],
-        ledger: UpdateLedger,
-        factory: ReplicaFactory,
-        on_event: Callable[..., object] | None = None,
-    ) -> None:
-        if not replicas:
-            raise ConfigurationError("a replica set needs >= 1 replica")
-        self.sid = sid
-        self.replicas = replicas
-        self.ledger = ledger
-        self._factory = factory
-        self._on_event = on_event
-
-    def _emit(self, kind: str, **payload: object) -> None:
-        if self._on_event is not None:
-            self._on_event(kind, **payload)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def replication(self) -> int:
-        """Configured replica count R."""
-        return len(self.replicas)
-
-    def live_replicas(self) -> list[ShardReplica]:
-        """All live replicas, rid order."""
-        return [r for r in self.replicas if r.alive]
-
-    def dead_rids(self) -> list[int]:
-        """Rids currently dead (recover targets)."""
-        return [r.rid for r in self.replicas if not r.alive]
-
-    def primary(self) -> ShardReplica | None:
-        """The lowest-rid live replica (maintenance reads it), or None."""
-        for r in self.replicas:
-            if r.alive:
-                return r
-        return None
-
-    # ------------------------------------------------------------------
-    # Read routing
-    # ------------------------------------------------------------------
-    def pick(self) -> ShardReplica:
-        """The least-loaded live replica for one read batch.
-
-        Dead replicas are never candidates (automatic failover);
-        stalled replicas sit out until their stall drains, unless every
-        live replica is stalled — a stall delays, it must not fabricate
-        an outage.  Raises :class:`ReplicationError` with zero live
-        replicas instead of hanging or serving stale state.
-        """
-        live = self.live_replicas()
-        if not live:
-            raise ReplicationError(
-                f"shard {self.sid}: all {self.replication} replicas are "
-                "dead; recover via ledger replay before serving reads"
-            )
-        routable = [r for r in live if r.stall_remaining == 0]
-        for r in live:
-            if r.stall_remaining:
-                r.stall_remaining -= 1
-        pool = routable or live
-        chosen = min(pool, key=lambda r: (r.effective_load(), r.rid))
-        chosen.reads_served += 1
-        return chosen
-
-    # ------------------------------------------------------------------
-    # Write application (the replication stream)
-    # ------------------------------------------------------------------
-    def apply_insert(
-        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        """Record the insert in the ledger, then apply to live replicas.
-
-        Ledger-first ordering is the stream invariant: a replica killed
-        between the record and its apply simply misses the write and
-        recovers it at replay time.  Dead replicas receive nothing.
-        """
-        self.ledger.record_insert(lo, hi, ids)
-        for r in self.replicas:
-            if r.alive:
-                r.index.insert(lo, hi, ids)
-                r.writes_applied += 1
-
-    def apply_delete(self, ids: np.ndarray) -> None:
-        """Record the delete in the ledger, then apply to live replicas."""
-        self.ledger.record_delete(ids)
-        for r in self.replicas:
-            if r.alive:
-                r.index.delete(ids)
-                r.writes_applied += 1
-
-    # ------------------------------------------------------------------
-    # Faults
-    # ------------------------------------------------------------------
-    def kill(self, rid: int) -> bool:
-        """Mark a replica dead; no-op (False) if already dead."""
-        r = self.replicas[rid]
-        if not r.alive:
-            return False
-        r.state = "dead"
-        self._emit("replica.kill", sid=self.sid, rid=rid)
-        return True
-
-    def stall(self, rid: int, duration: int) -> bool:
-        """Exclude a live replica from routing for ``duration`` picks."""
-        r = self.replicas[rid]
-        if not r.alive:
-            return False
-        r.stall_remaining = max(r.stall_remaining, int(duration))
-        self._emit(
-            "replica.stall", sid=self.sid, rid=rid, duration=int(duration)
+    rows: BoxStore | None = None
+    if via_insert:
+        empty = np.empty((0, store.ndim), dtype=np.float64)
+        rows, store = store, BoxStore(empty, empty.copy())
+    index = factory(store)
+    if index.store is not store:
+        raise ConfigurationError(
+            "index_factory must build the index over the shard store "
+            "it was given"
         )
-        return True
-
-    def slow(self, rid: int, factor: float) -> bool:
-        """Scale a live replica's effective load by ``factor``."""
-        r = self.replicas[rid]
-        if not r.alive:
-            return False
-        r.slow_factor = max(r.slow_factor, float(factor))
-        self._emit(
-            "replica.slow", sid=self.sid, rid=rid, factor=float(factor)
-        )
-        return True
-
-    # ------------------------------------------------------------------
-    # Recovery: ledger replay into a fresh store
-    # ------------------------------------------------------------------
-    def recover(self, rid: int) -> ShardReplica:
-        """Rebuild a dead replica from the ledger; prove it identical.
-
-        Replays base snapshot + op log into a fresh store, asserts the
-        result matches the ledger's live mirror, and fingerprint-checks
-        it against a live peer (order-insensitive ``live_fingerprint``:
-        peers crack independently, so physical layouts differ while the
-        live multiset must not).  Live peers are flushed first so their
-        buffered writes are physically comparable.  Once every replica
-        is live again the ledger folds its log into the base snapshot
-        (:meth:`UpdateLedger.truncate`), bounding future replays.
-        Idempotent: recovering a live replica is a no-op.
-        """
-        target = self.replicas[rid]
-        if target.alive:
-            return target
-        replayed = self.ledger.log_length
-        for r in self.replicas:
-            if r.alive and isinstance(r.index, MutableSpatialIndex):
-                r.index.flush_updates()
-        store = self.ledger.rebuild_store()
-        self.ledger.assert_matches(store)
-        peer = self.primary()
-        if peer is not None and (
-            peer.store.live_fingerprint() != store.live_fingerprint()
-        ):
-            raise ReplicationError(
-                f"shard {self.sid}: recovered replica {rid} diverged from "
-                f"live peer {peer.rid} (live fingerprints differ)"
-            )
-        shard_store, index = self._factory(store)
+    if rows is None:
         index.build()
-        fresh = ShardReplica(rid, shard_store, index)
-        self.replicas[rid] = fresh
-        if not self.dead_rids():
-            self.ledger.truncate()
-        self._emit(
-            "replica.recover",
-            sid=self.sid,
-            rid=rid,
-            replayed_ops=replayed,
-            live_rows=shard_store.live_count,
-        )
-        return fresh
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        states = "".join(r.state[0] for r in self.replicas)
-        return f"ReplicaSet(sid={self.sid}, replicas={states!r})"
-
-
-class ReplicatedShard(Shard):
-    """A :class:`Shard` whose reads fan across a :class:`ReplicaSet`.
-
-    ``store``/``index`` always point at the current *primary* (lowest
-    live rid), so every maintenance/rebalancing consumer of the plain
-    shard contract keeps working unchanged; :meth:`serving_index`
-    overrides the read seam to pick the least-loaded live replica.
-    """
-
-    __slots__ = ("replica_set",)
-
-    def __init__(self, sid: int, replica_set: ReplicaSet) -> None:
-        primary = replica_set.primary()
-        if primary is None:
-            raise ConfigurationError(
-                f"shard {sid}: cannot construct with zero live replicas"
-            )
-        self.replica_set = replica_set
-        super().__init__(sid, primary.store, primary.index)
-
-    def serving_index(self) -> SpatialIndex:
-        """The least-loaded live replica's index (failover routing)."""
-        return self.replica_set.pick().index
-
-    def work_counter(self, name: str) -> int:
-        """Fleet work summed across *all* replicas (dead ones included:
-        their pre-kill work already happened and must stay counted
-        until recovery swaps the replica out)."""
-        return sum(
-            int(getattr(r.index.stats, name))
-            for r in self.replica_set.replicas
-        )
-
-    def sync_primary(self) -> bool:
-        """Re-point ``store``/``index`` at the current primary.
-
-        Returns True (and emits ``replica.failover``) when the previous
-        primary died and a live replica took over; re-pointing after a
-        recovery (old primary still live) is silent — no failover
-        happened, the read path never lost service.
-        """
-        rs = self.replica_set
-        primary = rs.primary()
-        if primary is None or primary.index is self.index:
-            return False
-        old = next(
-            (r for r in rs.replicas if r.index is self.index), None
-        )
-        self.store = primary.store
-        self.index = primary.index
-        if old is None or not old.alive:
-            rs._emit(
-                "replica.failover",
-                sid=self.sid,
-                to_rid=primary.rid,
-                from_rid=None if old is None else old.rid,
-            )
-            return True
-        return False
-
-    def memory_bytes(self) -> int:
-        """Footprint across all replicas' stores and indexes."""
-        total = 0
-        for r in self.replica_set.replicas:
-            total += int(
-                r.store.lo.nbytes
-                + r.store.hi.nbytes
-                + r.store.ids.nbytes
-                + r.store.live.nbytes
-            ) + r.index.memory_bytes()
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ReplicatedShard(sid={self.sid}, n={self.store.n}, "
-            f"replicas={self.replica_set.replication})"
-        )
-
-
-class ReplicatedShardedIndex(ShardedIndex):
-    """A :class:`ShardedIndex` serving every shard from R replicas.
-
-    Parameters
-    ----------
-    store, n_shards, partitioner, index_factory:
-        As for :class:`ShardedIndex`; the factory builds *every*
-        replica's index, so replicas are structurally homogeneous.
-    replication:
-        Replica count R per shard (R=1 degenerates to the base engine's
-        behavior plus the ledger/recovery machinery).
-    fault_injector:
-        Optional :class:`FaultInjector`, ticked once per engine
-        operation (query routing, insert, delete) on the coordinating
-        thread; due faults are applied before the operation proceeds.
-    events:
-        Optional :class:`~repro.telemetry.events.EventLog` receiving
-        the canonical ``replica.*`` events.
-    """
-
-    def __init__(
-        self,
-        store: BoxStore,
-        n_shards: int = 4,
-        replication: int = 2,
-        partitioner: str = "str",
-        index_factory: IndexFactory | None = None,
-        fault_injector: FaultInjector | None = None,
-        events: EventLog | None = None,
-    ) -> None:
-        super().__init__(
-            store,
-            n_shards=n_shards,
-            partitioner=partitioner,
-            index_factory=index_factory,
-        )
-        if replication < 1:
-            raise ConfigurationError(
-                f"need replication >= 1, got {replication}"
-            )
-        self._replication = int(replication)
-        self._fault_injector = fault_injector
-        self._events = events
-        self.name = (
-            f"Replicated[{self._partitioner.name}x{self._n_shards}"
-            f"xR{self._replication}]"
-        )
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    @property
-    def replication_factor(self) -> int:
-        """Replicas per shard (the rebalancer's skew gate reads this)."""
-        return self._replication
-
-    @property
-    def fault_injector(self) -> FaultInjector | None:
-        """The attached injector, if any."""
-        return self._fault_injector
-
-    def attach_fault_injector(self, injector: FaultInjector) -> None:
-        """Attach (or replace) the failure schedule; the executor's
-        ``fault_injector`` parameter lands here."""
-        self._fault_injector = injector
-
-    def attach_event_log(self, events: EventLog) -> None:
-        """Attach an event log for ``replica.*`` events (keeps an
-        already-attached log — the constructor wins over the executor)."""
-        if self._events is None:
-            self._events = events
-
-    def _emit_replica_event(self, kind: str, **payload: object) -> None:
-        if self._events is not None:
-            self._events.emit(kind, **payload)
-
-    # ------------------------------------------------------------------
-    # Build
-    # ------------------------------------------------------------------
-    def _build_one_replica(
-        self,
-        rid: int,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        ids: np.ndarray,
-        via_insert: bool,
-    ) -> ShardReplica:
-        """One replica over a private copy of the rows.
-
-        ``via_insert`` mirrors :meth:`ShardedIndex.rebuild_shard`: a
-        mutable factory gets the start-empty/insert/flush path so the
-        batch lands bulk-loaded instead of as one coarse slice.
-        """
-        if via_insert:
-            d = self._store.ndim
-            empty = np.empty((0, d), dtype=np.float64)
-            shard_store, index = self._make_shard_index(
-                BoxStore(empty, empty.copy())
-            )
-            if isinstance(index, MutableSpatialIndex):
-                index.build()
-                if ids.size:
-                    index.insert(lo.copy(), hi.copy(), ids.copy())
-                    index.flush_updates()
-                return ShardReplica(rid, shard_store, index)
-        shard_store, index = self._make_shard_index(
-            BoxStore(lo.copy(), hi.copy(), ids.copy())
-        )
+    elif not isinstance(index, MutableSpatialIndex):
+        # The cheap empty-store probe only told us the factory is
+        # immutable; build the real index over the populated store.
+        return build_replica(factory, rid, rows)
+    else:
         index.build()
-        return ShardReplica(rid, shard_store, index)
-
-    def _make_replicated_shard(
-        self,
-        sid: int,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        ids: np.ndarray,
-        via_insert: bool = False,
-    ) -> ReplicatedShard:
-        replicas = [
-            self._build_one_replica(rid, lo, hi, ids, via_insert)
-            for rid in range(self._replication)
-        ]
-        ledger = UpdateLedger(replicas[0].store)
-        replica_set = ReplicaSet(
-            sid,
-            replicas,
-            ledger,
-            factory=self._make_shard_index,
-            on_event=self._emit_replica_event,
-        )
-        return ReplicatedShard(sid, replica_set)
-
-    def build(self) -> None:
-        """Partition the store and build R replicas per shard."""
-        if self._built:
-            return
-        store = self._store
-        rows = store.live_rows()
-        owners = self._partitioner.assign(
-            store.lo[rows], store.hi[rows], self._n_shards
-        )
-        for sid in range(self._n_shards):
-            mine = rows[owners == sid]
-            self._shards.append(
-                self._make_replicated_shard(
-                    sid,
-                    store.lo[mine].copy(),
-                    store.hi[mine].copy(),
-                    store.ids[mine].copy(),
-                )
-            )
-        copied = sum(s.store.n for s in self._shards)
-        if copied != rows.size:
-            raise ConfigurationError(
-                f"partitioner {self._partitioner.name!r} assigned {copied} "
-                f"of {rows.size} rows to shards 0..{self._n_shards - 1}"
-            )
-        ids = store.ids[rows]
-        self._owner = dict(zip(ids.tolist(), owners.tolist()))
-        self._seen_epoch = store.epoch
-        self._built = True
-        self.profile.rebaseline(self._shards)
-
-    # ------------------------------------------------------------------
-    # Fault seam: ticked on the routing path, applied on the coordinator
-    # ------------------------------------------------------------------
-    def _tick_faults(self) -> None:
-        injector = self._fault_injector
-        if injector is None or not self._built:
-            return
-        for fault in injector.advance():
-            self.apply_fault(fault)
-
-    def apply_fault(self, fault: Fault) -> bool:
-        """Apply one fault now; returns whether it changed anything."""
-        if not 0 <= fault.sid < self._n_shards:
-            raise ConfigurationError(
-                f"fault targets shard {fault.sid}; engine has "
-                f"{self._n_shards} shards"
-            )
-        if not 0 <= fault.rid < self._replication:
-            raise ConfigurationError(
-                f"fault targets replica {fault.rid}; shards have "
-                f"{self._replication} replicas"
-            )
-        if fault.action == "kill":
-            return self.kill_replica(fault.sid, fault.rid)
-        if fault.action == "stall":
-            return self.stall_replica(fault.sid, fault.rid, fault.duration)
-        return self.slow_replica(fault.sid, fault.rid, fault.factor)
-
-    def _replicated(self, sid: int) -> ReplicatedShard:
-        shard = self._shards[sid]
-        assert isinstance(shard, ReplicatedShard)
-        return shard
-
-    def kill_replica(self, sid: int, rid: int) -> bool:
-        """Kill one replica; promotes a new primary if needed."""
-        shard = self._replicated(sid)
-        changed = shard.replica_set.kill(rid)
-        if changed:
-            shard.sync_primary()
-        return changed
-
-    def stall_replica(self, sid: int, rid: int, duration: int) -> bool:
-        """Stall one replica out of read routing for ``duration`` picks."""
-        return self._replicated(sid).replica_set.stall(rid, duration)
-
-    def slow_replica(self, sid: int, rid: int, factor: float) -> bool:
-        """Scale one replica's effective load by ``factor``."""
-        return self._replicated(sid).replica_set.slow(rid, factor)
-
-    def dead_replicas(self) -> list[tuple[int, int]]:
-        """All currently-dead ``(sid, rid)`` pairs."""
-        out = []
-        for shard in self._shards:
-            if isinstance(shard, ReplicatedShard):
-                out.extend(
-                    (shard.sid, rid)
-                    for rid in shard.replica_set.dead_rids()
-                )
-        return out
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def recover_replica(self, sid: int, rid: int) -> ShardReplica:
-        """Ledger-replay one dead replica back to life.
-
-        Folds the outgoing replica's unsynced work into the engine's
-        stats first, then recalibrates the fleet work baseline: the
-        fresh replica starts with zeroed index counters, and
-        :meth:`sync_shard_work` must never see that as a negative
-        delta.
-        """
-        shard = self._replicated(sid)
-        self.sync_shard_work()
-        replica = shard.replica_set.recover(rid)
-        shard.sync_primary()
-        for name in self._WORK_COUNTERS:
-            self._work_seen[name] = sum(
-                s.work_counter(name) for s in self._shards
-            )
-        return replica
-
-    def recover_all(self) -> int:
-        """Recover every dead replica fleet-wide; returns the count."""
-        recovered = 0
-        for sid, rid in self.dead_replicas():
-            self.recover_replica(sid, rid)
-            recovered += 1
-        return recovered
-
-    # ------------------------------------------------------------------
-    # Reads: tick the fault clock exactly once per query
-    # ------------------------------------------------------------------
-    def plan_shards(self, query: Query | RangeQuery) -> list[Shard]:
-        self._tick_faults()
-        return super().plan_shards(query)
-
-    # ------------------------------------------------------------------
-    # Writes: ledger-first application to every live replica
-    # ------------------------------------------------------------------
-    def _insert(
-        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
-    ) -> np.ndarray:
-        if not self._built:
-            return self._store.append_validated(lo, hi, ids)
-        self._tick_faults()
-        self._require_mutable_shards()
-        assigned = self._store.append_validated(lo, hi, ids)
-        if not assigned.size:
-            return assigned
-        stack_lo, stack_hi = self._mbb_stacks()
-        targets = self._partitioner.route(
-            lo,
-            hi,
-            stack_lo,
-            stack_hi,
-            np.asarray(self.shard_sizes(), dtype=np.int64),
-        )
-        for sid in np.unique(targets):
-            shard = self._replicated(int(sid))
-            mine = targets == sid
-            shard.replica_set.apply_insert(lo[mine], hi[mine], assigned[mine])
-            shard.expand(lo[mine], hi[mine])
-        self._stack_lo = self._stack_hi = None
-        for obj_id, sid in zip(assigned.tolist(), targets.tolist()):
-            self._owner[obj_id] = int(sid)
-        self.sync_shard_work()
-        return assigned
-
-    def _delete(self, ids: np.ndarray) -> int:
-        if not self._built:
-            return self._store.delete_ids(ids)
-        self._tick_faults()
-        self._require_mutable_shards()
-        id_list = np.unique(ids).tolist()
-        missing = [i for i in id_list if i not in self._owner]
-        if missing:
-            raise DatasetError(
-                f"cannot delete ids not live in any shard: {missing[:5]}"
-            )
-        removed = self._store.delete_ids(np.asarray(id_list, dtype=np.int64))
-        by_shard: dict[int, list[int]] = {}
-        for obj_id in id_list:
-            by_shard.setdefault(self._owner.pop(obj_id), []).append(obj_id)
-        for sid, victims in by_shard.items():
-            self._replicated(sid).replica_set.apply_delete(
-                np.asarray(victims, dtype=np.int64)
-            )
-        self.sync_shard_work()
-        return removed
-
-    # ------------------------------------------------------------------
-    # Compaction / flush across replicas
-    # ------------------------------------------------------------------
-    def _compact_shard(self, shard: Shard) -> int:
-        """Compact every *live* replica of the shard together.
-
-        Replicas share one live multiset, so their dead fractions move
-        in lockstep; compacting them together keeps the reinsert-id
-        gates consistent across the set.  Dead replicas are skipped —
-        recovery rebuilds them tombstone-free anyway.  Returns the
-        primary's reclaimed count (the base class's accounting unit).
-        """
-        if not isinstance(shard, ReplicatedShard):
-            return super()._compact_shard(shard)
-        reclaimed = 0
-        primary_pending = 0
-        for r in shard.replica_set.replicas:
-            if not r.alive:
-                continue
-            index = r.index
-            if isinstance(index, MutableSpatialIndex):
-                got = index.compact()
-                pending = index.pending_updates()
-            else:
-                got = r.store.n_dead
-                if got:
-                    index.on_compaction(r.store.compact())
-                pending = 0
-            if index is shard.index:
-                reclaimed = got
-                primary_pending = pending
-        if reclaimed and primary_pending == 0:
-            shard.refresh_mbb()
-        return reclaimed
-
-    def flush_updates(self) -> int:
-        """Flush every live replica's buffer fleet-wide.
-
-        Returns the primary-replica total (one logical count per shard,
-        matching the base engine's accounting) while still physically
-        flushing every live replica — rebalancing pools rows from
-        primary stores, and recovery fingerprints replicas against
-        flushed peers.
-        """
-        if not self._built:
-            return 0
-        flushed = 0
-        for shard in self._shards:
-            if not isinstance(shard, ReplicatedShard):
-                continue
-            for r in shard.replica_set.replicas:
-                if r.alive and isinstance(r.index, MutableSpatialIndex):
-                    got = r.index.flush_updates()
-                    if r.index is shard.index:
-                        flushed += got
-        if flushed:
-            self.sync_shard_work()
-        return flushed
-
-    # ------------------------------------------------------------------
-    # Rebalancing verbs: whole replica sets move together
-    # ------------------------------------------------------------------
-    def migrate_into(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        self._require_mutable_shards()
-        shard = self._replicated(sid)
-        shard.replica_set.apply_insert(lo, hi, ids)
-        shard.expand(lo, hi)
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        self._stack_lo = self._stack_hi = None
-
-    def rebuild_shard(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        """Replace shard ``sid`` with a fresh replica set over the rows.
-
-        The new set starts fully live with a fresh ledger whose base
-        snapshot is exactly the new row set — rebuilding is a
-        re-replication point, so any faults on the old set are wiped
-        (matching the base engine, where a rebuilt shard is a new
-        index).
-        """
-        self.sync_shard_work()
-        self._shards[sid] = self._make_replicated_shard(
-            sid, lo.copy(), hi.copy(), ids.copy(), via_insert=True
-        )
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        for name in self._WORK_COUNTERS:
-            self._work_seen[name] = sum(
-                s.work_counter(name) for s in self._shards
-            )
-        self._stack_lo = self._stack_hi = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ReplicatedShardedIndex(n_shards={self._n_shards}, "
-            f"replication={self._replication}, built={self._built})"
-        )
-
+        if rows.n:
+            index.insert(rows.lo, rows.hi, rows.ids)
+            index.flush_updates()
+    return ShardReplica(rid, store, index)

@@ -37,6 +37,12 @@ validation gate stays exact across shards.
 Batches of queries can be executed across shards in parallel with
 :class:`~repro.sharding.executor.QueryExecutor`.
 
+Every shard serves from ``replication`` replicas (default 1; see
+:mod:`repro.sharding.shard` for routing, the write stream and recovery),
+and the engine owns the fault seam: a
+:class:`~repro.sharding.replication.FaultInjector` is ticked once per
+routed query, insert or delete on the coordinating thread.
+
 The engine also observes its own traffic: every planned query's centroid
 is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
 per-shard load is read as deltas of the shard-index counters.  When the
@@ -51,22 +57,26 @@ both rebalancing and compaction on the query path.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.datasets.store import BoxStore
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import ConfigurationError, DatasetError, ReplicationError
 from repro.geometry.predicates import boxes_intersect_window
 from repro.index.base import MutableSpatialIndex, SpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
 from repro.queries.range_query import RangeQuery
 from repro.sharding.partitioner import Partitioner, make_partitioner
 from repro.sharding.rebalancer import WorkloadProfile
+from repro.sharding.replication import (
+    Fault,
+    FaultInjector,
+    IndexFactory,
+    ShardReplica,
+)
 from repro.sharding.shard import Shard
-
-#: Builds the per-shard index over a shard's private store.
-IndexFactory = Callable[[BoxStore], SpatialIndex]
+from repro.telemetry.events import EventLog
 
 
 def _default_factory(store: BoxStore) -> SpatialIndex:
@@ -90,8 +100,21 @@ class ShardedIndex(MutableSpatialIndex):
         Strategy name (``"str"`` or ``"round-robin"``) or a
         :class:`Partitioner` instance.
     index_factory:
-        Callable building one index per shard store; defaults to
+        Callable building one index per replica store (so replicas are
+        structurally homogeneous); defaults to
         :class:`~repro.core.quasii.QuasiiIndex`.
+    replication:
+        Replicas per shard ``R >= 1``.  Only with ``R > 1`` do shards
+        keep a replication stream, so at the default 1 a killed replica
+        cannot be recovered.
+    fault_injector:
+        Optional :class:`~repro.sharding.replication.FaultInjector`,
+        ticked once per engine operation (query routing, insert,
+        delete) on the coordinating thread; due faults are applied
+        before the operation proceeds.
+    events:
+        Optional :class:`~repro.telemetry.events.EventLog` receiving
+        the canonical ``replica.*`` events.
 
     Examples
     --------
@@ -112,11 +135,21 @@ class ShardedIndex(MutableSpatialIndex):
         n_shards: int = 4,
         partitioner: str | Partitioner = "str",
         index_factory: IndexFactory | None = None,
+        replication: int = 1,
+        fault_injector: FaultInjector | None = None,
+        events: EventLog | None = None,
     ) -> None:
         super().__init__(store)
         if n_shards < 1:
             raise ConfigurationError(f"need n_shards >= 1, got {n_shards}")
+        if replication < 1:
+            raise ConfigurationError(
+                f"need replication >= 1, got {replication}"
+            )
         self._n_shards = int(n_shards)
+        self._replication = int(replication)
+        self._fault_injector = fault_injector
+        self._events = events
         self._partitioner = make_partitioner(partitioner)
         self._factory: IndexFactory = index_factory or _default_factory
         self._shards: list[Shard] = []
@@ -135,7 +168,12 @@ class ShardedIndex(MutableSpatialIndex):
         #: :class:`~repro.sharding.rebalancer.Rebalancer`'s drift
         #: detection and its query-driven split cut.
         self.profile = WorkloadProfile()
-        self.name = f"Sharded[{self._partitioner.name}x{self._n_shards}]"
+        tiling = f"{self._partitioner.name}x{self._n_shards}"
+        self.name = (
+            f"Replicated[{tiling}xR{self._replication}]"
+            if self._replication > 1
+            else f"Sharded[{tiling}]"
+        )
 
     #: Shard-level work counters mirrored into the engine's stats; the
     #: flow counters (queries, inserts, results, compactions...) are
@@ -163,6 +201,18 @@ class ShardedIndex(MutableSpatialIndex):
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
                 self._work_seen[name] = total
 
+    def _rebaseline_work(self) -> None:
+        """Restart the fleet work totals from the indexes as they are.
+
+        A rebuilt shard or a recovered replica starts with zeroed index
+        counters; :meth:`sync_shard_work` must never see that as a
+        negative delta.  Callers sync first, so nothing is lost.
+        """
+        for name in self._WORK_COUNTERS:
+            self._work_seen[name] = sum(
+                s.work_counter(name) for s in self._shards
+            )
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -180,6 +230,30 @@ class ShardedIndex(MutableSpatialIndex):
     def partitioner(self) -> Partitioner:
         """The partitioning strategy in use."""
         return self._partitioner
+
+    @property
+    def replication(self) -> int:
+        """Replicas per shard (the rebalancer's skew gate and the
+        executor's process-backend guard read this)."""
+        return self._replication
+
+    @property
+    def fault_injector(self) -> FaultInjector | None:
+        """The attached injector, if any."""
+        return self._fault_injector
+
+    def attach_fault_injector(self, injector: FaultInjector) -> None:
+        """Attach (or replace) the failure schedule; the executor's
+        ``fault_injector`` parameter lands here."""
+        self._fault_injector = injector
+
+    def attach_event_log(self, events: EventLog) -> None:
+        """Attach an event log for ``replica.*`` events (keeps an
+        already-attached log — the constructor wins over the executor)."""
+        if self._events is None:
+            self._events = events
+            for shard in self._shards:
+                shard.on_event = events.emit
 
     def owner_of(self, obj_id: int) -> int:
         """Owning shard sid of a live object id (raises if not live)."""
@@ -215,20 +289,29 @@ class ShardedIndex(MutableSpatialIndex):
     # ------------------------------------------------------------------
     # Build: partition + per-shard index construction
     # ------------------------------------------------------------------
-    def _make_shard_index(
-        self, shard_store: BoxStore
-    ) -> tuple[BoxStore, SpatialIndex]:
-        """Run the factory over a shard store, enforcing its contract."""
-        index = self._factory(shard_store)
-        if index.store is not shard_store:
-            raise ConfigurationError(
-                "index_factory must build the index over the shard store "
-                "it was given"
-            )
-        return shard_store, index
+    def _make_shard(
+        self,
+        sid: int,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        ids: np.ndarray,
+        via_insert: bool = False,
+    ) -> Shard:
+        """A fresh, fully live shard of this engine's factory and R
+        (it takes ownership of the row arrays)."""
+        return Shard(
+            sid,
+            self._factory,
+            self._replication,
+            lo,
+            hi,
+            ids,
+            via_insert,
+            on_event=self._events.emit if self._events is not None else None,
+        )
 
     def build(self) -> None:
-        """Partition the store's live rows and build one index per shard."""
+        """Partition the store's live rows and build R replicas per shard."""
         if self._built:
             return
         store = self._store
@@ -236,15 +319,11 @@ class ShardedIndex(MutableSpatialIndex):
         owners = self._partitioner.assign(store.lo[rows], store.hi[rows], self._n_shards)
         for sid in range(self._n_shards):
             mine = rows[owners == sid]
-            shard_store, index = self._make_shard_index(
-                BoxStore(
-                    store.lo[mine].copy(),
-                    store.hi[mine].copy(),
-                    store.ids[mine].copy(),
+            self._shards.append(
+                self._make_shard(
+                    sid, store.lo[mine], store.hi[mine], store.ids[mine]
                 )
             )
-            index.build()
-            self._shards.append(Shard(sid, shard_store, index))
         copied = sum(s.store.n for s in self._shards)
         if copied != rows.size:
             raise ConfigurationError(
@@ -278,8 +357,10 @@ class ShardedIndex(MutableSpatialIndex):
         work then proceeds in parallel.  Each planned window's centroid
         is also recorded in :attr:`profile` — routing is the one spot
         both the sequential and the parallel path go through exactly
-        once per query, so the observed-traffic record stays exact.
+        once per query, so the observed-traffic record stays exact —
+        and, for the same reason, the spot where the fault clock ticks.
         """
+        self._tick_faults()
         self.profile.record(query)
         stack_lo, stack_hi = self._mbb_stacks()
         hits = np.flatnonzero(
@@ -464,6 +545,7 @@ class ShardedIndex(MutableSpatialIndex):
             # Pre-build rows just join the ingest store; build() sweeps
             # them into the initial partitioning.
             return self._store.append_validated(lo, hi, ids)
+        self._tick_faults()
         # Reject a read-only fleet *before* touching the ingest mirror —
         # failing after the append would leave the mirror ahead of the
         # engine's epoch and brick every later query.
@@ -486,8 +568,7 @@ class ShardedIndex(MutableSpatialIndex):
         for sid in np.unique(targets):
             shard = self._shards[int(sid)]
             mine = targets == sid
-            shard.index.insert(lo[mine], hi[mine], assigned[mine])
-            shard.expand(lo[mine], hi[mine])
+            shard.apply_insert(lo[mine], hi[mine], assigned[mine])
         self._stack_lo = self._stack_hi = None
         for obj_id, sid in zip(assigned.tolist(), targets.tolist()):
             self._owner[obj_id] = int(sid)
@@ -502,10 +583,17 @@ class ShardedIndex(MutableSpatialIndex):
                     f"shard index {shard.index.name!r} does not support "
                     "updates; use a MutableSpatialIndex factory"
                 )
+            if shard.ledger is None and not shard.replicas[0].alive:
+                raise ReplicationError(
+                    f"shard {shard.sid}: its only replica is dead and an "
+                    "R=1 shard keeps no replication stream, so a write "
+                    "routed there would be lost"
+                )
 
     def _delete(self, ids: np.ndarray) -> int:
         if not self._built:
             return self._store.delete_ids(ids)
+        self._tick_faults()
         self._require_mutable_shards()
         id_list = np.unique(ids).tolist()
         missing = [i for i in id_list if i not in self._owner]
@@ -520,7 +608,7 @@ class ShardedIndex(MutableSpatialIndex):
         for obj_id in id_list:
             by_shard.setdefault(self._owner.pop(obj_id), []).append(obj_id)
         for sid, victims in by_shard.items():
-            self._shards[sid].index.delete(np.asarray(victims, dtype=np.int64))
+            self._shards[sid].apply_delete(np.asarray(victims, dtype=np.int64))
         self.sync_shard_work()
         return removed
 
@@ -560,28 +648,13 @@ class ShardedIndex(MutableSpatialIndex):
         """
         for shard in self._shards:
             self._compact_shard(shard)
-        self._stack_lo = self._stack_hi = None
         self.sync_shard_work()
 
     def _compact_shard(self, shard: Shard) -> int:
-        """Compact one shard's private store and re-tighten its MBB."""
-        index = shard.index
-        if isinstance(index, MutableSpatialIndex):
-            reclaimed = index.compact()
-            pending = index.pending_updates()
-        else:
-            # Immutable shard indexes cannot have routed deletes, but a
-            # factory-supplied store may carry tombstones from day one.
-            reclaimed = shard.store.n_dead
-            if reclaimed:
-                index.on_compaction(shard.store.compact())
-            pending = 0
-        if reclaimed and pending == 0:
-            # Buffered (not yet drained) inserts are covered by the MBB
-            # but invisible to the store; only re-tighten once nothing
-            # is pending, or pruning could skip a staged match.
-            shard.refresh_mbb()
-        return reclaimed
+        """Compact one shard (all its live replicas); its re-tightened
+        MBB invalidates the stacked routing MBBs."""
+        self._stack_lo = self._stack_hi = None
+        return shard.compact()
 
     def maybe_compact(self, dead_fraction: float = 0.3) -> int:
         """Policy-driven compaction; returns the logical rows reclaimed.
@@ -616,7 +689,6 @@ class ShardedIndex(MutableSpatialIndex):
             mirror.compact()
             self._seen_epoch = mirror.epoch
         if compacted or reclaimed:
-            self._stack_lo = self._stack_hi = None
             self.stats.compactions += 1
             self.sync_shard_work()
         return reclaimed
@@ -635,16 +707,13 @@ class ShardedIndex(MutableSpatialIndex):
         The fleet-wide form of
         :meth:`~repro.index.base.MutableSpatialIndex.flush_updates`:
         after it returns, every owned row is physically present in its
-        shard's store — the precondition for migrating rows between
-        shards.  Returns the total rows merged across the fleet.
+        shard's store (in every live replica's, see :meth:`Shard.flush_updates`)
+        — the precondition for migrating rows between shards.  Returns
+        the total rows merged across the fleet, one count per shard.
         """
         if not self._built:
             return 0
-        flushed = sum(
-            s.index.flush_updates()
-            for s in self._shards
-            if isinstance(s.index, MutableSpatialIndex)
-        )
+        flushed = sum(s.flush_updates() for s in self._shards)
         if flushed:
             self.sync_shard_work()
         return flushed
@@ -672,9 +741,7 @@ class ShardedIndex(MutableSpatialIndex):
         expands to cover the batch immediately.
         """
         self._require_mutable_shards()
-        shard = self._shards[sid]
-        shard.index.insert(lo, hi, ids)
-        shard.expand(lo, hi)
+        self._shards[sid].apply_insert(lo, hi, ids)
         for obj_id in ids.tolist():
             self._owner[int(obj_id)] = sid
         self._stack_lo = self._stack_hi = None
@@ -682,47 +749,30 @@ class ShardedIndex(MutableSpatialIndex):
     def rebuild_shard(
         self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     ) -> None:
-        """Replace shard ``sid`` with a fresh store+index over the rows.
+        """Replace shard ``sid`` with a fresh replica set over the rows.
 
         Mutable shard indexes are rebuilt through their own insert/flush
-        path (start-empty, insert the batch, force the merge): a large
-        batch then lands as an STR bulk-loaded, already-refined run
-        (``bulk_flush_threshold``) instead of one coarse slice, so
+        path (see :func:`~repro.sharding.replication.build_replica`), so
         post-rebuild queries do not re-crack the shard from scratch on
-        the serving path.  Immutable factories fall back to a plain
-        build over the populated store.
+        the serving path.  The new set starts fully live with a fresh
+        ledger whose base snapshot is exactly the new row set —
+        rebuilding is a re-replication point, so any faults on the old
+        set are wiped.
 
         The shard's pruning MBB is re-derived from the new store (not
         inherited — a stale MBB would mis-route the very next
         least-enlargement insert), ownership is rewritten for every row,
         the stacked routing MBBs are invalidated, and the fleet work
-        totals are recalibrated so :meth:`sync_shard_work` never sees a
-        negative delta from the discarded index's counters.
+        totals are recalibrated.
         """
-        # Fold the outgoing index's unsynced work before discarding it.
+        # Fold the outgoing indexes' unsynced work before discarding them.
         self.sync_shard_work()
-        d = self._store.ndim
-        empty = np.empty((0, d), dtype=np.float64)
-        shard_store, index = self._make_shard_index(BoxStore(empty, empty.copy()))
-        if isinstance(index, MutableSpatialIndex):
-            index.build()
-            if ids.size:
-                index.insert(lo.copy(), hi.copy(), ids.copy())
-                index.flush_updates()
-        else:
-            # The cheap empty-store probe only told us the factory is
-            # immutable; build the real index over the populated store.
-            shard_store, index = self._make_shard_index(
-                BoxStore(lo.copy(), hi.copy(), ids.copy())
-            )
-            index.build()
-        self._shards[sid] = Shard(sid, shard_store, index)
+        self._shards[sid] = self._make_shard(
+            sid, lo.copy(), hi.copy(), ids.copy(), via_insert=True
+        )
         for obj_id in ids.tolist():
             self._owner[int(obj_id)] = sid
-        for name in self._WORK_COUNTERS:
-            self._work_seen[name] = sum(
-                s.work_counter(name) for s in self._shards
-            )
+        self._rebaseline_work()
         self._stack_lo = self._stack_hi = None
 
     def finish_rebalance(self, rows_migrated: int) -> None:
@@ -732,6 +782,72 @@ class ShardedIndex(MutableSpatialIndex):
         self.profile.rebaseline(self._shards)
         self._stack_lo = self._stack_hi = None
         self.sync_shard_work()
+
+    # ------------------------------------------------------------------
+    # Fault seam: ticked on the routing path, applied on the coordinator
+    # ------------------------------------------------------------------
+    def _tick_faults(self) -> None:
+        injector = self._fault_injector
+        if injector is not None:
+            for fault in injector.advance():
+                self.apply_fault(fault)
+
+    def apply_fault(self, fault: Fault) -> bool:
+        """Apply one fault now; returns whether it changed anything."""
+        if not 0 <= fault.sid < self._n_shards:
+            raise ConfigurationError(
+                f"fault targets shard {fault.sid}; engine has "
+                f"{self._n_shards} shards"
+            )
+        if not 0 <= fault.rid < self._replication:
+            raise ConfigurationError(
+                f"fault targets replica {fault.rid}; shards have "
+                f"{self._replication} replicas"
+            )
+        if fault.action == "kill":
+            return self.kill_replica(fault.sid, fault.rid)
+        if fault.action == "stall":
+            return self.stall_replica(fault.sid, fault.rid, fault.duration)
+        return self.slow_replica(fault.sid, fault.rid, fault.factor)
+
+    def kill_replica(self, sid: int, rid: int) -> bool:
+        """Kill one replica; promotes a new primary if needed."""
+        return self._shards[sid].kill(rid)
+
+    def stall_replica(self, sid: int, rid: int, duration: int) -> bool:
+        """Stall one replica out of read routing for ``duration`` picks."""
+        return self._shards[sid].stall(rid, duration)
+
+    def slow_replica(self, sid: int, rid: int, factor: float) -> bool:
+        """Scale one replica's effective load by ``factor``."""
+        return self._shards[sid].slow(rid, factor)
+
+    def dead_replicas(self) -> list[tuple[int, int]]:
+        """All currently-dead ``(sid, rid)`` pairs."""
+        return [
+            (shard.sid, rid)
+            for shard in self._shards
+            for rid in shard.dead_rids()
+        ]
+
+    def recover_replica(self, sid: int, rid: int) -> ShardReplica:
+        """Ledger-replay one dead replica back to life (needs R > 1).
+
+        Folds the outgoing replica's unsynced work into the engine's
+        stats first, then recalibrates the fleet work baseline for the
+        fresh replica's zeroed counters.
+        """
+        self.sync_shard_work()
+        replica = self._shards[sid].recover(rid)
+        self._rebaseline_work()
+        return replica
+
+    def recover_all(self) -> int:
+        """Recover every dead replica fleet-wide; returns the count."""
+        dead = self.dead_replicas()
+        for sid, rid in dead:
+            self.recover_replica(sid, rid)
+        return len(dead)
 
     def validate_routing(self) -> None:
         """Assert the ownership map matches shard stores exactly (tests)."""
@@ -756,5 +872,6 @@ class ShardedIndex(MutableSpatialIndex):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ShardedIndex(n_shards={self._n_shards}, "
-            f"partitioner={self._partitioner.name!r}, built={self._built})"
+            f"partitioner={self._partitioner.name!r}, "
+            f"replication={self._replication}, built={self._built})"
         )

@@ -1,12 +1,16 @@
-"""Property tests: the three dispatch backends are observationally equal.
+"""Property tests: every backend × replication cell is observationally equal.
 
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
-batches, delete batches, and compactions.  The same interleaving runs
-against one engine per executor backend — ``sequential``, ``threads``,
-and ``processes`` — with the executors kept alive across operations, so
-the process pool must survive every epoch bump (insert/delete/compact
-between batches) by republishing its shared-memory segments.
+batches, delete batches, compactions, and replica kills.  The same
+interleaving runs against one engine per cell of the executor backend
+(``sequential``, ``threads``, ``processes``) × replication (R ∈ {1, 2})
+matrix — with the executors kept alive across operations, so the
+process pool must survive every epoch bump (insert/delete/compact
+between batches) by republishing its shared-memory segments, and the
+R=2 engines must keep serving after a mid-stream kill.  The one cell
+that does not exist, ``processes`` × R=2, is refused explicitly (see
+:func:`test_every_cell_is_served_or_refused`).
 
 Invariants, after every single operation:
 
@@ -24,20 +28,27 @@ from __future__ import annotations
 from contextlib import ExitStack
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
+from repro.errors import ConfigurationError
 from repro.geometry import Box
 from repro.queries import Query
 from repro.sharding import QueryExecutor, ShardedIndex
+from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.updates import UpdateLedger
 
 UNIVERSE_SIDE = 100.0
 
-BACKENDS = ("sequential", "threads", "processes")
+REPLICATION_FACTORS = (1, 2)
+MATRIX = [(b, r) for b in BACKENDS for r in REPLICATION_FACTORS]
+#: Process workers serve the primary's snapshot: no replica routing.
+REFUSED = ("processes", 2)
+CELLS = [cell for cell in MATRIX if cell != REFUSED]
 
 #: The query shapes the interleavings draw from: (predicate, mode, k).
 QUERY_SHAPES = (
@@ -60,7 +71,9 @@ def dataset_and_ops(draw, ndim=2):
     ops = []
     for _ in range(n_ops):
         kind = draw(
-            st.sampled_from(["query", "query", "insert", "delete", "compact"])
+            st.sampled_from(
+                ["query", "query", "insert", "delete", "compact", "kill"]
+            )
         )
         if kind == "query":
             predicate, mode, k = draw(st.sampled_from(QUERY_SHAPES))
@@ -75,6 +88,10 @@ def dataset_and_ops(draw, ndim=2):
         elif kind == "delete":
             ops.append(
                 ("delete", (draw(st.integers(1, 6)), draw(st.integers(0, 2**31 - 1))))
+            )
+        elif kind == "kill":
+            ops.append(
+                ("kill", (draw(st.integers(0, 2)), draw(st.integers(0, 1))))
             )
         else:
             ops.append(("compact", None))
@@ -104,28 +121,31 @@ def test_backends_agree_with_scan_under_interleavings(case):
     (lo, hi), ops = case
     scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
     engines = {
-        backend: ShardedIndex(
+        (backend, replication): ShardedIndex(
             BoxStore(lo.copy(), hi.copy()),
             n_shards=3,
             partitioner="str",
             index_factory=lambda s: QuasiiIndex(
                 s, QuasiiConfig(2, (8, 4)), max_runs=2
             ),
+            replication=replication,
         )
-        for backend in BACKENDS
+        for backend, replication in CELLS
     }
+    for engine in engines.values():
+        engine.build()
     ledger = UpdateLedger(scan.store)
 
     with ExitStack() as stack:
         executors = {
-            backend: stack.enter_context(
+            cell: stack.enter_context(
                 QueryExecutor(
                     engine,
-                    max_workers=1 if backend == "sequential" else 2,
-                    backend=backend,
+                    max_workers=1 if cell[0] == "sequential" else 2,
+                    backend=cell[0],
                 )
             )
-            for backend, engine in engines.items()
+            for cell, engine in engines.items()
         }
 
         seq = 0
@@ -150,6 +170,13 @@ def test_backends_agree_with_scan_under_interleavings(case):
                         f"{backend}: id stream diverged"
                     )
                 ledger.record_insert(blo, bhi, expect_ids)
+            elif kind == "kill":
+                # Only where a peer survives: an R=1 kill is an outage
+                # (unit-tested), not a cell of this matrix.
+                sid, rid = payload
+                for engine in engines.values():
+                    if len(engine.shards[sid].live_replicas()) > 1:
+                        engine.kill_replica(sid, rid)
             elif kind == "delete":
                 count, victim_seed = payload
                 live = ledger.live_ids()
@@ -184,3 +211,25 @@ def test_backends_agree_with_scan_under_interleavings(case):
             )
     for engine in engines.values():
         ledger.assert_matches(engine.store)
+
+
+@pytest.mark.parametrize("backend,replication", MATRIX)
+def test_every_cell_is_served_or_refused(backend, replication, monkeypatch):
+    """The matrix has no silent cell: each one resolves to the backend it
+    asked for (and is oracle-checked above), or is refused by name when
+    asked explicitly and downgraded to threads when the env asked."""
+
+    def engine():
+        lo = np.arange(12, dtype=np.float64).reshape(6, 2)
+        return ShardedIndex(
+            BoxStore(lo, lo + 1.0), n_shards=2, replication=replication
+        )
+
+    if (backend, replication) != REFUSED:
+        with QueryExecutor(engine(), max_workers=2, backend=backend) as ex:
+            assert ex.backend == backend
+        return
+    with pytest.raises(ConfigurationError, match="Replicated"):
+        QueryExecutor(engine(), max_workers=2, backend=backend)
+    monkeypatch.setenv(BACKEND_ENV, backend)
+    assert QueryExecutor(engine(), max_workers=2).backend == "threads"

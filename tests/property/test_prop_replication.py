@@ -3,7 +3,7 @@
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 window queries, insert batches, delete batches, compactions, replica
 kills, and ledger-replay recoveries against a
-:class:`ReplicatedShardedIndex` for R ∈ {1, 2, 3} and K ∈ {1, 2, 7}.
+:class:`ShardedIndex` for R ∈ {1, 2, 3} and K ∈ {1, 2, 7}.
 Invariants that must survive every interleaving:
 
 * **Oracle agreement** — every query returns exactly the live-row set
@@ -32,7 +32,7 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
 from repro.queries import RangeQuery
-from repro.sharding import ReplicatedShard, ReplicatedShardedIndex
+from repro.sharding import ShardedIndex
 from repro.updates import UpdateLedger
 
 UNIVERSE_SIDE = 100.0
@@ -94,7 +94,7 @@ def _assert_dead_reads_frozen(engine, frozen: dict) -> None:
     """No dead replica served a read since the moment it was killed."""
     for (sid, rid), reads_at_kill in frozen.items():
         shard = engine.shards[sid]
-        replica = shard.replica_set.replicas[rid]
+        replica = shard.replicas[rid]
         if not replica.alive:
             assert replica.reads_served == reads_at_kill, (
                 f"dead replica ({sid}, {rid}) served a read after its kill"
@@ -105,14 +105,15 @@ def _assert_replicas_in_lockstep(engine) -> None:
     """Every shard's live replicas hold one identical live multiset, and
     the shard ledger's mirror agrees with each of them."""
     for shard in engine.shards:
-        assert isinstance(shard, ReplicatedShard)
-        rs = shard.replica_set
-        live = rs.live_replicas()
+        live = shard.live_replicas()
         assert live, f"shard {shard.sid} ended with no live replicas"
         fps = {r.store.live_fingerprint() for r in live}
         assert len(fps) == 1, f"shard {shard.sid} replicas diverged"
+        if shard.replication == 1:
+            assert shard.ledger is None, "an R=1 shard seeded a ledger"
+            continue
         for r in live:
-            rs.ledger.assert_matches(r.store)
+            shard.ledger.assert_matches(r.store)
 
 
 @pytest.mark.parametrize("replication", REPLICATION_FACTORS)
@@ -122,7 +123,7 @@ def _assert_replicas_in_lockstep(engine) -> None:
 def test_replication_preserves_all_invariants(replication, n_shards, case):
     (lo, hi), ops = case
     scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
-    engine = ReplicatedShardedIndex(
+    engine = ShardedIndex(
         BoxStore(lo.copy(), hi.copy()),
         n_shards=n_shards,
         replication=replication,
@@ -174,16 +175,16 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
             sid = sid_seed % n_shards
             rid = rid_seed % replication
             shard = engine.shards[sid]
-            live = shard.replica_set.live_replicas()
+            live = shard.live_replicas()
             # Keep at least one live replica per shard so every query
             # stays answerable (the all-dead error path is unit-tested).
-            if len(live) < 2 or not shard.replica_set.replicas[rid].alive:
+            if len(live) < 2 or not shard.replicas[rid].alive:
                 continue
-            reads_before = shard.replica_set.replicas[rid].reads_served
+            reads_before = shard.replicas[rid].reads_served
             assert engine.kill_replica(sid, rid)
             frozen[(sid, rid)] = reads_before
             # Failover: the shard contract fields point at a live primary.
-            primary = shard.replica_set.primary()
+            primary = shard.primary()
             assert primary is not None and shard.index is primary.index
         else:  # recover: replay the lowest dead replica back to life
             dead = sorted(engine.dead_replicas())
@@ -192,7 +193,7 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
             sid, rid = dead[0]
             replica = engine.recover_replica(sid, rid)
             frozen.pop((sid, rid), None)
-            rs = engine.shards[sid].replica_set
+            rs = engine.shards[sid]
             rs.ledger.assert_matches(replica.store)
             peer = rs.primary()
             assert (

@@ -20,7 +20,6 @@ from repro.sharding import (
     Fault,
     FaultInjector,
     QueryExecutor,
-    ReplicatedShardedIndex,
     ShardedIndex,
 )
 
@@ -39,10 +38,8 @@ def _window(lo, hi, seq=0) -> RangeQuery:
     return RangeQuery(Box(tuple(lo), tuple(hi)), seq=seq)
 
 
-def _replicated(store, **kwargs) -> ReplicatedShardedIndex:
-    engine = ReplicatedShardedIndex(
-        store, index_factory=_small_quasii, **kwargs
-    )
+def _replicated(store, **kwargs) -> ShardedIndex:
+    engine = ShardedIndex(store, index_factory=_small_quasii, **kwargs)
     engine.build()
     return engine
 
@@ -67,6 +64,12 @@ class TestFaultValidation:
             FaultInjector.random(1, -1, 2, 2, 10)
         with pytest.raises(ConfigurationError, match="max_op >= 1"):
             FaultInjector.random(1, 1, 2, 2, 0)
+        with pytest.raises(ConfigurationError, match="n_shards >= 1"):
+            FaultInjector.random(1, 1, 0, 2, 10)
+        with pytest.raises(ConfigurationError, match="replication >= 1"):
+            FaultInjector.random(1, 1, 2, 0, 10)
+        with pytest.raises(ConfigurationError, match="at least one fault"):
+            FaultInjector.random(1, 1, 2, 2, 10, actions=())
 
 
 class TestDeterminism:
@@ -142,12 +145,14 @@ class TestClockwork:
 
 
 class TestEngineSeam:
-    def test_executor_rejects_plain_engine(self):
-        engine = ShardedIndex(
-            _grid_store(), n_shards=2, index_factory=_small_quasii
-        )
-        with pytest.raises(ConfigurationError, match="fault-injection seam"):
-            QueryExecutor(engine, fault_injector=FaultInjector())
+    def test_fault_beyond_replication_raises_when_it_fires(self):
+        engine = _replicated(_grid_store(), n_shards=2)
+        inj = FaultInjector([Fault(at_op=2, action="kill", sid=0, rid=1)])
+        executor = QueryExecutor(engine, max_workers=1, fault_injector=inj)
+        q = _window((0.0, 0.0), (9.0, 9.0))
+        executor.run([q])  # op 1: the schedule is still quiet
+        with pytest.raises(ConfigurationError, match="targets replica 1"):
+            executor.run([q])
 
     def test_executor_attaches_injector_to_replicated_engine(self):
         engine = _replicated(_grid_store(), n_shards=2, replication=2)
@@ -208,7 +213,7 @@ class TestEngineSeam:
         # The dead replica missed the write; ledger replay recovers it.
         engine.recover_replica(0, 1)
         assert engine.dead_replicas() == []
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         rs.ledger.assert_matches(rs.replicas[1].store)
         fps = {r.store.live_fingerprint() for r in rs.replicas}
         assert len(fps) == 1

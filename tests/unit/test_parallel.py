@@ -44,7 +44,6 @@ from repro.parallel.pool import START_METHOD_ENV
 from repro.queries import Query, uniform_workload
 from repro.sharding import QueryExecutor, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV
-from repro.sharding.replication import ReplicatedShardedIndex
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
 from repro.telemetry.naming import (
@@ -273,7 +272,7 @@ class TestBackendResolution:
             QueryExecutor(self._engine(), max_workers=2)
 
     def test_replicated_engine_rejects_explicit_processes(self):
-        engine = ReplicatedShardedIndex(
+        engine = ShardedIndex(
             make_uniform(500, seed=1).store.copy(), n_shards=2, replication=2
         )
         with pytest.raises(ConfigurationError, match="Replicated"):
@@ -281,7 +280,7 @@ class TestBackendResolution:
 
     def test_replicated_engine_downgrades_env_processes(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "processes")
-        engine = ReplicatedShardedIndex(
+        engine = ShardedIndex(
             make_uniform(500, seed=1).store.copy(), n_shards=2, replication=2
         )
         assert QueryExecutor(engine, max_workers=2).backend == "threads"

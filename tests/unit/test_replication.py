@@ -9,6 +9,9 @@ recovery with fingerprint verification.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,6 @@ from repro.sharding import (
     MaintenancePolicy,
     MaintenanceScheduler,
     Rebalancer,
-    ReplicatedShardedIndex,
     ShardedIndex,
 )
 from repro.telemetry.events import EVENTS, EventLog
@@ -46,8 +48,8 @@ def _full(seq=9999) -> RangeQuery:
     return _window((-1.0, -1.0), (100.0, 100.0), seq=seq)
 
 
-def _replicated(store=None, **kwargs) -> ReplicatedShardedIndex:
-    engine = ReplicatedShardedIndex(
+def _replicated(store=None, **kwargs) -> ShardedIndex:
+    engine = ShardedIndex(
         store if store is not None else _grid_store(),
         index_factory=_small_quasii,
         **kwargs,
@@ -60,20 +62,19 @@ class TestBuild:
     def test_every_shard_has_r_identical_replicas(self):
         engine = _replicated(n_shards=2, replication=3)
         assert engine.name == "Replicated[strx2xR3]"
-        assert engine.replication_factor == 3
+        assert engine.replication == 3
         for shard in engine.shards:
-            rs = shard.replica_set
-            assert rs.replication == 3
-            assert rs.dead_rids() == []
-            fps = {r.store.live_fingerprint() for r in rs.replicas}
+            assert shard.replication == 3
+            assert shard.dead_rids() == []
+            fps = {r.store.live_fingerprint() for r in shard.replicas}
             assert len(fps) == 1
             # Primary pointer: the shard contract fields alias replica 0.
-            assert shard.store is rs.replicas[0].store
-            assert shard.index is rs.replicas[0].index
+            assert shard.store is shard.replicas[0].store
+            assert shard.index is shard.replicas[0].index
 
     def test_replication_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="replication >= 1"):
-            ReplicatedShardedIndex(_grid_store(), replication=0)
+            ShardedIndex(_grid_store(), replication=0)
 
     def test_replication_error_is_a_repro_error(self):
         assert issubclass(ReplicationError, ReproError)
@@ -89,10 +90,57 @@ class TestBuild:
         )
 
 
+class TestDegenerateR1:
+    """R=1 is the same engine with nothing to fail over to."""
+
+    def test_one_live_replica_and_no_ledger_per_shard(self):
+        engine = _replicated(n_shards=3)
+        assert engine.replication == 1
+        assert engine.name == "Sharded[strx3]"
+        for shard in engine.shards:
+            assert [r.alive for r in shard.replicas] == [True]
+            assert shard.ledger is None
+            assert shard.index is shard.replicas[0].index
+
+    def test_killed_sole_replica_fails_reads_and_writes_loudly(self):
+        engine = _replicated(n_shards=2)
+        assert engine.kill_replica(0, 0)
+        with pytest.raises(ReplicationError, match="all 1 replicas are dead"):
+            engine.query(_full())
+        rows_before = engine.store.n
+        with pytest.raises(ReplicationError, match="its only replica is dead"):
+            engine.insert(np.array([[1.2, 1.2]]), np.array([[2.0, 2.0]]))
+        # Refused before the ingest mirror was touched.
+        assert engine.store.n == rows_before
+
+    def test_recovery_names_the_missing_replication_stream(self):
+        engine = _replicated(n_shards=2)
+        engine.kill_replica(1, 0)
+        with pytest.raises(ReplicationError, match="no replication stream"):
+            engine.recover_replica(1, 0)
+        assert engine.dead_replicas() == [(1, 0)]
+
+
+class TestLifetime:
+    def test_dropped_engine_is_freed_without_the_cyclic_collector(self):
+        # Shards must not reference their engine (not even through the
+        # event sink): a cycle keeps every store of a dropped engine
+        # alive until the collector runs — +200 MB per 1M-row engine.
+        engine = _replicated(n_shards=2, replication=2, events=EventLog())
+        engine.query(_full())
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestRouting:
     def test_pick_chooses_least_loaded_live_replica(self):
         engine = _replicated(n_shards=1, replication=3)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         rs.replicas[0].reads_served = 5
         rs.replicas[2].reads_served = 2
         chosen = rs.pick()
@@ -101,12 +149,12 @@ class TestRouting:
 
     def test_ties_break_by_lowest_rid(self):
         engine = _replicated(n_shards=1, replication=3)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         assert rs.pick() is rs.replicas[0]
 
     def test_slow_replica_is_deprioritized_not_excluded(self):
         engine = _replicated(n_shards=1, replication=2)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         rs.slow(0, 10.0)
         # Load-scaled: rid 0 serves again once rid 1 has absorbed enough.
         picks = [rs.pick().rid for _ in range(12)]
@@ -115,7 +163,7 @@ class TestRouting:
 
     def test_stalled_replica_sits_out_then_returns(self):
         engine = _replicated(n_shards=1, replication=3)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         rs.stall(0, 2)
         assert rs.pick().rid != 0
         assert rs.pick().rid != 0
@@ -124,7 +172,7 @@ class TestRouting:
 
     def test_all_stalled_falls_back_to_live_pool(self):
         engine = _replicated(n_shards=1, replication=2)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         rs.stall(0, 5)
         rs.stall(1, 5)
         # A stall delays; it must not fabricate an outage.
@@ -132,7 +180,7 @@ class TestRouting:
 
     def test_no_read_ever_routes_to_a_dead_replica(self):
         engine = _replicated(n_shards=1, replication=2)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         engine.kill_replica(0, 1)
         frozen = rs.replicas[1].reads_served
         for i in range(6):
@@ -148,7 +196,7 @@ class TestFailover:
         shard = engine.shards[0]
         old_index = shard.index
         assert engine.kill_replica(0, 0)
-        assert shard.index is shard.replica_set.replicas[1].index
+        assert shard.index is shard.replicas[1].index
         assert shard.index is not old_index
         failovers = events.recent(kind="replica.failover")
         assert len(failovers) == 1
@@ -199,7 +247,7 @@ class TestRecovery:
         bhi = blo + 1.0
         new_ids = engine.insert(blo, bhi)
         engine.delete(np.array([engine.store.ids[0], new_ids[0]]))
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         assert rs.ledger.log_length >= 2
         engine.recover_replica(0, 1)
         # All live again: identical live multisets, log folded away.
@@ -211,7 +259,7 @@ class TestRecovery:
     def test_recover_of_live_replica_is_a_noop(self):
         events = EventLog()
         engine = _replicated(n_shards=1, replication=2, events=events)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         before = rs.replicas[1]
         assert engine.recover_replica(0, 1) is before
         assert events.recent(kind="replica.recover") == []
@@ -230,7 +278,7 @@ class TestRecovery:
     def test_diverged_peer_fails_the_fingerprint_check(self):
         engine = _replicated(n_shards=1, replication=2)
         engine.kill_replica(0, 1)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         # Write to the live peer behind the ledger's back (through its
         # index, so its epoch stays consistent): recovery must refuse to
         # certify the rebuilt replica against the diverged peer.
@@ -245,7 +293,7 @@ class TestRecovery:
         engine = _replicated(n_shards=1, replication=2)
         engine.kill_replica(0, 1)
         engine.recover_replica(0, 1)
-        rs = engine.shards[0].replica_set
+        rs = engine.shards[0]
         rs.replicas[0].reads_served = 50
         assert rs.pick().rid == 1
 
@@ -299,7 +347,7 @@ class TestCompactionAcrossReplicas:
         engine.delete(victims)
         engine.compact()
         for shard in engine.shards:
-            stores = [r.store for r in shard.replica_set.replicas]
+            stores = [r.store for r in shard.replicas]
             assert all(s.n_dead == 0 for s in stores)
             assert len({s.live_fingerprint() for s in stores}) == 1
 

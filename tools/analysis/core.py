@@ -182,14 +182,11 @@ class AnalysisConfig:
             "GuttmanRTree",
             "RTreeNode",
             "LatencyHistogram",
-            # Replication tier (replica-local state): a shard's replica
-            # set — including the replica picked to serve a batch — is
-            # touched by exactly one worker per batch (shard affinity
-            # extends through Shard.serving_index), and the fault
-            # injector/ledger only tick on the coordinating thread's
-            # routing/write path.
-            "ReplicatedShard",
-            "ReplicaSet",
+            # Replica-local state: a shard's replicas — including the
+            # one picked to serve a batch — are touched by exactly one
+            # worker per batch (shard affinity extends through
+            # Shard.serving_index), and the fault injector/ledger only
+            # tick on the coordinating thread's routing/write path.
             "ShardReplica",
             "FaultInjector",
             "UpdateLedger",
