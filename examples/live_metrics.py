@@ -41,7 +41,7 @@ def main() -> None:
     events = EventLog()
     executor = QueryExecutor(
         engine,
-        max_workers=2,
+        backend="sequential",  # every backend records the same metrics
         telemetry=telemetry,
         events=events,
         slow_query_threshold=5e-4,  # 0.5 ms: anything slower becomes an event

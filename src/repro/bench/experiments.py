@@ -62,6 +62,7 @@ from repro.sharding import (
     QueryExecutor,
     ShardedIndex,
 )
+from repro.sharding.executor import BACKENDS
 from repro.telemetry import EventLog
 from repro.updates import MixedRunResult, run_mixed_workload
 
@@ -98,7 +99,6 @@ class Scale:
     compaction_delete_fraction: float = 0.6  # rows tombstoned first
     # Sharded serving engine (sharding subsystem; beyond the paper):
     shard_counts: tuple[int, ...] = (1, 2, 4, 8)   # K sweep
-    shard_workers: tuple[int, ...] = (1, 2, 4)     # thread pool widths
     shard_queries: int = 800           # batch size per configuration
     # Serving batches are high-QPS point-ish lookups: small windows keep
     # most queries inside one spatial tile, which is where fan-out
@@ -108,8 +108,8 @@ class Scale:
     # a stream of *fresh* query batches per dispatch backend at one
     # contended configuration.  A dedicated dataset size (like
     # rebalance_n) keeps per-query crack work substantial even at
-    # smoke scale, and enough shards/workers that thread dispatch is
-    # genuinely GIL-contended.
+    # smoke scale, and enough shards/workers that the pool has
+    # several lanes to fill.
     backend_n: int = 60_000            # face-off dataset size
     backend_shards: int = 8            # K (>= 4: the acceptance regime)
     backend_workers: int = 4           # W (enough lanes to contend)
@@ -168,7 +168,6 @@ SCALES: dict[str, Scale] = {
         mixed_ratios=(0.0, 0.3),
         compaction_queries=100,
         shard_counts=(1, 2, 4),
-        shard_workers=(1, 2),
         shard_queries=200,
         rebalance_n=60_000,
         rebalance_ops=360,
@@ -1346,25 +1345,25 @@ def compaction_experiment(scale: Scale) -> ExperimentReport:
 # Shard scaling (sharding subsystem; beyond the paper)
 # ----------------------------------------------------------------------
 def shard_scaling(scale: Scale) -> ExperimentReport:
-    """Batch throughput, pruning, and balance across shard/worker counts.
+    """Batch throughput, pruning, and balance across shard counts.
 
     The serving-engine experiment: one batch of small ("point-ish")
-    uniform queries is executed at every ``(K shards, W workers)``
-    combination of the scale, each over a fresh copy of the dataset.
-    ``K=1 W=1`` is the sequential single-index baseline — one QUASII
-    behind the engine facade — and a raw unsharded QUASII runs the same
-    batch as an extra reference.  Sharding wins twice: queries prune
-    shards whose MBB misses the window, and the shards they do touch
-    crack sub-arrays of n/K rows instead of n (on multi-core hardware
-    the thread pool additionally overlaps shard work; W=1 exercises the
-    sequential fallback).  A second table contrasts the partitioners
-    under skewed 90/10 hotspot traffic, where pruning and balance pull
-    in opposite directions.
+    uniform queries is executed on the in-thread server at every shard
+    count ``K`` of the scale, each over a fresh copy of the dataset.
+    ``K=1`` is the sequential single-index baseline — one QUASII behind
+    the engine facade — and a raw unsharded QUASII runs the same batch
+    as an extra reference.  Sharding wins twice: queries prune shards
+    whose MBB misses the window, and the shards they do touch crack
+    sub-arrays of n/K rows instead of n.  Overlapping shard work is the
+    process backend's job; the face-off table below measures it.  A last
+    table contrasts the partitioners under skewed 90/10 hotspot traffic,
+    where pruning and balance pull in opposite directions.
     """
     report = ExperimentReport(
         "shard-scaling",
         "Sharded serving engine: batch throughput vs the sequential "
-        "single-index baseline across shard counts K and worker counts W",
+        "single-index baseline across shard counts K, and the two "
+        "executor backends head to head",
     )
     ds = _uniform(scale)
     queries = uniform_workload(
@@ -1378,18 +1377,12 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
     for q in queries:
         reference.query(q)
     ref_seconds = time.perf_counter() - t0
-    # The K=1 W=1 sequential single-index baseline always runs, and runs
-    # first, regardless of what the scale's sweep tuples contain.
-    configs = [(1, 1)] + [
-        (k, w)
-        for k in sorted(set(scale.shard_counts))
-        for w in sorted(set(scale.shard_workers))
-        if w <= k and (k, w) != (1, 1)
-    ]
+    # The K=1 single-index baseline always runs, and runs first,
+    # regardless of what the scale's sweep tuple contains.
     base_seconds = 0.0
     rows: list[list[object]] = []
-    best_parallel_speedup = 0.0
-    for k, w in configs:
+    best_sharded_speedup = 0.0
+    for k in [1] + sorted(set(scale.shard_counts) - {1}):
         engine = ShardedIndex(ds.store.copy(), n_shards=k, partitioner="str")
         t0 = time.perf_counter()
         engine.build()
@@ -1397,24 +1390,20 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
         # Backend pinned so the table means the same thing regardless of
         # any QUASII_EXECUTOR_BACKEND in the environment; the backend
         # face-off below is the deliberate comparison.
-        batch = QueryExecutor(
-            engine,
-            max_workers=w,
-            backend="sequential" if w <= 1 else "threads",
-        ).run(queries)
-        if (k, w) == (1, 1):
+        batch = QueryExecutor(engine, backend="sequential").run(queries)
+        if k == 1:
             base_seconds = batch.seconds
         fanned = engine.stats.shards_visited + engine.stats.shards_pruned
         pruned_pct = (
             100.0 * engine.stats.shards_pruned / fanned if fanned else 0.0
         )
         speedup = base_seconds / batch.seconds if batch.seconds > 0 else 0.0
-        if k >= 4 and w > 1:
-            best_parallel_speedup = max(best_parallel_speedup, speedup)
-        label = "single-index baseline" if (k, w) == (1, 1) else batch.mode
+        if k >= 4:
+            best_sharded_speedup = max(best_sharded_speedup, speedup)
+        label = "single-index baseline" if k == 1 else batch.mode
         rows.append(
             [
-                f"K={k} W={w} ({label})",
+                f"K={k} ({label})",
                 round(build_seconds, 4),
                 round(batch.seconds, 4),
                 round(batch.throughput(), 1),
@@ -1444,7 +1433,7 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
             "partition build (s)",
             "batch (s)",
             "queries/s",
-            "x baseline (K=1 W=1)",
+            "x baseline (K=1)",
             "shards pruned",
             "balance (max/mean)",
             "shard visits",
@@ -1452,13 +1441,15 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
         rows,
     )
     report.add_note(
-        "expected shape: K>=4 with W>1 beats the sequential single-index "
-        "baseline on batch throughput (smaller per-shard crack ranges + "
-        "MBB pruning; plus core overlap when the host has them); "
-        f"measured best at K>=4, W>1: {best_parallel_speedup:.2f}x"
+        "expected shape: with no overlap at all, K>=4 beats the "
+        "single-index baseline on batch throughput once the store is "
+        "large enough that smaller per-shard crack ranges + MBB pruning "
+        "outweigh one native sub-batch call per routed shard (at smoke "
+        "scale the two roughly cancel); "
+        f"measured best at K>=4: {best_sharded_speedup:.2f}x"
     )
     # Backend face-off: a delete-heavy serving stream of *fresh*
-    # batches through every dispatch backend at one contended
+    # batches through both executor backends at one contended
     # configuration.  Two deliberate workload choices.  Fresh batches,
     # because repeating a frozen batch measures a fully-refined index —
     # the regime where QUASII has stopped cracking; fresh traffic keeps
@@ -1509,7 +1500,7 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
 
     backend_qps: dict[str, float] = {}
     backend_rows: list[list[object]] = []
-    for backend in ("sequential", "threads", "processes"):
+    for backend in BACKENDS:
         seconds = sorted(
             _backend_stream(backend, r) for r in range(scale.backend_repeats)
         )
@@ -1523,7 +1514,7 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
             ]
         )
     seq_qps = backend_qps["sequential"]
-    for row, backend in zip(backend_rows, ("sequential", "threads", "processes")):
+    for row, backend in zip(backend_rows, BACKENDS):
         row.append(
             f"{backend_qps[backend] / seq_qps:.2f}x" if seq_qps else "-"
         )
@@ -1535,22 +1526,20 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
         ["backend", "stream (s)", "queries/s", "x sequential"],
         backend_rows,
     )
-    threads_qps = backend_qps["threads"]
     processes_qps = backend_qps["processes"]
     report.add_note(
         "expected shape: on a delete-heavy fresh-traffic stream the "
-        "process backend beats thread dispatch — driver-side shard "
-        "indexes (both sequential and thread serving) filter "
-        "tombstoned rows out of every candidate set, while worker "
-        "processes crack compact live-row-only shared-memory snapshots "
-        "(and on multi-core hosts additionally overlap per-shard crack "
-        "work that threads only time-slice under the GIL); measured at "
-        f"K={bk} W={bw}: threads {threads_qps:.0f} q/s vs "
-        f"processes {processes_qps:.0f} q/s "
+        "process backend beats the in-thread server — driver-side shard "
+        "indexes filter tombstoned rows out of every candidate set, "
+        "while worker processes crack compact live-row-only "
+        "shared-memory snapshots (and on multi-core hosts additionally "
+        "overlap per-shard crack work the coordinating thread can only "
+        f"do in turn); measured at K={bk} W={bw}: sequential "
+        f"{seq_qps:.0f} q/s vs processes {processes_qps:.0f} q/s "
         + (
-            f"({processes_qps / threads_qps:.2f}x)"
-            if threads_qps
-            else "(threads stream did not complete)"
+            f"({processes_qps / seq_qps:.2f}x)"
+            if seq_qps
+            else "(sequential stream did not complete)"
         )
     )
     # Headline metrics for the regression gate (names ending
@@ -1558,10 +1547,10 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
     # floors; the speedup is the acceptance-critical figure).
     report.metrics = {
         "headline": {
-            "threads_queries_per_second": round(threads_qps, 1),
+            "sequential_queries_per_second": round(seq_qps, 1),
             "processes_queries_per_second": round(processes_qps, 1),
-            "process_over_thread_speedup": (
-                round(processes_qps / threads_qps, 3) if threads_qps else 0.0
+            "process_over_sequential_speedup": (
+                round(processes_qps / seq_qps, 3) if seq_qps else 0.0
             ),
         }
     }

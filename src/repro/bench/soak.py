@@ -393,9 +393,7 @@ def soak_experiment(
                 ),
                 round(e.payload["batch_seconds"] * 1e3, 2),
                 e.payload["shards_visited"],
-                e.payload["shards_pruned"]
-                if e.payload["shards_pruned"] is not None
-                else "-",
+                e.payload["shards_pruned"],
             ]
             for e in top_slow
         ],

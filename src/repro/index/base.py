@@ -246,11 +246,7 @@ class SpatialIndex(abc.ABC):
         the batch.  Results come back in submission order and match a
         Python loop of :meth:`execute` calls exactly.
         """
-        queries = [as_query(q) for q in queries]
-        for q in queries:
-            self._gate_dim(q)
-        self._check_epoch()
-        return self._execute_batch(queries)
+        return self._execute_batch(self._gate_batch(queries))
 
     def plan(self, query: Query | RangeQuery) -> QueryPlan:
         """Report what this query *would* touch, without executing it.
@@ -274,6 +270,16 @@ class SpatialIndex(abc.ABC):
     def _gate(self, query: Query) -> None:
         self._gate_dim(query)
         self._check_epoch()
+
+    def _gate_batch(
+        self, queries: Sequence[Query | RangeQuery]
+    ) -> list[Query]:
+        """Normalize and gate a whole batch before any of it runs."""
+        gated = [as_query(q) for q in queries]
+        for q in gated:
+            self._gate_dim(q)
+        self._check_epoch()
+        return gated
 
     # -- shared execution skeleton --------------------------------------
     def _timed_one(self, query: Query) -> QueryResult:

@@ -1,9 +1,10 @@
 """Process-parallel shard serving over shared-memory stores.
 
-The GIL caps the thread backend at interleaving, not parallelism —
-refinement kernels release it only inside numpy calls, and the adaptive
-cracking that makes QUASII fast is pure Python.  This package moves
-shard serving into real OS processes without paying data movement:
+A QUASII query reorganizes the store it reads, so an index is never
+shared across a thread pool — and the GIL would cap one at interleaving
+anyway: the adaptive cracking that makes QUASII fast is pure Python.
+This package overlaps shard work the only way left, by moving shard
+serving into real OS processes without paying data movement:
 
 * :mod:`~repro.parallel.shm` — shard snapshots as shared-memory
   *segments*, with :class:`~repro.parallel.shm.SharedStoreView` giving
@@ -11,7 +12,7 @@ shard serving into real OS processes without paying data movement:
   mapping.
 * :mod:`~repro.parallel.wire` — compact numpy wire structures for the
   query/result round trip (per-shard sub-batches are the dispatch
-  unit, exactly as in the thread backend).
+  unit, exactly as in the in-thread server).
 * :mod:`~repro.parallel.worker` — the worker loop: attach, rebuild a
   warm local index, serve, report telemetry.
 * :mod:`~repro.parallel.pool` — the driver:

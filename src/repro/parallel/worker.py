@@ -27,7 +27,7 @@ sub-batch's telemetry: fresh per-batch
 :class:`~repro.telemetry.metrics.LatencyHistogram` instances (merged
 into the driver registry after every batch) and the index work-counter
 deltas (folded into the engine's ``IndexStats``), so a process-backend
-run is observable exactly like a thread-backend one.
+run is observable exactly like a sequential-backend one.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class PipeEndpoint(Protocol):
     def close(self) -> None: ...
 
 #: Index work counters shipped back per sub-batch (the same set
-#: ShardedIndex.sync_shard_work rolls up for thread-backend shards; the
+#: ShardedIndex.sync_shard_work rolls up for driver-side shards; the
 #: flow counters stay driver-side or they would double count).
 WORK_COUNTERS = (
     "objects_tested",

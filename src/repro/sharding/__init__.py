@@ -1,4 +1,4 @@
-"""The sharded serving engine: spatial partitioning + parallel fan-out.
+"""The sharded serving engine: spatial partitioning + pruned fan-out.
 
 This package scales the single-process QUASII reproduction toward the
 ROADMAP's production-serving north star by adopting the
@@ -21,8 +21,9 @@ intact:
   with pruned fan-out queries, merged + deduplicated results,
   ownership-routed inserts/deletes, and the fault seam
   (``replication=``, ``fault_injector=``, kill/stall/slow/recover).
-* :class:`QueryExecutor` / :class:`BatchResult` — batch execution with
-  shard affinity on a thread pool, and a sequential fallback.
+* :class:`QueryExecutor` / :class:`BatchResult` — batch execution as
+  one route → serve → merge pipeline behind two servers: the in-thread
+  ``sequential`` one and the ``processes`` pool of :mod:`repro.parallel`.
 * :class:`WorkloadProfile` / :class:`ShardLoad` — the observed query
   distribution: recent query centroids plus per-shard load deltas.
 * :class:`Rebalancer` / :class:`RebalanceResult` — query-driven shard
@@ -38,8 +39,8 @@ intact:
   failures are first-class test inputs.
 
 The ``shard-scaling`` bench experiment (``quasii-bench shard-scaling``)
-measures batch throughput, pruning, and balance across shard and worker
-counts; the ``rebalance`` experiment (``quasii-bench rebalance``) drives
+measures batch throughput, pruning, and balance across shard counts and
+the two backends head to head; the ``rebalance`` experiment (``quasii-bench rebalance``) drives
 a drifting hotspot with skewed ingestion and compares the maintained
 engine against the static STR baseline.  Every verb is documented in
 ``docs/BENCH.md``.

@@ -1,35 +1,32 @@
-"""Batch query execution across shards, on a thread pool or sequentially.
+"""Batch query execution across shards: one pipeline, two servers.
 
 Serving engines amortize dispatch over *batches*: the
-:class:`QueryExecutor` takes a list of range queries, plans each one
-against the shard MBBs (the pruning step, done on the coordinating
-thread so counters never race), then executes with **shard affinity** —
-one task per shard, each running that shard's portion of the batch in
-submission order.  A shard's index is therefore only ever touched by a
-single thread at a time, which makes the scheme safe for *incremental*
-shard indexes whose queries physically reorganize their store (QUASII
-cracking).  NumPy releases the GIL inside the hot kernels (the
-vectorized intersection scans and partition passes), so shard tasks
-overlap on multi-core machines; on a single core the pool degrades to
-roughly sequential execution plus a small dispatch cost.
+:class:`QueryExecutor` takes a list of range queries and runs every
+batch through the same three steps — **route** each query onto the
+shards whose MBB it touches (:meth:`ShardedIndex.route_batch`, the
+pruning step, on the coordinating thread), **serve** one sub-batch per
+routed shard in submission order, and **merge** the partial results
+back into batch order.  QUASII answers a query by reorganizing the
+store in place, so a reader is a writer and an index is only ever
+touched by one thread; the only thing a backend chooses is *who serves*:
 
-``max_workers <= 1`` selects the plain sequential fallback (no threads
-at all) — useful as a baseline and on interpreters/platforms where
-thread pools are unwanted.
+``"sequential"``
+    The in-thread server (:meth:`ShardedIndex.serve_local`): the
+    coordinating thread answers each routed shard's sub-batch in turn.
+``"processes"``
+    A persistent :class:`~repro.parallel.pool.ProcessPool` of
+    ``max_workers`` workers answering from shared-memory snapshots —
+    the one way shard work overlaps.
 
-Threads share the GIL; the ``backend`` seam escapes it.  Every executor
-resolves to one of three backends — ``"sequential"``, ``"threads"``
-(the thread-pooled fan-out above), or ``"processes"`` (a persistent
-:class:`~repro.parallel.pool.ProcessPool` serving per-shard sub-batches
-from shared-memory snapshots).  An explicit ``backend=`` argument wins;
-otherwise ``QUASII_EXECUTOR_BACKEND`` is consulted (only when the
-resolved ``max_workers`` exceeds 1, so single-worker setups keep their
-sequential contract); otherwise the historical default stands:
-``threads`` when ``max_workers > 1``, else ``sequential``.  Engines
-with ``replication > 1`` route reads through per-shard replica picks,
-which the process tier bypasses by design — asking for
+An explicit ``backend=`` argument wins; otherwise
+``QUASII_EXECUTOR_BACKEND`` is honored when the resolved ``max_workers``
+exceeds 1 (single-worker setups keep their sequential contract);
+otherwise the executor is sequential.  The variable is validated
+whenever it is set, and the name of a removed backend is refused as
+such.  Engines with ``replication > 1`` route reads through per-shard
+replica picks, which the process tier bypasses by design — asking for
 ``backend="processes"`` on one raises, and an env-sourced request
-quietly downgrades to threads.
+downgrades to ``sequential``.
 
 Passing a :class:`~repro.sharding.maintenance.MaintenancePolicy` makes
 the executor the maintenance driver too: after every batch it ticks a
@@ -44,20 +41,18 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.index.base import IndexStats
-from repro.queries.query import Query, QueryResult, as_query
+from repro.queries.query import Query, QueryResult
 from repro.queries.range_query import RangeQuery
 from repro.sharding.maintenance import MaintenancePolicy, MaintenanceScheduler
 from repro.sharding.replication import FaultInjector
-from repro.sharding.shard import Shard
 from repro.sharding.sharded_index import ShardedIndex
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
@@ -74,8 +69,8 @@ from repro.telemetry.naming import (
 if TYPE_CHECKING:
     from repro.parallel.pool import ProcessPool
 
-#: The executor's dispatch backends, in escalation order.
-BACKENDS = ("sequential", "threads", "processes")
+#: The executor's two servers, in escalation order.
+BACKENDS = ("sequential", "processes")
 
 #: Environment override consulted when no explicit ``backend=`` is given.
 BACKEND_ENV = "QUASII_EXECUTOR_BACKEND"
@@ -98,27 +93,25 @@ class BatchResult:
     seconds:
         Wall-clock for the whole batch (planning + fan-out + merge).
     mode:
-        ``"sequential"``, ``"parallel"`` (thread backend), or
-        ``"processes"`` (process backend).
+        The backend that served the batch (one of :data:`BACKENDS`).
     workers:
-        Thread or process count used (1 for the sequential fallback).
+        Process count used (1 for the in-thread server).
     shard_queries:
         Per-shard number of (query, shard) executions — the fan-out
         profile; its sum can exceed ``len(results)`` when queries span
         shards and be below it when pruning wins.
     shard_seconds:
-        Per-shard worker wall-clock for this batch's sub-batches, indexed
-        by shard id (0.0 for shards the batch never visited).  On the
-        thread path each shard task is timed individually (and on the
-        process path each worker times its sub-batch in-process), so
-        shard-level skew is measurable: ``max(shard_seconds)`` bounds the
-        fan-out phase while ``sum(shard_seconds)`` is the total work.
-        The sequential fallback runs the engine's native batch (no
-        per-shard attribution), so the list stays zeroed there.
+        Per-shard server wall-clock for this batch's sub-batches, indexed
+        by shard id (0.0 for shards the batch never visited).  Each
+        sub-batch is timed where it runs — on the coordinating thread or
+        inside its worker process — so shard-level skew is measurable on
+        both backends: ``sum(shard_seconds)`` is the total work, and
+        under ``processes`` ``max(shard_seconds)`` bounds the fan-out
+        phase.
     route_seconds / fanout_seconds / merge_seconds:
-        Phase timings of the thread/process paths: planning queries onto
-        shards (the queueing step), shard tasks in flight, and
-        partial-result assembly.  All 0.0 on the sequential path.
+        Phase timings, recorded on both backends: planning queries onto
+        shards (the queueing step), shard sub-batches being served, and
+        partial-result assembly.
     """
 
     results: list[np.ndarray] = field(default_factory=list)
@@ -150,16 +143,16 @@ class QueryExecutor:
     index:
         The sharded engine; built on first use if necessary.
     max_workers:
-        Thread (or process) pool width.  ``None`` uses
-        ``os.cpu_count()`` capped at the shard count; ``<= 1`` selects
-        the sequential fallback unless ``backend`` says otherwise.
+        Process pool width — it sizes the ``"processes"`` backend's pool
+        and nothing else.  ``None`` uses ``os.cpu_count()`` capped at the
+        shard count; ``<= 1`` keeps the executor sequential unless
+        ``backend`` says otherwise.
     backend:
-        Dispatch backend: one of :data:`BACKENDS` or ``None``.
-        ``None`` (default) resolves via the module docstring's rules —
-        env override first (:data:`BACKEND_ENV`, honored only when the
-        resolved ``max_workers`` exceeds 1), then ``"threads"`` /
-        ``"sequential"`` by worker count.  The ``"processes"`` backend
-        lazily spins up a persistent
+        Who serves: one of :data:`BACKENDS` or ``None``.  ``None``
+        (default) resolves via the module docstring's rules — the env
+        override (:data:`BACKEND_ENV`, honored only when the resolved
+        ``max_workers`` exceeds 1), else ``"sequential"``.  The
+        ``"processes"`` backend lazily spins up a persistent
         :class:`~repro.parallel.pool.ProcessPool` on first use; call
         :meth:`close` (or use the executor as a context manager) to
         tear it down deterministically.
@@ -245,48 +238,50 @@ class QueryExecutor:
     def _resolve_backend(
         self, requested: str | None, index: ShardedIndex
     ) -> str:
-        """Settle the dispatch backend at construction time.
+        """Settle who serves, at construction time.
 
         Explicit argument > :data:`BACKEND_ENV` (only when more than one
-        worker was resolved — the env knob widens parallel setups, it
+        worker was resolved — the env knob widens multi-worker setups, it
         never un-sequentializes a deliberate single-worker executor) >
-        the historical worker-count default.  Unknown names raise either
-        way; ``processes`` on an engine with ``replication > 1`` raises
-        when asked explicitly and downgrades to ``threads`` when the
-        env asked, because the process tier serves from driver-published
-        snapshots of each shard's primary and would silently bypass
-        replica routing and failover.
+        ``"sequential"``.  Both names are validated whenever they are
+        given, so a mistyped or stale variable fails loudly even where
+        it would not be honored.  ``processes`` on an engine with
+        ``replication > 1`` raises when asked explicitly and downgrades
+        to ``sequential`` when the env asked, because the process tier
+        serves from driver-published snapshots of each shard's primary
+        and would silently bypass replica routing and failover.
         """
-        explicit = requested is not None
-        backend = requested
-        if backend is None and self._max_workers > 1:
-            backend = os.environ.get(BACKEND_ENV) or None
-        if backend is None:
-            return "threads" if self._max_workers > 1 else "sequential"
-        if backend not in BACKENDS:
-            source = "backend argument" if explicit else BACKEND_ENV
-            raise ConfigurationError(
-                f"unknown executor backend {backend!r} (from {source}); "
-                f"choose from {BACKENDS}"
-            )
+        env = os.environ.get(BACKEND_ENV) or None
+        for name, source in ((requested, "backend argument"), (env, BACKEND_ENV)):
+            if name == "threads":
+                raise ConfigurationError(
+                    f"executor backend 'threads' (from {source}) was "
+                    f"removed; choose from {BACKENDS}"
+                )
+            if name is not None and name not in BACKENDS:
+                raise ConfigurationError(
+                    f"unknown executor backend {name!r} (from {source}); "
+                    f"choose from {BACKENDS}"
+                )
+        backend = requested or (env if self._max_workers > 1 else None)
         if backend == "processes" and index.replication > 1:
-            if explicit:
+            if requested is not None:
                 raise ConfigurationError(
                     f"backend='processes' cannot serve {index.name}: "
                     "process workers read driver-published snapshots and "
                     "would bypass replica routing and failover"
                 )
-            return "threads"
-        return backend
+            return "sequential"
+        return backend or "sequential"
 
     @property
     def max_workers(self) -> int:
-        """Resolved thread pool width (1 = sequential fallback)."""
+        """Resolved process pool width (only ``processes`` reads it)."""
         return self._max_workers
 
     @property
     def backend(self) -> str:
-        """The resolved dispatch backend (one of :data:`BACKENDS`)."""
+        """The resolved server (one of :data:`BACKENDS`)."""
         return self._backend
 
     @property
@@ -347,14 +342,13 @@ class QueryExecutor:
         query_hist = reg.histogram(QUERY_SECONDS)
         for result in out.query_results:
             query_hist.record(result.seconds)
-        if out.mode != "sequential":
-            shard_hist = reg.histogram(SHARD_BATCH_SECONDS)
-            for seconds in out.shard_seconds:
-                if seconds:
-                    shard_hist.record(seconds)
-            reg.histogram(BATCH_ROUTE_SECONDS).record(out.route_seconds)
-            reg.histogram(BATCH_FANOUT_SECONDS).record(out.fanout_seconds)
-            reg.histogram(BATCH_MERGE_SECONDS).record(out.merge_seconds)
+        shard_hist = reg.histogram(SHARD_BATCH_SECONDS)
+        for seconds in out.shard_seconds:
+            if seconds:
+                shard_hist.record(seconds)
+        reg.histogram(BATCH_ROUTE_SECONDS).record(out.route_seconds)
+        reg.histogram(BATCH_FANOUT_SECONDS).record(out.fanout_seconds)
+        reg.histogram(BATCH_MERGE_SECONDS).record(out.merge_seconds)
         record_stats_delta(reg, self._index.stats.delta_since(before))
 
     def _log_slow_queries(self, out: BatchResult) -> None:
@@ -369,11 +363,6 @@ class QueryExecutor:
         """
         threshold = self._slow_query_threshold
         visited = sum(1 for n in out.shard_queries if n)
-        pruned = (
-            self._index.n_shards - visited
-            if out.mode != "sequential"
-            else None
-        )
         for result in out.query_results:
             if result.seconds <= threshold:
                 continue
@@ -391,7 +380,7 @@ class QueryExecutor:
                 batch_seconds=out.seconds,
                 batch_queries=out.n_queries,
                 shards_visited=visited,
-                shards_pruned=pruned,
+                shards_pruned=self._index.n_shards - visited,
                 shard_seconds=out.shard_seconds,
                 route_seconds=out.route_seconds,
                 fanout_seconds=out.fanout_seconds,
@@ -408,128 +397,39 @@ class QueryExecutor:
     def _run_batch(
         self, queries: Sequence[Query | RangeQuery]
     ) -> BatchResult:
+        """Gate, route, serve, merge — the same four steps on both backends.
+
+        Routing and merging run on this thread either way; the backend
+        only decides whether the per-shard sub-batches are answered here
+        (:meth:`ShardedIndex.serve_local`) or by the worker processes,
+        whose ``shard_seconds`` are measured in-process so skew stays
+        observable across the boundary.
+        """
         index = self._index
         if not index.is_built:
             index.build()
-        queries = [as_query(q) for q in queries]
         t0 = time.perf_counter()
-        if self._backend == "sequential":
-            # The engine's native sequential batch: routing happens inside
-            # execute_batch (a second pass here would double-count the
-            # prune counters), so shard_queries stays zeroed.
-            query_results = index.execute_batch(queries)
-            out = BatchResult(
-                results=[self._ids_of(r) for r in query_results],
-                query_results=query_results,
-                mode="sequential",
-                workers=1,
-                shard_queries=[0] * index.n_shards,
-                shard_seconds=[0.0] * index.n_shards,
-            )
-            out.seconds = time.perf_counter() - t0
-            return out
-        # Threads and processes share one shape — route on this thread,
-        # serve one sub-batch per shard, merge on this thread — and differ
-        # only in who does the per-shard labor.
-        queues = self._route(queries)
+        gated = index._gate_batch(queries)
+        queues = index.route_batch(gated)
         t_routed = time.perf_counter()
         if self._backend == "processes":
-            # shard_seconds carry the worker-measured in-process
-            # wall-clock, so skew stays observable across the boundary.
             pool = self._ensure_pool()
-            workers, mode = pool.n_workers, "processes"
-            served = pool.run_batch(queries, queues)
+            served, workers = pool.run_batch(gated, queues), pool.n_workers
         else:
-            workers, mode = max(1, self._max_workers), "parallel"
-            served = self._run_parallel(queries, queues, workers)
-        return self._finish_fanout(queries, served, mode, workers, t0, t_routed)
-
-    def _route(self, queries: list[Query]) -> dict[int, list[int]]:
-        """Route every query onto shard queues, on the calling thread.
-
-        Shared by the thread and process backends: prune counters and
-        the epoch check stay single-threaded, and each shard receives
-        its queue in batch order.
-        """
-        index = self._index
-        index._check_epoch()
-        queues: dict[int, list[int]] = {}
-        for i, q in enumerate(queries):
-            # The same dimension gate index.execute() applies — a wrong-d
-            # window must raise here too, not broadcast into a nonsense
-            # prune mask.
-            if q.ndim != index.store.ndim:
-                raise QueryError(
-                    f"query has {q.ndim} dims, store has {index.store.ndim}"
-                )
-            for shard in index.plan_shards(q):
-                queues.setdefault(shard.sid, []).append(i)
-        return queues
-
-    def _run_parallel(
-        self, queries: list[Query], queues: dict[int, list[int]], workers: int
-    ) -> dict[int, tuple[list[int], list[QueryResult], float]]:
-        """The thread backend's labor: one timed task per routed shard."""
-        shards = self._index.shards
-
-        def work(
-            shard: Shard, idxs: list[int]
-        ) -> tuple[list[int], list[QueryResult], float]:
-            # One task per shard per batch: the whole sub-batch goes
-            # through the shard index's native execute_batch, so shard
-            # indexes batch their own candidate matrices / merges.  Each
-            # task times itself — pool queueing excluded, so the numbers
-            # expose shard skew rather than dispatch order.
-            # serving_index() is the replication seam: the shard picks
-            # its least-loaded live replica here, once per shard per
-            # batch, so the chosen replica stays single-threaded for the
-            # whole sub-batch.
-            w0 = time.perf_counter()
-            sub = shard.serving_index().execute_batch(
-                [queries[i] for i in idxs]
-            )
-            return idxs, sub, time.perf_counter() - w0
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (sid, pool.submit(work, shards[sid], idxs))
-                for sid, idxs in queues.items()
-            ]
-            return {sid: future.result() for sid, future in futures}
-
-    def _finish_fanout(
-        self,
-        queries: list[Query],
-        served: dict[int, tuple[list[int], list[QueryResult], float]],
-        mode: str,
-        workers: int,
-        t0: float,
-        t_routed: float,
-    ) -> BatchResult:
-        """The shared tail of the thread and process backends.
-
-        ``served`` maps shard id to ``(query indexes, sub-batch results,
-        worker seconds)``.  Merging is shared with the engine's native
-        sequential batch: counters, equal-share seconds, and the
-        post-merge wall-clock capture all live in ``_assemble_batch``.
-        """
+            served, workers = index.serve_local(gated, queues), 1
         t_joined = time.perf_counter()
-        index = self._index
-        partials: dict[int, list[QueryResult]] = {}
         shard_queries = [0] * index.n_shards
         shard_seconds = [0.0] * index.n_shards
-        for sid, (idxs, sub, seconds) in served.items():
+        for sid, (idxs, _, seconds) in served.items():
             shard_queries[sid] = len(idxs)
             shard_seconds[sid] = seconds
-            for i, res in zip(idxs, sub):
-                partials.setdefault(i, []).append(res)
-        query_results = index._assemble_batch(queries, partials, t0)
+        query_results = index._assemble_batch(gated, served, t0)
         t_done = time.perf_counter()
         return BatchResult(
             results=[self._ids_of(r) for r in query_results],
             query_results=query_results,
             seconds=t_done - t0,
-            mode=mode,
+            mode=self._backend,
             workers=workers,
             shard_queries=shard_queries,
             shard_seconds=shard_seconds,
@@ -541,8 +441,8 @@ class QueryExecutor:
     def _ensure_pool(self) -> ProcessPool:
         """The persistent process pool, created on first process batch.
 
-        Lazy on purpose: the sequential and thread backends never pay
-        the multiprocessing import, and the pool forks only after the
+        Lazy on purpose: the sequential backend never pays the
+        multiprocessing import, and the pool forks only after the
         engine is built (workers inherit a warm interpreter under the
         fork start method).
         """
@@ -560,8 +460,8 @@ class QueryExecutor:
     def close(self) -> None:
         """Tear down backend resources (the process pool, if started).
 
-        Idempotent; the sequential and thread backends hold nothing, so
-        this is a no-op for them.  After closing, the next process-mode
+        Idempotent; the sequential backend holds nothing, so this is a
+        no-op for it.  After closing, the next process-mode
         batch transparently starts a fresh pool.
         """
         if self._pool is not None:

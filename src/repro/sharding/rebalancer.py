@@ -34,9 +34,9 @@ Three pieces:
   returns (stale pruning MBBs must never route an insert).
 
 Scheduling lives in :mod:`repro.sharding.maintenance`: a
-:class:`~repro.sharding.maintenance.MaintenancePolicy` threads
-:meth:`Rebalancer.maybe_rebalance` (and compaction) through the query
-path of the executors, amortized exactly like cracking.
+:class:`~repro.sharding.maintenance.MaintenancePolicy` runs
+:meth:`Rebalancer.maybe_rebalance` (and compaction) on the query
+path of the executor, amortized exactly like cracking.
 """
 
 from __future__ import annotations

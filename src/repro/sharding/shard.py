@@ -244,10 +244,9 @@ class Shard:
     def serving_index(self) -> SpatialIndex:
         """The index read traffic should hit: :meth:`pick`'s replica's.
 
-        The read-routing seam.  The executor calls this exactly once per
-        shard per batch, so whatever index is returned is touched by a
-        single worker thread for the whole batch (shard affinity extends
-        to replicas).
+        The read-routing seam.  :meth:`ShardedIndex.serve_local` calls
+        this exactly once per shard per batch, so one replica answers the
+        shard's whole sub-batch.
         """
         return self.pick().index
 

@@ -34,8 +34,10 @@ therefore keeps satisfying the documented multiset-of-live-rows
 invariant (ledger checks work unchanged), and the shared id-allocation /
 validation gate stays exact across shards.
 
-Batches of queries can be executed across shards in parallel with
-:class:`~repro.sharding.executor.QueryExecutor`.
+Batches run as route → serve → merge (:meth:`ShardedIndex.route_batch`,
+:meth:`ShardedIndex.serve_local`); the
+:class:`~repro.sharding.executor.QueryExecutor` drives the same halves
+and can swap the in-thread server for worker processes.
 
 Every shard serves from ``replication`` replicas (default 1; see
 :mod:`repro.sharding.shard` for routing, the write stream and recovery),
@@ -351,14 +353,12 @@ class ShardedIndex(MutableSpatialIndex):
 
         The *routing* half of planning (the cost-estimating half is the
         inherited :meth:`~repro.index.base.SpatialIndex.plan`).  One
-        vectorized intersection test over the stacked shard MBBs.
-        The :class:`~repro.sharding.executor.QueryExecutor` calls this on
-        the coordinating thread so counter updates never race; shard-local
-        work then proceeds in parallel.  Each planned window's centroid
-        is also recorded in :attr:`profile` — routing is the one spot
-        both the sequential and the parallel path go through exactly
-        once per query, so the observed-traffic record stays exact —
-        and, for the same reason, the spot where the fault clock ticks.
+        vectorized intersection test over the stacked shard MBBs, always
+        on the coordinating thread.  Each planned window's centroid is
+        also recorded in :attr:`profile` — routing is the one spot every
+        query goes through exactly once, whoever serves it, so the
+        observed-traffic record stays exact — and, for the same reason,
+        the spot where the fault clock ticks.
         """
         self._tick_faults()
         self.profile.record(query)
@@ -391,53 +391,75 @@ class ShardedIndex(MutableSpatialIndex):
         self.sync_shard_work()
         return payload
 
-    def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """Fan out whole per-shard sub-batches, then merge per query.
+    def route_batch(self, queries: list[Query]) -> dict[int, list[int]]:
+        """Route a gated batch: ``sid -> query indexes``, in batch order.
 
-        Every query is routed once on this thread (prune counters and
-        the traffic profile stay exact), then each shard answers its
-        portion of the batch through its index's *native*
-        ``execute_batch`` — one sub-batch per shard instead of one call
-        per (query, shard) pair, so vectorized shard indexes batch
-        their candidate matrices and QUASII shards amortize their
-        merges.  The thread-pooled version of the same shape lives in
-        :class:`~repro.sharding.executor.QueryExecutor`.
+        The one routing loop — every batch, whoever serves it, is
+        planned here on the coordinating thread, so each query moves the
+        prune counters, the traffic profile and the fault clock exactly
+        once (see :meth:`plan_shards`).
         """
         if not self._built:
             raise ConfigurationError(
                 "ShardedIndex queried before build(); call build() first"
             )
-        t0 = time.perf_counter()
         queues: dict[int, list[int]] = {}
         for i, q in enumerate(queries):
             for shard in self.plan_shards(q):
                 queues.setdefault(shard.sid, []).append(i)
-        partials: dict[int, list[QueryResult]] = {}
+        return queues
+
+    def serve_local(
+        self, queries: list[Query], queues: dict[int, list[int]]
+    ) -> dict[int, tuple[list[int], list[QueryResult], float]]:
+        """The in-thread server: ``sid -> (idxs, sub-results, seconds)``.
+
+        Each routed shard answers its whole sub-batch through its index's
+        *native* ``execute_batch`` — one call per shard instead of one
+        per (query, shard) pair, so vectorized shard indexes batch their
+        candidate matrices and QUASII shards amortize their merges — and
+        the call is timed, so shard skew is as visible here as behind
+        :meth:`~repro.parallel.pool.ProcessPool.run_batch`, which returns
+        the same shape.  :meth:`Shard.serving_index` is the replication
+        seam: the least-loaded live replica is picked once per shard per
+        batch.
+        """
+        served: dict[int, tuple[list[int], list[QueryResult], float]] = {}
         for sid, idxs in queues.items():
+            w0 = time.perf_counter()
             sub = self._shards[sid].serving_index().execute_batch(
                 [queries[i] for i in idxs]
             )
-            for i, res in zip(idxs, sub):
-                partials.setdefault(i, []).append(res)
-        return self._assemble_batch(queries, partials, t0)
+            served[sid] = (idxs, sub, time.perf_counter() - w0)
+        return served
+
+    def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
+        """Route, serve in-thread, merge: the executor's pipeline minus
+        its fan-out profile."""
+        t0 = time.perf_counter()
+        served = self.serve_local(queries, self.route_batch(queries))
+        return self._assemble_batch(queries, served, t0)
 
     def _assemble_batch(
         self,
         queries: list[Query],
-        partials: dict[int, list[QueryResult]],
+        served: dict[int, tuple[list[int], list[QueryResult], float]],
         t0: float,
     ) -> list[QueryResult]:
-        """Merge per-shard results into engine-level batch results.
+        """Merge served sub-batches into engine-level batch results.
 
-        Shared by the sequential native batch above and the executor's
-        thread-pooled fan-out.  The merge work itself is part of the
-        batch, so wall-clock is captured *after* merging and the
+        The one merge, whoever served.  The merge work itself is part of
+        the batch, so wall-clock is captured *after* merging and the
         equal-share per-query seconds are stamped in a second pass.
         Per-query index-stat deltas cannot be attributed to a single
         query across a fleet batch, so ``stats`` stays ``None`` here;
         fleet work lands in the engine's cumulative stats through
         :meth:`sync_shard_work`.
         """
+        partials: dict[int, list[QueryResult]] = {}
+        for idxs, sub, _ in served.values():
+            for i, res in zip(idxs, sub):
+                partials.setdefault(i, []).append(res)
         payloads = [
             self._merge_payload(q, partials.get(i, []))
             for i, q in enumerate(queries)

@@ -71,9 +71,9 @@ METRICS: dict[str, str] = {
     DELETE_SECONDS: "histogram: per-delete-batch wall-clock latency",
     BATCH_SECONDS: "histogram: whole query-batch wall-clock (QueryExecutor.run)",
     BATCH_ROUTE_SECONDS: "histogram: batch routing/queueing phase (shard planning)",
-    BATCH_FANOUT_SECONDS: "histogram: batch fan-out phase (shard tasks in flight)",
+    BATCH_FANOUT_SECONDS: "histogram: batch fan-out phase (shard sub-batches being served)",
     BATCH_MERGE_SECONDS: "histogram: batch merge phase (partials -> per-query results)",
-    SHARD_BATCH_SECONDS: "histogram: per-shard sub-batch worker wall-clock",
+    SHARD_BATCH_SECONDS: "histogram: per-shard sub-batch server wall-clock",
     WORKER_BATCH_SECONDS: (
         "histogram: sub-batch wall-clock measured inside a worker process"
     ),

@@ -4,7 +4,7 @@ Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
 batches, delete batches, compactions, and replica kills.  The same
 interleaving runs against one engine per cell of the executor backend
-(``sequential``, ``threads``, ``processes``) × replication (R ∈ {1, 2})
+(``sequential``, ``processes``) × replication (R ∈ {1, 2})
 matrix — with the executors kept alive across operations, so the
 process pool must survive every epoch bump (insert/delete/compact
 between batches) by republishing its shared-memory segments, and the
@@ -213,23 +213,58 @@ def test_backends_agree_with_scan_under_interleavings(case):
         ledger.assert_matches(engine.store)
 
 
+def _small_engine(replication=1):
+    lo = np.arange(12, dtype=np.float64).reshape(6, 2)
+    return ShardedIndex(
+        BoxStore(lo, lo + 1.0), n_shards=2, replication=replication
+    )
+
+
 @pytest.mark.parametrize("backend,replication", MATRIX)
 def test_every_cell_is_served_or_refused(backend, replication, monkeypatch):
     """The matrix has no silent cell: each one resolves to the backend it
     asked for (and is oracle-checked above), or is refused by name when
-    asked explicitly and downgraded to threads when the env asked."""
+    asked explicitly and downgraded to sequential when the env asked."""
 
-    def engine():
-        lo = np.arange(12, dtype=np.float64).reshape(6, 2)
-        return ShardedIndex(
-            BoxStore(lo, lo + 1.0), n_shards=2, replication=replication
+    def make(**kwargs):
+        return QueryExecutor(
+            _small_engine(replication), max_workers=2, **kwargs
         )
 
     if (backend, replication) != REFUSED:
-        with QueryExecutor(engine(), max_workers=2, backend=backend) as ex:
+        with make(backend=backend) as ex:
             assert ex.backend == backend
         return
     with pytest.raises(ConfigurationError, match="Replicated"):
-        QueryExecutor(engine(), max_workers=2, backend=backend)
+        make(backend=backend)
     monkeypatch.setenv(BACKEND_ENV, backend)
-    assert QueryExecutor(engine(), max_workers=2).backend == "threads"
+    assert make().backend == "sequential"
+
+
+def test_mistyped_env_fails_even_where_it_is_not_honored(monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, "bogus")
+    for kwargs in (
+        {"max_workers": 1},
+        {"max_workers": 4, "backend": "sequential"},
+    ):
+        with pytest.raises(ConfigurationError, match=BACKEND_ENV):
+            QueryExecutor(_small_engine(), **kwargs)
+
+
+def test_removed_threads_backend_is_refused_by_name(monkeypatch):
+    removed = "removed.*sequential.*processes"
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    with pytest.raises(ConfigurationError, match=removed) as err:
+        QueryExecutor(_small_engine(), max_workers=2, backend="threads")
+    assert "backend argument" in str(err.value)
+    monkeypatch.setenv(BACKEND_ENV, "threads")
+    for workers in (1, 2):
+        with pytest.raises(ConfigurationError, match=removed) as err:
+            QueryExecutor(_small_engine(), max_workers=workers)
+        assert BACKEND_ENV in str(err.value)
+
+
+def test_valid_env_is_honored_only_by_multi_worker_executors(monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, "processes")
+    assert QueryExecutor(_small_engine(), max_workers=1).backend == "sequential"
+    assert QueryExecutor(_small_engine(), max_workers=2).backend == "processes"

@@ -9,7 +9,7 @@ Covers the four layers of the subsystem:
 * backend resolution — explicit argument vs ``QUASII_EXECUTOR_BACKEND``
   vs worker-count default, and the replicated-engine guard;
 * the serving pool — oracle parity through the executor (including
-  across epoch bumps), telemetry golden-equivalence with the thread
+  across epoch bumps), telemetry golden-equivalence with the sequential
   backend, worker SIGKILL recovery, and shared-memory cleanup.
 """
 
@@ -43,7 +43,7 @@ from repro.parallel import (
 from repro.parallel.pool import START_METHOD_ENV
 from repro.queries import Query, uniform_workload
 from repro.sharding import QueryExecutor, ShardedIndex
-from repro.sharding.executor import BACKEND_ENV
+from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
 from repro.telemetry.naming import (
@@ -243,8 +243,10 @@ class TestBackendResolution:
             QueryExecutor(self._engine(), max_workers=1).backend
             == "sequential"
         )
+        # Worker count alone never picks a server: it only sizes the pool.
         assert (
-            QueryExecutor(self._engine(), max_workers=3).backend == "threads"
+            QueryExecutor(self._engine(), max_workers=3).backend
+            == "sequential"
         )
 
     def test_env_widens_parallel_executors_only(self, monkeypatch):
@@ -261,8 +263,10 @@ class TestBackendResolution:
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "processes")
-        ex = QueryExecutor(self._engine(), max_workers=4, backend="threads")
-        assert ex.backend == "threads"
+        ex = QueryExecutor(
+            self._engine(), max_workers=4, backend="sequential"
+        )
+        assert ex.backend == "sequential"
 
     def test_unknown_backend_names_its_source(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="backend argument"):
@@ -283,7 +287,7 @@ class TestBackendResolution:
         engine = ShardedIndex(
             make_uniform(500, seed=1).store.copy(), n_shards=2, replication=2
         )
-        assert QueryExecutor(engine, max_workers=2).backend == "threads"
+        assert QueryExecutor(engine, max_workers=2).backend == "sequential"
 
     def test_start_method_resolution(self, monkeypatch):
         monkeypatch.delenv(START_METHOD_ENV, raising=False)
@@ -351,10 +355,10 @@ class TestProcessBackend:
             check(ex.run(queries))
             assert len(events.recent("worker.refresh")) > refreshes_before
 
-    def test_telemetry_matches_thread_backend(self, dataset):
+    def test_telemetry_matches_sequential_backend(self, dataset):
         queries = uniform_workload(dataset.universe, 30, 1e-3, seed=3)
         runs = {}
-        for backend in ("threads", "processes"):
+        for backend in BACKENDS:
             engine = self._engine(dataset)
             telemetry = Telemetry()
             with QueryExecutor(
@@ -362,26 +366,26 @@ class TestProcessBackend:
             ) as ex:
                 ex.run(queries)
             runs[backend] = (engine.stats, telemetry.registry)
-        thr_stats, thr_reg = runs["threads"]
+        seq_stats, seq_reg = runs["sequential"]
         prc_stats, prc_reg = runs["processes"]
         # Routing and result accounting are driver-side on both paths.
-        assert prc_stats.queries == thr_stats.queries == len(queries)
-        assert prc_stats.shards_visited == thr_stats.shards_visited
-        assert prc_stats.shards_pruned == thr_stats.shards_pruned
-        assert prc_stats.results_returned == thr_stats.results_returned
+        assert prc_stats.queries == seq_stats.queries == len(queries)
+        assert prc_stats.shards_visited == seq_stats.shards_visited
+        assert prc_stats.shards_pruned == seq_stats.shards_pruned
+        assert prc_stats.results_returned == seq_stats.results_returned
         # Worker-side crack work folds back into the same counters: the
         # worker indexes see identical snapshots and identical sub-batches,
-        # so the fleet-wide work totals must agree with the thread path.
-        assert prc_stats.objects_tested == thr_stats.objects_tested
+        # so the fleet-wide work totals must agree with the in-thread server.
+        assert prc_stats.objects_tested == seq_stats.objects_tested
         # Driver histograms sample per query on both paths; worker.* is
         # the process tier's own vocabulary, absorbed after each batch.
         assert (
             prc_reg.histograms()[QUERY_SECONDS].count
-            == thr_reg.histograms()[QUERY_SECONDS].count
+            == seq_reg.histograms()[QUERY_SECONDS].count
         )
         assert prc_reg.histograms()[WORKER_BATCH_SECONDS].count > 0
         assert prc_reg.histograms()[WORKER_QUERY_SECONDS].count > 0
-        assert WORKER_BATCH_SECONDS not in thr_reg.histograms()
+        assert WORKER_BATCH_SECONDS not in seq_reg.histograms()
 
     def test_sigkilled_worker_respawns_and_batch_completes(self, dataset):
         queries = uniform_workload(dataset.universe, 15, 1e-3, seed=4)

@@ -20,6 +20,7 @@ from repro.sharding import (
     ShardedIndex,
     make_partitioner,
 )
+from repro.sharding.executor import BACKENDS
 
 
 def _grid_store(side: int = 10, spacing: float = 10.0) -> BoxStore:
@@ -283,33 +284,72 @@ class TestQueryExecutor:
         ex = QueryExecutor(self._engine(dataset, n_shards=2))
         assert 1 <= ex.max_workers <= 2
 
-    def test_parallel_matches_sequential_and_scan(self, dataset):
+    def test_processes_matches_sequential_and_scan(self, dataset):
         queries = uniform_workload(dataset.universe, 40, 1e-3, seed=5)
         scan = ScanIndex(dataset.store.copy())
         expected = [np.sort(scan.query(q)) for q in queries]
-        seq = QueryExecutor(self._engine(dataset), max_workers=1).run(queries)
-        # Pinned: this test asserts the thread path's mode label, so a
-        # QUASII_EXECUTOR_BACKEND=processes environment must not retarget it.
-        par = QueryExecutor(
-            self._engine(dataset), max_workers=4, backend="threads"
+        # Pinned: this test asserts each server's mode label, so a
+        # QUASII_EXECUTOR_BACKEND environment must not retarget it.
+        seq = QueryExecutor(
+            self._engine(dataset), max_workers=1, backend="sequential"
         ).run(queries)
-        assert seq.mode == "sequential" and par.mode == "parallel"
+        with QueryExecutor(
+            self._engine(dataset), max_workers=4, backend="processes"
+        ) as ex:
+            par = ex.run(queries)
+        assert seq.mode == "sequential" and par.mode == "processes"
+        assert seq.workers == 1 and par.workers == 4
         for got_s, got_p, want in zip(seq.results, par.results, expected):
             assert np.array_equal(np.sort(got_s), want)
             assert np.array_equal(np.sort(got_p), want)
         assert par.n_queries == len(queries)
         assert sum(par.shard_queries) >= len(queries)
 
-    def test_parallel_counters_match_sequential(self, dataset):
+    def test_processes_counters_match_sequential(self, dataset):
         queries = uniform_workload(dataset.universe, 25, 1e-3, seed=6)
         e_seq = self._engine(dataset)
         e_par = self._engine(dataset)
         QueryExecutor(e_seq, max_workers=1).run(queries)
-        QueryExecutor(e_par, max_workers=3, backend="threads").run(queries)
+        with QueryExecutor(e_par, max_workers=3, backend="processes") as ex:
+            ex.run(queries)
         assert e_par.stats.queries == e_seq.stats.queries == len(queries)
         assert e_par.stats.shards_visited == e_seq.stats.shards_visited
         assert e_par.stats.shards_pruned == e_seq.stats.shards_pruned
         assert e_par.stats.results_returned == e_seq.stats.results_returned
+
+    def test_backends_report_the_same_fanout_profile(self, dataset):
+        queries = uniform_workload(dataset.universe, 30, 1e-3, seed=11)
+        e_seq = self._engine(dataset)
+        e_seq.build()
+        visited_before = e_seq.stats.shards_visited
+        seq = QueryExecutor(e_seq, backend="sequential").run(queries)
+        with QueryExecutor(
+            self._engine(dataset), max_workers=2, backend="processes"
+        ) as ex:
+            par = ex.run(queries)
+        assert seq.shard_queries == par.shard_queries
+        assert sum(seq.shard_queries) == (
+            e_seq.stats.shards_visited - visited_before
+        )
+
+    def test_sequential_executor_is_the_engine_batch(self, dataset):
+        """The executor's in-thread server and the engine's native batch
+        are one pipeline: same ordered ids, same counters, same profile."""
+        queries = uniform_workload(dataset.universe, 30, 1e-3, seed=12)
+        e_native = self._engine(dataset)
+        e_exec = self._engine(dataset)
+        e_native.build()
+        native = e_native.execute_batch(queries)
+        batch = QueryExecutor(e_exec, backend="sequential").run(queries)
+        for got, want in zip(batch.query_results, native):
+            assert np.array_equal(got.ids, want.ids)
+        assert e_exec.stats == e_native.stats
+        assert np.array_equal(
+            e_exec.profile.centroids(), e_native.profile.centroids()
+        )
+        assert e_exec.profile.shard_loads(
+            e_exec.shards
+        ) == e_native.profile.shard_loads(e_native.shards)
 
     def test_builds_engine_on_first_use(self, dataset):
         engine = self._engine(dataset)
@@ -320,19 +360,25 @@ class TestQueryExecutor:
         assert engine.is_built
         assert result.n_queries == 3
 
-    def test_parallel_rejects_wrong_dimension_queries(self, dataset):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejects_wrong_dimension_queries(self, dataset, backend):
         from repro.errors import QueryError
 
-        bad = RangeQuery(Box((0.0,), (1.0,)), seq=0)
-        with pytest.raises(QueryError, match="dims"):
-            QueryExecutor(self._engine(dataset), max_workers=4).run([bad])
+        engine = self._engine(dataset)
+        good = uniform_workload(dataset.universe, 1, 1e-3, seed=7)[0]
+        bad = RangeQuery(Box((0.0,), (1.0,)), seq=1)
+        with QueryExecutor(engine, max_workers=4, backend=backend) as ex:
+            with pytest.raises(QueryError, match="dims"):
+                ex.run([good, bad])
+        # The gate runs before routing: a refused batch moves no counter.
+        assert engine.stats.shards_visited == engine.stats.shards_pruned == 0
 
     def test_empty_batch(self, dataset):
         result = QueryExecutor(self._engine(dataset), max_workers=2).run([])
         assert result.n_queries == 0
         assert result.throughput() == float("inf") or result.seconds >= 0
 
-    def test_quasii_shards_stay_structurally_valid_after_parallel_run(
+    def test_quasii_shards_stay_structurally_valid_after_executor_run(
         self, dataset
     ):
         engine = ShardedIndex(
@@ -340,43 +386,37 @@ class TestQueryExecutor:
             n_shards=4,
             index_factory=lambda s: QuasiiIndex(s, tau=16),
         )
-        # Pinned to threads: the point is that *driver-side* shard indexes
-        # crack concurrently and stay valid (the process backend cracks
-        # worker-local indexes instead).
-        QueryExecutor(engine, max_workers=4, backend="threads").run(
+        # Pinned to sequential: the point is that *driver-side* shard
+        # indexes crack under the executor and stay valid (the process
+        # backend cracks worker-local indexes instead).
+        QueryExecutor(engine, max_workers=4, backend="sequential").run(
             uniform_workload(dataset.universe, 30, 1e-2, seed=8)
         )
+        assert engine.stats.cracks > 0
         for shard in engine.shards:
             shard.index.validate_structure()
 
-    def test_parallel_exposes_shard_and_phase_timings(self, dataset):
+    def test_sequential_exposes_shard_and_phase_timings(self, dataset):
         queries = uniform_workload(dataset.universe, 40, 1e-3, seed=9)
         # Pinned: the phase-tiling and same-clock-domain invariants below
-        # are the thread backend's contract.
-        par = QueryExecutor(
-            self._engine(dataset), max_workers=4, backend="threads"
+        # are the in-thread server's contract.
+        seq = QueryExecutor(
+            self._engine(dataset), max_workers=4, backend="sequential"
         ).run(queries)
-        assert len(par.shard_seconds) == 4
-        # Every shard that received a sub-batch self-timed its work.
-        for sid, n in enumerate(par.shard_queries):
+        assert len(seq.shard_seconds) == 4
+        # Every shard that received a sub-batch was timed serving it.
+        assert sum(seq.shard_queries) > 0
+        for sid, n in enumerate(seq.shard_queries):
             if n:
-                assert par.shard_seconds[sid] > 0.0
+                assert seq.shard_seconds[sid] > 0.0
             else:
-                assert par.shard_seconds[sid] == 0.0
+                assert seq.shard_seconds[sid] == 0.0
         # Phase timings tile the batch: route -> fan-out -> merge.
-        assert par.route_seconds > 0.0
-        assert par.fanout_seconds > 0.0
-        assert par.merge_seconds > 0.0
-        phases = par.route_seconds + par.fanout_seconds + par.merge_seconds
-        assert phases == pytest.approx(par.seconds, rel=0.05)
-        # Worker self-timing excludes pool queueing, so each shard's
-        # clock fits inside the fan-out phase that contains it.
-        assert max(par.shard_seconds) <= par.fanout_seconds * 1.05
-
-    def test_sequential_leaves_timings_zeroed(self, dataset):
-        queries = uniform_workload(dataset.universe, 10, 1e-3, seed=10)
-        seq = QueryExecutor(self._engine(dataset), max_workers=1).run(queries)
-        assert seq.shard_seconds == [0.0] * 4
-        assert seq.route_seconds == 0.0
-        assert seq.fanout_seconds == 0.0
-        assert seq.merge_seconds == 0.0
+        assert seq.route_seconds > 0.0
+        assert seq.fanout_seconds > 0.0
+        assert seq.merge_seconds > 0.0
+        phases = seq.route_seconds + seq.fanout_seconds + seq.merge_seconds
+        assert phases <= seq.seconds
+        assert phases == pytest.approx(seq.seconds, rel=0.05)
+        # Each shard's clock fits inside the fan-out phase that contains it.
+        assert max(seq.shard_seconds) <= seq.fanout_seconds * 1.05

@@ -363,14 +363,17 @@ class TestInstrumentation:
     def test_executor_records_batch_metrics(self):
         ds, engine = self._engine()
         telemetry = Telemetry()
-        ex = QueryExecutor(engine, max_workers=2, telemetry=telemetry)
+        # Pinned: the in-thread server records the full fan-out profile.
+        ex = QueryExecutor(
+            engine, max_workers=2, backend="sequential", telemetry=telemetry
+        )
         queries = uniform_workload(ds.universe, 20, seed=1)
         out = ex.run(queries)
         reg = telemetry.registry
         assert reg.histograms()[QUERY_SECONDS].count == 20
         assert reg.histograms()["batch.seconds"].count == 1
         shard_hist = reg.histograms()["shard.batch.seconds"]
-        assert shard_hist.count == sum(1 for s in out.shard_seconds if s)
+        assert shard_hist.count == sum(1 for s in out.shard_seconds if s) > 0
         for phase in ("route", "fanout", "merge"):
             assert reg.histograms()[f"batch.{phase}.seconds"].count == 1
         # IndexStats deltas flowed into stats.* counters.
@@ -416,7 +419,11 @@ class TestInstrumentation:
         events = EventLog()
         # threshold 0.0: every executed query is "slow", deterministically.
         ex = QueryExecutor(
-            engine, max_workers=2, events=events, slow_query_threshold=0.0
+            engine,
+            max_workers=2,
+            backend="sequential",
+            events=events,
+            slow_query_threshold=0.0,
         )
         queries = uniform_workload(ds.universe, 10, seed=1)
         out = ex.run(queries)
@@ -431,8 +438,12 @@ class TestInstrumentation:
             "merge_seconds",
         ):
             assert key in payload, key
-        assert payload["batch_mode"] == out.mode
+        assert payload["batch_mode"] == out.mode == "sequential"
         assert payload["batch_queries"] == 10
+        visited = sum(1 for n in out.shard_queries if n)
+        assert payload["shards_visited"] == visited > 0
+        assert isinstance(payload["shards_pruned"], int)
+        assert payload["shards_pruned"] == engine.n_shards - visited
         json.dumps(payload)  # wire-ready without a default=
 
     def test_executor_without_threshold_emits_nothing(self):

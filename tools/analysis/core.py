@@ -32,12 +32,10 @@ __all__ = [
     "SourceFile",
     "analyze",
     "flatten_targets",
-    "iter_with_stack",
-    "lock_guarded",
     "self_assign_targets",
 ]
 
-#: Inline suppression: ``# ql: allow[QL004]`` or ``# ql: allow[QL001, QL003]``
+#: Inline suppression: ``# ql: allow[QL004]`` or ``# ql: allow[QL001, QL006]``
 #: or ``# ql: allow[*]``; anywhere on the flagged line.
 _PRAGMA = re.compile(r"#\s*ql:\s*allow\[([A-Za-z0-9_*,\s]+)\]")
 
@@ -93,7 +91,7 @@ class FunctionInfo:
     """A function or method definition (nested functions included)."""
 
     name: str
-    qualname: str  # e.g. "QueryExecutor._run_parallel.work"
+    qualname: str  # e.g. "ShardedIndex.build.split" for a closure
     node: ast.FunctionDef | ast.AsyncFunctionDef
     file: SourceFile
     cls: "ClassInfo | None" = None  # owning class for methods
@@ -127,10 +125,10 @@ class AnalysisConfig:
 
     The defaults describe ``src/repro``; fixture tests override fields
     to build minimal violating worlds.  Every allowlist here is a
-    *documented discipline statement*, not a convenience: QL003's
-    ``affine`` sets, for instance, are exactly the classes whose
-    instances the executor guarantees are touched by a single thread
-    per batch (see docs/ANALYSIS.md).
+    *documented discipline statement*, not a convenience: QL009's
+    ``slice_writer_modules``, for instance, are exactly the modules that
+    maintain the invariants between the slice columns (see
+    docs/ANALYSIS.md).
     """
 
     # QL001 -- mutation discipline
@@ -156,41 +154,6 @@ class AnalysisConfig:
     #: Instance attrs that do not constitute position-bearing state.
     compaction_state_ok: frozenset[str] = frozenset(
         {"stats", "build_work", "name", "_built", "_seen_epoch", "_store"}
-    )
-    # QL003 -- parallel-path purity
-    parallel_method: str = "_run_parallel"
-    parallel_worker: str = "work"
-    #: Class-ancestry roots whose instances are shard-affine (touched by
-    #: at most one worker thread per batch, by executor construction).
-    affine_roots: frozenset[str] = frozenset(
-        {"SpatialIndex", "BoxStore", "UpdateBuffer", "Partitioner"}
-    )
-    #: Additional single-writer classes: per-shard owned structures
-    #: (Slice forests, R-Tree nodes) or coordinator-only state that the
-    #: executor mutates exclusively on the routing/merging thread
-    #: (profiles, partitioner cursors, the telemetry histograms the
-    #: coordinator records after joining the pool).  Extending this set
-    #: is a reviewed concurrency-discipline statement — see
-    #: docs/ANALYSIS.md.
-    affine_classes: frozenset[str] = frozenset(
-        {
-            "Slice",
-            "SliceList",
-            "Shard",
-            "IndexStats",
-            "WorkloadProfile",
-            "GuttmanRTree",
-            "RTreeNode",
-            "LatencyHistogram",
-            # Replica-local state: a shard's replicas — including the
-            # one picked to serve a batch — are touched by exactly one
-            # worker per batch (shard affinity extends through
-            # Shard.serving_index), and the fault injector/ledger only
-            # tick on the coordinating thread's routing/write path.
-            "ShardReplica",
-            "FaultInjector",
-            "UpdateLedger",
-        }
     )
     # QL004 -- dtype discipline
     numpy_aliases: frozenset[str] = frozenset({"np", "numpy"})
@@ -437,40 +400,6 @@ def flatten_targets(target: ast.expr) -> Iterator[ast.expr]:
             yield from flatten_targets(element)
     else:
         yield target
-
-
-def iter_with_stack(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[tuple[ast.AST, list[ast.With]]]:
-    """Yield ``(node, enclosing-with-statements)`` for ``fn``'s body.
-
-    Nested function definitions are traversed too (their ``with`` stacks
-    restart, matching runtime scoping closely enough for lock checks).
-    """
-
-    def walk(node: ast.AST, stack: list[ast.With]) -> Iterator[
-        tuple[ast.AST, list[ast.With]]
-    ]:
-        for child in ast.iter_child_nodes(node):
-            yield child, stack
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                yield from walk(child, [*stack, child])  # type: ignore[list-item]
-            else:
-                yield from walk(child, stack)
-
-    yield from walk(fn, [])
-
-
-def lock_guarded(stack: list[ast.With]) -> bool:
-    """True when any enclosing ``with`` context mentions a lock."""
-    for stmt in stack:
-        for item in stmt.items:
-            for node in ast.walk(item.context_expr):
-                if isinstance(node, ast.Attribute) and "lock" in node.attr.lower():
-                    return True
-                if isinstance(node, ast.Name) and "lock" in node.id.lower():
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------
