@@ -16,7 +16,7 @@ import numpy as np
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 
 EXTENT = 0.3
 
@@ -51,8 +51,8 @@ def main() -> None:
 
     show("initial state (Figure 4a): one slice, arbitrary order", store, index)
 
-    q1 = RangeQuery(Box((2.0, 4.0), (4.0, 6.0)), seq=0)
-    hits = sorted(index.query(q1).tolist())
+    q1 = Query(Box((2.0, 4.0), (4.0, 6.0)), seq=0)
+    hits = sorted(index.execute(q1).ids.tolist())
     print(f"q1 = x:[2,4] y:[4,6]  ->  result {{{', '.join(f'o{i}' for i in hits)}}}\n")
     show(
         "after q1 (Figure 4b+4c): three x-slices, middle one y-refined",
@@ -60,8 +60,8 @@ def main() -> None:
         index,
     )
 
-    q2 = RangeQuery(Box((4.4, 0.5), (9.6, 3.5)), seq=1)
-    hits = sorted(index.query(q2).tolist())
+    q2 = Query(Box((4.4, 0.5), (9.6, 3.5)), seq=1)
+    hits = sorted(index.execute(q2).ids.tolist())
     print(f"q2 = x:[4.4,9.6] y:[0.5,3.5]  ->  result {{{', '.join(f'o{i}' for i in hits)}}}\n")
     show(
         "after q2 (Figure 4d): only the coarse right slice was refined",

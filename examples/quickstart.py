@@ -31,7 +31,7 @@ def main() -> None:
     print("\nfirst pass — the index builds itself while answering:")
     for q in queries[:5]:
         t0 = time.perf_counter()
-        ids = index.query(q)
+        ids = index.execute(q).ids
         ms = (time.perf_counter() - t0) * 1000
         print(f"  query {q.seq}: {ids.size:4d} results in {ms:7.2f} ms "
               f"(cracks so far: {index.stats.cracks})")
@@ -39,7 +39,7 @@ def main() -> None:
     print("\nsecond pass over the same windows — now (mostly) refined:")
     for q in queries[:5]:
         t0 = time.perf_counter()
-        ids = index.query(q)
+        ids = index.execute(q).ids
         ms = (time.perf_counter() - t0) * 1000
         print(f"  query {q.seq}: {ids.size:4d} results in {ms:7.2f} ms")
 

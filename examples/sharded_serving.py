@@ -49,7 +49,7 @@ def main() -> None:
     # 3. Serve a batch of small queries two ways and check both vs Scan.
     queries = uniform_workload(dataset.universe, 300, 1e-4, seed=7)
     scan = ScanIndex(dataset.store.copy())
-    expected = [np.sort(scan.query(q)) for q in queries]
+    expected = [np.sort(scan.execute(q).ids) for q in queries]
 
     sequential = QueryExecutor(engine, max_workers=1).run(queries)
     assert all(
@@ -99,7 +99,7 @@ def main() -> None:
           f"pending (buffered) rows fleet-wide: {engine.pending_updates()}")
     check = uniform_workload(dataset.universe, 50, 1e-3, seed=13)
     assert all(
-        np.array_equal(np.sort(engine.query(q)), np.sort(scan.query(q)))
+        np.array_equal(np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids))
         for q in check
     )
     engine.validate_routing()
@@ -131,7 +131,7 @@ def main() -> None:
           f"match the oracle: ", end="")
     check = uniform_workload(dataset.universe, 30, 1e-3, seed=19)
     ok = all(
-        np.array_equal(np.sort(engine.query(q)), np.sort(scan.query(q)))
+        np.array_equal(np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids))
         for q in check
     )
     engine.validate_routing()

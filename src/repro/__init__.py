@@ -12,10 +12,10 @@ Quick start::
 
     dataset = make_uniform(100_000, seed=42)
     index = QuasiiIndex(dataset.store)
-    queries = [Query(q.window) for q in
-               uniform_workload(dataset.universe, 100, seed=42)]
+    queries = uniform_workload(dataset.universe, 100, seed=42)
     for result in index.execute_batch(queries):   # refines as it answers
         result.ids, result.count, result.stats, result.seconds
+    index.execute(Query(queries[0].window, mode="count")).count
 """
 
 from repro.baselines import (
@@ -46,9 +46,7 @@ from repro.queries import (
     Query,
     QueryPlan,
     QueryResult,
-    RangeQuery,
     WorkloadOp,
-    as_query,
     clustered_workload,
     drifting_hotspot_workload,
     hotspot_workload,
@@ -108,7 +106,6 @@ __all__ = [
     "QueryPlan",
     "QueryResult",
     "RTreeIndex",
-    "RangeQuery",
     "Rebalancer",
     "RoundRobinPartitioner",
     "STRPartitioner",
@@ -126,7 +123,6 @@ __all__ = [
     "WorkloadOp",
     "WorkloadProfile",
     "__version__",
-    "as_query",
     "clustered_workload",
     "drifting_hotspot_workload",
     "hotspot_workload",

@@ -26,7 +26,6 @@ from repro.errors import QueryError
 from repro.geometry.box import Box
 from repro.index.base import IndexStats, SpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
-from repro.queries.range_query import RangeQuery
 from repro.util.arrays import gather_ranges
 
 
@@ -77,7 +76,7 @@ class SFCIndex(SpatialIndex):
         self.build_work = n + int(n * np.log2(max(n, 2)))
         self._built = True
 
-    def _intervals_for(self, query: Query | RangeQuery) -> list[tuple[int, int]]:
+    def _intervals_for(self, query: Query) -> list[tuple[int, int]]:
         """Code intervals tightly covering the (extended) query window."""
         margin = self._store.max_extent / 2.0
         cell_lo = self._grid.cells_of((query.lo - margin)[None, :])[0]

@@ -933,7 +933,7 @@ def ablation_tau(scale: Scale) -> ExperimentReport:
         run = run_workload(QuasiiIndex(ds.store.copy(), tau=tau), queries)
         index = QuasiiIndex(ds.store.copy(), tau=tau)
         for q in queries:
-            index.query(q)
+            index.execute(q)
         rows.append(
             [
                 tau,
@@ -1258,7 +1258,7 @@ def compaction_experiment(scale: Scale) -> ExperimentReport:
         before = index.stats.snapshot()
         for q in queries:
             t0 = time.perf_counter()
-            index.query(q)
+            index.execute(q)
             times.append(time.perf_counter() - t0)
         scanned = index.stats.objects_tested - before.objects_tested
         return float(np.median(times)) * 1000.0, int(scanned)
@@ -1269,7 +1269,7 @@ def compaction_experiment(scale: Scale) -> ExperimentReport:
         index = _fresh_index(kind, ds, scale)
         index.build()
         for q in queries:  # converge/refine before anything is measured
-            index.query(q)
+            index.execute(q)
         store = index.store
         live = np.sort(store.ids[store.live_rows()])
         victims = np.random.default_rng(scale.seed + 13).choice(
@@ -1375,7 +1375,7 @@ def shard_scaling(scale: Scale) -> ExperimentReport:
     reference.build()
     t0 = time.perf_counter()
     for q in queries:
-        reference.query(q)
+        reference.execute(q)
     ref_seconds = time.perf_counter() - t0
     # The K=1 single-index baseline always runs, and runs first,
     # regardless of what the scale's sweep tuple contains.
@@ -2027,13 +2027,9 @@ def query_api_experiment(scale: Scale) -> ExperimentReport:
     )
     ds = _uniform(scale)
     n_queries = min(scale.uniform_queries, 400)
-    queries = [
-        Query(q.window, seq=q.seq)
-        for q in uniform_workload(
-            ds.universe, n_queries, scale.uniform_fraction,
-            seed=scale.seed + 16,
-        )
-    ]
+    queries = uniform_workload(
+        ds.universe, n_queries, scale.uniform_fraction, seed=scale.seed + 16
+    )
     kinds = ("Scan", "Grid", "SFC", "QUASII", "Sharded")
 
     def fresh(kind: str):

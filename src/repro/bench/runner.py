@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.index.base import SpatialIndex
-from repro.queries.query import as_query
-from repro.queries.range_query import RangeQuery
+from repro.queries.query import Query
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class RunResult:
 
 def run_workload(
     index: SpatialIndex,
-    queries: list[RangeQuery],
+    queries: list[Query],
     build: bool = True,
 ) -> RunResult:
     """Build (optionally) then execute every query, timing each step.
@@ -140,7 +139,7 @@ def run_workload(
         # timing itself; the harness just records them.  (Sharded
         # engines report fleet work through the same delta after their
         # post-query roll-up.)
-        res = index.execute(as_query(q))
+        res = index.execute(q)
         result.timings.append(
             QueryTiming(
                 seq=q.seq,

@@ -16,10 +16,10 @@ window, with its duration and the rows it touched).
 
 The op stream is generated once and cycled — the workload *shape* is
 deterministic under ``scale.seed``; only how far the loop gets within
-``scale.soak_seconds`` depends on the machine.  Delete victims resolve
-deterministically from the executed-op counter via
-:func:`~repro.updates.executor.resolve_delete_victims`, exactly like
-the mixed-workload runner.
+``scale.soak_seconds`` depends on the machine.  Writes go through
+:func:`~repro.updates.executor.apply_write`, the step the mixed-workload
+runner uses: delete victims resolve deterministically from the
+executed-op counter, and only the engine call is timed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from repro.baselines.scan import ScanIndex
 from repro.bench.reporting import ExperimentReport
 from repro.datasets.generators import make_uniform
-from repro.queries.query import as_query
+from repro.queries.query import Query
 from repro.queries.workloads import WorkloadOp, drifting_hotspot_workload
 from repro.sharding.executor import QueryExecutor
 from repro.sharding.maintenance import MaintenancePolicy
@@ -54,7 +54,7 @@ from repro.telemetry.naming import (
     record_stats_delta,
     stats_metric,
 )
-from repro.updates.executor import resolve_delete_victims
+from repro.updates.executor import apply_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from repro.bench.experiments import Scale
@@ -177,17 +177,17 @@ def soak_experiment(
 
     ops = _soak_ops(ds.universe, scale)
     state = {"live": engine.store.ids[engine.store.live_rows()].copy()}
-    pending: list = []
+    pending: list[Query] = []
     chaos_rng = np.random.default_rng(scale.seed + 77)
     chaos_state = {"kills": 0, "verified": 0, "mismatches": 0}
 
     def flush_queries() -> None:
         if not pending:
             return
-        result = executor.run([as_query(q) for q in pending])
+        result = executor.run(pending)
         if oracle is not None:
-            for window, got in zip(pending, result.results):
-                expect = oracle.query(window)
+            for query, got in zip(pending, result.results):
+                expect = oracle.execute(query).ids
                 chaos_state["verified"] += 1
                 if not np.array_equal(np.sort(got), np.sort(expect)):
                     chaos_state["mismatches"] += 1
@@ -211,28 +211,21 @@ def soak_experiment(
         # inside a stats bracket, so maintenance triggered by a delete
         # storm is attributed to the op that caused it.
         before = engine.stats.snapshot()
-        t0 = time.perf_counter()
+        ids, state["live"], seconds = apply_write(
+            engine, op, state["live"], seq, scale.seed
+        )
+        # The oracle mirrors the write outside the timed bracket.
         if op.kind == "insert":
-            assigned = engine.insert(op.lo, op.hi)
-            insert_hist.record(time.perf_counter() - t0)
-            state["live"] = np.concatenate([state["live"], assigned])
+            insert_hist.record(seconds)
             if oracle is not None:
                 mirrored = oracle.insert(op.lo, op.hi)
-                assert np.array_equal(mirrored, assigned), (
+                assert np.array_equal(mirrored, ids), (
                     "oracle id stream diverged from the engine's"
                 )
         else:
-            victims = resolve_delete_victims(
-                state["live"], op.count, seq, scale.seed
-            )
-            if victims.size:
-                engine.delete(victims)
-                if oracle is not None:
-                    oracle.delete(victims)
-                state["live"] = state["live"][
-                    ~np.isin(state["live"], victims)
-                ]
-            delete_hist.record(time.perf_counter() - t0)
+            delete_hist.record(seconds)
+            if oracle is not None:
+                oracle.delete(ids)
         scheduler.after_ops(1)
         record_stats_delta(registry, engine.stats.delta_since(before))
 

@@ -110,7 +110,7 @@ class QuasiiIndex(MutableSpatialIndex):
     >>> ds = make_uniform(10_000, seed=7)
     >>> index = QuasiiIndex(ds.store)
     >>> queries = uniform_workload(ds.universe, n_queries=5, seed=7)
-    >>> results = [index.query(q) for q in queries]   # index builds itself
+    >>> results = index.execute_batch(queries)        # index builds itself
     """
 
     name = "QUASII"

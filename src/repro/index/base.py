@@ -20,11 +20,10 @@ R-Tree, QUASII).  They all expose the same contract:
   matrices covering the whole batch.
 * :meth:`SpatialIndex.plan` — report what a query *would* touch
   (nodes/cells/slices, candidate rows, shards) without executing it.
-* :meth:`SpatialIndex.query` — the legacy single-shot entry point
-  (intersects predicate, ids payload).  Kept as a thin compatibility
-  wrapper over :meth:`execute` so long-standing call sites and the
-  property suites double as regression oracles for the new layer; new
-  code should prefer :meth:`execute`.
+
+All three take :class:`~repro.queries.query.Query` and nothing else: the
+shared gate refuses any other type before routing, counters or the epoch
+check run.
 
 Execution is split into the classic *filter → refine* pipeline, shared
 across all indexes: each implementation supplies only
@@ -51,8 +50,7 @@ import numpy as np
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry.predicates import predicate_mask
-from repro.queries.query import Query, QueryPlan, QueryResult, as_query
-from repro.queries.range_query import RangeQuery
+from repro.queries.query import Query, QueryPlan, QueryResult
 
 
 @dataclass
@@ -157,13 +155,28 @@ class IndexStats:
         )
 
 
+#: The :class:`IndexStats` fields that measure *work* done inside a
+#: serving index — what a sharded engine sums over its fleet and what a
+#: worker process ships back per sub-batch.  The flow counters (queries,
+#: inserts, results, compactions...) are engine-maintained and must NOT
+#: be rolled up, or they would double count — one engine compact() is one
+#: compaction event, not K+1.
+WORK_COUNTERS = (
+    "objects_tested",
+    "nodes_visited",
+    "cracks",
+    "rows_reorganized",
+    "merges",
+)
+
+
 class SpatialIndex(abc.ABC):
     """Base class for all spatial access methods in the library.
 
     Subclasses receive the shared :class:`~repro.datasets.store.BoxStore`
-    and answer :class:`~repro.queries.range_query.RangeQuery` windows with
-    NumPy arrays of object identifiers (unordered; callers sort when they
-    need canonical output).
+    and answer :class:`~repro.queries.query.Query` specs with
+    :class:`~repro.queries.query.QueryResult` payloads (identifiers come
+    back unordered; callers sort when they need canonical output).
     """
 
     #: Short machine-readable name used by reports ("QUASII", "R-Tree", ...).
@@ -203,23 +216,10 @@ class SpatialIndex(abc.ABC):
         """
         self._built = True
 
-    def query(self, query: RangeQuery) -> np.ndarray:
-        """Answer a legacy range query, returning intersecting identifiers.
-
-        **Legacy surface.**  This is the paper's original single-shot
-        contract (intersects predicate, unordered-ids payload), kept as
-        a thin wrapper over :meth:`execute` so existing call sites and
-        the property suites keep working unchanged — it emits no
-        warning and is not scheduled for removal, but new code should
-        use :meth:`execute`, which exposes predicates, result modes,
-        per-query stats, and timing.
-        """
-        return self.execute(Query.from_range(query)).ids
-
     # ------------------------------------------------------------------
     # First-class execution: execute / execute_batch / plan
     # ------------------------------------------------------------------
-    def execute(self, query: Query | RangeQuery) -> QueryResult:
+    def execute(self, query: Query) -> QueryResult:
         """Execute one first-class query; returns payload + cost accounting.
 
         The single entry point behind every read verb: validates the
@@ -229,13 +229,10 @@ class SpatialIndex(abc.ABC):
         payload with this query's :class:`IndexStats` delta and
         wall-clock.
         """
-        query = as_query(query)
         self._gate(query)
         return self._timed_one(query)
 
-    def execute_batch(
-        self, queries: Sequence[Query | RangeQuery]
-    ) -> list[QueryResult]:
+    def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Execute a batch of queries natively, one result per query.
 
         Validation and the epoch check run once for the whole batch;
@@ -248,7 +245,7 @@ class SpatialIndex(abc.ABC):
         """
         return self._execute_batch(self._gate_batch(queries))
 
-    def plan(self, query: Query | RangeQuery) -> QueryPlan:
+    def plan(self, query: Query) -> QueryPlan:
         """Report what this query *would* touch, without executing it.
 
         Planning never mutates the index — no cracking, splitting, or
@@ -256,12 +253,15 @@ class SpatialIndex(abc.ABC):
         describe the pre-refinement state (``exact=False`` marks them
         as upper bounds).
         """
-        query = as_query(query)
         self._gate(query)
         return self._plan(query)
 
     # -- gate helpers ---------------------------------------------------
     def _gate_dim(self, query: Query) -> None:
+        if not isinstance(query, Query):
+            raise QueryError(
+                f"expected a Query, got {type(query).__name__}"
+            )
         if query.ndim != self._store.ndim:
             raise QueryError(
                 f"query has {query.ndim} dims, store has {self._store.ndim}"
@@ -271,11 +271,9 @@ class SpatialIndex(abc.ABC):
         self._gate_dim(query)
         self._check_epoch()
 
-    def _gate_batch(
-        self, queries: Sequence[Query | RangeQuery]
-    ) -> list[Query]:
-        """Normalize and gate a whole batch before any of it runs."""
-        gated = [as_query(q) for q in queries]
+    def _gate_batch(self, queries: Sequence[Query]) -> list[Query]:
+        """Gate a whole batch before any of it runs."""
+        gated = list(queries)
         for q in gated:
             self._gate_dim(q)
         self._check_epoch()
@@ -390,8 +388,8 @@ class SpatialIndex(abc.ABC):
     ) -> list[tuple[int, np.ndarray | None, tuple | None]]:
         """Refine per-query candidate lists with one kernel per predicate.
 
-        The batched form of :meth:`_refine`: all candidate rows of all
-        queries sharing a predicate are concatenated and tested in a
+        The batched form of :meth:`_refine_candidates`: all candidate rows
+        of all queries sharing a predicate are concatenated and tested in a
         single vectorized call against per-row window matrices, then
         split back per query.  Used by the natively batched paths
         (Grid, SFC, QUASII) whose candidate gathering is per-query but

@@ -44,7 +44,6 @@ from repro.parallel.wire import (
     encode_results,
 )
 from repro.parallel.worker import (
-    WORK_COUNTERS,
     PipeEndpoint,
     ProcessShardWorker,
     worker_main,
@@ -59,7 +58,6 @@ __all__ = [
     "SegmentSpec",
     "ShardSegment",
     "SharedStoreView",
-    "WORK_COUNTERS",
     "attach_segment",
     "decode_queries",
     "decode_results",

@@ -42,14 +42,10 @@ from multiprocessing import resource_tracker
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, ParallelError
-from repro.index.base import MutableSpatialIndex
+from repro.index.base import WORK_COUNTERS, MutableSpatialIndex
 from repro.parallel.shm import ShardSegment, publish_segment
 from repro.parallel.wire import decode_results, encode_queries
-from repro.parallel.worker import (
-    WORK_COUNTERS,
-    ProcessShardWorker,
-    worker_main,
-)
+from repro.parallel.worker import ProcessShardWorker, worker_main
 from repro.telemetry.naming import WORKER_DISPATCHES, WORKER_RESPAWNS
 
 if TYPE_CHECKING:

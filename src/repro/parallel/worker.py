@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 from typing import Any, Protocol
 
+from repro.index.base import WORK_COUNTERS
 from repro.parallel.shm import SegmentSpec, SharedStoreView
 from repro.parallel.wire import (
     QueryBatchWire,
@@ -44,7 +45,7 @@ from repro.parallel.wire import (
 from repro.telemetry.metrics import LatencyHistogram
 from repro.telemetry.naming import WORKER_BATCH_SECONDS, WORKER_QUERY_SECONDS
 
-__all__ = ["PipeEndpoint", "ProcessShardWorker", "WORK_COUNTERS", "worker_main"]
+__all__ = ["PipeEndpoint", "ProcessShardWorker", "worker_main"]
 
 
 class PipeEndpoint(Protocol):
@@ -63,17 +64,6 @@ class PipeEndpoint(Protocol):
     def poll(self, timeout: float | None = ...) -> bool: ...
 
     def close(self) -> None: ...
-
-#: Index work counters shipped back per sub-batch (the same set
-#: ShardedIndex.sync_shard_work rolls up for driver-side shards; the
-#: flow counters stay driver-side or they would double count).
-WORK_COUNTERS = (
-    "objects_tested",
-    "nodes_visited",
-    "cracks",
-    "rows_reorganized",
-    "merges",
-)
 
 
 class _ShardState:

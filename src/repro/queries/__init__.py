@@ -1,4 +1,4 @@
-"""Query model: first-class query specs, range windows, and workloads."""
+"""Query model: first-class query specs and workload generators."""
 
 from repro.queries.io import load_workload, save_workload
 from repro.queries.query import (
@@ -7,9 +7,7 @@ from repro.queries.query import (
     Query,
     QueryPlan,
     QueryResult,
-    as_query,
 )
-from repro.queries.range_query import RangeQuery, side_for_volume_fraction
 from repro.queries.workloads import (
     WorkloadOp,
     clustered_workload,
@@ -18,6 +16,7 @@ from repro.queries.workloads import (
     mixed_workload,
     selectivity_sweep,
     sequential_workload,
+    side_for_volume_fraction,
     uniform_workload,
 )
 
@@ -27,9 +26,7 @@ __all__ = [
     "QueryPlan",
     "QueryResult",
     "RESULT_MODES",
-    "RangeQuery",
     "WorkloadOp",
-    "as_query",
     "clustered_workload",
     "drifting_hotspot_workload",
     "hotspot_workload",

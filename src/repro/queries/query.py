@@ -7,8 +7,9 @@ interface of "The Case for Learned Spatial Indexes"):
 * :class:`Query` — a frozen spec: a window box, a *predicate* choosing
   which window/object relation counts as a match, a *result mode*
   choosing what the caller gets back, and per-query options (the top-k
-  limit).  :class:`~repro.queries.range_query.RangeQuery` remains the
-  legacy intersects/ids special case; :func:`as_query` upgrades either.
+  limit).  The defaults (intersects, ids) are the paper's window query,
+  so ``Query(window)`` is the one spelling every generator, driver and
+  index speaks.
 * :class:`QueryResult` — the payload plus a per-query
   :class:`~repro.index.base.IndexStats` delta and wall-clock, so every
   answer carries its own cost accounting.
@@ -33,7 +34,7 @@ candidate set is already a superset of every predicate's matches.
 Result modes:
 
 ============== =====================================================
-``ids``        unordered object identifiers (the legacy payload)
+``ids``        unordered object identifiers (the paper's payload)
 ``boxes``      ids plus the matching ``(k, d)`` corner matrices
 ``count``      match count only — no id/coordinate materialization
 ``top_k``      the ``k`` largest matches by box volume (descending,
@@ -50,7 +51,6 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.geometry.box import Box
-from repro.queries.range_query import RangeQuery
 
 if TYPE_CHECKING:  # pragma: no cover - layering: index sits above queries
     from repro.index.base import IndexStats
@@ -79,7 +79,8 @@ class Query:
         Top-k limit; required (>= 1) for ``top_k`` and rejected
         otherwise.
     seq:
-        Zero-based workload position, as on :class:`RangeQuery`.
+        Zero-based position in the workload; used by benchmark reports
+        ("query sequence" axis of every figure).
     """
 
     window: Box
@@ -128,14 +129,6 @@ class Query:
             self, "_hi", np.asarray(self.window.hi, dtype=np.float64)
         )
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_range(cls, query: RangeQuery) -> Query:
-        """Upgrade a legacy :class:`RangeQuery` (intersects/ids)."""
-        return cls(window=query.window, seq=query.seq)
-
     @classmethod
     def point(
         cls, coords: Sequence[float], mode: str = "ids", seq: int = 0
@@ -146,9 +139,6 @@ class Query:
             window=Box(pt, pt), predicate="covers_point", mode=mode, seq=seq
         )
 
-    # ------------------------------------------------------------------
-    # Accessors (mirror RangeQuery so kernels take either)
-    # ------------------------------------------------------------------
     @property
     def lo(self) -> np.ndarray:
         """Lower corner as a float64 vector (cached)."""
@@ -168,21 +158,6 @@ class Query:
     def count_only(self) -> bool:
         """True when no ids/coordinates need materializing."""
         return self.mode == "count"
-
-    def as_range(self) -> RangeQuery:
-        """The legacy window-only view (predicate/mode dropped)."""
-        return RangeQuery(self.window, seq=self.seq)
-
-
-def as_query(query: Query | RangeQuery) -> Query:
-    """Normalize either query flavour to a :class:`Query`."""
-    if isinstance(query, Query):
-        return query
-    if isinstance(query, RangeQuery):
-        return Query.from_range(query)
-    raise QueryError(
-        f"expected a Query or RangeQuery, got {type(query).__name__}"
-    )
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,26 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QueryError
 from repro.geometry.box import Box
-from repro.queries.range_query import RangeQuery, side_for_volume_fraction
+from repro.queries.query import Query
+
+
+def side_for_volume_fraction(universe: Box, fraction: float) -> float:
+    """Side length of the cube covering ``fraction`` of the universe volume.
+
+    The paper specifies query sizes as volume fractions ("selectivity");
+    workload generators convert them to cubic windows with this helper.
+    ``fraction == 0`` is the degenerate point-query limit and yields side
+    0 — zero-extent windows are legal first-class queries.
+    """
+    if fraction < 0:
+        raise QueryError(
+            f"volume fraction must be non-negative, got {fraction}"
+        )
+    if fraction > 1:
+        raise QueryError(f"volume fraction must be <= 1, got {fraction}")
+    return float(universe.volume * fraction) ** (1.0 / universe.ndim)
 
 
 def _window_at(
@@ -57,7 +74,7 @@ def clustered_workload(
     volume_fraction: float = 1e-4,
     sigma_in_sides: float = 2.0,
     seed: int = 0,
-) -> list[RangeQuery]:
+) -> list[Query]:
     """The paper's clustered exploration workload.
 
     Parameters
@@ -80,7 +97,7 @@ def clustered_workload(
 
     Returns
     -------
-    list[RangeQuery]
+    list[Query]
         ``n_clusters * queries_per_cluster`` queries ordered cluster by
         cluster — the order matters, it produces the per-cluster peaks of
         Figures 7–9.
@@ -105,13 +122,13 @@ def clustered_workload(
     margin = min(side * (sigma_in_sides + 1.0), float((uni_hi - uni_lo).min()) / 4)
     centers = rng.uniform(uni_lo + margin, uni_hi - margin, size=(n_clusters, universe.ndim))
 
-    queries: list[RangeQuery] = []
+    queries: list[Query] = []
     sigma = side * sigma_in_sides
     for c in range(n_clusters):
         offsets = rng.normal(0.0, sigma, size=(queries_per_cluster, universe.ndim))
         for k in range(queries_per_cluster):
             window = _window_at(centers[c] + offsets[k], side, universe)
-            queries.append(RangeQuery(window, seq=len(queries)))
+            queries.append(Query(window, seq=len(queries)))
     return queries
 
 
@@ -120,7 +137,7 @@ def uniform_workload(
     n_queries: int = 1000,
     volume_fraction: float = 1e-3,
     seed: int = 0,
-) -> list[RangeQuery]:
+) -> list[Query]:
     """Uniformly distributed cubic windows of a fixed volume fraction."""
     if n_queries < 1:
         raise ConfigurationError(f"need at least one query, got {n_queries}")
@@ -130,7 +147,7 @@ def uniform_workload(
     uni_hi = np.asarray(universe.hi)
     centers = rng.uniform(uni_lo, uni_hi, size=(n_queries, universe.ndim))
     return [
-        RangeQuery(_window_at(centers[k], side, universe), seq=k)
+        Query(_window_at(centers[k], side, universe), seq=k)
         for k in range(n_queries)
     ]
 
@@ -142,7 +159,7 @@ def sequential_workload(
     overlap: float = 0.0,
     dim: int = 0,
     seed: int = 0,
-) -> list[RangeQuery]:
+) -> list[Query]:
     """Windows sweeping the universe along one dimension, left to right.
 
     Sequential patterns are the classic adversarial case for cracking
@@ -181,12 +198,12 @@ def sequential_workload(
     uni_hi = np.asarray(universe.hi)
     center = rng.uniform(uni_lo + side / 2, uni_hi - side / 2)
     step = side * (1.0 - overlap)
-    queries: list[RangeQuery] = []
+    queries: list[Query] = []
     span = max(float(uni_hi[dim] - uni_lo[dim]) - side, 1e-12)
     for k in range(n_queries):
         # Sweep wraps around once the window reaches the universe edge.
         center[dim] = uni_lo[dim] + side / 2 + ((k * step) % span)
-        queries.append(RangeQuery(_window_at(center, side, universe), seq=k))
+        queries.append(Query(_window_at(center, side, universe), seq=k))
     return queries
 
 
@@ -197,7 +214,7 @@ def hotspot_workload(
     hotspot_fraction: float = 0.9,
     hotspot_volume: float = 0.05,
     seed: int = 0,
-) -> list[RangeQuery]:
+) -> list[Query]:
     """A skewed serving workload: most queries land inside one hot region.
 
     The classic 90/10 pattern of serving traffic: ``hotspot_fraction`` of
@@ -241,13 +258,13 @@ def hotspot_workload(
     uni_lo = np.asarray(universe.lo)
     uni_hi = np.asarray(universe.hi)
     hot_lo, hot_hi = _hotspot_box(universe, hotspot_volume, seed)
-    queries: list[RangeQuery] = []
+    queries: list[Query] = []
     for k in range(n_queries):
         qrng = np.random.default_rng((seed, k))
         in_hot = qrng.uniform() < hotspot_fraction
         lo, hi = (hot_lo, hot_hi) if in_hot else (uni_lo, uni_hi)
         center = qrng.uniform(lo, hi)
-        queries.append(RangeQuery(_window_at(center, side, universe), seq=k))
+        queries.append(Query(_window_at(center, side, universe), seq=k))
     return queries
 
 
@@ -386,7 +403,7 @@ def drifting_hotspot_workload(
                 WorkloadOp(
                     "query",
                     seq,
-                    query=RangeQuery(_window_at(center, side, universe), seq=seq),
+                    query=Query(_window_at(center, side, universe), seq=seq),
                 )
             )
     return ops
@@ -416,7 +433,7 @@ class WorkloadOp:
 
     kind: str
     seq: int
-    query: RangeQuery | None = None
+    query: Query | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     count: int = 0
@@ -496,7 +513,7 @@ def mixed_workload(
             center = rng.uniform(uni_lo, uni_hi, size=universe.ndim)
             ops.append(
                 WorkloadOp(
-                    "query", seq, query=RangeQuery(_window_at(center, side, universe), seq=seq)
+                    "query", seq, query=Query(_window_at(center, side, universe), seq=seq)
                 )
             )
     return ops
@@ -507,7 +524,7 @@ def selectivity_sweep(
     fractions: Sequence[float],
     n_queries: int,
     seed: int = 0,
-) -> dict[float, list[RangeQuery]]:
+) -> dict[float, list[Query]]:
     """One uniform workload per requested volume fraction (Figure 12).
 
     Each fraction's workload shares query *centers* (same seed) so the

@@ -50,7 +50,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.index.base import IndexStats
 from repro.queries.query import Query, QueryResult
-from repro.queries.range_query import RangeQuery
 from repro.sharding.maintenance import MaintenancePolicy, MaintenanceScheduler
 from repro.sharding.replication import FaultInjector
 from repro.sharding.sharded_index import ShardedIndex
@@ -299,13 +298,11 @@ class QueryExecutor:
         """The event log (``None`` when absent)."""
         return self._events
 
-    def run(self, queries: Sequence[Query | RangeQuery]) -> BatchResult:
+    def run(self, queries: Sequence[Query]) -> BatchResult:
         """Execute a batch; returns per-query merged results plus timing.
 
-        Accepts first-class :class:`~repro.queries.query.Query` specs or
-        legacy :class:`RangeQuery` windows (normalized to
-        intersects/ids).  ``BatchResult.query_results`` carries the full
-        per-query payloads; ``results`` keeps the legacy id-array view.
+        ``BatchResult.query_results`` carries the full per-query
+        payloads; ``results`` is the id-array view of the same answers.
 
         With a maintenance policy configured, the scheduler is ticked
         once per executed query *after* the batch completes — its
@@ -389,14 +386,12 @@ class QueryExecutor:
 
     @staticmethod
     def _ids_of(result: QueryResult) -> np.ndarray:
-        """The legacy id-array view of a result (empty for count-only)."""
+        """The id-array view of a result (empty for count-only)."""
         if result.ids is None:
             return np.empty(0, dtype=np.int64)
         return result.ids
 
-    def _run_batch(
-        self, queries: Sequence[Query | RangeQuery]
-    ) -> BatchResult:
+    def _run_batch(self, queries: Sequence[Query]) -> BatchResult:
         """Gate, route, serve, merge — the same four steps on both backends.
 
         Routing and merging run on this thread either way; the backend

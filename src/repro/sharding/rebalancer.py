@@ -51,7 +51,6 @@ from repro.errors import ConfigurationError
 from repro.geometry.box import Box
 from repro.index.base import IndexStats
 from repro.queries.query import Query
-from repro.queries.range_query import RangeQuery
 from repro.sharding.shard import Shard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -135,7 +134,7 @@ class WorkloadProfile:
         """Queries recorded since the last :meth:`rebaseline`."""
         return self._queries_seen
 
-    def record(self, query: Query | RangeQuery) -> None:
+    def record(self, query: Query) -> None:
         """Append one planned query's window (called by the engine)."""
         self._windows.append((query.lo, query.hi))
         self._queries_seen += 1

@@ -66,9 +66,8 @@ import numpy as np
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, DatasetError, ReplicationError
 from repro.geometry.predicates import boxes_intersect_window
-from repro.index.base import MutableSpatialIndex, SpatialIndex
+from repro.index.base import WORK_COUNTERS, MutableSpatialIndex, SpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
-from repro.queries.range_query import RangeQuery
 from repro.sharding.partitioner import Partitioner, make_partitioner
 from repro.sharding.rebalancer import WorkloadProfile
 from repro.sharding.replication import (
@@ -126,7 +125,7 @@ class ShardedIndex(MutableSpatialIndex):
     >>> engine = ShardedIndex(ds.store, n_shards=4)
     >>> engine.build()                      # STR split + per-shard indexes
     >>> for q in uniform_workload(ds.universe, 5, seed=7):
-    ...     ids = engine.query(q)           # fans out, prunes, merges
+    ...     ids = engine.execute(q).ids     # fans out, prunes, merges
     """
 
     name = "Sharded"
@@ -164,7 +163,7 @@ class ShardedIndex(MutableSpatialIndex):
         self._stack_hi: np.ndarray | None = None
         # Fleet work totals already rolled into self.stats (so roll-ups
         # survive an outer stats.reset() without double counting).
-        self._work_seen = dict.fromkeys(self._WORK_COUNTERS, 0)
+        self._work_seen = dict.fromkeys(WORK_COUNTERS, 0)
         #: The observed query distribution: recent planned-query
         #: centroids plus per-shard load baselines.  Feeds the
         #: :class:`~repro.sharding.rebalancer.Rebalancer`'s drift
@@ -177,18 +176,6 @@ class ShardedIndex(MutableSpatialIndex):
             else f"Sharded[{tiling}]"
         )
 
-    #: Shard-level work counters mirrored into the engine's stats; the
-    #: flow counters (queries, inserts, results, compactions...) are
-    #: engine-maintained and must NOT be rolled up, or they would double
-    #: count — one engine compact() is one compaction event, not K+1.
-    _WORK_COUNTERS = (
-        "objects_tested",
-        "nodes_visited",
-        "cracks",
-        "rows_reorganized",
-        "merges",
-    )
-
     def sync_shard_work(self) -> None:
         """Fold the fleet's work counters into this engine's stats.
 
@@ -196,7 +183,7 @@ class ShardedIndex(MutableSpatialIndex):
         so harnesses that read ``engine.stats`` see the whole fleet's
         objects tested, cracks, rows moved, and merges.
         """
-        for name in self._WORK_COUNTERS:
+        for name in WORK_COUNTERS:
             total = sum(s.work_counter(name) for s in self._shards)
             delta = total - self._work_seen[name]
             if delta:
@@ -210,7 +197,7 @@ class ShardedIndex(MutableSpatialIndex):
         counters; :meth:`sync_shard_work` must never see that as a
         negative delta.  Callers sync first, so nothing is lost.
         """
-        for name in self._WORK_COUNTERS:
+        for name in WORK_COUNTERS:
             self._work_seen[name] = sum(
                 s.work_counter(name) for s in self._shards
             )
@@ -348,7 +335,7 @@ class ShardedIndex(MutableSpatialIndex):
             self._stack_hi = np.stack([s.mbb_hi for s in self._shards])
         return self._stack_lo, self._stack_hi
 
-    def plan_shards(self, query: Query | RangeQuery) -> list[Shard]:
+    def plan_shards(self, query: Query) -> list[Shard]:
         """Shards whose MBB intersects the window, updating prune counters.
 
         The *routing* half of planning (the cost-estimating half is the

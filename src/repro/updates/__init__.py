@@ -15,6 +15,8 @@ reproduction:
   delete-victim resolution so Scan can serve as the correctness oracle;
   a :class:`~repro.sharding.maintenance.MaintenancePolicy` can ride
   along to run compaction/rebalancing between operations.
+  :func:`apply_write` is its write step (resolve victims → timed engine
+  call → live-set update), shared with the soak loop.
 
 The write verbs themselves live on the indexes
 (:class:`repro.index.base.MutableSpatialIndex`): QUASII cracks appended
@@ -26,6 +28,7 @@ from repro.updates.buffer import UpdateBuffer
 from repro.updates.executor import (
     MixedRunResult,
     OpTiming,
+    apply_write,
     resolve_delete_victims,
     run_mixed_workload,
 )
@@ -36,6 +39,7 @@ __all__ = [
     "OpTiming",
     "UpdateBuffer",
     "UpdateLedger",
+    "apply_write",
     "resolve_delete_victims",
     "run_mixed_workload",
 ]

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.index.base import MutableSpatialIndex
-from repro.queries.query import as_query
 from repro.queries.workloads import WorkloadOp
 
 if TYPE_CHECKING:  # pragma: no cover - layering: sharding sits above updates
@@ -124,6 +123,37 @@ def resolve_delete_victims(
     return rng.choice(np.sort(live_ids), size=count, replace=False)
 
 
+def apply_write(
+    index: MutableSpatialIndex,
+    op: WorkloadOp,
+    live: np.ndarray,
+    seq: int,
+    victim_seed: int,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run one ``insert``/``delete`` op; returns ``(ids, live, seconds)``.
+
+    The one write step every op-stream driver shares: resolve the victims
+    (deletes, from ``(victim_seed, seq)`` over ``live``), call the index,
+    update the live-id array.  ``seconds`` brackets the
+    ``index.insert`` / ``index.delete`` call alone — victim resolution
+    sorts the whole live set and the live-set filter scans it, and neither
+    is the engine's work.  ``ids`` are the identifiers inserted or
+    deleted, for callers that mirror the write elsewhere.
+    """
+    if op.kind == "insert":
+        t0 = time.perf_counter()
+        ids = index.insert(op.lo, op.hi)
+        seconds = time.perf_counter() - t0
+        return ids, np.concatenate([live, ids]), seconds
+    if op.kind != "delete":
+        raise ConfigurationError(f"unknown workload op kind {op.kind!r}")
+    ids = resolve_delete_victims(live, op.count, seq, victim_seed)
+    t0 = time.perf_counter()
+    index.delete(ids)
+    seconds = time.perf_counter() - t0
+    return ids, live[~np.isin(live, ids)], seconds
+
+
 def run_mixed_workload(
     index: MutableSpatialIndex,
     ops: list[WorkloadOp],
@@ -168,27 +198,17 @@ def run_mixed_workload(
     for op in ops:
         if op.kind == "query":
             t0 = time.perf_counter()
-            res = index.execute(as_query(op.query))
+            res = index.execute(op.query)
             elapsed = time.perf_counter() - t0
             result.query_results.append(np.sort(res.ids))
             result.timings.append(OpTiming(op.seq, "query", elapsed, res.count))
-        elif op.kind == "insert":
-            t0 = time.perf_counter()
-            assigned = index.insert(op.lo, op.hi)
-            elapsed = time.perf_counter() - t0
-            live = np.concatenate([live, assigned])
-            result.timings.append(
-                OpTiming(op.seq, "insert", elapsed, int(assigned.size))
-            )
-        elif op.kind == "delete":
-            victims = resolve_delete_victims(live, op.count, op.seq, victim_seed)
-            t0 = time.perf_counter()
-            removed = index.delete(victims)
-            elapsed = time.perf_counter() - t0
-            live = live[~np.isin(live, victims)]
-            result.timings.append(OpTiming(op.seq, "delete", elapsed, removed))
         else:
-            raise ConfigurationError(f"unknown workload op kind {op.kind!r}")
+            ids, live, elapsed = apply_write(
+                index, op, live, op.seq, victim_seed
+            )
+            result.timings.append(
+                OpTiming(op.seq, op.kind, elapsed, int(ids.size))
+            )
         if scheduler is not None:
             scheduler.after_ops(1)
     after = index.stats

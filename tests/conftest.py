@@ -12,7 +12,7 @@ import pytest
 
 from repro.baselines.scan import ScanIndex
 from repro.datasets import Dataset, make_neuro_like, make_uniform
-from repro.queries import RangeQuery, clustered_workload, uniform_workload
+from repro.queries import Query, clustered_workload, uniform_workload
 
 
 @pytest.fixture(scope="session")
@@ -28,16 +28,16 @@ def neuro_ds() -> Dataset:
 
 
 @pytest.fixture(scope="session")
-def uniform_queries(uniform_ds) -> list[RangeQuery]:
+def uniform_queries(uniform_ds) -> list[Query]:
     """Mixed-selectivity uniform workload over the uniform dataset."""
     qs = []
     for frac, seed in ((1e-4, 1), (1e-3, 2), (1e-2, 3), (0.1, 4)):
         qs.extend(uniform_workload(uniform_ds.universe, 10, frac, seed))
-    return [RangeQuery(q.window, seq=i) for i, q in enumerate(qs)]
+    return [Query(q.window, seq=i) for i, q in enumerate(qs)]
 
 
 @pytest.fixture(scope="session")
-def clustered_queries(neuro_ds) -> list[RangeQuery]:
+def clustered_queries(neuro_ds) -> list[Query]:
     """Clustered workload over the skewed dataset (paper Section 6.1)."""
     return clustered_workload(
         neuro_ds.universe, n_clusters=3, queries_per_cluster=15,
@@ -48,14 +48,14 @@ def clustered_queries(neuro_ds) -> list[RangeQuery]:
 def expected_results(ds: Dataset, queries) -> list[np.ndarray]:
     """Ground-truth ids per query via a full scan (sorted)."""
     scan = ScanIndex(ds.store)
-    return [np.sort(scan.query(q)) for q in queries]
+    return [np.sort(scan.execute(q).ids) for q in queries]
 
 
 def assert_matches_scan(index, ds: Dataset, queries) -> None:
     """Assert an index returns exactly the scan results for every query."""
     truth = expected_results(ds, queries)
     for q, expect in zip(queries, truth):
-        got = np.sort(index.query(q))
+        got = np.sort(index.execute(q).ids)
         assert np.array_equal(got, expect), (
             f"{index.name}: query {q.seq} returned {got.size} ids, "
             f"expected {expect.size}"

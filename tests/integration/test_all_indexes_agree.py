@@ -20,7 +20,7 @@ from repro.baselines import (
 )
 from repro.core import QuasiiIndex
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 
 from tests.conftest import assert_matches_scan
 
@@ -73,15 +73,15 @@ def test_boundary_and_degenerate_windows(kind, uniform_ds):
     side = uniform_ds.universe.hi[0]
     queries = [
         # Whole universe.
-        RangeQuery(uniform_ds.universe, 0),
+        Query(uniform_ds.universe, seq=0),
         # Degenerate plane and point windows.
-        RangeQuery(Box((side / 2, 0.0, 0.0), (side / 2, side, side)), 1),
-        RangeQuery(Box((side / 2,) * 3, (side / 2,) * 3), 2),
+        Query(Box((side / 2, 0.0, 0.0), (side / 2, side, side)), seq=1),
+        Query(Box((side / 2,) * 3, (side / 2,) * 3), seq=2),
         # Hugging the lower and upper corners.
-        RangeQuery(Box((0.0,) * 3, (side * 0.05,) * 3), 3),
-        RangeQuery(Box((side * 0.95,) * 3, (side,) * 3), 4),
+        Query(Box((0.0,) * 3, (side * 0.05,) * 3), seq=3),
+        Query(Box((side * 0.95,) * 3, (side,) * 3), seq=4),
         # Entirely outside the data (legal: window beyond the universe).
-        RangeQuery(Box((side * 2,) * 3, (side * 3,) * 3), 5),
+        Query(Box((side * 2,) * 3, (side * 3,) * 3), seq=5),
     ]
     index = make_index(kind, uniform_ds)
     assert_matches_scan(index, uniform_ds, queries)
@@ -92,8 +92,8 @@ def test_incremental_indexes_stay_correct_under_repeats(kind, uniform_ds, unifor
     """Re-running the same workload twice must give identical answers —
     the second pass runs on a (partially) refined structure."""
     index = make_index(kind, uniform_ds)
-    first = [np.sort(index.query(q)) for q in uniform_queries]
-    second = [np.sort(index.query(q)) for q in uniform_queries]
+    first = [np.sort(index.execute(q).ids) for q in uniform_queries]
+    second = [np.sort(index.execute(q).ids) for q in uniform_queries]
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -101,5 +101,5 @@ def test_incremental_indexes_stay_correct_under_repeats(kind, uniform_ds, unifor
 def test_quasii_structure_valid_after_mixed_workloads(uniform_ds, uniform_queries):
     index = make_index("quasii", uniform_ds)
     for q in uniform_queries:
-        index.query(q)
+        index.execute(q)
     index.validate_structure()

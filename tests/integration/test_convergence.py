@@ -27,22 +27,22 @@ class TestQuasiiConvergence:
     def test_cracking_ceases_in_hammered_region(self, neuro_ds, repeated_region_queries):
         index = QuasiiIndex(neuro_ds.store.copy())
         for q in repeated_region_queries:
-            index.query(q)
+            index.execute(q)
         cracks = index.stats.cracks
         rows = index.stats.rows_reorganized
         # Replay the same region: fully refined, nothing to reorganize.
         for q in repeated_region_queries[:10]:
-            index.query(q)
+            index.execute(q)
         assert index.stats.cracks == cracks
         assert index.stats.rows_reorganized == rows
 
     def test_objects_tested_approaches_result_size(self, neuro_ds, repeated_region_queries):
         index = QuasiiIndex(neuro_ds.store.copy())
         for q in repeated_region_queries:
-            index.query(q)
+            index.execute(q)
         index.stats.reset()
         q = repeated_region_queries[0]
-        hits = index.query(q)
+        hits = index.execute(q).ids
         # Converged: only bottom slices overlapping the window are scanned,
         # bounded by a few leaves of tau objects each.
         tau = index.config.leaf_threshold
@@ -53,7 +53,7 @@ class TestQuasiiConvergence:
         moved = []
         for q in repeated_region_queries:
             before = index.stats.rows_reorganized
-            index.query(q)
+            index.execute(q)
             moved.append(index.stats.rows_reorganized - before)
         first_five = sum(moved[:5])
         last_five = sum(moved[-5:])
@@ -66,7 +66,7 @@ class TestQuasiiConvergence:
             volume_fraction=1e-4, seed=44,
         )
         for q in qs:
-            index.query(q)
+            index.execute(q)
         counts = index.slice_counts()
         # Far fewer slices than a full build would create (n/tau leaves).
         full_leaves = uniform_ds.n / index.config.leaf_threshold
@@ -79,10 +79,10 @@ class TestSFCrackerConvergence:
     def test_repeat_region_stops_cracking(self, neuro_ds, repeated_region_queries):
         index = SFCrackerIndex(neuro_ds.store.copy(), neuro_ds.universe)
         for q in repeated_region_queries:
-            index.query(q)
+            index.execute(q)
         cracks = index.stats.cracks
         for q in repeated_region_queries[:10]:
-            index.query(q)
+            index.execute(q)
         assert index.stats.cracks == cracks
 
 
@@ -90,11 +90,11 @@ class TestMosaicConvergence:
     def test_depth_stabilizes(self, neuro_ds, repeated_region_queries):
         index = MosaicIndex(neuro_ds.store.copy(), neuro_ds.universe)
         for q in repeated_region_queries:
-            index.query(q)
+            index.execute(q)
         depth = index.max_depth_reached()
         splits = index.stats.cracks
         for q in repeated_region_queries[:10]:
-            index.query(q)
+            index.execute(q)
         assert index.max_depth_reached() == depth
         assert index.stats.cracks == splits
 
@@ -108,12 +108,12 @@ class TestConvergedPerformanceParity:
         )
         quasii = QuasiiIndex(neuro_ds.store.copy())
         for q in qs:
-            quasii.query(q)
+            quasii.execute(q)
         rtree = RTreeIndex(neuro_ds.store.copy())
         rtree.build()
         quasii.stats.reset()
         rtree.stats.reset()
         for q in qs[:20]:
-            quasii.query(q)
-            rtree.query(q)
+            quasii.execute(q)
+            rtree.execute(q)
         assert quasii.stats.objects_tested <= 3 * max(rtree.stats.objects_tested, 1)

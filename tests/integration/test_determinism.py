@@ -41,7 +41,7 @@ def test_quasii_layout_is_deterministic():
         store = ds.store.copy()
         index = QuasiiIndex(store)
         for q in queries:
-            index.query(q)
+            index.execute(q)
         runs.append((store.ids.copy(), index.stats.snapshot()))
     ids_a, stats_a = runs[0]
     ids_b, stats_b = runs[1]
@@ -58,7 +58,7 @@ def test_incremental_baselines_deterministic_counters():
     def counters(make_index):
         index = make_index()
         for q in queries:
-            index.query(q)
+            index.execute(q)
         s = index.stats
         return (s.cracks, s.rows_reorganized, s.objects_tested, s.results_returned)
 

@@ -26,7 +26,7 @@ from repro.baselines import (
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 def random_dataset(ndim, n, seed):
@@ -41,8 +41,8 @@ class TestOneDimensional:
         index = QuasiiIndex(store, QuasiiConfig(1, (16,)))
         scan = ScanIndex(store.copy())
         for i, (lo, hi) in enumerate([(100, 300), (50, 120), (700, 900), (0, 1000)]):
-            q = RangeQuery(Box((float(lo),), (float(hi),)), seq=i)
-            assert np.array_equal(np.sort(index.query(q)), np.sort(scan.query(q)))
+            q = Query(Box((float(lo),), (float(hi),)), seq=i)
+            assert np.array_equal(np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids))
         index.validate_structure()
         # The array is now partially sorted around the queried bounds:
         # piece-wise, every slice's keys fit between its cut bounds.
@@ -53,11 +53,11 @@ class TestOneDimensional:
         keys = rng.uniform(0, 1000, size=(500, 1))
         store = BoxStore(keys, keys + 1.0)
         index = QuasiiIndex(store, QuasiiConfig(1, (8,)))
-        q = RangeQuery(Box((250.0,), (260.0,)))
-        index.query(q)
-        index.query(q)
+        q = Query(Box((250.0,), (260.0,)))
+        index.execute(q)
+        index.execute(q)
         cracks = index.stats.cracks
-        index.query(q)
+        index.execute(q)
         assert index.stats.cracks == cracks
 
 
@@ -78,9 +78,9 @@ class TestOtherDimensions:
         for idx in indexes:
             idx.build()
         for q in uniform_workload(ds.universe, 15, 1e-2, seed=54):
-            expect = np.sort(scan.query(q))
+            expect = np.sort(scan.execute(q).ids)
             for idx in indexes:
-                assert np.array_equal(np.sort(idx.query(q)), expect), (
+                assert np.array_equal(np.sort(idx.execute(q).ids), expect), (
                     f"{idx.name} wrong in {ndim}-d"
                 )
 
@@ -88,7 +88,7 @@ class TestOtherDimensions:
         ds = random_dataset(ndim, 500, seed=55)
         index = QuasiiIndex(ds.store.copy(), tau=8)
         for q in uniform_workload(ds.universe, 10, 0.05, seed=56):
-            index.query(q)
+            index.execute(q)
         counts = index.slice_counts()
         assert len(counts) == ndim
         index.validate_structure()
@@ -96,7 +96,7 @@ class TestOtherDimensions:
     def test_mosaic_fanout_is_two_to_the_d(self, ndim):
         ds = random_dataset(ndim, 2000, seed=57)
         index = MosaicIndex(ds.store.copy(), ds.universe, capacity=10)
-        index.query(uniform_workload(ds.universe, 1, 1e-2, seed=58)[0])
+        index.execute(uniform_workload(ds.universe, 1, 1e-2, seed=58)[0])
         assert index.partition_count() == 2**ndim
 
 
@@ -108,4 +108,4 @@ class TestSFCDimensionLimit:
         idx.build()
         scan = ScanIndex(ds.store)
         for q in uniform_workload(ds.universe, 5, 0.05, seed=60):
-            assert np.array_equal(np.sort(idx.query(q)), np.sort(scan.query(q)))
+            assert np.array_equal(np.sort(idx.execute(q).ids), np.sort(scan.execute(q).ids))

@@ -7,6 +7,8 @@ figure and that the CLI wiring works.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench.cli import build_parser, main
@@ -67,6 +69,37 @@ def test_soak_report_meets_trajectory_contract():
     assert all(0 <= s["window"] < len(windows) for s in spans)
     # The persisted form passes the schema gate CI enforces.
     assert validate_bench_json(to_json_dict(report, "tiny", 1.0)) == []
+
+
+def test_soak_delete_histogram_times_only_the_engine_call(monkeypatch):
+    """``delete.seconds`` must not charge victim resolution to the engine.
+
+    Resolution is stalled well past any tiny-scale ``engine.delete``; the
+    stall may show up in wall-clock, never in the write histogram.
+    """
+    import repro.bench.soak as soak
+    import repro.updates.executor as executor
+    from repro.telemetry.naming import DELETE_SECONDS
+
+    stall = 0.05
+    resolve = executor.resolve_delete_victims
+
+    def stalled(*args):
+        time.sleep(stall)
+        return resolve(*args)
+
+    monkeypatch.setattr(executor, "resolve_delete_victims", stalled)
+    # Before the write step was shared, the soak resolved victims under
+    # its own name, inside its own (wider) timing bracket.
+    monkeypatch.setattr(soak, "resolve_delete_victims", stalled, raising=False)
+    report = run_experiment("soak", TINY)
+    deletes = [
+        w["histograms"][DELETE_SECONDS]
+        for w in report.metrics["windows"]
+        if w["histograms"].get(DELETE_SECONDS, {}).get("count")
+    ]
+    assert deletes, "the soak never ran a delete storm"
+    assert max(h["max"] for h in deletes) < stall
 
 
 def test_unknown_experiment_rejected():

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 
 EXTENT = 0.3
 
@@ -47,25 +47,25 @@ def make_figure4_index() -> tuple[BoxStore, QuasiiIndex]:
     return store, QuasiiIndex(store, config)
 
 
-Q1 = RangeQuery(Box((2.0, 4.0), (4.0, 6.0)), seq=0)
-Q2 = RangeQuery(Box((4.4, 0.5), (9.6, 3.5)), seq=1)
+Q1 = Query(Box((2.0, 4.0), (4.0, 6.0)), seq=0)
+Q2 = Query(Box((4.4, 0.5), (9.6, 3.5)), seq=1)
 
 
 class TestQueryOne:
     def test_result_is_o4_and_o6(self):
         _, idx = make_figure4_index()
-        assert sorted(idx.query(Q1).tolist()) == [4, 6]
+        assert sorted(idx.execute(Q1).ids.tolist()) == [4, 6]
 
     def test_three_x_slices_with_figure_sizes(self):
         _, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         top = idx._top
         assert [s.size for s in top] == [1, 4, 5], "s1/s2/s3 of Figure 4b"
         idx.validate_structure()
 
     def test_objects_partitioned_by_lower_x(self):
         store, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         # Physical layout: o2 | {o4,o6,o7,o9} | {o0,o1,o3,o5,o8}.
         assert store.id_at(0) == 2
         assert set(store.ids[1:5].tolist()) == {4, 6, 7, 9}
@@ -73,7 +73,7 @@ class TestQueryOne:
 
     def test_middle_slice_y_refined_two_children(self):
         _, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         middle = idx._top[1]
         assert middle.children is not None
         sizes = [s.size for s in middle.children]
@@ -81,7 +81,7 @@ class TestQueryOne:
 
     def test_right_slice_stays_coarse(self):
         _, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         right = idx._top[2]
         assert right.size == 5
         assert not right.final, "s3 exceeds τx but was not in q1's x-range"
@@ -89,7 +89,7 @@ class TestQueryOne:
 
     def test_slice_mbbs_reflect_actual_extents(self):
         store, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         middle = idx._top[1]
         rows_lo = store.lo[middle.begin : middle.end]
         rows_hi = store.hi[middle.begin : middle.end]
@@ -100,15 +100,15 @@ class TestQueryOne:
 class TestQueryTwo:
     def test_result(self):
         _, idx = make_figure4_index()
-        idx.query(Q1)
-        assert sorted(idx.query(Q2).tolist()) == [0, 3, 5]
+        idx.execute(Q1)
+        assert sorted(idx.execute(Q2).ids.tolist()) == [0, 3, 5]
 
     def test_only_s3_is_refined_further(self):
         _, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         left_before = idx._top[0]
         middle_before = idx._top[1]
-        idx.query(Q2)
+        idx.execute(Q2)
         top = idx._top
         # s1 and s2 untouched (same objects, same children).
         assert top[0] is left_before
@@ -120,9 +120,9 @@ class TestQueryTwo:
 
     def test_cumulative_reorganization_bounded(self):
         _, idx = make_figure4_index()
-        idx.query(Q1)
+        idx.execute(Q1)
         moved_q1 = idx.stats.rows_reorganized
-        idx.query(Q2)
+        idx.execute(Q2)
         moved_q2 = idx.stats.rows_reorganized - moved_q1
         # q2 only reorganizes within s3 (5 objects), never the whole array.
         assert moved_q2 <= 5 * 2  # at most a couple of cracks over s3
@@ -131,9 +131,9 @@ class TestQueryTwo:
 class TestRepeatedQueries:
     def test_replays_produce_identical_results_and_no_new_cracks(self):
         _, idx = make_figure4_index()
-        first_q1 = sorted(idx.query(Q1).tolist())
-        first_q2 = sorted(idx.query(Q2).tolist())
+        first_q1 = sorted(idx.execute(Q1).ids.tolist())
+        first_q2 = sorted(idx.execute(Q2).ids.tolist())
         cracks = idx.stats.cracks
-        assert sorted(idx.query(Q1).tolist()) == first_q1
-        assert sorted(idx.query(Q2).tolist()) == first_q2
+        assert sorted(idx.execute(Q1).ids.tolist()) == first_q1
+        assert sorted(idx.execute(Q2).ids.tolist()) == first_q2
         assert idx.stats.cracks == cracks

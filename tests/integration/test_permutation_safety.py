@@ -24,7 +24,7 @@ def test_quasii_only_permutes(neuro_ds, clustered_queries):
     fp = store.fingerprint()
     index = QuasiiIndex(store)
     for q in clustered_queries:
-        index.query(q)
+        index.execute(q)
     assert store.fingerprint() == fp
 
 
@@ -33,7 +33,7 @@ def test_quasii_permutation_is_nontrivial(neuro_ds, clustered_queries):
     ids_before = store.ids.copy()
     index = QuasiiIndex(store)
     for q in clustered_queries[:5]:
-        index.query(q)
+        index.execute(q)
     assert not np.array_equal(store.ids, ids_before)
 
 
@@ -48,7 +48,7 @@ def test_static_indexes_never_touch_store(uniform_ds, uniform_queries):
     ):
         idx.build()
         for q in uniform_queries[:10]:
-            idx.query(q)
+            idx.execute(q)
     assert np.array_equal(store.ids, ids_before)
     assert np.array_equal(store.lo, lo_before)
 
@@ -58,7 +58,7 @@ def test_sfcracker_keeps_store_and_conserves_rows(uniform_ds, uniform_queries):
     ids_before = store.ids.copy()
     index = SFCrackerIndex(store, uniform_ds.universe)
     for q in uniform_queries:
-        index.query(q)
+        index.execute(q)
     # SFCracker cracks its own code/row arrays; the store is untouched.
     assert np.array_equal(store.ids, ids_before)
     assert sorted(index._rows.tolist()) == list(range(store.n))
@@ -68,7 +68,7 @@ def test_mosaic_conserves_rows(uniform_ds, uniform_queries):
     store = uniform_ds.store.copy()
     index = MosaicIndex(store, uniform_ds.universe, capacity=20)
     for q in uniform_queries:
-        index.query(q)
+        index.execute(q)
     rows = []
     stack = [index._root]
     while stack:

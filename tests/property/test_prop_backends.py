@@ -36,13 +36,14 @@ from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError
-from repro.geometry import Box
-from repro.queries import Query
 from repro.sharding import QueryExecutor, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.updates import UpdateLedger
-
-UNIVERSE_SIDE = 100.0
+from tests.property._interleavings import (
+    BASE_KINDS,
+    dataset_and_ops,
+    full_window,
+)
 
 REPLICATION_FACTORS = (1, 2)
 MATRIX = [(b, r) for b in BACKENDS for r in REPLICATION_FACTORS]
@@ -59,43 +60,9 @@ QUERY_SHAPES = (
     ("contains", "boxes", None),
 )
 
-
-@st.composite
-def dataset_and_ops(draw, ndim=2):
-    n = draw(st.integers(2, 50))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    lo = rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim))
-    hi = np.minimum(lo + rng.uniform(0, 10, size=(n, ndim)), UNIVERSE_SIDE)
-
-    n_ops = draw(st.integers(1, 10))
-    ops = []
-    for _ in range(n_ops):
-        kind = draw(
-            st.sampled_from(
-                ["query", "query", "insert", "delete", "compact", "kill"]
-            )
-        )
-        if kind == "query":
-            predicate, mode, k = draw(st.sampled_from(QUERY_SHAPES))
-            qlo = rng.uniform(-10, UNIVERSE_SIDE, size=ndim)
-            qhi = qlo + rng.uniform(0, 60, size=ndim)
-            ops.append(("query", (Box(tuple(qlo), tuple(qhi)), predicate, mode, k)))
-        elif kind == "insert":
-            k = draw(st.integers(1, 5))
-            blo = rng.uniform(0, UNIVERSE_SIDE, size=(k, ndim))
-            bhi = np.minimum(blo + rng.uniform(0, 8, size=(k, ndim)), UNIVERSE_SIDE)
-            ops.append(("insert", (blo, bhi)))
-        elif kind == "delete":
-            ops.append(
-                ("delete", (draw(st.integers(1, 6)), draw(st.integers(0, 2**31 - 1))))
-            )
-        elif kind == "kill":
-            ops.append(
-                ("kill", (draw(st.integers(0, 2)), draw(st.integers(0, 1))))
-            )
-        else:
-            ops.append(("compact", None))
-    return (lo, hi), ops
+KINDS = (*BASE_KINDS, "compact", "kill")
+#: A kill names (shard, replica) directly: three shards, at most R=2.
+PAYLOADS = {"kill": st.tuples(st.integers(0, 2), st.integers(0, 1))}
 
 
 def _check_payload(result, want, label):
@@ -115,7 +82,16 @@ def _check_payload(result, want, label):
             ), f"{label}: box payload diverged"
 
 
-@given(dataset_and_ops())
+@given(
+    dataset_and_ops(
+        kinds=KINDS,
+        payloads=PAYLOADS,
+        query_shapes=QUERY_SHAPES,
+        max_rows=50,
+        max_ops=10,
+        max_delete=6,
+    )
+)
 @settings(max_examples=10, deadline=None)
 def test_backends_agree_with_scan_under_interleavings(case):
     (lo, hi), ops = case
@@ -148,12 +124,9 @@ def test_backends_agree_with_scan_under_interleavings(case):
             for cell, engine in engines.items()
         }
 
-        seq = 0
         for kind, payload in ops:
             if kind == "query":
-                window, predicate, mode, k = payload
-                query = Query(window, predicate=predicate, mode=mode, k=k, seq=seq)
-                seq += 1
+                query = payload
                 want = scan.execute(query)
                 for backend, ex in executors.items():
                     batch = ex.run([query])
@@ -199,9 +172,7 @@ def test_backends_agree_with_scan_under_interleavings(case):
                         f"{backend}: compaction changed the live multiset"
                     )
 
-        full = Query(
-            Box((-1.0, -1.0), (UNIVERSE_SIDE + 1.0,) * 2), seq=10_000
-        )
+        full = full_window(2)
         want = scan.execute(full)
         assert np.array_equal(np.sort(want.ids), ledger.live_ids())
         for backend, ex in executors.items():

@@ -25,59 +25,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import RTreeIndex, ScanIndex, UniformGridIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery
 from repro.sharding import ShardedIndex
 from repro.updates import UpdateLedger
+from tests.property._interleavings import (
+    BASE_KINDS,
+    UNIVERSE_SIDE,
+    dataset_and_ops,
+    full_window,
+)
 
-UNIVERSE_SIDE = 100.0
+KINDS = (*BASE_KINDS, "compact")
 
 SHARD_COUNTS = (1, 2, 7)
 
 
-@st.composite
-def dataset_and_ops(draw, ndim=2):
-    n = draw(st.integers(2, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    lo = rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim))
-    hi = np.minimum(lo + rng.uniform(0, 10, size=(n, ndim)), UNIVERSE_SIDE)
-
-    n_ops = draw(st.integers(1, 12))
-    ops = []
-    for _ in range(n_ops):
-        kind = draw(
-            st.sampled_from(["query", "query", "insert", "delete", "compact"])
-        )
-        if kind == "query":
-            qlo = rng.uniform(-10, UNIVERSE_SIDE, size=ndim)
-            qhi = qlo + rng.uniform(0, 60, size=ndim)
-            ops.append(("query", Box(tuple(qlo), tuple(qhi))))
-        elif kind == "insert":
-            k = draw(st.integers(1, 5))
-            blo = rng.uniform(0, UNIVERSE_SIDE, size=(k, ndim))
-            bhi = np.minimum(blo + rng.uniform(0, 8, size=(k, ndim)), UNIVERSE_SIDE)
-            ops.append(("insert", (blo, bhi)))
-        elif kind == "delete":
-            ops.append(
-                ("delete", (draw(st.integers(1, 6)), draw(st.integers(0, 2**31 - 1))))
-            )
-        else:
-            ops.append(("compact", None))
-    return (lo, hi), ops
-
-
-def _full_window(ndim: int) -> RangeQuery:
-    return RangeQuery(
-        Box((-1.0,) * ndim, (UNIVERSE_SIDE + 1.0,) * ndim), seq=10_000
-    )
-
-
-@given(dataset_and_ops())
+@given(dataset_and_ops(kinds=KINDS, max_delete=6))
 @settings(max_examples=40, deadline=None)
 def test_compaction_preserves_fingerprint_and_scan_agreement(case):
     (lo, hi), ops = case
@@ -93,14 +60,12 @@ def test_compaction_preserves_fingerprint_and_scan_agreement(case):
     indexes = [scan, quasii, grid, rtree]
     ledger = UpdateLedger(scan.store)
 
-    seq = 0
     for kind, payload in ops:
         if kind == "query":
-            query = RangeQuery(payload, seq=seq)
-            seq += 1
-            expect = np.sort(scan.query(query))
+            query = payload
+            expect = np.sort(scan.execute(query).ids)
             for idx in indexes[1:]:
-                got = np.sort(idx.query(query))
+                got = np.sort(idx.execute(query).ids)
                 assert np.array_equal(got, expect), (
                     f"{idx.name} diverged from Scan on query {query.seq}"
                 )
@@ -135,18 +100,18 @@ def test_compaction_preserves_fingerprint_and_scan_agreement(case):
                 )
             quasii.validate_structure()
 
-    full = _full_window(2)
-    expect = np.sort(scan.query(full))
+    full = full_window(2)
+    expect = np.sort(scan.execute(full).ids)
     assert np.array_equal(expect, ledger.live_ids())
     for idx in indexes[1:]:
-        assert np.array_equal(np.sort(idx.query(full)), expect)
+        assert np.array_equal(np.sort(idx.execute(full).ids), expect)
     for idx in indexes:
         ledger.assert_matches(idx.store)
     quasii.validate_structure()
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-@given(case=dataset_and_ops())
+@given(case=dataset_and_ops(kinds=KINDS, max_delete=6))
 @settings(max_examples=15, deadline=None)
 def test_sharded_compaction_under_interleavings(n_shards, case):
     (lo, hi), ops = case
@@ -165,10 +130,10 @@ def test_sharded_compaction_under_interleavings(n_shards, case):
     seq = 0
     for kind, payload in ops:
         if kind == "query":
-            query = RangeQuery(payload, seq=seq)
+            query = payload
             seq += 1
-            expect = np.sort(scan.query(query))
-            assert np.array_equal(np.sort(engine.query(query)), expect)
+            expect = np.sort(scan.execute(query).ids)
+            assert np.array_equal(np.sort(engine.execute(query).ids), expect)
         elif kind == "insert":
             blo, bhi = payload
             expect_ids = scan.insert(blo, bhi)
@@ -198,10 +163,10 @@ def test_sharded_compaction_under_interleavings(n_shards, case):
             assert engine.store.n == engine.store.live_count
             engine.validate_routing()
 
-    full = _full_window(2)
-    expect = np.sort(scan.query(full))
+    full = full_window(2)
+    expect = np.sort(scan.execute(full).ids)
     assert np.array_equal(expect, ledger.live_ids())
-    assert np.array_equal(np.sort(engine.query(full)), expect)
+    assert np.array_equal(np.sort(engine.execute(full).ids), expect)
     ledger.assert_matches(engine.store)
     engine.validate_routing()
     for shard in engine.shards:

@@ -21,7 +21,7 @@ from repro.baselines import (
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 
 UNIVERSE_SIDE = 100.0
 
@@ -47,7 +47,7 @@ def dataset_and_queries(draw, ndim=2):
     for i in range(n_queries):
         qlo = rng.uniform(-10, UNIVERSE_SIDE, size=ndim)
         qhi = qlo + rng.uniform(0, 60, size=ndim)
-        queries.append(RangeQuery(Box(tuple(qlo), tuple(qhi)), seq=i))
+        queries.append(Query(Box(tuple(qlo), tuple(qhi)), seq=i))
     return store_data, queries
 
 
@@ -60,8 +60,8 @@ def test_quasii_matches_scan_with_invariants(case):
     idx = QuasiiIndex(store, QuasiiConfig(2, (8, 4)))
     fp = store.fingerprint()
     for q in queries:
-        got = np.sort(idx.query(q))
-        expect = np.sort(scan.query(q))
+        got = np.sort(idx.execute(q).ids)
+        expect = np.sort(scan.execute(q).ids)
         assert np.array_equal(got, expect)
         idx.validate_structure()
     assert store.fingerprint() == fp
@@ -79,9 +79,9 @@ def test_static_indexes_match_scan(case):
     grid = UniformGridIndex(store, universe, 7)
     grid.build()
     for q in queries:
-        expect = np.sort(scan.query(q))
-        assert np.array_equal(np.sort(rtree.query(q)), expect)
-        assert np.array_equal(np.sort(grid.query(q)), expect)
+        expect = np.sort(scan.execute(q).ids)
+        assert np.array_equal(np.sort(rtree.execute(q).ids), expect)
+        assert np.array_equal(np.sort(grid.execute(q).ids), expect)
 
 
 @given(dataset_and_queries())
@@ -94,9 +94,9 @@ def test_incremental_baselines_match_scan(case):
     cracker = SFCrackerIndex(BoxStore(lo.copy(), hi.copy()), universe)
     mosaic = MosaicIndex(BoxStore(lo.copy(), hi.copy()), universe, capacity=8)
     for q in queries:
-        expect = np.sort(scan.query(q))
-        assert np.array_equal(np.sort(cracker.query(q)), expect)
-        assert np.array_equal(np.sort(mosaic.query(q)), expect)
+        expect = np.sort(scan.execute(q).ids)
+        assert np.array_equal(np.sort(cracker.execute(q).ids), expect)
+        assert np.array_equal(np.sort(mosaic.execute(q).ids), expect)
     cracker.validate_pieces()
 
 
@@ -111,5 +111,5 @@ def test_quasii_final_leaves_respect_tau_everywhere(seed, n):
     for i in range(6):
         qlo = rng.uniform(0, UNIVERSE_SIDE, size=2)
         qhi = qlo + rng.uniform(0, 40, size=2)
-        idx.query(RangeQuery(Box(tuple(qlo), tuple(np.minimum(qhi, UNIVERSE_SIDE))), seq=i))
+        idx.execute(Query(Box(tuple(qlo), tuple(np.minimum(qhi, UNIVERSE_SIDE))), seq=i))
     idx.validate_structure()

@@ -26,13 +26,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.geometry import Box
-from repro.queries import RangeQuery
 from repro.sharding import (
     PARTITIONERS,
     MaintenancePolicy,
@@ -41,49 +38,15 @@ from repro.sharding import (
     ShardedIndex,
 )
 from repro.updates import UpdateLedger
+from tests.property._interleavings import (
+    BASE_KINDS,
+    dataset_and_ops,
+    full_window,
+)
 
-UNIVERSE_SIDE = 100.0
+KINDS = (*BASE_KINDS, "rebalance", "compact", "maintain")
 
 SHARD_COUNTS = (1, 2, 7)
-
-
-@st.composite
-def dataset_and_ops(draw, ndim=2):
-    n = draw(st.integers(2, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    lo = rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim))
-    hi = np.minimum(lo + rng.uniform(0, 10, size=(n, ndim)), UNIVERSE_SIDE)
-
-    n_ops = draw(st.integers(1, 12))
-    ops = []
-    for _ in range(n_ops):
-        kind = draw(
-            st.sampled_from(
-                ["query", "query", "insert", "delete", "rebalance", "compact", "maintain"]
-            )
-        )
-        if kind == "query":
-            qlo = rng.uniform(-10, UNIVERSE_SIDE, size=ndim)
-            qhi = qlo + rng.uniform(0, 60, size=ndim)
-            ops.append(("query", Box(tuple(qlo), tuple(qhi))))
-        elif kind == "insert":
-            k = draw(st.integers(1, 5))
-            blo = rng.uniform(0, UNIVERSE_SIDE, size=(k, ndim))
-            bhi = np.minimum(blo + rng.uniform(0, 8, size=(k, ndim)), UNIVERSE_SIDE)
-            ops.append(("insert", (blo, bhi)))
-        elif kind == "delete":
-            ops.append(
-                ("delete", (draw(st.integers(1, 4)), draw(st.integers(0, 2**31 - 1))))
-            )
-        else:
-            ops.append((kind, None))
-    return (lo, hi), ops
-
-
-def _full_window(ndim: int) -> RangeQuery:
-    return RangeQuery(
-        Box((-1.0,) * ndim, (UNIVERSE_SIDE + 1.0,) * ndim), seq=10_000
-    )
 
 
 def _small_quasii(store: BoxStore) -> QuasiiIndex:
@@ -108,7 +71,7 @@ def _assert_routing_mbbs_fresh(engine: ShardedIndex) -> None:
 
 @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-@given(case=dataset_and_ops())
+@given(case=dataset_and_ops(kinds=KINDS))
 @settings(max_examples=10, deadline=None)
 def test_rebalancing_preserves_all_invariants(partitioner, n_shards, case):
     (lo, hi), ops = case
@@ -130,13 +93,11 @@ def test_rebalancing_preserves_all_invariants(partitioner, n_shards, case):
         ),
     )
 
-    seq = 0
     for kind, payload in ops:
         if kind == "query":
-            query = RangeQuery(payload, seq=seq)
-            seq += 1
-            expect = np.sort(scan.query(query))
-            got = np.sort(engine.query(query))
+            query = payload
+            expect = np.sort(scan.execute(query).ids)
+            got = np.sort(engine.execute(query).ids)
             assert np.array_equal(got, expect), (
                 f"{engine.name} diverged from Scan on query {query.seq}"
             )
@@ -187,10 +148,10 @@ def test_rebalancing_preserves_all_invariants(partitioner, n_shards, case):
             _assert_routing_mbbs_fresh(engine)
 
     # Final full-window query: the complete live set from the engine.
-    full = _full_window(2)
-    expect = np.sort(scan.query(full))
+    full = full_window(2)
+    expect = np.sort(scan.execute(full).ids)
     assert np.array_equal(expect, ledger.live_ids())
-    assert np.array_equal(np.sort(engine.query(full)), expect)
+    assert np.array_equal(np.sort(engine.execute(full).ids), expect)
 
     # The ingest mirror holds exactly the ledger's live multiset, the
     # ownership map agrees with the shard stores, and every shard-level

@@ -12,7 +12,7 @@ from repro.baselines.rtree import str_pack
 from repro.core.slices import SliceList
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 from repro.util import gather_ranges
 
 INF = float("inf")
@@ -82,8 +82,8 @@ def test_grid_replication_covers_query_extension(parts, n, seed):
     for i in range(3):
         qlo = rng.uniform(-5, 100, size=2)
         qhi = qlo + rng.uniform(0, 60, size=2)
-        q = RangeQuery(Box(tuple(qlo), tuple(qhi)), seq=i)
-        assert np.array_equal(np.sort(a.query(q)), np.sort(b.query(q)))
+        q = Query(Box(tuple(qlo), tuple(qhi)), seq=i)
+        assert np.array_equal(np.sort(a.execute(q).ids), np.sort(b.execute(q).ids))
 
 
 @given(

@@ -15,50 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import RTreeIndex, ScanIndex, UniformGridIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery
 from repro.updates import UpdateLedger
-
-UNIVERSE_SIDE = 100.0
-
-
-@st.composite
-def dataset_and_ops(draw, ndim=2):
-    n = draw(st.integers(2, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    lo = rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim))
-    hi = np.minimum(lo + rng.uniform(0, 10, size=(n, ndim)), UNIVERSE_SIDE)
-
-    n_ops = draw(st.integers(1, 14))
-    ops = []
-    for _ in range(n_ops):
-        kind = draw(st.sampled_from(["query", "query", "insert", "delete"]))
-        if kind == "query":
-            qlo = rng.uniform(-10, UNIVERSE_SIDE, size=ndim)
-            qhi = qlo + rng.uniform(0, 60, size=ndim)
-            ops.append(("query", Box(tuple(qlo), tuple(qhi))))
-        elif kind == "insert":
-            k = draw(st.integers(1, 5))
-            blo = rng.uniform(0, UNIVERSE_SIDE, size=(k, ndim))
-            bhi = np.minimum(blo + rng.uniform(0, 8, size=(k, ndim)), UNIVERSE_SIDE)
-            ops.append(("insert", (blo, bhi)))
-        else:
-            ops.append(("delete", (draw(st.integers(1, 4)), draw(st.integers(0, 2**31 - 1)))))
-    return (lo, hi), ops
+from tests.property._interleavings import (
+    UNIVERSE_SIDE,
+    dataset_and_ops,
+    full_window,
+)
 
 
-def _full_window(ndim: int) -> RangeQuery:
-    return RangeQuery(
-        Box((-1.0,) * ndim, (UNIVERSE_SIDE + 1.0,) * ndim), seq=10_000
-    )
-
-
-@given(dataset_and_ops())
+@given(dataset_and_ops(max_ops=14))
 @settings(max_examples=50, deadline=None)
 def test_interleaved_updates_match_scan_and_ledger(case):
     (lo, hi), ops = case
@@ -74,14 +44,12 @@ def test_interleaved_updates_match_scan_and_ledger(case):
     indexes = [scan, quasii, grid, rtree]
     ledger = UpdateLedger(scan.store)
 
-    seq = 0
     for kind, payload in ops:
         if kind == "query":
-            query = RangeQuery(payload, seq=seq)
-            seq += 1
-            expect = np.sort(scan.query(query))
+            query = payload
+            expect = np.sort(scan.execute(query).ids)
             for idx in indexes[1:]:
-                got = np.sort(idx.query(query))
+                got = np.sort(idx.execute(query).ids)
                 assert np.array_equal(got, expect), (
                     f"{idx.name} diverged from Scan on query {query.seq}"
                 )
@@ -105,11 +73,11 @@ def test_interleaved_updates_match_scan_and_ledger(case):
             ledger.record_delete(victims)
 
     # Final full-window query: the complete live set, from every index.
-    full = _full_window(2)
-    expect = np.sort(scan.query(full))
+    full = full_window(2)
+    expect = np.sort(scan.execute(full).ids)
     assert np.array_equal(expect, ledger.live_ids())
     for idx in indexes[1:]:
-        assert np.array_equal(np.sort(idx.query(full)), expect)
+        assert np.array_equal(np.sort(idx.execute(full).ids), expect)
 
     # The stores themselves hold exactly the ledger's live multiset.
     for idx in indexes:
@@ -117,18 +85,16 @@ def test_interleaved_updates_match_scan_and_ledger(case):
     quasii.validate_structure()
 
 
-@given(dataset_and_ops())
+@given(dataset_and_ops(max_ops=14))
 @settings(max_examples=25, deadline=None)
 def test_quasii_structure_survives_every_interleaving_step(case):
     (lo, hi), ops = case
     store = BoxStore(lo.copy(), hi.copy())
     ledger = UpdateLedger(store)
     idx = QuasiiIndex(store, QuasiiConfig(2, (6, 3)), max_runs=2)
-    seq = 0
     for kind, payload in ops:
         if kind == "query":
-            idx.query(RangeQuery(payload, seq=seq))
-            seq += 1
+            idx.execute(payload)
         elif kind == "insert":
             blo, bhi = payload
             ledger.record_insert(blo, bhi, idx.insert(blo, bhi))
@@ -145,6 +111,6 @@ def test_quasii_structure_survives_every_interleaving_step(case):
             ledger.record_delete(victims)
         idx.validate_structure()
     # Drain any still-buffered rows, then check the ledger one last time.
-    idx.query(_full_window(2))
+    idx.execute(full_window(2))
     idx.validate_structure()
     ledger.assert_matches(store)

@@ -24,7 +24,7 @@ from repro.baselines.sfc import ZGrid
 from repro.core import QuasiiIndex
 from repro.datasets import BoxStore
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +73,9 @@ class TestIndexesOnSlab:
         for idx in indexes:
             idx.build()
         for q in slab_queries(universe):
-            expect = np.sort(scan.query(q))
+            expect = np.sort(scan.execute(q).ids)
             for idx in indexes:
-                assert np.array_equal(np.sort(idx.query(q)), expect), (
+                assert np.array_equal(np.sort(idx.execute(q).ids), expect), (
                     f"{idx.name} diverged on anisotropic data"
                 )
 
@@ -83,7 +83,7 @@ class TestIndexesOnSlab:
         store, universe = slab_dataset
         index = QuasiiIndex(store.copy(), tau=25)
         for q in slab_queries(universe, n=30, seed=93):
-            index.query(q)
+            index.execute(q)
         index.validate_structure()
 
     def test_degenerate_query_plane(self, slab_dataset):
@@ -91,5 +91,5 @@ class TestIndexesOnSlab:
         index = QuasiiIndex(store.copy())
         scan = ScanIndex(store)
         window = Box((5000.0, 0.0, 0.0), (5000.0, 100.0, 10.0))
-        q = RangeQuery(window)
-        assert np.array_equal(np.sort(index.query(q)), np.sort(scan.query(q)))
+        q = Query(window)
+        assert np.array_equal(np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids))

@@ -25,11 +25,11 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 from repro.sharding import ShardedIndex
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
-FULL = RangeQuery(Box((-1.0, -1.0), (101.0, 101.0)), seq=999)
+FULL = Query(Box((-1.0, -1.0), (101.0, 101.0)), seq=999)
 
 
 def _store(n: int = 60, seed: int = 0) -> BoxStore:
@@ -43,12 +43,12 @@ def _expected_live(index) -> np.ndarray:
     return np.sort(store.ids[store.live_rows()])
 
 
-def _windows(seed: int = 2, k: int = 8) -> list[RangeQuery]:
+def _windows(seed: int = 2, k: int = 8) -> list[Query]:
     rng = np.random.default_rng(seed)
     out = []
     for i in range(k):
         qlo = rng.uniform(0, 70, size=2)
-        out.append(RangeQuery(Box(tuple(qlo), tuple(qlo + 25.0)), seq=i))
+        out.append(Query(Box(tuple(qlo), tuple(qlo + 25.0)), seq=i))
     return out
 
 
@@ -67,20 +67,20 @@ class TestCompactVerb:
             idx = make(_store())
             idx.build()
             for q in _windows():
-                idx.query(q)
+                idx.execute(q)
             idx.delete(np.arange(0, 40, 2))
-            before = np.sort(idx.query(FULL))
+            before = np.sort(idx.execute(FULL).ids)
             reclaimed = idx.compact()
             assert reclaimed == 20, idx.name
             assert idx.store.n == idx.store.live_count, idx.name
             assert idx.stats.compactions >= 1, idx.name
-            after = np.sort(idx.query(FULL))
+            after = np.sort(idx.execute(FULL).ids)
             assert np.array_equal(before, after), idx.name
             assert np.array_equal(after, _expected_live(idx)), idx.name
             oracle = ScanIndex(idx.store)  # compacted store, fresh oracle
             for q in _windows(seed=7):
                 assert np.array_equal(
-                    np.sort(idx.query(q)), np.sort(oracle.query(q))
+                    np.sort(idx.execute(q).ids), np.sort(oracle.execute(q).ids)
                 ), idx.name
 
     def test_compact_with_no_dead_rows_is_a_noop(self):
@@ -101,7 +101,7 @@ class TestCompactVerb:
             rng = np.random.default_rng(4)
             lo = rng.uniform(0, 90, size=(6, 2))
             new_ids = idx.insert(lo, lo + 2.0)
-            got = np.sort(idx.query(FULL))
+            got = np.sort(idx.execute(FULL).ids)
             assert np.isin(new_ids, got).all(), idx.name
             assert np.array_equal(got, _expected_live(idx)), idx.name
 
@@ -112,25 +112,25 @@ class TestCompactVerb:
             idx.delete(np.arange(20))
             assert idx.compact() == 20, idx.name
             assert idx.store.n == 0, idx.name
-            assert idx.query(FULL).size == 0, idx.name
+            assert idx.execute(FULL).ids.size == 0, idx.name
 
 
 class TestQuasiiDefragmentation:
     def _refined(self, n: int = 120) -> QuasiiIndex:
         idx = QuasiiIndex(_store(n, seed=3), QuasiiConfig(2, (8, 4)))
         for q in _windows(seed=5, k=12):
-            idx.query(q)
+            idx.execute(q)
         return idx
 
     def test_structure_valid_and_scans_shrink(self):
         idx = self._refined()
         idx.delete(np.arange(0, 120, 2))
-        idx.query(FULL)
+        idx.execute(FULL)
         tombstoned = idx.stats.objects_tested
         idx.stats.reset()
         idx.compact()
         idx.validate_structure()
-        idx.query(FULL)
+        idx.execute(FULL)
         compacted = idx.stats.objects_tested
         assert compacted < tombstoned
         assert idx.store.n == idx.store.live_count == 60
@@ -144,7 +144,7 @@ class TestQuasiiDefragmentation:
         idx.compact()
         idx.validate_structure()
         assert sum(idx.slice_counts()) < slices_before
-        assert np.array_equal(np.sort(idx.query(FULL)), np.sort(live[-6:]))
+        assert np.array_equal(np.sort(idx.execute(FULL).ids), np.sort(live[-6:]))
 
     def test_final_slice_mbbs_retighten(self):
         idx = self._refined()
@@ -173,7 +173,7 @@ class TestQuasiiDefragmentation:
         idx.delete(np.arange(0, 30))
         assert idx.compact() == 30
         assert idx.pending_updates() == 4
-        got = np.sort(idx.query(FULL))
+        got = np.sort(idx.execute(FULL).ids)
         assert np.isin(staged, got).all()
         idx.validate_structure()
 
@@ -182,7 +182,7 @@ class TestQuasiiDefragmentation:
         rng = np.random.default_rng(13)
         for round_ in range(5):
             for q in _windows(seed=20 + round_, k=4):
-                idx.query(q)
+                idx.execute(q)
             live = idx.store.ids[idx.store.live_rows()]
             if live.size > 10:
                 idx.delete(rng.choice(live, size=8, replace=False))
@@ -190,7 +190,7 @@ class TestQuasiiDefragmentation:
             idx.validate_structure()
             lo = rng.uniform(0, 90, size=(3, 2))
             idx.insert(lo, lo + 2.0)
-        assert np.array_equal(np.sort(idx.query(FULL)), _expected_live(idx))
+        assert np.array_equal(np.sort(idx.execute(FULL).ids), _expected_live(idx))
         idx.validate_structure()
 
 
@@ -206,7 +206,7 @@ class TestGridCompaction:
         grid.compact()
         assert grid.pending_updates() == 3  # dead overflow entries shed
         assert grid._sorted_rows.size == 40  # dead CSR entries shed
-        got = np.sort(grid.query(FULL))
+        got = np.sort(grid.execute(FULL).ids)
         assert np.array_equal(got, _expected_live(grid))
 
     def test_replication_factor_stays_exact_after_compaction(self):
@@ -217,7 +217,7 @@ class TestGridCompaction:
         factor_tombstoned = grid.replication_factor()
         grid.compact()
         assert grid.replication_factor() == pytest.approx(factor_tombstoned)
-        assert np.array_equal(np.sort(grid.query(FULL)), _expected_live(grid))
+        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
 
 
 class TestRTreeCompaction:
@@ -228,7 +228,7 @@ class TestRTreeCompaction:
         nodes_before = rtree.root.count_nodes()
         rtree.compact()
         assert rtree.root.count_nodes() <= nodes_before
-        assert np.array_equal(np.sort(rtree.query(FULL)), _expected_live(rtree))
+        assert np.array_equal(np.sort(rtree.execute(FULL).ids), _expected_live(rtree))
 
     def test_straggler_dead_rows_are_dropped(self):
         # A tree built over a store that was tombstoned out-of-band (the
@@ -239,7 +239,7 @@ class TestRTreeCompaction:
         rtree.build()  # leaves reference dead rows, filtered by live mask
         remap = store.compact()
         rtree.on_compaction(remap)
-        got = np.sort(rtree.query(FULL))
+        got = np.sort(rtree.execute(FULL).ids)
         assert np.array_equal(got, np.arange(5, 40))
 
 
@@ -250,7 +250,7 @@ class TestStaticIndexCompaction:
         sfc.build()
         store.delete_ids(np.arange(0, 80, 2))
         sfc.on_compaction(store.compact())
-        got = np.sort(sfc.query(FULL))
+        got = np.sort(sfc.execute(FULL).ids)
         assert np.array_equal(got, np.arange(1, 80, 2))
 
     def test_unsupporting_indexes_fail_loudly(self):
@@ -261,7 +261,7 @@ class TestStaticIndexCompaction:
             store = _store(30, seed=5)
             idx = make(store)
             idx.build()
-            idx.query(FULL)
+            idx.execute(FULL)
             store.delete_ids(np.array([0]))
             remap = store.compact()
             with pytest.raises(ConfigurationError, match="compaction"):
@@ -277,7 +277,7 @@ class TestShardedCompaction:
     def test_full_compaction_compacts_mirror_and_every_shard(self):
         engine = self._engine()
         engine.delete(np.arange(0, 120, 2))
-        before = np.sort(engine.query(FULL))
+        before = np.sort(engine.execute(FULL).ids)
         assert engine.compact() == 60
         assert engine.stats.compactions == 1  # one event, not K+1
         assert engine.store.n == engine.store.live_count
@@ -285,7 +285,7 @@ class TestShardedCompaction:
             assert shard.store.n == shard.store.live_count
             shard.index.validate_structure()
         engine.validate_routing()
-        assert np.array_equal(np.sort(engine.query(FULL)), before)
+        assert np.array_equal(np.sort(engine.execute(FULL).ids), before)
 
     def test_maybe_compact_honors_the_dead_fraction_policy(self):
         engine = self._engine()
@@ -298,7 +298,7 @@ class TestShardedCompaction:
         assert reclaimed > 0
         assert engine.store.n == engine.store.live_count
         engine.validate_routing()
-        assert np.array_equal(np.sort(engine.query(FULL)), np.sort(live[70:]))
+        assert np.array_equal(np.sort(engine.execute(FULL).ids), np.sort(live[70:]))
 
     def test_compact_sweeps_shards_a_partial_policy_pass_left_dirty(self):
         # Two spatial clusters so the STR shards have very different dead
@@ -315,12 +315,12 @@ class TestShardedCompaction:
         assert engine.maybe_compact(0.3) == 34  # hot shard + mirror
         assert engine.store.n_dead == 0
         assert sum(s.store.n_dead for s in engine.shards) == 4  # cold shard
-        before = np.sort(engine.query(FULL))
+        before = np.sort(engine.execute(FULL).ids)
         assert engine.compact() == 0  # those rows were already counted
         for shard in engine.shards:
             assert shard.store.n == shard.store.live_count
         engine.validate_routing()
-        assert np.array_equal(np.sort(engine.query(FULL)), before)
+        assert np.array_equal(np.sort(engine.execute(FULL).ids), before)
 
     def test_compact_and_maybe_compact_agree_on_accounting(self):
         # Both verbs count logical rows (mirror tombstones), so for the
@@ -347,12 +347,12 @@ class TestShardedCompaction:
         engine = ShardedIndex(store, n_shards=2, partitioner="str")
         engine.build()
         engine.delete(np.arange(40))  # the whole left cluster
-        probe = RangeQuery(Box((0.0, 0.0), (15.0, 15.0)), seq=1)
+        probe = Query(Box((0.0, 0.0), (15.0, 15.0)), seq=1)
         engine.stats.reset()
-        assert engine.query(probe).size == 0
+        assert engine.execute(probe).ids.size == 0
         visited_tombstoned = engine.stats.shards_visited
         engine.compact()
         engine.stats.reset()
-        assert engine.query(probe).size == 0
+        assert engine.execute(probe).ids.size == 0
         assert engine.stats.shards_visited < visited_tombstoned
         assert engine.stats.shards_pruned == engine.n_shards

@@ -15,7 +15,7 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 from repro.sharding import (
     Fault,
     FaultInjector,
@@ -34,8 +34,8 @@ def _small_quasii(store: BoxStore) -> QuasiiIndex:
     return QuasiiIndex(store, QuasiiConfig(2, (8, 4)), max_runs=2)
 
 
-def _window(lo, hi, seq=0) -> RangeQuery:
-    return RangeQuery(Box(tuple(lo), tuple(hi)), seq=seq)
+def _window(lo, hi, seq=0) -> Query:
+    return Query(Box(tuple(lo), tuple(hi)), seq=seq)
 
 
 def _replicated(store, **kwargs) -> ShardedIndex:
@@ -186,7 +186,7 @@ class TestEngineSeam:
                         actions=("kill",),
                     )
                 )
-            results = [np.sort(engine.query(q)) for q in queries]
+            results = [np.sort(engine.execute(q).ids) for q in queries]
             return results, sorted(engine.dead_replicas())
 
         base, dead_base = run(with_faults=False)
@@ -219,5 +219,5 @@ class TestEngineSeam:
         assert len(fps) == 1
         full = _window((-1.0, -1.0), (30.0, 30.0), seq=999)
         assert np.array_equal(
-            np.sort(engine.query(full)), np.sort(scan.query(full))
+            np.sort(engine.execute(full).ids), np.sort(scan.execute(full).ids)
         )

@@ -9,7 +9,7 @@ from repro.baselines.grid import UniformGridIndex
 from repro.datasets import BoxStore, make_points, make_uniform
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 class TestConfiguration:
@@ -40,7 +40,7 @@ class TestConfiguration:
         ds = make_uniform(10, seed=1)
         idx = UniformGridIndex(ds.store, ds.universe, 4)
         with pytest.raises(QueryError):
-            idx.query(RangeQuery(Box.unit(3)))
+            idx.execute(Query(Box.unit(3)))
 
 
 class TestQueryExtensionAssignment:
@@ -59,7 +59,7 @@ class TestQueryExtensionAssignment:
         universe = Box((0.0, 0.0), (10.0, 10.0))
         idx = UniformGridIndex(store, universe, 2)  # cells of side 5
         idx.build()
-        hits = idx.query(RangeQuery(Box((5.5, 0.0), (6.0, 0.5))))
+        hits = idx.execute(Query(Box((5.5, 0.0), (6.0, 0.5)))).ids
         assert hits.tolist() == [0]
 
 
@@ -83,7 +83,7 @@ class TestReplicationAssignment:
         universe = Box((0.0, 0.0), (10.0, 10.0))
         idx = UniformGridIndex(store, universe, 4, "replication")
         idx.build()
-        hits = idx.query(RangeQuery(Box((1.0, 1.0), (9.0, 9.0))))
+        hits = idx.execute(Query(Box((1.0, 1.0), (9.0, 9.0)))).ids
         assert hits.tolist() == [0], "replication must de-duplicate"
 
     def test_memory_exceeds_query_extension(self):
@@ -103,7 +103,7 @@ class TestQuerying:
         a.build()
         b.build()
         for q in uniform_workload(ds.universe, 25, 1e-2, seed=7):
-            assert np.array_equal(np.sort(a.query(q)), np.sort(b.query(q)))
+            assert np.array_equal(np.sort(a.execute(q).ids), np.sort(b.execute(q).ids))
 
     def test_extension_tests_more_objects(self):
         # The 3.1x factor of Section 6.2, qualitatively: query extension
@@ -112,7 +112,7 @@ class TestQuerying:
         idx = UniformGridIndex(ds.store, ds.universe, 30)
         idx.build()
         q = uniform_workload(ds.universe, 1, 1e-3, seed=9)[0]
-        hits = idx.query(q)
+        hits = idx.execute(q).ids
         assert idx.stats.objects_tested > hits.size
 
     def test_single_partition_grid(self):
@@ -121,7 +121,7 @@ class TestQuerying:
         idx.build()
         q = uniform_workload(ds.universe, 1, 1e-2, seed=11)[0]
         # Degenerates to a scan but must stay correct.
-        assert idx.query(q).size == ds.store.count_range(
+        assert idx.execute(q).ids.size == ds.store.count_range(
             0, ds.n, q.lo, q.hi
         )
 
@@ -130,4 +130,4 @@ class TestQuerying:
         store = BoxStore(lo, lo + 1.0)
         idx = UniformGridIndex(store, Box((0.0, 0.0), (100.0, 100.0)), 10)
         idx.build()
-        assert idx.query(RangeQuery(Box((50.0, 50.0), (60.0, 60.0)))).size == 0
+        assert idx.execute(Query(Box((50.0, 50.0), (60.0, 60.0)))).ids.size == 0

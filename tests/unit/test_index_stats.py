@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import pytest
 
-from repro.index.base import IndexStats
+from repro.index.base import WORK_COUNTERS, IndexStats
 from repro.telemetry import MetricsRegistry, record_stats_delta, stats_metric
 
 FIELD_NAMES = [f.name for f in dataclass_fields(IndexStats)]
@@ -30,6 +30,12 @@ def _filled(offset: int = 0) -> IndexStats:
 
 
 class TestCoverageGuarantee:
+    def test_every_fleet_work_counter_is_a_field(self):
+        # The one list the sharded engine rolls up and the worker
+        # processes ship back.
+        assert set(WORK_COUNTERS) <= set(FIELD_NAMES)
+        assert len(set(WORK_COUNTERS)) == len(WORK_COUNTERS)
+
     def test_every_counter_is_a_field(self):
         # The guarantee's precondition: all integer counters on the
         # class are dataclass fields (an attribute assigned only in

@@ -10,7 +10,7 @@ from repro.datasets import make_uniform
 from repro.errors import QueryError
 from repro.geometry import Box
 from repro.index import IndexStats
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 from repro.util import gather_ranges
 
 
@@ -62,7 +62,7 @@ class TestScan:
         ds = make_uniform(500, seed=1)
         scan = ScanIndex(ds.store)
         q = uniform_workload(ds.universe, 1, 1e-2, seed=2)[0]
-        hits = set(scan.query(q).tolist())
+        hits = set(scan.execute(q).ids.tolist())
         for row in range(ds.n):
             expected = ds.store.box_at(row).intersects(q.window)
             assert (ds.store.id_at(row) in hits) == expected
@@ -70,7 +70,7 @@ class TestScan:
     def test_tests_every_object(self):
         ds = make_uniform(321, seed=3)
         scan = ScanIndex(ds.store)
-        scan.query(uniform_workload(ds.universe, 1, 1e-2, seed=4)[0])
+        scan.execute(uniform_workload(ds.universe, 1, 1e-2, seed=4)[0])
         assert scan.stats.objects_tested == 321
 
     def test_query_counts_and_result_counter(self):
@@ -78,7 +78,7 @@ class TestScan:
         scan = ScanIndex(ds.store)
         total = 0
         for q in uniform_workload(ds.universe, 5, 0.05, seed=6):
-            total += scan.query(q).size
+            total += scan.execute(q).ids.size
         assert scan.stats.queries == 5
         assert scan.stats.results_returned == total
 
@@ -86,7 +86,7 @@ class TestScan:
         ds = make_uniform(10, seed=7)
         scan = ScanIndex(ds.store)
         with pytest.raises(QueryError):
-            scan.query(RangeQuery(Box.unit(2)))
+            scan.execute(Query(Box.unit(2)))
 
     def test_memory_is_zero(self):
         ds = make_uniform(10, seed=8)

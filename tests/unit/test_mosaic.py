@@ -10,7 +10,7 @@ from repro.baselines.scan import ScanIndex
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 class TestConfiguration:
@@ -35,7 +35,7 @@ class TestIncrementalSplitting:
         ds = make_uniform(1_000, seed=3)
         idx = MosaicIndex(ds.store, ds.universe)
         q = uniform_workload(ds.universe, 1, 1e-3, seed=4)[0]
-        idx.query(q)
+        idx.execute(q)
         assert idx.partition_count() == 8, "root splits into 2^3 children"
         assert idx.max_depth_reached() == 1
 
@@ -44,14 +44,14 @@ class TestIncrementalSplitting:
         idx = MosaicIndex(ds.store, ds.universe, capacity=10)
         q = uniform_workload(ds.universe, 1, 1e-4, seed=6)[0]
         for expected_depth in (1, 2, 3):
-            idx.query(q)
+            idx.execute(q)
             assert idx.max_depth_reached() == expected_depth
 
     def test_small_partitions_stop_splitting(self):
         ds = make_uniform(50, seed=7)
         idx = MosaicIndex(ds.store, ds.universe, capacity=60)
         q = uniform_workload(ds.universe, 1, 1e-2, seed=8)[0]
-        idx.query(q)
+        idx.execute(q)
         assert idx.partition_count() == 1, "root within capacity never splits"
 
     def test_max_depth_respected_with_duplicates(self):
@@ -59,9 +59,9 @@ class TestIncrementalSplitting:
         store = BoxStore(lo, lo + 0.1)
         universe = Box((0.0,) * 3, (10.0,) * 3)
         idx = MosaicIndex(store, universe, capacity=10, max_depth=4)
-        q = RangeQuery(Box((4.0,) * 3, (6.0,) * 3))
+        q = Query(Box((4.0,) * 3, (6.0,) * 3))
         for _ in range(10):
-            assert idx.query(q).size == 200
+            assert idx.execute(q).ids.size == 200
         assert idx.max_depth_reached() <= 4
 
     def test_repartitioning_cost_counted(self):
@@ -71,7 +71,7 @@ class TestIncrementalSplitting:
         idx = MosaicIndex(ds.store, ds.universe, capacity=10)
         q = uniform_workload(ds.universe, 1, 1e-4, seed=10)[0]
         for _ in range(5):
-            idx.query(q)
+            idx.execute(q)
         assert idx.stats.rows_reorganized > ds.n, (
             "top-down strategy re-partitions the same data repeatedly"
         )
@@ -83,7 +83,7 @@ class TestCorrectness:
         idx = MosaicIndex(ds.store, ds.universe, capacity=30)
         scan = ScanIndex(ds.store)
         for q in uniform_workload(ds.universe, 40, 1e-2, seed=12):
-            assert np.array_equal(np.sort(idx.query(q)), np.sort(scan.query(q)))
+            assert np.array_equal(np.sort(idx.execute(q).ids), np.sort(scan.execute(q).ids))
 
     def test_straddling_object_found(self):
         lo = np.array([[4.0, 4.0, 4.0]])
@@ -93,14 +93,14 @@ class TestCorrectness:
         idx = MosaicIndex(store, universe, capacity=0 + 1)
         # Query only one corner region after forcing splits.
         for _ in range(3):
-            hits = idx.query(RangeQuery(Box((5.5,) * 3, (5.9,) * 3)))
+            hits = idx.execute(Query(Box((5.5,) * 3, (5.9,) * 3))).ids
             assert hits.tolist() == [0]
 
     def test_rows_conserved_across_splits(self):
         ds = make_uniform(1_000, seed=13)
         idx = MosaicIndex(ds.store, ds.universe, capacity=5)
         for q in uniform_workload(ds.universe, 10, 1e-2, seed=14):
-            idx.query(q)
+            idx.execute(q)
         # Sum of leaf rows equals n and covers every row exactly once.
         rows = []
         stack = [idx._root]
@@ -117,5 +117,5 @@ class TestCorrectness:
         idx = MosaicIndex(ds.store, ds.universe, capacity=10)
         before = idx.memory_bytes()
         for q in uniform_workload(ds.universe, 5, 1e-2, seed=16):
-            idx.query(q)
+            idx.execute(q)
         assert idx.memory_bytes() > before

@@ -16,11 +16,11 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
-FULL = RangeQuery(Box((-1.0, -1.0), (101.0, 101.0)), seq=999)
+FULL = Query(Box((-1.0, -1.0), (101.0, 101.0)), seq=999)
 
 
 def _store(n: int = 40, seed: int = 0) -> BoxStore:
@@ -79,7 +79,7 @@ class TestMixinSurface:
                 ids=np.array([500]),  # still staged
             )
         assert idx.pending_updates() == 1 and idx.stats.inserts == 1
-        got = idx.query(FULL)  # the merge succeeds; nothing was lost
+        got = idx.execute(FULL).ids  # the merge succeeds; nothing was lost
         assert np.isin(ok, got).all()
         idx.validate_structure()
 
@@ -94,7 +94,7 @@ class TestMixinSurface:
         )
         fresh = idx.insert(*_batch(8, seed=7))  # auto-reserved ids
         assert not np.isin(explicit, fresh).any()
-        got = np.sort(idx.query(FULL))  # merge must succeed
+        got = np.sort(idx.execute(FULL).ids)  # merge must succeed
         assert np.isin(np.concatenate([explicit, fresh]), got).all()
         idx.validate_structure()
 
@@ -121,12 +121,12 @@ class TestMixinSurface:
             idx.build()
             lo, hi = _batch(5)
             new_ids = idx.insert(lo, hi)
-            got = np.sort(idx.query(FULL))
+            got = np.sort(idx.execute(FULL).ids)
             assert np.array_equal(got, _expected_live(idx)), idx.name
             assert np.isin(new_ids, got).all(), idx.name
             idx.delete(new_ids[:2])
             idx.delete(np.array([0]))
-            got = np.sort(idx.query(FULL))
+            got = np.sort(idx.execute(FULL).ids)
             assert np.array_equal(got, _expected_live(idx)), idx.name
             assert not np.isin([new_ids[0], new_ids[1], 0], got).any(), idx.name
 
@@ -146,20 +146,20 @@ class TestStartEmpty:
         ):
             idx = make(self._empty_store())
             idx.build()
-            assert idx.query(FULL).size == 0, idx.name
+            assert idx.execute(FULL).ids.size == 0, idx.name
             lo, hi = _batch(20, seed=6)
             ids = idx.insert(lo, hi)
-            got = np.sort(idx.query(FULL))
+            got = np.sort(idx.execute(FULL).ids)
             assert np.array_equal(got, np.sort(ids)), idx.name
             idx.delete(ids[:5])
-            got = np.sort(idx.query(FULL))
+            got = np.sort(idx.execute(FULL).ids)
             assert np.array_equal(got, np.sort(ids[5:])), idx.name
 
     def test_empty_quasii_forest_stays_valid(self):
         idx = QuasiiIndex(self._empty_store())
         idx.validate_structure()
         idx.insert(*_batch(10, seed=3))
-        idx.query(FULL)
+        idx.execute(FULL)
         idx.validate_structure()
 
     def test_nan_corners_rejected(self):
@@ -174,9 +174,9 @@ class TestStartEmpty:
             self._empty_store(), UNIVERSE, 5, assignment="replication"
         )
         grid.build()
-        assert grid.query(FULL).size == 0
+        assert grid.execute(FULL).ids.size == 0
         ids = grid.insert(*_batch(10, seed=9))
-        assert np.array_equal(np.sort(grid.query(FULL)), np.sort(ids))
+        assert np.array_equal(np.sort(grid.execute(FULL).ids), np.sort(ids))
 
     def test_rebuild_after_deleting_everything(self):
         store = _store(10)
@@ -184,7 +184,7 @@ class TestStartEmpty:
         grid.build()
         grid.delete(store.ids.copy())
         grid._merge_overflow()  # rebuild over zero live rows must not crash
-        assert grid.query(FULL).size == 0
+        assert grid.execute(FULL).ids.size == 0
 
 
 class TestEpochStalenessGuard:
@@ -194,10 +194,10 @@ class TestEpochStalenessGuard:
         store = _store()
         grid = UniformGridIndex(store, UNIVERSE, 5)
         grid.build()
-        grid.query(FULL)  # fine
+        grid.execute(FULL)  # fine
         store.append(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         with pytest.raises(QueryError, match="epoch"):
-            grid.query(FULL)
+            grid.execute(FULL)
         # Writes cannot silently "forgive" the out-of-band update either.
         with pytest.raises(QueryError, match="epoch"):
             grid.insert(np.array([[3.0, 3.0]]), np.array([[4.0, 4.0]]))
@@ -207,9 +207,9 @@ class TestEpochStalenessGuard:
     def test_updates_through_the_index_keep_the_epoch_in_sync(self):
         idx = QuasiiIndex(_store(), QuasiiConfig(2, (8, 4)))
         ids = idx.insert(*_batch(3))
-        idx.query(FULL)
+        idx.execute(FULL)
         idx.delete(ids)
-        assert np.sort(idx.query(FULL)).size == 40
+        assert np.sort(idx.execute(FULL).ids).size == 40
 
 
 class TestGridOverflow:
@@ -227,7 +227,7 @@ class TestGridOverflow:
         assert grid.stats.merges == 1
         # The comparison-model cost accumulates across compactions.
         assert grid.build_work > initial_work
-        assert np.array_equal(np.sort(grid.query(FULL)), _expected_live(grid))
+        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
 
     def test_insert_before_build_is_swept_up_by_build(self):
         grid = UniformGridIndex(_store(), UNIVERSE, 5)
@@ -235,7 +235,7 @@ class TestGridOverflow:
         grid.insert(lo, hi)
         assert grid.pending_updates() == 0  # no overflow pre-build
         grid.build()
-        assert np.array_equal(np.sort(grid.query(FULL)), _expected_live(grid))
+        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
 
     def test_replication_assignment_insert_path(self):
         grid = UniformGridIndex(_store(), UNIVERSE, 5, assignment="replication")
@@ -243,9 +243,9 @@ class TestGridOverflow:
         # A box spanning many cells exercises the replicated overflow.
         grid.insert(np.array([[5.0, 5.0]]), np.array([[80.0, 80.0]]))
         assert grid.pending_updates() > 1  # one entry per overlapped cell
-        assert np.array_equal(np.sort(grid.query(FULL)), _expected_live(grid))
-        window = RangeQuery(Box((30.0, 30.0), (40.0, 40.0)), seq=1)
-        assert 40 in grid.query(window)  # the big box is id 40
+        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
+        window = Query(Box((30.0, 30.0), (40.0, 40.0)), seq=1)
+        assert 40 in grid.execute(window).ids  # the big box is id 40
 
     def test_compaction_sheds_dead_entries_under_churn(self):
         grid = UniformGridIndex(_store(), UNIVERSE, 5, merge_threshold=10)
@@ -257,7 +257,7 @@ class TestGridOverflow:
         # The CSR holds only live entries after a compaction: inserts that
         # were deleted again do not accumulate forever.
         assert grid._sorted_rows.size <= grid.store.n - grid.store.n_dead + grid.pending_updates()
-        assert np.array_equal(np.sort(grid.query(FULL)), _expected_live(grid))
+        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
 
     def test_merge_threshold_validated(self):
         with pytest.raises(ConfigurationError, match="merge_threshold"):
@@ -272,7 +272,7 @@ class TestRTreeInserts:
         lo, hi = _batch(30, seed=4)
         rtree.insert(lo, hi)
         assert rtree.root.count_nodes() > nodes_before  # splits happened
-        assert np.array_equal(np.sort(rtree.query(FULL)), _expected_live(rtree))
+        assert np.array_equal(np.sort(rtree.execute(FULL).ids), _expected_live(rtree))
 
     def test_tree_stays_balanced_under_inserts(self):
         rtree = RTreeIndex(_store(), capacity=4)
@@ -298,7 +298,7 @@ class TestRTreeInserts:
         rtree = RTreeIndex(_store(), capacity=8)
         rtree.build()
         rtree.delete(np.arange(10))
-        got = np.sort(rtree.query(FULL))
+        got = np.sort(rtree.execute(FULL).ids)
         assert np.array_equal(got, np.arange(10, 40))
 
 
@@ -310,7 +310,7 @@ class TestQuasiiLazyMerge:
         assert idx.pending_updates() == 5
         assert idx.stats.merges == 0
         assert idx.store.n == 40  # rows not yet in the store
-        got = np.sort(idx.query(FULL))
+        got = np.sort(idx.execute(FULL).ids)
         assert idx.pending_updates() == 0
         assert idx.store.n == 45
         assert idx.stats.merges == 1
@@ -328,7 +328,7 @@ class TestQuasiiLazyMerge:
             idx.delete(np.concatenate([staged, np.array([999_999])]))
         assert idx.pending_updates() == 2  # nothing was discarded
         assert idx.stats.deletes == 0
-        got = np.sort(idx.query(FULL))
+        got = np.sort(idx.execute(FULL).ids)
         assert np.isin(staged, got).all()
 
     def test_buffered_delete_never_reaches_the_store(self):
@@ -337,14 +337,14 @@ class TestQuasiiLazyMerge:
         assert idx.delete(ids) == 3
         assert idx.pending_updates() == 0
         assert idx.store.n == 40 and idx.store.n_dead == 0
-        assert np.array_equal(np.sort(idx.query(FULL)), np.arange(40))
+        assert np.array_equal(np.sort(idx.execute(FULL).ids), np.arange(40))
 
     def test_consecutive_batches_coalesce_into_one_run(self):
         idx = QuasiiIndex(_store(), QuasiiConfig(2, (8, 4)))
         idx.insert(*_batch(3, seed=1))
-        idx.query(FULL)
+        idx.execute(FULL)
         idx.insert(*_batch(3, seed=2))
-        idx.query(FULL)
+        idx.execute(FULL)
         # FULL touches (and may crack) the run; runs stay bounded.
         assert idx.runs <= 3
         idx.validate_structure()
@@ -357,10 +357,10 @@ class TestQuasiiLazyMerge:
             idx.insert(*_batch(4, seed=100 + i))
             qlo = rng.uniform(0, 80, size=2)
             window = Box(tuple(qlo), tuple(qlo + 15.0))
-            idx.query(RangeQuery(window, seq=i))
+            idx.execute(Query(window, seq=i))
             assert idx.runs <= 3  # main + max_runs
             idx.validate_structure()
-        assert np.array_equal(np.sort(idx.query(FULL)), _expected_live(idx))
+        assert np.array_equal(np.sort(idx.execute(FULL).ids), _expected_live(idx))
 
     def test_max_runs_validated(self):
         with pytest.raises(ConfigurationError, match="max_runs"):
@@ -374,9 +374,9 @@ class TestQuasiiLazyMerge:
 
     def test_format_structure_shows_runs_and_buffer(self):
         idx = QuasiiIndex(_store(), QuasiiConfig(2, (8, 4)))
-        idx.query(FULL)  # crack the main hierarchy
+        idx.execute(FULL)  # crack the main hierarchy
         idx.insert(*_batch(3))
         text = idx.format_structure()
         assert "update buffer: 3 pending rows" in text
-        idx.query(FULL)
+        idx.execute(FULL)
         assert "appended run" in idx.format_structure()

@@ -390,7 +390,7 @@ class TestProcessBackend:
     def test_sigkilled_worker_respawns_and_batch_completes(self, dataset):
         queries = uniform_workload(dataset.universe, 15, 1e-3, seed=4)
         scan = ScanIndex(dataset.store.copy())
-        expected = [np.sort(scan.query(q)) for q in queries]
+        expected = [np.sort(scan.execute(q).ids) for q in queries]
         engine = self._engine(dataset)
         events = EventLog()
         with QueryExecutor(

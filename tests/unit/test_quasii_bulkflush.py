@@ -10,7 +10,7 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 
 
 def _store(n=20, seed=0, ndim=2):
@@ -25,7 +25,7 @@ def _batch(k, seed=1, ndim=2):
     return lo, lo + rng.uniform(0, 4, size=(k, ndim))
 
 
-FULL = RangeQuery(Box((-10.0, -10.0), (120.0, 120.0)), seq=0)
+FULL = Query(Box((-10.0, -10.0), (120.0, 120.0)), seq=0)
 CONFIG = QuasiiConfig(2, (8, 4))
 
 
@@ -44,21 +44,21 @@ class TestBulkFlush:
         lo, hi = _batch(40)
         index.insert(lo, hi)
         scan.insert(lo, hi)
-        assert np.array_equal(np.sort(index.query(FULL)), np.sort(scan.query(FULL)))
+        assert np.array_equal(np.sort(index.execute(FULL).ids), np.sort(scan.execute(FULL).ids))
         index.validate_structure()
         # The merged run arrives refined: a follow-up query into the
         # appended region does no further cracking.
         cracks_before = index.stats.cracks
-        probe = RangeQuery(Box((20.0, 20.0), (60.0, 60.0)), seq=1)
-        expect = np.sort(scan.query(probe))
-        assert np.array_equal(np.sort(index.query(probe)), expect)
+        probe = Query(Box((20.0, 20.0), (60.0, 60.0)), seq=1)
+        expect = np.sort(scan.execute(probe).ids)
+        assert np.array_equal(np.sort(index.execute(probe).ids), expect)
         assert index.stats.cracks == cracks_before
 
     def test_bulk_run_slices_honor_thresholds(self):
         index = QuasiiIndex(_store(), CONFIG, bulk_flush_threshold=10)
         lo, hi = _batch(60)
         index.insert(lo, hi)
-        index.query(FULL)
+        index.execute(FULL)
         index.validate_structure()
         # Every slice of the bulk-loaded run is final (exact MBB, at or
         # below its level threshold) — the converged shape, eagerly.
@@ -75,7 +75,7 @@ class TestBulkFlush:
         lo, hi = _batch(5)
         index.insert(lo, hi)
         moved_before = index.stats.rows_reorganized
-        index.query(FULL)
+        index.execute(FULL)
         index.validate_structure()
         # The merge itself moved nothing (coarse run); only the query's
         # own cracking reorganized rows.
@@ -89,7 +89,7 @@ class TestBulkFlush:
         hi = lo + 1.0
         index.insert(lo, hi)
         scan.insert(lo, hi)
-        assert np.array_equal(np.sort(index.query(FULL)), np.sort(scan.query(FULL)))
+        assert np.array_equal(np.sort(index.execute(FULL).ids), np.sort(scan.execute(FULL).ids))
         index.validate_structure()
 
     def test_buffered_batches_bulk_load_as_one_appended_run(self):
@@ -102,7 +102,7 @@ class TestBulkFlush:
             lo, hi = _batch(k, seed=seed)
             index.insert(lo, hi)
             scan.insert(lo, hi)
-        assert np.array_equal(np.sort(index.query(FULL)), np.sort(scan.query(FULL)))
+        assert np.array_equal(np.sort(index.execute(FULL).ids), np.sort(scan.execute(FULL).ids))
         index.validate_structure()
         assert index.runs == 2  # main hierarchy + one bulk-loaded run
         assert index._tops[0].end[-1] == 4  # initial rows left alone
@@ -115,7 +115,7 @@ class TestBulkFlush:
         lo, hi = _batch(12, seed=12)
         index.insert(lo, hi)
         moved_before = index.stats.rows_reorganized
-        index.query(RangeQuery(Box((200.0, 200.0), (201.0, 201.0)), seq=0))
+        index.execute(Query(Box((200.0, 200.0), (201.0, 201.0)), seq=0))
         # The merge only reorganized the appended run (2 levels x 12 rows),
         # not the 40 initial rows.
         assert index.runs == 2
@@ -132,7 +132,7 @@ class TestBulkFlush:
         lo, hi = _batch(30, seed=13)
         index.insert(lo, hi)
         scan.insert(lo, hi)
-        assert np.array_equal(np.sort(index.query(FULL)), np.sort(scan.query(FULL)))
+        assert np.array_equal(np.sort(index.execute(FULL).ids), np.sort(scan.execute(FULL).ids))
         index.validate_structure()
         assert index.runs == 1  # the ingest run is the whole forest
 
@@ -152,7 +152,7 @@ class TestBulkFlush:
                 scan.delete(victims)
             qlo = rng.uniform(-5, 100, size=2)
             window = Box(tuple(qlo), tuple(qlo + rng.uniform(5, 60, size=2)))
-            q = RangeQuery(window, seq=t + 1)
-            assert np.array_equal(np.sort(index.query(q)), np.sort(scan.query(q)))
+            q = Query(window, seq=t + 1)
+            assert np.array_equal(np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids))
             index.validate_structure()
         assert index.stats.merges > 0

@@ -11,7 +11,7 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore, make_neuro_like, make_uniform
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 class TestArtificialSplit:
@@ -27,7 +27,7 @@ class TestArtificialSplit:
         scan = ScanIndex(ds.store.copy())
         for q in uniform_workload(ds.universe, 20, 1e-2, seed=42):
             assert np.array_equal(
-                np.sort(index.query(q)), np.sort(scan.query(q))
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
             )
         index.validate_structure()
 
@@ -41,10 +41,10 @@ class TestArtificialSplit:
         store_mid = BoxStore(lo, lo + 0.01)
         store_med = BoxStore(lo.copy(), lo.copy() + 0.01)
         config = QuasiiConfig(2, (64, 32))
-        covering = RangeQuery(Box((-1.0, -1.0), (1000.0, 2.0)))
+        covering = Query(Box((-1.0, -1.0), (1000.0, 2.0)))
 
         def top_sizes(index):
-            index.query(covering)
+            index.execute(covering)
             return [s.size for s in index._top]
 
         mid_sizes = top_sizes(QuasiiIndex(store_mid, config))
@@ -58,7 +58,7 @@ class TestArtificialSplit:
         lo[150:, 0] = np.linspace(0, 10, 50)
         store = BoxStore(lo, lo + 0.1)
         index = QuasiiIndex(store, QuasiiConfig(2, (16, 8)), artificial_split="median")
-        hits = index.query(RangeQuery(Box((-1.0, -1.0), (11.0, 1.0))))
+        hits = index.execute(Query(Box((-1.0, -1.0), (11.0, 1.0)))).ids
         assert hits.size == 200
         index.validate_structure()
 
@@ -76,7 +76,7 @@ class TestFormatStructure:
     def test_after_query_shows_levels(self):
         ds = make_uniform(2_000, seed=45)
         index = QuasiiIndex(ds.store.copy(), tau=30)
-        index.query(uniform_workload(ds.universe, 1, 1e-2, seed=46)[0])
+        index.execute(uniform_workload(ds.universe, 1, 1e-2, seed=46)[0])
         text = index.format_structure()
         assert "x-slice" in text
         assert "y-slice" in text
@@ -86,6 +86,6 @@ class TestFormatStructure:
         ds = make_uniform(5_000, seed=47)
         index = QuasiiIndex(ds.store.copy(), tau=10)
         for q in uniform_workload(ds.universe, 20, 1e-2, seed=48):
-            index.query(q)
+            index.execute(q)
         text = index.format_structure(max_slices_per_level=2)
         assert "... " in text

@@ -39,7 +39,7 @@ class TestRepresentativeCorrectness:
         scan = ScanIndex(ds.store.copy())
         for q in uniform_workload(ds.universe, 25, 1e-2, seed=32):
             assert np.array_equal(
-                np.sort(index.query(q)), np.sort(scan.query(q))
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
             ), f"representative={rep} diverged from scan"
         index.validate_structure()
 
@@ -49,7 +49,7 @@ class TestRepresentativeCorrectness:
         scan = ScanIndex(ds.store.copy())
         for q in clustered_workload(ds.universe, 2, 15, 1e-3, seed=34):
             assert np.array_equal(
-                np.sort(index.query(q)), np.sort(scan.query(q))
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
             )
         index.validate_structure()
 
@@ -66,16 +66,16 @@ class TestRepresentativeCorrectness:
         scan = ScanIndex(store.copy())
         index = QuasiiIndex(store, representative=rep, tau=1)
         from repro.geometry import Box
-        from repro.queries import RangeQuery
+        from repro.queries import Query
 
         for window in (
             Box((4.5, 0.0), (5.5, 1.0)),
             Box((0.0, 0.0), (0.5, 1.0)),
             Box((9.6, 0.0), (9.9, 1.0)),
         ):
-            q = RangeQuery(window)
+            q = Query(window)
             assert np.array_equal(
-                np.sort(index.query(q)), np.sort(scan.query(q))
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
             ), f"representative={rep} window={window}"
 
 
@@ -89,7 +89,7 @@ class TestAllRepresentativesAgree:
         queries = uniform_workload(ds.universe, 20, 1e-2, seed=36)
         for q in queries:
             answers = {
-                rep: np.sort(idx.query(q)) for rep, idx in indexes.items()
+                rep: np.sort(idx.execute(q).ids) for rep, idx in indexes.items()
             }
             assert np.array_equal(answers["lower"], answers["center"])
             assert np.array_equal(answers["lower"], answers["upper"])

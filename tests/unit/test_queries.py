@@ -1,4 +1,4 @@
-"""Unit tests for RangeQuery and the workload generators."""
+"""Unit tests for the window query spec and the workload generators."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
 from repro.queries import (
-    RangeQuery,
+    Query,
     clustered_workload,
     selectivity_sweep,
     side_for_volume_fraction,
@@ -16,39 +16,17 @@ from repro.queries import (
 )
 
 
-class TestRangeQuery:
+class TestWindowQuery:
     def test_fields(self):
-        q = RangeQuery(Box((0.0, 0.0), (1.0, 2.0)), seq=3)
+        q = Query(Box((0.0, 0.0), (1.0, 2.0)), seq=3)
         assert q.seq == 3
         assert q.ndim == 2
-        assert q.volume == 2.0
         assert np.array_equal(q.lo, [0.0, 0.0])
         assert np.array_equal(q.hi, [1.0, 2.0])
 
     def test_negative_seq_rejected(self):
         with pytest.raises(QueryError):
-            RangeQuery(Box.unit(2), seq=-1)
-
-    def test_volume_fraction(self):
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        q = RangeQuery(Box((0.0, 0.0), (1.0, 1.0)))
-        assert q.volume_fraction(universe) == pytest.approx(0.01)
-
-    def test_volume_fraction_degenerate_window_is_zero(self):
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        point = RangeQuery(Box((3.0, 4.0), (3.0, 4.0)))
-        assert point.volume_fraction(universe) == 0.0
-        line = RangeQuery(Box((0.0, 0.0), (5.0, 0.0)))
-        assert line.volume_fraction(universe) == 0.0
-
-    def test_volume_fraction_degenerate_universe_projects(self):
-        # A line universe embedded in 2-d: the ratio is measured over the
-        # universe's positive-extent dimensions only.
-        degenerate = Box((0.0, 0.0), (0.0, 10.0))
-        q = RangeQuery(Box.unit(2))
-        assert q.volume_fraction(degenerate) == pytest.approx(0.1)
-        # A point universe: every clipped window covers all of it.
-        assert q.volume_fraction(Box((0.0, 0.0), (0.0, 0.0))) == 1.0
+            Query(Box.unit(2), seq=-1)
 
 
 class TestSideForVolumeFraction:
@@ -87,7 +65,7 @@ class TestUniformWorkload:
     def test_volume_close_to_requested(self):
         universe = Box((0.0,) * 3, (1000.0,) * 3)
         qs = uniform_workload(universe, 100, 1e-3, seed=3)
-        fracs = [q.volume_fraction(universe) for q in qs]
+        fracs = [q.window.volume / universe.volume for q in qs]
         # Boundary clipping can shrink some windows, never grow them.
         assert max(fracs) <= 1e-3 + 1e-12
         assert np.median(fracs) == pytest.approx(1e-3, rel=0.05)

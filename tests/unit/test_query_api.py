@@ -1,8 +1,8 @@
 """Unit tests for the first-class query API.
 
 Query spec validation, execute/execute_batch/plan on every index,
-result-mode payloads, the legacy-wrapper equivalence pin, and degenerate
-(point/line) windows through every index.
+result-mode payloads, the gate's refusal of anything that is not a
+``Query``, and degenerate (point/line) windows through every index.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ from repro.queries import (
     PREDICATES,
     RESULT_MODES,
     Query,
-    QueryResult,
-    RangeQuery,
-    as_query,
 )
-from repro.sharding import ShardedIndex
+from repro.sharding import MaintenancePolicy, QueryExecutor, ShardedIndex
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 
@@ -101,19 +98,6 @@ class TestQuerySpec:
     def test_negative_seq_rejected(self):
         with pytest.raises(QueryError):
             Query(WINDOWS[0], seq=-1)
-
-    def test_as_query_upgrades_range_query(self):
-        rq = RangeQuery(WINDOWS[0], seq=4)
-        q = as_query(rq)
-        assert isinstance(q, Query)
-        assert q.window == rq.window and q.seq == 4
-        assert as_query(q) is q
-        with pytest.raises(QueryError):
-            as_query("not a query")
-
-    def test_round_trip_to_range(self):
-        q = Query(WINDOWS[0], seq=2)
-        assert q.as_range() == RangeQuery(WINDOWS[0], seq=2)
 
 
 def _oracle_match_mask(store: BoxStore, query: Query) -> np.ndarray:
@@ -285,24 +269,62 @@ class TestPlan:
         assert 0 <= tiny.shards <= 3
 
 
-class TestLegacyWrapper:
-    def test_query_and_execute_return_identical_id_sets(self):
-        # The deprecation-hygiene pin: query(RangeQuery) is documented
-        # as legacy and must stay a faithful wrapper over execute().
-        store = _store()
-        for index in _all_indexes(store):
-            for i, window in enumerate(WINDOWS):
-                via_legacy = np.sort(index.query(RangeQuery(window, seq=i)))
-                via_execute = np.sort(
-                    index.execute(Query(window, seq=i)).ids
-                )
-                assert np.array_equal(via_legacy, via_execute), index.name
+class _WindowOnly:
+    """Quacks like a query (window, corners, seq) without being one."""
 
-    def test_execute_accepts_range_query(self):
+    def __init__(self, window: Box) -> None:
+        self.window = window
+        self.lo = np.asarray(window.lo)
+        self.hi = np.asarray(window.hi)
+        self.ndim = window.ndim
+        self.seq = 0
+
+
+STALE = [WINDOWS[0], "not a query", _WindowOnly(WINDOWS[0])]
+
+
+class TestGateRefusesNonQuery:
+    @pytest.mark.parametrize("stale", STALE, ids=lambda s: type(s).__name__)
+    def test_every_read_verb_names_the_offending_type(self, stale):
+        refusal = f"expected a Query, got {type(stale).__name__}"
+        for index in _all_indexes(_store()):
+            before = index.stats.as_dict()
+            with pytest.raises(QueryError, match=refusal):
+                index.execute(stale)
+            with pytest.raises(QueryError, match=refusal):
+                index.plan(stale)
+            # One stale element refuses the whole batch, valid head included.
+            with pytest.raises(QueryError, match=refusal):
+                index.execute_batch([Query(WINDOWS[0]), stale])
+            assert index.stats.as_dict() == before, index.name
+
+    def test_refusal_precedes_the_epoch_check(self):
         index = ScanIndex(_store())
-        res = index.execute(RangeQuery(WINDOWS[0]))
-        assert isinstance(res, QueryResult)
-        assert res.query.predicate == "intersects"
+        index.store.delete_ids(index.store.ids[:1])  # behind its back
+        with pytest.raises(QueryError, match="expected a Query, got str"):
+            index.execute("not a query")
+        with pytest.raises(QueryError, match="epoch"):
+            index.execute(Query(WINDOWS[0]))
+
+    @pytest.mark.parametrize("stale", STALE, ids=lambda s: type(s).__name__)
+    def test_executor_refuses_before_routing_or_maintenance(self, stale):
+        engine = ShardedIndex(_store(), n_shards=3)
+        engine.build()
+        with QueryExecutor(
+            engine, maintenance=MaintenancePolicy(check_every=1)
+        ) as executor:
+            before = engine.stats.as_dict()
+            with pytest.raises(
+                QueryError,
+                match=f"expected a Query, got {type(stale).__name__}",
+            ):
+                executor.run([Query(WINDOWS[0]), stale])
+            assert engine.stats.as_dict() == before
+            assert engine.profile.queries_seen == 0
+            assert executor.scheduler.report.checks == 0
+            # The door still opens for the real thing.
+            out = executor.run([Query(WINDOWS[0])])
+            assert len(out.results) == 1
 
 
 class TestDegenerateWindows:
@@ -310,11 +332,11 @@ class TestDegenerateWindows:
         store = _store()
         scan = ScanIndex(store.copy())
         for window in WINDOWS[3:]:  # the degenerate point and line
-            rq = RangeQuery(window)
-            assert rq.volume == 0.0
-            expect = np.sort(scan.query(rq))
+            query = Query(window)
+            assert window.volume == 0.0
+            expect = np.sort(scan.execute(query).ids)
             for index in _all_indexes(store):
-                got = np.sort(index.query(rq))
+                got = np.sort(index.execute(query).ids)
                 assert np.array_equal(got, expect), (
                     f"{index.name} on degenerate window {window}"
                 )
@@ -323,7 +345,7 @@ class TestDegenerateWindows:
         lo = np.array([[0.0, 0.0], [50.0, 50.0]])
         hi = np.array([[10.0, 10.0], [60.0, 60.0]])
         index = ScanIndex(BoxStore(lo, hi))
-        hits = index.query(RangeQuery(Box((5.0, 5.0), (5.0, 5.0))))
+        hits = index.execute(Query(Box((5.0, 5.0), (5.0, 5.0)))).ids
         assert hits.tolist() == [0]
 
     def test_modes_line_up(self):

@@ -18,7 +18,7 @@ from repro.core import QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import RangeQuery, drifting_hotspot_workload, uniform_workload
+from repro.queries import Query, drifting_hotspot_workload, uniform_workload
 from repro.sharding import (
     MaintenancePolicy,
     MaintenanceScheduler,
@@ -32,7 +32,7 @@ from repro.updates import run_mixed_workload
 
 def _query_at(center, side=4.0, seq=0):
     center = np.asarray(center, dtype=np.float64)
-    return RangeQuery(
+    return Query(
         Box(tuple(center - side / 2), tuple(center + side / 2)), seq=seq
     )
 
@@ -76,7 +76,7 @@ class TestWorkloadProfile:
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()
         for i in range(4):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         loads = engine.profile.shard_loads(engine.shards)
         assert sum(l.queries for l in loads) == 4
         engine.profile.rebaseline(engine.shards)
@@ -89,14 +89,14 @@ class TestWorkloadProfile:
         engine.build()
         assert engine.profile.query_skew(engine.shards) == 1.0
         for i in range(10):
-            engine.query(_query_at([5.0, 5.0], seq=i))  # one corner shard
+            engine.execute(_query_at([5.0, 5.0], seq=i))  # one corner shard
         assert engine.profile.query_skew(engine.shards) > 2.0
 
     def test_shard_load_derived_properties(self):
         engine = ShardedIndex(_grid_store(), n_shards=1)
         engine.build()
         for i in range(3):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         (load,) = engine.profile.shard_loads(engine.shards)
         assert load.objects_tested >= load.results > 0
         assert load.wasted_rows == load.objects_tested - load.results
@@ -131,7 +131,7 @@ class TestRebalancer:
         engine.build()
         rb = Rebalancer(min_queries=1)
         for i in range(5):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         assert rb.drift_reason(engine) is None
         assert rb.rebalance(engine) is None
 
@@ -139,7 +139,7 @@ class TestRebalancer:
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()
         for i in range(4):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         # Skewed ingestion: pile rows into one corner.
         centers = np.random.default_rng(0).uniform(0, 20, size=(160, 2))
         engine.insert(centers - 0.5, centers + 0.5)
@@ -157,7 +157,7 @@ class TestRebalancer:
         engine = ShardedIndex(_grid_store(), n_shards=4)
         engine.build()
         for i in range(20):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         rb = Rebalancer(max_balance=1e9, max_query_skew=1.5, min_queries=10)
         assert rb.drift_reason(engine) == "skew"
         result = rb.maybe_rebalance(engine)
@@ -171,13 +171,13 @@ class TestRebalancer:
         scan = ScanIndex(ds.store.copy())
         queries = uniform_workload(ds.universe, 30, 1e-3, seed=4)
         for q in queries[:15]:
-            engine.query(q)
+            engine.execute(q)
         mirror_fp = engine.store.fingerprint()
         result = Rebalancer(min_queries=1).rebalance(engine)
         assert result is not None
         assert engine.store.fingerprint() == mirror_fp
         for q in queries[15:]:
-            assert np.array_equal(np.sort(engine.query(q)), np.sort(scan.query(q)))
+            assert np.array_equal(np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids))
 
     def test_routing_mbbs_rederived_after_migration(self):
         """The satellite bugfix: post-pass insert routing must see MBBs
@@ -185,7 +185,7 @@ class TestRebalancer:
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()
         for i in range(6):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         Rebalancer(min_queries=1).rebalance(engine)
         stack_lo, stack_hi = engine._mbb_stacks()
         for shard in engine.shards:
@@ -207,7 +207,7 @@ class TestRebalancer:
         engine = ShardedIndex(_grid_store(20), n_shards=2)
         engine.build()
         for i in range(10):
-            engine.query(_query_at([10.0, 10.0], seq=i))
+            engine.execute(_query_at([10.0, 10.0], seq=i))
         warm = Rebalancer(min_queries=1, warmup=8)
         warm.rebalance(engine)
         # The replay's cracking shows up in the fleet work roll-up.
@@ -218,7 +218,7 @@ class TestRebalancer:
         engine.build()
         # Queries clustered around x ~ 30, spread along dim 0.
         for i, x in enumerate((10.0, 20.0, 30.0, 40.0, 50.0, 60.0)):
-            engine.query(_query_at([x, 50.0], seq=i))
+            engine.execute(_query_at([x, 50.0], seq=i))
         result = Rebalancer(min_queries=1, min_centroids=3).rebalance(engine)
         assert result.split_dim == 0
         assert 10.0 <= result.split_cut <= 60.0
@@ -261,7 +261,7 @@ class TestEngineMigrationVerbs:
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()
         for i in range(5):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         tested_before = engine.stats.objects_tested
         shard = engine.shards[0]
         rows = shard.store.live_rows()
@@ -354,7 +354,7 @@ class TestMaintenance:
             ),
         )
         for i in range(4):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         centers = np.random.default_rng(0).uniform(0, 20, size=(160, 2))
         engine.insert(centers - 0.5, centers + 0.5)
         assert sched.after_ops(1)
@@ -372,7 +372,7 @@ class TestMaintenance:
             ),
         )
         for i in range(4):
-            engine.query(_query_at([5.0, 5.0], seq=i))
+            engine.execute(_query_at([5.0, 5.0], seq=i))
         sched.run()
         assert sched.report.rebalances == 0
 

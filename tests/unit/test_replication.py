@@ -20,7 +20,7 @@ from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError, ReplicationError, ReproError
 from repro.geometry import Box
-from repro.queries import RangeQuery
+from repro.queries import Query
 from repro.sharding import (
     MaintenancePolicy,
     MaintenanceScheduler,
@@ -40,11 +40,11 @@ def _small_quasii(store: BoxStore) -> QuasiiIndex:
     return QuasiiIndex(store, QuasiiConfig(2, (8, 4)), max_runs=2)
 
 
-def _window(lo, hi, seq=0) -> RangeQuery:
-    return RangeQuery(Box(tuple(lo), tuple(hi)), seq=seq)
+def _window(lo, hi, seq=0) -> Query:
+    return Query(Box(tuple(lo), tuple(hi)), seq=seq)
 
 
-def _full(seq=9999) -> RangeQuery:
+def _full(seq=9999) -> Query:
     return _window((-1.0, -1.0), (100.0, 100.0), seq=seq)
 
 
@@ -86,7 +86,7 @@ class TestBuild:
         )
         q = _window((0.0, 0.0), (8.0, 8.0))
         assert np.array_equal(
-            np.sort(engine.query(q)), np.sort(scan.query(q))
+            np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids)
         )
 
 
@@ -106,7 +106,7 @@ class TestDegenerateR1:
         engine = _replicated(n_shards=2)
         assert engine.kill_replica(0, 0)
         with pytest.raises(ReplicationError, match="all 1 replicas are dead"):
-            engine.query(_full())
+            engine.execute(_full())
         rows_before = engine.store.n
         with pytest.raises(ReplicationError, match="its only replica is dead"):
             engine.insert(np.array([[1.2, 1.2]]), np.array([[2.0, 2.0]]))
@@ -127,7 +127,7 @@ class TestLifetime:
         # event sink): a cycle keeps every store of a dropped engine
         # alive until the collector runs — +200 MB per 1M-row engine.
         engine = _replicated(n_shards=2, replication=2, events=EventLog())
-        engine.query(_full())
+        engine.execute(_full())
         ref = weakref.ref(engine)
         gc.disable()
         try:
@@ -184,7 +184,7 @@ class TestRouting:
         engine.kill_replica(0, 1)
         frozen = rs.replicas[1].reads_served
         for i in range(6):
-            engine.query(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
         assert rs.replicas[1].reads_served == frozen
         assert rs.replicas[0].reads_served >= 6
 
@@ -211,7 +211,7 @@ class TestFailover:
         for i in range(4):
             q = _window((i * 2.0, 0.0), (i * 2.0 + 9.0, 16.0), seq=i)
             assert np.array_equal(
-                np.sort(engine.query(q)), np.sort(scan.query(q))
+                np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids)
             )
 
     def test_double_kill_raises_clean_error_not_hang(self):
@@ -222,7 +222,7 @@ class TestFailover:
         with pytest.raises(
             ReplicationError, match="all 2 replicas are dead"
         ):
-            engine.query(_full())
+            engine.execute(_full())
         # Recovery restores service completely.
         assert engine.recover_all() == 2
         assert engine.dead_replicas() == []
@@ -230,7 +230,7 @@ class TestFailover:
             BoxStore(engine.store.lo.copy(), engine.store.hi.copy())
         )
         assert np.array_equal(
-            np.sort(engine.query(_full())), np.sort(scan.query(_full()))
+            np.sort(engine.execute(_full()).ids), np.sort(scan.execute(_full()).ids)
         )
 
     def test_kill_is_idempotent(self):
@@ -331,12 +331,12 @@ class TestRebalancerGate:
         )
         plain.build()
         for q in corner:
-            plain.query(q)
+            plain.execute(q)
         assert rebalancer.drift_reason(plain) == "skew"
 
         replicated = _replicated(n_shards=2, replication=2)
         for q in corner:
-            replicated.query(q)
+            replicated.execute(q)
         assert rebalancer.drift_reason(replicated) is None
 
 
@@ -373,16 +373,16 @@ class TestTelemetry:
     def test_work_counters_stay_consistent_through_recovery(self):
         engine = _replicated(n_shards=2, replication=2)
         for i in range(4):
-            engine.query(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
         before = engine.stats.objects_tested
         engine.kill_replica(0, 0)
         for i in range(4, 8):
-            engine.query(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
         engine.recover_replica(0, 0)
         # The recalibration around recovery must keep the engine's
         # cumulative counters monotone (no negative deltas).
         engine.sync_shard_work()
         assert engine.stats.objects_tested >= before
         for i in range(8, 12):
-            engine.query(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
         assert engine.stats.objects_tested >= before

@@ -16,7 +16,7 @@ from repro.baselines.rtree import (
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 class TestStrPack:
@@ -123,7 +123,7 @@ class TestRTreeIndex:
         ds = make_uniform(100, seed=10)
         idx = RTreeIndex(ds.store)
         with pytest.raises(QueryError):
-            idx.query(RangeQuery(Box.unit(3)))
+            idx.execute(Query(Box.unit(3)))
 
     def test_build_idempotent(self):
         ds = make_uniform(100, seed=10)
@@ -148,7 +148,7 @@ class TestRTreeIndex:
         idx = RTreeIndex(ds.store)
         idx.build()
         q = uniform_workload(ds.universe, 1, 1e-2, seed=12)[0]
-        idx.query(q)
+        idx.execute(q)
         assert 0 < idx.stats.objects_tested <= 1_000
         assert idx.stats.nodes_visited >= 1
 
@@ -193,7 +193,7 @@ class TestGuttman:
         a.build()
         b.build()
         for q in uniform_workload(ds.universe, 20, 1e-2, seed=16):
-            assert np.array_equal(np.sort(a.query(q)), np.sort(b.query(q)))
+            assert np.array_equal(np.sort(a.execute(q).ids), np.sort(b.execute(q).ids))
 
     def test_str_builds_faster_than_guttman(self):
         # The paper's stated reason for bulk loading: it "decreases
@@ -237,8 +237,8 @@ class TestDeleteCondensing:
         index.build()
         index.delete(np.array([0]))
         before = index.stats.objects_tested
-        dead = RangeQuery(Box((880.0, 880.0), (950.0, 950.0)), seq=0)
-        assert index.query(dead).size == 0
+        dead = Query(Box((880.0, 880.0), (950.0, 950.0)), seq=0)
+        assert index.execute(dead).ids.size == 0
         assert index.stats.objects_tested == before
 
     def test_leaves_drop_dead_rows(self):
@@ -285,11 +285,11 @@ class TestDeleteCondensing:
         index.delete(store.ids[store.live_rows()])
         assert index.root is None
         assert index.height() == 0
-        full = RangeQuery(Box((-10.0, -10.0), (1000.0, 1000.0)), seq=0)
-        assert index.query(full).size == 0
+        full = Query(Box((-10.0, -10.0), (1000.0, 1000.0)), seq=0)
+        assert index.execute(full).ids.size == 0
         # The tree restarts from scratch on the next insert.
         new = index.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
-        assert np.array_equal(np.sort(index.query(full)), np.sort(new))
+        assert np.array_equal(np.sort(index.execute(full).ids), np.sort(new))
 
     def test_guttman_inserted_rows_condense_too(self):
         ds = make_uniform(300, seed=22)

@@ -10,7 +10,7 @@ from repro.baselines.sfc import SFCIndex, SFCrackerIndex
 from repro.datasets import make_uniform
 from repro.errors import QueryError
 from repro.geometry import Box
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 
 
 class TestSFCIndex:
@@ -18,7 +18,7 @@ class TestSFCIndex:
         ds = make_uniform(50, seed=1)
         idx = SFCIndex(ds.store, ds.universe)
         with pytest.raises(QueryError):
-            idx.query(RangeQuery(Box.unit(3)))
+            idx.execute(Query(Box.unit(3)))
 
     def test_build_sorts_codes(self):
         ds = make_uniform(300, seed=2)
@@ -33,14 +33,14 @@ class TestSFCIndex:
         idx.build()
         scan = ScanIndex(ds.store)
         for q in uniform_workload(ds.universe, 20, 1e-2, seed=4):
-            assert np.array_equal(np.sort(idx.query(q)), np.sort(scan.query(q)))
+            assert np.array_equal(np.sort(idx.execute(q).ids), np.sort(scan.execute(q).ids))
 
     def test_false_positive_overhead_counted(self):
         ds = make_uniform(2_000, seed=5)
         idx = SFCIndex(ds.store, ds.universe)
         idx.build()
         q = uniform_workload(ds.universe, 1, 1e-2, seed=6)[0]
-        hits = idx.query(q)
+        hits = idx.execute(q).ids
         assert idx.stats.objects_tested >= hits.size
         assert idx.stats.nodes_visited > 1, "query decomposes into intervals"
 
@@ -58,7 +58,7 @@ class TestSFCracker:
         idx = SFCrackerIndex(ds.store, ds.universe)
         assert idx.piece_count == 1
         q = uniform_workload(ds.universe, 1, 1e-2, seed=9)[0]
-        idx.query(q)
+        idx.execute(q)
         assert idx.piece_count > 1
         idx.validate_pieces()
 
@@ -67,33 +67,33 @@ class TestSFCracker:
         idx = SFCrackerIndex(ds.store, ds.universe)
         scan = ScanIndex(ds.store)
         for q in uniform_workload(ds.universe, 30, 1e-2, seed=11):
-            assert np.array_equal(np.sort(idx.query(q)), np.sort(scan.query(q)))
+            assert np.array_equal(np.sort(idx.execute(q).ids), np.sort(scan.execute(q).ids))
         idx.validate_pieces()
 
     def test_repeat_query_cracks_nothing_new(self):
         ds = make_uniform(1_000, seed=12)
         idx = SFCrackerIndex(ds.store, ds.universe)
         q = uniform_workload(ds.universe, 1, 1e-3, seed=13)[0]
-        idx.query(q)
+        idx.execute(q)
         cracks = idx.stats.cracks
-        idx.query(q)
+        idx.execute(q)
         assert idx.stats.cracks == cracks, "known boundaries are lookups"
 
     def test_pieces_partition_by_code(self):
         ds = make_uniform(800, seed=14)
         idx = SFCrackerIndex(ds.store, ds.universe)
         for q in uniform_workload(ds.universe, 10, 1e-2, seed=15):
-            idx.query(q)
+            idx.execute(q)
         idx.validate_pieces()
 
     def test_first_query_pays_more_reorganization(self):
         ds = make_uniform(2_000, seed=16)
         idx = SFCrackerIndex(ds.store, ds.universe)
         qs = uniform_workload(ds.universe, 10, 1e-3, seed=17)
-        idx.query(qs[0])
+        idx.execute(qs[0])
         first = idx.stats.rows_reorganized
         for q in qs[1:]:
-            idx.query(q)
+            idx.execute(q)
         later_avg = (idx.stats.rows_reorganized - first) / 9
         assert first > later_avg, "first query cracks the untouched array"
 
@@ -104,7 +104,7 @@ class TestSFCracker:
         static.build()
         for q in uniform_workload(ds.universe, 15, 1e-2, seed=19):
             assert np.array_equal(
-                np.sort(cracker.query(q)), np.sort(static.query(q))
+                np.sort(cracker.execute(q).ids), np.sort(static.execute(q).ids)
             )
 
     def test_memory_zero_before_first_query(self):

@@ -11,7 +11,7 @@ from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
 from repro.geometry import Box
 from repro.index import SpatialIndex
-from repro.queries import RangeQuery, uniform_workload
+from repro.queries import Query, uniform_workload
 from repro.sharding import (
     PARTITIONERS,
     QueryExecutor,
@@ -30,8 +30,8 @@ def _grid_store(side: int = 10, spacing: float = 10.0) -> BoxStore:
     return BoxStore(lo, lo + 1.0)
 
 
-def _window(lo, hi, seq=0) -> RangeQuery:
-    return RangeQuery(Box(tuple(lo), tuple(hi)), seq=seq)
+def _window(lo, hi, seq=0) -> Query:
+    return Query(Box(tuple(lo), tuple(hi)), seq=seq)
 
 
 # ----------------------------------------------------------------------
@@ -116,18 +116,18 @@ class TestShardedIndex:
     def test_query_before_build_raises(self):
         engine = ShardedIndex(_grid_store(), n_shards=2)
         with pytest.raises(ConfigurationError, match="build"):
-            engine.query(_window((0.0, 0.0), (5.0, 5.0)))
+            engine.execute(_window((0.0, 0.0), (5.0, 5.0)))
 
     def test_pruning_counters(self):
         engine = ShardedIndex(_grid_store(10), n_shards=4, partitioner="str")
         engine.build()
         # A query covering one corner tile: 1 visit, 3 pruned.
-        hits = engine.query(_window((0.0, 0.0), (5.0, 5.0)))
+        hits = engine.execute(_window((0.0, 0.0), (5.0, 5.0))).ids
         assert hits.size > 0
         assert engine.stats.shards_visited == 1
         assert engine.stats.shards_pruned == 3
         # A full-universe query visits everything.
-        engine.query(_window((-1.0, -1.0), (95.0, 95.0), seq=1))
+        engine.execute(_window((-1.0, -1.0), (95.0, 95.0), seq=1))
         assert engine.stats.shards_visited == 1 + 4
         assert engine.stats.shards_pruned == 3
 
@@ -135,7 +135,7 @@ class TestShardedIndex:
         store = _grid_store(2)  # 4 rows
         engine = ShardedIndex(store, n_shards=6, partitioner="str")
         engine.build()
-        engine.query(_window((-1.0, -1.0), (25.0, 25.0)))
+        engine.execute(_window((-1.0, -1.0), (25.0, 25.0)))
         assert engine.stats.shards_visited == 4
         assert engine.stats.shards_pruned == 2
 
@@ -150,13 +150,13 @@ class TestShardedIndex:
         # while it is still buffered in the shard index.
         assert engine.shard_sizes()[sid] == sizes_before[sid] + 1
         # The owning shard is the one whose tile contains the box.
-        probe = engine.query(_window((1.5, 1.5), (3.5, 3.5)))
+        probe = engine.execute(_window((1.5, 1.5), (3.5, 3.5))).ids
         assert int(new[0]) in probe
         # Delete routes to that shard and clears ownership.
         assert engine.delete(new) == 1
         with pytest.raises(DatasetError, match="not live"):
             engine.owner_of(int(new[0]))
-        assert int(new[0]) not in engine.query(_window((1.5, 1.5), (3.5, 3.5), seq=2))
+        assert int(new[0]) not in engine.execute(_window((1.5, 1.5), (3.5, 3.5), seq=2)).ids
 
     def test_insert_expands_owner_mbb_for_pruning(self):
         engine = ShardedIndex(_grid_store(10), n_shards=4, partitioner="str")
@@ -164,7 +164,7 @@ class TestShardedIndex:
         # Far outside every tile: still must be routed, owned, and found
         # even while buffered (MBB expands immediately).
         new = engine.insert(np.array([[500.0, 500.0]]), np.array([[501.0, 501.0]]))
-        hits = engine.query(_window((499.0, 499.0), (502.0, 502.0)))
+        hits = engine.execute(_window((499.0, 499.0), (502.0, 502.0))).ids
         assert np.array_equal(np.sort(hits), np.sort(new))
 
     def test_delete_unknown_id_raises_and_changes_nothing(self):
@@ -190,7 +190,7 @@ class TestShardedIndex:
         engine.delete(new)
         engine.build()
         engine.validate_routing()
-        full = engine.query(_window((-1.0, -1.0), (100.0, 100.0)))
+        full = engine.execute(_window((-1.0, -1.0), (100.0, 100.0))).ids
         assert full.size == 16  # 4x4 grid, insert+delete cancelled out
 
     def test_merge_deduplicates(self):
@@ -213,7 +213,7 @@ class TestShardedIndex:
             _grid_store(4), n_shards=2, index_factory=FrozenScan
         )
         engine.build()
-        assert engine.query(_window((-1.0, -1.0), (100.0, 100.0))).size == 16
+        assert engine.execute(_window((-1.0, -1.0), (100.0, 100.0))).ids.size == 16
         with pytest.raises(ConfigurationError, match="does not support"):
             engine.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         with pytest.raises(ConfigurationError, match="does not support"):
@@ -221,7 +221,7 @@ class TestShardedIndex:
         # The rejected updates never touched the ingest mirror: the
         # engine keeps serving instead of failing epoch checks.
         assert engine.store.epoch == 0
-        assert engine.query(_window((-1.0, -1.0), (100.0, 100.0), seq=1)).size == 16
+        assert engine.execute(_window((-1.0, -1.0), (100.0, 100.0), seq=1)).ids.size == 16
 
     def test_factory_must_use_given_store(self):
         other = _grid_store(3)
@@ -238,12 +238,12 @@ class TestShardedIndex:
             index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
         )
         engine.build()
-        engine.query(_window((-1.0, -1.0), (95.0, 95.0)))
+        engine.execute(_window((-1.0, -1.0), (95.0, 95.0)))
         assert engine.stats.objects_tested > 0
         assert engine.stats.cracks > 0
         # Insert enough to trigger a shard-level lazy merge on next query.
         engine.insert(np.array([[2.0, 2.0]] * 3), np.array([[3.0, 3.0]] * 3))
-        engine.query(_window((-1.0, -1.0), (95.0, 95.0), seq=1))
+        engine.execute(_window((-1.0, -1.0), (95.0, 95.0), seq=1))
         assert engine.stats.merges >= 1
         # Roll-up survives an outer reset without double counting.
         engine.stats.reset()
@@ -261,7 +261,7 @@ class TestShardedIndex:
         engine.build()
         engine.store.append(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         with pytest.raises(Exception, match="epoch"):
-            engine.query(_window((0.0, 0.0), (5.0, 5.0)))
+            engine.execute(_window((0.0, 0.0), (5.0, 5.0)))
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +287,7 @@ class TestQueryExecutor:
     def test_processes_matches_sequential_and_scan(self, dataset):
         queries = uniform_workload(dataset.universe, 40, 1e-3, seed=5)
         scan = ScanIndex(dataset.store.copy())
-        expected = [np.sort(scan.query(q)) for q in queries]
+        expected = [np.sort(scan.execute(q).ids) for q in queries]
         # Pinned: this test asserts each server's mode label, so a
         # QUASII_EXECUTOR_BACKEND environment must not retarget it.
         seq = QueryExecutor(
@@ -366,7 +366,7 @@ class TestQueryExecutor:
 
         engine = self._engine(dataset)
         good = uniform_workload(dataset.universe, 1, 1e-3, seed=7)[0]
-        bad = RangeQuery(Box((0.0,), (1.0,)), seq=1)
+        bad = Query(Box((0.0,), (1.0,)), seq=1)
         with QueryExecutor(engine, max_workers=4, backend=backend) as ex:
             with pytest.raises(QueryError, match="dims"):
                 ex.run([good, bad])

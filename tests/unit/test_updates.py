@@ -13,6 +13,7 @@ from repro.queries.workloads import WorkloadOp
 from repro.updates import (
     UpdateBuffer,
     UpdateLedger,
+    apply_write,
     resolve_delete_victims,
     run_mixed_workload,
 )
@@ -110,6 +111,23 @@ class TestExecutor:
         assert sorted(everything.tolist()) == [1, 3, 5, 9]
         none = resolve_delete_victims(np.empty(0, dtype=np.int64), 3, 0, 0)
         assert none.size == 0
+
+    def test_apply_write_returns_touched_ids_and_the_new_live_set(self):
+        index = ScanIndex(_store(n=6))
+        live = index.store.ids.copy()
+        box = np.array([[1.0, 1.0]])
+        new, live, seconds = apply_write(
+            index, WorkloadOp("insert", 0, lo=box, hi=box + 1.0), live, 0, 3
+        )
+        assert new.size == 1 and live.size == 7 and seconds >= 0.0
+        gone, live, _ = apply_write(
+            index, WorkloadOp("delete", 1, count=2), live, 1, 3
+        )
+        assert np.array_equal(
+            gone, resolve_delete_victims(np.append(live, gone), 2, 1, 3)
+        )
+        assert live.size == 5 and not np.isin(gone, live).any()
+        assert index.store.live_count == 5
 
     def test_rejects_non_mutable_index(self):
         ds = make_uniform(200, ndim=2, seed=5)
