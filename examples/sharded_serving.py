@@ -25,7 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
+    Box,
     MaintenancePolicy,
+    Query,
     QueryExecutor,
     ScanIndex,
     ShardedIndex,
@@ -33,6 +35,7 @@ from repro import (
     make_uniform,
     uniform_workload,
 )
+from repro.telemetry.events import EventLog
 
 
 def main() -> None:
@@ -63,8 +66,22 @@ def main() -> None:
 
     # The process backend owns OS resources (workers, shared-memory
     # segments): the `with` block tears them down deterministically.
-    with QueryExecutor(engine, max_workers=4, backend="processes") as ex:
+    # A write between two batches costs what it changes: the new row
+    # reaches the warm worker as a delta, and no shard is republished
+    # (`worker.refresh` is the event of a worker starting over).
+    events = EventLog()
+    probe = Box((5_000.0,) * 3, (5_004.0,) * 3)
+    with QueryExecutor(
+        engine, max_workers=4, backend="processes", events=events
+    ) as ex:
         processes = ex.run(queries)
+        published = len(events.recent("worker.refresh"))
+        (new_id,) = engine.insert(np.array([probe.lo]), np.array([probe.hi]))
+        scan.insert(np.array([probe.lo]), np.array([probe.hi]))
+        after_write = ex.run([Query(probe)])
+        assert int(new_id) in after_write.results[0]
+        assert len(events.recent("worker.refresh")) == published
+        (delta,) = events.recent("worker.delta")
     assert all(
         np.array_equal(np.sort(got), want)
         for got, want in zip(processes.results, expected)
@@ -74,8 +91,11 @@ def main() -> None:
           f"({processes.throughput():.0f} queries/s), "
           f"fan-out profile {processes.shard_queries}")
     print("(this one batch also pays for spawning the pool and publishing "
-          "the shard snapshots — run `quasii-bench shard-scaling` for "
-          "fair warmed-stream comparisons)\n")
+          "the shard bases — run `quasii-bench shard-scaling` for "
+          "fair warmed-stream comparisons)")
+    print(f"a row inserted between batches reached shard "
+          f"{delta.payload['sid']}'s warm worker as a "
+          f"{delta.payload['bytes']}-byte delta; nothing was republished\n")
 
     # 4. Skewed serving traffic: the hot region concentrates on few shards.
     hot = hotspot_workload(dataset.universe, 300, 1e-4, seed=11)

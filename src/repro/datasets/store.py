@@ -41,6 +41,16 @@ history of applied updates.
 
 Every append/delete/compact batch advances the :attr:`epoch` counter so
 indexes holding derived state can cheaply detect staleness.
+
+Storage
+-------
+The four columns are ``[:n]`` views over *capacity buffers* that
+:meth:`append` grows geometrically (:data:`_HEADROOM_SHIFT`), so
+absorbing a batch costs O(rows written), not O(store).  A store wrapped
+around caller arrays starts at capacity ``n`` — it aliases them until
+the first growth and never writes past or resizes them (the
+shared-memory view relies on this) — and :meth:`copy` / :meth:`compact`
+return exact-size columns.
 """
 
 from __future__ import annotations
@@ -52,6 +62,11 @@ import numpy as np
 from repro.errors import DatasetError, GeometryError
 from repro.geometry.box import Box
 from repro.geometry.predicates import boxes_intersect_window
+
+#: Appends that outgrow the capacity buffers reallocate them with
+#: ``n >> _HEADROOM_SHIFT`` spare rows (CPython's list over-allocation,
+#: ~1/8), which makes a stream of small appends amortized O(1) per row.
+_HEADROOM_SHIFT = 3
 
 
 class BoxStore:
@@ -73,6 +88,7 @@ class BoxStore:
         "_hi",
         "_ids",
         "_live",
+        "_buffers",
         "_max_extent",
         "_epoch",
         "_n_dead",
@@ -113,10 +129,7 @@ class BoxStore:
                 raise DatasetError(
                     f"ids shape {ids.shape} does not match {lo.shape[0]} rows"
                 )
-        self._lo = lo
-        self._hi = hi
-        self._ids = ids
-        self._live = np.ones(lo.shape[0], dtype=bool)
+        self._adopt(lo, hi, ids, np.ones(lo.shape[0], dtype=bool))
         self._max_extent: np.ndarray | None = None
         self._epoch = 0
         self._n_dead = 0
@@ -148,10 +161,36 @@ class BoxStore:
         id_arr = None if ids is None else np.asarray(ids, dtype=np.int64)
         return cls(lo, hi, id_arr)
 
+    def _adopt(
+        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray, live: np.ndarray
+    ) -> None:
+        """Take exact-size arrays as both columns and capacity buffers."""
+        self._buffers = [lo, hi, ids, live]
+        self._lo, self._hi, self._ids, self._live = lo, hi, ids, live
+
+    def _resize(self, n: int) -> None:
+        """Re-cut the columns as ``[:n]`` views, first moving to larger
+        buffers if ``n`` exceeds them (the old ones are left untouched)."""
+        if n > self._buffers[0].shape[0]:
+            rows = self.n
+            grown = [
+                np.empty(
+                    (n + (n >> _HEADROOM_SHIFT), *old.shape[1:]),
+                    dtype=old.dtype,
+                )
+                for old in self._buffers
+            ]
+            for new, old in zip(grown, self._buffers):
+                new[:rows] = old[:rows]
+            self._buffers = grown
+        self._lo, self._hi, self._ids, self._live = (
+            buf[:n] for buf in self._buffers
+        )
+
     def copy(self) -> BoxStore:
         """Deep copy; the original is untouched by operations on the copy."""
         dup = BoxStore(self._lo.copy(), self._hi.copy(), self._ids.copy())
-        dup._live = self._live.copy()
+        dup._live[:] = self._live
         dup._epoch = self._epoch
         dup._n_dead = self._n_dead
         dup._next_id = self._next_id
@@ -481,10 +520,12 @@ class BoxStore:
             self.claim_ids(ids)
         if k == 0:
             return ids
-        self._lo = np.concatenate([self._lo, lo])
-        self._hi = np.concatenate([self._hi, hi])
-        self._ids = np.concatenate([self._ids, ids])
-        self._live = np.concatenate([self._live, np.ones(k, dtype=bool)])
+        n = self.n
+        self._resize(n + k)
+        self._lo[n:] = lo
+        self._hi[n:] = hi
+        self._ids[n:] = ids
+        self._live[n:] = True
         if self._max_extent is not None:
             self._max_extent = np.maximum(
                 self._max_extent, (hi - lo).max(axis=0)
@@ -566,10 +607,12 @@ class BoxStore:
         keep = np.flatnonzero(self._live)
         remap = np.full(n, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size, dtype=np.int64)
-        self._lo = np.ascontiguousarray(self._lo[keep])
-        self._hi = np.ascontiguousarray(self._hi[keep])
-        self._ids = np.ascontiguousarray(self._ids[keep])
-        self._live = np.ones(keep.size, dtype=bool)
+        self._adopt(
+            self._lo[keep],
+            self._hi[keep],
+            self._ids[keep],
+            np.ones(keep.size, dtype=bool),
+        )
         self._n_dead = 0
         # max_extent stays: it is documented to grow monotonically, and
         # a too-large query extension is conservative, never incorrect.

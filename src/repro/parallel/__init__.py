@@ -6,18 +6,18 @@ anyway: the adaptive cracking that makes QUASII fast is pure Python.
 This package overlaps shard work the only way left, by moving shard
 serving into real OS processes without paying data movement:
 
-* :mod:`~repro.parallel.shm` — shard snapshots as shared-memory
-  *segments*, with :class:`~repro.parallel.shm.SharedStoreView` giving
-  workers a zero-copy :class:`~repro.datasets.store.BoxStore` over the
-  mapping.
+* :mod:`~repro.parallel.shm` — shard rows as shared-memory *segments*
+  (a base per shard, a small delta per write), with
+  :class:`~repro.parallel.shm.SharedStoreView` giving workers a
+  zero-copy :class:`~repro.datasets.store.BoxStore` over the mapping.
 * :mod:`~repro.parallel.wire` — compact numpy wire structures for the
   query/result round trip (per-shard sub-batches are the dispatch
   unit, exactly as in the in-thread server).
-* :mod:`~repro.parallel.worker` — the worker loop: attach, rebuild a
-  warm local index, serve, report telemetry.
+* :mod:`~repro.parallel.worker` — the worker loop: attach a base, keep
+  a warm local index, absorb deltas into it, serve, report telemetry.
 * :mod:`~repro.parallel.pool` — the driver:
   :class:`~repro.parallel.pool.ProcessPool` owns segment lifecycle
-  (publish on epoch bump, destroy on retire), worker lifecycle
+  (a base on first touch, shard deltas afterwards), worker lifecycle
   (spawn, crash-respawn, shutdown), and the telemetry fold-back.
 
 The user-facing switch is the executor seam:
@@ -29,9 +29,11 @@ behind it.
 from repro.parallel.pool import ProcessPool, resolve_start_method
 from repro.parallel.shm import (
     SegmentSpec,
+    ShardDelta,
     ShardSegment,
     SharedStoreView,
     attach_segment,
+    publish_delta,
     publish_segment,
     segment_nbytes,
 )
@@ -56,6 +58,7 @@ __all__ = [
     "QueryBatchWire",
     "ResultBatchWire",
     "SegmentSpec",
+    "ShardDelta",
     "ShardSegment",
     "SharedStoreView",
     "attach_segment",
@@ -63,6 +66,7 @@ __all__ = [
     "decode_results",
     "encode_queries",
     "encode_results",
+    "publish_delta",
     "publish_segment",
     "resolve_start_method",
     "segment_nbytes",

@@ -1,36 +1,39 @@
-"""The persistent process pool: segment publishing, dispatch, recovery.
+"""The persistent process pool: bases, deltas, dispatch, recovery.
 
 :class:`ProcessPool` is the driver half of the process backend.  It
 spawns its workers **once** (fork-preferred — see
-:func:`resolve_start_method`) and keeps them warm across batches, so the
-per-batch cost is a few small pickled wire structures per shard rather
-than process creation, segment attach, and an index rebuild.  Per batch
-it:
+:func:`resolve_start_method`) and keeps them warm across batches *and
+across writes*.  Shard ``sid`` always goes to worker ``sid % n_workers``
+(one process cracks a given shard, ever); per batch and touched shard
+the pool:
 
-1. **Refreshes segments** — for every shard the batch touches, flushes
-   the shard's buffered updates and republishes its shared-memory
-   segment *iff* the existing one went stale (shard object replaced by
-   a rebalance rebuild, store epoch bumped by append/delete/compact, or
-   rows still pending in the update buffer).  Old versions are
-   destroyed immediately; workers keep serving from their mapping until
-   the new spec reaches them with the sub-batch that needs it.
-2. **Dispatches sub-batches** — shard ``sid`` always goes to worker
-   ``sid % n_workers`` (shard affinity across processes: one process
-   cracks a given snapshot, ever), sending a
-   :class:`~repro.parallel.shm.SegmentSpec` only when that worker's
-   attached version is behind.
-3. **Collects and folds** — decodes result wires back into
-   :class:`~repro.queries.query.QueryResult` lists, absorbs the
-   workers' per-batch histograms into the driver registry, and folds
-   the index work-counter deltas into the engine's ``IndexStats``.
+1. **Brings the worker's copy up to date** (:meth:`ProcessPool._sync`).
+   The first touch publishes the shard's *base segment* and arms its op
+   log (:attr:`~repro.sharding.shard.Shard.oplog`); afterwards the log
+   is drained into a :class:`~repro.parallel.shm.ShardDelta` — inserted
+   rows in a small delta segment, deleted ids and compaction markers in
+   the message — which the worker replays on its warm index: a write
+   costs what it changed.  A full publish recurs only where physical
+   identity changes or the worker's state is gone: a replaced ``Shard``
+   (rebalance rebuild), a respawned worker, one that answered ``err``,
+   a log that outgrew its base.  The driver's shard store, flushed on
+   every sync, stays the authoritative copy; no delta history is kept.
+2. **Dispatches and collects** — sends the sub-batch, decodes result
+   wires into :class:`~repro.queries.query.QueryResult` lists, absorbs
+   the workers' histograms into the driver registry, folds their
+   work-counter deltas into the engine's ``IndexStats``, and destroys
+   the batch's delta segments whether it returns or raises.
 
 A worker that dies mid-service (OOM kill, SIGKILL, segfault) surfaces
-as a broken pipe on send or EOF on recv; the pool respawns it, clears
-its version map (the fresh process re-receives every spec), re-dispatches
-the sub-batches that worker still owed, and emits ``worker.respawn`` —
-the batch completes with no caller-visible difference.  Only a worker
-that keeps dying faster than it can be respawned raises
-:class:`~repro.errors.ParallelError`.
+as a broken pipe on send or EOF on recv; the pool respawns it, forgets
+the bases it had attached, re-dispatches what it still owed (with new
+bases, cut from the driver's current state) and emits
+``worker.respawn`` — the batch completes with no caller-visible
+difference.  Only a worker that keeps dying faster than it can be
+respawned raises :class:`~repro.errors.ParallelError`.  The op logs
+have one consumer: a second live pool over an armed engine is refused
+at its first publish, and :meth:`ProcessPool.close` disarms what it
+armed.
 """
 
 from __future__ import annotations
@@ -42,9 +45,15 @@ from multiprocessing import resource_tracker
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, ParallelError
-from repro.index.base import WORK_COUNTERS, MutableSpatialIndex
-from repro.parallel.shm import ShardSegment, publish_segment
-from repro.parallel.wire import decode_results, encode_queries
+from repro.index.base import WORK_COUNTERS
+from repro.parallel.shm import (
+    SegmentSpec,
+    ShardDelta,
+    ShardSegment,
+    publish_delta,
+    publish_segment,
+)
+from repro.parallel.wire import QueryBatchWire, decode_results, encode_queries
 from repro.parallel.worker import ProcessShardWorker, worker_main
 from repro.telemetry.naming import WORKER_DISPATCHES, WORKER_RESPAWNS
 
@@ -93,8 +102,8 @@ class ProcessPool:
     ----------
     index:
         The driver-side engine.  The pool never mutates it beyond
-        flushing shard update buffers before a republish; all update
-        verbs stay driver-side.
+        flushing shard update buffers and arming/draining shard op
+        logs; all update verbs stay driver-side.
     n_workers:
         Worker process count (>= 1).
     telemetry:
@@ -103,7 +112,7 @@ class ProcessPool:
         there too.
     events:
         Optional event log for ``worker.spawn`` / ``worker.respawn`` /
-        ``worker.refresh``.
+        ``worker.refresh`` / ``worker.delta``.
     start_method:
         Explicit start method; defaults to :func:`resolve_start_method`.
     """
@@ -119,6 +128,8 @@ class ProcessPool:
         # Teardown state first: __del__ runs even when construction
         # raises below, and close() must find a coherent (empty) pool.
         self._segments: dict[int, ShardSegment] = {}
+        #: Delta segments of the batch in flight (destroyed at its end).
+        self._deltas: list[ShardSegment] = []
         self._versions: dict[int, int] = {}
         self._workers: list[ProcessShardWorker] = []
         self._closed = False
@@ -196,6 +207,9 @@ class ProcessPool:
             join(timeout=1.0)
         replacement = self._spawn_worker(wid)
         self._workers[wid] = replacement
+        # What the dead process had attached and absorbed died with it.
+        for sid in [s for s in self._segments if s % self.n_workers == wid]:
+            self._drop(sid)
         self._count(WORKER_RESPAWNS)
         if self._events is not None:
             self._events.emit(
@@ -209,45 +223,69 @@ class ProcessPool:
     # ------------------------------------------------------------------
     # Segment lifecycle
     # ------------------------------------------------------------------
-    def _refresh_segments(self, sids: list[int]) -> None:
-        """Republish every stale segment among ``sids``.
+    def _drop(self, sid: int) -> None:
+        """Forget shard ``sid``'s base — its worker's copy is gone or
+        suspect — so the next touch is a first touch again."""
+        segment = self._segments.pop(sid, None)
+        if segment is not None:
+            segment.destroy()
+            segment.shard_token.oplog = None
 
-        Staleness = the shard object was replaced (rebalance rebuild),
-        the store epoch moved (append / delete / compact), or rows sit
-        in the shard's update buffer.  Buffers are flushed first so the
-        published snapshot owns every routed row — the segment is then
-        exact for the live multiset, and pruning on it cannot miss.
+    def _sync(
+        self, sid: int
+    ) -> tuple[SegmentSpec | None, ShardDelta | None, int]:
+        """What shard ``sid``'s worker needs before it may serve:
+        ``(new base | None, delta | None, rows the shard owns)``.
+
+        Buffered rows are flushed first either way: a base must hold
+        every routed row, and a driver store that physically holds every
+        row its worker's does also holds every tombstone the worker's
+        does — the worker's id gate never refuses what the driver's
+        admitted.
         """
-        shards = self._index.shards
-        for sid in sids:
-            shard = shards[sid]
-            idx = shard.index
-            pending = (
-                idx.pending_updates()
-                if isinstance(idx, MutableSpatialIndex)
-                else 0
+        shard = self._index.shards[sid]
+        shard.flush_updates()
+        segment = self._segments.get(sid)
+        log = shard.oplog
+        if segment is None and log is not None:
+            raise ParallelError(
+                f"shard {sid} is already served by another live process "
+                "pool; close() that one before serving from a second"
             )
-            segment = self._segments.get(sid)
-            if segment is not None and segment.is_current(
-                shard, shard.store.epoch, pending
-            ):
-                continue
-            if pending and isinstance(idx, MutableSpatialIndex):
-                idx.flush_updates()
-            version = self._versions.get(sid, -1) + 1
-            self._versions[sid] = version
-            spec, shm = publish_segment(shard.store, sid, version)
-            if segment is not None:
-                segment.destroy()
-            self._segments[sid] = ShardSegment(spec, shm, shard)
-            if self._events is not None:
-                self._events.emit(
-                    "worker.refresh",
-                    sid=sid,
-                    version=version,
-                    rows=spec.n_rows,
-                    epoch=spec.epoch,
-                )
+        if segment is not None and segment.shard_token is shard and log is not None:
+            if not log:
+                return None, None, shard.owned_count
+            # A delta larger than its base is a new base.
+            if sum(int(op[3].size) for op in log) <= segment.spec.n_rows:
+                delta, shm = publish_delta(log, sid, segment.spec.version)
+                log.clear()
+                if delta.rows is not None and shm is not None:
+                    self._deltas.append(ShardSegment(delta.rows, shm, None))
+                if self._events is not None:
+                    self._events.emit(
+                        "worker.delta",
+                        sid=sid,
+                        version=segment.spec.version,
+                        ops=len(delta.ops),
+                        rows=delta.rows.n_rows if delta.rows else 0,
+                        bytes=shm.size if shm else 0,
+                    )
+                return None, delta, shard.owned_count
+        self._drop(sid)
+        version = self._versions.get(sid, -1) + 1
+        self._versions[sid] = version
+        spec, shm = publish_segment(shard.store, sid, version)
+        self._segments[sid] = ShardSegment(spec, shm, shard)
+        shard.oplog = []
+        if self._events is not None:
+            self._events.emit(
+                "worker.refresh",
+                sid=sid,
+                version=version,
+                rows=spec.n_rows,
+                epoch=spec.epoch,
+            )
+        return spec, None, shard.owned_count
 
     # ------------------------------------------------------------------
     # Serving
@@ -266,7 +304,6 @@ class ProcessPool:
             raise ParallelError("process pool used after close()")
         if not queues:
             return {}
-        self._refresh_segments(sorted(queues))
         sub_queries = {
             sid: [queries[i] for i in idxs] for sid, idxs in queues.items()
         }
@@ -274,29 +311,44 @@ class ProcessPool:
             sid: encode_queries(sub) for sid, sub in sub_queries.items()
         }
         pending = set(queues)
+        try:
+            replies = self._dispatch(wires, pending)
+        finally:
+            while self._deltas:
+                self._deltas.pop().destroy()
+            # Left unanswered by a failure: the worker's copy may have
+            # missed a delta already drained for it.
+            for sid in pending:
+                self._drop(sid)
+        return self._fold_replies(queues, sub_queries, replies)
+
+    def _dispatch(
+        self, wires: dict[int, QueryBatchWire], pending: set[int]
+    ) -> dict[int, tuple[Any, ...]]:
+        """Sync, send and collect until ``pending`` is empty or a worker
+        answers ``err`` (raised once the pipes are drained — a reply
+        left behind would answer the next batch)."""
         replies: dict[int, tuple[Any, ...]] = {}
         respawns: dict[int, int] = {}
-        while pending:
+        failure: str | None = None
+        while pending and failure is None:
             by_worker: dict[int, list[int]] = {}
             for sid in sorted(pending):
                 by_worker.setdefault(sid % self.n_workers, []).append(sid)
+            # Sync every shard before sending any: a failed publish (or
+            # a refused second pool) then leaves nothing in a pipe.
+            synced = {sid: self._sync(sid) for sid in sorted(pending)}
             dead: set[int] = set()
             for wid, sids in by_worker.items():
                 worker = self._workers[wid]
                 for sid in sids:
-                    spec = self._segments[sid].spec
-                    ship = (
-                        spec
-                        if worker.seen_versions.get(sid) != spec.version
-                        else None
-                    )
                     try:
-                        worker.conn.send(("batch", sid, ship, wires[sid]))
+                        worker.conn.send(
+                            ("batch", sid, *synced[sid], wires[sid])
+                        )
                     except _PIPE_ERRORS:
                         dead.add(wid)
                         break
-                    if ship is not None:
-                        worker.seen_versions[sid] = spec.version
                     self._count(WORKER_DISPATCHES)
             for wid, sids in by_worker.items():
                 if wid in dead:
@@ -308,12 +360,12 @@ class ProcessPool:
                     except _PIPE_ERRORS:
                         dead.add(wid)
                         break
-                    if reply[0] == "err":
-                        raise ParallelError(
-                            f"worker {wid} failed on shard {reply[1]}: "
-                            f"{reply[2]}"
-                        )
                     sid = int(reply[1])
+                    if reply[0] == "err":
+                        failure = failure or (
+                            f"worker {wid} failed on shard {sid}: {reply[2]}"
+                        )
+                        continue
                     replies[sid] = reply
                     pending.discard(sid)
             for wid in sorted(dead):
@@ -325,7 +377,9 @@ class ProcessPool:
                     )
                 owed = [s for s in by_worker.get(wid, []) if s in pending]
                 self._respawn(wid, owed)
-        return self._fold_replies(queues, sub_queries, replies)
+        if failure is not None:
+            raise ParallelError(failure)
+        return replies
 
     def _fold_replies(
         self,
@@ -359,7 +413,8 @@ class ProcessPool:
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut workers down and destroy every published segment.
+        """Shut workers down, destroy every published segment and disarm
+        every shard op log this pool armed.
 
         After this returns no pool-created name remains in the OS
         shared-memory namespace (the cleanup test attaches by name and
@@ -391,9 +446,8 @@ class ProcessPool:
             except OSError:  # pragma: no cover - already torn down
                 pass
         self._workers = []
-        for segment in self._segments.values():
-            segment.destroy()
-        self._segments.clear()
+        for sid in list(self._segments):
+            self._drop(sid)
 
     def __enter__(self) -> ProcessPool:
         return self

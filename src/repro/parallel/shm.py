@@ -1,33 +1,34 @@
-"""Shared-memory segments: zero-copy shard snapshots across processes.
+"""Shared-memory segments: zero-copy shard rows across processes.
 
 The process-parallel serving tier re-homes each shard's column data in
 POSIX shared memory so worker processes read (and crack) it without a
 single row ever crossing a pipe.  A *segment* is one
-:class:`~multiprocessing.shared_memory.SharedMemory` block holding a
-shard's **packed live rows** — the ``(n, d)`` lower/upper corner
-matrices followed by the id vector, gathered at publish time:
+:class:`~multiprocessing.shared_memory.SharedMemory` block holding
+**packed live rows** — the ``(n, d)`` lower/upper corner matrices
+followed by the id vector, gathered at publish time — and comes in two
+kinds, made by the same :func:`publish_segment` and attached through
+the same :meth:`SharedStoreView.attach`:
 
-* Packing at publish keeps the store contract intact: the snapshot's
-  live ``(id, box)`` multiset equals the source shard's at the moment of
-  publish (:meth:`SharedStoreView.live_fingerprint` digests exactly
-  that), tombstones are simply not shipped, and the worker-side
-  :class:`~repro.datasets.store.BoxStore` starts at epoch 0 with every
-  row live — a valid store by construction, not a back door into one.
-* Segments are **immutable from the driver's side once published**.
-  Mutations (appends, deletes, compaction remaps, rebalance rebuilds)
-  bump the source store's epoch, and the pool reacts by publishing a
-  *new* segment version and retiring the old one — workers never observe
-  a segment changing under them.  The owning worker, however, may crack
-  its snapshot in place: exactly one worker serves a given shard
-  (dispatch is sharded by ``sid``), and permutation preserves the
-  multiset invariant like any other query-path reorganization.
+* A **base segment** is a shard's whole live multiset at publish
+  (:meth:`SharedStoreView.live_fingerprint` digests exactly that;
+  tombstones are simply not shipped).  The worker-side
+  :class:`~repro.datasets.store.BoxStore` over it starts at epoch 0
+  with every row live — a valid store by construction — and the owning
+  worker builds its warm index there.
+* A **delta segment** holds only the rows inserted into a shard since
+  its previous batch (:func:`publish_delta`): a write ships what it
+  wrote.  The worker copies them out and lets go at once; the driver
+  destroys the segment when the batch ends.
 
-Lifecycle: the driver creates and eventually unlinks every segment
-(:meth:`ShardSegment.destroy`); workers attach by name and close their
-mapping when a newer version arrives (:meth:`SharedStoreView.close`).
-Unlinking a segment a worker still maps is safe on POSIX — the mapping
-stays valid until the worker closes it — which is what lets the driver
-retire old versions without a handshake.
+The driver never writes into a published segment.  The owning worker
+cracks its base in place — exactly one worker serves a given shard, and
+permutation preserves the multiset invariant — until an absorbed delta
+outgrows the mapping and the store moves to private buffers
+(:class:`~repro.datasets.store.BoxStore` never resizes arrays it was
+handed).  The driver creates and unlinks every segment
+(:meth:`ShardSegment.destroy`; :func:`publish_segment` unlinks one it
+fails to fill); unlinking a segment a worker still maps is safe on
+POSIX, which is what lets old bases retire without a handshake.
 
 Python < 3.13 registers *attached* segments with the resource tracker
 as if the attaching process owned them.  What that requires depends on
@@ -54,20 +55,25 @@ trackers and land in the second case by accident.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
+from typing import Any
 
 import numpy as np
 
 from repro.datasets.store import BoxStore
 from repro.errors import ParallelError
+from repro.updates.ledger import LedgerOp
 
 __all__ = [
     "SegmentSpec",
+    "ShardDelta",
     "ShardSegment",
     "SharedStoreView",
     "attach_segment",
+    "publish_delta",
     "publish_segment",
     "segment_nbytes",
 ]
@@ -91,15 +97,14 @@ class SegmentSpec:
     sid:
         Owning shard id.
     version:
-        Monotonic per-shard segment version; bumped on every republish,
-        so a worker can tell a refresh from a redundant spec.
+        Monotonic per-shard base version; bumped on every full
+        republish (a delta segment carries the version of its base).
     n_rows:
         Packed live rows in the segment.
     ndim:
         Box dimensionality.
     epoch:
-        The source store's epoch at publish time (diagnostic only; the
-        driver's staleness test lives with the source store, not here).
+        The source store's epoch at publish time (diagnostic only).
     """
 
     name: str
@@ -143,10 +148,21 @@ def publish_segment(
     # A zero-byte segment is rejected by the OS; one spare byte keeps
     # the empty-shard snapshot representable with the same layout.
     shm = SharedMemory(create=True, size=max(1, segment_nbytes(n_rows, ndim)))
-    lo, hi, ids = _layout(shm.buf, n_rows, ndim)
-    lo[:] = store.lo[rows]
-    hi[:] = store.hi[rows]
-    ids[:] = store.ids[rows]
+    try:
+        lo, hi, ids = _layout(shm.buf, n_rows, ndim)
+        try:
+            lo[:] = store.lo[rows]
+            hi[:] = store.hi[rows]
+            ids[:] = store.ids[rows]
+        finally:
+            # The mapping cannot close while a view of it is alive.
+            del lo, hi, ids
+    # Cleanup-and-reraise, whatever was raised: no name may outlive a
+    # failed publish, and nobody else holds this one.
+    except BaseException:  # ql: allow[QL006]
+        shm.close()
+        shm.unlink()
+        raise
     spec = SegmentSpec(
         name=shm.name,
         sid=sid,
@@ -156,6 +172,48 @@ def publish_segment(
         epoch=store.epoch,
     )
     return spec, shm
+
+
+@dataclass(frozen=True)
+class ShardDelta:
+    """One shard's drained op log, as it rides a batch message.
+
+    The worker replays ``ops`` — ``(kind, size)`` per log entry — in
+    order (a delete may name a row inserted two entries earlier; a
+    compaction is what frees a deleted id for reuse): ``"insert"`` takes
+    the next ``size`` rows of the ``rows`` segment (``None`` when
+    nothing was inserted), ``"delete"`` the next ``size`` ids of
+    ``deleted``, ``"compact"`` nothing.
+    """
+
+    ops: tuple[tuple[str, int], ...]
+    rows: SegmentSpec | None
+    deleted: np.ndarray
+
+
+def publish_delta(
+    log: Sequence[LedgerOp], sid: int, version: int
+) -> tuple[ShardDelta, SharedMemory | None]:
+    """Pack a shard's op log (:attr:`~repro.sharding.shard.Shard.oplog`)
+    for its worker; the caller destroys the returned row segment
+    (``None`` without inserts) once the worker has replied."""
+    los = [lo for _, lo, _, _ in log if lo is not None]
+    his = [hi for _, _, hi, _ in log if hi is not None]
+    inserted = [ids for kind, _, _, ids in log if kind == "insert"]
+    deleted = [ids for kind, _, _, ids in log if kind == "delete"]
+    spec: SegmentSpec | None = None
+    shm: SharedMemory | None = None
+    if inserted:
+        rows = BoxStore(
+            np.concatenate(los), np.concatenate(his), np.concatenate(inserted)
+        )
+        spec, shm = publish_segment(rows, sid, version)
+    delta = ShardDelta(
+        ops=tuple((op[0], int(op[3].size)) for op in log),
+        rows=spec,
+        deleted=np.concatenate(deleted) if deleted else np.empty(0, dtype=_INT),
+    )
+    return delta, shm
 
 
 def attach_segment(
@@ -186,19 +244,19 @@ class SharedStoreView:
 
     The store's ``lo``/``hi``/``ids`` columns are numpy views directly
     into the shared mapping — no copy is made on attach, so a worker's
-    memory cost per shard is one ``live`` mask plus index structures.
-    The view preserves the store discipline end to end:
+    memory cost per shard is one ``live`` mask plus index structures
+    until an absorbed delta outgrows the base.  The store discipline
+    holds end to end:
 
-    * **Live-multiset invariant** — the snapshot holds exactly the
-      source shard's live rows at publish; queries may only permute it
-      (cracking), so :meth:`live_fingerprint` stays equal to the
-      driver-side shard's until the next epoch bump triggers a
-      republish.
-    * **Epoch discipline** — the view's store starts at epoch 0 and the
-      worker never mutates it through the update verbs, so any index
-      built over it keeps its ``_check_epoch`` contract; *driver-side*
-      epoch bumps surface as a new segment version, never as in-place
-      movement under a live index.
+    * **Live-multiset invariant** — a base view holds exactly the
+      source shard's live rows at publish; queries only permute it, and
+      the worker mutates it only by replaying the driver shard's own op
+      log through ``insert`` / ``delete`` / ``compact``, so
+      :meth:`live_fingerprint` equals the driver-side shard's after
+      every applied delta.
+    * **Epoch discipline** — the store starts at epoch 0 and every
+      mutation reaches it through the index built over it, which
+      therefore keeps its ``_check_epoch`` contract.
     """
 
     __slots__ = ("spec", "_shm", "_store")
@@ -229,7 +287,7 @@ class SharedStoreView:
 
     @property
     def store(self) -> BoxStore:
-        """The zero-copy store (safe to crack; never update-mutate)."""
+        """The zero-copy store (mutate it only through an index over it)."""
         return self._store
 
     def live_fingerprint(self) -> bytes:
@@ -255,39 +313,26 @@ class SharedStoreView:
 class ShardSegment:
     """Driver-side record of one published segment (the owning handle).
 
-    Tracks what the segment was published *from* — the shard object and
-    its store epoch — which is exactly the staleness test the pool runs
-    before every batch: a bumped epoch (append/delete/compact), a
-    replaced :class:`~repro.sharding.shard.Shard` (rebalance rebuild),
-    or rows still buffered in the shard index all force a republish.
+    A base also remembers the :class:`~repro.sharding.shard.Shard` it
+    was published from: a rebalance rebuild replaces that object, and
+    with it every row's physical identity — what no delta can describe.
     """
 
-    __slots__ = ("spec", "shm", "shard_token", "epoch")
+    __slots__ = ("spec", "shm", "shard_token")
 
     def __init__(
-        self, spec: SegmentSpec, shm: SharedMemory, shard_token: object
+        self, spec: SegmentSpec, shm: SharedMemory, shard_token: Any
     ) -> None:
         self.spec = spec
         self.shm = shm
-        #: Identity token of the Shard published from (rebuilds replace
-        #: the Shard object wholesale, which must read as stale).
         self.shard_token = shard_token
-        self.epoch = spec.epoch
-
-    def is_current(self, shard_token: object, epoch: int, pending: int) -> bool:
-        """True when the segment still mirrors the live shard exactly."""
-        return (
-            self.shard_token is shard_token
-            and self.epoch == epoch
-            and pending == 0
-        )
 
     def destroy(self) -> None:
         """Close the driver's mapping and unlink the OS object.
 
-        Workers still mapping the old version keep serving from it
-        until they switch; the name is gone from ``/dev/shm``
-        immediately, which is what the cleanup test asserts.
+        A worker still mapping it keeps serving from its mapping; the
+        name is gone from ``/dev/shm`` immediately (the cleanup tests
+        assert it).
         """
         self.shm.close()
         self.shm.unlink()

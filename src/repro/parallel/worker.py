@@ -1,16 +1,14 @@
-"""The worker process: attach shard segments, rebuild, serve sub-batches.
+"""The worker process: attach shard bases, absorb deltas, serve sub-batches.
 
 One :func:`worker_main` loop runs per pool process.  A worker owns a
-fixed subset of shards (dispatch is ``sid % n_workers``, so a shard's
-snapshot is only ever cracked by a single process — shard affinity
-extends across the process boundary) and keeps, per owned shard:
-
-* a :class:`~repro.parallel.shm.SharedStoreView` — the zero-copy store
-  over the shard's current shared-memory segment, and
-* a locally rebuilt :class:`~repro.core.quasii.QuasiiIndex` over that
-  snapshot, which keeps *cracking adaptively* inside the worker between
-  refreshes — the warm structure is the whole point of a persistent
-  pool over per-batch processes.
+fixed subset of shards (dispatch is ``sid % n_workers``, so a shard is
+only ever cracked by a single process — shard affinity extends across
+the process boundary) and keeps, per owned shard, one
+:class:`_ShardState`: a :class:`~repro.parallel.shm.SharedStoreView`
+(the zero-copy store over the shard's base segment) and a
+:class:`~repro.core.quasii.QuasiiIndex` over it, which keeps *cracking
+adaptively* from batch to batch and **across writes** — the warm
+structure is the whole point of a persistent pool.
 
 The worker-side index is always QUASII regardless of the engine's
 ``index_factory``: factory callables are exactly the kind of payload
@@ -18,12 +16,18 @@ the process boundary refuses to ship (QL008), and result correctness is
 index-independent (every index is exact over its store).
 
 Messages arrive as plain tuples of wire dataclasses (see
-:mod:`repro.parallel.wire`); a ``batch`` message carries an optional
-:class:`~repro.parallel.shm.SegmentSpec` that, when present, retires
-the shard's previous view (mapping closed, index dropped) and attaches
-the new segment version before serving — the epoch-invalidation
-protocol's worker half.  Replies carry the result wire plus the
-sub-batch's telemetry: fresh per-batch
+:mod:`repro.parallel.wire`).  Besides its queries a ``batch`` message
+carries an optional base :class:`~repro.parallel.shm.SegmentSpec` (the
+shard's previous state is retired and a fresh index built over the new
+base), an optional :class:`~repro.parallel.shm.ShardDelta` (the driver
+shard's mutations since the previous batch, replayed in order through
+the index's public, validating ``insert`` / ``delete`` / ``compact`` —
+the same update buffer -> appended run -> tombstone -> compaction-remap
+path an in-driver index takes, nothing bespoke), and the driver shard's
+``owned_count``, which the worker's live + staged rows must equal
+before it serves: a lost or misapplied delta is an ``err`` reply, never
+a wrong answer.  Replies carry the result wire plus the sub-batch's
+telemetry: fresh per-batch
 :class:`~repro.telemetry.metrics.LatencyHistogram` instances (merged
 into the driver registry after every batch) and the index work-counter
 deltas (folded into the engine's ``IndexStats``), so a process-backend
@@ -35,8 +39,9 @@ from __future__ import annotations
 import time
 from typing import Any, Protocol
 
+from repro.errors import ParallelError
 from repro.index.base import WORK_COUNTERS
-from repro.parallel.shm import SegmentSpec, SharedStoreView
+from repro.parallel.shm import SegmentSpec, ShardDelta, SharedStoreView
 from repro.parallel.wire import (
     QueryBatchWire,
     decode_queries,
@@ -69,16 +74,48 @@ class PipeEndpoint(Protocol):
 class _ShardState:
     """One owned shard inside a worker: view + warm local index."""
 
-    __slots__ = ("view", "index", "version")
+    __slots__ = ("view", "index")
 
     def __init__(self, view: SharedStoreView) -> None:
         """Build the warm local index over an attached view."""
         from repro.core.quasii import QuasiiIndex
 
         self.view = view
-        self.version = view.spec.version
         self.index = QuasiiIndex(view.store)
         self.index.build()
+
+    def apply(
+        self, delta: ShardDelta | None, owned_count: int, tracker_shared: bool
+    ) -> None:
+        """Replay the driver shard's mutations; prove the copies agree
+        (:class:`ParallelError` unless this one then owns exactly
+        ``owned_count`` rows).  The delta segment is mapped only long
+        enough to copy its rows out: no verb can fail with it open."""
+        index = self.index
+        if delta is not None:
+            if delta.rows is not None:
+                view = SharedStoreView.attach(delta.rows, tracker_shared)
+                rows = view.store
+                lo, hi, ids = rows.lo.copy(), rows.hi.copy(), rows.ids.copy()
+                del rows
+                view.close()
+            at_row = at_id = 0
+            for kind, size in delta.ops:
+                if kind == "insert":
+                    cut = slice(at_row, at_row + size)
+                    index.insert(lo[cut], hi[cut], ids[cut])
+                    at_row += size
+                elif kind == "delete":
+                    index.delete(delta.deleted[at_id : at_id + size])
+                    at_id += size
+                else:
+                    index.compact()
+        store = index.store
+        owned = store.live_count + store.staged_count
+        if owned != owned_count:
+            raise ParallelError(
+                f"shard copy owns {owned} rows, the driver's {owned_count}"
+            )
 
     def close(self) -> None:
         """Drop the index, then the mapping (order matters: a live
@@ -127,10 +164,11 @@ def worker_main(
 
     Protocol (requests -> replies, all plain picklable tuples):
 
-    * ``("batch", sid, spec | None, QueryBatchWire)`` ->
-      ``("ok", sid, ResultBatchWire, batch_seconds, hists, work)`` or
-      ``("err", sid, message)``.  A non-``None`` spec switches the
-      shard to that segment version first.
+    * ``("batch", sid, spec | None, delta | None, owned_count,
+      QueryBatchWire)`` -> ``("ok", sid, ResultBatchWire, batch_seconds,
+      hists, work)`` or ``("err", sid, message)``.  A non-``None`` spec
+      switches the shard to that base first; then the delta is applied
+      and the owned-row count checked (:meth:`_ShardState.apply`).
     * ``("shutdown",)`` -> ``("bye", wid)`` and the loop exits.
 
     A worker never exits on a per-batch failure — errors are reported
@@ -153,7 +191,9 @@ def worker_main(
                 continue
             sid = int(msg[1])
             spec: SegmentSpec | None = msg[2]
-            wire: QueryBatchWire = msg[3]
+            delta: ShardDelta | None = msg[3]
+            owned_count = int(msg[4])
+            wire: QueryBatchWire = msg[5]
             try:
                 if spec is not None:
                     old = states.pop(sid, None)
@@ -167,6 +207,7 @@ def worker_main(
                     raise RuntimeError(
                         f"worker {wid} has no segment for shard {sid}"
                     )
+                state.apply(delta, owned_count, tracker_shared)
                 reply, batch_seconds, hists, work = _serve(state, wire)
             # The serving loop's one broad catch: any failure must reach
             # the driver as an error reply, not kill the worker and
@@ -182,22 +223,14 @@ def worker_main(
 
 
 class ProcessShardWorker:
-    """Driver-side handle for one worker process.
+    """Driver-side handle for one worker process."""
 
-    Tracks the per-shard segment versions the worker has attached, so
-    dispatch only ships a :class:`SegmentSpec` when the worker's view
-    is stale — and a respawned worker (fresh process, empty version
-    map) transparently re-receives every spec it needs.
-    """
-
-    __slots__ = ("wid", "process", "conn", "seen_versions")
+    __slots__ = ("wid", "process", "conn")
 
     def __init__(self, wid: int, process: object, conn: PipeEndpoint) -> None:
         self.wid = wid
         self.process = process
         self.conn = conn
-        #: sid -> segment version this worker has attached.
-        self.seen_versions: dict[int, int] = {}
 
     @property
     def pid(self) -> int | None:

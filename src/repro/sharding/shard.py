@@ -32,6 +32,15 @@ never shrinks on delete (a loose MBB is conservative: it can only cost
 a wasted visit, never a missed result).  Compaction is the moment the
 looseness is paid off: :meth:`Shard.refresh_mbb` re-tightens the
 pruning box to the surviving live rows once the dead ones are gone.
+
+The process tier mirrors a shard in a worker process by replaying its
+mutations there.  :attr:`Shard.oplog` is that feed: ``None`` on every
+shard no pool serves (sequential engines keep no log), a list once a
+:class:`~repro.parallel.pool.ProcessPool` has published the shard's base
+and armed it.  From then on the three mutation verbs — ``apply_insert``,
+``apply_delete``, ``compact``: the only ways a shard's live multiset or
+layout changes — append one :data:`~repro.updates.ledger.LedgerOp`-shaped
+entry each (aliasing their arguments) for the pool to drain.
 """
 
 from __future__ import annotations
@@ -44,9 +53,10 @@ from repro.datasets.store import BoxStore
 from repro.errors import ReplicationError
 from repro.index.base import MutableSpatialIndex, SpatialIndex
 from repro.sharding.replication import IndexFactory, ShardReplica, build_replica
-from repro.updates.ledger import UpdateLedger
+from repro.updates.ledger import LedgerOp, UpdateLedger
 
 _INF = float("inf")
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class Shard:
@@ -75,6 +85,7 @@ class Shard:
         "mbb_hi",
         "_factory",
         "on_event",
+        "oplog",
     )
 
     def __init__(
@@ -107,6 +118,8 @@ class Shard:
         )
         self.store = self.replicas[0].store
         self.index = self.replicas[0].index
+        #: Mutations the serving pool has yet to drain (module docstring).
+        self.oplog: list[LedgerOp] | None = None
         self.refresh_mbb()
 
     def _notify(self, kind: str, **payload: object) -> None:
@@ -162,6 +175,14 @@ class Shard:
         once this crosses its ``dead_fraction`` threshold.
         """
         return self.store.n_dead / self.store.n if self.store.n else 0.0
+
+    def entombs(self, ids: np.ndarray) -> bool:
+        """Whether a live replica still holds one of ``ids`` tombstoned
+        (its own insert gate would refuse the id until it compacts)."""
+        return any(
+            r.store.n_dead and bool(np.isin(ids, r.store.ids[~r.store.live]).any())
+            for r in self.live_replicas()
+        )
 
     def work_counter(self, name: str) -> int:
         """Cumulative value of one index work counter across *all*
@@ -268,6 +289,8 @@ class Shard:
         for r in self.live_replicas():
             r.index.insert(lo, hi, ids)
         self.expand(lo, hi)
+        if self.oplog is not None and ids.size:
+            self.oplog.append(("insert", lo, hi, ids))
 
     def apply_delete(self, ids: np.ndarray) -> None:
         """Record the delete in the ledger, then apply to live replicas."""
@@ -275,6 +298,8 @@ class Shard:
             self.ledger.record_delete(ids)
         for r in self.live_replicas():
             r.index.delete(ids)
+        if self.oplog is not None and ids.size:
+            self.oplog.append(("delete", None, None, ids))
 
     def compact(self) -> int:
         """Compact every *live* replica together; re-tighten the MBB.
@@ -299,6 +324,8 @@ class Shard:
             # but invisible to the store; only re-tighten once nothing
             # is pending, or pruning could skip a staged match.
             self.refresh_mbb()
+        if self.oplog is not None and reclaimed:
+            self.oplog.append(("compact", None, None, _NO_IDS))
         return reclaimed
 
     def flush_updates(self) -> int:

@@ -559,10 +559,17 @@ class ShardedIndex(MutableSpatialIndex):
         # failing after the append would leave the mirror ahead of the
         # engine's epoch and brick every later query.
         self._require_mutable_shards()
-        # Explicit-id collisions are fully covered by the mirror's shared
-        # gate (validate_batch in the base class): every id ever owned by
-        # a shard was first appended to the mirror, so the mirror's id
-        # set is a superset of the ownership map's keys.
+        # The mirror's shared gate (validate_batch in the base class)
+        # covers live and buffered ids — every id a shard owns was first
+        # appended to the mirror — but not tombstones: a policy pass can
+        # clean the mirror and skip a below-threshold shard whose own
+        # gate still refuses the dead id.  Ask the shards before the
+        # mirror takes the rows.
+        if ids is not None and any(s.entombs(ids) for s in self._shards):
+            raise DatasetError(
+                "batch ids collide with existing ids (still tombstoned in "
+                "a shard the last policy compaction skipped; compact() first)"
+            )
         assigned = self._store.append_validated(lo, hi, ids)
         if not assigned.size:
             return assigned

@@ -82,9 +82,16 @@ EVENTS: dict[str, str] = {
         "old and new pids, and the sids re-dispatched"
     ),
     "worker.refresh": (
-        "a shard's shared-memory segment was republished after a "
-        "mutation epoch bump (or shard rebuild), invalidating worker "
-        "views; payload carries sid, segment version, rows, and epoch"
+        "a shard's whole base segment was (re)published and its worker "
+        "rebuilt its index from nothing: first touch, shard rebuild, "
+        "worker respawn or err reply, or an op log that outgrew its "
+        "base — never an ordinary write; payload carries sid, segment "
+        "version, rows, and epoch"
+    ),
+    "worker.delta": (
+        "a shard's mutations since its last batch were shipped to its "
+        "warm worker as a delta; payload carries sid, base version, the "
+        "ops replayed, and the rows and bytes of the delta segment"
     ),
 }
 

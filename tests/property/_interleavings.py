@@ -32,6 +32,7 @@ def dataset_and_ops(
     kinds=BASE_KINDS,
     payloads=None,
     query_shapes=WINDOW_SHAPES,
+    min_rows=2,
     max_rows=60,
     max_ops=12,
     max_delete=4,
@@ -52,7 +53,7 @@ def dataset_and_ops(
       supplies a strategy for it, ``None`` otherwise.
     """
     payloads = payloads or {}
-    n = draw(st.integers(2, max_rows))
+    n = draw(st.integers(min_rows, max_rows))
     rng = np.random.default_rng(draw(SEEDS))
     lo = rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim))
     hi = np.minimum(lo + rng.uniform(0, 10, size=(n, ndim)), UNIVERSE_SIDE)

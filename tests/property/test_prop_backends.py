@@ -2,12 +2,13 @@
 
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
-batches, delete batches, compactions, and replica kills.  The same
-interleaving runs against one engine per cell of the executor backend
-(``sequential``, ``processes``) × replication (R ∈ {1, 2})
-matrix — with the executors kept alive across operations, so the
-process pool must survive every epoch bump (insert/delete/compact
-between batches) by republishing its shared-memory segments, and the
+batches, delete batches, full and policy-driven compactions, reinserts
+of deleted ids, and replica kills.  The same interleaving runs against
+one engine per cell of the executor backend (``sequential``,
+``processes``) × replication (R ∈ {1, 2}) matrix — with the executors
+kept alive across operations, so the process pool's warm workers must
+absorb every mutation (insert/delete/compact between batches) as a
+shard delta, admitting exactly the ids the driver admitted, and the
 R=2 engines must keep serving after a mid-stream kill.  The one cell
 that does not exist, ``processes`` × R=2, is refused explicitly (see
 :func:`test_every_cell_is_served_or_refused`).
@@ -35,12 +36,13 @@ from hypothesis import strategies as st
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.sharding import QueryExecutor, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.updates import UpdateLedger
 from tests.property._interleavings import (
     BASE_KINDS,
+    SEEDS,
     dataset_and_ops,
     full_window,
 )
@@ -60,9 +62,14 @@ QUERY_SHAPES = (
     ("contains", "boxes", None),
 )
 
-KINDS = (*BASE_KINDS, "compact", "kill")
-#: A kill names (shard, replica) directly: three shards, at most R=2.
-PAYLOADS = {"kill": st.tuples(st.integers(0, 2), st.integers(0, 1))}
+KINDS = (*BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill")
+#: A kill names (shard, replica) directly: three shards, at most R=2;
+#: a policy compaction its dead-fraction threshold; a reinsert a seed.
+PAYLOADS = {
+    "kill": st.tuples(st.integers(0, 2), st.integers(0, 1)),
+    "maybe_compact": st.sampled_from((0.0, 0.02, 0.1)),
+    "reinsert": SEEDS,
+}
 
 
 def _check_payload(result, want, label):
@@ -88,7 +95,7 @@ def _check_payload(result, want, label):
         payloads=PAYLOADS,
         query_shapes=QUERY_SHAPES,
         max_rows=50,
-        max_ops=10,
+        max_ops=12,
         max_delete=6,
     )
 )
@@ -111,6 +118,7 @@ def test_backends_agree_with_scan_under_interleavings(case):
     for engine in engines.values():
         engine.build()
     ledger = UpdateLedger(scan.store)
+    deleted: list[int] = []
 
     with ExitStack() as stack:
         executors = {
@@ -163,6 +171,34 @@ def test_backends_agree_with_scan_under_interleavings(case):
                 for engine in engines.values():
                     assert engine.delete(victims) == count
                 ledger.record_delete(victims)
+                deleted += victims.tolist()
+            elif kind == "maybe_compact":
+                for backend, engine in engines.items():
+                    fp = engine.store.live_fingerprint()
+                    engine.maybe_compact(payload)
+                    assert engine.store.live_fingerprint() == fp, (
+                        f"{backend}: policy compaction changed the live multiset"
+                    )
+            elif kind == "reinsert":
+                rng = np.random.default_rng(payload)
+                free = sorted(set(deleted) - set(ledger.live_ids().tolist()))
+                if not free:
+                    continue
+                again = np.array([free[rng.integers(len(free))]], dtype=np.int64)
+                blo = rng.uniform(0, 90, size=(1, 2))
+                bhi = blo + 5.0
+                # Whoever still holds the id's tombstone refuses it — up
+                # front, leaving the engine servable — until a compaction
+                # lets go; the warm workers must let go with their shards.
+                for backend, index in (("scan", scan), *engines.items()):
+                    try:
+                        index.insert(blo, bhi, again)
+                    except DatasetError:
+                        index.compact()
+                        assert np.array_equal(
+                            index.insert(blo, bhi, again), again
+                        ), f"{backend}: reinsert after compaction diverged"
+                ledger.record_insert(blo, bhi, again)
             else:  # compact
                 scan.compact()
                 for backend, engine in engines.items():

@@ -23,10 +23,11 @@ from repro.baselines import (
 )
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.geometry import Box
 from repro.queries import Query
-from repro.sharding import ShardedIndex
+from repro.sharding import QueryExecutor, ShardedIndex
+from repro.sharding.executor import BACKENDS
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 FULL = Query(Box((-1.0, -1.0), (101.0, 101.0)), seq=999)
@@ -321,6 +322,55 @@ class TestShardedCompaction:
             assert shard.store.n == shard.store.live_count
         engine.validate_routing()
         assert np.array_equal(np.sort(engine.execute(FULL).ids), before)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reinsert_after_a_partial_policy_compaction(self, backend):
+        # The policy pass cleans the mirror (10% dead) and shard 0 (40%)
+        # but skips shard 1 (0.5%), which keeps five tombstones the
+        # mirror no longer knows.  Re-inserting one of those ids used to
+        # pass the mirror's gate, land in the mirror, and only then be
+        # refused by the shard's — leaving the mirror an epoch ahead of
+        # the engine, which failed every later query.
+        rng = np.random.default_rng(21)
+        lo = rng.uniform(0, 90, size=(4_000, 2))
+        hi = lo + rng.uniform(0, 5, size=(4_000, 2))
+        engine = ShardedIndex(BoxStore(lo.copy(), hi.copy()), n_shards=4)
+        engine.build()
+        scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
+        probes = [
+            Query(Box((x, x), (x + 30.0, x + 30.0)), seq=i)
+            for i, x in enumerate((0.0, 20.0, 40.0, 60.0))
+        ] + [FULL]
+
+        def check(ex):
+            for q, got in zip(probes, ex.run(probes).results):
+                assert np.array_equal(np.sort(got), np.sort(scan.execute(q).ids))
+
+        with QueryExecutor(engine, max_workers=2, backend=backend) as ex:
+            check(ex)
+            few = engine.shards[1].store.ids[:5].copy()
+            victims = np.concatenate([engine.shards[0].store.ids[:400], few])
+            assert engine.delete(victims) == scan.delete(victims) == 405
+            assert engine.maybe_compact(0.05) == 405
+            scan.compact()
+            assert [s.store.n_dead for s in engine.shards] == [0, 5, 0, 0]
+            check(ex)
+            # Its old box, so that it routes back to the shard that
+            # still holds its tombstone.
+            again = few[:1]
+            old_lo, old_hi = lo[again], hi[again]
+            with pytest.raises(DatasetError, match="collide"):
+                engine.insert(old_lo, old_hi, again)
+            # Refused before anything was written: still servable.
+            assert engine.store.n == scan.store.n
+            check(ex)
+            # Once the shard lets go of the tombstone the id is free.
+            engine.compact()
+            assert np.array_equal(engine.insert(old_lo, old_hi, again), again)
+            scan.insert(old_lo, old_hi, again)
+            check(ex)
+            assert int(again[0]) in ex.run([FULL]).results[0]
+        engine.validate_routing()
 
     def test_compact_and_maybe_compact_agree_on_accounting(self):
         # Both verbs count logical rows (mirror tombstones), so for the

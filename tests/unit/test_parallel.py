@@ -9,8 +9,9 @@ Covers the four layers of the subsystem:
 * backend resolution — explicit argument vs ``QUASII_EXECUTOR_BACKEND``
   vs worker-count default, and the replicated-engine guard;
 * the serving pool — oracle parity through the executor (including
-  across epoch bumps), telemetry golden-equivalence with the sequential
-  backend, worker SIGKILL recovery, and shared-memory cleanup.
+  across writes, which ride to the warm workers as deltas), telemetry
+  golden-equivalence with the sequential backend, worker SIGKILL
+  recovery, op-log arming, and shared-memory cleanup on every exit.
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ from repro.parallel import (
     decode_results,
     encode_queries,
     encode_results,
+    publish_delta,
     publish_segment,
     resolve_start_method,
     segment_nbytes,
 )
+from repro.parallel import shm as shm_module
 from repro.parallel.pool import START_METHOD_ENV
 from repro.queries import Query, uniform_workload
-from repro.sharding import QueryExecutor, ShardedIndex
+from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
@@ -88,6 +91,33 @@ def _query_matrix(ndim: int = 2, span: float = 100.0) -> list[Query]:
     return queries
 
 
+@pytest.fixture
+def created_names(monkeypatch):
+    """Names of every segment the code under test creates."""
+    names: list[str] = []
+
+    class Recording(SharedMemory):
+        def __init__(self, name=None, create=False, size=0):
+            super().__init__(name=name, create=create, size=size)
+            if create:
+                names.append(self.name)
+
+    monkeypatch.setattr(shm_module, "SharedMemory", Recording)
+    return names
+
+
+def _assert_matches(scan, queries, batch) -> None:
+    """Every id-mode answer of ``batch`` equals the Scan oracle's."""
+    for q, got in zip(queries, batch.results):
+        assert np.array_equal(np.sort(got), np.sort(scan.execute(q).ids))
+
+
+def _assert_gone(names: list[str]) -> None:
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            SharedMemory(name=name, create=False)
+
+
 # ----------------------------------------------------------------------
 # Segments
 # ----------------------------------------------------------------------
@@ -123,6 +153,23 @@ class TestSegments:
         assert np.shares_memory(view.store.ids, backing)
         # Release our raw view of the buffer before closing the mapping —
         # mmap refuses to close while exported pointers exist.
+        del backing
+        view.close()
+        shm.unlink()
+
+    def test_appending_to_a_view_store_leaves_the_mapping_alone(self):
+        store = _store(16)
+        spec, shm = publish_segment(store, sid=0, version=0)
+        view = SharedStoreView(spec, shm)
+        before, size = bytes(shm.buf), shm.size
+        fresh = np.array([[1.0, 2.0]])
+        view.store.append(fresh, fresh + 1.0)
+        view.store.apply_order(np.arange(17)[::-1].copy())
+        assert view.store.n == 17
+        assert bytes(shm.buf) == before and shm.size == size
+        backing = np.frombuffer(shm.buf, dtype=np.uint8)
+        assert not np.shares_memory(view.store.lo, backing)
+        assert not np.shares_memory(view.store.ids, backing)
         del backing
         view.close()
         shm.unlink()
@@ -167,6 +214,54 @@ class TestSegments:
         segment.destroy()
         with pytest.raises(FileNotFoundError):
             SharedMemory(name=spec.name, create=False)
+
+    def test_failed_publish_unlinks_its_segment(self, created_names):
+        class Exploding(BoxStore):
+            __slots__ = ()
+
+            @property
+            def ids(self):
+                raise RuntimeError("gather failed")
+
+        rng = np.random.default_rng(0)
+        lo = rng.uniform(0, 100, size=(8, 2))
+        with pytest.raises(RuntimeError, match="gather failed"):
+            publish_segment(Exploding(lo, lo + 1.0), sid=0, version=0)
+        assert len(created_names) == 1
+        _assert_gone(created_names)
+
+    def test_delta_packs_inserted_rows_and_ordered_ops(self):
+        lo = np.arange(12, dtype=np.float64).reshape(6, 2)
+        ids = np.arange(100, 106, dtype=np.int64)
+        gone = np.array([101, 7], dtype=np.int64)
+        none = np.empty(0, dtype=np.int64)
+        log = [
+            ("insert", lo[:4], lo[:4] + 1.0, ids[:4]),
+            ("delete", None, None, gone),
+            ("compact", None, None, none),
+            ("insert", lo[4:], lo[4:] + 1.0, ids[4:]),
+        ]
+        delta, shm = publish_delta(log, sid=3, version=5)
+        try:
+            assert delta.ops == (
+                ("insert", 4), ("delete", 2), ("compact", 0), ("insert", 2),
+            )
+            assert np.array_equal(delta.deleted, gone)
+            assert (delta.rows.sid, delta.rows.version) == (3, 5)
+            assert shm.size == segment_nbytes(6, 2)
+            view = SharedStoreView.attach(delta.rows, tracker_shared=True)
+            try:
+                assert np.array_equal(view.store.ids, ids)
+                assert np.array_equal(view.store.lo, lo)
+            finally:
+                view.close()
+        finally:
+            shm.close()
+            shm.unlink()
+        # Without inserts there is nothing to map.
+        delta, shm = publish_delta(log[1:3], sid=3, version=5)
+        assert shm is None and delta.rows is None
+        assert delta.ops == (("delete", 2), ("compact", 0))
 
     def test_segment_nbytes_matches_layout(self):
         assert segment_nbytes(0, 3) == 0
@@ -341,8 +436,9 @@ class TestProcessBackend:
             assert out.mode == "processes"
             assert out.workers == 2
             check(out)
-            # Mutations bump the store epoch; the next batch must
-            # republish segments and still agree with the oracle.
+            # Mutations bump the store epoch; the next batch ships them
+            # to the warm workers as deltas — no segment is republished
+            # — and still agrees with the oracle.
             rng = np.random.default_rng(5)
             blo = rng.uniform(0, 9_000, size=(30, 3))
             bhi = blo + rng.uniform(1, 50, size=(30, 3))
@@ -352,8 +448,16 @@ class TestProcessBackend:
             victims = dataset.store.ids[:40].copy()
             assert engine.delete(victims) == scan.delete(victims) == 40
             refreshes_before = len(events.recent("worker.refresh"))
+            assert not events.recent("worker.delta")
             check(ex.run(queries))
-            assert len(events.recent("worker.refresh")) > refreshes_before
+            assert len(events.recent("worker.refresh")) == refreshes_before
+            deltas = [e.payload for e in events.recent("worker.delta")]
+            assert sum(d["rows"] for d in deltas) == 30
+            assert sum(d["bytes"] for d in deltas) == segment_nbytes(30, 3)
+            assert sum(d["ops"] for d in deltas) >= 2
+            # With nothing written in between, nothing is shipped.
+            check(ex.run(queries))
+            assert len(events.recent("worker.delta")) == len(deltas)
 
     def test_telemetry_matches_sequential_backend(self, dataset):
         queries = uniform_workload(dataset.universe, 30, 1e-3, seed=3)
@@ -414,6 +518,173 @@ class TestProcessBackend:
             assert len(respawns) == 1
             assert respawns[0].payload["old_pid"] == victim
             assert pool.worker_pids[0] != victim
+
+    @staticmethod
+    def _kill(pool, wid):
+        victim = pool.worker_pids[wid]
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while pool._workers[wid].is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return victim
+
+    def test_sigkill_after_deltas_republishes_current_state(self, dataset):
+        queries = uniform_workload(dataset.universe, 15, 1e-2, seed=4)
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        events = EventLog()
+        rng = np.random.default_rng(9)
+
+        def write(n_insert, victims):
+            blo = rng.uniform(0, 9_000, size=(n_insert, 3))
+            bhi = blo + rng.uniform(1, 50, size=(n_insert, 3))
+            ids = engine.insert(blo, bhi)
+            assert np.array_equal(ids, scan.insert(blo, bhi))
+            assert engine.delete(victims) == scan.delete(victims)
+            return ids
+
+        def check(batch):
+            _assert_matches(scan, queries, batch)
+
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        ) as ex:
+            check(ex.run(queries))
+            first = write(60, dataset.store.ids[:20].copy())
+            check(ex.run(queries))
+            assert events.recent("worker.delta")
+            # A second write, then the kill, then the read: the dead
+            # worker had absorbed the first write's deltas and never
+            # sees the second's.
+            write(60, first[:10])
+            self._kill(ex._pool, 0)
+            bases = len(events.recent("worker.refresh"))
+            check(ex.run(queries))
+            assert len(events.recent("worker.respawn")) == 1
+            republished = events.recent("worker.refresh")[bases:]
+            # Worker 0's shards (even sids) get bases cut from the
+            # driver's current state; worker 1 keeps its warm copies.
+            assert sorted(e.payload["sid"] for e in republished) == [0, 2]
+            assert all(e.payload["version"] == 1 for e in republished)
+            assert sum(e.payload["rows"] for e in republished) == sum(
+                engine.shards[sid].owned_count for sid in (0, 2)
+            )
+            write(30, first[10:20])
+            check(ex.run(queries))
+            assert len(events.recent("worker.refresh")) == bases + 2
+
+    def test_rebalance_republishes_and_rearms_the_rebuilt_shards(self, dataset):
+        queries = uniform_workload(dataset.universe, 20, 1e-2, seed=8)
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        engine.build()
+        assert all(s.oplog is None for s in engine.shards)
+        events = EventLog()
+
+        def check(batch):
+            _assert_matches(scan, queries, batch)
+
+        ex = QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        )
+        try:
+            check(ex.run(queries))
+            armed = engine.shards
+            assert all(s.oplog == [] for s in armed)
+            result = Rebalancer().rebalance(engine, reason="balance")
+            rebuilt = {result.hot_sid, result.cold_sid}
+            for shard in engine.shards:
+                if shard.sid in rebuilt:
+                    assert shard is not armed[shard.sid]
+                    assert shard.oplog is None
+            bases = len(events.recent("worker.refresh"))
+            check(ex.run(queries))
+            republished = events.recent("worker.refresh")[bases:]
+            assert {e.payload["sid"] for e in republished} == rebuilt
+            assert all(s.oplog == [] for s in engine.shards)
+            assert not events.recent("worker.delta")
+            # The op logs have one consumer: a second live pool is refused.
+            second = ProcessPool(engine, n_workers=1)
+            try:
+                with pytest.raises(ParallelError, match="another live"):
+                    second.run_batch(queries[:1], {0: [0]})
+            finally:
+                second.close()
+            assert all(s.oplog == [] for s in engine.shards)
+        finally:
+            ex.close()
+        assert all(s.oplog is None for s in engine.shards)
+        # Sequential serving never arms a log.
+        QueryExecutor(engine, max_workers=1).run(queries)
+        engine.insert(np.zeros((1, 3)), np.ones((1, 3)))
+        assert all(s.oplog is None for s in engine.shards)
+
+    def test_a_log_that_outgrew_its_base_becomes_a_new_base(self):
+        lo = np.arange(24, dtype=np.float64).reshape(8, 3)
+        engine = ShardedIndex(BoxStore(lo, lo + 1.0), n_shards=2)
+        scan = ScanIndex(BoxStore(lo.copy(), lo + 1.0))
+        everything = Query(Box((-1.0,) * 3, (1e6,) * 3))
+        events = EventLog()
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        ) as ex:
+            ex.run([everything])
+            rng = np.random.default_rng(1)
+            blo = rng.uniform(0, 100, size=(40, 3))
+            base_rows = engine.shard_sizes()
+            ids = engine.insert(blo, blo + 1.0)
+            scan.insert(blo, blo + 1.0)
+            got = ex.run([everything]).results[0]
+            assert np.array_equal(np.sort(got), np.sort(scan.execute(everything).ids))
+            written = np.bincount([engine.owner_of(i) for i in ids], minlength=2)
+            outgrown = {
+                sid for sid in range(2) if written[sid] > base_rows[sid]
+            }
+            assert outgrown
+            assert {
+                e.payload["sid"]
+                for e in events.recent("worker.refresh")
+                if e.payload["version"] == 1
+            } == outgrown
+            assert {e.payload["sid"] for e in events.recent("worker.delta")} == {
+                sid for sid in range(2) if written[sid]
+            } - outgrown
+
+    def test_worker_err_mid_batch_leaks_no_delta_segment(
+        self, dataset, created_names
+    ):
+        queries = uniform_workload(dataset.universe, 15, 1e-2, seed=4)
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        ex = QueryExecutor(engine, max_workers=2, backend="processes")
+        try:
+            ex.run(queries)
+            bases = list(created_names)
+            assert len(bases) == engine.n_shards
+            rng = np.random.default_rng(2)
+            blo = rng.uniform(0, 9_000, size=(80, 3))
+            engine.insert(blo, blo + 5.0)
+            scan.insert(blo, blo + 5.0)
+            # Poison one shard's delta: its worker's validating delete
+            # refuses an id that is not live there.
+            poisoned = engine.shards[1]
+            assert poisoned.oplog
+            poisoned.oplog.append(
+                ("delete", None, None, np.array([10**12], dtype=np.int64))
+            )
+            with pytest.raises(ParallelError, match="shard 1"):
+                ex.run(queries)
+            deltas = created_names[len(bases):]
+            assert deltas, "the failed batch must have shipped delta segments"
+            _assert_gone(deltas)
+            # The failed shard's copy is suspect: its base is gone too and
+            # the next batch cuts a new one from the driver's state.
+            assert poisoned.oplog is None
+            _assert_gone(bases[1:2])
+            _assert_matches(scan, queries, ex.run(queries))
+        finally:
+            ex.close()
+        _assert_gone(created_names)
 
     def test_close_leaves_no_shared_memory_behind(self, dataset):
         engine = self._engine(dataset)

@@ -276,6 +276,20 @@ def test_ql008_covers_the_frozen_dataclass_setattr_idiom(tmp_path):
     assert [f.tag for f in findings] == ["resource-attr:open"]
 
 
+def test_ql008_covers_the_delta_payload(tmp_path):
+    # The delta names its row segment by spec; holding the mapping
+    # itself would try to pickle an OS handle into the batch message.
+    write_tree(tmp_path, {"parallel/shm.py": (
+        "from multiprocessing.shared_memory import SharedMemory\n"
+        "class ShardDelta:\n"
+        "    def __init__(self, ops, name):\n"
+        "        self.ops = ops\n"
+        "        self.rows = SharedMemory(name=name)\n"
+    )})
+    findings = run_rules(tmp_path, ["QL008"])
+    assert [f.tag for f in findings] == ["resource-attr:SharedMemory"]
+
+
 def test_ql008_stays_silent_on_the_live_parallel_package():
     findings = run_rules(REPO / "src" / "repro", ["QL008"])
     assert findings == []

@@ -201,3 +201,100 @@ class TestDeletePrimitives:
         assert store.find_live_rows(np.empty(0, dtype=np.int64)).size == 0
         assert store.tombstone_rows(np.empty(0, dtype=np.int64)) == 0
         assert store.epoch == epoch
+
+
+class TestAmortizedAppend:
+    """Columns are views over capacity buffers; nothing may show it."""
+
+    @staticmethod
+    def _batches(seed: int, sizes: tuple[int, ...]):
+        rng = np.random.default_rng(seed)
+        for k in sizes:
+            lo = rng.uniform(0, 50, size=(k, 2))
+            yield lo, lo + rng.uniform(0, 9, size=(k, 2))
+
+    def test_any_append_sequence_equals_the_concatenation(self):
+        sizes = (1, 3, 0, 40, 2, 2, 500, 1, 7)
+        store = _small_store(5)
+        parts = [(store.lo.copy(), store.hi.copy())]
+        assert store.max_extent is not None  # warm the cache: it must track
+        for lo, hi in self._batches(1, sizes):
+            store.append(lo, hi)
+            parts.append((lo, hi))
+            whole = BoxStore(
+                np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]),
+            )
+            assert np.array_equal(store.lo, whole.lo)
+            assert np.array_equal(store.hi, whole.hi)
+            assert np.array_equal(store.ids, whole.ids)
+            assert np.array_equal(store.live, whole.live)
+            assert np.array_equal(store.max_extent, whole.max_extent)
+            assert store.fingerprint() == whole.fingerprint()
+            assert store.n == len(store) == whole.n
+        assert store.epoch == sum(1 for k in sizes if k)
+
+    def test_small_appends_reallocate_rarely(self):
+        store = _small_store(1_000)
+        moves, buffer = 0, store.lo
+        for lo, hi in self._batches(2, (4,) * 500):
+            store.append(lo, hi)
+            if not np.shares_memory(store.lo, buffer):
+                moves, buffer = moves + 1, store.lo
+        assert store.n == 3_000
+        assert moves <= 12  # ~log(3) / log(9/8), not one per batch
+
+    def test_held_ranges_stay_valid_across_growth(self):
+        store = _small_store(64)
+        want_ids = store.ids[10:20].copy()
+        want_lo = store.lo[10:20].copy()
+        order = np.arange(10)[::-1].copy()
+        for lo, hi in self._batches(3, (5, 80, 300)):
+            store.append(lo, hi)
+            assert np.array_equal(store.ids[10:20], want_ids)
+            assert np.array_equal(store.lo[10:20], want_lo)
+            # ... and stay writable in place: cracking a held range after
+            # growth reorders the store, not a stale buffer.
+            store.apply_order_range(10, 20, order)
+            want_ids, want_lo = want_ids[order], want_lo[order]
+            assert store.mbr_of_range(10, 20).lo == tuple(want_lo.min(axis=0))
+        store.delete_ids(want_ids[:3])
+        assert not store.live[10:13].any() and store.live[13:].all()
+
+    def test_copy_and_compact_drop_the_slack(self):
+        store = _small_store(100)
+        for lo, hi in self._batches(4, (3, 3, 3)):
+            store.append(lo, hi)
+        exact = 109 * (2 * 2 * 8 + 8 + 1)
+
+        def owned(s: BoxStore) -> int:
+            cols = (s.lo, s.hi, s.ids, s.live)
+            return sum(c.nbytes if c.base is None else c.base.nbytes for c in cols)
+
+        # Readers of the public columns see logical sizes either way.
+        assert sum(c.nbytes for c in (store.lo, store.hi, store.ids, store.live)) == exact
+        assert owned(store) > exact
+        dup = store.copy()
+        assert owned(dup) == exact and dup.fingerprint() == store.fingerprint()
+        dup.append(np.zeros((1, 2)), np.ones((1, 2)))
+        assert store.n == 109  # the copy grew on its own buffers
+        store.delete_ids(store.ids[:9].copy())
+        store.compact()
+        assert store.n == 100 and owned(store) == 100 * (2 * 2 * 8 + 8 + 1)
+
+    def test_appending_over_caller_arrays_never_touches_them(self):
+        backing = np.zeros(8 * 5, dtype=np.float64)
+        lo = backing[:16].reshape(8, 2)
+        hi = backing[16:32].reshape(8, 2)
+        hi[:] = 1.0
+        ids = backing[32:].view(np.int64)
+        ids[:] = np.arange(8)
+        store = BoxStore(lo, hi, ids)
+        assert np.shares_memory(store.lo, backing)  # zero-copy until it grows
+        snapshot = backing.copy()
+        store.append(np.full((3, 2), 7.0), np.full((3, 2), 8.0))
+        assert store.n == 11 and not np.shares_memory(store.lo, backing)
+        assert not np.shares_memory(store.ids, backing)
+        store.apply_order_range(0, 11, np.arange(11)[::-1].copy())
+        store.delete_ids(np.array([0]))
+        assert np.array_equal(backing, snapshot) and backing.size == 40

@@ -139,6 +139,7 @@ class AnalysisConfig:
             "_hi",
             "_ids",
             "_live",
+            "_buffers",
             "_n_dead",
             "_epoch",
             "_max_extent",
@@ -183,6 +184,7 @@ class AnalysisConfig:
     boundary_payload_classes: frozenset[str] = frozenset(
         {
             "SegmentSpec",
+            "ShardDelta",
             "QueryBatchWire",
             "ResultBatchWire",
             "LatencyHistogram",
