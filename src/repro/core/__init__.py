@@ -3,9 +3,9 @@
 from repro.core.config import PAPER_TAU, QuasiiConfig
 from repro.core.cracking import (
     REPRESENTATIVES,
+    Frame,
     crack,
     crack_values,
-    partition_order,
     range_dim_stats,
     representative_keys,
 )
@@ -15,12 +15,12 @@ from repro.core.slices import SliceList
 __all__ = [
     "PAPER_TAU",
     "REPRESENTATIVES",
+    "Frame",
     "QuasiiConfig",
     "QuasiiIndex",
     "SliceList",
     "crack",
     "crack_values",
-    "partition_order",
     "range_dim_stats",
     "representative_keys",
 ]

@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.config import PAPER_TAU, QuasiiConfig
 from repro.core.cracking import (
     REPRESENTATIVES,
+    Frame,
     crack,
     range_dim_stats,
     representative_keys,
@@ -208,14 +209,15 @@ class QuasiiIndex(MutableSpatialIndex):
         """Number of top-level slice lists (1 + absorbed insert runs)."""
         return len(self._tops)
 
-    def _extended_bounds(self, query: Query) -> tuple[list[float], list[float]]:
+    def _extended_bounds(self, query: Query) -> tuple[list[float], ...]:
         """Per-dimension key range of ``query``, extended for the representative.
 
         An object intersecting the window can have its representative key
         outside the window by at most the maximum object extent (lower
         representative: only below; upper: only above; center: half on
         each side) — the query-extension technique of Section 5.2.
-        Computed once per query; the walk indexes it by level.
+        Computed once per query, as ``(key lo, key hi, window lo, window
+        hi)`` lists; the walk and Algorithm 2 index them by level.
         """
         ext = self._max_extent
         if self._representative == "lower":
@@ -224,7 +226,7 @@ class QuasiiIndex(MutableSpatialIndex):
             lo, hi = query.lo, query.hi + ext
         else:
             lo, hi = query.lo - ext / 2.0, query.hi + ext / 2.0
-        return lo.tolist(), hi.tolist()
+        return lo.tolist(), hi.tolist(), query.lo.tolist(), query.hi.tolist()
 
     def build(self) -> None:
         """No-op: QUASII has no pre-processing step (that is the point)."""
@@ -287,7 +289,7 @@ class QuasiiIndex(MutableSpatialIndex):
         """
         nodes = 0
         candidates = len(self._buffer)
-        key_lo, key_hi = self._extended_bounds(query)
+        key_lo, key_hi = self._extended_bounds(query)[:2]
         stack: list[SliceList] = list(self._tops)
         while stack:
             lst = stack.pop()
@@ -596,7 +598,7 @@ class QuasiiIndex(MutableSpatialIndex):
         self,
         lst: SliceList,
         query: Query,
-        keys: tuple[list[float], list[float]],
+        keys: tuple[list[float], ...],
         leaves: list[int],
     ) -> None:
         """Algorithm 1 over one sibling list: probe once, Python per hit."""
@@ -609,7 +611,7 @@ class QuasiiIndex(MutableSpatialIndex):
         while n < len(hits):
             h = hits[n]
             n += 1
-            if self._refine(lst, h, query, keys):
+            if self._refine(lst, h, keys):
                 # The slice was replaced by its sub-slices: re-enter at the
                 # same position, testing each piece once.  Pieces meet the
                 # threshold or miss the query, so none is refined again;
@@ -639,24 +641,23 @@ class QuasiiIndex(MutableSpatialIndex):
         self,
         lst: SliceList,
         h: int,
-        query: Query,
-        keys: tuple[list[float], list[float]],
+        keys: tuple[list[float], ...],
     ) -> bool:
-        """Refine slice ``h`` of ``lst`` against ``query``.
+        """Refine slice ``h`` of ``lst`` against a query's ``keys``.
 
-        Physically cracks the store and splices the replacement sibling
-        run (>= 1 slices, query-overlapping ones guaranteed at/below
+        Cracks the slice's key :class:`~repro.core.cracking.Frame`, moves
+        the store's rows once, and splices the replacement sibling run
+        (>= 1 slices, query-overlapping ones guaranteed at/below
         threshold) over the slice; False means "already refined" — no
         reorganization possible/needed, ``lst`` unchanged.
         """
         dim = lst.level
         tau = self._config.threshold(dim)
-        begin, end = int(lst.begin[h]), int(lst.end[h])
-        if lst.final[h] or end - begin <= tau:
+        begin, size = int(lst.begin[h]), int(lst.end[h] - lst.begin[h])
+        if lst.final[h] or size <= tau:
             return False
-        kmin, kmax, dim_lo, dim_hi = range_dim_stats(
-            self._store, begin, end, dim, self._representative
-        )
+        frame = Frame(self._store, begin, begin + size, dim, self._representative)
+        kmin, kmax, dim_lo, dim_hi = range_dim_stats(frame, 0, size)
         # Tighten the recorded open-ended bounds while we have them.
         lst.mbb_lo[h, dim] = dim_lo
         lst.mbb_hi[h, dim] = dim_hi
@@ -672,20 +673,22 @@ class QuasiiIndex(MutableSpatialIndex):
         # Deduplicate the degenerate case extended_lo == upper.
         if len(bounds) == 2 and bounds[0] == bounds[1]:
             bounds = bounds[:1]
-        edges = [begin, end]
+        edges = [0, size]
         if bounds:
             # Three-way (both bounds interior) or two-way slicing;
             # otherwise the query covers the slice's key range and only
             # artificial slicing applies.
-            edges[1:1] = crack(
-                self._store, begin, end, dim, bounds, self._representative
-            )
+            edges[1:1] = crack(frame, 0, size, bounds)
             self.stats.cracks += 1
-            self.stats.rows_reorganized += end - begin
+            self.stats.rows_reorganized += size
         pieces: list[Piece] = []
         cut_los = [float(lst.cut_lo[h]), *bounds]
-        for cut_lo, b, e in zip(cut_los, edges, edges[1:]):
-            self._emit_refined(dim, b, e, cut_lo, query, tau, pieces)
+        window = keys[2][dim], keys[3][dim]
+        for cut_lo, a, b in zip(cut_los, edges, edges[1:]):
+            self._emit_refined(frame, a, b, cut_lo, window, tau, pieces)
+        # Before finalize, which reduces over store rows; a frame that only
+        # emitted has no permutation and leaves the store alone.
+        frame.commit()
         refined = SliceList.from_pieces(dim, pieces, lst.mbb_lo[h], lst.mbb_hi[h])
         refined.finalize(self._store, tau)
         lst.replace(h, refined)
@@ -693,49 +696,44 @@ class QuasiiIndex(MutableSpatialIndex):
 
     def _emit_refined(
         self,
-        dim: int,
-        begin: int,
-        end: int,
+        frame: Frame,
+        a: int,
+        b: int,
         cut_lo: float,
-        query: Query,
+        window: tuple[float, float],
         tau: int,
         out: list[Piece],
     ) -> None:
         """Recursive artificial refinement (Algorithm 2, Lines 8–13).
 
-        Emits the piece as-is when it meets the threshold, lies outside the
-        query on this dimension, or cannot be split by value; otherwise
-        two-way cracks it at the key-range midpoint and recurses, appending
-        results left-to-right so the sibling run stays sorted.
+        Emits frame positions ``[a, b)`` as one piece when it meets the
+        threshold, lies outside the query ``window`` on this dimension, or
+        cannot be split by value; otherwise two-way cracks it at the
+        key-range midpoint and recurses, appending results left-to-right
+        so the sibling run stays sorted.
         """
-        if begin == end:
+        if a == b:
             return  # drop empty slices (paper's s23)
-        size = end - begin
-        kmin, kmax, dim_lo, dim_hi = range_dim_stats(
-            self._store, begin, end, dim, self._representative
-        )
+        kmin, kmax, dim_lo, dim_hi = range_dim_stats(frame, a, b)
         # Overlap against the *recorded extents*, which cover the objects
         # regardless of the representative in use.
-        overlaps = dim_hi >= query.lo[dim] and dim_lo <= query.hi[dim]
-        if size <= tau or not overlaps or kmin == kmax:
-            out.append((cut_lo, begin, end, dim_lo, dim_hi))
+        overlaps = dim_hi >= window[0] and dim_lo <= window[1]
+        if b - a <= tau or not overlaps or kmin == kmax:
+            out.append((cut_lo, frame.begin + a, frame.begin + b, dim_lo, dim_hi))
             return
         if self._artificial_split == "median":
-            keys = representative_keys(
-                self._store, begin, end, dim, self._representative
-            )
-            mid = float(np.median(keys))
+            mid = float(np.median(frame.keys[a:b]))
         else:
             mid = (kmin + kmax) / 2.0
         # The cut can coincide with kmin (skewed median, adjacent floats);
         # cracking needs a cut with a non-empty left side.
         if mid <= kmin:
             mid = float(np.nextafter(kmin, kmax))
-        splits = crack(self._store, begin, end, dim, [mid], self._representative)
+        (split,) = crack(frame, a, b, [mid])
         self.stats.cracks += 1
-        self.stats.rows_reorganized += size
-        self._emit_refined(dim, begin, splits[0], cut_lo, query, tau, out)
-        self._emit_refined(dim, splits[0], end, mid, query, tau, out)
+        self.stats.rows_reorganized += b - a
+        self._emit_refined(frame, a, split, cut_lo, window, tau, out)
+        self._emit_refined(frame, split, b, mid, window, tau, out)
 
     # ------------------------------------------------------------------
     # Introspection & verification

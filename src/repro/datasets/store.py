@@ -351,23 +351,30 @@ class BoxStore:
     def apply_order_range(self, begin: int, end: int, order: np.ndarray) -> None:
         """Permute rows ``[begin, end)`` by ``order`` (relative indices).
 
-        ``order`` must be a permutation of ``0..end-begin-1``; row
-        ``begin + order[k]`` moves to position ``begin + k``.  This is the
-        only mutation queries may apply — all cracking is built on it — so
-        the multiset of rows can never change under a query sequence.
+        ``order`` must be an *integer* array holding a permutation of
+        ``0..end-begin-1``; row ``begin + order[k]`` moves to position
+        ``begin + k``.  This is the only mutation queries may apply — all
+        cracking is built on it — so the multiset of rows can never change
+        under a query sequence.  Shape and dtype are checked here (a
+        boolean mask would gather rows 0 and 1 over the whole range);
+        that the integers are a permutation is the caller's contract, not
+        an O(n) check on the cracking path.
         """
         self._check_range(begin, end)
         span = end - begin
-        if order.shape != (span,):
+        if order.shape != (span,) or order.dtype.kind not in "iu":
             raise DatasetError(
-                f"order length {order.shape} does not match range span {span}"
+                f"order must be {span} integers for range span {span}, "
+                f"got {order.dtype}{order.shape}"
             )
         sub = slice(begin, end)
-        self._lo[sub] = self._lo[sub][order]
-        self._hi[sub] = self._hi[sub][order]
-        self._ids[sub] = self._ids[sub][order]
+        # take() gathers whole rows of a row-major matrix 2-4x faster than
+        # fancy indexing does.
+        self._lo[sub] = self._lo[sub].take(order, axis=0)
+        self._hi[sub] = self._hi[sub].take(order, axis=0)
+        self._ids[sub] = self._ids[sub].take(order)
         if self._n_dead:
-            self._live[sub] = self._live[sub][order]
+            self._live[sub] = self._live[sub].take(order)
 
     def _check_range(self, begin: int, end: int) -> None:
         if not (0 <= begin <= end <= self.n):

@@ -71,9 +71,14 @@ class IndexStats:
         Index nodes/slices/cells inspected.
     cracks:
         Reorganization operations performed (crack/split/repartition).
+        For QUASII one per *partition step*: each query-bound or
+        artificial crack of a slice's key frame.
     rows_reorganized:
-        Total rows physically moved by reorganizations — the paper's
-        incremental-strategy cost driver.
+        Total rows those operations partitioned — the paper's
+        incremental-strategy cost driver.  QUASII adds each partition
+        step's range size; the steps of one refined slice compose into
+        a single permutation, so the store itself moves once per
+        refined slice (:mod:`repro.core.cracking`), not once per step.
     inserts:
         Objects inserted through :class:`MutableSpatialIndex.insert`.
     deletes:
@@ -353,8 +358,14 @@ class SpatialIndex(abc.ABC):
             return self._package(query, np.flatnonzero(mask))
         if rows.size == 0:
             return self._package(query, rows)
+        # take() gathers whole rows of a row-major matrix several times
+        # faster than fancy indexing (here, in _package and _refine_stacked).
         mask = predicate_mask(
-            query.predicate, store.lo[rows], store.hi[rows], query.lo, query.hi
+            query.predicate,
+            store.lo.take(rows, axis=0),
+            store.hi.take(rows, axis=0),
+            query.lo,
+            query.hi,
         )
         if store.n_dead:
             mask &= store.live[rows]
@@ -373,8 +384,8 @@ class SpatialIndex(abc.ABC):
         ids = store.ids[match_rows]
         if query.mode == "ids":
             return count, ids, None
-        lo = store.lo[match_rows]
-        hi = store.hi[match_rows]
+        lo = store.lo.take(match_rows, axis=0)
+        hi = store.hi.take(match_rows, axis=0)
         if query.mode == "top_k" and count:
             volumes = np.prod(hi - lo, axis=1)
             # Largest volume first, ties broken by ascending id so the
@@ -414,7 +425,11 @@ class SpatialIndex(abc.ABC):
                     np.stack([queries[i].hi for i in idxs]), counts, axis=0
                 )
                 mask = predicate_mask(
-                    pred, store.lo[cat], store.hi[cat], win_lo, win_hi
+                    pred,
+                    store.lo.take(cat, axis=0),
+                    store.hi.take(cat, axis=0),
+                    win_lo,
+                    win_hi,
                 )
                 if store.n_dead:
                     mask &= store.live[cat]

@@ -48,7 +48,7 @@ class ScalarWalkIndex(QuasiiIndex):
                 lst.mbb_lo[i, k] <= query.hi[k] and query.lo[k] <= lst.mbb_hi[i, k]
                 for k in range(query.ndim)
             )
-            if hit and self._refine(lst, i, query, keys):
+            if hit and self._refine(lst, i, keys):
                 continue  # sub-slices spliced in: re-enter at the same position
             if hit and dim == self._config.ndim - 1:
                 leaves += [int(lst.begin[i]), int(lst.end[i])]

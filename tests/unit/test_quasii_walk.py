@@ -279,3 +279,50 @@ class TestValidateChecksTheColumns:
             lst.children = [None] * len(lst)  # bottom lists keep none
 
         self._corrupt(mutate, "child column")
+
+
+class TestStoreMovesOncePerRefinedSlice:
+    """Cracks compose on the key frame; the store sees one permutation."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Per ``_refine`` call: (cracks made, store permutations made)."""
+        calls: list[tuple[int, int]] = []
+        permutes = [0]
+        refine, permute = QuasiiIndex._refine, BoxStore.apply_order_range
+
+        def counted_permute(store, begin, end, order):
+            permutes[0] += 1
+            permute(store, begin, end, order)
+
+        def spied_refine(self, lst, h, keys):
+            before = self.stats.cracks, permutes[0]
+            refine(self, lst, h, keys)
+            calls.append((self.stats.cracks - before[0], permutes[0] - before[1]))
+
+        monkeypatch.setattr(BoxStore, "apply_order_range", counted_permute)
+        monkeypatch.setattr(QuasiiIndex, "_refine", spied_refine)
+        return calls
+
+    def test_one_permutation_per_refine_that_cracked(self, monkeypatch):
+        ds = make_uniform(4_000, seed=5)
+        index = QuasiiIndex(ds.store.copy(), QuasiiConfig(3, (256, 32, 4)))
+        calls = self._spy(monkeypatch)
+        for q in uniform_workload(ds.universe, 12, 1e-2, seed=9):
+            index.execute(q)
+        assert max(cracks for cracks, _ in calls) > 1, "needs a multi-crack refine"
+        assert all(moves == (1 if cracks else 0) for cracks, moves in calls)
+        assert sum(moves for _, moves in calls) < index.stats.cracks
+        index.validate_structure()
+
+    def test_a_frame_that_only_emits_leaves_the_store_alone(self, monkeypatch):
+        x = np.arange(20, dtype=np.float64)[:, None]
+        index = QuasiiIndex(BoxStore(x, x + 0.5), QuasiiConfig(1, (4,)))
+        calls = self._spy(monkeypatch)
+        # Past every key: no bound falls inside the coarse slice's key
+        # range and its extent misses the window, so _refine emits it as
+        # it is (with its extent on the dimension now recorded).
+        assert index.execute(_query([500.0], [600.0])).count == 0
+        assert calls == [(0, 0)]
+        assert len(index._top) == 1 and index._top.mbb_hi[0, 0] == 19.5
+        assert index.store.ids.tolist() == list(range(20))

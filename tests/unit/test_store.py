@@ -126,6 +126,18 @@ class TestReordering:
         with pytest.raises(DatasetError):
             store.apply_order_range(0, 3, np.array([0, 1]))
 
+    def test_apply_order_rejects_a_boolean_mask(self, store):
+        # Right shape, wrong kind: as indices a mask is rows 0 and 1 over
+        # the whole range, which would change the multiset of rows.
+        fp, ids = store.fingerprint(), store.ids.tolist()
+        with pytest.raises(DatasetError, match="integers"):
+            store.apply_order_range(0, 3, np.array([True, False, False]))
+        with pytest.raises(DatasetError):
+            store.apply_order_range(0, 3, np.array([2.0, 0.0, 1.0]))
+        assert store.fingerprint() == fp and store.ids.tolist() == ids
+        store.apply_order_range(0, 3, np.array([2, 0, 1], dtype=np.uint8))
+        assert store.ids.tolist() == [ids[2], ids[0], ids[1], ids[3]]
+
     def test_fingerprint_permutation_invariant(self, store):
         fp = store.fingerprint()
         store.apply_order(np.array([3, 1, 0, 2]))
