@@ -5,4 +5,21 @@ never)."""
 
 
 def test_fig8_cumulative_time(benchmark, smoke_scale, regenerate):
-    regenerate(benchmark, "fig8", smoke_scale)
+    """QUASII never pays back more than the R-Tree's build (paper: never).
+
+    In the work model QUASII stays under the R-Tree for the whole run
+    (ratio 0.28; paper 0.394 in time) while SFCracker crosses its static
+    counterpart at once.  Mosaic's paper break-even (~100) lies past the
+    60 smoke queries, so it is only required to come after SFCracker's.
+    """
+    metrics = regenerate(benchmark, "fig8", smoke_scale)
+    break_even, ratio = metrics["work_break_even"], metrics["work_ratio"]
+    assert break_even["QUASII"] is None and ratio["QUASII"] < 1
+    assert break_even["SFCracker"] is not None and ratio["SFCracker"] > 1
+    assert (break_even["Mosaic"] or float("inf")) > break_even["SFCracker"]
+    moved, tested = metrics["rows_reorganized"], metrics["objects_tested"]
+    assert moved["SFCracker"] > moved["QUASII"] > moved["Mosaic"] > 0
+    assert (
+        tested["QUASII"] < tested["R-Tree"] < tested["Grid"]
+        < tested["Mosaic"] < tested["Scan"] / 10
+    )

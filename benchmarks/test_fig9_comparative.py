@@ -8,8 +8,38 @@ points.
 
 
 def test_fig9a_comparative_convergence(benchmark, smoke_scale, regenerate):
-    regenerate(benchmark, "fig9a", smoke_scale)
+    """First answers: Scan, then QUASII and Mosaic, far below SFCracker.
+
+    The paper orders first-query cost Scan < QUASII < Mosaic < SFCracker.
+    In rows touched at 20k boxes QUASII (26,410) and Mosaic (21,995) swap
+    — Mosaic's first query is one pass over the 20k rows — so only the
+    ends are asserted: Scan is cheapest, both sit two orders of magnitude
+    under SFCracker's full sort, and QUASII's first answer costs a
+    fraction of the R-Tree's build.  Converged, QUASII tests fewer
+    objects than Mosaic (paper: 3.68x faster).
+    """
+    metrics = regenerate(benchmark, "fig9a", smoke_scale)
+    first = metrics["first_answer_work"]
+    for kind in ("QUASII", "Mosaic"):
+        assert first["Scan"] < first[kind] < first["SFCracker"] / 10
+    assert first["QUASII"] < first["R-Tree"] / 10
+    tested = metrics["last_cluster_objects_tested"]
+    assert tested["QUASII"] < tested["Mosaic"] < tested["Scan"]
+    moved = metrics["last_cluster_rows_reorganized"]
+    assert moved["QUASII"] < moved["SFCracker"]
 
 
 def test_fig9b_comparative_cumulative(benchmark, smoke_scale, regenerate):
-    regenerate(benchmark, "fig9b", smoke_scale)
+    """Against Grid: SFCracker crosses first, QUASII never (paper: 84%).
+
+    The paper has Mosaic cross Grid after ~100 queries; the smoke run is
+    60 long, so Mosaic is only required to cross after SFCracker.
+    """
+    work = regenerate(benchmark, "fig9b", smoke_scale)["work_vs_grid"]
+    sfcracker, mosaic, quasii = (
+        work[k] for k in ("SFCracker", "Mosaic", "QUASII")
+    )
+    assert sfcracker["break_even"] is not None and sfcracker["ratio"] > 1
+    assert (mosaic["break_even"] or float("inf")) > sfcracker["break_even"]
+    assert quasii["break_even"] is None and quasii["ratio"] < 1
+    assert quasii["insight_factor"] > 1

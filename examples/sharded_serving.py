@@ -91,8 +91,8 @@ def main() -> None:
           f"({processes.throughput():.0f} queries/s), "
           f"fan-out profile {processes.shard_queries}")
     print("(this one batch also pays for spawning the pool and publishing "
-          "the shard bases — run `quasii-bench shard-scaling` for "
-          "fair warmed-stream comparisons)")
+          "the shard bases — run `python3 benchmarks/ledger/run.py "
+          "--workload sharded-serve` for fair warmed-stream comparisons)")
     print(f"a row inserted between batches reached shard "
           f"{delta.payload['sid']}'s warm worker as a "
           f"{delta.payload['bytes']}-byte delta; nothing was republished\n")

@@ -11,14 +11,12 @@ from repro.bench.metrics import (
 from repro.bench.reporting import (
     BENCH_SCHEMA,
     ExperimentReport,
-    load_bench_files,
-    render_trajectory,
     to_json_dict,
     validate_bench_json,
     write_bench_json,
 )
 from repro.bench.runner import QueryTiming, RunResult, run_workload
-from repro.bench.soak import soak_experiment
+from repro.bench.soak import SoakScale, soak_experiment
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -28,12 +26,11 @@ __all__ = [
     "RunResult",
     "SCALES",
     "Scale",
+    "SoakScale",
     "break_even_query",
     "converged_slowdown",
     "cumulative_ratio",
     "data_to_insight_factor",
-    "load_bench_files",
-    "render_trajectory",
     "run_experiment",
     "run_workload",
     "soak_experiment",

@@ -7,12 +7,11 @@ and an optional machine-readable ``metrics`` payload (time-series
 windows, span attributions) for experiments that produce more than
 tables.
 
-Reports render to plain text for humans *and* persist to
-``BENCH_<verb>.json`` files under a shared schema
-(:data:`BENCH_SCHEMA`, documented in docs/OBSERVABILITY.md), so every
-bench run leaves a perf-trajectory data point behind instead of
-vanishing into a CI log.  :func:`validate_bench_json` is the single
-gatekeeper — the CLI's ``report`` verb and CI both use it.
+Reports render to plain text for humans *and*, on request
+(``--json-out``), persist to ``BENCH_<verb>.json`` files under a shared
+schema (:data:`BENCH_SCHEMA`, documented in docs/OBSERVABILITY.md).
+:func:`validate_bench_json` is the single gatekeeper:
+:func:`write_bench_json` refuses to write a document that fails it.
 """
 
 from __future__ import annotations
@@ -48,8 +47,10 @@ class ExperimentReport:
     tables: list[Table] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     #: Machine-readable payload persisted verbatim into the JSON result
-    #: (must be JSON-serializable).  The soak experiment puts its
-    #: windowed histograms and span attributions here.
+    #: (must be JSON-serializable).  The figures put the
+    #: machine-independent totals behind their claims here (what
+    #: ``benchmarks/test_*.py`` asserts on); the soak its windowed
+    #: histograms and span attributions.
     metrics: dict = field(default_factory=dict)
 
     def add_table(
@@ -231,78 +232,3 @@ def validate_bench_json(doc: object) -> list[str]:
         if not isinstance(doc["metrics"].get("spans"), list):
             problems.append("soak metrics must contain a 'spans' list")
     return problems
-
-
-def load_bench_files(directory: str | Path) -> list[tuple[Path, object]]:
-    """All ``BENCH_*.json`` files in ``directory`` with parsed contents.
-
-    Unparseable files are returned with the raw decode error string in
-    place of a document so the caller can report them as invalid rather
-    than crash.
-    """
-    out: list[tuple[Path, object]] = []
-    for path in sorted(Path(directory).glob("BENCH_*.json")):
-        try:
-            out.append((path, json.loads(path.read_text(encoding="utf-8"))))
-        except (OSError, json.JSONDecodeError) as exc:
-            out.append((path, f"unreadable: {exc}"))
-    return out
-
-
-def render_trajectory(docs: Sequence[dict]) -> str:
-    """Summarize persisted bench results (the ``report`` verb's output).
-
-    One row per result: verb, scale, age, runtime, headline size —
-    enough to see at a glance which trajectory points exist and when
-    they were taken.  Soak results additionally surface their worst-
-    window p99 and slowest maintenance span.
-    """
-    now = time.time()
-    rows: list[list[str]] = []
-    soak_notes: list[str] = []
-    for doc in sorted(docs, key=lambda d: d.get("created_unix", 0.0)):
-        age_h = (now - doc["created_unix"]) / 3600.0
-        rows.append(
-            [
-                doc["verb"],
-                doc["scale"],
-                f"{age_h:.1f}h ago",
-                f"{doc['elapsed_seconds']:.1f}s",
-                str(len(doc["tables"])),
-                str(len(doc["metrics"].get("windows", []))),
-            ]
-        )
-        if doc["verb"] == "soak":
-            windows = doc["metrics"].get("windows", [])
-            p99s = [
-                w["histograms"]["query.seconds"]["p99"]
-                for w in windows
-                if w.get("histograms", {}).get("query.seconds", {}).get("count")
-            ]
-            if p99s:
-                soak_notes.append(
-                    f"soak ({doc['scale']}): query p99 per window "
-                    f"{min(p99s) * 1e3:.2f}..{max(p99s) * 1e3:.2f} ms "
-                    f"across {len(windows)} windows"
-                )
-            spans = doc["metrics"].get("spans", [])
-            if spans:
-                worst = max(spans, key=lambda s: s.get("seconds", 0.0))
-                soak_notes.append(
-                    f"soak ({doc['scale']}): slowest maintenance span "
-                    f"{worst['name']} at {worst['seconds'] * 1e3:.2f} ms "
-                    f"in window {worst.get('window', '?')}"
-                )
-    report = ExperimentReport(
-        "report", "perf trajectory from persisted BENCH_*.json results"
-    )
-    report.add_table(
-        "trajectory",
-        ["verb", "scale", "age", "runtime", "tables", "windows"],
-        rows,
-    )
-    for note in soak_notes:
-        report.add_note(note)
-    if not rows:
-        report.add_note("no BENCH_*.json files found — run some bench verbs first")
-    return report.render()

@@ -88,6 +88,10 @@ class RunResult:
         """Sum of candidate objects tested across all queries."""
         return sum(t.objects_tested for t in self.timings)
 
+    def total_rows_reorganized(self) -> int:
+        """Sum of rows physically moved across all queries."""
+        return sum(t.rows_reorganized for t in self.timings)
+
     def queries_with_reorganization(self) -> int:
         """How many queries physically moved data (incremental cost)."""
         return sum(1 for t in self.timings if t.rows_reorganized > 0)
@@ -103,7 +107,7 @@ class RunResult:
         """Cumulative rows touched after each query, optionally including
         build work.  Machine-independent analogue of
         :meth:`cumulative_seconds`, immune to the Python-vs-C++ constant
-        factors discussed in EXPERIMENTS.md."""
+        factors (docs/BENCH.md, "work model")."""
         base = self.build_work if include_build else 0
         return base + np.cumsum(self.query_work())
 

@@ -1,9 +1,13 @@
 """Steady-state soak benchmark: latency histograms over time.
 
-Every other experiment reports one aggregate per configuration; a
-serving engine's real behavior is a *trajectory* — p99 is fine until a
-compaction pass stalls the loop for 40 ms, and an aggregate over the
-whole run averages the stall away.  The soak drives a time-bounded
+The one serving-engine verb in ``repro.bench``.  Throughput, latency and
+the per-layer breakdown of the engine are the ledger's job
+(``benchmarks/ledger/``, 1M boxes, bounds enforced); the soak stays
+because it reports what the ledger does not: the ledger runs
+``rebalance=False`` and R = 1 and reports one aggregate per workload,
+while a serving engine's real behavior is a *trajectory* — p99 is fine
+until a compaction pass stalls the loop for 40 ms, and an aggregate over
+the whole run averages the stall away.  The soak drives a time-bounded
 mixed workload (drifting 90/10 hotspot traffic, skewed ingestion
 bursts, periodic delete storms) through the full serving stack — a
 :class:`~repro.sharding.QueryExecutor` over a
@@ -16,15 +20,17 @@ window, with its duration and the rows it touched).
 
 The op stream is generated once and cycled — the workload *shape* is
 deterministic under ``scale.seed``; only how far the loop gets within
-``scale.soak_seconds`` depends on the machine.  Writes go through
-:func:`~repro.updates.executor.apply_write`, the step the mixed-workload
-runner uses: delete victims resolve deterministically from the
-executed-op counter, and only the engine call is timed.
+``scale.soak.seconds`` depends on the machine.  Writes go through
+:func:`~repro.updates.executor.apply_write`, the step
+:func:`~repro.updates.executor.run_mixed_workload` uses: delete victims
+resolve deterministically from the executed-op counter, and only the
+engine call is timed.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,29 +69,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
 #: op flushes the pending batch first, preserving op order.
 QUERY_BATCH = 16
 
+# The workload's shape, the same at every scale (sizing is
+# :class:`SoakScale`'s job).
+HOTSPOT_PHASES = 3        # hot-region random-walk steps per op cycle
+# Serving traffic is high-QPS point-ish lookups: small windows keep most
+# queries inside one spatial tile, where fan-out pruning pays off.
+QUERY_FRACTION = 1e-4
+INSERT_EVERY = 3          # every Nth op inserts a batch ...
+INSERT_BATCH = 64         # ... of this many boxes
+DELETE_EVERY = 25         # ops between delete storms
+CHAOS_REPLICATION = 2     # replicas per shard under ``chaos``
 
-def _soak_ops(universe, scale: "Scale") -> list[WorkloadOp]:
+
+@dataclass(frozen=True)
+class SoakScale:
+    """Sizing of one soak run: the values a preset or a test varies.
+
+    Time-bounded rather than op-bounded: the op stream cycles until
+    ``seconds`` elapse, with windowed telemetry every ``window``.
+    """
+
+    n_objects: int = 100_000    # base dataset (uniform)
+    n_shards: int = 8           # K of the serving engine
+    seconds: float = 40.0       # total serving time
+    window: float = 4.0         # telemetry window width
+    ops: int = 1200             # generated op-cycle length
+    delete_batch: int = 2000    # rows tombstoned per storm
+    slow_ms: float = 10.0       # slow-query event threshold (ms)
+    chaos_every: int = 150      # executed ops between replica kills
+
+
+def _soak_ops(universe, sizing: SoakScale, seed: int) -> list[WorkloadOp]:
     """One cycle of the soak op stream (queries + inserts + deletes).
 
     Drifting-hotspot traffic with skewed ingestion, then a delete storm
-    spliced in every ``soak_delete_every`` operations — the engine must
+    spliced in every ``DELETE_EVERY`` operations — the engine must
     crack, absorb, reclaim, and rebalance all at once.
     """
     base = drifting_hotspot_workload(
         universe,
-        n_ops=scale.soak_ops,
-        phases=scale.rebalance_phases,
-        volume_fraction=scale.shard_fraction,
-        insert_every=scale.soak_insert_every,
-        insert_batch=scale.soak_insert_batch,
-        seed=scale.seed + 23,
+        n_ops=sizing.ops,
+        phases=HOTSPOT_PHASES,
+        volume_fraction=QUERY_FRACTION,
+        insert_every=INSERT_EVERY,
+        insert_batch=INSERT_BATCH,
+        seed=seed + 23,
     )
     ops: list[WorkloadOp] = []
     for i, op in enumerate(base):
-        if i and i % scale.soak_delete_every == 0:
+        if i and i % DELETE_EVERY == 0:
             ops.append(
                 WorkloadOp(
-                    kind="delete", seq=len(ops), count=scale.soak_delete_batch
+                    kind="delete", seq=len(ops), count=sizing.delete_batch
                 )
             )
         ops.append(op)
@@ -95,19 +130,19 @@ def _soak_ops(universe, scale: "Scale") -> list[WorkloadOp]:
 def soak_experiment(
     scale: "Scale", serve_metrics: int | None = None, chaos: bool = False
 ) -> ExperimentReport:
-    """Run the soak for ``scale.soak_seconds``; report the trajectory.
+    """Run the soak for ``scale.soak.seconds``; report the trajectory.
 
     With ``serve_metrics`` set (a port; ``0`` picks an ephemeral one), a
     :class:`~repro.telemetry.MetricsServer` exposes the live registry,
     span ring, and event log for the duration of the run — the CLI's
     ``--serve-metrics`` flag, so a running soak is scrapeable mid-flight.
-    Queries slower than ``scale.soak_slow_ms`` land in a structured
+    Queries slower than ``scale.soak.slow_ms`` land in a structured
     :class:`~repro.telemetry.EventLog` as ``slow_query`` events; the
     report ends with the slowest of them, fully attributed.
 
     With ``chaos`` on (the CLI's ``--chaos`` flag), the engine serves
-    from ``scale.soak_chaos_replication`` replicas per shard, a
-    deterministic replica kill fires every ``scale.soak_chaos_every``
+    from ``CHAOS_REPLICATION`` replicas per shard, a
+    deterministic replica kill fires every ``scale.soak.chaos_every``
     executed ops (always leaving each shard at least one live replica),
     and the maintenance scheduler heals corpses by ledger replay
     (``recover_replicas=True``).  Every query's result is verified
@@ -123,14 +158,14 @@ def soak_experiment(
         + (", replica-kill chaos with oracle verification" if chaos else "")
         + ")",
     )
-    ds = make_uniform(
-        min(scale.rebalance_n, scale.uniform_n), seed=scale.seed
-    )
+    sizing = scale.soak
+    replication = CHAOS_REPLICATION if chaos else 1
+    ds = make_uniform(sizing.n_objects, seed=scale.seed)
     engine = ShardedIndex(
         ds.store.copy(),
-        n_shards=max(scale.shard_counts),
+        n_shards=sizing.n_shards,
         partitioner="str",
-        replication=scale.soak_chaos_replication if chaos else 1,
+        replication=replication,
     )
     engine.build()
     # The oracle's store starts as the same copy, so both sides assign
@@ -146,14 +181,13 @@ def soak_experiment(
         min_queries=16,
         recover_replicas=chaos,
     )
-    slow_threshold = scale.soak_slow_ms / 1e3
     executor = QueryExecutor(
         engine,
         max_workers=2,
         maintenance=policy,
         telemetry=telemetry,
         events=events,
-        slow_query_threshold=slow_threshold,
+        slow_query_threshold=sizing.slow_ms / 1e3,
     )
     scheduler = executor.scheduler
     assert scheduler is not None
@@ -166,7 +200,7 @@ def soak_experiment(
             f"live metrics served at {server.url} for the duration of the "
             "run (/metrics, /snapshot.json, /spans, /events, /healthz)"
         )
-    recorder = TimeSeriesRecorder(telemetry.registry, window=scale.soak_window)
+    recorder = TimeSeriesRecorder(telemetry.registry, window=sizing.window)
     registry = telemetry.registry
     ops_counter = registry.counter(OPS)
     insert_hist = registry.histogram(INSERT_SECONDS)
@@ -175,7 +209,7 @@ def soak_experiment(
     dead_gauge = registry.gauge(STORE_DEAD_FRACTION)
     balance_gauge = registry.gauge(SHARDS_BALANCE)
 
-    ops = _soak_ops(ds.universe, scale)
+    ops = _soak_ops(ds.universe, sizing, scale.seed)
     state = {"live": engine.store.ids[engine.store.live_rows()].copy()}
     pending: list[Query] = []
     chaos_rng = np.random.default_rng(scale.seed + 77)
@@ -230,7 +264,7 @@ def soak_experiment(
         record_stats_delta(registry, engine.stats.delta_since(before))
 
     start = time.perf_counter()
-    deadline = start + scale.soak_seconds
+    deadline = start + sizing.seconds
     recorder.tick(start)
     executed = 0
     i = 0
@@ -239,7 +273,7 @@ def soak_experiment(
         while now < deadline:
             op = ops[i % len(ops)]
             i += 1
-            if chaos and executed and executed % scale.soak_chaos_every == 0:
+            if chaos and executed and executed % sizing.chaos_every == 0:
                 chaos_tick()
             if op.kind == "query":
                 pending.append(op.query)
@@ -267,7 +301,7 @@ def soak_experiment(
     # -- span attribution: which window did each maintenance pass land in
     def window_of(t: float) -> int:
         return min(
-            int((t - start) / scale.soak_window),
+            int((t - start) / sizing.window),
             max(len(recorder.windows) - 1, 0),
         )
 
@@ -365,7 +399,7 @@ def soak_experiment(
     )
     top_slow = slow[:8]
     report.add_table(
-        f"slowest queries (> {scale.soak_slow_ms:g} ms threshold; "
+        f"slowest queries (> {sizing.slow_ms:g} ms threshold; "
         f"{len(slow)} slow_query event(s) in the log)",
         [
             "seq", "ms", "rows", "predicate", "mode", "window",
@@ -424,7 +458,7 @@ def soak_experiment(
         )
     else:
         report.add_note(
-            "no maintenance pass did work this run — lengthen soak_seconds "
+            "no maintenance pass did work this run — lengthen soak.seconds "
             "or lower the policy thresholds"
         )
     if telemetry.tracer.dropped:
@@ -443,8 +477,8 @@ def soak_experiment(
         )
     else:
         report.add_note(
-            f"no query exceeded the {scale.soak_slow_ms:g} ms slow-query "
-            "threshold — lower scale.soak_slow_ms to exercise the event log"
+            f"no query exceeded the {sizing.slow_ms:g} ms slow-query "
+            "threshold — lower soak.slow_ms to exercise the event log"
         )
     if events.dropped:
         report.add_note(
@@ -468,8 +502,8 @@ def soak_experiment(
 
     # -- machine-readable trajectory --------------------------------------
     report.metrics = {
-        "window_seconds": scale.soak_window,
-        "soak_seconds": scale.soak_seconds,
+        "window_seconds": sizing.window,
+        "soak_seconds": sizing.seconds,
         "elapsed_seconds": elapsed,
         "ops_executed": executed,
         "windows": [w.to_dict(origin=start) for w in recorder.windows],
@@ -489,14 +523,12 @@ def soak_experiment(
             "dead_fraction": policy.dead_fraction,
             "max_balance": policy.max_balance,
             "query_batch": QUERY_BATCH,
-            "slow_query_threshold_ms": scale.soak_slow_ms,
+            "slow_query_threshold_ms": sizing.slow_ms,
         },
         "slow_queries": [e.to_dict() for e in top_slow],
         "chaos": {
             "enabled": chaos,
-            "replication": (
-                scale.soak_chaos_replication if chaos else 1
-            ),
+            "replication": replication,
             "kills": chaos_state["kills"],
             "recoveries": scheduler.report.replicas_recovered,
             "verified_queries": chaos_state["verified"],
@@ -506,19 +538,7 @@ def soak_experiment(
         "events": {
             "emitted": events.emitted,
             "dropped": events.dropped,
-            "slow_query_threshold_ms": scale.soak_slow_ms,
-        },
-        # Headline metrics the regression gate compares run-over-run
-        # (all latencies: lower is better).
-        "headline": {
-            "query_p50_ms": qh_total.percentile(50) * 1e3,
-            "query_p99_ms": qh_total.percentile(99) * 1e3,
-            "worst_window_p99_ms": (
-                max(p99 for _, p99 in windowed_p99) * 1e3
-                if windowed_p99
-                else 0.0
-            ),
-            "ops_per_second": executed / elapsed if elapsed else 0.0,
+            "slow_query_threshold_ms": sizing.slow_ms,
         },
     }
     return report

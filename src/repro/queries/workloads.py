@@ -21,7 +21,7 @@ Beyond the paper, :func:`mixed_workload` interleaves window queries with
 insert/delete batches — the update subsystem's mixed read/write scenario
 (the paper leaves updates as future work; see :mod:`repro.updates`) —
 :func:`hotspot_workload` generates the skewed 90/10 serving traffic
-the sharding bench uses to study shard balance and pruning, and
+that concentrates on few shards (shard balance and pruning), and
 :func:`drifting_hotspot_workload` moves that hot region across phases
 (optionally with skewed ingestion into it) — the scenario shard
 rebalancing exists for.
@@ -220,9 +220,9 @@ def hotspot_workload(
     The classic 90/10 pattern of serving traffic: ``hotspot_fraction`` of
     the queries draw their centers from a single randomly placed sub-box
     occupying ``hotspot_volume`` of the universe; the rest are uniform.
-    The sharding bench uses it to measure shard *imbalance* (a spatial
-    partitioning concentrates the hot queries on few shards) and what
-    MBB pruning is worth when traffic is not uniform.
+    It exposes shard *imbalance* (a spatial partitioning concentrates
+    the hot queries on few shards) and what MBB pruning is worth when
+    traffic is not uniform; ``examples/sharded_serving.py`` shows both.
 
     Parameters
     ----------

@@ -38,12 +38,12 @@ intact:
   kill/stall/slow faults, ticked on the engine's routing path so
   failures are first-class test inputs.
 
-The ``shard-scaling`` bench experiment (``quasii-bench shard-scaling``)
-measures batch throughput, pruning, and balance across shard counts and
-the two backends head to head; the ``rebalance`` experiment (``quasii-bench rebalance``) drives
-a drifting hotspot with skewed ingestion and compares the maintained
-engine against the static STR baseline.  Every verb is documented in
-``docs/BENCH.md``.
+Batch throughput, pruning, balance and the two backends head to head are
+measured by the ledger's ``sharded-serve`` / ``sharded-churn`` workloads
+(``python3 benchmarks/ledger/run.py``); rebalancing under a drifting
+hotspot with skewed ingestion, and serving through replica kills, by
+``quasii-bench soak [--chaos]``.  ``docs/BENCH.md`` maps each question to
+its row.
 """
 
 from repro.sharding.executor import BatchResult, QueryExecutor

@@ -23,7 +23,7 @@ Two strategies ship with the library:
 * :class:`RoundRobinPartitioner` — the null hypothesis: rows are dealt
   out cyclically, shard MBBs all cover (roughly) the whole universe, and
   queries fan out everywhere.  Perfect load balance, zero pruning — the
-  bench uses it to show how much the spatial split buys.
+  reference a spatial split is judged against.
 """
 
 from __future__ import annotations

@@ -12,19 +12,17 @@ from __future__ import annotations
 
 from repro.bench.experiments import Scale, run_experiment
 from repro.bench.reporting import to_json_dict, validate_bench_json
+from repro.bench.soak import SoakScale
 
 #: Tiny but chaotic: kills every 25 ops over a ~1.2 s soak.
 TINY_CHAOS = Scale(
     name="tiny-chaos",
     neuro_n=2_500,
     uniform_n=2_500,
-    rebalance_n=2_500,
-    soak_seconds=1.2,
-    soak_window=0.2,
-    soak_ops=200,
-    soak_delete_batch=150,
-    soak_chaos_every=25,
-    soak_chaos_replication=2,
+    soak=SoakScale(
+        n_objects=2_500, seconds=1.2, window=0.2, ops=200, delete_batch=150,
+        chaos_every=25,
+    ),
 )
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.cli import build_parser, main
 from repro.bench.experiments import EXPERIMENTS, Scale, run_experiment
+from repro.bench.soak import SoakScale
 from repro.errors import ConfigurationError
 
 #: Minimal scale: just enough data for every experiment to be non-trivial.
@@ -30,13 +31,9 @@ TINY = Scale(
     grid_candidates=(3, 6),
     grid_uniform_parts=4,
     grid_neuro_parts=6,
-    mixed_ops=60,
-    mixed_write_batch=4,
-    mixed_ratios=(0.0, 0.4),
-    soak_seconds=1.2,
-    soak_window=0.2,
-    soak_ops=200,
-    soak_delete_batch=150,
+    soak=SoakScale(
+        n_objects=2_500, seconds=1.2, window=0.2, ops=200, delete_batch=150
+    ),
 )
 
 
@@ -120,9 +117,10 @@ class TestCli:
         assert args.scale == "smoke"
 
     def test_main_rejects_unknown(self, capsys):
-        rc = main(["not-an-experiment"])
-        assert rc == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        # The retired serving verbs have no alias: unknown like any other.
+        for verb in ("not-an-experiment", "query-api", "report", "diff"):
+            assert main([verb, "--smoke"]) == 2
+            assert "unknown experiment" in capsys.readouterr().err
 
     def test_main_runs_and_writes_output(self, tmp_path, capsys, monkeypatch):
         # Register a tiny scale so the end-to-end CLI test stays fast.
@@ -144,6 +142,5 @@ class TestCli:
         assert out_file.exists()
         assert "fig6b" in out_file.read_text()
         assert "fig6b" in capsys.readouterr().out
-        # Persistence rides every run: the JSON trajectory point landed
-        # in --json-out (not the repo root).
+        # --json-out persisted the run next to it.
         assert (tmp_path / "BENCH_fig6b.json").is_file()

@@ -1,4 +1,4 @@
-"""BENCH_<verb>.json persistence: schema, validation, CLI, trajectory."""
+"""BENCH_<verb>.json persistence: schema, validation, CLI."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from repro.bench import cli
 from repro.bench.reporting import (
     BENCH_SCHEMA,
     ExperimentReport,
-    load_bench_files,
-    render_trajectory,
     to_json_dict,
     validate_bench_json,
     write_bench_json,
@@ -66,29 +64,23 @@ class TestSchemaRoundTrip:
 
     def test_write_and_load_round_trip(self, tmp_path):
         path = write_bench_json(_report(), tmp_path, "smoke", 2.0)
-        assert path.name == "BENCH_fig7.json"
-        loaded = load_bench_files(tmp_path)
-        assert len(loaded) == 1
-        assert loaded[0][0] == path
-        assert loaded[0][1] == json.loads(path.read_text())
-        assert validate_bench_json(loaded[0][1]) == []
+        assert path == tmp_path / "BENCH_fig7.json"
+        assert list(tmp_path.iterdir()) == [path]
+        loaded = json.loads(path.read_text())
+        assert loaded["verb"] == "fig7"
+        assert validate_bench_json(loaded) == []
 
     def test_write_overwrites(self, tmp_path):
         write_bench_json(_report(), tmp_path, "smoke", 1.0)
-        write_bench_json(_report(), tmp_path, "tiny", 2.0)
-        (path, doc), = load_bench_files(tmp_path)
-        assert doc["scale"] == "tiny"
+        path = write_bench_json(_report(), tmp_path, "tiny", 2.0)
+        assert list(tmp_path.iterdir()) == [path]
+        assert json.loads(path.read_text())["scale"] == "tiny"
 
     def test_write_refuses_invalid(self, tmp_path):
         bad = _report("soak")  # soak without windows/spans is invalid
         with pytest.raises(ValueError, match="refusing to persist"):
             write_bench_json(bad, tmp_path, "smoke", 1.0)
-        assert load_bench_files(tmp_path) == []
-
-    def test_load_reports_unparseable_files(self, tmp_path):
-        (tmp_path / "BENCH_broken.json").write_text("{nope")
-        (path, doc), = load_bench_files(tmp_path)
-        assert isinstance(doc, str) and doc.startswith("unreadable")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidator:
@@ -139,38 +131,6 @@ class TestValidator:
         assert any("windows[1]" in p for p in validate_bench_json(doc))
 
 
-class TestTrajectory:
-    def test_render_trajectory_rows_and_soak_notes(self):
-        soak = _report("soak")
-        soak.metrics = _soak_metrics()
-        docs = [
-            to_json_dict(_report("fig7"), "small", 1.0),
-            to_json_dict(soak, "smoke", 4.0),
-        ]
-        text = render_trajectory(docs)
-        assert "fig7" in text and "soak" in text
-        # Soak notes surface the p99 range and the slowest span.
-        assert "query p99 per window" in text
-        assert "maintenance.compact" in text
-
-    def test_render_trajectory_empty(self):
-        assert "no BENCH_*.json files found" in render_trajectory([])
-
-    def test_zero_count_windows_excluded_from_p99_note(self):
-        soak = _report("soak")
-        soak.metrics = _soak_metrics()
-        # A flush window with no queries must not drag the range to 0.
-        soak.metrics["windows"].append({
-            "start": 3.0, "end": 3.01, "counters": {}, "gauges": {},
-            "histograms": {"query.seconds": {
-                "count": 0, "sum": 0.0, "mean": 0.0, "max": 0.0,
-                "p50": 0.0, "p90": 0.0, "p99": 0.0,
-            }},
-        })
-        text = render_trajectory([to_json_dict(soak, "smoke", 4.0)])
-        assert "0.00.." not in text
-
-
 class TestCli:
     @pytest.fixture
     def stub_bench(self, monkeypatch):
@@ -194,32 +154,15 @@ class TestCli:
         doc = json.loads((tmp_path / "BENCH_stub.json").read_text())
         assert doc["scale"] == "smoke"
 
-    def test_report_verb_validates(self, stub_bench, tmp_path, capsys):
-        cli.main(["stub", "--json-out", str(tmp_path)])
-        assert cli.main(["report", "--json-out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "trajectory" in out and "stub" in out
-        # Corrupt the persisted file: report must now gate with rc 1.
-        path = tmp_path / "BENCH_stub.json"
-        doc = json.loads(path.read_text())
-        doc["schema"] = "wrong"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["report", "--json-out", str(tmp_path)]) == 1
-
-    def test_report_combined_with_runs(self, stub_bench, tmp_path, capsys):
-        rc = cli.main(["stub", "report", "--json-out", str(tmp_path)])
-        assert rc == 0
-        assert "[report over 1 result file(s)" in capsys.readouterr().out
-
     def test_unknown_experiment_rc2(self, stub_bench, tmp_path, capsys):
         assert cli.main(["nope", "--json-out", str(tmp_path)]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_default_json_dir_is_repo_root(self, monkeypatch, tmp_path):
+    def test_bare_run_writes_nothing(self, stub_bench, tmp_path, monkeypatch, capsys):
+        # A checkout is the usual working directory: without --json-out
+        # a run must print its report and leave no file behind.
         (tmp_path / "pyproject.toml").write_text("")
-        nested = tmp_path / "a" / "b"
-        nested.mkdir(parents=True)
-        monkeypatch.chdir(nested)
-        assert cli.default_json_dir() == tmp_path
-        monkeypatch.chdir(tmp_path / "a")
-        assert cli.default_json_dir() == tmp_path
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["stub"]) == 0
+        assert "a test report" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["pyproject.toml"]

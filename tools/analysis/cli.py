@@ -8,8 +8,7 @@ Run from the repository root::
 
 Exit codes: ``0`` clean (baselined findings allowed), ``1`` new
 findings or stale baseline entries, ``2`` usage/internal error.  CI
-runs the ``--json`` form and uploads the report as an artifact next to
-the bench drift table.
+runs the ``--json`` form and uploads the report as an artifact.
 """
 
 from __future__ import annotations

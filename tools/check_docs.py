@@ -8,10 +8,9 @@ Four checks, all filesystem/CLI-only:
 2. **Bench verbs documented** — every experiment id registered in
    ``repro.bench.experiments.EXPERIMENTS`` appears in ``docs/BENCH.md``,
    and every ``experiment-id``-looking verb documented there is
-   actually registered or a known extra CLI verb (docs and CLI cannot
-   drift apart).
+   actually registered (docs and CLI cannot drift apart).
 3. **CLI help lists the verbs** — ``python -m repro.bench --help``
-   mentions every registered experiment id and extra verb.
+   mentions every registered experiment id.
 4. **Observability vocabulary documented** — the metric/span/event name
    tables in ``docs/OBSERVABILITY.md`` match
    ``repro.telemetry.naming.METRICS``/``SPANS`` and
@@ -80,7 +79,6 @@ def check_links() -> list[str]:
 
 def check_bench_docs() -> list[str]:
     """docs/BENCH.md and the EXPERIMENTS registry must agree."""
-    from repro.bench.cli import EXTRA_VERBS
     from repro.bench.experiments import EXPERIMENTS, SCALES
 
     problems = []
@@ -92,11 +90,9 @@ def check_bench_docs() -> list[str]:
     registered = set(EXPERIMENTS)
     for verb in sorted(registered - documented):
         problems.append(f"docs/BENCH.md: experiment {verb!r} is not documented")
-    # Scale presets and extra CLI verbs ('report') are documented in the
-    # same table style; they are known ids, not unknown experiments.
-    for verb in sorted(
-        documented - registered - set(SCALES) - set(EXTRA_VERBS)
-    ):
+    # Scale presets are documented in the same table style; they are
+    # known ids, not unknown experiments.
+    for verb in sorted(documented - registered - set(SCALES)):
         problems.append(
             f"docs/BENCH.md: documents unknown experiment {verb!r}"
         )
@@ -105,15 +101,15 @@ def check_bench_docs() -> list[str]:
 
 def check_cli_help() -> list[str]:
     """``python -m repro.bench --help`` must list every experiment id."""
-    from repro.bench.cli import EXTRA_VERBS, build_parser
+    from repro.bench.cli import build_parser
     from repro.bench.experiments import EXPERIMENTS
 
     # argparse wraps long id lists and may break them at hyphens
-    # ("mixed-\nworkload"); squash all whitespace before matching.
+    # ("ablation-\nrep"); squash all whitespace before matching.
     help_text = re.sub(r"\s+", "", build_parser().format_help())
     return [
         f"bench --help does not mention verb {verb!r}"
-        for verb in sorted([*EXPERIMENTS, *EXTRA_VERBS])
+        for verb in sorted(EXPERIMENTS)
         if verb not in help_text
     ]
 
