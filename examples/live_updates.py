@@ -26,8 +26,8 @@ from repro import (
     UniformGridIndex,
     make_uniform,
     mixed_workload,
-    run_mixed_workload,
 )
+from repro.bench import run_workload
 
 
 def main() -> None:
@@ -58,12 +58,12 @@ def main() -> None:
     }
     runs = {}
     for name, index in indexes.items():
-        runs[name] = run_mixed_workload(index, ops, victim_seed=99)
+        runs[name] = run_workload(index, ops, victim_seed=99)
         r = runs[name]
         print(f"{name:>7}: {r.throughput():8.0f} ops/s | "
-              f"query {r.mean_query_ms():7.3f} ms | "
-              f"{r.inserts} inserts, {r.deletes} deletes, "
-              f"{r.merges} merges | {r.final_live:,} live at end")
+              f"query {r.query_seconds().mean() * 1e3:7.3f} ms | "
+              f"{r.stats.inserts} inserts, {r.stats.deletes} deletes, "
+              f"{r.stats.merges} merges | {r.final_live:,} live at end")
 
     # 4. Verify: every index answered every query exactly like the scan.
     oracle = runs["Scan"].query_results

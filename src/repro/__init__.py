@@ -37,7 +37,6 @@ from repro.datasets import (
     make_uniform,
     save_dataset,
 )
-from repro.extensions import KNNResult, KNNRound, k_nearest
 from repro.geometry import Box
 from repro.index import IndexStats, MutableSpatialIndex, SpatialIndex
 from repro.queries import (
@@ -51,7 +50,6 @@ from repro.queries import (
     drifting_hotspot_workload,
     hotspot_workload,
     mixed_workload,
-    selectivity_sweep,
     uniform_workload,
 )
 from repro.sharding import (
@@ -72,12 +70,7 @@ from repro.telemetry import (
     TimeSeriesRecorder,
     Tracer,
 )
-from repro.updates import (
-    MixedRunResult,
-    UpdateBuffer,
-    UpdateLedger,
-    run_mixed_workload,
-)
+from repro.updates import UpdateBuffer, UpdateLedger
 
 __version__ = "1.0.0"
 
@@ -94,11 +87,8 @@ __all__ = [
     "MaintenancePolicy",
     "MaintenanceScheduler",
     "MetricsRegistry",
-    "MixedRunResult",
     "MosaicIndex",
     "MutableSpatialIndex",
-    "KNNResult",
-    "KNNRound",
     "QuasiiConfig",
     "QuasiiIndex",
     "Query",
@@ -126,15 +116,12 @@ __all__ = [
     "clustered_workload",
     "drifting_hotspot_workload",
     "hotspot_workload",
-    "k_nearest",
     "load_dataset",
     "make_gaussian_mixture",
     "make_neuro_like",
     "make_points",
     "make_uniform",
     "mixed_workload",
-    "run_mixed_workload",
     "save_dataset",
-    "selectivity_sweep",
     "uniform_workload",
 ]

@@ -286,32 +286,6 @@ class UniformGridIndex(MutableSpatialIndex):
             tuple(m.ravel() for m in mesh), (self._parts,) * d
         )
 
-    def _rows_in_cells(self, flat: np.ndarray) -> np.ndarray:
-        """Candidate rows stored in the given cells (CSR + overflow),
-        *before* replication de-duplication."""
-        candidate_pos = gather_ranges(self._offsets[flat], self._offsets[flat + 1])
-        rows = self._sorted_rows[candidate_pos]
-        if self._overflow_flat.size:
-            # Probe the uncompacted insert overflow with the same cells.
-            extra = self._overflow_rows[np.isin(self._overflow_flat, flat)]
-            rows = np.concatenate([rows, extra])
-        return rows
-
-    def _candidates(self, query: Query) -> np.ndarray:
-        if not self._built:
-            raise QueryError("grid queried before build(); call build() first")
-        flat = self._cells_for(query.lo, query.hi)
-        self.stats.nodes_visited += flat.size
-        rows = self._rows_in_cells(flat)
-        # Candidate work is counted before de-duplication: replicated
-        # copies are exactly the extra objects the paper charges this
-        # strategy for (Section 6.2).
-        self.stats.objects_tested += rows.size
-        if self._assignment == "replication" and rows.size:
-            # The de-duplication step the paper charges replication for.
-            rows = np.unique(rows)
-        return rows
-
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
         """One CSR gather and one stacked refine cover the whole batch.
 

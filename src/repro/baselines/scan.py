@@ -44,10 +44,6 @@ class ScanIndex(MutableSpatialIndex):
         """Nothing to build — scans need no preparation at all."""
         self._built = True
 
-    def _candidates(self, query: Query) -> None:
-        self.stats.objects_tested += self._store.n
-        return None  # the refine kernel tests the whole store in place
-
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
         """One candidate matrix per batch instead of one pass per query."""
         store = self._store

@@ -86,25 +86,6 @@ class SFCIndex(SpatialIndex):
             cell_lo, cell_hi, self._store.ndim, self._grid.bits, min_size
         )
 
-    def _interval_rows(
-        self, intervals: list[tuple[int, int]]
-    ) -> np.ndarray:
-        """Candidate rows covered by the given code intervals."""
-        bounds_lo = np.array([iv[0] for iv in intervals], dtype=np.uint64)
-        bounds_hi = np.array([iv[1] + 1 for iv in intervals], dtype=np.uint64)
-        starts = np.searchsorted(self._sorted_codes, bounds_lo, side="left")
-        ends = np.searchsorted(self._sorted_codes, bounds_hi, side="left")
-        return self._sorted_rows[gather_ranges(starts, ends)]
-
-    def _candidates(self, query: Query) -> np.ndarray:
-        if not self._built:
-            raise QueryError("SFC index queried before build()")
-        intervals = self._intervals_for(query)
-        self.stats.nodes_visited += len(intervals)
-        rows = self._interval_rows(intervals)
-        self.stats.objects_tested += rows.size
-        return rows
-
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
         """Amortize the binary searches: two ``searchsorted`` calls cover
         every interval of every query, and the refine runs in stacked

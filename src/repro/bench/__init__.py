@@ -15,14 +15,14 @@ from repro.bench.reporting import (
     validate_bench_json,
     write_bench_json,
 )
-from repro.bench.runner import QueryTiming, RunResult, run_workload
+from repro.bench.runner import OpTiming, RunResult, run_workload
 from repro.bench.soak import SoakScale, soak_experiment
 
 __all__ = [
     "BENCH_SCHEMA",
     "EXPERIMENTS",
     "ExperimentReport",
-    "QueryTiming",
+    "OpTiming",
     "RunResult",
     "SCALES",
     "Scale",

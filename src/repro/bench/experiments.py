@@ -257,7 +257,7 @@ def _totals(runs: dict[str, RunResult]) -> dict[str, dict[str, int]]:
 
 
 def _last_cluster(run: RunResult, scale: Scale, counter: str) -> int:
-    """Sum of one :class:`QueryTiming` counter over the last query cluster."""
+    """Sum of one :class:`OpTiming` counter over the last query cluster."""
     return sum(getattr(t, counter) for t in run.timings[-scale.per_cluster:])
 
 

@@ -22,7 +22,7 @@ The op stream is generated once and cycled — the workload *shape* is
 deterministic under ``scale.seed``; only how far the loop gets within
 ``scale.soak.seconds`` depends on the machine.  Writes go through
 :func:`~repro.updates.executor.apply_write`, the step
-:func:`~repro.updates.executor.run_mixed_workload` uses: delete victims
+:func:`~repro.bench.runner.run_workload` uses: delete victims
 resolve deterministically from the executed-op counter, and only the
 engine call is timed.
 """

@@ -232,22 +232,15 @@ class QuasiiIndex(MutableSpatialIndex):
         """No-op: QUASII has no pre-processing step (that is the point)."""
         self._built = True
 
-    def _candidates(self, query: Query) -> np.ndarray:
-        if len(self._buffer):
-            self._absorb_pending()
-        leaves = self._leaves(query)
-        rows = gather_ranges(leaves[0::2], leaves[1::2])
-        self.stats.objects_tested += int(rows.size)
-        return rows
-
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """Crack per query, refine once per batch.
+        """Crack per query, refine once per batch (``execute`` is a batch of one).
 
-        The update buffer is drained at most once per batch.  Each query
-        then walks — and refines — the forest exactly as in single-shot
-        execution (cracking is inherently per-query, that is the point of
-        the index) but only *collects* its leaves; the candidate rows of
-        the whole batch are gathered in one pass and handed to the stacked
+        The update buffer is drained at most once per batch, and the merge
+        is charged to the index, not to any query's stats.  Each query
+        then walks — and refines — the forest in submission order
+        (cracking is inherently per-query, that is the point of the
+        index) but only *collects* its leaves; the candidate rows of the
+        whole batch are gathered in one pass and handed to the stacked
         refine kernel.  :meth:`_leaves` says why reading them late is safe.
         """
         t0 = perf_counter()

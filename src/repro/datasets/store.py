@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.errors import DatasetError, GeometryError
 from repro.geometry.box import Box
-from repro.geometry.predicates import boxes_intersect_window
 
 #: Appends that outgrow the capacity buffers reallocate them with
 #: ``n >> _HEADROOM_SHIFT`` spare rows (CPython's list over-allocation,
@@ -295,51 +294,6 @@ class BoxStore:
                 tuple(self._hi[rows].max(axis=0)),
             )
         return Box(tuple(self._lo.min(axis=0)), tuple(self._hi.max(axis=0)))
-
-    def mbr_of_range(self, begin: int, end: int) -> Box:
-        """MBB of the physical row range ``[begin, end)``."""
-        self._check_range(begin, end)
-        if begin == end:
-            raise DatasetError("cannot compute the MBR of an empty range")
-        return Box(
-            tuple(self._lo[begin:end].min(axis=0)),
-            tuple(self._hi[begin:end].max(axis=0)),
-        )
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def scan_range(
-        self,
-        begin: int,
-        end: int,
-        window_lo: np.ndarray,
-        window_hi: np.ndarray,
-    ) -> np.ndarray:
-        """Identifiers of *live* boxes in rows ``[begin, end)`` intersecting the window."""
-        self._check_range(begin, end)
-        mask = boxes_intersect_window(
-            self._lo[begin:end], self._hi[begin:end], window_lo, window_hi
-        )
-        if self._n_dead:
-            mask &= self._live[begin:end]
-        return self._ids[begin:end][mask]
-
-    def count_range(
-        self,
-        begin: int,
-        end: int,
-        window_lo: np.ndarray,
-        window_hi: np.ndarray,
-    ) -> int:
-        """Number of live boxes in rows ``[begin, end)`` intersecting the window."""
-        self._check_range(begin, end)
-        mask = boxes_intersect_window(
-            self._lo[begin:end], self._hi[begin:end], window_lo, window_hi
-        )
-        if self._n_dead:
-            mask &= self._live[begin:end]
-        return int(mask.sum())
 
     # ------------------------------------------------------------------
     # Reordering (the cracking primitive)

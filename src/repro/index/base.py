@@ -25,13 +25,25 @@ All three take :class:`~repro.queries.query.Query` and nothing else: the
 shared gate refuses any other type before routing, counters or the epoch
 check run.
 
-Execution is split into the classic *filter → refine* pipeline, shared
-across all indexes: each implementation supplies only
-:meth:`SpatialIndex._candidates` (the filter step — a candidate row
-superset for the query window, produced however the structure likes,
-cracking included), while the refine step — predicate evaluation,
-live-row masking, count-only short-circuits, and result packaging — is
-implemented once here.
+There is one read path: a query is a batch of one.  ``execute(q)`` gates
+the query and takes the first result of :meth:`SpatialIndex._execute_batch`,
+the hook ``execute_batch`` runs for a whole batch.  Every concrete index
+implements exactly one of two hooks:
+
+* :meth:`SpatialIndex._candidates` — the *filter* step of the classic
+  filter → refine pipeline: a candidate row superset for one window,
+  produced however the structure likes, cracking included (R-Tree,
+  Mosaic, SFCracker).  The default ``_execute_batch`` calls it per query
+  and refines the whole batch at once.
+* :meth:`SpatialIndex._execute_batch` itself, where the structure
+  gathers candidates for many windows at a time (Scan, Grid, SFC,
+  QUASII) or fans out to other indexes
+  (:class:`~repro.sharding.sharded_index.ShardedIndex`).
+
+The *refine* step — predicate evaluation, live-row masking, count-only
+short-circuits, and result packaging — exists once, in
+:meth:`SpatialIndex._refine_stacked`, and per-query :class:`IndexStats`
+are built once, in :meth:`SpatialIndex._wrap_batch`.
 
 Implementations also maintain an :class:`IndexStats` counter block so the
 harness can report machine-independent work measures (objects tested,
@@ -227,15 +239,13 @@ class SpatialIndex(abc.ABC):
     def execute(self, query: Query) -> QueryResult:
         """Execute one first-class query; returns payload + cost accounting.
 
-        The single entry point behind every read verb: validates the
-        window dimensionality and the store epoch, runs the index's
-        filter step (:meth:`_candidates`) and the shared refine step
-        (predicate + live mask + result packaging), and wraps the
-        payload with this query's :class:`IndexStats` delta and
-        wall-clock.
+        A query is a batch of one: after the gate (window dimensionality,
+        store epoch) this is the first result of :meth:`_execute_batch`,
+        so payload, result order and per-query :class:`IndexStats` are
+        those of ``execute_batch([query])[0]``.
         """
         self._gate(query)
-        return self._timed_one(query)
+        return self._execute_batch([query])[0]
 
     def execute_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Execute a batch of queries natively, one result per query.
@@ -285,44 +295,35 @@ class SpatialIndex(abc.ABC):
         return gated
 
     # -- shared execution skeleton --------------------------------------
-    def _timed_one(self, query: Query) -> QueryResult:
-        """Run one gated query with stats-delta and wall-clock capture."""
-        before = self.stats.snapshot()
-        t0 = time.perf_counter()
-        self.stats.queries += 1
-        count, ids, boxes = self._execute(query)
-        self.stats.results_returned += (
-            int(ids.size) if ids is not None else count
-        )
-        return QueryResult(
-            query=query,
-            count=count,
-            ids=ids,
-            boxes=boxes,
-            stats=self.stats.delta_since(before),
-            seconds=time.perf_counter() - t0,
-        )
-
-    def _execute(
-        self, query: Query
-    ) -> tuple[int, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
-        """Produce one query's raw payload ``(count, ids, boxes)``.
-
-        Default: the filter → refine pipeline over this index's
-        candidate set.  Facade indexes that fan out to other indexes
-        (:class:`~repro.sharding.sharded_index.ShardedIndex`) override
-        this instead of :meth:`_candidates`.
-        """
-        return self._refine_candidates(query, self._candidates(query))
-
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """Batch execution after the shared gate; default is a loop.
+        """Answer a gated batch; the one hook behind both read verbs.
 
-        Overridden where the structure admits a genuinely batched
-        path (vectorized candidate matrices, amortized merges,
-        per-shard sub-batches).
+        Default: the filter → refine pipeline.  Each query's
+        :meth:`_candidates` runs in submission order, bracketed by the
+        :data:`WORK_COUNTERS` delta that becomes its per-query stats;
+        one :meth:`_refine_stacked` then tests the whole batch.
+        Overridden where candidates are gathered for many windows at a
+        time, or where the index fans out to other indexes.
         """
-        return [self._timed_one(q) for q in queries]
+        t0 = time.perf_counter()
+        stats = self.stats
+        rows_list: list[np.ndarray] = []
+        per_stats: list[IndexStats] = []
+        for query in queries:
+            before = [getattr(stats, name) for name in WORK_COUNTERS]
+            rows_list.append(self._candidates(query))
+            per_stats.append(
+                IndexStats(
+                    **{
+                        name: getattr(stats, name) - was
+                        for name, was in zip(WORK_COUNTERS, before)
+                    }
+                )
+            )
+        payloads = self._refine_stacked(queries, rows_list)
+        return self._wrap_batch(
+            queries, payloads, per_stats, time.perf_counter() - t0
+        )
 
     def _plan(self, query: Query) -> QueryPlan:
         """Index-specific plan; default assumes a full-store scan."""
@@ -335,44 +336,6 @@ class SpatialIndex(abc.ABC):
         )
 
     # -- the shared refine kernel ---------------------------------------
-    def _refine_candidates(
-        self, query: Query, rows: np.ndarray | None
-    ) -> tuple[int, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
-        """Refine candidate rows: predicate, live mask, packaging.
-
-        ``rows`` is the filter step's output — a candidate row superset
-        (dead rows and false positives allowed) or ``None`` meaning
-        "every physical row" (the whole-store fast path, which tests
-        the corner matrices in place without gathering).  Count-only
-        queries short-circuit before any id/coordinate materialization.
-        """
-        store = self._store
-        if rows is None:
-            mask = predicate_mask(
-                query.predicate, store.lo, store.hi, query.lo, query.hi
-            )
-            if store.n_dead:
-                mask &= store.live
-            if query.count_only:
-                return int(mask.sum()), None, None
-            return self._package(query, np.flatnonzero(mask))
-        if rows.size == 0:
-            return self._package(query, rows)
-        # take() gathers whole rows of a row-major matrix several times
-        # faster than fancy indexing (here, in _package and _refine_stacked).
-        mask = predicate_mask(
-            query.predicate,
-            store.lo.take(rows, axis=0),
-            store.hi.take(rows, axis=0),
-            query.lo,
-            query.hi,
-        )
-        if store.n_dead:
-            mask &= store.live[rows]
-        if query.count_only:
-            return int(mask.sum()), None, None
-        return self._package(query, rows[mask])
-
     def _package(
         self, query: Query, match_rows: np.ndarray
     ) -> tuple[int, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
@@ -399,12 +362,12 @@ class SpatialIndex(abc.ABC):
     ) -> list[tuple[int, np.ndarray | None, tuple | None]]:
         """Refine per-query candidate lists with one kernel per predicate.
 
-        The batched form of :meth:`_refine_candidates`: all candidate rows
-        of all queries sharing a predicate are concatenated and tested in a
-        single vectorized call against per-row window matrices, then
-        split back per query.  Used by the natively batched paths
-        (Grid, SFC, QUASII) whose candidate gathering is per-query but
-        whose refine step need not be.
+        The one refine kernel: ``rows_list[i]`` is query ``i``'s filter
+        output — a candidate row superset, dead rows and false positives
+        allowed.  All candidate rows of all queries sharing a predicate
+        are concatenated and tested in a single vectorized call against
+        per-row window matrices, masked by the live rows, then split
+        back per query; count-only queries never materialize an id.
         """
         store = self._store
         payloads: list = [None] * len(queries)
@@ -424,6 +387,8 @@ class SpatialIndex(abc.ABC):
                 win_hi = np.repeat(
                     np.stack([queries[i].hi for i in idxs]), counts, axis=0
                 )
+                # take() gathers whole rows of a row-major matrix several
+                # times faster than fancy indexing (here and in _package).
                 mask = predicate_mask(
                     pred,
                     store.lo.take(cat, axis=0),
@@ -455,10 +420,11 @@ class SpatialIndex(abc.ABC):
     ) -> list[QueryResult]:
         """Assemble batch results, attributing an equal time share each.
 
-        ``per_stats`` carries the work counters the batch path tracked
-        per query (candidates tested, nodes visited); the flow counters
-        (``queries``, ``results_returned``) are filled in here, on both
-        the per-query deltas and the cumulative index stats.
+        The one stats bracket: ``per_stats`` carries the work counters
+        tracked per query (candidates tested, nodes visited, cracks); the
+        flow counters (``queries``, ``results_returned``) are filled in
+        here, on both the per-query deltas and the cumulative index
+        stats.
         """
         share = seconds_total / max(len(queries), 1)
         out: list[QueryResult] = []
@@ -498,20 +464,26 @@ class SpatialIndex(abc.ABC):
                 f"construct a fresh index over the store"
             )
 
-    @abc.abstractmethod
-    def _candidates(self, query: Query) -> np.ndarray | None:
+    def _candidates(self, query: Query) -> np.ndarray:
         """The filter step: candidate physical rows for the query window.
 
-        Returns a superset of the live rows intersecting ``query``'s
-        window — dead rows and false positives are fine (the shared
-        refine step removes them), duplicates are not — or ``None``
-        meaning "every physical row" (lets whole-store scans skip the
-        gather).  Incremental indexes may reorganize the store here
-        (cracking, splitting); all reorganization for this query must
-        finish before returning, since the refine step reads the
-        returned row positions afterwards.  Implementations maintain
-        their own ``objects_tested`` / ``nodes_visited`` counters.
+        Implemented by the indexes that keep the default
+        :meth:`_execute_batch`.  Returns a superset of the live rows
+        intersecting ``query``'s window — dead rows and false positives
+        are fine (the shared refine step removes them), duplicates are
+        not.  Incremental indexes may reorganize *their own* structures
+        here (cracking, splitting), but the refine step reads the
+        returned store positions only after every query of the batch
+        has run its filter step: the array must be freshly allocated
+        and the store's rows must not move (QUASII, which permutes the
+        store, implements :meth:`_execute_batch` instead).
+        Implementations maintain their own ``objects_tested`` /
+        ``nodes_visited`` counters.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither _candidates nor "
+            f"_execute_batch"
+        )
 
     def on_compaction(self, remap: np.ndarray) -> None:
         """Absorb a store compaction: remap or rebuild derived state.

@@ -1,6 +1,5 @@
 """Query model: first-class query specs and workload generators."""
 
-from repro.queries.io import load_workload, save_workload
 from repro.queries.query import (
     PREDICATES,
     RESULT_MODES,
@@ -14,7 +13,6 @@ from repro.queries.workloads import (
     drifting_hotspot_workload,
     hotspot_workload,
     mixed_workload,
-    selectivity_sweep,
     sequential_workload,
     side_for_volume_fraction,
     uniform_workload,
@@ -30,10 +28,7 @@ __all__ = [
     "clustered_workload",
     "drifting_hotspot_workload",
     "hotspot_workload",
-    "load_workload",
     "mixed_workload",
-    "save_workload",
-    "selectivity_sweep",
     "sequential_workload",
     "side_for_volume_fraction",
     "uniform_workload",

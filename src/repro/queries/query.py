@@ -235,12 +235,15 @@ class QueryResult:
         ``(lo, hi)`` corner matrices parallel to ``ids`` (``boxes`` and
         ``top_k`` modes only, ``None`` otherwise).
     stats:
-        Per-query :class:`~repro.index.base.IndexStats` delta — the
-        work this query caused (``None`` on executor paths that cannot
-        attribute fleet work to a single query).
+        Per-query :class:`~repro.index.base.IndexStats` — the work
+        counters this query caused plus ``queries`` /
+        ``results_returned``, the same on ``execute`` and
+        ``execute_batch``.  A buffer merge is charged to the index, not
+        to a query; results of a sharded engine carry ``None`` (fleet
+        work cannot be attributed to a single query).
     seconds:
-        Wall-clock spent executing this query.  Natively batched paths
-        measure the batch once and attribute an equal share per query.
+        Wall-clock spent executing this query: the batch is measured
+        once and an equal share attributed per query.
     """
 
     query: Query

@@ -30,7 +30,6 @@ rebalancing exists for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -345,7 +344,7 @@ def drifting_hotspot_workload(
     -------
     list[WorkloadOp]
         ``n_ops`` operations (queries and insert batches) ready for
-        :func:`repro.updates.executor.run_mixed_workload`.
+        :func:`repro.bench.runner.run_workload`.
     """
     if n_ops < 1:
         raise ConfigurationError(f"need at least one operation, got {n_ops}")
@@ -518,21 +517,3 @@ def mixed_workload(
             )
     return ops
 
-
-def selectivity_sweep(
-    universe: Box,
-    fractions: Sequence[float],
-    n_queries: int,
-    seed: int = 0,
-) -> dict[float, list[Query]]:
-    """One uniform workload per requested volume fraction (Figure 12).
-
-    Each fraction's workload shares query *centers* (same seed) so the
-    sweep isolates the selectivity effect from placement noise.
-    """
-    if not fractions:
-        raise ConfigurationError("need at least one volume fraction")
-    return {
-        float(f): uniform_workload(universe, n_queries, float(f), seed)
-        for f in fractions
-    }

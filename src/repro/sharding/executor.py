@@ -252,11 +252,6 @@ class QueryExecutor:
         """
         env = os.environ.get(BACKEND_ENV) or None
         for name, source in ((requested, "backend argument"), (env, BACKEND_ENV)):
-            if name == "threads":
-                raise ConfigurationError(
-                    f"executor backend 'threads' (from {source}) was "
-                    f"removed; choose from {BACKENDS}"
-                )
             if name is not None and name not in BACKENDS:
                 raise ConfigurationError(
                     f"unknown executor backend {name!r} (from {source}); "

@@ -5,8 +5,9 @@ no stop-the-world rebuilds, just bounded work amortized over the requests
 that need it.  This module extends the bargain to the two maintenance
 verbs the update subsystem introduced:
 
-* **Compaction** (PR 3's :meth:`~repro.sharding.sharded_index.ShardedIndex.maybe_compact`
-  / :meth:`~repro.index.base.MutableSpatialIndex.compact`) — physically
+* **Compaction**
+  (:meth:`~repro.sharding.sharded_index.ShardedIndex.maybe_compact` /
+  :meth:`~repro.index.base.MutableSpatialIndex.compact`) — physically
   reclaim tombstoned rows once the dead fraction crosses a threshold.
 * **Rebalancing** (:class:`~repro.sharding.rebalancer.Rebalancer`) —
   split hot shards / merge cold ones once the observed balance or
@@ -16,7 +17,7 @@ A :class:`MaintenancePolicy` is pure data (thresholds + cadence); a
 :class:`MaintenanceScheduler` binds one policy to one index and is
 ticked from the query path — the
 :class:`~repro.sharding.executor.QueryExecutor` ticks it after every
-batch, and :func:`repro.updates.executor.run_mixed_workload` after every
+batch, and :func:`repro.bench.runner.run_workload` after every
 operation, replacing ad-hoc ``maybe_compact`` call sites with one
 uniform, policy-driven hook.  The scheduler works for *any*
 :class:`~repro.index.base.MutableSpatialIndex` (plain indexes get
@@ -49,8 +50,8 @@ class MaintenancePolicy:
         threshold is crossed, so small values buy responsiveness at
         negligible steady-state cost.
     dead_fraction:
-        Tombstoned fraction above which a store (or shard) compacts;
-        the PR 3 ``maybe_compact`` knob.
+        Tombstoned fraction above which a store (or shard) compacts
+        (what ``maybe_compact`` takes).
     rebalance:
         Whether to rebalance sharded engines at all (compaction-only
         policies set this ``False``).

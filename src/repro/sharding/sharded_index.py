@@ -34,10 +34,10 @@ therefore keeps satisfying the documented multiset-of-live-rows
 invariant (ledger checks work unchanged), and the shared id-allocation /
 validation gate stays exact across shards.
 
-Batches run as route → serve → merge (:meth:`ShardedIndex.route_batch`,
-:meth:`ShardedIndex.serve_local`); the
-:class:`~repro.sharding.executor.QueryExecutor` drives the same halves
-and can swap the in-thread server for worker processes.
+Every read — ``execute`` is a batch of one — runs as route → serve →
+merge (:meth:`ShardedIndex.route_batch`, :meth:`ShardedIndex.serve_local`);
+the :class:`~repro.sharding.executor.QueryExecutor` drives the same
+halves and can swap the in-thread server for worker processes.
 
 Every shard serves from ``replication`` replicas (default 1; see
 :mod:`repro.sharding.shard` for routing, the write stream and recovery),
@@ -357,27 +357,6 @@ class ShardedIndex(MutableSpatialIndex):
         self.stats.shards_pruned += self._n_shards - int(hits.size)
         return [self._shards[i] for i in hits]
 
-    def _candidates(self, query: Query) -> np.ndarray:
-        raise ConfigurationError(
-            "ShardedIndex fans queries out to shards; it has no flat "
-            "candidate set"
-        )  # pragma: no cover - _execute is overridden, this is unreachable
-
-    def _execute(
-        self, query: Query
-    ) -> tuple[int, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
-        if not self._built:
-            raise ConfigurationError(
-                "ShardedIndex queried before build(); call build() first"
-            )
-        parts = [
-            shard.serving_index().execute(query)
-            for shard in self.plan_shards(query)
-        ]
-        payload = self._merge_payload(query, parts)
-        self.sync_shard_work()
-        return payload
-
     def route_batch(self, queries: list[Query]) -> dict[int, list[int]]:
         """Route a gated batch: ``sid -> query indexes``, in batch order.
 
@@ -439,9 +418,9 @@ class ShardedIndex(MutableSpatialIndex):
         the batch, so wall-clock is captured *after* merging and the
         equal-share per-query seconds are stamped in a second pass.
         Per-query index-stat deltas cannot be attributed to a single
-        query across a fleet batch, so ``stats`` stays ``None`` here;
-        fleet work lands in the engine's cumulative stats through
-        :meth:`sync_shard_work`.
+        query across a fleet batch, so ``stats`` is ``None`` on fleet
+        results (on both read verbs); fleet work lands in the engine's
+        cumulative stats through :meth:`sync_shard_work`.
         """
         partials: dict[int, list[QueryResult]] = {}
         for idxs, sub, _ in served.values():

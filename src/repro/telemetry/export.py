@@ -1,6 +1,6 @@
 """Exporters: render metrics as Prometheus text or a JSON snapshot.
 
-The telemetry core (PR 6) records; this module makes the recordings
+The telemetry core records; this module makes the recordings
 *consumable*.  Two formats, both produced by pure functions over plain
 ``counters``/``gauges``/``histograms`` mappings, so the same renderers
 serve a live :class:`~repro.telemetry.metrics.MetricsRegistry` (the

@@ -7,8 +7,7 @@ applied delete.  :class:`UpdateLedger` is the executable form of that
 sentence: it replays the same updates into a plain dictionary and can then
 be compared against a store (or answer a window query as a slow oracle).
 
-Used by the property suite and, optionally, by the mixed-workload runner's
-verification mode.
+Used by the property suite.
 
 Beyond the live mirror, the ledger keeps an *ordered op log*: a base
 snapshot (the rows it was seeded with) plus every recorded

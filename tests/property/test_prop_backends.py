@@ -259,7 +259,7 @@ def test_mistyped_env_fails_even_where_it_is_not_honored(monkeypatch):
 
 
 def test_removed_threads_backend_is_refused_by_name(monkeypatch):
-    removed = "removed.*sequential.*processes"
+    removed = "unknown executor backend 'threads'.*sequential.*processes"
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     with pytest.raises(ConfigurationError, match=removed) as err:
         QueryExecutor(_small_engine(), max_workers=2, backend="threads")

@@ -3,8 +3,7 @@
 The predicate/result-mode matrix: every index × {intersects, within,
 contains, covers_point} × {ids, count} must agree with the Scan oracle —
 for static stores and under randomized insert/delete/compact
-interleavings (mutable indexes).  The kNN extension is pinned against a
-brute-force distance oracle on the same randomized geometry.
+interleavings (mutable indexes).
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from repro.baselines import (
 )
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.extensions import k_nearest
-from repro.extensions.knn import box_distances
 from repro.geometry import Box
 from repro.queries import PREDICATES, Query
 from repro.sharding import ShardedIndex
@@ -186,34 +183,3 @@ def test_batch_matches_sequential_on_random_specs(case):
             assert a.count == b.count, batch_index.name
             if a.ids is not None:
                 assert np.array_equal(np.sort(a.ids), np.sort(b.ids))
-
-
-@given(
-    st.integers(0, 2**31 - 1),
-    st.integers(2, 80),
-    st.integers(1, 12),
-)
-@settings(max_examples=30, deadline=None)
-def test_knn_matches_brute_force_oracle(seed, n, k):
-    rng = np.random.default_rng(seed)
-    lo, hi = _random_boxes(rng, n)
-    store = BoxStore(lo, hi)
-    k = min(k, n)
-    point = rng.uniform(-10, UNIVERSE_SIDE + 10, size=2)
-    # Brute-force oracle: exact distances over every live box.
-    dists = box_distances(store.lo, store.hi, point)
-    order = np.lexsort((store.ids, dists))
-    expect = dists[order][:k]
-    result = k_nearest(QuasiiIndex(store.copy()), point, k)
-    got = np.array([d for _, d in result])
-    assert np.allclose(got, expect)
-    assert len(result.rounds) >= 2  # at least one probe + one materialize
-    assert result.rounds[-1].mode == "boxes"
-    # Count-only probes run until one window holds k candidates; every
-    # later round materializes directly (counts are monotone in growth).
-    modes = [r.mode for r in result.rounds]
-    first_boxes = modes.index("boxes")
-    assert first_boxes >= 1
-    assert all(m == "count" for m in modes[:first_boxes])
-    assert all(m == "boxes" for m in modes[first_boxes:])
-    assert result.rounds[first_boxes - 1].count >= k

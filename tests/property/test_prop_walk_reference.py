@@ -64,9 +64,6 @@ class ScalarWalkIndex(QuasiiIndex):
                 self._walk(lst.children[i], query, keys, leaves)
             i += 1
 
-    def _execute_batch(self, queries):
-        return [self._timed_one(q) for q in queries]  # a loop of execute
-
 
 def _boxes(rng, n, ndim, max_side):
     lo = rng.uniform(0, SIDE, size=(n, ndim))

@@ -19,16 +19,18 @@ from repro.bench.metrics import (
     work_insight_factor,
     work_ratio,
 )
-from repro.bench.runner import QueryTiming
+from repro.bench.runner import OpTiming
 from repro.core import QuasiiIndex
 from repro.datasets import make_uniform
-from repro.queries import uniform_workload
+from repro.queries import mixed_workload, uniform_workload
+from repro.sharding import ShardedIndex
 
 
 def synthetic_run(name, build, per_query, build_work=0, work_per_query=0):
     timings = [
-        QueryTiming(
+        OpTiming(
             seq=i,
+            kind="query",
             seconds=s,
             results=1,
             objects_tested=work_per_query,
@@ -63,6 +65,43 @@ class TestRunWorkload:
         queries = uniform_workload(ds.universe, 4, 1e-2, seed=6)
         run = run_workload(ScanIndex(ds.store.copy()), queries)
         assert all(t.objects_tested == 500 for t in run.timings)
+
+    def test_sharded_engine_reports_fleet_work_per_query(self):
+        # Fleet results carry stats=None; the per-op counters come from
+        # the engine's cumulative stats, so they add up to them exactly.
+        ds = make_uniform(2_000, seed=9)
+        queries = uniform_workload(ds.universe, 6, 1e-2, seed=10)
+        engine = ShardedIndex(ds.store.copy(), n_shards=3)
+        run = run_workload(engine, queries)
+        assert engine.execute(queries[0]).stats is None
+        assert run.n_queries == run.n_ops == 6
+        assert run.timings[0].cracks > 0
+        for counter in ("objects_tested", "cracks", "rows_reorganized"):
+            assert sum(getattr(t, counter) for t in run.timings) == getattr(
+                run.stats, counter
+            )
+        scan = ScanIndex(ds.store.copy())
+        assert [t.results for t in run.timings] == [
+            scan.execute(q).count for q in queries
+        ]
+        assert run.query_results == []  # a bare Query stream keeps none
+
+    def test_mixed_stream_is_one_result(self):
+        ds = make_uniform(400, ndim=2, seed=11)
+        ops = mixed_workload(
+            ds.universe, n_ops=40, write_ratio=0.5, batch_size=3,
+            volume_fraction=1e-2, seed=12,
+        )
+        run = run_workload(QuasiiIndex(ds.store.copy()), ops, victim_seed=3)
+        assert run.n_ops == 40 and 0 < run.n_queries < 40
+        assert run.query_seconds().size == run.n_queries
+        assert len(run.query_results) == run.n_queries
+        assert run.cumulative_seconds().size == 40
+        assert run.throughput() > 0
+        writes = [t for t in run.timings if t.kind != "query"]
+        assert sum(t.results for t in writes) == (
+            run.stats.inserts + run.stats.deletes
+        )
 
     def test_results_counted(self):
         ds = make_uniform(500, seed=7)

@@ -32,3 +32,14 @@ def test_observability_vocabulary_is_documented_both_ways():
 
 def test_lint_rule_table_matches_the_registry_both_ways():
     assert check_docs.check_analysis_docs() == []
+
+
+def test_query_layer_section_names_only_real_hooks():
+    assert check_docs.check_query_layer_hooks() == []
+    # The check sees the hooks the section is about (not an empty match).
+    section = check_docs._QUERY_LAYER.search(
+        (check_docs.REPO / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    ).group()
+    assert {"_candidates", "_execute_batch", "_refine_stacked"} <= set(
+        check_docs._HOOK.findall(section)
+    )

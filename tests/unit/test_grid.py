@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import ScanIndex
 from repro.baselines.grid import UniformGridIndex
 from repro.datasets import BoxStore, make_points, make_uniform
 from repro.errors import ConfigurationError, QueryError
@@ -121,9 +122,7 @@ class TestQuerying:
         idx.build()
         q = uniform_workload(ds.universe, 1, 1e-2, seed=11)[0]
         # Degenerates to a scan but must stay correct.
-        assert idx.execute(q).ids.size == ds.store.count_range(
-            0, ds.n, q.lo, q.hi
-        )
+        assert idx.execute(q).ids.size == ScanIndex(ds.store).execute(q).count
 
     def test_empty_result(self):
         lo = np.array([[0.0, 0.0]])

@@ -112,8 +112,9 @@ class TestBatchEqualsLoop:
         got = batch_idx.execute_batch(queries)
         want = [loop_idx.execute(q) for q in queries]
         assert [r.ids.tolist() for r in got] == [r.ids.tolist() for r in want]
-        # The merge is charged to the batch, not to its first query.
-        assert all(r.stats.merges == 0 for r in got) and want[0].stats.merges == 1
+        # On both verbs the merge is charged to the index, never to a query.
+        assert all(r.stats.merges == 0 for r in got + want)
+        assert batch_idx.stats.merges == loop_idx.stats.merges == 1
         assert batch_idx.stats.as_dict() == loop_idx.stats.as_dict()
 
 

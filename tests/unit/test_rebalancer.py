@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ScanIndex
+from repro.bench import run_workload
 from repro.core import QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError
@@ -27,7 +28,6 @@ from repro.sharding import (
     ShardedIndex,
     WorkloadProfile,
 )
-from repro.updates import run_mixed_workload
 
 
 def _query_at(center, side=4.0, seq=0):
@@ -397,19 +397,19 @@ class TestMaintenance:
             ds.universe, n_ops=80, phases=2, volume_fraction=1e-3,
             insert_every=2, insert_batch=64, seed=10,
         )
-        result = run_mixed_workload(
+        result = run_workload(
             engine,
             ops,
             maintenance=MaintenancePolicy(
                 check_every=8, max_balance=1.1, max_query_skew=1e9, min_queries=4
             ),
         )
-        assert result.rebalances >= 1
-        assert result.rows_migrated > 0
+        assert result.stats.rebalances >= 1
+        assert result.stats.rows_migrated > 0
         assert result.maintenance_seconds > 0
         # Maintained engine still matches the Scan oracle.
         scan = ScanIndex(ds.store.copy())
-        oracle = run_mixed_workload(scan, ops)
+        oracle = run_workload(scan, ops)
         assert all(
             np.array_equal(a, b)
             for a, b in zip(result.query_results, oracle.query_results)

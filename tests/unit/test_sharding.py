@@ -207,7 +207,7 @@ class TestShardedIndex:
             name = "FrozenScan"
 
             def _candidates(self, query):
-                return None  # refine tests the whole store in place
+                return np.arange(self._store.n)  # every row is a candidate
 
         engine = ShardedIndex(
             _grid_store(4), n_shards=2, index_factory=FrozenScan

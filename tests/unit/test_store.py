@@ -90,37 +90,16 @@ class TestMeasures:
         store.apply_order(np.array([2, 0, 3, 1]))
         assert np.array_equal(store.max_extent, before)
 
-    def test_mbr_of_range(self, store):
-        assert store.mbr_of_range(1, 3) == Box((2.0, 1.0), (5.0, 3.0))
-
-    def test_mbr_of_empty_range(self, store):
-        with pytest.raises(DatasetError):
-            store.mbr_of_range(2, 2)
-
-
-class TestQueries:
-    def test_scan_range_full(self, store):
-        hits = store.scan_range(0, 4, np.array([0.5, 0.5]), np.array([4.5, 2.5]))
-        assert sorted(hits.tolist()) == [0, 1, 2]
-
-    def test_scan_range_partial_rows(self, store):
-        hits = store.scan_range(2, 4, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
-        assert sorted(hits.tolist()) == [2, 3]
-
-    def test_count_range(self, store):
-        n = store.count_range(0, 4, np.array([0.0, 0.0]), np.array([3.0, 3.0]))
-        assert n == 2
-
-    def test_scan_invalid_range(self, store):
-        with pytest.raises(DatasetError):
-            store.scan_range(3, 99, np.zeros(2), np.ones(2))
-
 
 class TestReordering:
     def test_apply_order_range_moves_ids_and_coords(self, store):
         store.apply_order_range(1, 3, np.array([1, 0]))
         assert store.ids.tolist() == [0, 2, 1, 3]
         assert store.box_at(1) == Box((4.0, 1.0), (5.0, 2.0))
+
+    def test_apply_order_invalid_range(self, store):
+        with pytest.raises(DatasetError):
+            store.apply_order_range(3, 99, np.arange(96))
 
     def test_apply_order_wrong_length(self, store):
         with pytest.raises(DatasetError):

@@ -10,8 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import ScanIndex
 from repro.datasets import BoxStore
 from repro.errors import DatasetError, GeometryError
+from repro.geometry import Box
+from repro.queries import Query
 
 
 def _small_store(n: int = 6, ndim: int = 2, seed: int = 0) -> BoxStore:
@@ -92,12 +95,13 @@ class TestDelete:
 
     def test_scans_skip_dead_rows(self):
         store = _small_store(5)
-        window_lo, window_hi = np.full(2, -100.0), np.full(2, 100.0)
-        assert store.scan_range(0, 5, window_lo, window_hi).size == 5
-        store.delete_ids(np.array([0]))
-        hits = store.scan_range(0, 5, window_lo, window_hi)
+        scan = ScanIndex(store)
+        everything = Box((-100.0, -100.0), (100.0, 100.0))
+        assert scan.execute(Query(everything)).ids.size == 5
+        scan.delete(np.array([0]))
+        hits = scan.execute(Query(everything)).ids
         assert hits.size == 4 and 0 not in hits
-        assert store.count_range(0, 5, window_lo, window_hi) == 4
+        assert scan.execute(Query(everything, mode="count")).count == 4
 
     def test_deleting_unknown_or_dead_id_raises(self):
         store = _small_store(4)
@@ -120,8 +124,7 @@ class TestDelete:
         store.apply_order(rng.permutation(6))
         dead_positions = np.flatnonzero(~store.live)
         assert sorted(store.ids[dead_positions].tolist()) == [0, 5]
-        window_lo, window_hi = np.full(2, -100.0), np.full(2, 100.0)
-        assert sorted(store.scan_range(0, 6, window_lo, window_hi)) == [1, 2, 3, 4]
+        assert sorted(store.ids[store.live]) == [1, 2, 3, 4]
 
 
 class TestInvariantSurface:
@@ -257,7 +260,7 @@ class TestAmortizedAppend:
             # growth reorders the store, not a stale buffer.
             store.apply_order_range(10, 20, order)
             want_ids, want_lo = want_ids[order], want_lo[order]
-            assert store.mbr_of_range(10, 20).lo == tuple(want_lo.min(axis=0))
+            assert np.array_equal(store.lo[10:20], want_lo)
         store.delete_ids(want_ids[:3])
         assert not store.live[10:13].any() and store.live[13:].all()
 

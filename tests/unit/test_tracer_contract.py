@@ -52,6 +52,8 @@ def test_a_cracking_query_records_the_cold_path_spans(trace):
         trace.uninstall(undo)
     assert index.stats.cracks > 0
     spans = Counter(span[trace.NAME] for span in tracer.spans)
+    # Both read verbs are traced as index.execute: execute must reach the
+    # private batch hook, never the public verb, or one query counts twice.
     assert spans["index.execute"] == 1
     assert spans["core.crack"] == index.stats.cracks
     assert spans["core.range_dim_stats"] >= 1

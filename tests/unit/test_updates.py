@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import MosaicIndex, ScanIndex
+from repro.bench import run_workload
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
 from repro.queries import mixed_workload
@@ -15,7 +16,6 @@ from repro.updates import (
     UpdateLedger,
     apply_write,
     resolve_delete_victims,
-    run_mixed_workload,
 )
 
 
@@ -132,8 +132,9 @@ class TestExecutor:
     def test_rejects_non_mutable_index(self):
         ds = make_uniform(200, ndim=2, seed=5)
         mosaic = MosaicIndex(ds.store.copy(), ds.universe, capacity=16)
+        box = np.array([[1.0, 1.0]])
         with pytest.raises(ConfigurationError, match="does not support updates"):
-            run_mixed_workload(mosaic, [])
+            run_workload(mosaic, [WorkloadOp("insert", 0, lo=box, hi=box + 1.0)])
 
     def test_run_counts_and_results(self):
         ds = make_uniform(400, ndim=2, seed=5)
@@ -141,12 +142,13 @@ class TestExecutor:
             ds.universe, n_ops=60, write_ratio=0.4, batch_size=3,
             volume_fraction=1e-2, seed=2,
         )
-        result = run_mixed_workload(ScanIndex(ds.store.copy()), ops, victim_seed=7)
+        result = run_workload(ScanIndex(ds.store.copy()), ops, victim_seed=7)
         assert result.n_ops == len(ops)
-        assert result.kind_count("query") == len(result.query_results)
+        assert [t.kind for t in result.timings] == [o.kind for o in ops]
+        assert result.n_queries == len(result.query_results)
         n_inserts = sum(o.lo.shape[0] for o in ops if o.kind == "insert")
-        assert result.inserts == n_inserts
-        assert result.final_live == 400 + result.inserts - result.deletes
+        assert result.stats.inserts == n_inserts
+        assert result.final_live == 400 + n_inserts - result.stats.deletes
         assert result.total_seconds() > 0
         assert result.throughput() > 0
 
@@ -154,7 +156,7 @@ class TestExecutor:
         ds = make_uniform(50, ndim=2, seed=5)
         bogus = WorkloadOp("compact", 0)
         with pytest.raises(ConfigurationError, match="unknown workload op"):
-            run_mixed_workload(ScanIndex(ds.store.copy()), [bogus])
+            run_workload(ScanIndex(ds.store.copy()), [bogus])
 
 
 class TestMixedWorkloadGenerator:

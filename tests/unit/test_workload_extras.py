@@ -1,20 +1,16 @@
-"""Unit tests for sequential workloads and workload persistence."""
+"""Unit tests for sequential and hotspot workloads."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.geometry import Box
 from repro.queries import (
-    Query,
     drifting_hotspot_workload,
     hotspot_workload,
-    load_workload,
-    save_workload,
     sequential_workload,
-    uniform_workload,
 )
 
 
@@ -62,49 +58,6 @@ class TestSequentialWorkload:
             sequential_workload(self.UNIVERSE, 5, overlap=1.0)
         with pytest.raises(ConfigurationError):
             sequential_workload(self.UNIVERSE, 5, dim=3)
-
-
-class TestWorkloadIO:
-    def test_round_trip(self, tmp_path):
-        universe = Box((0.0,) * 3, (100.0,) * 3)
-        qs = uniform_workload(universe, 12, 1e-2, seed=7)
-        # Everything a Query carries survives, not just the window.
-        qs.append(Query(qs[0].window, predicate="within", mode="count", seq=12))
-        qs.append(Query(qs[1].window, mode="top_k", k=3, seq=13))
-        path = save_workload(qs, tmp_path / "wl")
-        assert path.suffix == ".npz"
-        loaded = load_workload(path)
-        assert len(loaded) == 14
-        assert loaded == qs
-        assert loaded[12].count_only and loaded[13].k == 3
-
-    def test_version_1_archive_loads_as_window_queries(self, tmp_path):
-        # Version 1 stored windows and sequence numbers only.
-        path = tmp_path / "v1.npz"
-        lo = np.array([[0.0, 0.0], [5.0, 5.0]])
-        np.savez(path, version=np.int64(1), lo=lo, hi=lo + 1.0, seq=np.arange(2))
-        loaded = load_workload(path)
-        assert loaded == [
-            Query(Box((0.0, 0.0), (1.0, 1.0)), seq=0),
-            Query(Box((5.0, 5.0), (6.0, 6.0)), seq=1),
-        ]
-        np.savez(path, version=np.int64(3), lo=lo, hi=lo + 1.0, seq=np.arange(2))
-        with pytest.raises(QueryError, match="unsupported workload format"):
-            load_workload(path)
-
-    def test_empty_workload_rejected(self, tmp_path):
-        with pytest.raises(QueryError):
-            save_workload([], tmp_path / "x.npz")
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(QueryError, match="not found"):
-            load_workload(tmp_path / "nope.npz")
-
-    def test_foreign_archive_rejected(self, tmp_path):
-        path = tmp_path / "foreign.npz"
-        np.savez(path, unrelated=np.arange(4))
-        with pytest.raises(QueryError, match="not a repro workload"):
-            load_workload(path)
 
 
 class TestHotspotWorkloads:

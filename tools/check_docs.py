@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Four checks, all filesystem/CLI-only:
+Seven checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -23,6 +23,10 @@ Four checks, all filesystem/CLI-only:
    matches the ``tools/analysis`` rule registry in both directions, so
    a quasii-lint rule cannot ship undocumented and a doc row cannot
    outlive its rule.
+7. **Query-layer hooks exist** — every backticked ``_hook`` name in the
+   query-layer section of ``docs/ARCHITECTURE.md`` is an attribute of
+   ``repro.index.base.SpatialIndex``, so the section cannot keep
+   describing a hook the base class no longer has.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -58,6 +62,10 @@ _NAME_ROW = re.compile(r"^\| `([a-z0-9_.]+)` \|", re.MULTILINE)
 _ENDPOINT_ROW = re.compile(r"^\| `(/[a-z0-9_./-]*)` \|", re.MULTILINE)
 #: Lint rule ids are uppercase, disjoint from every charset above.
 _RULE_ROW = re.compile(r"^\| `(QL\d{3})` \|", re.MULTILINE)
+#: The query-layer section of ARCHITECTURE.md, heading to next heading.
+_QUERY_LAYER = re.compile(r"^## The query layer.*?(?=^## )", re.MULTILINE | re.DOTALL)
+#: Backticked private names, bare or called: `_gate`, `_execute_batch([q])`.
+_HOOK = re.compile(r"`(_[a-z][a-z_]*)[`(]")
 
 
 def check_links() -> list[str]:
@@ -185,6 +193,24 @@ def check_analysis_docs() -> list[str]:
     return problems
 
 
+def check_query_layer_hooks() -> list[str]:
+    """ARCHITECTURE.md's query-layer section names only real hooks."""
+    from repro.index.base import SpatialIndex
+
+    arch_md = REPO / "docs" / "ARCHITECTURE.md"
+    if not arch_md.is_file():
+        return ["docs/ARCHITECTURE.md: file missing"]
+    section = _QUERY_LAYER.search(arch_md.read_text(encoding="utf-8"))
+    if section is None:
+        return ["docs/ARCHITECTURE.md: no 'The query layer' section"]
+    return [
+        f"docs/ARCHITECTURE.md: query layer names {hook!r}, which "
+        "SpatialIndex does not have"
+        for hook in sorted(set(_HOOK.findall(section.group())))
+        if not hasattr(SpatialIndex, hook)
+    ]
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -192,6 +218,7 @@ def main() -> int:
         + check_cli_help()
         + check_observability_docs()
         + check_analysis_docs()
+        + check_query_layer_hooks()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -200,8 +227,9 @@ def main() -> int:
         return 1
     print(
         "docs-check: README/docs links, BENCH.md verbs, CLI help, "
-        "OBSERVABILITY.md metric/span/event/endpoint tables, and the "
-        "ANALYSIS.md lint-rule table all consistent"
+        "OBSERVABILITY.md metric/span/event/endpoint tables, the "
+        "ANALYSIS.md lint-rule table and ARCHITECTURE.md's query-layer "
+        "hooks all consistent"
     )
     return 0
 
