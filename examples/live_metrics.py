@@ -34,7 +34,7 @@ def scrape(url: str) -> str:
 def main() -> None:
     # 1. A sharded engine with telemetry and an event log attached.
     dataset = make_uniform(100_000, seed=42)
-    engine = ShardedIndex(dataset.store.copy(), n_shards=8, partitioner="str")
+    engine = ShardedIndex(dataset.store.copy(), n_shards=8)
     engine.build()
 
     telemetry = Telemetry()

@@ -44,7 +44,7 @@ def main() -> None:
     print(f"dataset: {dataset.n:,} boxes in {dataset.universe.sides} universe")
 
     # 2. Build the engine: STR split into 8 shards, one QUASII per shard.
-    engine = ShardedIndex(dataset.store.copy(), n_shards=8, partitioner="str")
+    engine = ShardedIndex(dataset.store.copy(), n_shards=8)
     engine.build()
     print(f"engine: {engine.name}, shard sizes {engine.shard_sizes()}, "
           f"balance {engine.balance_factor():.2f}\n")

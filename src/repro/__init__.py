@@ -58,8 +58,6 @@ from repro.sharding import (
     MaintenanceScheduler,
     QueryExecutor,
     Rebalancer,
-    RoundRobinPartitioner,
-    STRPartitioner,
     ShardedIndex,
     WorkloadProfile,
 )
@@ -97,8 +95,6 @@ __all__ = [
     "QueryResult",
     "RTreeIndex",
     "Rebalancer",
-    "RoundRobinPartitioner",
-    "STRPartitioner",
     "SFCIndex",
     "SFCrackerIndex",
     "ScanIndex",

@@ -164,7 +164,6 @@ def soak_experiment(
     engine = ShardedIndex(
         ds.store.copy(),
         n_shards=sizing.n_shards,
-        partitioner="str",
         replication=replication,
     )
     engine.build()

@@ -26,7 +26,7 @@ The user-facing switch is the executor seam:
 behind it.
 """
 
-from repro.parallel.pool import ProcessPool, resolve_start_method
+from repro.parallel.pool import ProcessPool
 from repro.parallel.shm import (
     SegmentSpec,
     ShardDelta,
@@ -68,7 +68,6 @@ __all__ = [
     "encode_results",
     "publish_delta",
     "publish_segment",
-    "resolve_start_method",
     "segment_nbytes",
     "worker_main",
 ]

@@ -2,7 +2,7 @@
 
 :class:`ProcessPool` is the driver half of the process backend.  It
 spawns its workers **once** (fork-preferred — see
-:func:`resolve_start_method`) and keeps them warm across batches *and
+:func:`_start_method`) and keeps them warm across batches *and
 across writes*.  Shard ``sid`` always goes to worker ``sid % n_workers``
 (one process cracks a given shard, ever); per batch and touched shard
 the pool:
@@ -14,10 +14,11 @@ the pool:
    rows in a small delta segment, deleted ids and compaction markers in
    the message — which the worker replays on its warm index: a write
    costs what it changed.  A full publish recurs only where physical
-   identity changes or the worker's state is gone: a replaced ``Shard``
-   (rebalance rebuild), a respawned worker, one that answered ``err``,
-   a log that outgrew its base.  The driver's shard store, flushed on
-   every sync, stays the authoritative copy; no delta history is kept.
+   identity changes or the worker's state is gone: another primary
+   store (a rebalance rebuild, a failover), a respawned worker, one
+   that answered ``err``, a log that outgrew its base.  The driver's
+   shard store, flushed on every sync, stays the authoritative copy; no
+   delta history is kept.
 2. **Dispatches and collects** — sends the sub-batch, decodes result
    wires into :class:`~repro.queries.query.QueryResult` lists, absorbs
    the workers' histograms into the driver registry, folds their
@@ -39,7 +40,6 @@ armed.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from multiprocessing import resource_tracker
 from typing import TYPE_CHECKING, Any
@@ -63,10 +63,7 @@ if TYPE_CHECKING:
     from repro.telemetry import Telemetry
     from repro.telemetry.events import EventLog
 
-__all__ = ["ProcessPool", "resolve_start_method"]
-
-#: Environment override for the pool's process start method.
-START_METHOD_ENV = "QUASII_PROCESS_START_METHOD"
+__all__ = ["ProcessPool"]
 
 #: Pipe-level failures that mean "the worker process is gone".
 _PIPE_ERRORS = (BrokenPipeError, ConnectionResetError, EOFError, OSError)
@@ -75,24 +72,14 @@ _PIPE_ERRORS = (BrokenPipeError, ConnectionResetError, EOFError, OSError)
 _MAX_RESPAWNS_PER_BATCH = 3
 
 
-def resolve_start_method(requested: str | None = None) -> str:
-    """Pick the multiprocessing start method for the pool.
-
-    Preference order: explicit argument, then :data:`START_METHOD_ENV`,
-    then ``fork`` when the platform offers it (workers inherit the
-    imported modules for free — spawn pays a full interpreter boot and
-    re-import per worker), else the platform default.
-    """
-    method = requested or os.environ.get(START_METHOD_ENV) or None
-    available = multiprocessing.get_all_start_methods()
-    if method is not None:
-        if method not in available:
-            raise ConfigurationError(
-                f"process start method {method!r} not available here "
-                f"(choose from {available})"
-            )
-        return method
-    return "fork" if "fork" in available else multiprocessing.get_start_method()
+def _start_method() -> str:
+    """The pool's multiprocessing start method: ``fork`` when the
+    platform offers it (workers inherit the imported modules for free —
+    spawn pays a full interpreter boot and re-import per worker), else
+    the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return multiprocessing.get_start_method()
 
 
 class ProcessPool:
@@ -113,8 +100,6 @@ class ProcessPool:
     events:
         Optional event log for ``worker.spawn`` / ``worker.respawn`` /
         ``worker.refresh`` / ``worker.delta``.
-    start_method:
-        Explicit start method; defaults to :func:`resolve_start_method`.
     """
 
     def __init__(
@@ -123,7 +108,6 @@ class ProcessPool:
         n_workers: int,
         telemetry: Telemetry | None = None,
         events: EventLog | None = None,
-        start_method: str | None = None,
     ) -> None:
         # Teardown state first: __del__ runs even when construction
         # raises below, and close() must find a coherent (empty) pool.
@@ -140,7 +124,7 @@ class ProcessPool:
         self._index = index
         self._telemetry = telemetry
         self._events = events
-        self.start_method = resolve_start_method(start_method)
+        self.start_method = _start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
         # Start the driver's resource tracker BEFORE forking: a forked
         # worker inherits (and shares) whatever tracker exists at fork
@@ -229,7 +213,7 @@ class ProcessPool:
         segment = self._segments.pop(sid, None)
         if segment is not None:
             segment.destroy()
-            segment.shard_token.oplog = None
+            self._index.shards[sid].oplog = None
 
     def _sync(
         self, sid: int
@@ -241,9 +225,12 @@ class ProcessPool:
         every routed row, and a driver store that physically holds every
         row its worker's does also holds every tombstone the worker's
         does — the worker's id gate never refuses what the driver's
-        admitted.
+        admitted.  The worker mirrors the shard's primary; replicas
+        share one live multiset and one op log, so after a failover the
+        new primary's store is simply a new base.
         """
         shard = self._index.shards[sid]
+        store = shard.serving().store
         shard.flush_updates()
         segment = self._segments.get(sid)
         log = shard.oplog
@@ -252,7 +239,7 @@ class ProcessPool:
                 f"shard {sid} is already served by another live process "
                 "pool; close() that one before serving from a second"
             )
-        if segment is not None and segment.shard_token is shard and log is not None:
+        if segment is not None and segment.store_token is store and log is not None:
             if not log:
                 return None, None, shard.owned_count
             # A delta larger than its base is a new base.
@@ -274,8 +261,8 @@ class ProcessPool:
         self._drop(sid)
         version = self._versions.get(sid, -1) + 1
         self._versions[sid] = version
-        spec, shm = publish_segment(shard.store, sid, version)
-        self._segments[sid] = ShardSegment(spec, shm, shard)
+        spec, shm = publish_segment(store, sid, version)
+        self._segments[sid] = ShardSegment(spec, shm, store)
         shard.oplog = []
         if self._events is not None:
             self._events.emit(

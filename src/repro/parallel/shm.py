@@ -59,7 +59,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any
 
 import numpy as np
 
@@ -313,19 +312,20 @@ class SharedStoreView:
 class ShardSegment:
     """Driver-side record of one published segment (the owning handle).
 
-    A base also remembers the :class:`~repro.sharding.shard.Shard` it
-    was published from: a rebalance rebuild replaces that object, and
+    A base also remembers the shard's primary
+    :class:`~repro.datasets.store.BoxStore` it was published from: a
+    rebalance rebuild or a failover puts another store in its place, and
     with it every row's physical identity — what no delta can describe.
     """
 
-    __slots__ = ("spec", "shm", "shard_token")
+    __slots__ = ("spec", "shm", "store_token")
 
     def __init__(
-        self, spec: SegmentSpec, shm: SharedMemory, shard_token: Any
+        self, spec: SegmentSpec, shm: SharedMemory, store_token: BoxStore | None
     ) -> None:
         self.spec = spec
         self.shm = shm
-        self.shard_token = shard_token
+        self.store_token = store_token
 
     def destroy(self) -> None:
         """Close the driver's mapping and unlink the OS object.

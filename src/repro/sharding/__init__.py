@@ -6,13 +6,12 @@ partition-then-search architecture of the learned-spatial-index and
 LiLIS lines of work, while keeping per-shard incremental cracking
 intact:
 
-* :class:`Partitioner` / :class:`STRPartitioner` /
-  :class:`RoundRobinPartitioner` — build-time row splits and insert-time
-  routing policies (:data:`PARTITIONERS` is the registry).
+* :mod:`~repro.sharding.partitioner` — the build-time STR row split
+  (``assign``) and least-enlargement insert routing (``route``).
 * :class:`Shard` / :class:`ShardReplica` — one shard: ``R >= 1``
-  replicas (each a private :class:`BoxStore` copy plus its own index)
-  with least-loaded read routing and automatic failover, the primary's
-  store+index, the MBB used for query pruning, and — iff R > 1 — the
+  replicas (each a private :class:`BoxStore` copy plus its own index),
+  one of them the serving primary and the rest standbys that take over
+  when it dies, the MBB used for query pruning, and — iff R > 1 — the
   per-shard :class:`~repro.updates.ledger.UpdateLedger` that is the
   replication stream (ledger-first writes, ledger-replay recovery with
   fingerprint verification).
@@ -20,12 +19,12 @@ intact:
   :class:`~repro.index.base.MutableSpatialIndex` contract over K shards
   with pruned fan-out queries, merged + deduplicated results,
   ownership-routed inserts/deletes, and the fault seam
-  (``replication=``, ``fault_injector=``, kill/stall/slow/recover).
+  (``replication=``, ``fault_injector=``, kill/recover).
 * :class:`QueryExecutor` / :class:`BatchResult` — batch execution as
   one route → serve → merge pipeline behind two servers: the in-thread
   ``sequential`` one and the ``processes`` pool of :mod:`repro.parallel`.
 * :class:`WorkloadProfile` / :class:`ShardLoad` — the observed query
-  distribution: recent query centroids plus per-shard load deltas.
+  distribution: recent query windows plus per-shard routed-query counts.
 * :class:`Rebalancer` / :class:`RebalanceResult` — query-driven shard
   rebalancing: split hot shards along the observed query centroids,
   merge cold ones away, migrate rows while preserving the ledger /
@@ -35,7 +34,7 @@ intact:
   dead-fraction-gated compaction plus drift-gated rebalancing, ticked
   by the executors instead of ad-hoc call sites.
 * :class:`FaultInjector` / :class:`Fault` — deterministic, seed-driven
-  kill/stall/slow faults, ticked on the engine's routing path so
+  replica kills, ticked on the engine's routing path so
   failures are first-class test inputs.
 
 Batch throughput, pruning, balance and the two backends head to head are
@@ -51,13 +50,6 @@ from repro.sharding.maintenance import (
     MaintenancePolicy,
     MaintenanceReport,
     MaintenanceScheduler,
-)
-from repro.sharding.partitioner import (
-    PARTITIONERS,
-    Partitioner,
-    RoundRobinPartitioner,
-    STRPartitioner,
-    make_partitioner,
 )
 from repro.sharding.rebalancer import (
     RebalanceResult,
@@ -82,17 +74,12 @@ __all__ = [
     "MaintenancePolicy",
     "MaintenanceReport",
     "MaintenanceScheduler",
-    "PARTITIONERS",
-    "Partitioner",
     "QueryExecutor",
     "RebalanceResult",
     "Rebalancer",
-    "RoundRobinPartitioner",
-    "STRPartitioner",
     "Shard",
     "ShardLoad",
     "ShardReplica",
     "ShardedIndex",
     "WorkloadProfile",
-    "make_partitioner",
 ]

@@ -18,15 +18,16 @@ touched by one thread; the only thing a backend chooses is *who serves*:
     ``max_workers`` workers answering from shared-memory snapshots —
     the one way shard work overlaps.
 
+Both serve each shard's *primary* replica and both compose with any
+``replication``: replicas share one live multiset, so the only thing a
+failover changes for a worker is which physical store its base was cut
+from, and the pool cuts a new one.
+
 An explicit ``backend=`` argument wins; otherwise
 ``QUASII_EXECUTOR_BACKEND`` is honored when the resolved ``max_workers``
 exceeds 1 (single-worker setups keep their sequential contract);
 otherwise the executor is sequential.  The variable is validated
-whenever it is set, and the name of a removed backend is refused as
-such.  Engines with ``replication > 1`` route reads through per-shard
-replica picks, which the process tier bypasses by design — asking for
-``backend="processes"`` on one raises, and an env-sourced request
-downgrades to ``sequential``.
+whenever it is set.
 
 Passing a :class:`~repro.sharding.maintenance.MaintenancePolicy` makes
 the executor the maintenance driver too: after every batch it ticks a
@@ -51,7 +52,6 @@ from repro.errors import ConfigurationError
 from repro.index.base import IndexStats
 from repro.queries.query import Query, QueryResult
 from repro.sharding.maintenance import MaintenancePolicy, MaintenanceScheduler
-from repro.sharding.replication import FaultInjector
 from repro.sharding.sharded_index import ShardedIndex
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
@@ -180,12 +180,6 @@ class QueryExecutor:
         predicate/mode, its seconds, and the owning batch's fan-out
         profile (per-shard seconds, shards visited/pruned, phase
         split).  ``None`` (default) disables the check entirely.
-    fault_injector:
-        Optional :class:`~repro.sharding.replication.FaultInjector`,
-        attached to the engine so deterministic kill/stall/slow faults
-        fire on the serving path.  A fault aimed at a replica the
-        engine does not have raises when it fires — faults are
-        first-class inputs, never silently dropped.
     """
 
     def __init__(
@@ -197,7 +191,6 @@ class QueryExecutor:
         telemetry: Telemetry | None = None,
         events: EventLog | None = None,
         slow_query_threshold: float | None = None,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 0:
             raise ConfigurationError(
@@ -212,15 +205,13 @@ class QueryExecutor:
         if max_workers is None:
             max_workers = min(os.cpu_count() or 1, index.n_shards)
         self._max_workers = int(max_workers)
-        self._backend = self._resolve_backend(backend, index)
+        self._backend = self._resolve_backend(backend)
         self._pool: ProcessPool | None = None
         self._telemetry = (
             telemetry if telemetry is not None and telemetry.enabled else None
         )
         self._events = events
         self._slow_query_threshold = slow_query_threshold
-        if fault_injector is not None:
-            index.attach_fault_injector(fault_injector)
         if events is not None:
             index.attach_event_log(events)
         self._scheduler = (
@@ -234,9 +225,7 @@ class QueryExecutor:
             else None
         )
 
-    def _resolve_backend(
-        self, requested: str | None, index: ShardedIndex
-    ) -> str:
+    def _resolve_backend(self, requested: str | None) -> str:
         """Settle who serves, at construction time.
 
         Explicit argument > :data:`BACKEND_ENV` (only when more than one
@@ -244,11 +233,7 @@ class QueryExecutor:
         never un-sequentializes a deliberate single-worker executor) >
         ``"sequential"``.  Both names are validated whenever they are
         given, so a mistyped or stale variable fails loudly even where
-        it would not be honored.  ``processes`` on an engine with
-        ``replication > 1`` raises when asked explicitly and downgrades
-        to ``sequential`` when the env asked, because the process tier
-        serves from driver-published snapshots of each shard's primary
-        and would silently bypass replica routing and failover.
+        it would not be honored.
         """
         env = os.environ.get(BACKEND_ENV) or None
         for name, source in ((requested, "backend argument"), (env, BACKEND_ENV)):
@@ -258,14 +243,6 @@ class QueryExecutor:
                     f"choose from {BACKENDS}"
                 )
         backend = requested or (env if self._max_workers > 1 else None)
-        if backend == "processes" and index.replication > 1:
-            if requested is not None:
-                raise ConfigurationError(
-                    f"backend='processes' cannot serve {index.name}: "
-                    "process workers read driver-published snapshots and "
-                    "would bypass replica routing and failover"
-                )
-            return "sequential"
         return backend or "sequential"
 
     @property

@@ -102,14 +102,6 @@ class MaintenancePolicy:
                 f"min_queries must be >= 1, got {self.min_queries}"
             )
 
-    def make_rebalancer(self) -> Rebalancer:
-        """A :class:`Rebalancer` configured with this policy's thresholds."""
-        return Rebalancer(
-            max_balance=self.max_balance,
-            max_query_skew=self.max_query_skew,
-            min_queries=self.min_queries,
-        )
-
 
 @dataclass
 class MaintenanceReport:
@@ -186,7 +178,11 @@ class MaintenanceScheduler:
         #: structured log can explain a pause without span access.
         self.events = events
         self._rebalancer = (
-            self.policy.make_rebalancer()
+            Rebalancer(
+                self.policy.max_balance,
+                self.policy.max_query_skew,
+                self.policy.min_queries,
+            )
             if self.policy.rebalance and isinstance(index, ShardedIndex)
             else None
         )

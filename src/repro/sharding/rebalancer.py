@@ -15,13 +15,12 @@ observed drift crosses a threshold.
 Three pieces:
 
 * :class:`WorkloadProfile` — the observed query distribution.  The
-  engine records every planned query's centroid (a bounded window) and
-  the profile reads per-shard load deltas (queries served, rows
-  scanned, results returned) straight from the cumulative shard-index
-  counters against a baseline snapshot, so profiling adds no work to
-  the query path beyond one appended centroid.
-* :class:`ShardLoad` — one shard's load since the baseline: query
-  count, scanned-row waste, selectivity, dead fraction.
+  engine records every planned query's window (a bounded history) and
+  counts the queries routed to each shard, both on the coordinating
+  thread's routing loop — so the profile reads the same on both
+  servers, whoever answers.
+* :class:`ShardLoad` — one shard's load since the last pass: routed
+  queries and owned rows.
 * :class:`Rebalancer` — the decision + mechanics.  When the live-row
   balance factor or the query-load skew drifts past its threshold, one
   pass (1) merges the coldest shard away by routing its rows to the
@@ -41,15 +40,15 @@ path of the executor, amortized exactly like cracking.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.box import Box
-from repro.index.base import IndexStats
 from repro.queries.query import Query
 from repro.sharding.shard import Shard
 
@@ -57,77 +56,60 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sharding.sharded_index import ShardedIndex
 
 
+#: Recent query windows a profile retains; the split cut and the
+#: post-split warm-up replay derive from these, so this bounds how far
+#: back "the observed query distribution" looks.
+PROFILE_WINDOW = 512
+
+#: Observed centroids inside the hot shard below which a split cut falls
+#: back to the row-center median (a plain data-driven STR-style split).
+MIN_CENTROIDS = 8
+
+#: Most recent observed windows replayed against the two rebuilt shards
+#: before a pass returns (see :meth:`Rebalancer._warm_up`).
+WARMUP = 32
+
+
 @dataclass(frozen=True)
 class ShardLoad:
-    """One shard's observed load since the profile's baseline snapshot.
+    """One shard's observed load since the profile's last rebaseline.
 
     Attributes
     ----------
     sid:
         The shard id.
     queries:
-        Windows this shard answered (fan-out executions, not engine
+        Windows routed to this shard (fan-out executions, not engine
         queries — a pruned shard's count stays flat).
-    objects_tested:
-        Candidate rows the shard's index scanned for those windows.
-    results:
-        Result ids the shard returned.
     live_rows:
         Live rows currently owned by the shard, buffered inserts
         included (a point-in-time size, not a delta).
-    dead_fraction:
-        Current tombstoned fraction of the shard's physical rows.
     """
 
     sid: int
     queries: int
-    objects_tested: int
-    results: int
     live_rows: int
-    dead_fraction: float
-
-    @property
-    def wasted_rows(self) -> int:
-        """Rows scanned but not returned — the pruning/refinement waste."""
-        return max(self.objects_tested - self.results, 0)
-
-    @property
-    def selectivity(self) -> float:
-        """Results per scanned row (1.0 = every scanned row matched)."""
-        return self.results / self.objects_tested if self.objects_tested else 0.0
 
 
 class WorkloadProfile:
     """The engine's memory of recent traffic, for rebalancing decisions.
 
-    Records are two-sided: query *windows* arrive push-style from
-    :meth:`ShardedIndex.plan` (one :meth:`record` per planned window,
-    kept in a bounded deque; centroids derive from them), while
-    per-shard load counters are read
-    pull-style as deltas of the cumulative shard-index
-    :class:`~repro.index.base.IndexStats` against a baseline snapshot
-    taken at construction and at every :meth:`rebaseline` (i.e. after
-    every rebalance).  The profile never mutates shard state and adds
-    O(1) work per query.
-
-    Parameters
-    ----------
-    window:
-        Maximum number of recent query windows retained; the split cut
-        and the post-split warm-up replay derive from these, so the
-        window bounds how far back "the observed query distribution"
-        looks.
+    Both records arrive push-style from the engine's routing loop, which
+    every query passes exactly once whoever serves it: one
+    :meth:`record` per planned window (kept in a deque of
+    :data:`PROFILE_WINDOW`; centroids derive from them) and one
+    :meth:`count_routed` per routed batch.  :meth:`rebaseline` (after
+    every rebalance) restarts both, so drift is always measured against
+    the *current* layout.  The profile never touches shard state and
+    adds O(1) work per query.
     """
 
-    def __init__(self, window: int = 512) -> None:
-        if window < 1:
-            raise ConfigurationError(f"profile window must be >= 1, got {window}")
-        self.window = int(window)
+    def __init__(self) -> None:
         self._windows: deque[tuple[np.ndarray, np.ndarray]] = deque(
-            maxlen=self.window
+            maxlen=PROFILE_WINDOW
         )
         self._queries_seen = 0
-        self._baseline: dict[int, IndexStats] = {}
+        self._routed: Counter[int] = Counter()
 
     @property
     def queries_seen(self) -> int:
@@ -138,6 +120,12 @@ class WorkloadProfile:
         """Append one planned query's window (called by the engine)."""
         self._windows.append((query.lo, query.hi))
         self._queries_seen += 1
+
+    def count_routed(self, queues: Mapping[int, Sequence[int]]) -> None:
+        """Count one routed batch: ``sid -> query indexes`` (called by
+        the engine)."""
+        for sid, idxs in queues.items():
+            self._routed[sid] += len(idxs)
 
     def recent_windows(self, limit: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """The most recent retained ``(lo, hi)`` windows, oldest first.
@@ -169,55 +157,38 @@ class WorkloadProfile:
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         return pts[inside]
 
-    def rebaseline(self, shards: Sequence[Shard]) -> None:
-        """Snapshot shard counters as the new zero point and clear history.
+    def rebaseline(self) -> None:
+        """Forget the traffic seen so far.
 
-        Called after every rebalance (and at engine build) so drift is
-        always measured against the *current* layout, not traffic the
-        previous layout already paid for.
+        Called after every rebalance so drift is always measured against
+        the *current* layout, not traffic the previous layout already
+        paid for.
         """
-        self._baseline = {s.sid: s.index.stats.snapshot() for s in shards}
         self._windows.clear()
         self._queries_seen = 0
+        self._routed.clear()
 
     def shard_loads(self, shards: Sequence[Shard]) -> list[ShardLoad]:
-        """Per-shard load deltas since the baseline, in sid order."""
-        loads = []
-        for shard in shards:
-            stats = shard.index.stats
-            base = self._baseline.get(shard.sid)
-            if base is None:
-                base = IndexStats()
-            loads.append(
-                ShardLoad(
-                    sid=shard.sid,
-                    queries=stats.queries - base.queries,
-                    objects_tested=stats.objects_tested - base.objects_tested,
-                    results=stats.results_returned - base.results_returned,
-                    live_rows=shard.owned_count,
-                    dead_fraction=shard.dead_fraction,
-                )
-            )
-        return loads
+        """Per-shard load since the last rebaseline, in sid order."""
+        return [
+            ShardLoad(s.sid, self._routed[s.sid], s.owned_count) for s in shards
+        ]
 
     def query_skew(self, shards: Sequence[Shard]) -> float:
-        """Max/mean per-shard query count since baseline (1.0 = even).
+        """Max/mean per-shard routed queries since rebaseline (1.0 = even).
 
         The traffic analogue of
         :meth:`~repro.sharding.sharded_index.ShardedIndex.balance_factor`:
         how unevenly the fan-out work lands on the fleet.  Shards that
-        answered nothing still count in the mean — an idle shard *is*
+        were routed nothing still count in the mean — an idle shard *is*
         the skew.
         """
-        counts = [load.queries for load in self.shard_loads(shards)]
+        counts = [self._routed[s.sid] for s in shards]
         mean = sum(counts) / len(counts) if counts else 0.0
         return max(counts) / mean if mean > 0 else 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"WorkloadProfile(window={self.window}, "
-            f"queries_seen={self._queries_seen})"
-        )
+        return f"WorkloadProfile(queries_seen={self._queries_seen})"
 
 
 @dataclass(frozen=True)
@@ -268,17 +239,6 @@ class Rebalancer:
     min_queries:
         Minimum profiled queries before any decision — guards against
         re-tiling on noise right after build or a previous pass.
-    min_centroids:
-        Minimum observed centroids inside the hot shard for the cut to
-        be query-driven; below it the cut falls back to the row-center
-        median (a plain data-driven STR-style split).
-    warmup:
-        How many of the most recent observed query windows to replay
-        against the two rebuilt shards before the pass returns.  A
-        rebuilt QUASII starts unrefined; replaying the hot traffic
-        pre-cracks it along exactly the regions the next queries will
-        touch, moving the re-refinement cost off the serving path and
-        into the (amortized) maintenance budget.  0 disables warm-up.
 
     A pass preserves every engine invariant: the ingest mirror is not
     touched (live fingerprint unchanged), pending shard buffers are
@@ -293,8 +253,6 @@ class Rebalancer:
         max_balance: float = 1.5,
         max_query_skew: float = 2.5,
         min_queries: int = 64,
-        min_centroids: int = 8,
-        warmup: int = 32,
     ) -> None:
         if max_balance < 1.0:
             raise ConfigurationError(
@@ -308,13 +266,9 @@ class Rebalancer:
             raise ConfigurationError(
                 f"min_queries must be >= 1, got {min_queries}"
             )
-        if warmup < 0:
-            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
         self.max_balance = float(max_balance)
         self.max_query_skew = float(max_query_skew)
         self.min_queries = int(min_queries)
-        self.min_centroids = int(min_centroids)
-        self.warmup = int(warmup)
 
     # ------------------------------------------------------------------
     # Decision
@@ -334,14 +288,6 @@ class Rebalancer:
         if engine.balance_factor() > self.max_balance:
             return "balance"
         if engine.profile.query_skew(engine.shards) > self.max_query_skew:
-            # Replica-aware placement: with R > 1 the hot tile
-            # already serves from R independent replicas, which
-            # absorbs *traffic* concentration directly — splitting the
-            # tile would shed no load (the queries still hit the same
-            # window) while paying a full re-tile.  Data imbalance
-            # ("balance", above) still re-tiles regardless of R.
-            if engine.replication > 1:
-                return None
             return "skew"
         return None
 
@@ -464,17 +410,14 @@ class Rebalancer:
         next hot query pays the full re-cracking bill on the serving
         path, which is exactly the latency spike rebalancing is meant to
         remove.  The replay runs each retained recent window (up to
-        ``warmup``, newest last) directly against the rebuilt shard
+        :data:`WARMUP`, newest last) directly against the rebuilt shard
         indexes whose MBB it intersects — off the engine's query path,
         so engine-level flow counters (queries, results) are untouched,
         while the refinement work lands in the fleet work roll-up like
         any other cracking.  Runs before
-        :meth:`ShardedIndex.finish_rebalance`, whose rebaseline then
-        absorbs the replay's shard-counter noise.
+        :meth:`ShardedIndex.finish_rebalance`.
         """
-        if not self.warmup:
-            return
-        windows = engine.profile.recent_windows(self.warmup)
+        windows = engine.profile.recent_windows(WARMUP)
         if not windows:
             return
         for sid in sids:
@@ -507,13 +450,13 @@ class Rebalancer:
         traffic).  The coordinate depends on the drift: ``"balance"``
         takes the pool's row-center median so the halves have equal row
         counts; anything else takes the centroid median so the halves
-        see equal traffic.  With fewer than ``min_centroids`` observed
+        see equal traffic.  With fewer than :data:`MIN_CENTROIDS` observed
         centroids both choices degrade to the data median (a plain
         STR-style split).
         """
         pts = engine.profile.centroids_within(hot.mbb_lo, hot.mbb_hi)
         centers = (lo + hi) * 0.5
-        if pts.shape[0] < self.min_centroids:
+        if pts.shape[0] < MIN_CENTROIDS:
             dim = int(np.argmax(centers.std(axis=0)))
             return dim, float(np.median(centers[:, dim]))
         dim = int(np.argmax(pts.std(axis=0)))

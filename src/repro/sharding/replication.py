@@ -1,23 +1,27 @@
 """Replicas and faults: the parts a shard's fault tolerance is made of.
 
-QUASII's splitting fixes *data* hotspots; replication addresses the
-*traffic* hotspot splitting cannot fix (the LiLIS framing): when queries
-concentrate on one tile, splitting it just moves the load, but serving
-the tile from R independent replicas divides it.  Every
-:class:`~repro.sharding.shard.Shard` owns ``R >= 1`` replicas (routing,
-the ledger-first write stream and ledger-replay recovery live there)
-and :class:`~repro.sharding.sharded_index.ShardedIndex` owns the fault
-seam.  This module holds the components both are built from:
+Replication here buys *availability*, not throughput.  LiLIS's framing
+— serving a hot tile from R independent replicas divides the traffic
+splitting cannot — holds across machines; inside one thread a QUASII
+reader is a writer, so spreading a shard's reads over R copies makes
+every copy pay the cracking bill (measured at 1M boxes, docs/BENCH.md:
+R = 2 cracked 1.6x as much as R = 1 and served 0.7-0.97x as fast).  So
+the primary serves and the other replicas are standbys: they take every
+write, and one of them takes over when the primary dies.  Every
+:class:`~repro.sharding.shard.Shard` owns ``R >= 1`` replicas (the
+ledger-first write stream, failover and ledger-replay recovery live
+there) and :class:`~repro.sharding.sharded_index.ShardedIndex` owns the
+fault seam.  This module holds the components both are built from:
 
 * :class:`ShardReplica` / :func:`build_replica` — one replica is a
   private :class:`~repro.datasets.store.BoxStore` plus its own index
-  (replicas crack independently, so their physical layouts diverge
-  while their live ``(id, box)`` multisets stay identical) plus health
-  state; :func:`build_replica` is the one way a replica comes to exist,
-  at build, rebuild and recovery alike.
+  (only the primary answers reads, so only it cracks: physical layouts
+  diverge while the live ``(id, box)`` multisets stay identical) plus
+  health state; :func:`build_replica` is the one way a replica comes to
+  exist, at build, rebuild and recovery alike.
 * :class:`Fault` / :class:`FaultInjector` — a deterministic,
-  seed-driven failure schedule: kill/stall/slow a chosen replica at a
-  chosen operation count.  It is ticked on the engine's routing path
+  seed-driven failure schedule: kill a chosen replica at a chosen
+  operation count.  It is ticked on the engine's routing path
   (exactly once per query or update, on the coordinating thread), so
   the same seed always produces the same failure interleaving —
   failures are test *inputs*.
@@ -38,11 +42,7 @@ from repro.index.base import MutableSpatialIndex, SpatialIndex
 IndexFactory = Callable[[BoxStore], SpatialIndex]
 
 #: Fault actions the injector understands.
-FAULT_ACTIONS = ("kill", "stall", "slow")
-
-#: Builds (store, index) for one replica; the engine passes its own
-#: factory-enforcing helper here so replicas and shards are built alike.
-ReplicaFactory = Callable[[BoxStore], tuple[BoxStore, SpatialIndex]]
+FAULT_ACTIONS = ("kill",)
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,15 @@ class Fault:
         Global engine operation count (queries + updates, 1-based) at
         which the fault fires.
     action:
-        ``"kill"`` (dead until recovered), ``"stall"`` (excluded from
-        read routing for ``duration`` routing decisions; still receives
-        writes), or ``"slow"`` (a synthetic load multiplier, so
-        least-loaded routing deprioritizes the replica without any
-        wall-clock sleeping — determinism over realism).
+        ``"kill"``: dead until recovered.
     sid / rid:
         Target shard and replica.
-    duration:
-        Stall length, counted in routing decisions for the shard.
-    factor:
-        Slow-down multiplier applied to the replica's effective load.
     """
 
     at_op: int
     action: str
     sid: int
     rid: int
-    duration: int = 4
-    factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.action not in FAULT_ACTIONS:
@@ -84,14 +74,6 @@ class Fault:
         if self.at_op < 1:
             raise ConfigurationError(
                 f"fault at_op must be >= 1, got {self.at_op}"
-            )
-        if self.duration < 0:
-            raise ConfigurationError(
-                f"fault duration must be >= 0, got {self.duration}"
-            )
-        if self.factor < 1.0:
-            raise ConfigurationError(
-                f"fault factor must be >= 1.0, got {self.factor}"
             )
 
 
@@ -121,7 +103,6 @@ class FaultInjector:
         n_shards: int,
         replication: int,
         max_op: int,
-        actions: Sequence[str] = FAULT_ACTIONS,
     ) -> FaultInjector:
         """A seed-driven schedule: same arguments, same faults, always."""
         if n_faults < 0:
@@ -134,17 +115,13 @@ class FaultInjector:
             raise ConfigurationError(
                 f"need replication >= 1, got {replication}"
             )
-        if not actions:
-            raise ConfigurationError("need at least one fault action")
         rng = np.random.default_rng(seed)
         faults = [
             Fault(
                 at_op=int(rng.integers(1, max_op + 1)),
-                action=str(rng.choice(list(actions))),
+                action="kill",
                 sid=int(rng.integers(n_shards)),
                 rid=int(rng.integers(replication)),
-                duration=int(rng.integers(1, 9)),
-                factor=float(rng.uniform(2.0, 8.0)),
             )
             for _ in range(n_faults)
         ]
@@ -191,48 +168,23 @@ class FaultInjector:
 class ShardReplica:
     """One replica of a shard: a private store+index plus health state.
 
-    ``state`` is ``"live"`` or ``"dead"``; stall and slow are routing
-    modifiers on a live replica, not states of their own (a stalled
-    replica still applies writes, a slowed one still serves — just
-    later in the least-loaded order).
+    ``state`` is ``"live"`` or ``"dead"``.
     """
 
-    __slots__ = (
-        "rid",
-        "store",
-        "index",
-        "state",
-        "reads_served",
-        "stall_remaining",
-        "slow_factor",
-    )
+    __slots__ = ("rid", "store", "index", "state")
 
     def __init__(self, rid: int, store: BoxStore, index: SpatialIndex) -> None:
         self.rid = rid
         self.store = store
         self.index = index
         self.state = "live"
-        #: Read batches this replica served (the load measure routing
-        #: minimizes; frozen while dead — the no-dead-reads invariant).
-        self.reads_served = 0
-        #: Routing decisions this replica still sits out (stall fault).
-        self.stall_remaining = 0
-        #: Synthetic load multiplier (slow fault; 1.0 = healthy).
-        self.slow_factor = 1.0
 
     @property
     def alive(self) -> bool:
         return self.state == "live"
 
-    def effective_load(self) -> float:
-        """Reads served, scaled by the slow penalty (routing key)."""
-        return (self.reads_served + 1) * self.slow_factor
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ShardReplica(rid={self.rid}, state={self.state!r}, "
-            f"reads={self.reads_served})"
-        )
+        return f"ShardReplica(rid={self.rid}, state={self.state!r})"
 
 
 def build_replica(

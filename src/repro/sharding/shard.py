@@ -6,11 +6,15 @@ A :class:`Shard` owns ``R >= 1``
 permute their store, so neither shards nor replicas can share row
 ranges of one array) plus whatever :class:`SpatialIndex` the factory
 built over it.  R=1 is the degenerate case of the same class, not a
-second one.  Reads route to the least-loaded live replica (automatic
-failover: dead replicas are never picked); writes, compaction and
-flushes reach every live replica; ``store``/``index`` always name the
-current *primary* (the lowest live rid), so rebalancing, MBB refresh
-and the process tier read one plain store+index pair whatever R is.
+second one.  ``store``/``index`` name the *primary*, the one replica
+that answers reads on both servers — a QUASII reader is a writer, so a
+second reader would only crack a second copy — and the rest are
+standbys: writes, compaction and flushes reach every live replica, and
+when the primary dies the lowest live rid takes over (cold, exactly as
+a recovered replica is).  The primary is sticky: it changes only by
+dying, so a recovered replica rejoins as a standby.  Rebalancing, MBB
+refresh and the process tier read one plain store+index pair whatever
+R is.
 
 The replication stream is the shard's
 :class:`~repro.updates.ledger.UpdateLedger`: every write is recorded
@@ -51,7 +55,7 @@ import numpy as np
 
 from repro.datasets.store import BoxStore
 from repro.errors import ReplicationError
-from repro.index.base import MutableSpatialIndex, SpatialIndex
+from repro.index.base import MutableSpatialIndex
 from repro.sharding.replication import IndexFactory, ShardReplica, build_replica
 from repro.updates.ledger import LedgerOp, UpdateLedger
 
@@ -143,12 +147,27 @@ class Shard:
         return [r.rid for r in self.replicas if not r.alive]
 
     def primary(self) -> ShardReplica | None:
-        """The lowest-rid live replica (``store``/``index`` name it), or
-        None when every replica is dead."""
+        """The live replica ``store``/``index`` name, or None when every
+        replica is dead (a live shard always has one: a dying primary
+        hands over at once, see :meth:`kill`)."""
         for r in self.replicas:
-            if r.alive:
+            if r.index is self.index and r.alive:
                 return r
         return None
+
+    def serving(self) -> ShardReplica:
+        """The primary, for a server about to answer reads from it.
+
+        Raises :class:`ReplicationError` with zero live replicas instead
+        of serving a corpse's stale rows.
+        """
+        primary = self.primary()
+        if primary is None:
+            raise ReplicationError(
+                f"shard {self.sid}: all {self.replication} replicas are "
+                "dead; recover via ledger replay before serving reads"
+            )
+        return primary
 
     @property
     def owned_count(self) -> int:
@@ -231,47 +250,6 @@ class Shard:
             self.mbb_hi = np.maximum(self.mbb_hi, hi.max(axis=0))
 
     # ------------------------------------------------------------------
-    # Read routing
-    # ------------------------------------------------------------------
-    def pick(self) -> ShardReplica:
-        """The least-loaded live replica for one read batch.
-
-        Dead replicas are never candidates (automatic failover);
-        stalled replicas sit out until their stall drains, unless every
-        live replica is stalled — a stall delays, it must not fabricate
-        an outage.  A single candidate is returned without the scan.
-        Raises :class:`ReplicationError` with zero live replicas instead
-        of hanging or serving stale state.
-        """
-        live = self.live_replicas()
-        if not live:
-            raise ReplicationError(
-                f"shard {self.sid}: all {self.replication} replicas are "
-                "dead; recover via ledger replay before serving reads"
-            )
-        routable = [r for r in live if r.stall_remaining == 0]
-        for r in live:
-            if r.stall_remaining:
-                r.stall_remaining -= 1
-        pool = routable or live
-        chosen = (
-            pool[0]
-            if len(pool) == 1
-            else min(pool, key=lambda r: (r.effective_load(), r.rid))
-        )
-        chosen.reads_served += 1
-        return chosen
-
-    def serving_index(self) -> SpatialIndex:
-        """The index read traffic should hit: :meth:`pick`'s replica's.
-
-        The read-routing seam.  :meth:`ShardedIndex.serve_local` calls
-        this exactly once per shard per batch, so one replica answers the
-        shard's whole sub-batch.
-        """
-        return self.pick().index
-
-    # ------------------------------------------------------------------
     # Writes (the replication stream), compaction, flush
     # ------------------------------------------------------------------
     def apply_insert(
@@ -348,8 +326,8 @@ class Shard:
     # Faults and recovery
     # ------------------------------------------------------------------
     def kill(self, rid: int) -> bool:
-        """Mark a replica dead and promote a new primary if it was the
-        old one; no-op (False) if already dead."""
+        """Mark a replica dead and, if it was the primary, promote the
+        lowest live rid; no-op (False) if already dead."""
         r = self.replicas[rid]
         if not r.alive:
             return False
@@ -358,40 +336,19 @@ class Shard:
         self._sync_primary()
         return True
 
-    def stall(self, rid: int, duration: int) -> bool:
-        """Exclude a live replica from routing for ``duration`` picks."""
-        r = self.replicas[rid]
-        if not r.alive:
-            return False
-        r.stall_remaining = max(r.stall_remaining, int(duration))
-        self._notify(
-            "replica.stall", sid=self.sid, rid=rid, duration=int(duration)
-        )
-        return True
-
-    def slow(self, rid: int, factor: float) -> bool:
-        """Scale a live replica's effective load by ``factor``."""
-        r = self.replicas[rid]
-        if not r.alive:
-            return False
-        r.slow_factor = max(r.slow_factor, float(factor))
-        self._notify(
-            "replica.slow", sid=self.sid, rid=rid, factor=float(factor)
-        )
-        return True
-
     def recover(self, rid: int) -> ShardReplica:
         """Rebuild a dead replica from the ledger; prove it identical.
 
         Replays base snapshot + op log into a fresh store, asserts the
         result matches the ledger's live mirror, and fingerprint-checks
-        it against a live peer (order-insensitive ``live_fingerprint``:
-        peers crack independently, so physical layouts differ while the
+        it against the primary (order-insensitive ``live_fingerprint``:
+        only the primary cracks, so physical layouts differ while the
         live multiset must not).  Live peers are flushed first so their
         buffered writes are physically comparable.  Once every replica
         is live again the ledger folds its log into the base snapshot
-        (:meth:`UpdateLedger.truncate`), bounding future replays.
-        Idempotent: recovering a live replica is a no-op.
+        (:meth:`UpdateLedger.truncate`), bounding future replays.  The
+        recovered replica rejoins as a standby unless no replica was
+        live.  Idempotent: recovering a live replica is a no-op.
         """
         target = self.replicas[rid]
         if target.alive:
@@ -429,26 +386,24 @@ class Shard:
         return fresh
 
     def _sync_primary(self) -> None:
-        """Re-point ``store``/``index`` at the current primary.
+        """Hand ``store``/``index`` to the lowest live rid if the primary
+        is dead, and emit ``replica.failover``.
 
-        Emits ``replica.failover`` when the previous primary died and a
-        live replica took over; re-pointing after a recovery (old
-        primary still live) is silent — no failover happened, the read
-        path never lost service.
+        With no live replica the dead primary's pair stays in place
+        (:meth:`serving` refuses it) until a recovery brings one back.
         """
-        primary = self.primary()
-        if primary is None or primary.index is self.index:
-            return
         old = next((r for r in self.replicas if r.index is self.index), None)
-        self.store = primary.store
-        self.index = primary.index
-        if old is None or not old.alive:
-            self._notify(
-                "replica.failover",
-                sid=self.sid,
-                to_rid=primary.rid,
-                from_rid=None if old is None else old.rid,
-            )
+        live = self.live_replicas()
+        if (old is not None and old.alive) or not live:
+            return
+        self.store = live[0].store
+        self.index = live[0].index
+        self._notify(
+            "replica.failover",
+            sid=self.sid,
+            to_rid=live[0].rid,
+            from_rid=None if old is None else old.rid,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         states = "".join(r.state[0] for r in self.replicas)

@@ -3,8 +3,8 @@
 :class:`ShardedIndex` turns one :class:`~repro.datasets.store.BoxStore`
 into a partition-then-search architecture ("The Case for Learned Spatial
 Indexes" shows this layout dominating monolithic structures; LiLIS builds
-a distributed framework the same way): a
-:class:`~repro.sharding.partitioner.Partitioner` splits the rows into
+a distributed framework the same way): an STR split
+(:func:`~repro.sharding.partitioner.assign`) cuts the rows into
 ``n_shards`` spatial tiles, an index factory builds one
 :class:`SpatialIndex` per shard (QUASII by default, so every shard keeps
 *cracking adaptively* on its own slice forest), and the engine exposes
@@ -13,10 +13,10 @@ the full :class:`MutableSpatialIndex` contract over the fleet:
 * **Queries** fan out only to shards whose MBB intersects the window
   (``shards_visited`` / ``shards_pruned`` count the pruning), and the
   per-shard id sets are merged and deduplicated.
-* **Inserts** are routed to an owning shard by the partitioner's
-  :meth:`~repro.sharding.partitioner.Partitioner.route` policy; the
-  shard's MBB expands to cover the new rows immediately (they may sit in
-  the shard index's update buffer, and pruning must never skip them).
+* **Inserts** are routed to an owning shard by least MBB enlargement
+  (:func:`~repro.sharding.partitioner.route`); the shard's MBB expands
+  to cover the new rows immediately (they may sit in the shard index's
+  update buffer, and pruning must never skip them).
 * **Deletes** are routed by the id→shard ownership map the engine
   maintains, so only owning shards do any work.
 * **Compaction** reclaims the dead space deletes leave behind:
@@ -39,15 +39,16 @@ merge (:meth:`ShardedIndex.route_batch`, :meth:`ShardedIndex.serve_local`);
 the :class:`~repro.sharding.executor.QueryExecutor` drives the same
 halves and can swap the in-thread server for worker processes.
 
-Every shard serves from ``replication`` replicas (default 1; see
-:mod:`repro.sharding.shard` for routing, the write stream and recovery),
-and the engine owns the fault seam: a
+Every shard keeps ``replication`` replicas (default 1; see
+:mod:`repro.sharding.shard` for the serving primary, the write stream,
+failover and recovery), and the engine owns the fault seam: a
 :class:`~repro.sharding.replication.FaultInjector` is ticked once per
 routed query, insert or delete on the coordinating thread.
 
 The engine also observes its own traffic: every planned query's centroid
 is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
-per-shard load is read as deltas of the shard-index counters.  When the
+per-shard load is counted where batches are routed — the same on both
+servers.  When the
 balance factor or query-load skew drifts, a
 :class:`~repro.sharding.rebalancer.Rebalancer` splits the hot shard
 along the observed query distribution and merges the coldest one away —
@@ -68,7 +69,7 @@ from repro.errors import ConfigurationError, DatasetError, ReplicationError
 from repro.geometry.predicates import boxes_intersect_window
 from repro.index.base import WORK_COUNTERS, MutableSpatialIndex, SpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
-from repro.sharding.partitioner import Partitioner, make_partitioner
+from repro.sharding import partitioner
 from repro.sharding.rebalancer import WorkloadProfile
 from repro.sharding.replication import (
     Fault,
@@ -97,17 +98,15 @@ class ShardedIndex(MutableSpatialIndex):
         work on private copies of their rows.
     n_shards:
         Number of shards ``K >= 1``.
-    partitioner:
-        Strategy name (``"str"`` or ``"round-robin"``) or a
-        :class:`Partitioner` instance.
     index_factory:
         Callable building one index per replica store (so replicas are
         structurally homogeneous); defaults to
         :class:`~repro.core.quasii.QuasiiIndex`.
     replication:
-        Replicas per shard ``R >= 1``.  Only with ``R > 1`` do shards
-        keep a replication stream, so at the default 1 a killed replica
-        cannot be recovered.
+        Replicas per shard ``R >= 1``: one serving primary plus
+        ``R - 1`` standbys.  Only with ``R > 1`` do shards keep a
+        replication stream, so at the default 1 a killed replica cannot
+        be recovered.
     fault_injector:
         Optional :class:`~repro.sharding.replication.FaultInjector`,
         ticked once per engine operation (query routing, insert,
@@ -134,7 +133,6 @@ class ShardedIndex(MutableSpatialIndex):
         self,
         store: BoxStore,
         n_shards: int = 4,
-        partitioner: str | Partitioner = "str",
         index_factory: IndexFactory | None = None,
         replication: int = 1,
         fault_injector: FaultInjector | None = None,
@@ -151,7 +149,6 @@ class ShardedIndex(MutableSpatialIndex):
         self._replication = int(replication)
         self._fault_injector = fault_injector
         self._events = events
-        self._partitioner = make_partitioner(partitioner)
         self._factory: IndexFactory = index_factory or _default_factory
         self._shards: list[Shard] = []
         #: id -> owning shard sid, maintained for every *live* object.
@@ -165,11 +162,11 @@ class ShardedIndex(MutableSpatialIndex):
         # survive an outer stats.reset() without double counting).
         self._work_seen = dict.fromkeys(WORK_COUNTERS, 0)
         #: The observed query distribution: recent planned-query
-        #: centroids plus per-shard load baselines.  Feeds the
+        #: windows plus per-shard routed-query counts.  Feeds the
         #: :class:`~repro.sharding.rebalancer.Rebalancer`'s drift
         #: detection and its query-driven split cut.
         self.profile = WorkloadProfile()
-        tiling = f"{self._partitioner.name}x{self._n_shards}"
+        tiling = f"strx{self._n_shards}"
         self.name = (
             f"Replicated[{tiling}xR{self._replication}]"
             if self._replication > 1
@@ -216,25 +213,9 @@ class ShardedIndex(MutableSpatialIndex):
         return tuple(self._shards)
 
     @property
-    def partitioner(self) -> Partitioner:
-        """The partitioning strategy in use."""
-        return self._partitioner
-
-    @property
     def replication(self) -> int:
-        """Replicas per shard (the rebalancer's skew gate and the
-        executor's process-backend guard read this)."""
+        """Replicas per shard."""
         return self._replication
-
-    @property
-    def fault_injector(self) -> FaultInjector | None:
-        """The attached injector, if any."""
-        return self._fault_injector
-
-    def attach_fault_injector(self, injector: FaultInjector) -> None:
-        """Attach (or replace) the failure schedule; the executor's
-        ``fault_injector`` parameter lands here."""
-        self._fault_injector = injector
 
     def attach_event_log(self, events: EventLog) -> None:
         """Attach an event log for ``replica.*`` events (keeps an
@@ -305,7 +286,7 @@ class ShardedIndex(MutableSpatialIndex):
             return
         store = self._store
         rows = store.live_rows()
-        owners = self._partitioner.assign(store.lo[rows], store.hi[rows], self._n_shards)
+        owners = partitioner.assign(store.lo[rows], store.hi[rows], self._n_shards)
         for sid in range(self._n_shards):
             mine = rows[owners == sid]
             self._shards.append(
@@ -313,17 +294,10 @@ class ShardedIndex(MutableSpatialIndex):
                     sid, store.lo[mine], store.hi[mine], store.ids[mine]
                 )
             )
-        copied = sum(s.store.n for s in self._shards)
-        if copied != rows.size:
-            raise ConfigurationError(
-                f"partitioner {self._partitioner.name!r} assigned {copied} "
-                f"of {rows.size} rows to shards 0..{self._n_shards - 1}"
-            )
         ids = store.ids[rows]
         self._owner = dict(zip(ids.tolist(), owners.tolist()))
         self._seen_epoch = store.epoch
         self._built = True
-        self.profile.rebaseline(self._shards)
 
     # ------------------------------------------------------------------
     # Queries: prune, fan out, merge
@@ -362,8 +336,9 @@ class ShardedIndex(MutableSpatialIndex):
 
         The one routing loop — every batch, whoever serves it, is
         planned here on the coordinating thread, so each query moves the
-        prune counters, the traffic profile and the fault clock exactly
-        once (see :meth:`plan_shards`).
+        prune counters, the traffic profile (its window in
+        :meth:`plan_shards`, its per-shard count here) and the fault
+        clock exactly once.
         """
         if not self._built:
             raise ConfigurationError(
@@ -373,6 +348,7 @@ class ShardedIndex(MutableSpatialIndex):
         for i, q in enumerate(queries):
             for shard in self.plan_shards(q):
                 queues.setdefault(shard.sid, []).append(i)
+        self.profile.count_routed(queues)
         return queues
 
     def serve_local(
@@ -386,14 +362,13 @@ class ShardedIndex(MutableSpatialIndex):
         candidate matrices and QUASII shards amortize their merges — and
         the call is timed, so shard skew is as visible here as behind
         :meth:`~repro.parallel.pool.ProcessPool.run_batch`, which returns
-        the same shape.  :meth:`Shard.serving_index` is the replication
-        seam: the least-loaded live replica is picked once per shard per
-        batch.
+        the same shape.  The primary answers (:meth:`Shard.serving`
+        refuses a shard with no live replica).
         """
         served: dict[int, tuple[list[int], list[QueryResult], float]] = {}
         for sid, idxs in queues.items():
             w0 = time.perf_counter()
-            sub = self._shards[sid].serving_index().execute_batch(
+            sub = self._shards[sid].serving().index.execute_batch(
                 [queries[i] for i in idxs]
             )
             served[sid] = (idxs, sub, time.perf_counter() - w0)
@@ -553,7 +528,7 @@ class ShardedIndex(MutableSpatialIndex):
         if not assigned.size:
             return assigned
         stack_lo, stack_hi = self._mbb_stacks()
-        targets = self._partitioner.route(
+        targets = partitioner.route(
             lo,
             hi,
             stack_lo,
@@ -626,7 +601,11 @@ class ShardedIndex(MutableSpatialIndex):
         """
         self._check_epoch()
         reclaimed = self._store.n_dead
-        if reclaimed == 0 and all(s.store.n_dead == 0 for s in self._shards):
+        # Every live replica, not just the primaries: a standby rebuilt
+        # by ledger replay holds the tombstones the replay re-created.
+        if reclaimed == 0 and not any(
+            r.store.n_dead for s in self._shards for r in s.live_replicas()
+        ):
             return 0
         self.on_compaction(self._store.compact())
         self.stats.compactions += 1
@@ -720,26 +699,7 @@ class ShardedIndex(MutableSpatialIndex):
     # is never touched, so the store epoch, the live (id, box) multiset,
     # and therefore the ledger/fingerprint invariants are preserved by
     # construction.  rebuild_shard + finish_rebalance are the engine
-    # half of a :class:`~repro.sharding.rebalancer.Rebalancer` pass;
-    # migrate_into is the standalone targeted-migration primitive for
-    # policies that move a row subset without rebuilding the target
-    # (e.g. the ROADMAP's scan-waste-driven migrations).
-
-    def migrate_into(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        """Adopt already-owned rows into shard ``sid`` without a rebuild.
-
-        The rows must currently live in *other* shards' stores (the
-        caller is responsible for rebuilding those without the rows);
-        ownership is rewritten here and the target shard's pruning MBB
-        expands to cover the batch immediately.
-        """
-        self._require_mutable_shards()
-        self._shards[sid].apply_insert(lo, hi, ids)
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        self._stack_lo = self._stack_hi = None
+    # half of a :class:`~repro.sharding.rebalancer.Rebalancer` pass.
 
     def rebuild_shard(
         self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
@@ -774,7 +734,7 @@ class ShardedIndex(MutableSpatialIndex):
         """Seal a rebalancing pass: counters, profile baseline, MBBs."""
         self.stats.rebalances += 1
         self.stats.rows_migrated += int(rows_migrated)
-        self.profile.rebaseline(self._shards)
+        self.profile.rebaseline()
         self._stack_lo = self._stack_hi = None
         self.sync_shard_work()
 
@@ -799,23 +759,11 @@ class ShardedIndex(MutableSpatialIndex):
                 f"fault targets replica {fault.rid}; shards have "
                 f"{self._replication} replicas"
             )
-        if fault.action == "kill":
-            return self.kill_replica(fault.sid, fault.rid)
-        if fault.action == "stall":
-            return self.stall_replica(fault.sid, fault.rid, fault.duration)
-        return self.slow_replica(fault.sid, fault.rid, fault.factor)
+        return self.kill_replica(fault.sid, fault.rid)
 
     def kill_replica(self, sid: int, rid: int) -> bool:
-        """Kill one replica; promotes a new primary if needed."""
+        """Kill one replica; a standby takes over if it was the primary."""
         return self._shards[sid].kill(rid)
-
-    def stall_replica(self, sid: int, rid: int, duration: int) -> bool:
-        """Stall one replica out of read routing for ``duration`` picks."""
-        return self._shards[sid].stall(rid, duration)
-
-    def slow_replica(self, sid: int, rid: int, factor: float) -> bool:
-        """Scale one replica's effective load by ``factor``."""
-        return self._shards[sid].slow(rid, factor)
 
     def dead_replicas(self) -> list[tuple[int, int]]:
         """All currently-dead ``(sid, rid)`` pairs."""
@@ -867,6 +815,5 @@ class ShardedIndex(MutableSpatialIndex):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ShardedIndex(n_shards={self._n_shards}, "
-            f"partitioner={self._partitioner.name!r}, "
             f"replication={self._replication}, built={self._built})"
         )

@@ -56,21 +56,14 @@ EVENTS: dict[str, str] = {
         "a shard replica was killed (fault injection); payload carries "
         "the shard sid and replica rid"
     ),
-    "replica.stall": (
-        "a shard replica was stalled out of read routing; payload "
-        "carries sid, rid, and the stall duration in routing decisions"
-    ),
-    "replica.slow": (
-        "a shard replica's effective load was scaled up (slow fault); "
-        "payload carries sid, rid, and the factor"
-    ),
     "replica.recover": (
         "a dead replica was rebuilt by ledger replay and fingerprint-"
         "verified; payload carries sid, rid, replayed_ops, live_rows"
     ),
     "replica.failover": (
-        "a shard's primary replica died and a live replica took over; "
-        "payload carries sid, from_rid, to_rid"
+        "a shard's primary replica died and a standby took over (cold: "
+        "it has never answered a read); payload carries sid, from_rid, "
+        "to_rid"
     ),
     "worker.spawn": (
         "a shard-serving worker process started; payload carries the "
@@ -84,7 +77,7 @@ EVENTS: dict[str, str] = {
     "worker.refresh": (
         "a shard's whole base segment was (re)published and its worker "
         "rebuilt its index from nothing: first touch, shard rebuild, "
-        "worker respawn or err reply, or an op log that outgrew its "
+        "failover, worker respawn or err reply, or an op log that outgrew its "
         "base — never an ordinary write; payload carries sid, segment "
         "version, rows, and epoch"
     ),

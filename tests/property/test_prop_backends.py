@@ -3,15 +3,18 @@
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
 batches, delete batches, full and policy-driven compactions, reinserts
-of deleted ids, and replica kills.  The same interleaving runs against
-one engine per cell of the executor backend (``sequential``,
-``processes``) × replication (R ∈ {1, 2}) matrix — with the executors
-kept alive across operations, so the process pool's warm workers must
-absorb every mutation (insert/delete/compact between batches) as a
-shard delta, admitting exactly the ids the driver admitted, and the
-R=2 engines must keep serving after a mid-stream kill.  The one cell
-that does not exist, ``processes`` × R=2, is refused explicitly (see
-:func:`test_every_cell_is_served_or_refused`).
+of deleted ids, replica kills and recoveries.  The same interleaving
+runs against one engine per cell of the executor backend
+(``sequential``, ``processes``) × replication (R ∈ {1, 2}) matrix — no
+cell is refused or downgraded — with the executors kept alive across
+operations, so the process pool's warm workers must absorb every
+mutation (insert/delete/compact between batches) as a shard delta,
+admitting exactly the ids the driver admitted, and the R=2 engines must
+keep serving after a mid-stream kill: on ``processes`` a primary kill
+cuts the worker a new base from the standby that took over.
+:func:`test_every_cell_is_served_or_refused` walks each cell through
+the same story as a fixed script, down to the one refusal left: a shard
+with no live replica.
 
 Invariants, after every single operation:
 
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,10 +40,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
-from repro.datasets import BoxStore
-from repro.errors import ConfigurationError, DatasetError
-from repro.sharding import QueryExecutor, ShardedIndex
+from repro.datasets import BoxStore, make_uniform
+from repro.errors import ConfigurationError, DatasetError, ReplicationError
+from repro.queries import hotspot_workload, uniform_workload
+from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
+from repro.telemetry.events import EventLog
 from repro.updates import UpdateLedger
 from tests.property._interleavings import (
     BASE_KINDS,
@@ -49,9 +56,6 @@ from tests.property._interleavings import (
 
 REPLICATION_FACTORS = (1, 2)
 MATRIX = [(b, r) for b in BACKENDS for r in REPLICATION_FACTORS]
-#: Process workers serve the primary's snapshot: no replica routing.
-REFUSED = ("processes", 2)
-CELLS = [cell for cell in MATRIX if cell != REFUSED]
 
 #: The query shapes the interleavings draw from: (predicate, mode, k).
 QUERY_SHAPES = (
@@ -62,7 +66,7 @@ QUERY_SHAPES = (
     ("contains", "boxes", None),
 )
 
-KINDS = (*BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill")
+KINDS = (*BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill", "recover")
 #: A kill names (shard, replica) directly: three shards, at most R=2;
 #: a policy compaction its dead-fraction threshold; a reinsert a seed.
 PAYLOADS = {
@@ -95,7 +99,7 @@ def _check_payload(result, want, label):
         payloads=PAYLOADS,
         query_shapes=QUERY_SHAPES,
         max_rows=50,
-        max_ops=12,
+        max_ops=14,
         max_delete=6,
     )
 )
@@ -107,13 +111,12 @@ def test_backends_agree_with_scan_under_interleavings(case):
         (backend, replication): ShardedIndex(
             BoxStore(lo.copy(), hi.copy()),
             n_shards=3,
-            partitioner="str",
             index_factory=lambda s: QuasiiIndex(
                 s, QuasiiConfig(2, (8, 4)), max_runs=2
             ),
             replication=replication,
         )
-        for backend, replication in CELLS
+        for backend, replication in MATRIX
     }
     for engine in engines.values():
         engine.build()
@@ -158,6 +161,12 @@ def test_backends_agree_with_scan_under_interleavings(case):
                 for engine in engines.values():
                     if len(engine.shards[sid].live_replicas()) > 1:
                         engine.kill_replica(sid, rid)
+            elif kind == "recover":
+                for engine in engines.values():
+                    serving = [s.store for s in engine.shards]
+                    engine.recover_all()
+                    # A recovered replica rejoins as a standby.
+                    assert [s.store for s in engine.shards] == serving
             elif kind == "delete":
                 count, victim_seed = payload
                 live = ledger.live_ids()
@@ -227,25 +236,122 @@ def _small_engine(replication=1):
     )
 
 
+def _segments() -> set[str]:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
 @pytest.mark.parametrize("backend,replication", MATRIX)
-def test_every_cell_is_served_or_refused(backend, replication, monkeypatch):
-    """The matrix has no silent cell: each one resolves to the backend it
-    asked for (and is oracle-checked above), or is refused by name when
-    asked explicitly and downgraded to sequential when the env asked."""
+def test_every_cell_is_served_or_refused(backend, replication):
+    """The matrix has no refused and no downgraded cell: each one serves
+    from the backend it asked for through reads, writes, compaction, a
+    primary kill between batches and a ``recover_all()``, oracle-checked
+    at every step, and leaves no shared-memory name behind.  What a
+    cell still refuses, loudly and on either server, is a shard with no
+    live replica."""
+    ds = make_uniform(4_000, seed=11)
+    scan = ScanIndex(ds.store.copy())
+    events = EventLog()
+    engine = ShardedIndex(ds.store.copy(), n_shards=3, replication=replication)
+    queries = uniform_workload(ds.universe, 24, 2e-3, seed=12)
+    before = _segments()
 
-    def make(**kwargs):
-        return QueryExecutor(
-            _small_engine(replication), max_workers=2, **kwargs
-        )
+    def check(ex, batch):
+        out = ex.run(batch)
+        assert out.mode == backend
+        for got, q in zip(out.query_results, batch):
+            _check_payload(got, scan.execute(q), f"{backend} x R{replication}")
 
-    if (backend, replication) != REFUSED:
-        with make(backend=backend) as ex:
-            assert ex.backend == backend
-        return
-    with pytest.raises(ConfigurationError, match="Replicated"):
-        make(backend=backend)
-    monkeypatch.setenv(BACKEND_ENV, backend)
-    assert make().backend == "sequential"
+    with QueryExecutor(engine, max_workers=2, backend=backend, events=events) as ex:
+        assert ex.backend == backend
+        check(ex, queries[:6])
+        rng = np.random.default_rng(13)
+        lo = rng.uniform(0, 9_000, size=(300, 3))
+        ids = engine.insert(lo, lo + 25.0)
+        assert np.array_equal(scan.insert(lo, lo + 25.0), ids)
+        check(ex, queries[6:12])
+        gone = np.concatenate([ids[::3], ds.store.ids[:150]])
+        for index in (engine, scan):
+            index.delete(gone)
+            index.compact()
+        check(ex, queries[12:16])
+        if replication > 1:
+            bases = len(events.recent("worker.refresh"))
+            for shard in engine.shards:
+                assert engine.kill_replica(shard.sid, shard.primary().rid)
+            assert len(events.recent("replica.failover")) == engine.n_shards
+            check(ex, queries[16:20])
+            if backend == "processes":
+                # Each standby that took over is a new base for its
+                # worker: the existing first-touch path, nothing else.
+                refreshed = len(events.recent("worker.refresh")) - bases
+                assert refreshed == engine.n_shards
+            lo2 = rng.uniform(0, 9_000, size=(40, 3))
+            assert np.array_equal(
+                engine.insert(lo2, lo2 + 25.0), scan.insert(lo2, lo2 + 25.0)
+            )
+            serving = [s.store for s in engine.shards]
+            assert engine.recover_all() == engine.n_shards
+            # Sticky: a recovered replica does not take the primary back,
+            # so the workers keep their warm bases.
+            assert [s.store for s in engine.shards] == serving
+            assert [s.primary().rid for s in engine.shards] == [1] * 3
+            bases = len(events.recent("worker.refresh"))
+        check(ex, queries[20:])
+        check(ex, [full_window(3)])
+        if replication > 1:
+            assert len(events.recent("worker.refresh")) == bases
+        for rid in range(replication):
+            engine.kill_replica(0, rid)
+        with pytest.raises(ReplicationError, match=f"all {replication} replicas"):
+            ex.run([full_window(3)])
+        if replication > 1:
+            # The stream outlives the outage; the next batch is served.
+            assert engine.recover_all() == replication
+            check(ex, [full_window(3)])
+    assert all(s.oplog is None for s in engine.shards)
+    assert _segments() == before, "a failover republish leaked a segment"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_standby_never_cracks(backend):
+    """R = 2 costs its copies and its writes, never a second forest: the
+    same read stream cracks exactly as much as on R = 1."""
+    ds = make_uniform(6_000, seed=21)
+    queries = hotspot_workload(ds.universe, 96, 2e-3, seed=22)
+    cracks = {}
+    for replication in REPLICATION_FACTORS:
+        engine = ShardedIndex(ds.store.copy(), n_shards=4, replication=replication)
+        with QueryExecutor(engine, max_workers=2, backend=backend) as ex:
+            for i in range(0, len(queries), 32):
+                ex.run(queries[i : i + 32])
+        cracks[replication] = engine.stats.cracks
+        for shard in engine.shards:
+            for standby in shard.replicas[1:]:
+                assert standby.index.stats.queries == 0
+    assert cracks[1] == cracks[2] > 0
+
+
+def test_traffic_profile_agrees_across_backends():
+    """Routed queries are counted where batches are routed, so skew —
+    and the hot/cold pair a skew pass picks — is the same whoever
+    serves (the driver-side shard indexes of a process-served engine
+    never answer a query)."""
+    ds = make_uniform(6_000, seed=31)
+    queries = hotspot_workload(ds.universe, 128, 1e-3, seed=32)
+    seen = {}
+    for backend in BACKENDS:
+        engine = ShardedIndex(ds.store.copy(), n_shards=4)
+        with QueryExecutor(engine, max_workers=2, backend=backend) as ex:
+            for i in range(0, len(queries), 32):
+                ex.run(queries[i : i + 32])
+            loads = engine.profile.shard_loads(engine.shards)
+            skew = engine.profile.query_skew(engine.shards)
+            result = Rebalancer(min_queries=1).rebalance(engine, reason="skew")
+            seen[backend] = (loads, skew, result.hot_sid, result.cold_sid)
+            assert engine.profile.query_skew(engine.shards) == 1.0  # rebaselined
+    assert seen["sequential"] == seen["processes"]
+    loads, skew, *_ = seen["sequential"]
+    assert sum(l.queries for l in loads) >= len(queries) and skew > 1.5
 
 
 def test_mistyped_env_fails_even_where_it_is_not_honored(monkeypatch):

@@ -119,7 +119,6 @@ def test_sharded_compaction_under_interleavings(n_shards, case):
     engine = ShardedIndex(
         BoxStore(lo.copy(), hi.copy()),
         n_shards=n_shards,
-        partitioner="str",
         index_factory=lambda s: QuasiiIndex(
             s, QuasiiConfig(2, (8, 4)), max_runs=2
         ),

@@ -9,8 +9,9 @@ Invariants that must survive every interleaving:
 * **Oracle agreement** — every query returns exactly the live-row set
   the Scan oracle returns, no matter which replicas are dead, and a
   final full-window query returns the complete live id set.
-* **No dead reads** — a killed replica's ``reads_served`` counter is
-  frozen from the moment of the kill: read routing never lands on it.
+* **Only the primary reads** — a standby's query counter never moves,
+  and a killed replica's is frozen from the moment of the kill; the
+  primary changes only by dying (a recovery never moves it).
 * **Recovery correctness** — a replica rebuilt by ledger replay passes
   ``UpdateLedger.assert_matches`` and carries the same order-insensitive
   live fingerprint as its surviving peers; once every replica is live
@@ -52,15 +53,18 @@ def _small_quasii(store: BoxStore) -> QuasiiIndex:
     return QuasiiIndex(store, QuasiiConfig(2, (8, 4)), max_runs=2)
 
 
-def _assert_dead_reads_frozen(engine, frozen: dict) -> None:
-    """No dead replica served a read since the moment it was killed."""
-    for (sid, rid), reads_at_kill in frozen.items():
-        shard = engine.shards[sid]
-        replica = shard.replicas[rid]
-        if not replica.alive:
-            assert replica.reads_served == reads_at_kill, (
-                f"dead replica ({sid}, {rid}) served a read after its kill"
-            )
+def _assert_only_primaries_read(engine, reads: dict) -> None:
+    """Since the last call only each shard's primary answered queries:
+    no standby and no corpse (``reads``: replica -> queries last seen)."""
+    for shard in engine.shards:
+        for replica in shard.replicas:
+            seen = replica.index.stats.queries
+            if replica is not shard.primary():
+                assert seen == reads.get(replica, 0), (
+                    f"replica ({shard.sid}, {replica.rid}, {replica.state}) "
+                    "answered a query without being the primary"
+                )
+            reads[replica] = seen
 
 
 def _assert_replicas_in_lockstep(engine) -> None:
@@ -93,8 +97,7 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
     )
     engine.build()
     ledger = UpdateLedger(scan.store)
-    # reads_served of each dead replica, frozen at its kill.
-    frozen: dict[tuple[int, int], int] = {}
+    reads: dict = {}
 
     for kind, payload in ops:
         if kind == "query":
@@ -105,7 +108,7 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
                 f"{engine.name} diverged from Scan on query {query.seq} "
                 f"with dead replicas {engine.dead_replicas()}"
             )
-            _assert_dead_reads_frozen(engine, frozen)
+            _assert_only_primaries_read(engine, reads)
         elif kind == "insert":
             blo, bhi = payload
             expect_ids = scan.insert(blo, bhi)
@@ -140,22 +143,23 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
             # stays answerable (the all-dead error path is unit-tested).
             if len(live) < 2 or not shard.replicas[rid].alive:
                 continue
-            reads_before = shard.replicas[rid].reads_served
+            before = shard.primary()
             assert engine.kill_replica(sid, rid)
-            frozen[(sid, rid)] = reads_before
-            # Failover: the shard contract fields point at a live primary.
+            # Failover: the shard contract fields point at a live
+            # primary — the same one unless it was the one that died.
             primary = shard.primary()
             assert primary is not None and shard.index is primary.index
+            assert primary is before or before.rid == rid
         else:  # recover: replay the lowest dead replica back to life
             dead = sorted(engine.dead_replicas())
             if not dead:
                 continue
             sid, rid = dead[0]
-            replica = engine.recover_replica(sid, rid)
-            frozen.pop((sid, rid), None)
             rs = engine.shards[sid]
-            rs.ledger.assert_matches(replica.store)
             peer = rs.primary()
+            replica = engine.recover_replica(sid, rid)
+            rs.ledger.assert_matches(replica.store)
+            assert rs.primary() is peer, "a recovery moved the primary"
             assert (
                 replica.store.live_fingerprint()
                 == peer.store.live_fingerprint()

@@ -310,7 +310,7 @@ class TestShardedCompaction:
         left = rng.uniform(0, 20, size=(40, 2))
         right = rng.uniform(70, 90, size=(40, 2))
         lo = np.vstack([left, right])
-        engine = ShardedIndex(BoxStore(lo, lo + 1.0), n_shards=2, partitioner="str")
+        engine = ShardedIndex(BoxStore(lo, lo + 1.0), n_shards=2)
         engine.build()
         engine.delete(np.concatenate([np.arange(30), np.array([41, 42, 43, 44])]))
         assert engine.maybe_compact(0.3) == 34  # hot shard + mirror
@@ -394,7 +394,7 @@ class TestShardedCompaction:
         right = rng.uniform(70, 90, size=(40, 2))
         lo = np.vstack([left, right])
         store = BoxStore(lo, lo + 1.0)
-        engine = ShardedIndex(store, n_shards=2, partitioner="str")
+        engine = ShardedIndex(store, n_shards=2)
         engine.build()
         engine.delete(np.arange(40))  # the whole left cluster
         probe = Query(Box((0.0, 0.0), (15.0, 15.0)), seq=1)

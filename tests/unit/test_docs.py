@@ -30,6 +30,24 @@ def test_observability_vocabulary_is_documented_both_ways():
     assert check_docs.check_observability_docs() == []
 
 
+def test_event_table_is_held_to_the_canonical_kinds_alone():
+    from repro.telemetry.events import EVENTS
+
+    text = (check_docs.REPO / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    table = check_docs._EVENTS_SECTION.search(text).group()
+    assert check_docs.vocabulary_problems(table, set(EVENTS), "event") == []
+    # A kind the code dropped (doc row left behind) ...
+    (stale,) = check_docs.vocabulary_problems(
+        table, set(EVENTS) - {"replica.kill"}, "event"
+    )
+    assert stale.endswith("documents unknown event 'replica.kill'")
+    # ... and one it added without a row, even if another table has one.
+    (missing,) = check_docs.vocabulary_problems(
+        table, set(EVENTS) | {"batch.seconds"}, "event"
+    )
+    assert missing.endswith("event 'batch.seconds' is not documented")
+
+
 def test_lint_rule_table_matches_the_registry_both_ways():
     assert check_docs.check_analysis_docs() == []
 

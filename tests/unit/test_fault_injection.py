@@ -53,12 +53,6 @@ class TestFaultValidation:
         with pytest.raises(ConfigurationError, match="at_op must be >= 1"):
             Fault(at_op=0, action="kill", sid=0, rid=0)
 
-    def test_duration_and_factor_bounds(self):
-        with pytest.raises(ConfigurationError, match="duration must be >= 0"):
-            Fault(at_op=1, action="stall", sid=0, rid=0, duration=-1)
-        with pytest.raises(ConfigurationError, match="factor must be >= 1.0"):
-            Fault(at_op=1, action="slow", sid=0, rid=0, factor=0.5)
-
     def test_random_schedule_bounds(self):
         with pytest.raises(ConfigurationError, match="n_faults >= 0"):
             FaultInjector.random(1, -1, 2, 2, 10)
@@ -68,8 +62,6 @@ class TestFaultValidation:
             FaultInjector.random(1, 1, 0, 2, 10)
         with pytest.raises(ConfigurationError, match="replication >= 1"):
             FaultInjector.random(1, 1, 2, 0, 10)
-        with pytest.raises(ConfigurationError, match="at least one fault"):
-            FaultInjector.random(1, 1, 2, 2, 10, actions=())
 
 
 class TestDeterminism:
@@ -90,30 +82,24 @@ class TestDeterminism:
             assert 1 <= f.at_op <= 20
             assert 0 <= f.sid < 3
             assert 0 <= f.rid < 2
-            assert f.action in ("kill", "stall", "slow")
-
-    def test_actions_filter_restricts_schedule(self):
-        inj = FaultInjector.random(
-            7, 16, n_shards=2, replication=2, max_op=9, actions=("kill",)
-        )
-        assert all(f.action == "kill" for f in inj.schedule)
+            assert f.action == "kill"
 
 
 class TestClockwork:
     def _schedule(self):
         return [
             Fault(at_op=2, action="kill", sid=0, rid=0),
-            Fault(at_op=3, action="stall", sid=1, rid=1, duration=2),
-            Fault(at_op=3, action="slow", sid=0, rid=1, factor=2.0),
+            Fault(at_op=3, action="kill", sid=1, rid=1),
+            Fault(at_op=3, action="kill", sid=0, rid=1),
         ]
 
     def test_advance_fires_at_exact_op_counts(self):
         inj = FaultInjector(self._schedule())
         assert inj.advance() == []  # op 1
         due = inj.advance()  # op 2
-        assert [f.action for f in due] == ["kill"]
+        assert [(f.sid, f.rid) for f in due] == [(0, 0)]
         due = inj.advance()  # op 3: both remaining fire together
-        assert sorted(f.action for f in due) == ["slow", "stall"]
+        assert sorted((f.sid, f.rid) for f in due) == [(0, 1), (1, 1)]
         assert inj.exhausted
         assert inj.advance() == []
         assert inj.ops_seen == 4
@@ -146,19 +132,13 @@ class TestClockwork:
 
 class TestEngineSeam:
     def test_fault_beyond_replication_raises_when_it_fires(self):
-        engine = _replicated(_grid_store(), n_shards=2)
         inj = FaultInjector([Fault(at_op=2, action="kill", sid=0, rid=1)])
-        executor = QueryExecutor(engine, max_workers=1, fault_injector=inj)
+        engine = _replicated(_grid_store(), n_shards=2, fault_injector=inj)
+        executor = QueryExecutor(engine, max_workers=1)
         q = _window((0.0, 0.0), (9.0, 9.0))
         executor.run([q])  # op 1: the schedule is still quiet
         with pytest.raises(ConfigurationError, match="targets replica 1"):
             executor.run([q])
-
-    def test_executor_attaches_injector_to_replicated_engine(self):
-        engine = _replicated(_grid_store(), n_shards=2, replication=2)
-        inj = FaultInjector()
-        QueryExecutor(engine, fault_injector=inj)
-        assert engine.fault_injector is inj
 
     def test_out_of_range_fault_targets_raise(self):
         engine = _replicated(_grid_store(), n_shards=2, replication=2)
@@ -175,17 +155,17 @@ class TestEngineSeam:
         ]
 
         def run(with_faults: bool):
-            engine = _replicated(_grid_store(), n_shards=2, replication=2)
-            if with_faults:
-                engine.attach_fault_injector(
-                    # Seed 0's three kills hit (0,0) and (1,1): every
-                    # shard keeps a live replica, so the run must match
-                    # the unfaulted one exactly.
-                    FaultInjector.random(
-                        0, 3, n_shards=2, replication=2, max_op=8,
-                        actions=("kill",),
-                    )
-                )
+            # Seed 0's three kills hit (0,0) and (1,1): every shard
+            # keeps a live replica, so the run must match the unfaulted
+            # one exactly.
+            injector = (
+                FaultInjector.random(0, 3, n_shards=2, replication=2, max_op=8)
+                if with_faults
+                else None
+            )
+            engine = _replicated(
+                _grid_store(), n_shards=2, replication=2, fault_injector=injector
+            )
             results = [np.sort(engine.execute(q).ids) for q in queries]
             return results, sorted(engine.dead_replicas())
 
@@ -197,13 +177,17 @@ class TestEngineSeam:
             assert np.array_equal(a, b) and np.array_equal(b, c)
 
     def test_kill_during_write_leaves_ledger_replayable(self):
-        engine = _replicated(_grid_store(4), n_shards=2, replication=2)
-        scan = ScanIndex(BoxStore(engine.store.lo.copy(), engine.store.hi.copy()))
         # The very first engine op is the insert; the fault fires inside
         # it, before the write reaches any replica.
-        engine.attach_fault_injector(
-            FaultInjector([Fault(at_op=1, action="kill", sid=0, rid=1)])
+        engine = _replicated(
+            _grid_store(4),
+            n_shards=2,
+            replication=2,
+            fault_injector=FaultInjector(
+                [Fault(at_op=1, action="kill", sid=0, rid=1)]
+            ),
         )
+        scan = ScanIndex(BoxStore(engine.store.lo.copy(), engine.store.hi.copy()))
         blo = np.array([[0.5, 0.5], [4.0, 4.0], [20.0, 2.0]])
         bhi = blo + 1.5
         expect_ids = scan.insert(blo, bhi)

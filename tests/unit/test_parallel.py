@@ -39,11 +39,9 @@ from repro.parallel import (
     encode_results,
     publish_delta,
     publish_segment,
-    resolve_start_method,
     segment_nbytes,
 )
 from repro.parallel import shm as shm_module
-from repro.parallel.pool import START_METHOD_ENV
 from repro.queries import Query, uniform_workload
 from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
@@ -210,7 +208,7 @@ class TestSegments:
     def test_destroy_unlinks_the_os_object(self):
         store = _store(8)
         spec, shm = publish_segment(store, sid=0, version=0)
-        segment = ShardSegment(spec, shm, shard_token=object())
+        segment = ShardSegment(spec, shm, None)
         segment.destroy()
         with pytest.raises(FileNotFoundError):
             SharedMemory(name=spec.name, create=False)
@@ -370,28 +368,16 @@ class TestBackendResolution:
         with pytest.raises(ConfigurationError, match=BACKEND_ENV):
             QueryExecutor(self._engine(), max_workers=2)
 
-    def test_replicated_engine_rejects_explicit_processes(self):
-        engine = ShardedIndex(
-            make_uniform(500, seed=1).store.copy(), n_shards=2, replication=2
-        )
-        with pytest.raises(ConfigurationError, match="Replicated"):
-            QueryExecutor(engine, max_workers=2, backend="processes")
+    def test_replicated_engine_resolves_like_any_other(self, monkeypatch):
+        def engine():
+            return self._engine(n_shards=2, replication=2)
 
-    def test_replicated_engine_downgrades_env_processes(self, monkeypatch):
+        assert (
+            QueryExecutor(engine(), max_workers=2, backend="processes").backend
+            == "processes"
+        )
         monkeypatch.setenv(BACKEND_ENV, "processes")
-        engine = ShardedIndex(
-            make_uniform(500, seed=1).store.copy(), n_shards=2, replication=2
-        )
-        assert QueryExecutor(engine, max_workers=2).backend == "sequential"
-
-    def test_start_method_resolution(self, monkeypatch):
-        monkeypatch.delenv(START_METHOD_ENV, raising=False)
-        assert resolve_start_method() in ("fork", "spawn", "forkserver")
-        with pytest.raises(ConfigurationError, match="start method"):
-            resolve_start_method("osthreads")
-        monkeypatch.setenv(START_METHOD_ENV, "nope")
-        with pytest.raises(ConfigurationError, match="start method"):
-            resolve_start_method()
+        assert QueryExecutor(engine(), max_workers=2).backend == "processes"
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.sharding import (
     ShardedIndex,
     WorkloadProfile,
 )
+from repro.sharding.rebalancer import MIN_CENTROIDS, PROFILE_WINDOW
 
 
 def _query_at(center, side=4.0, seq=0):
@@ -46,13 +47,14 @@ def _grid_store(n_side=10, spacing=10.0, ndim=2) -> BoxStore:
 
 class TestWorkloadProfile:
     def test_records_and_derives_centroids(self):
-        profile = WorkloadProfile(window=4)
-        for i in range(6):
+        profile = WorkloadProfile()
+        for i in range(PROFILE_WINDOW + 2):
             profile.record(_query_at([10.0 * i, 0.0]))
-        assert profile.queries_seen == 6
+        assert profile.queries_seen == PROFILE_WINDOW + 2
         pts = profile.centroids()
-        assert pts.shape == (4, 2)  # bounded by the window
-        assert pts[-1][0] == pytest.approx(50.0)
+        assert pts.shape == (PROFILE_WINDOW, 2)  # bounded by the window
+        assert pts[0][0] == pytest.approx(20.0)
+        assert pts[-1][0] == pytest.approx(10.0 * (PROFILE_WINDOW + 1))
 
     def test_centroids_within_filters_by_box(self):
         profile = WorkloadProfile()
@@ -64,7 +66,7 @@ class TestWorkloadProfile:
         assert inside.shape == (1, 2)
 
     def test_recent_windows_limit(self):
-        profile = WorkloadProfile(window=8)
+        profile = WorkloadProfile()
         for i in range(5):
             profile.record(_query_at([float(i), 0.0], seq=i))
         assert len(profile.recent_windows()) == 5
@@ -79,7 +81,9 @@ class TestWorkloadProfile:
             engine.execute(_query_at([5.0, 5.0], seq=i))
         loads = engine.profile.shard_loads(engine.shards)
         assert sum(l.queries for l in loads) == 4
-        engine.profile.rebaseline(engine.shards)
+        assert [l.sid for l in loads] == [0, 1]
+        assert [l.live_rows for l in loads] == engine.shard_sizes()
+        engine.profile.rebaseline()
         loads = engine.profile.shard_loads(engine.shards)
         assert sum(l.queries for l in loads) == 0
         assert engine.profile.queries_seen == 0
@@ -92,21 +96,6 @@ class TestWorkloadProfile:
             engine.execute(_query_at([5.0, 5.0], seq=i))  # one corner shard
         assert engine.profile.query_skew(engine.shards) > 2.0
 
-    def test_shard_load_derived_properties(self):
-        engine = ShardedIndex(_grid_store(), n_shards=1)
-        engine.build()
-        for i in range(3):
-            engine.execute(_query_at([5.0, 5.0], seq=i))
-        (load,) = engine.profile.shard_loads(engine.shards)
-        assert load.objects_tested >= load.results > 0
-        assert load.wasted_rows == load.objects_tested - load.results
-        assert 0.0 < load.selectivity <= 1.0
-        assert load.dead_fraction == 0.0
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadProfile(window=0)
-
 
 class TestRebalancer:
     def test_rejects_bad_thresholds(self):
@@ -114,7 +103,6 @@ class TestRebalancer:
             dict(max_balance=0.9),
             dict(max_query_skew=0.5),
             dict(min_queries=0),
-            dict(warmup=-1),
         ):
             with pytest.raises(ConfigurationError):
                 Rebalancer(**kwargs)
@@ -208,20 +196,22 @@ class TestRebalancer:
         engine.build()
         for i in range(10):
             engine.execute(_query_at([10.0, 10.0], seq=i))
-        warm = Rebalancer(min_queries=1, warmup=8)
-        warm.rebalance(engine)
+        Rebalancer(min_queries=1).rebalance(engine)
         # The replay's cracking shows up in the fleet work roll-up.
         assert engine.stats.cracks > 0
 
     def test_split_cut_follows_query_centroids(self):
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()
-        # Queries clustered around x ~ 30, spread along dim 0.
-        for i, x in enumerate((10.0, 20.0, 30.0, 40.0, 50.0, 60.0)):
-            engine.execute(_query_at([x, 50.0], seq=i))
-        result = Rebalancer(min_queries=1, min_centroids=3).rebalance(engine)
-        assert result.split_dim == 0
-        assert 10.0 <= result.split_cut <= 60.0
+        # The STR seam is at x = 50; every query lands left of it and
+        # they roam along dim 1 — where a data-median cut (what fewer
+        # than MIN_CENTROIDS observations fall back to) would pick dim 0.
+        ys = np.linspace(10.0, 90.0, MIN_CENTROIDS + 1)
+        for i, y in enumerate(ys):
+            engine.execute(_query_at([25.0, y], seq=i))
+        result = Rebalancer(min_queries=1).rebalance(engine)
+        assert result.split_dim == 1
+        assert result.split_cut == pytest.approx(50.0)
 
 
 class TestEngineMigrationVerbs:
@@ -244,18 +234,6 @@ class TestEngineMigrationVerbs:
         assert index.flush_updates() == 1
         assert index.stats.merges == merges_before + 1
         assert index.pending_updates() == 0
-
-    def test_migrate_into_rewrites_ownership_and_expands_mbb(self):
-        engine = ShardedIndex(_grid_store(), n_shards=2)
-        engine.build()
-        source = engine.shards[0].store
-        rows = source.live_rows()[:3]
-        lo, hi = source.lo[rows].copy(), source.hi[rows].copy()
-        ids = source.ids[rows].copy()
-        engine.migrate_into(1, lo, hi, ids)
-        for obj_id in ids:
-            assert engine.owner_of(int(obj_id)) == 1
-        assert np.all(engine.shards[1].mbb_lo <= lo.min(axis=0))
 
     def test_rebuild_shard_recalibrates_work_counters(self):
         engine = ShardedIndex(_grid_store(), n_shards=2)

@@ -1,7 +1,8 @@
-"""Unit tests for the replication tier: routing, failover, recovery.
+"""Unit tests for the replication tier: the primary, failover, recovery.
 
-Covers the ISSUE's named cases directly: least-loaded failover routing,
-kill-during-write leaving the ledger replayable (see
+Covers the named cases directly: the primary serves and standbys never
+crack, a standby takes over when the primary dies, a recovered replica
+rejoins as a standby, kill-during-write leaving the ledger replayable (see
 ``test_fault_injection``), double-kill of all replicas raising a clean
 error instead of hanging, the no-dead-reads invariant, and ledger-replay
 recovery with fingerprint verification.
@@ -138,55 +139,45 @@ class TestLifetime:
 
 
 class TestRouting:
-    def test_pick_chooses_least_loaded_live_replica(self):
-        engine = _replicated(n_shards=1, replication=3)
-        rs = engine.shards[0]
-        rs.replicas[0].reads_served = 5
-        rs.replicas[2].reads_served = 2
-        chosen = rs.pick()
-        assert chosen is rs.replicas[1]
-        assert chosen.reads_served == 1
+    def test_standbys_take_writes_but_never_crack(self):
+        r1 = _replicated(n_shards=2)
+        r3 = _replicated(n_shards=2, replication=3)
+        for engine in (r1, r3):
+            engine.insert(np.array([[1.2, 1.2]]), np.array([[2.0, 2.0]]))
+            for i in range(6):
+                engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+        # A standby costs its copy and its writes, not a second forest.
+        assert r3.stats.cracks == r1.stats.cracks > 0
+        r3.flush_updates()  # a standby's write may still be buffered
+        for shard in r3.shards:
+            primary, *standbys = shard.replicas
+            assert shard.primary() is primary
+            assert primary.index.stats.queries > 0
+            for r in standbys:
+                assert r.index.stats.queries == r.index.stats.cracks == 0
+                assert r.store.live_fingerprint() == primary.store.live_fingerprint()
 
     def test_ties_break_by_lowest_rid(self):
-        engine = _replicated(n_shards=1, replication=3)
-        rs = engine.shards[0]
-        assert rs.pick() is rs.replicas[0]
-
-    def test_slow_replica_is_deprioritized_not_excluded(self):
-        engine = _replicated(n_shards=1, replication=2)
-        rs = engine.shards[0]
-        rs.slow(0, 10.0)
-        # Load-scaled: rid 0 serves again once rid 1 has absorbed enough.
-        picks = [rs.pick().rid for _ in range(12)]
-        assert picks[0] == 1
-        assert 0 in picks
-
-    def test_stalled_replica_sits_out_then_returns(self):
-        engine = _replicated(n_shards=1, replication=3)
-        rs = engine.shards[0]
-        rs.stall(0, 2)
-        assert rs.pick().rid != 0
-        assert rs.pick().rid != 0
-        # Stall drained; rid 0 is now the least-loaded candidate again.
-        assert rs.pick().rid == 0
-
-    def test_all_stalled_falls_back_to_live_pool(self):
-        engine = _replicated(n_shards=1, replication=2)
-        rs = engine.shards[0]
-        rs.stall(0, 5)
-        rs.stall(1, 5)
-        # A stall delays; it must not fabricate an outage.
-        assert rs.pick().alive
+        # Every standby is an equal candidate to take over: lowest rid.
+        engine = _replicated(n_shards=1, replication=4)
+        shard = engine.shards[0]
+        engine.kill_replica(0, 1)  # a standby: the primary stays
+        assert shard.primary() is shard.replicas[0]
+        engine.kill_replica(0, 0)
+        assert shard.primary() is shard.replicas[2]
+        assert shard.store is shard.replicas[2].store
 
     def test_no_read_ever_routes_to_a_dead_replica(self):
         engine = _replicated(n_shards=1, replication=2)
         rs = engine.shards[0]
-        engine.kill_replica(0, 1)
-        frozen = rs.replicas[1].reads_served
-        for i in range(6):
+        for i in range(3):
             engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
-        assert rs.replicas[1].reads_served == frozen
-        assert rs.replicas[0].reads_served >= 6
+        engine.kill_replica(0, 0)
+        frozen = rs.replicas[0].index.stats.queries
+        for i in range(3, 9):
+            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+        assert rs.replicas[0].index.stats.queries == frozen == 3
+        assert rs.replicas[1].index.stats.queries == 6
 
 
 class TestFailover:
@@ -290,12 +281,26 @@ class TestRecovery:
             engine.recover_replica(0, 1)
 
     def test_recovered_replica_serves_reads(self):
-        engine = _replicated(n_shards=1, replication=2)
-        engine.kill_replica(0, 1)
-        engine.recover_replica(0, 1)
+        events = EventLog()
+        engine = _replicated(n_shards=1, replication=2, events=events)
+        scan = ScanIndex(
+            BoxStore(engine.store.lo.copy(), engine.store.hi.copy())
+        )
         rs = engine.shards[0]
-        rs.replicas[0].reads_served = 50
-        assert rs.pick().rid == 1
+        engine.kill_replica(0, 0)
+        engine.recover_replica(0, 0)
+        # The primary is sticky: the recovered replica is a standby, not
+        # a cold copy handed the traffic back.
+        assert rs.primary() is rs.replicas[1]
+        assert len(events.recent(kind="replica.failover")) == 1
+        # ... until the primary dies in turn.
+        engine.kill_replica(0, 1)
+        assert rs.primary() is rs.replicas[0]
+        q = _window((0.0, 0.0), (9.0, 9.0))
+        assert np.array_equal(
+            np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids)
+        )
+        assert rs.replicas[0].index.stats.queries == 1
 
 
 class TestMaintenanceIntegration:
@@ -319,25 +324,18 @@ class TestMaintenanceIntegration:
         assert engine.dead_replicas() == [(1, 0)]
 
 
-class TestRebalancerGate:
-    def test_traffic_skew_does_not_retile_a_replicated_engine(self):
+class TestRebalancerSeesOneTraffic:
+    def test_traffic_skew_retiles_whatever_r(self):
+        # One primary serves a hot tile at any R, so a standby absorbs
+        # no traffic and skew means the same thing on every engine.
         corner = [_window((0.0, 0.0), (2.0, 2.0), seq=i) for i in range(6)]
-        rebalancer = Rebalancer(
-            min_queries=1, max_query_skew=1.2, min_centroids=2, warmup=0
-        )
-
-        plain = ShardedIndex(
-            _grid_store(), n_shards=2, index_factory=_small_quasii
-        )
-        plain.build()
-        for q in corner:
-            plain.execute(q)
-        assert rebalancer.drift_reason(plain) == "skew"
-
-        replicated = _replicated(n_shards=2, replication=2)
-        for q in corner:
-            replicated.execute(q)
-        assert rebalancer.drift_reason(replicated) is None
+        rebalancer = Rebalancer(min_queries=1, max_query_skew=1.2)
+        for replication in (1, 2):
+            engine = _replicated(n_shards=2, replication=replication)
+            for q in corner:
+                engine.execute(q)
+            assert engine.profile.query_skew(engine.shards) == 2.0
+            assert rebalancer.drift_reason(engine) == "skew"
 
 
 class TestCompactionAcrossReplicas:
@@ -352,19 +350,30 @@ class TestCompactionAcrossReplicas:
             assert len({s.live_fingerprint() for s in stores}) == 1
 
 
+    def test_compact_sweeps_a_recovered_standbys_replayed_tombstones(self):
+        engine = _replicated(n_shards=1, replication=2)
+        victim = engine.store.ids[:1].copy()
+        engine.delete(victim)
+        engine.kill_replica(0, 1)
+        engine.compact()  # the primary lets go of the id ...
+        engine.recover_replica(0, 1)  # ... the replay tombstones it again
+        standby = engine.shards[0].replicas[1]
+        assert engine.shards[0].store.n_dead == 0 and standby.store.n_dead == 1
+        engine.compact()
+        assert standby.store.n_dead == 0
+        lo = np.array([[1.2, 1.2]])
+        assert np.array_equal(engine.insert(lo, lo + 1.0, victim), victim)
+
+
 class TestTelemetry:
     def test_all_emitted_kinds_are_canonical(self):
         events = EventLog()
         engine = _replicated(n_shards=2, replication=2, events=events)
         engine.kill_replica(0, 0)
-        engine.stall_replica(1, 0, 3)
-        engine.slow_replica(1, 1, 2.5)
         engine.recover_replica(0, 0)
         kinds = {r.kind for r in events.recent()}
         assert kinds == {
             "replica.kill",
-            "replica.stall",
-            "replica.slow",
             "replica.recover",
             "replica.failover",
         }

@@ -1,4 +1,4 @@
-"""Unit tests for the sharding subsystem (partitioners, engine, executor)."""
+"""Unit tests for the sharding subsystem (partitioning, engine, executor)."""
 
 from __future__ import annotations
 
@@ -12,14 +12,7 @@ from repro.errors import ConfigurationError, DatasetError
 from repro.geometry import Box
 from repro.index import SpatialIndex
 from repro.queries import Query, uniform_workload
-from repro.sharding import (
-    PARTITIONERS,
-    QueryExecutor,
-    RoundRobinPartitioner,
-    STRPartitioner,
-    ShardedIndex,
-    make_partitioner,
-)
+from repro.sharding import QueryExecutor, ShardedIndex, partitioner
 from repro.sharding.executor import BACKENDS
 
 
@@ -35,22 +28,14 @@ def _window(lo, hi, seq=0) -> Query:
 
 
 # ----------------------------------------------------------------------
-# Partitioners
+# Partitioning
 # ----------------------------------------------------------------------
 class TestPartitioners:
-    def test_registry_and_factory(self):
-        assert set(PARTITIONERS) == {"str", "round-robin"}
-        assert isinstance(make_partitioner("str"), STRPartitioner)
-        p = RoundRobinPartitioner()
-        assert make_partitioner(p) is p
-        with pytest.raises(ConfigurationError, match="unknown partitioner"):
-            make_partitioner("hash")
-
-    @pytest.mark.parametrize("name", sorted(PARTITIONERS))
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-    def test_assign_is_total_and_balanced(self, name, k):
+    # Ids name the tiling as ``engine.name`` spells it (``Sharded[strxK]``).
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8], ids=lambda k: f"{k}-str")
+    def test_assign_is_total_and_balanced(self, k):
         store = _grid_store(10)
-        owners = make_partitioner(name).assign(store.lo, store.hi, k)
+        owners = partitioner.assign(store.lo, store.hi, k)
         assert owners.shape == (store.n,)
         assert owners.min() >= 0 and owners.max() < k
         counts = np.bincount(owners, minlength=k)
@@ -60,7 +45,7 @@ class TestPartitioners:
 
     def test_str_tiles_are_spatially_compact(self):
         store = _grid_store(10)
-        owners = STRPartitioner().assign(store.lo, store.hi, 4)
+        owners = partitioner.assign(store.lo, store.hi, 4)
         # 4 shards over a 10x10 grid of boxes: each shard's MBB should
         # cover ~1/4 of the area, far less than the whole universe.
         for sid in range(4):
@@ -70,39 +55,25 @@ class TestPartitioners:
 
     def test_str_assign_more_shards_than_rows(self):
         store = _grid_store(2)  # 4 rows
-        owners = STRPartitioner().assign(store.lo, store.hi, 7)
+        owners = partitioner.assign(store.lo, store.hi, 7)
         assert np.unique(owners).size == 4  # some shards stay empty
 
-    def test_round_robin_route_rotates(self):
-        p = RoundRobinPartitioner()
-        lo = np.zeros((5, 2))
-        hi = np.ones((5, 2))
-        mbb_lo = np.zeros((3, 2))
-        mbb_hi = np.ones((3, 2))
-        loads = np.zeros(3, dtype=np.int64)
-        first = p.route(lo, hi, mbb_lo, mbb_hi, loads)
-        second = p.route(lo, hi, mbb_lo, mbb_hi, loads)
-        assert first.tolist() == [0, 1, 2, 0, 1]
-        assert second.tolist() == [2, 0, 1, 2, 0]
-
     def test_str_route_prefers_containing_shard(self):
-        p = STRPartitioner()
         mbb_lo = np.array([[0.0, 0.0], [100.0, 0.0]])
         mbb_hi = np.array([[50.0, 50.0], [150.0, 50.0]])
         loads = np.array([10, 10], dtype=np.int64)
         lo = np.array([[120.0, 10.0]])
         hi = np.array([[121.0, 11.0]])
-        assert p.route(lo, hi, mbb_lo, mbb_hi, loads).tolist() == [1]
+        assert partitioner.route(lo, hi, mbb_lo, mbb_hi, loads).tolist() == [1]
 
     def test_str_route_breaks_ties_toward_least_loaded(self):
-        p = STRPartitioner()
         # Identical shard MBBs: enlargement ties, load decides.
         mbb_lo = np.zeros((3, 2))
         mbb_hi = np.full((3, 2), 50.0)
         loads = np.array([9, 2, 5], dtype=np.int64)
         lo = np.array([[10.0, 10.0]])
         hi = np.array([[11.0, 11.0]])
-        assert p.route(lo, hi, mbb_lo, mbb_hi, loads).tolist() == [1]
+        assert partitioner.route(lo, hi, mbb_lo, mbb_hi, loads).tolist() == [1]
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +90,7 @@ class TestShardedIndex:
             engine.execute(_window((0.0, 0.0), (5.0, 5.0)))
 
     def test_pruning_counters(self):
-        engine = ShardedIndex(_grid_store(10), n_shards=4, partitioner="str")
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
         engine.build()
         # A query covering one corner tile: 1 visit, 3 pruned.
         hits = engine.execute(_window((0.0, 0.0), (5.0, 5.0))).ids
@@ -133,14 +104,14 @@ class TestShardedIndex:
 
     def test_empty_shards_are_pruned(self):
         store = _grid_store(2)  # 4 rows
-        engine = ShardedIndex(store, n_shards=6, partitioner="str")
+        engine = ShardedIndex(store, n_shards=6)
         engine.build()
         engine.execute(_window((-1.0, -1.0), (25.0, 25.0)))
         assert engine.stats.shards_visited == 4
         assert engine.stats.shards_pruned == 2
 
     def test_ownership_routing_insert_and_delete(self):
-        engine = ShardedIndex(_grid_store(10), n_shards=4, partitioner="str")
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
         engine.build()
         sizes_before = engine.shard_sizes()
         # Insert a box deep inside one corner tile.
@@ -159,7 +130,7 @@ class TestShardedIndex:
         assert int(new[0]) not in engine.execute(_window((1.5, 1.5), (3.5, 3.5), seq=2)).ids
 
     def test_insert_expands_owner_mbb_for_pruning(self):
-        engine = ShardedIndex(_grid_store(10), n_shards=4, partitioner="str")
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
         engine.build()
         # Far outside every tile: still must be routed, owned, and found
         # even while buffered (MBB expands immediately).

@@ -15,7 +15,10 @@ Seven checks, all filesystem/CLI-only:
    tables in ``docs/OBSERVABILITY.md`` match
    ``repro.telemetry.naming.METRICS``/``SPANS`` and
    ``repro.telemetry.events.EVENTS`` in both directions, so a new
-   metric cannot ship undocumented and doc rows cannot go stale.
+   metric cannot ship undocumented and doc rows cannot go stale.  The
+   event table is held to ``EVENTS`` alone and the other tables to the
+   metrics and spans, so an event kind cannot hide in (or borrow a row
+   from) a metric table.
 5. **HTTP endpoints documented** — the endpoint table in
    ``docs/OBSERVABILITY.md`` matches
    ``repro.telemetry.server.ENDPOINTS`` in both directions.
@@ -62,6 +65,10 @@ _NAME_ROW = re.compile(r"^\| `([a-z0-9_.]+)` \|", re.MULTILINE)
 _ENDPOINT_ROW = re.compile(r"^\| `(/[a-z0-9_./-]*)` \|", re.MULTILINE)
 #: Lint rule ids are uppercase, disjoint from every charset above.
 _RULE_ROW = re.compile(r"^\| `(QL\d{3})` \|", re.MULTILINE)
+#: OBSERVABILITY.md's structured-events section, heading to next heading.
+_EVENTS_SECTION = re.compile(
+    r"^### Structured events.*?(?=^#{2,3} )", re.MULTILINE | re.DOTALL
+)
 #: The query-layer section of ARCHITECTURE.md, heading to next heading.
 _QUERY_LAYER = re.compile(r"^## The query layer.*?(?=^## )", re.MULTILINE | re.DOTALL)
 #: Backticked private names, bare or called: `_gate`, `_execute_batch([q])`.
@@ -122,15 +129,29 @@ def check_cli_help() -> list[str]:
     ]
 
 
+def vocabulary_problems(text: str, canonical: set[str], what: str) -> list[str]:
+    """The name rows of ``text`` against ``canonical``, both directions."""
+    documented = set(_NAME_ROW.findall(text))
+    return [
+        f"docs/OBSERVABILITY.md: {what} {name!r} is not documented"
+        for name in sorted(canonical - documented)
+    ] + [
+        f"docs/OBSERVABILITY.md: documents unknown {what} {name!r}"
+        for name in sorted(documented - canonical)
+    ]
+
+
 def check_observability_docs() -> list[str]:
     """docs/OBSERVABILITY.md tables must match the code registries.
 
     Both directions, for all three vocabularies: every canonical
     metric/span/event name needs a doc row and every documented name
-    must exist in a registry; the same holds for the HTTP endpoint
-    table against ``repro.telemetry.server.ENDPOINTS``.  Metric names
-    contain dots and endpoints contain slashes, so the verb tables of
-    BENCH.md never collide here.
+    must exist in a registry — events in the structured-events section
+    (:func:`vocabulary_problems` against ``EVENTS`` alone), metrics and
+    spans everywhere else; the same holds for the HTTP endpoint table
+    against ``repro.telemetry.server.ENDPOINTS``.  Metric names contain
+    dots and endpoints contain slashes, so the verb tables of BENCH.md
+    never collide here.
     """
     from repro.telemetry.events import EVENTS
     from repro.telemetry.naming import METRICS, SPANS
@@ -140,20 +161,13 @@ def check_observability_docs() -> list[str]:
     if not obs_md.is_file():
         return ["docs/OBSERVABILITY.md: file missing"]
     text = obs_md.read_text(encoding="utf-8")
-    problems = []
-
-    documented = set(_NAME_ROW.findall(text))
-    canonical = set(METRICS) | set(SPANS) | set(EVENTS)
-    for name in sorted(canonical - documented):
-        problems.append(
-            f"docs/OBSERVABILITY.md: metric/span/event {name!r} is not "
-            "documented"
-        )
-    for name in sorted(documented - canonical):
-        problems.append(
-            "docs/OBSERVABILITY.md: documents unknown metric/span/event "
-            f"{name!r}"
-        )
+    section = _EVENTS_SECTION.search(text)
+    if section is None:
+        return ["docs/OBSERVABILITY.md: no 'Structured events' section"]
+    events_text = section.group()
+    problems = vocabulary_problems(
+        text.replace(events_text, ""), set(METRICS) | set(SPANS), "metric/span"
+    ) + vocabulary_problems(events_text, set(EVENTS), "event")
 
     documented_paths = set(_ENDPOINT_ROW.findall(text))
     for path in sorted(set(ENDPOINTS) - documented_paths):
