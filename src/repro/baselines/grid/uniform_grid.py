@@ -13,14 +13,10 @@ The paper's Figure 6a quantifies both penalties against the R-Tree;
 Figure 6b shows the best cell count depends on data skew.  Both behaviours
 are reproduced by this one class via the ``assignment`` switch.
 
-Updates (beyond the paper): inserts take a *direct* path — the new rows'
-cell assignments are computed immediately and kept in a small overflow
-extension of the CSR layout, which queries probe alongside the main
-arrays; once the overflow outgrows ``merge_threshold`` entries it is
-compacted into a fresh CSR (one ``merges`` counter tick).  Deletes are
-store-level tombstones filtered at candidate-test time; a store
-compaction remaps CSR/overflow entries through the position map and
-sheds dead ones (no cell recomputation, no re-sort).
+The grid is static, as in the paper's evaluation: ``build()`` lays out
+one CSR (cell offsets plus sorted row entries) over the store, which
+never changes underneath it — a store mutated behind its back fails
+the epoch check.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import numpy as np
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry.box import Box
-from repro.index.base import IndexStats, MutableSpatialIndex
+from repro.index.base import IndexStats, SpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
 from repro.util.arrays import gather_ranges
 
@@ -40,7 +36,7 @@ from repro.util.arrays import gather_ranges
 ASSIGNMENTS = ("query_extension", "replication")
 
 
-class UniformGridIndex(MutableSpatialIndex):
+class UniformGridIndex(SpatialIndex):
     """A static uniform grid over the dataset universe.
 
     Parameters
@@ -56,9 +52,6 @@ class UniformGridIndex(MutableSpatialIndex):
     assignment:
         ``"query_extension"`` (paper's choice for Grid/Mosaic) or
         ``"replication"``.
-    merge_threshold:
-        Overflow entries tolerated before insert compaction rebuilds the
-        CSR arrays (the grid's ``merges`` trigger).
     """
 
     def __init__(
@@ -67,7 +60,6 @@ class UniformGridIndex(MutableSpatialIndex):
         universe: Box,
         partitions_per_dim: int = 100,
         assignment: str = "query_extension",
-        merge_threshold: int = 4096,
     ) -> None:
         super().__init__(store)
         if assignment not in ASSIGNMENTS:
@@ -94,18 +86,9 @@ class UniformGridIndex(MutableSpatialIndex):
         ) / self._parts
         if np.any(self._cell_side <= 0):
             raise ConfigurationError("universe must have positive extent")
-        if merge_threshold < 1:
-            raise ConfigurationError(
-                f"merge_threshold must be >= 1, got {merge_threshold}"
-            )
-        self._merge_threshold = int(merge_threshold)
         # CSR layout, filled by build():
         self._sorted_rows: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
-        # Overflow extension: (flat cell, row) pairs of inserted objects
-        # not yet compacted into the CSR arrays.
-        self._overflow_flat = np.empty(0, dtype=np.int64)
-        self._overflow_rows = np.empty(0, dtype=np.int64)
 
     @property
     def partitions_per_dim(self) -> int:
@@ -128,9 +111,7 @@ class UniformGridIndex(MutableSpatialIndex):
     def build(self) -> None:
         """Assign every live object to its cell(s) — the grid's pre-processing.
 
-        Tombstoned rows are excluded (they can never match), so overflow
-        compactions shed dead entries and the CSR stays at live size
-        under sustained churn.
+        Tombstoned rows are excluded: they can never match.
         """
         if self._built:
             return
@@ -195,74 +176,6 @@ class UniformGridIndex(MutableSpatialIndex):
         return np.concatenate(row_list), np.concatenate(cell_list)
 
     # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def _insert(
-        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
-    ) -> np.ndarray:
-        """Direct insert: assign the new rows to cells immediately.
-
-        Before ``build()`` the rows simply join the store (the build pass
-        will pick them up); after it they extend the overflow arrays and
-        trigger a CSR compaction past ``merge_threshold``.
-        """
-        first_row = self._store.n
-        assigned = self._store.append_validated(lo, hi, ids)
-        if self._built and assigned.size:
-            new_rows = np.arange(first_row, self._store.n, dtype=np.int64)
-            rows, flat = self._assign(new_rows)
-            self._overflow_flat = np.concatenate([self._overflow_flat, flat])
-            self._overflow_rows = np.concatenate([self._overflow_rows, rows])
-            if self._overflow_flat.size > self._merge_threshold:
-                self._merge_overflow()
-        return assigned
-
-    def _merge_overflow(self) -> None:
-        """Compact the overflow into a fresh CSR (the grid's lazy merge)."""
-        prior_work = self.build_work
-        self._built = False
-        self._sorted_rows = None
-        self._offsets = None
-        self._overflow_flat = np.empty(0, dtype=np.int64)
-        self._overflow_rows = np.empty(0, dtype=np.int64)
-        self.build()
-        # build() charges only the rebuild; keep the comparison-model
-        # total cumulative across the original build and every compaction.
-        self.build_work += prior_work
-        self.stats.merges += 1
-
-    def pending_updates(self) -> int:
-        """Overflow entries not yet compacted into the CSR arrays."""
-        return int(self._overflow_flat.size)
-
-    def _on_compaction(self, remap: np.ndarray) -> None:
-        """Remap CSR and overflow entries; drop entries of dead rows.
-
-        Cell assignment depends only on geometry, which compaction does
-        not change, so no cells are recomputed and no entries re-sorted:
-        row indices pass through ``remap``, entries of dropped rows
-        vanish, and the per-cell offsets shrink accordingly.
-        """
-        if self._sorted_rows is not None:
-            # Reconstruct each entry's flat cell from the CSR offsets.
-            flat = np.repeat(
-                np.arange(self._offsets.size - 1, dtype=np.int64),
-                np.diff(self._offsets),
-            )
-            rows = remap[self._sorted_rows]
-            keep = rows >= 0
-            self._sorted_rows = rows[keep]
-            counts = np.bincount(
-                flat[keep], minlength=self._parts**self._store.ndim
-            )
-            self._offsets = np.concatenate(([0], np.cumsum(counts)))
-        if self._overflow_rows.size:
-            rows = remap[self._overflow_rows]
-            keep = rows >= 0
-            self._overflow_rows = rows[keep]
-            self._overflow_flat = self._overflow_flat[keep]
-
-    # ------------------------------------------------------------------
     # Query: the filter step (cells -> candidate rows)
     # ------------------------------------------------------------------
     def _cells_for(self, query_lo: np.ndarray, query_hi: np.ndarray) -> np.ndarray:
@@ -317,11 +230,6 @@ class UniformGridIndex(MutableSpatialIndex):
             width = int(spans[edges[i] : edges[i + 1]].sum())
             rows = all_rows[pos : pos + width]
             pos += width
-            if self._overflow_flat.size:
-                extra = self._overflow_rows[
-                    np.isin(self._overflow_flat, flats[i])
-                ]
-                rows = np.concatenate([rows, extra])
             self.stats.nodes_visited += int(cell_counts[i])
             self.stats.objects_tested += rows.size
             per_stats.append(
@@ -353,8 +261,6 @@ class UniformGridIndex(MutableSpatialIndex):
         candidates = int(
             (self._offsets[flat + 1] - self._offsets[flat]).sum()
         )
-        if self._overflow_flat.size:
-            candidates += int(np.isin(self._overflow_flat, flat).sum())
         return QueryPlan(
             index=self.name,
             query=query,
@@ -364,25 +270,13 @@ class UniformGridIndex(MutableSpatialIndex):
         )
 
     def memory_bytes(self) -> int:
-        """CSR arrays (replication inflates ``sorted_rows``) plus overflow."""
+        """CSR arrays (replication inflates ``sorted_rows``)."""
         if not self._built:
             return 0
-        return int(
-            self._sorted_rows.nbytes
-            + self._offsets.nbytes
-            + self._overflow_flat.nbytes
-            + self._overflow_rows.nbytes
-        )
+        return int(self._sorted_rows.nbytes + self._offsets.nbytes)
 
     def replication_factor(self) -> float:
-        """Stored copies per live object (1.0 under query extension).
-
-        Counts CSR and overflow entries of live rows only, so the metric
-        stays meaningful between compactions and after deletes.
-        """
+        """Stored copies per live object (1.0 under query extension)."""
         if not self._built:
             raise QueryError("grid not built yet")
-        entries = np.concatenate([self._sorted_rows, self._overflow_rows])
-        if self._store.n_dead:
-            entries = entries[self._store.live[entries]]
-        return entries.size / max(self._store.live_count, 1)
+        return self._sorted_rows.size / max(self._store.live_count, 1)

@@ -57,10 +57,7 @@ class _Partition:
         return int(self.rows.size) if self.rows is not None else 0
 
 
-# Stateful but deliberately no on_compaction: Mosaic cannot absorb a
-# compaction remap and documents full-rebuild-on-compaction instead
-# (the inherited _on_compaction raising default *is* the contract).
-class MosaicIndex(SpatialIndex):  # ql: allow[QL002]
+class MosaicIndex(SpatialIndex):
     """Incrementally built Octree (the paper's "Mosaic").
 
     Parameters
@@ -68,7 +65,9 @@ class MosaicIndex(SpatialIndex):  # ql: allow[QL002]
     store:
         Backing data array (referenced; partitions hold row-index arrays).
     universe:
-        Space the root partition covers.
+        Space the root partition covers, widened to every object's
+        center: a row assigned outside the root's bounds would be
+        pruned from every query.
     capacity:
         Partitions at or below this size stop splitting (kept equal to the
         other indexes' node capacity, 60).
@@ -98,11 +97,13 @@ class MosaicIndex(SpatialIndex):  # ql: allow[QL002]
         self._max_depth = max_depth
         self._universe = universe
         self._centers = (store.lo + store.hi) * 0.5
+        root_lo = np.asarray(universe.lo, dtype=np.float64)
+        root_hi = np.asarray(universe.hi, dtype=np.float64)
+        if store.n:
+            root_lo = np.minimum(root_lo, self._centers.min(axis=0))
+            root_hi = np.maximum(root_hi, self._centers.max(axis=0))
         self._root = _Partition(
-            np.asarray(universe.lo, dtype=np.float64),
-            np.asarray(universe.hi, dtype=np.float64),
-            np.arange(store.n, dtype=np.int64),
-            depth=0,
+            root_lo, root_hi, np.arange(store.n, dtype=np.int64), depth=0
         )
         self._fanout = 1 << store.ndim
         self._query_serial = 0

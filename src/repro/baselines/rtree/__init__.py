@@ -1,4 +1,4 @@
-"""R-Tree baseline: STR bulk loading plus dynamic Guttman insertion."""
+"""R-Tree baseline: STR bulk loading, or Guttman insertion as the ablation's build."""
 
 from repro.baselines.rtree.guttman import GuttmanRTree
 from repro.baselines.rtree.node import RTreeNode

@@ -6,7 +6,9 @@ pre-processing time compared to the R-Tree built by inserting one object
 at a time" (Section 6.1).  This module implements that one-at-a-time
 alternative so the claim is checkable in this reproduction (see the
 `bench` ablations): ChooseLeaf by least enlargement, quadratic
-node splitting, and upward MBR adjustment.
+node splitting, and upward MBR adjustment.  It is a *build* method only:
+:class:`~repro.baselines.rtree.rtree.RTreeIndex` inserts every row once
+and then serves the tree unchanged, exactly like its STR-built twin.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def _enlargement(node_lo, node_hi, lo, hi) -> float:
 
 
 class GuttmanRTree:
-    """A dynamic R-Tree built by repeated insertion.
+    """An R-Tree built by repeated insertion.
 
     Parameters
     ----------
@@ -37,30 +39,15 @@ class GuttmanRTree:
         Backing store; inserted entries are store row indices.
     capacity:
         Maximum entries per node; nodes split (quadratically) beyond it.
-    root:
-        Optional existing tree to insert into — this is how the static
-        STR-built R-Tree absorbs dynamic inserts (the classic R-Tree is
-        an update-friendly structure; only its *bulk construction* was
-        static in the paper).
     """
 
-    def __init__(
-        self,
-        store: BoxStore,
-        capacity: int = 60,
-        root: RTreeNode | None = None,
-    ) -> None:
+    def __init__(self, store: BoxStore, capacity: int = 60) -> None:
         if capacity < 2:
             raise ConfigurationError(f"capacity must be >= 2, got {capacity}")
         self._store = store
         self._capacity = capacity
         self._min_fill = max(1, capacity // 3)
-        self._root: RTreeNode | None = root
-
-    @property
-    def root(self) -> RTreeNode | None:
-        """Root node (``None`` while empty)."""
-        return self._root
+        self._root: RTreeNode | None = None
 
     def insert_all(self) -> RTreeNode:
         """Insert every store row and return the root."""

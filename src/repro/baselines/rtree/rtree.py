@@ -5,17 +5,10 @@ for the ablation comparing against one-at-a-time construction — Guttman
 insertion.  Queries walk the tree depth-first, pruning all children of a
 node with one vectorized MBR intersection test.
 
-Updates (beyond the paper): the R-Tree is the classic dynamic spatial
-structure, so inserts take the direct path — each appended row is placed
-by Guttman ChooseLeaf/quadratic-split insertion into the existing
-(STR-built) tree.  Deletes tombstone rows in the store *and* condense
-the tree: dead rows are dropped from their leaves, affected leaf MBRs
-are re-tightened to the surviving members, emptied nodes are pruned, and
-ancestor MBRs shrink on the way back up — so post-delete queries stop
-visiting dead space instead of scanning conservative boxes forever.
-(Unlike Guttman's full CondenseTree, underfull nodes are not dissolved
-and re-inserted; fanout may sag below the minimum fill until a rebuild,
-which costs extra node visits but never correctness.)
+The tree is static, as in the paper's evaluation: it is built once over
+a store that never changes underneath it (a store mutated behind its
+back fails the epoch check).  Under churn, rebuild it over the updated
+store — ``examples/live_updates.py`` measures what that costs.
 """
 
 from __future__ import annotations
@@ -28,11 +21,11 @@ from repro.baselines.rtree.str_bulkload import build_str_rtree
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry.predicates import boxes_intersect_window
-from repro.index.base import MutableSpatialIndex
+from repro.index.base import SpatialIndex
 from repro.queries.query import Query, QueryPlan
 
 
-class RTreeIndex(MutableSpatialIndex):
+class RTreeIndex(SpatialIndex):
     """Static R-Tree over a :class:`BoxStore`.
 
     Parameters
@@ -76,7 +69,7 @@ class RTreeIndex(MutableSpatialIndex):
         if self._built:
             return
         if self._store.n == 0:
-            # Start-empty-then-insert: the first insert creates the root.
+            # An empty store builds an empty tree: no root to visit.
             self._built = True
             return
         if self._method == "str":
@@ -92,7 +85,7 @@ class RTreeIndex(MutableSpatialIndex):
     def _candidates(self, query: Query) -> np.ndarray:
         if self._root is None:
             if self._built:
-                # Built empty, no inserts yet: nothing to test.
+                # Built over an empty store: nothing to test.
                 return np.empty(0, dtype=np.int64)
             raise QueryError("R-Tree queried before build(); call build() first")
         out: list[np.ndarray] = []
@@ -142,106 +135,6 @@ class RTreeIndex(MutableSpatialIndex):
             candidates=candidates,
             exact=True,
         )
-
-    def _insert(
-        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
-    ) -> np.ndarray:
-        """Direct insert: Guttman-place each appended row into the tree.
-
-        Before ``build()`` the rows simply join the store and are swept
-        up by the bulk load.
-        """
-        first_row = self._store.n
-        assigned = self._store.append_validated(lo, hi, ids)
-        if self._built and assigned.size:
-            inserter = GuttmanRTree(self._store, self._capacity, root=self._root)
-            for row in range(first_row, self._store.n):
-                inserter.insert(row)
-            self._root = inserter.root
-        return assigned
-
-    def _delete(self, ids: np.ndarray) -> int:
-        """Tombstone rows, then condense the tree along affected paths."""
-        victim_rows = self._store.find_live_rows(ids)
-        removed = self._store.tombstone_rows(victim_rows)
-        if self._root is not None and victim_rows.size:
-            victims = np.zeros(self._store.n, dtype=bool)
-            victims[victim_rows] = True
-            # Every leaf holding a victim row has an MBR containing that
-            # row's box, so descending only into children intersecting
-            # the victims' union MBB reaches all affected leaves.
-            w_lo = self._store.lo[victim_rows].min(axis=0)
-            w_hi = self._store.hi[victim_rows].max(axis=0)
-            if self._condense(self._root, victims, w_lo, w_hi):
-                self._root = None
-        return removed
-
-    def _condense(
-        self,
-        node: RTreeNode,
-        victims: np.ndarray,
-        w_lo: np.ndarray,
-        w_hi: np.ndarray,
-    ) -> bool:
-        """Drop victim rows below ``node``, re-tightening MBRs bottom-up.
-
-        Returns True when the subtree is left empty (caller prunes it).
-        """
-        if node.is_leaf:
-            hit = victims[node.rows]
-            if not hit.any():
-                return node.rows.size == 0
-            node.rows = node.rows[~hit]
-            if node.rows.size == 0:
-                return True
-            node.lo = self._store.lo[node.rows].min(axis=0)
-            node.hi = self._store.hi[node.rows].max(axis=0)
-            return False
-        mask = boxes_intersect_window(node.child_lo, node.child_hi, w_lo, w_hi)
-        if not mask.any():
-            return False
-        survivors = [
-            child
-            for i, child in enumerate(node.children)
-            if not (mask[i] and self._condense(child, victims, w_lo, w_hi))
-        ]
-        if not survivors:
-            return True
-        node.children = survivors
-        node.recompute_mbr()
-        return False
-
-    def _on_compaction(self, remap: np.ndarray) -> None:
-        """Remap leaf row vectors; drop any straggler dead entries.
-
-        Delete-time condensing already removed victims from their
-        leaves, so normally this only rewrites row indices.  Any dead
-        row a leaf still references (e.g. a tree handed a store that was
-        tombstoned before this index adopted it) is dropped here, with
-        emptied nodes pruned and MBRs re-tightened on the way up.
-        """
-        if self._root is not None and self._remap_node(self._root, remap):
-            self._root = None
-
-    def _remap_node(self, node: RTreeNode, remap: np.ndarray) -> bool:
-        """Remap the subtree; returns True when it is left empty."""
-        if node.is_leaf:
-            rows = remap[node.rows]
-            dropped = rows.size and (rows < 0).any()
-            node.rows = rows[rows >= 0]
-            if node.rows.size == 0:
-                return True
-            if dropped:
-                node.lo = self._store.lo[node.rows].min(axis=0)
-                node.hi = self._store.hi[node.rows].max(axis=0)
-            return False
-        survivors = [c for c in node.children if not self._remap_node(c, remap)]
-        if not survivors:
-            return True
-        if len(survivors) != len(node.children):
-            node.children = survivors
-            node.recompute_mbr()
-        return False
 
     def height(self) -> int:
         """Tree height (levels); 0 for a built-but-empty tree."""

@@ -148,24 +148,6 @@ class SFCIndex(SpatialIndex):
             exact=True,
         )
 
-    def _on_compaction(self, remap: np.ndarray) -> None:
-        """Remap the sorted row array; drop entries of dead rows.
-
-        Z-codes depend only on geometry, so the code order is untouched:
-        row indices pass through ``remap`` and dropped rows' entries
-        vanish from both parallel arrays.  SFC itself has no delete verb
-        — this absorbs a store compacted *by its owner* (see
-        :meth:`~repro.index.base.SpatialIndex.on_compaction`), after
-        which the index serves the live rows again instead of failing
-        the epoch check forever.
-        """
-        if not self._built:
-            return
-        rows = remap[self._sorted_rows]
-        keep = rows >= 0
-        self._sorted_rows = rows[keep]
-        self._sorted_codes = self._sorted_codes[keep]
-
     def memory_bytes(self) -> int:
         """Sorted code + row arrays."""
         if not self._built:

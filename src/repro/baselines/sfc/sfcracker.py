@@ -37,10 +37,7 @@ from repro.queries.query import Query, QueryPlan
 from repro.util.arrays import gather_ranges
 
 
-# Stateful but deliberately no on_compaction: cracked Z-order runs are
-# positional, so a compaction remap invalidates them wholesale and the
-# inherited raising _on_compaction default is the documented contract.
-class SFCrackerIndex(SpatialIndex):  # ql: allow[QL002]
+class SFCrackerIndex(SpatialIndex):
     """Incremental Z-order cracker (the paper's "SFCracker").
 
     Parameters

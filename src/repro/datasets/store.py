@@ -26,9 +26,9 @@ is phrased against them:
   dropped and live rows slide down in stable order, reclaiming the dead
   space that scans would otherwise pay for forever.  This is the one
   mutation that invalidates physical positions, so it returns an
-  old-position → new-position remap; every index holding row references
-  must absorb it (see
-  :meth:`~repro.index.base.SpatialIndex.on_compaction`).
+  old-position → new-position remap; every mutable index must absorb it
+  (see :meth:`~repro.index.base.MutableSpatialIndex.on_compaction`), and
+  a static index over the store fails its epoch check instead.
 
 The resulting invariant is a *multiset of live rows*: after any
 interleaving of queries, appends, deletes, and compactions, the live

@@ -97,7 +97,7 @@ class IndexStats:
         Objects deleted through :class:`MutableSpatialIndex.delete`.
     merges:
         Pending-update batches absorbed into the main index structure
-        (QUASII buffer flushes, grid overflow compactions, ...).
+        (QUASII buffer flushes).
     compactions:
         Store compactions absorbed through
         :meth:`MutableSpatialIndex.compact` (tombstoned rows physically
@@ -205,9 +205,10 @@ class SpatialIndex(abc.ABC):
         self._built = False
         #: Last store epoch this index has absorbed.  Queries verify it
         #: still matches: derived state (CSR arrays, tree nodes, slice
-        #: forests) is only maintained for updates routed *through* the
-        #: index, so a store updated behind its back must fail loudly
-        #: instead of silently returning stale results.
+        #: forests) is never updated by a static index and only for
+        #: updates routed *through* a mutable one, so a store updated
+        #: behind its back must fail loudly instead of silently
+        #: returning stale results.
         self._seen_epoch = store.epoch
         #: Work units spent by the static build step (0 for incrementals).
         #: Together with the per-query counters this yields a machine-
@@ -452,9 +453,9 @@ class SpatialIndex(abc.ABC):
         """Fail loudly if the store was updated outside this index.
 
         Derived state (CSR arrays, tree nodes, slice forests) is only
-        maintained for updates routed through the index; serving — or
-        absorbing more — on top of an out-of-band mutation would silently
-        drop rows.
+        maintained for updates routed through a mutable index; serving —
+        or absorbing more — on top of an out-of-band mutation would
+        silently drop rows.
         """
         if self._store.epoch != self._seen_epoch:
             raise QueryError(
@@ -485,30 +486,6 @@ class SpatialIndex(abc.ABC):
             f"_execute_batch"
         )
 
-    def on_compaction(self, remap: np.ndarray) -> None:
-        """Absorb a store compaction: remap or rebuild derived state.
-
-        ``remap`` is the old-position → new-position vector returned by
-        :meth:`BoxStore.compact` (``-1`` marks dropped rows).  After the
-        index-specific remap, the index re-syncs to the store's epoch,
-        so this is also the sanctioned way to revalidate an index whose
-        store was compacted out-of-band (e.g. a static SFC index over a
-        store compacted by its owner).  Indexes that cannot absorb a
-        compaction raise; rebuild them over the compacted store instead.
-        """
-        if remap.ndim != 1:
-            raise ConfigurationError("compaction remap must be a flat vector")
-        self._on_compaction(remap)
-        self._seen_epoch = self._store.epoch
-
-    def _on_compaction(self, remap: np.ndarray) -> None:
-        """Index-specific compaction absorption; default: unsupported."""
-        raise ConfigurationError(
-            f"{self.name} holds physical row references and cannot absorb "
-            f"a store compaction; construct a fresh index over the "
-            f"compacted store"
-        )
-
     def memory_bytes(self) -> int:
         """Approximate size of auxiliary index structures (not the data)."""
         return 0
@@ -522,13 +499,18 @@ class MutableSpatialIndex(SpatialIndex):
 
     The paper evaluates QUASII on a static data array and leaves updates
     as future work; this mixin is that future work for the reproduction.
+    Only three indexes take it: :class:`~repro.baselines.scan.ScanIndex`
+    (the oracle), QUASII and the sharded engine.  The paper's other
+    baselines are static, as in its evaluation: they never see their
+    store change, and one that does fails the epoch check.
+
     It adds the two write verbs of the mixed read/write workloads:
 
     * :meth:`insert` — add new objects.  How they reach the main
       structure is implementation-defined: QUASII stages them in an
       :class:`~repro.updates.buffer.UpdateBuffer` and merges lazily on
       the next query (cracking the appended run like any unrefined
-      slice); the grid and R-Tree place them directly.
+      slice); Scan appends them.
     * :meth:`delete` — remove objects by identifier.  The shared
       :class:`BoxStore` tombstones the rows, so every structure that
       resolves candidates through the store's live mask stays correct
@@ -537,7 +519,9 @@ class MutableSpatialIndex(SpatialIndex):
     plus the maintenance verb that pays the tombstones off:
 
     * :meth:`compact` — physically reclaim dead rows and absorb the
-      position remap into the index structure, so scans stop paying for
+      position remap into the index structure through
+      :meth:`_on_compaction`, which every subclass must implement (Python
+      refuses to construct one that does not), so scans stop paying for
       rows deletes left behind.
 
     The verbs maintain the ``inserts`` / ``deletes`` / ``compactions``
@@ -591,8 +575,8 @@ class MutableSpatialIndex(SpatialIndex):
         The maintenance verb of the four-mutation model: the store drops
         its dead rows (:meth:`BoxStore.compact`) and the index absorbs
         the resulting position remap through :meth:`on_compaction` —
-        slice forests defragment, CSR/leaf row vectors remap, pruning
-        boxes re-tighten.  Query results are unchanged (the live
+        slice forests defragment, shard stores compact, pruning boxes
+        re-tighten.  Query results are unchanged (the live
         multiset is invariant); what changes is the cost of computing
         them, since scans stop paying for dead rows.  A store with no
         dead rows is a no-op returning 0.
@@ -604,6 +588,17 @@ class MutableSpatialIndex(SpatialIndex):
         self.on_compaction(self._store.compact())
         self.stats.compactions += 1
         return reclaimed
+
+    def on_compaction(self, remap: np.ndarray) -> None:
+        """Absorb a store compaction, then re-sync to the store's epoch.
+
+        ``remap`` is the old-position → new-position vector returned by
+        :meth:`BoxStore.compact` (``-1`` marks dropped rows).
+        """
+        if remap.ndim != 1:
+            raise ConfigurationError("compaction remap must be a flat vector")
+        self._on_compaction(remap)
+        self._seen_epoch = self._store.epoch
 
     def pending_updates(self) -> int:
         """Number of staged rows not yet merged into the main structure."""
@@ -629,6 +624,10 @@ class MutableSpatialIndex(SpatialIndex):
         self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
     ) -> np.ndarray:
         """Index-specific insert of validated ``(k, d)`` corner batches."""
+
+    @abc.abstractmethod
+    def _on_compaction(self, remap: np.ndarray) -> None:
+        """Index-specific absorption of a compaction ``remap``."""
 
     def _delete(self, ids: np.ndarray) -> int:
         """Index-specific delete; the default tombstones store rows."""

@@ -1,7 +1,7 @@
 """The sharded serving engine: spatial partitioning + pruned fan-out.
 
-This package scales the single-process QUASII reproduction toward the
-ROADMAP's production-serving north star by adopting the
+This package scales the single-process QUASII reproduction out to a
+sharded, replicated, process-parallel engine by adopting the
 partition-then-search architecture of the learned-spatial-index and
 LiLIS lines of work, while keeping per-shard incremental cracking
 intact:

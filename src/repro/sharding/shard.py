@@ -179,10 +179,7 @@ class Shard:
         store's live count alone would under-report a shard that just
         absorbed a burst.  The buffered count comes from the store's
         staged-id registry (every buffered row is registered there by
-        the staging gate), **not** from ``pending_updates()``: an
-        index's pending measure may count derived-structure backlog for
-        rows already appended (the grid's overflow entries), which would
-        double-count them here.
+        the staging gate), so it needs nothing from the shard's index.
         """
         return self.store.live_count + self.store.staged_count
 

@@ -15,8 +15,9 @@ reproduction:
 
 The write verbs themselves live on the indexes
 (:class:`repro.index.base.MutableSpatialIndex`): QUASII cracks appended
-runs exactly like unrefined slices, the grid and R-Tree take direct
-insert paths, and every index inherits tombstone deletes from the store.
+runs exactly like unrefined slices, Scan appends, and both inherit
+tombstone deletes from the store.  The paper's other baselines are
+static.
 """
 
 from repro.updates.buffer import UpdateBuffer

@@ -26,15 +26,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines import RTreeIndex, ScanIndex, UniformGridIndex
+from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.geometry import Box
 from repro.sharding import ShardedIndex
 from repro.updates import UpdateLedger
 from tests.property._interleavings import (
     BASE_KINDS,
-    UNIVERSE_SIDE,
     dataset_and_ops,
     full_window,
 )
@@ -48,16 +46,9 @@ SHARD_COUNTS = (1, 2, 7)
 @settings(max_examples=40, deadline=None)
 def test_compaction_preserves_fingerprint_and_scan_agreement(case):
     (lo, hi), ops = case
-    universe = Box((0.0, 0.0), (UNIVERSE_SIDE, UNIVERSE_SIDE))
     scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
     quasii = QuasiiIndex(BoxStore(lo.copy(), hi.copy()), QuasiiConfig(2, (8, 4)))
-    grid = UniformGridIndex(
-        BoxStore(lo.copy(), hi.copy()), universe, 5, merge_threshold=6
-    )
-    grid.build()
-    rtree = RTreeIndex(BoxStore(lo.copy(), hi.copy()), capacity=8)
-    rtree.build()
-    indexes = [scan, quasii, grid, rtree]
+    indexes = [scan, quasii]
     ledger = UpdateLedger(scan.store)
 
     for kind, payload in ops:

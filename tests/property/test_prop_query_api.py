@@ -120,8 +120,6 @@ def test_matrix_agrees_under_insert_delete_compact(case):
     store = BoxStore(lo, hi)
     oracle = ScanIndex(store.copy())
     indexes = [
-        UniformGridIndex(store.copy(), UNIVERSE, 5),
-        RTreeIndex(store.copy(), capacity=8),
         QuasiiIndex(store.copy(), QuasiiConfig(2, (8, 4))),
         ShardedIndex(store.copy(), n_shards=2),
     ]

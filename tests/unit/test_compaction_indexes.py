@@ -1,11 +1,12 @@
 """Unit tests for the per-index compaction paths (``on_compaction``).
 
-Each structure absorbs the store's position remap its own way — QUASII
-defragments its slice forest, the grid remaps CSR/overflow entries, the
-R-Tree rewrites leaf row vectors, Scan does nothing, the static SFC
-index remaps its sorted arrays, and the sharded engine compacts shard by
-shard behind a dead-fraction policy — but all of them must answer with
-exactly the same live-row set before and after, more cheaply after.
+Only the mutable indexes compact, each absorbing the store's position
+remap its own way — QUASII defragments its slice forest, Scan does
+nothing, and the sharded engine compacts shard by shard behind a
+dead-fraction policy — and all of them must answer with exactly the
+same live-row set before and after, more cheaply after.  The paper's
+static baselines absorb nothing: a store compacted, appended to or
+tombstoned behind their back fails their epoch check.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from repro.baselines import (
 )
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import ConfigurationError, DatasetError, QueryError
 from repro.geometry import Box
+from repro.index import MutableSpatialIndex
 from repro.queries import Query
 from repro.sharding import QueryExecutor, ShardedIndex
 from repro.sharding.executor import BACKENDS
@@ -56,9 +58,6 @@ def _windows(seed: int = 2, k: int = 8) -> list[Query]:
 MAKERS = (
     lambda s: ScanIndex(s),
     lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
-    lambda s: UniformGridIndex(s, UNIVERSE, 5, merge_threshold=6),
-    lambda s: UniformGridIndex(s, UNIVERSE, 5, assignment="replication"),
-    lambda s: RTreeIndex(s, capacity=8),
 )
 
 
@@ -195,78 +194,83 @@ class TestQuasiiDefragmentation:
         idx.validate_structure()
 
 
-class TestGridCompaction:
-    def test_csr_and_overflow_entries_remap(self):
-        grid = UniformGridIndex(_store(), UNIVERSE, 5, merge_threshold=1000)
-        grid.build()
-        rng = np.random.default_rng(6)
-        lo = rng.uniform(0, 90, size=(5, 2))
-        inserted = grid.insert(lo, lo + 2.0)  # lands in overflow
-        assert grid.pending_updates() == 5
-        grid.delete(np.concatenate([np.arange(20), inserted[:2]]))
-        grid.compact()
-        assert grid.pending_updates() == 3  # dead overflow entries shed
-        assert grid._sorted_rows.size == 40  # dead CSR entries shed
-        got = np.sort(grid.execute(FULL).ids)
-        assert np.array_equal(got, _expected_live(grid))
-
-    def test_replication_factor_stays_exact_after_compaction(self):
-        grid = UniformGridIndex(_store(), UNIVERSE, 5, assignment="replication")
-        grid.build()
-        grid.insert(np.array([[5.0, 5.0]]), np.array([[80.0, 80.0]]))
-        grid.delete(np.arange(30))
-        factor_tombstoned = grid.replication_factor()
-        grid.compact()
-        assert grid.replication_factor() == pytest.approx(factor_tombstoned)
-        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
-
-
-class TestRTreeCompaction:
-    def test_leaf_rows_remap_and_queries_agree(self):
-        rtree = RTreeIndex(_store(100, seed=2), capacity=8)
-        rtree.build()
-        rtree.delete(np.arange(0, 100, 3))
-        nodes_before = rtree.root.count_nodes()
-        rtree.compact()
-        assert rtree.root.count_nodes() <= nodes_before
-        assert np.array_equal(np.sort(rtree.execute(FULL).ids), _expected_live(rtree))
-
-    def test_straggler_dead_rows_are_dropped(self):
-        # A tree built over a store that was tombstoned out-of-band (the
-        # tree never saw the deletes): compaction absorbs them via remap.
-        store = _store(40, seed=8)
-        store.delete_ids(np.arange(5))
-        rtree = RTreeIndex(store, capacity=8)
-        rtree.build()  # leaves reference dead rows, filtered by live mask
-        remap = store.compact()
-        rtree.on_compaction(remap)
-        got = np.sort(rtree.execute(FULL).ids)
-        assert np.array_equal(got, np.arange(5, 40))
-
-
 class TestStaticIndexCompaction:
-    def test_sfc_absorbs_out_of_band_compaction(self):
-        store = _store(80, seed=4)
-        sfc = SFCIndex(store, UNIVERSE)
-        sfc.build()
-        store.delete_ids(np.arange(0, 80, 2))
-        sfc.on_compaction(store.compact())
-        got = np.sort(sfc.execute(FULL).ids)
-        assert np.array_equal(got, np.arange(1, 80, 2))
+    """Only the mutable indexes absorb a compaction; the static baselines
+    refuse to serve a store that changed behind their back."""
 
-    def test_unsupporting_indexes_fail_loudly(self):
-        for make in (
-            lambda s: SFCrackerIndex(s, UNIVERSE),
-            lambda s: MosaicIndex(s, UNIVERSE),
-        ):
-            store = _store(30, seed=5)
-            idx = make(store)
-            idx.build()
+    STATIC = {
+        "grid-ext": lambda s: UniformGridIndex(s, UNIVERSE, 5),
+        "grid-rep": lambda s: UniformGridIndex(
+            s, UNIVERSE, 5, assignment="replication"
+        ),
+        "rtree": lambda s: RTreeIndex(s, capacity=8),
+        "sfc": lambda s: SFCIndex(s, UNIVERSE),
+        "sfcracker": lambda s: SFCrackerIndex(s, UNIVERSE),
+        "mosaic": lambda s: MosaicIndex(s, UNIVERSE, capacity=8),
+    }
+
+    @pytest.mark.parametrize("mutation", ["append", "tombstone", "compact"])
+    @pytest.mark.parametrize("kind", list(STATIC))
+    def test_static_baselines_refuse_an_out_of_band_mutation(
+        self, kind, mutation
+    ):
+        store = _store(30, seed=5)
+        if mutation == "compact":
+            store.delete_ids(np.array([0]))  # adopted tombstoned
+        idx = self.STATIC[kind](store)
+        idx.build()
+        idx.execute(FULL)
+        idx.plan(FULL)
+        if mutation == "append":
+            store.append(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
+        elif mutation == "tombstone":
+            store.delete_ids(np.array([1]))
+        else:
+            store.compact()
+        with pytest.raises(QueryError, match="epoch"):
             idx.execute(FULL)
-            store.delete_ids(np.array([0]))
-            remap = store.compact()
-            with pytest.raises(ConfigurationError, match="compaction"):
-                idx.on_compaction(remap)
+        with pytest.raises(QueryError, match="epoch"):
+            idx.plan(FULL)
+        assert not isinstance(idx, MutableSpatialIndex)
+
+    @pytest.mark.parametrize("kind", list(STATIC))
+    def test_static_baselines_built_over_tombstones_serve_live_rows(self, kind):
+        store = _store(80, seed=8)
+        store.delete_ids(np.arange(0, 80, 3))
+        oracle = ScanIndex(store.copy())
+        idx = self.STATIC[kind](store)
+        idx.build()
+        for q in [*_windows(seed=9), FULL]:
+            assert np.array_equal(
+                np.sort(idx.execute(q).ids), np.sort(oracle.execute(q).ids)
+            ), kind
+
+    @pytest.mark.parametrize("kind", list(STATIC))
+    def test_static_baselines_rebuilt_after_writes_agree_with_scan(self, kind):
+        # The honest way to run a static competitor under churn: apply the
+        # write batch through a mutable index, then build afresh.
+        scan = ScanIndex(_store(80, seed=10))
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            lo = rng.uniform(0, 90, size=(10, 2))
+            scan.insert(lo, lo + rng.uniform(0, 5, size=(10, 2)))
+            live = scan.store.ids[scan.store.live_rows()]
+            scan.delete(rng.choice(live, size=8, replace=False))
+            scan.compact()
+            idx = self.STATIC[kind](scan.store.copy())
+            idx.build()
+            for q in [*_windows(seed=12), FULL]:
+                assert np.array_equal(
+                    np.sort(idx.execute(q).ids), np.sort(scan.execute(q).ids)
+                ), kind
+
+    def test_a_mutable_index_without_a_compaction_hook_cannot_be_built(self):
+        class Forgetful(MutableSpatialIndex):
+            def _insert(self, lo, hi, ids):
+                return self._store.append_validated(lo, hi, ids)
+
+        with pytest.raises(TypeError, match="_on_compaction"):
+            Forgetful(_store())
 
 
 class TestShardedCompaction:

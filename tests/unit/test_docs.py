@@ -61,3 +61,16 @@ def test_query_layer_section_names_only_real_hooks():
     assert {"_candidates", "_execute_batch", "_refine_stacked"} <= set(
         check_docs._HOOK.findall(section)
     )
+
+
+def test_docs_and_code_carry_no_numbered_roadmap_pointers():
+    assert check_docs.check_roadmap_pointers() == []
+    # ROADMAP renumbers at every re-anchor: a number is caught, even
+    # when a line break splits it from "item"; a named target is not.
+    text = 'see ROADMAP.md item 2.\nper ROADMAP item\n3(a); ROADMAP\'s "flat forest"'
+    assert check_docs.roadmap_pointer_problems("doc.md", text) == [
+        "doc.md:1: numbered pointer 'ROADMAP.md item 2'; name what it "
+        "points at instead",
+        "doc.md:2: numbered pointer 'ROADMAP item 3'; name what it "
+        "points at instead",
+    ]

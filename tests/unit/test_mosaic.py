@@ -96,6 +96,24 @@ class TestCorrectness:
             hits = idx.execute(Query(Box((5.5,) * 3, (5.9,) * 3))).ids
             assert hits.tolist() == [0]
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_rows_centred_outside_the_universe_are_found(self, ndim):
+        # The universe is the caller's word, not the data's: boxes drawn
+        # from [-30, 120] in a [0, 100] universe must still be answered
+        # once the splits near the universe's edges have happened.
+        rng = np.random.default_rng(17)
+        lo = rng.uniform(-30.0, 120.0, size=(1_500, ndim))
+        hi = lo + rng.uniform(0.0, 5.0, size=(1_500, ndim))
+        universe = Box((0.0,) * ndim, (100.0,) * ndim)
+        idx = MosaicIndex(BoxStore(lo, hi), universe, capacity=8)
+        scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
+        for i in range(150):
+            corner = rng.uniform(-30.0, 120.0, size=ndim)
+            q = Query(Box(tuple(corner), tuple(corner + 15.0)), seq=i)
+            assert np.array_equal(
+                np.sort(idx.execute(q).ids), np.sort(scan.execute(q).ids)
+            )
+
     def test_rows_conserved_across_splits(self):
         ds = make_uniform(1_000, seed=13)
         idx = MosaicIndex(ds.store, ds.universe, capacity=5)

@@ -1,9 +1,10 @@
 """Unit tests for the per-index insert/delete paths.
 
-Each update-capable index has a distinct write strategy — QUASII stages
-and lazily merges, the grid extends a CSR overflow, the R-Tree inserts
-directly via Guttman placement, Scan just appends — but they all must
-answer with exactly the live-row set afterwards.
+Each mutable index has its own write strategy — QUASII stages and
+lazily merges, Scan just appends — but both must answer with exactly
+the live-row set afterwards.  The paper's other baselines are static
+(tests/unit/test_compaction_indexes.py pins that they refuse a store
+changed behind their back).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import RTreeIndex, ScanIndex, UniformGridIndex
+from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import ConfigurationError, QueryError
@@ -19,7 +20,6 @@ from repro.geometry import Box
 from repro.queries import Query
 
 
-UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 FULL = Query(Box((-1.0, -1.0), (101.0, 101.0)), seq=999)
 
 
@@ -114,8 +114,6 @@ class TestMixinSurface:
         for make in (
             lambda s: ScanIndex(s),
             lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
-            lambda s: UniformGridIndex(s, UNIVERSE, 5),
-            lambda s: RTreeIndex(s, capacity=8),
         ):
             idx = make(_store())
             idx.build()
@@ -141,8 +139,6 @@ class TestStartEmpty:
         for make in (
             lambda s: ScanIndex(s),
             lambda s: QuasiiIndex(s),
-            lambda s: UniformGridIndex(s, UNIVERSE, 5),
-            lambda s: RTreeIndex(s, capacity=8),
         ):
             idx = make(self._empty_store())
             idx.build()
@@ -169,40 +165,22 @@ class TestStartEmpty:
         with pytest.raises(GeometryError, match="finite"):
             idx.insert(np.array([[np.nan, 1.0]]), np.array([[np.nan, 2.0]]))
 
-    def test_start_empty_replication_grid(self):
-        grid = UniformGridIndex(
-            self._empty_store(), UNIVERSE, 5, assignment="replication"
-        )
-        grid.build()
-        assert grid.execute(FULL).ids.size == 0
-        ids = grid.insert(*_batch(10, seed=9))
-        assert np.array_equal(np.sort(grid.execute(FULL).ids), np.sort(ids))
-
-    def test_rebuild_after_deleting_everything(self):
-        store = _store(10)
-        grid = UniformGridIndex(store, UNIVERSE, 5, assignment="replication")
-        grid.build()
-        grid.delete(store.ids.copy())
-        grid._merge_overflow()  # rebuild over zero live rows must not crash
-        assert grid.execute(FULL).ids.size == 0
-
 
 class TestEpochStalenessGuard:
     def test_out_of_band_store_update_fails_loudly(self):
-        from repro.errors import QueryError
-
         store = _store()
-        grid = UniformGridIndex(store, UNIVERSE, 5)
-        grid.build()
-        grid.execute(FULL)  # fine
+        scan = ScanIndex(store)
+        scan.execute(FULL)  # fine
         store.append(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         with pytest.raises(QueryError, match="epoch"):
-            grid.execute(FULL)
+            scan.execute(FULL)
         # Writes cannot silently "forgive" the out-of-band update either.
         with pytest.raises(QueryError, match="epoch"):
-            grid.insert(np.array([[3.0, 3.0]]), np.array([[4.0, 4.0]]))
+            scan.insert(np.array([[3.0, 3.0]]), np.array([[4.0, 4.0]]))
         with pytest.raises(QueryError, match="epoch"):
-            grid.delete(np.array([0]))
+            scan.delete(np.array([0]))
+        with pytest.raises(QueryError, match="epoch"):
+            scan.compact()
 
     def test_updates_through_the_index_keep_the_epoch_in_sync(self):
         idx = QuasiiIndex(_store(), QuasiiConfig(2, (8, 4)))
@@ -210,96 +188,6 @@ class TestEpochStalenessGuard:
         idx.execute(FULL)
         idx.delete(ids)
         assert np.sort(idx.execute(FULL).ids).size == 40
-
-
-class TestGridOverflow:
-    def test_inserts_go_to_overflow_then_compact(self):
-        grid = UniformGridIndex(_store(), UNIVERSE, 5, merge_threshold=6)
-        grid.build()
-        initial_work = grid.build_work
-        lo, hi = _batch(4)
-        grid.insert(lo, hi)
-        assert grid.pending_updates() == 4
-        assert grid.stats.merges == 0
-        lo, hi = _batch(4, seed=2)
-        grid.insert(lo, hi)  # 8 > 6: compaction
-        assert grid.pending_updates() == 0
-        assert grid.stats.merges == 1
-        # The comparison-model cost accumulates across compactions.
-        assert grid.build_work > initial_work
-        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
-
-    def test_insert_before_build_is_swept_up_by_build(self):
-        grid = UniformGridIndex(_store(), UNIVERSE, 5)
-        lo, hi = _batch(3)
-        grid.insert(lo, hi)
-        assert grid.pending_updates() == 0  # no overflow pre-build
-        grid.build()
-        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
-
-    def test_replication_assignment_insert_path(self):
-        grid = UniformGridIndex(_store(), UNIVERSE, 5, assignment="replication")
-        grid.build()
-        # A box spanning many cells exercises the replicated overflow.
-        grid.insert(np.array([[5.0, 5.0]]), np.array([[80.0, 80.0]]))
-        assert grid.pending_updates() > 1  # one entry per overlapped cell
-        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
-        window = Query(Box((30.0, 30.0), (40.0, 40.0)), seq=1)
-        assert 40 in grid.execute(window).ids  # the big box is id 40
-
-    def test_compaction_sheds_dead_entries_under_churn(self):
-        grid = UniformGridIndex(_store(), UNIVERSE, 5, merge_threshold=10)
-        grid.build()
-        for i in range(20):
-            ids = grid.insert(*_batch(5, seed=50 + i))
-            grid.delete(ids)
-        assert grid.stats.merges > 0
-        # The CSR holds only live entries after a compaction: inserts that
-        # were deleted again do not accumulate forever.
-        assert grid._sorted_rows.size <= grid.store.n - grid.store.n_dead + grid.pending_updates()
-        assert np.array_equal(np.sort(grid.execute(FULL).ids), _expected_live(grid))
-
-    def test_merge_threshold_validated(self):
-        with pytest.raises(ConfigurationError, match="merge_threshold"):
-            UniformGridIndex(_store(), UNIVERSE, 5, merge_threshold=0)
-
-
-class TestRTreeInserts:
-    def test_insert_places_rows_in_existing_tree(self):
-        rtree = RTreeIndex(_store(), capacity=8)
-        rtree.build()
-        nodes_before = rtree.root.count_nodes()
-        lo, hi = _batch(30, seed=4)
-        rtree.insert(lo, hi)
-        assert rtree.root.count_nodes() > nodes_before  # splits happened
-        assert np.array_equal(np.sort(rtree.execute(FULL).ids), _expected_live(rtree))
-
-    def test_tree_stays_balanced_under_inserts(self):
-        rtree = RTreeIndex(_store(), capacity=4)
-        rtree.build()
-        h = rtree.height()
-        lo, hi = _batch(60, seed=5)
-        rtree.insert(lo, hi)
-        assert rtree.height() >= h
-        # Every leaf is at the same depth (Guttman preserves balance).
-        depths = set()
-
-        def walk(node, d):
-            if node.is_leaf:
-                depths.add(d)
-            else:
-                for c in node.children:
-                    walk(c, d + 1)
-
-        walk(rtree.root, 0)
-        assert len(depths) == 1
-
-    def test_deletes_leave_mbrs_conservative_but_correct(self):
-        rtree = RTreeIndex(_store(), capacity=8)
-        rtree.build()
-        rtree.delete(np.arange(10))
-        got = np.sort(rtree.execute(FULL).ids)
-        assert np.array_equal(got, np.arange(10, 40))
 
 
 class TestQuasiiLazyMerge:

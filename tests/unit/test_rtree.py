@@ -1,4 +1,4 @@
-"""Unit tests for the R-Tree baseline (STR bulk load + Guttman insertion)."""
+"""Unit tests for the R-Tree baseline (STR bulk load, Guttman-insertion build)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.baselines.rtree import (
     build_str_rtree,
     str_pack,
 )
-from repro.datasets import BoxStore, make_uniform
+from repro.datasets import make_uniform
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
 from repro.queries import Query, uniform_workload
@@ -181,6 +181,22 @@ class TestGuttman:
                     stack.append(child)
         assert sorted(rows) == list(range(400))
 
+    def test_insertion_keeps_every_leaf_at_one_depth(self):
+        # Splits propagate upward and only the root grows a level, so a
+        # tree built by insertion stays balanced.
+        ds = make_uniform(600, seed=18)
+        root = GuttmanRTree(ds.store, capacity=8).insert_all()
+        depths = set()
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if node.is_leaf:
+                depths.add(depth)
+            else:
+                stack.extend((child, depth + 1) for child in node.children)
+        assert depths == {root.height()}
+        assert root.height() >= 3
+
     def test_capacity_validation(self):
         ds = make_uniform(10, seed=1)
         with pytest.raises(ConfigurationError):
@@ -213,92 +229,3 @@ class TestGuttman:
         t_guttman = time.perf_counter() - t0
         assert t_str < t_guttman
 
-
-class TestDeleteCondensing:
-    """Deletes re-tighten leaf MBRs and prune dead structure."""
-
-    def _outlier_store(self, n=400, seed=21):
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(0, 100, size=(n, 2))
-        hi = lo + rng.uniform(0, 3, size=(n, 2))
-        lo[0] = [900.0, 900.0]
-        hi[0] = [901.0, 901.0]
-        return BoxStore(lo, hi)
-
-    def test_root_mbr_shrinks_after_outlier_delete(self):
-        index = RTreeIndex(self._outlier_store(), capacity=8)
-        index.build()
-        assert index.root.hi[0] > 900
-        index.delete(np.array([0]))
-        assert index.root.hi[0] < 200
-
-    def test_post_delete_queries_skip_dead_space(self):
-        index = RTreeIndex(self._outlier_store(), capacity=8)
-        index.build()
-        index.delete(np.array([0]))
-        before = index.stats.objects_tested
-        dead = Query(Box((880.0, 880.0), (950.0, 950.0)), seq=0)
-        assert index.execute(dead).ids.size == 0
-        assert index.stats.objects_tested == before
-
-    def test_leaves_drop_dead_rows(self):
-        store = self._outlier_store()
-        index = RTreeIndex(store, capacity=8)
-        index.build()
-        victims = store.ids[store.live_rows()][:50]
-        index.delete(victims)
-
-        def live_leaf_rows(node):
-            if node.is_leaf:
-                return node.rows.tolist()
-            return [r for c in node.children for r in live_leaf_rows(c)]
-
-        rows = live_leaf_rows(index.root)
-        assert len(rows) == store.live_count
-        assert len(set(rows)) == len(rows)
-        assert not np.isin(rows, np.flatnonzero(~store.live)).any()
-
-    def test_parent_mbrs_stay_covering_after_deletes(self):
-        store = self._outlier_store()
-        index = RTreeIndex(store, capacity=8)
-        index.build()
-        rng = np.random.default_rng(5)
-        live = store.ids[store.live_rows()]
-        index.delete(rng.choice(live, size=150, replace=False))
-
-        def check(node):
-            if node.is_leaf:
-                assert np.all(store.lo[node.rows] >= node.lo - 1e-9)
-                assert np.all(store.hi[node.rows] <= node.hi + 1e-9)
-                return
-            for child in node.children:
-                assert np.all(child.lo >= node.lo - 1e-9)
-                assert np.all(child.hi <= node.hi + 1e-9)
-                check(child)
-
-        check(index.root)
-
-    def test_deleting_everything_empties_the_tree(self):
-        store = self._outlier_store(n=60)
-        index = RTreeIndex(store, capacity=4)
-        index.build()
-        index.delete(store.ids[store.live_rows()])
-        assert index.root is None
-        assert index.height() == 0
-        full = Query(Box((-10.0, -10.0), (1000.0, 1000.0)), seq=0)
-        assert index.execute(full).ids.size == 0
-        # The tree restarts from scratch on the next insert.
-        new = index.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
-        assert np.array_equal(np.sort(index.execute(full).ids), np.sort(new))
-
-    def test_guttman_inserted_rows_condense_too(self):
-        ds = make_uniform(300, seed=22)
-        index = RTreeIndex(ds.store, capacity=8)
-        index.build()
-        new = index.insert(
-            np.array([[20000.0, 20000.0, 20000.0]]),
-            np.array([[20001.0, 20001.0, 20001.0]]),
-        )
-        assert index.root.hi[0] > 10000
-        index.delete(new)
-        assert index.root.hi[0] < 11000

@@ -1,13 +1,13 @@
 """quasii-lint: repo-specific static analysis for the QUASII engine.
 
 The engine's correctness rests on conventions that generic linters
-cannot see: the four-mutation :class:`BoxStore` contract, the
-epoch/``on_compaction`` discipline of every index, the single-writer
-concurrency rule on the ``QueryExecutor`` fan-out path, explicit numpy
-dtypes, and the canonical telemetry vocabulary.  This package parses
+cannot see: the four-mutation :class:`BoxStore` contract, explicit numpy
+dtypes, the canonical telemetry vocabulary, picklable process-boundary
+payloads, and the slice-column writers.  This package parses
 ``src/repro`` with :mod:`ast`, builds a lightweight module/class/call
 index (:class:`~analysis.core.RepoIndex`), and runs pluggable rules
-(QL001..QL009, registered in :mod:`analysis.rules`) over it.
+(QL001..QL009 minus the two retired ids, 002 and 003; registered in
+:mod:`analysis.rules`) over it.
 
 Usage (from the repository root)::
 

@@ -109,7 +109,6 @@ class ClassInfo:
     qualname: str
     node: ast.ClassDef
     file: SourceFile
-    bases: list[str] = field(default_factory=list)  # last dotted segment
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     #: Instance attributes assigned via ``self.X = ...`` in any method.
     own_attrs: set[str] = field(default_factory=set)
@@ -146,15 +145,6 @@ class AnalysisConfig:
             "_next_id",
             "_staged",
         }
-    )
-    # QL002 -- compaction discipline
-    compaction_base: str = "SpatialIndex"
-    compaction_hooks: frozenset[str] = frozenset(
-        {"on_compaction", "_on_compaction"}
-    )
-    #: Instance attrs that do not constitute position-bearing state.
-    compaction_state_ok: frozenset[str] = frozenset(
-        {"stats", "build_work", "name", "_built", "_seen_epoch", "_store"}
     )
     # QL004 -- dtype discipline
     numpy_aliases: frozenset[str] = frozenset({"np", "numpy"})
@@ -247,7 +237,6 @@ class RepoIndex:
         self.root = root
         self.files = files
         self.classes: list[ClassInfo] = []
-        self.classes_by_name: dict[str, list[ClassInfo]] = {}
         self.functions: list[FunctionInfo] = []
         self.module_functions_by_name: dict[str, list[FunctionInfo]] = {}
         self.methods_by_name: dict[str, list[FunctionInfo]] = {}
@@ -293,10 +282,8 @@ class RepoIndex:
                         qualname=".".join([*qual, child.name]),
                         node=child,
                         file=source,
-                        bases=[_last_segment(b) for b in child.bases],
                     )
                     self.classes.append(info)
-                    self.classes_by_name.setdefault(child.name, []).append(info)
                     visit(child, [*qual, child.name], info)
                 elif isinstance(
                     child, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -325,37 +312,6 @@ class RepoIndex:
                     visit(child, [*qual, child.name], None)
 
         visit(source.tree, [], None)
-
-    # -- class relations ------------------------------------------------
-    def ancestry(self, cls: ClassInfo) -> set[str]:
-        """Transitive base-class *names*, repo-local where resolvable.
-
-        Unresolvable bases (stdlib, numpy) contribute their name only.
-        """
-        seen: set[str] = set()
-        queue = list(cls.bases)
-        while queue:
-            base = queue.pop()
-            if base in seen:
-                continue
-            seen.add(base)
-            for info in self.classes_by_name.get(base, []):
-                queue.extend(info.bases)
-        return seen
-
-    def has_ancestor(self, cls: ClassInfo, names: frozenset[str]) -> bool:
-        return cls.name in names or bool(self.ancestry(cls) & names)
-
-
-def _last_segment(node: ast.expr) -> str:
-    """``abc.ABC`` -> ``ABC``; ``SpatialIndex`` -> ``SpatialIndex``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Subscript):  # Generic[...] bases
-        return _last_segment(node.value)
-    return ""
 
 
 def self_assign_targets(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Seven checks, all filesystem/CLI-only:
+Eight checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -30,6 +30,10 @@ Seven checks, all filesystem/CLI-only:
    query-layer section of ``docs/ARCHITECTURE.md`` is an attribute of
    ``repro.index.base.SpatialIndex``, so the section cannot keep
    describing a hook the base class no longer has.
+8. **No numbered ROADMAP pointers** — README, ``docs/``, ``src/`` and
+   ``examples/`` never cite ``ROADMAP item <n>``: ROADMAP renumbers its
+   items at every re-anchor, so a pointer names what it points at
+   instead.  ROADMAP.md and CHANGES.md themselves are exempt.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -73,6 +77,10 @@ _EVENTS_SECTION = re.compile(
 _QUERY_LAYER = re.compile(r"^## The query layer.*?(?=^## )", re.MULTILINE | re.DOTALL)
 #: Backticked private names, bare or called: `_gate`, `_execute_batch([q])`.
 _HOOK = re.compile(r"`(_[a-z][a-z_]*)[`(]")
+#: A numbered ROADMAP pointer, which the next re-anchor silently retargets.
+_ROADMAP_ITEM = re.compile(r"ROADMAP(?:\.md)?\s+item\s+\d+")
+#: Where such pointers are refused (ROADMAP.md and CHANGES.md are not).
+POINTER_FREE = ["README.md", "docs/*.md", "src/**/*.py", "examples/*.py"]
 
 
 def check_links() -> list[str]:
@@ -225,6 +233,30 @@ def check_query_layer_hooks() -> list[str]:
     ]
 
 
+def roadmap_pointer_problems(rel: str, text: str) -> list[str]:
+    """Every numbered ``ROADMAP item <n>`` pointer in one file's text."""
+    problems = []
+    for m in _ROADMAP_ITEM.finditer(text):
+        line = text.count("\n", 0, m.start()) + 1
+        pointer = " ".join(m.group().split())
+        problems.append(
+            f"{rel}:{line}: numbered pointer {pointer!r}; name what it "
+            "points at instead"
+        )
+    return problems
+
+
+def check_roadmap_pointers() -> list[str]:
+    """README, docs/, src/ and examples/ carry no numbered ROADMAP pointer."""
+    problems = []
+    for pattern in POINTER_FREE:
+        for path in sorted(REPO.glob(pattern)):
+            problems += roadmap_pointer_problems(
+                str(path.relative_to(REPO)), path.read_text(encoding="utf-8")
+            )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -233,6 +265,7 @@ def main() -> int:
         + check_observability_docs()
         + check_analysis_docs()
         + check_query_layer_hooks()
+        + check_roadmap_pointers()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -242,8 +275,8 @@ def main() -> int:
     print(
         "docs-check: README/docs links, BENCH.md verbs, CLI help, "
         "OBSERVABILITY.md metric/span/event/endpoint tables, the "
-        "ANALYSIS.md lint-rule table and ARCHITECTURE.md's query-layer "
-        "hooks all consistent"
+        "ANALYSIS.md lint-rule table, ARCHITECTURE.md's query-layer "
+        "hooks and the ROADMAP pointers all consistent"
     )
     return 0
 
