@@ -18,8 +18,6 @@ Run:  python examples/neuroscience_exploration.py
 
 from __future__ import annotations
 
-import time
-
 from repro import QuasiiIndex, clustered_workload, make_neuro_like
 from repro.baselines import RTreeIndex, ScanIndex
 from repro.bench import run_workload

@@ -283,9 +283,10 @@ def soak_experiment(
                 write_tick(op, executed)
             executed += 1
             ops_counter.inc()
-            store = engine.store
-            live_gauge.set(store.live_count)
-            dead_gauge.set(store.n_dead / store.n if store.n else 0.0)
+            live_gauge.set(sum(engine.shard_sizes()))
+            rows = sum(s.store.n for s in engine.shards)
+            dead = sum(s.store.n_dead for s in engine.shards)
+            dead_gauge.set(dead / rows if rows else 0.0)
             balance_gauge.set(engine.balance_factor())
             now = time.perf_counter()
             recorder.tick(now)

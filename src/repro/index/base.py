@@ -543,14 +543,15 @@ class MutableSpatialIndex(SpatialIndex):
         pair is promoted to a batch of one).  Fresh identifiers are
         allocated unless ``ids`` is given.
 
-        The full batch is validated by the store's shared gate *before*
-        it reaches the index-specific path — lazy implementations stage
+        The full batch is validated by :meth:`_validate_insert` (the
+        store's shared gate, unless the index keeps its rows elsewhere)
+        *before* it reaches the index-specific path — lazy implementations stage
         rows long before the store sees them, and a batch that would fail
         the store's checks at merge time must be rejected up front, not
         lost.
         """
         self._check_epoch()
-        lo, hi, ids = self._store.validate_batch(lo, hi, ids)
+        lo, hi, ids = self._validate_insert(lo, hi, ids)
         assigned = self._insert(lo, hi, ids)
         self._seen_epoch = self._store.epoch
         self.stats.inserts += int(assigned.size)
@@ -618,6 +619,12 @@ class MutableSpatialIndex(SpatialIndex):
         buffered rows are already part of the index's answer set.
         """
         return 0
+
+    def _validate_insert(
+        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The insert gate; the default is the store's own."""
+        return self._store.validate_batch(lo, hi, ids)
 
     @abc.abstractmethod
     def _insert(

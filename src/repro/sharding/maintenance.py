@@ -112,10 +112,11 @@ class MaintenanceReport:
     checks:
         Maintenance checks performed (every ``check_every`` ops).
     compaction_passes:
-        Checks on which compaction actually reclaimed rows.
+        Checks on which compaction actually reclaimed rows (a sharded
+        engine's shard primaries, or a plain index's store).
     rows_reclaimed:
-        Logical rows reclaimed by those compactions (mirror tombstones
-        dropped — each deleted row counted once, shard copies excluded).
+        Rows reclaimed by those compactions — each deleted row counted
+        once, where its shard primary drops it (standby copies excluded).
     rebalances:
         Rebalancing passes applied.
     rows_migrated:

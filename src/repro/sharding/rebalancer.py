@@ -26,11 +26,12 @@ Three pieces:
   pass (1) merges the coldest shard away by routing its rows to the
   least-enlargement survivors, then (2) splits the hottest shard's rows
   at the median of the observed query centroids inside it, rebuilding
-  the two halves as fresh shards.  Rows migrate shard-to-shard only;
-  the ingest mirror is untouched, so the ledger / live-fingerprint
-  invariants hold by construction, and the ownership map plus the
-  routing MBBs are re-derived from the migrated stores before the pass
-  returns (stale pruning MBBs must never route an insert).
+  the two halves as fresh shards.  Rows migrate shard-to-shard only,
+  so the union of the shards keeps its live multiset (the ledger /
+  live-fingerprint invariants hold by construction), and the ownership
+  map plus the routing MBBs are re-derived from the migrated stores
+  before the pass returns (stale pruning MBBs must never route an
+  insert).
 
 Scheduling lives in :mod:`repro.sharding.maintenance`: a
 :class:`~repro.sharding.maintenance.MaintenancePolicy` runs
@@ -240,11 +241,11 @@ class Rebalancer:
         Minimum profiled queries before any decision — guards against
         re-tiling on noise right after build or a previous pass.
 
-    A pass preserves every engine invariant: the ingest mirror is not
-    touched (live fingerprint unchanged), pending shard buffers are
-    flushed first so migrated stores hold every owned row, the ownership
-    map is rewritten from the migrated stores, and the stacked routing
-    MBBs are rebuilt before the pass returns.  The engine's
+    A pass preserves every engine invariant: rows only move between
+    shards (the union's live fingerprint is unchanged), pending shard
+    buffers are flushed first so migrated stores hold every owned row,
+    the ownership map is rewritten from the migrated stores, and the
+    stacked routing MBBs are rebuilt before the pass returns.  The engine's
     ``rebalances`` / ``rows_migrated`` stats counters record the work.
     """
 

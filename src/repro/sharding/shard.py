@@ -185,16 +185,26 @@ class Shard:
 
     @property
     def dead_fraction(self) -> float:
-        """Tombstoned fraction of the shard's physical rows (0 when empty).
+        """Tombstoned fraction of the worst live replica's physical rows
+        (0 when empty).
 
         The compaction policy's trigger: the engine compacts a shard
-        once this crosses its ``dead_fraction`` threshold.
+        once this crosses its ``dead_fraction`` threshold.  Replicas
+        share one live multiset but not always one set of tombstones: a
+        standby rebuilt by ledger replay holds the ones its primary
+        already compacted away.
         """
-        return self.store.n_dead / self.store.n if self.store.n else 0.0
+        return max(
+            (r.store.n_dead / r.store.n for r in self.live_replicas() if r.store.n),
+            default=0.0,
+        )
 
     def entombs(self, ids: np.ndarray) -> bool:
-        """Whether a live replica still holds one of ``ids`` tombstoned
-        (its own insert gate would refuse the id until it compacts)."""
+        """Whether a live replica still holds one of ``ids`` tombstoned.
+
+        The engine's only tombstone gate: that replica's own insert gate
+        would refuse the id until it compacts, after the engine had
+        already routed part of the batch."""
         return any(
             r.store.n_dead and bool(np.isin(ids, r.store.ids[~r.store.live]).any())
             for r in self.live_replicas()

@@ -22,17 +22,17 @@ the full :class:`MutableSpatialIndex` contract over the fleet:
 * **Compaction** reclaims the dead space deletes leave behind:
   :meth:`ShardedIndex.maybe_compact` compacts every shard whose
   tombstoned fraction crosses a policy threshold (re-tightening its
-  pruning MBB), while the inherited
-  :meth:`~repro.index.base.MutableSpatialIndex.compact` compacts the
-  mirror and the whole fleet unconditionally.
+  pruning MBB), and :meth:`ShardedIndex.compact` every shard holding a
+  tombstone; both count the rows the shard primaries reclaimed.
 
-The store handed to the constructor remains the engine's *ingest
-mirror*: shards own private copies of their rows (incremental shard
-indexes physically permute them), while every insert is also appended to
-— and every delete tombstoned in — the outer store.  The outer store
-therefore keeps satisfying the documented multiset-of-live-rows
-invariant (ledger checks work unchanged), and the shared id-allocation /
-validation gate stays exact across shards.
+The shards' stores are the engine's rows.  The store handed to the
+constructor is the build input: :meth:`ShardedIndex.build` partitions
+its live rows into private shard copies (incremental shard indexes
+physically permute them), and it is never written again — it only
+hands out fresh ids (``reserve_ids`` / ``claim_ids`` write no rows and
+leave its epoch alone, so a caller who mutates it still fails the epoch
+check).  Explicit insert ids are checked against the engine's own id
+set: the ownership map plus the tombstones live replicas still hold.
 
 Every read — ``execute`` is a batch of one — runs as route → serve →
 merge (:meth:`ShardedIndex.route_batch`, :meth:`ShardedIndex.serve_local`);
@@ -48,8 +48,7 @@ routed query, insert or delete on the coordinating thread.
 The engine also observes its own traffic: every planned query's centroid
 is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
 per-shard load is counted where batches are routed — the same on both
-servers.  When the
-balance factor or query-load skew drifts, a
+servers.  When the balance factor or query-load skew drifts, a
 :class:`~repro.sharding.rebalancer.Rebalancer` splits the hot shard
 along the observed query distribution and merges the coldest one away —
 see :mod:`repro.sharding.rebalancer` for the mechanics and
@@ -93,9 +92,9 @@ class ShardedIndex(MutableSpatialIndex):
     Parameters
     ----------
     store:
-        The data array; partitioned at :meth:`build` time.  Kept as the
-        ingest mirror afterwards (see the module docstring) — shards
-        work on private copies of their rows.
+        The build input; its live rows are partitioned at :meth:`build`
+        time into private shard copies, and it is never written after
+        that (see the module docstring).
     n_shards:
         Number of shards ``K >= 1``.
     index_factory:
@@ -269,15 +268,9 @@ class ShardedIndex(MutableSpatialIndex):
     ) -> Shard:
         """A fresh, fully live shard of this engine's factory and R
         (it takes ownership of the row arrays)."""
+        on_event = self._events.emit if self._events is not None else None
         return Shard(
-            sid,
-            self._factory,
-            self._replication,
-            lo,
-            hi,
-            ids,
-            via_insert,
-            on_event=self._events.emit if self._events is not None else None,
+            sid, self._factory, self._replication, lo, hi, ids, via_insert, on_event
         )
 
     def build(self) -> None:
@@ -309,12 +302,18 @@ class ShardedIndex(MutableSpatialIndex):
             self._stack_hi = np.stack([s.mbb_hi for s in self._shards])
         return self._stack_lo, self._stack_hi
 
+    def _hits(self, query: Query) -> np.ndarray:
+        """Sids whose MBB intersects the window: one vectorized test."""
+        stack_lo, stack_hi = self._mbb_stacks()
+        return np.flatnonzero(
+            boxes_intersect_window(stack_lo, stack_hi, query.lo, query.hi)
+        )
+
     def plan_shards(self, query: Query) -> list[Shard]:
         """Shards whose MBB intersects the window, updating prune counters.
 
         The *routing* half of planning (the cost-estimating half is the
-        inherited :meth:`~repro.index.base.SpatialIndex.plan`).  One
-        vectorized intersection test over the stacked shard MBBs, always
+        inherited :meth:`~repro.index.base.SpatialIndex.plan`), always
         on the coordinating thread.  Each planned window's centroid is
         also recorded in :attr:`profile` — routing is the one spot every
         query goes through exactly once, whoever serves it, so the
@@ -323,10 +322,7 @@ class ShardedIndex(MutableSpatialIndex):
         """
         self._tick_faults()
         self.profile.record(query)
-        stack_lo, stack_hi = self._mbb_stacks()
-        hits = np.flatnonzero(
-            boxes_intersect_window(stack_lo, stack_hi, query.lo, query.hi)
-        )
+        hits = self._hits(query)
         self.stats.shards_visited += int(hits.size)
         self.stats.shards_pruned += self._n_shards - int(hits.size)
         return [self._shards[i] for i in hits]
@@ -411,16 +407,7 @@ class ShardedIndex(MutableSpatialIndex):
             returned = int(ids.size) if ids is not None else count
             self.stats.queries += 1
             self.stats.results_returned += returned
-            out.append(
-                QueryResult(
-                    query=q,
-                    count=count,
-                    ids=ids,
-                    boxes=boxes,
-                    stats=None,
-                    seconds=share,
-                )
-            )
+            out.append(QueryResult(q, count, ids, boxes, stats=None, seconds=share))
         self.sync_shard_work()
         return out
 
@@ -434,25 +421,14 @@ class ShardedIndex(MutableSpatialIndex):
             raise ConfigurationError(
                 "ShardedIndex planned before build(); call build() first"
             )
-        stack_lo, stack_hi = self._mbb_stacks()
-        hits = np.flatnonzero(
-            boxes_intersect_window(stack_lo, stack_hi, query.lo, query.hi)
-        )
-        nodes = 0
-        candidates = 0
-        exact = True
-        for i in hits:
-            sub = self._shards[i].index.plan(query)
-            nodes += sub.nodes
-            candidates += sub.candidates
-            exact = exact and sub.exact
+        subs = [self._shards[i].index.plan(query) for i in self._hits(query)]
         return QueryPlan(
             index=self.name,
             query=query,
-            nodes=nodes,
-            candidates=candidates,
-            shards=int(hits.size),
-            exact=exact,
+            nodes=sum(sub.nodes for sub in subs),
+            candidates=sum(sub.candidates for sub in subs),
+            shards=len(subs),
+            exact=all(sub.exact for sub in subs),
         )
 
     @staticmethod
@@ -501,40 +477,53 @@ class ShardedIndex(MutableSpatialIndex):
     # ------------------------------------------------------------------
     # Updates: shard-aware routing
     # ------------------------------------------------------------------
+    def _validate_insert(
+        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Before :meth:`build`, the input store's gate.  After it, shape
+        and geometry from that gate and explicit ids against the engine's
+        own: taken if repeated in the batch, owned (live or buffered), or
+        still tombstoned in a live replica, whose gate would refuse it
+        mid-route."""
+        if not self._built:
+            return super()._validate_insert(lo, hi, ids)
+        lo, hi, _ = self._store.validate_batch(lo, hi, None)
+        if ids is None:
+            return lo, hi, None
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if ids.shape != (lo.shape[0],):
+            raise DatasetError(
+                f"ids shape {ids.shape} does not match {lo.shape[0]} batch rows"
+            )
+        listed = ids.tolist()
+        if len(set(listed)) < len(listed) or not self._owner.keys().isdisjoint(listed):
+            raise DatasetError("batch ids collide with existing ids")
+        if any(s.entombs(ids) for s in self._shards):
+            raise DatasetError(
+                "batch ids collide with ids still tombstoned in a shard "
+                "(compact() first)"
+            )
+        return lo, hi, ids
+
     def _insert(
         self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray | None
     ) -> np.ndarray:
         if not self._built:
-            # Pre-build rows just join the ingest store; build() sweeps
-            # them into the initial partitioning.
+            # Pre-build rows join the input store; build() partitions them.
             return self._store.append_validated(lo, hi, ids)
         self._tick_faults()
-        # Reject a read-only fleet *before* touching the ingest mirror —
-        # failing after the append would leave the mirror ahead of the
-        # engine's epoch and brick every later query.
         self._require_mutable_shards()
-        # The mirror's shared gate (validate_batch in the base class)
-        # covers live and buffered ids — every id a shard owns was first
-        # appended to the mirror — but not tombstones: a policy pass can
-        # clean the mirror and skip a below-threshold shard whose own
-        # gate still refuses the dead id.  Ask the shards before the
-        # mirror takes the rows.
-        if ids is not None and any(s.entombs(ids) for s in self._shards):
-            raise DatasetError(
-                "batch ids collide with existing ids (still tombstoned in "
-                "a shard the last policy compaction skipped; compact() first)"
-            )
-        assigned = self._store.append_validated(lo, hi, ids)
+        # The input store allocates ids (no rows, no epoch), so the
+        # engine's id stream is the one a Scan over the same input sees.
+        if ids is None:
+            assigned = self._store.reserve_ids(lo.shape[0])
+        else:
+            self._store.claim_ids(ids)
+            assigned = ids
         if not assigned.size:
             return assigned
-        stack_lo, stack_hi = self._mbb_stacks()
-        targets = partitioner.route(
-            lo,
-            hi,
-            stack_lo,
-            stack_hi,
-            np.asarray(self.shard_sizes(), dtype=np.int64),
-        )
+        loads = np.asarray(self.shard_sizes(), dtype=np.int64)
+        targets = partitioner.route(lo, hi, *self._mbb_stacks(), loads)
         for sid in np.unique(targets):
             shard = self._shards[int(sid)]
             mine = targets == sid
@@ -571,100 +560,57 @@ class ShardedIndex(MutableSpatialIndex):
             raise DatasetError(
                 f"cannot delete ids not live in any shard: {missing[:5]}"
             )
-        # Tombstone the ingest mirror first (all-or-nothing with the
-        # ownership check above), then fan the batch out by owner.
-        removed = self._store.delete_ids(np.asarray(id_list, dtype=np.int64))
         by_shard: dict[int, list[int]] = {}
         for obj_id in id_list:
             by_shard.setdefault(self._owner.pop(obj_id), []).append(obj_id)
         for sid, victims in by_shard.items():
             self._shards[sid].apply_delete(np.asarray(victims, dtype=np.int64))
         self.sync_shard_work()
-        return removed
+        return len(id_list)
 
     # ------------------------------------------------------------------
     # Compaction: reclaim dead space shard by shard
     # ------------------------------------------------------------------
     def compact(self) -> int:
-        """Reclaim tombstones across the ingest mirror and the whole fleet.
+        """Compact every shard holding a tombstone in a live replica;
+        returns the rows the shard primaries reclaimed.
 
-        Overrides the inherited verb, whose no-op gate inspects only the
-        engine's own store: a prior partial :meth:`maybe_compact` can
-        compact the mirror while leaving a below-threshold shard
-        tombstoned, and that shard must still be swept here.  Returns
-        the *logical* rows reclaimed — tombstones dropped from the
-        mirror — matching :meth:`maybe_compact`'s accounting: shard-side
-        copies of the same rows are not double-counted, and a row whose
-        mirror tombstone an earlier policy pass already dropped adds
-        nothing again, so totals across calls count each deleted row
-        exactly once.
+        :meth:`maybe_compact` at threshold 0 — the engine has no rows of
+        its own, so the whole-store verb is a loop over the shards too.
         """
-        self._check_epoch()
-        reclaimed = self._store.n_dead
-        # Every live replica, not just the primaries: a standby rebuilt
-        # by ledger replay holds the tombstones the replay re-created.
-        if reclaimed == 0 and not any(
-            r.store.n_dead for s in self._shards for r in s.live_replicas()
-        ):
-            return 0
-        self.on_compaction(self._store.compact())
-        self.stats.compactions += 1
-        return reclaimed
+        return self.maybe_compact(0.0)
 
     def _on_compaction(self, remap: np.ndarray) -> None:
-        """Absorb a full compaction: the mirror is done, now the fleet.
-
-        The engine itself holds no physical positions into the ingest
-        mirror (ownership is id-keyed), so the mirror's remap needs no
-        translation here; each shard compacts its *private* store
-        through its own index hook, and the stacked pruning MBBs are
-        rebuilt from the re-tightened shards.
-        """
-        for shard in self._shards:
-            self._compact_shard(shard)
-        self.sync_shard_work()
-
-    def _compact_shard(self, shard: Shard) -> int:
-        """Compact one shard (all its live replicas); its re-tightened
-        MBB invalidates the stacked routing MBBs."""
-        self._stack_lo = self._stack_hi = None
-        return shard.compact()
+        raise ConfigurationError(
+            "ShardedIndex keeps no rows of its own to remap: the shards "
+            "compact themselves (compact() / maybe_compact())"
+        )
 
     def maybe_compact(self, dead_fraction: float = 0.3) -> int:
-        """Policy-driven compaction; returns the logical rows reclaimed.
+        """Policy-driven compaction; returns the rows the shard
+        primaries reclaimed.
 
         The serving-loop maintenance verb: every shard whose tombstoned
-        fraction exceeds ``dead_fraction`` is compacted (shrinking its
-        pruning MBB and restoring its load counters to live-row
-        reality), and the ingest mirror compacts under the same policy.
-        Shards below the threshold are untouched, so steady-state calls
-        are cheap — sprinkle this between batches instead of scheduling
+        fraction (:attr:`Shard.dead_fraction`, its worst live replica's)
+        exceeds ``dead_fraction`` is compacted, shrinking its pruning
+        MBB and restoring its load counters to live-row reality.  Shards
+        below the threshold are untouched, so steady-state calls are
+        cheap — sprinkle this between batches instead of scheduling
         stop-the-world rebuilds.
-
-        The return value counts tombstones dropped from the *mirror*
-        (each deleted row once, shard-side copies excluded), the same
-        accounting as :meth:`compact`; a pass that only compacted shards
-        therefore returns 0, and those rows are counted by whichever
-        later call drops their mirror tombstones.
         """
         if not 0.0 <= dead_fraction < 1.0:
             raise ConfigurationError(
                 f"dead_fraction must be in [0, 1), got {dead_fraction}"
             )
         self._check_epoch()
-        compacted = 0
-        for shard in self._shards:
-            if shard.store.n and shard.dead_fraction > dead_fraction:
-                compacted += self._compact_shard(shard)
-        reclaimed = 0
-        mirror = self._store
-        if mirror.n and mirror.n_dead / mirror.n > dead_fraction:
-            reclaimed = mirror.n_dead
-            mirror.compact()
-            self._seen_epoch = mirror.epoch
-        if compacted or reclaimed:
-            self.stats.compactions += 1
-            self.sync_shard_work()
+        dirty = [s for s in self._shards if s.dead_fraction > dead_fraction]
+        if not dirty:
+            return 0
+        # Re-tightened shard MBBs invalidate the stacked routing MBBs.
+        self._stack_lo = self._stack_hi = None
+        reclaimed = sum(shard.compact() for shard in dirty)
+        self.stats.compactions += 1
+        self.sync_shard_work()
         return reclaimed
 
     def pending_updates(self) -> int:
@@ -685,8 +631,6 @@ class ShardedIndex(MutableSpatialIndex):
         — the precondition for migrating rows between shards.  Returns
         the total rows merged across the fleet, one count per shard.
         """
-        if not self._built:
-            return 0
         flushed = sum(s.flush_updates() for s in self._shards)
         if flushed:
             self.sync_shard_work()
@@ -695,11 +639,11 @@ class ShardedIndex(MutableSpatialIndex):
     # ------------------------------------------------------------------
     # Rebalancing: shard-to-shard row migration
     # ------------------------------------------------------------------
-    # The verbs below only move rows *between shards*: the ingest mirror
-    # is never touched, so the store epoch, the live (id, box) multiset,
-    # and therefore the ledger/fingerprint invariants are preserved by
-    # construction.  rebuild_shard + finish_rebalance are the engine
-    # half of a :class:`~repro.sharding.rebalancer.Rebalancer` pass.
+    # The verbs below only move rows *between shards*, so the union of
+    # the shards' live rows — the engine's live (id, box) multiset — is
+    # preserved by construction, and the build input is never touched.
+    # rebuild_shard + finish_rebalance are the engine half of a
+    # :class:`~repro.sharding.rebalancer.Rebalancer` pass.
 
     def rebuild_shard(
         self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
@@ -710,15 +654,10 @@ class ShardedIndex(MutableSpatialIndex):
         path (see :func:`~repro.sharding.replication.build_replica`), so
         post-rebuild queries do not re-crack the shard from scratch on
         the serving path.  The new set starts fully live with a fresh
-        ledger whose base snapshot is exactly the new row set —
-        rebuilding is a re-replication point, so any faults on the old
-        set are wiped.
-
-        The shard's pruning MBB is re-derived from the new store (not
-        inherited — a stale MBB would mis-route the very next
-        least-enlargement insert), ownership is rewritten for every row,
-        the stacked routing MBBs are invalidated, and the fleet work
-        totals are recalibrated.
+        ledger — a re-replication point, so faults on the old set are
+        wiped.  The pruning MBB is re-derived from the new store (a stale
+        one would mis-route the next insert), ownership is rewritten for
+        every row, and the fleet work totals are recalibrated.
         """
         # Fold the outgoing indexes' unsynced work before discarding them.
         self.sync_shard_work()
@@ -767,11 +706,7 @@ class ShardedIndex(MutableSpatialIndex):
 
     def dead_replicas(self) -> list[tuple[int, int]]:
         """All currently-dead ``(sid, rid)`` pairs."""
-        return [
-            (shard.sid, rid)
-            for shard in self._shards
-            for rid in shard.dead_rids()
-        ]
+        return [(s.sid, rid) for s in self._shards for rid in s.dead_rids()]
 
     def recover_replica(self, sid: int, rid: int) -> ShardReplica:
         """Ledger-replay one dead replica back to life (needs R > 1).

@@ -87,8 +87,8 @@ METRICS: dict[str, str] = {
     WORKER_RESPAWNS: (
         "counter: worker processes respawned after a crash mid-service"
     ),
-    STORE_LIVE: "gauge: live rows in the engine's store",
-    STORE_DEAD_FRACTION: "gauge: tombstoned fraction of the engine's store",
+    STORE_LIVE: "gauge: live rows across the shards, buffered included",
+    STORE_DEAD_FRACTION: "gauge: tombstoned fraction of the shard primaries' rows",
     SHARDS_BALANCE: "gauge: live-row balance factor (max/mean shard size)",
 }
 

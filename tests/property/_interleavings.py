@@ -5,6 +5,8 @@ all drive an initial dataset through a Hypothesis-drawn interleaving of
 queries and mutations; they differ only in which extra op kinds they mix
 in and how long the streams get.  This module is the single place that
 draws the stream — and the single place that constructs the queries.
+It also holds :func:`shard_union`, the engine-level store the sharded
+suites check their ledgers and fingerprints against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.datasets import BoxStore
 from repro.geometry import Box
 from repro.queries import Query
 
@@ -97,3 +100,25 @@ def full_window(ndim: int) -> Query:
     return Query(
         Box((-1.0,) * ndim, (UNIVERSE_SIDE + 1.0,) * ndim), seq=10_000
     )
+
+
+def shard_union(engine) -> BoxStore:
+    """A sharded engine's rows as one store, without flushing anything.
+
+    Every shard primary's live rows plus the rows its index still holds
+    in an update buffer: the engine keeps no unpartitioned copy, so this
+    union is what its live ``(id, box)`` multiset means.
+    """
+    los, his, ids = [], [], []
+    for shard in engine.shards:
+        store = shard.store
+        live = store.live_rows()
+        los.append(store.lo[live])
+        his.append(store.hi[live])
+        ids.append(store.ids[live])
+        buffer = getattr(shard.index, "_buffer", None)
+        if buffer is not None:
+            los.append(buffer._lo)
+            his.append(buffer._hi)
+            ids.append(buffer.ids)
+    return BoxStore(np.concatenate(los), np.concatenate(his), np.concatenate(ids))

@@ -24,7 +24,8 @@ Invariants, after every single operation:
 * **Id-stream agreement** — inserts assign identical identifiers on
   every engine, so the ledger stays a single source of truth.
 * **Ledger closure** — a final full-window query returns exactly the
-  ledger's live id set on every backend.
+  ledger's live id set on every backend, and the union of each engine's
+  shards holds exactly the ledger's live multiset.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from tests.property._interleavings import (
     SEEDS,
     dataset_and_ops,
     full_window,
+    shard_union,
 )
 
 REPLICATION_FACTORS = (1, 2)
@@ -183,9 +185,9 @@ def test_backends_agree_with_scan_under_interleavings(case):
                 deleted += victims.tolist()
             elif kind == "maybe_compact":
                 for backend, engine in engines.items():
-                    fp = engine.store.live_fingerprint()
+                    fp = shard_union(engine).live_fingerprint()
                     engine.maybe_compact(payload)
-                    assert engine.store.live_fingerprint() == fp, (
+                    assert shard_union(engine).live_fingerprint() == fp, (
                         f"{backend}: policy compaction changed the live multiset"
                     )
             elif kind == "reinsert":
@@ -211,9 +213,9 @@ def test_backends_agree_with_scan_under_interleavings(case):
             else:  # compact
                 scan.compact()
                 for backend, engine in engines.items():
-                    fp = engine.store.live_fingerprint()
+                    fp = shard_union(engine).live_fingerprint()
                     engine.compact()
-                    assert engine.store.live_fingerprint() == fp, (
+                    assert shard_union(engine).live_fingerprint() == fp, (
                         f"{backend}: compaction changed the live multiset"
                     )
 
@@ -226,7 +228,7 @@ def test_backends_agree_with_scan_under_interleavings(case):
                 batch.query_results[0], want, f"{backend} on the full window"
             )
     for engine in engines.values():
-        ledger.assert_matches(engine.store)
+        ledger.assert_matches(shard_union(engine))
 
 
 def _small_engine(replication=1):

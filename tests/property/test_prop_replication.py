@@ -38,6 +38,7 @@ from tests.property._interleavings import (
     SEEDS,
     dataset_and_ops,
     full_window,
+    shard_union,
 )
 
 KINDS = (*BASE_KINDS, "compact", "kill", "kill", "recover")
@@ -128,9 +129,9 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
             assert engine.delete(victims) == count
             ledger.record_delete(victims)
         elif kind == "compact":
-            live_before = engine.store.live_fingerprint()
+            live_before = shard_union(engine).live_fingerprint()
             engine.compact()
-            assert engine.store.live_fingerprint() == live_before, (
+            assert shard_union(engine).live_fingerprint() == live_before, (
                 "compaction changed the live multiset"
             )
         elif kind == "kill":
@@ -178,7 +179,7 @@ def test_replication_preserves_all_invariants(replication, n_shards, case):
     assert np.array_equal(expect, ledger.live_ids())
     assert np.array_equal(np.sort(engine.execute(full).ids), expect)
 
-    ledger.assert_matches(engine.store)
+    ledger.assert_matches(shard_union(engine))
     engine.validate_routing()
     engine.flush_updates()
     _assert_replicas_in_lockstep(engine)

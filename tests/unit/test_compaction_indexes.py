@@ -279,13 +279,12 @@ class TestShardedCompaction:
         engine.build()
         return engine
 
-    def test_full_compaction_compacts_mirror_and_every_shard(self):
+    def test_full_compaction_compacts_every_shard(self):
         engine = self._engine()
         engine.delete(np.arange(0, 120, 2))
         before = np.sort(engine.execute(FULL).ids)
         assert engine.compact() == 60
-        assert engine.stats.compactions == 1  # one event, not K+1
-        assert engine.store.n == engine.store.live_count
+        assert engine.stats.compactions == 1  # one event, not K
         for shard in engine.shards:
             assert shard.store.n == shard.store.live_count
             shard.index.validate_structure()
@@ -295,21 +294,23 @@ class TestShardedCompaction:
     def test_maybe_compact_honors_the_dead_fraction_policy(self):
         engine = self._engine()
         live = engine.store.ids[engine.store.live_rows()]
-        engine.delete(live[:6])  # 5% dead: below the 0.3 threshold
+        engine.delete(live[:6])  # at most 6 of a shard's 30: below 0.3
         assert engine.maybe_compact(0.3) == 0
-        assert engine.store.n_dead == 6
+        assert sum(s.store.n_dead for s in engine.shards) == 6
         engine.delete(live[6:70])
         reclaimed = engine.maybe_compact(0.3)
         assert reclaimed > 0
-        assert engine.store.n == engine.store.live_count
+        # Each deleted row is counted once: reclaimed now or still dead
+        # in a shard below the threshold.
+        assert reclaimed + sum(s.store.n_dead for s in engine.shards) == 70
+        assert all(s.dead_fraction <= 0.3 for s in engine.shards)
         engine.validate_routing()
         assert np.array_equal(np.sort(engine.execute(FULL).ids), np.sort(live[70:]))
 
     def test_compact_sweeps_shards_a_partial_policy_pass_left_dirty(self):
         # Two spatial clusters so the STR shards have very different dead
-        # fractions: the policy pass compacts the hot shard and the
-        # mirror, leaving the cold shard tombstoned behind a clean
-        # mirror — the full verb must still sweep it.
+        # fractions: the policy pass compacts the hot shard only, and
+        # the full verb must still sweep the cold one.
         rng = np.random.default_rng(15)
         left = rng.uniform(0, 20, size=(40, 2))
         right = rng.uniform(70, 90, size=(40, 2))
@@ -317,11 +318,10 @@ class TestShardedCompaction:
         engine = ShardedIndex(BoxStore(lo, lo + 1.0), n_shards=2)
         engine.build()
         engine.delete(np.concatenate([np.arange(30), np.array([41, 42, 43, 44])]))
-        assert engine.maybe_compact(0.3) == 34  # hot shard + mirror
-        assert engine.store.n_dead == 0
+        assert engine.maybe_compact(0.3) == 30  # the hot shard's rows
         assert sum(s.store.n_dead for s in engine.shards) == 4  # cold shard
         before = np.sort(engine.execute(FULL).ids)
-        assert engine.compact() == 0  # those rows were already counted
+        assert engine.compact() == 4  # the cold shard's rows, counted once
         for shard in engine.shards:
             assert shard.store.n == shard.store.live_count
         engine.validate_routing()
@@ -329,12 +329,10 @@ class TestShardedCompaction:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_reinsert_after_a_partial_policy_compaction(self, backend):
-        # The policy pass cleans the mirror (10% dead) and shard 0 (40%)
-        # but skips shard 1 (0.5%), which keeps five tombstones the
-        # mirror no longer knows.  Re-inserting one of those ids used to
-        # pass the mirror's gate, land in the mirror, and only then be
-        # refused by the shard's — leaving the mirror an epoch ahead of
-        # the engine, which failed every later query.
+        # The policy pass cleans shard 0 (40% dead) but skips shard 1
+        # (0.5%), which keeps five tombstones.  Re-inserting one of those
+        # ids must be refused by the engine's gate before anything is
+        # routed — the shard's own gate would refuse it mid-write.
         rng = np.random.default_rng(21)
         lo = rng.uniform(0, 90, size=(4_000, 2))
         hi = lo + rng.uniform(0, 5, size=(4_000, 2))
@@ -355,7 +353,7 @@ class TestShardedCompaction:
             few = engine.shards[1].store.ids[:5].copy()
             victims = np.concatenate([engine.shards[0].store.ids[:400], few])
             assert engine.delete(victims) == scan.delete(victims) == 405
-            assert engine.maybe_compact(0.05) == 405
+            assert engine.maybe_compact(0.05) == 400
             scan.compact()
             assert [s.store.n_dead for s in engine.shards] == [0, 5, 0, 0]
             check(ex)
@@ -366,7 +364,7 @@ class TestShardedCompaction:
             with pytest.raises(DatasetError, match="collide"):
                 engine.insert(old_lo, old_hi, again)
             # Refused before anything was written: still servable.
-            assert engine.store.n == scan.store.n
+            assert sum(engine.shard_sizes()) == scan.store.live_count
             check(ex)
             # Once the shard lets go of the tombstone the id is free.
             engine.compact()
@@ -377,8 +375,8 @@ class TestShardedCompaction:
         engine.validate_routing()
 
     def test_compact_and_maybe_compact_agree_on_accounting(self):
-        # Both verbs count logical rows (mirror tombstones), so for the
-        # same state they report the same number.
+        # Both verbs count the rows the shard primaries reclaimed, so
+        # for the same state they report the same number.
         a = self._engine()
         b = self._engine()
         a.delete(np.arange(50))

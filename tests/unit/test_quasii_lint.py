@@ -46,6 +46,7 @@ def test_registry_holds_the_documented_rule_set():
         # QL002 (compaction hooks) with the mutable baselines: the hook
         # is abstract on MutableSpatialIndex.  Ids are never renumbered.
         "QL001", "QL004", "QL005", "QL006", "QL007", "QL008", "QL009",
+        "QL010",
     ]
     for rule in analysis.all_rules():
         assert rule.id in analysis.RULES
@@ -330,6 +331,49 @@ def test_ql009_reports_a_nested_function_once(tmp_path):
 
 def test_ql009_stays_silent_on_the_live_tree():
     assert run_rules(REPO / "src" / "repro", ["QL009"]) == []
+
+
+# ---------------------------------------------------------------------------
+# QL010 unused imports
+# ---------------------------------------------------------------------------
+def test_ql010_flags_imports_never_read(tmp_path):
+    write_tree(tmp_path, {"mod.py": (
+        "import os\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from typing import Sequence, cast\n"
+        "def f(x):\n"
+        "    from json import dumps, loads\n"
+        "    return cast(int, loads(x))\n"
+    )})
+    tags = sorted(f.tag for f in run_rules(tmp_path, ["QL010"]))
+    assert tags == [
+        "unused:Sequence", "unused:dumps", "unused:np", "unused:os", "unused:xml",
+    ]
+
+
+def test_ql010_accepts_reads_annotations_exports_and_packages(tmp_path):
+    write_tree(tmp_path, {
+        "mod.py": (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from typing import TYPE_CHECKING\n"
+            "from .x import exported\n"
+            "from .y import *\n"
+            "if TYPE_CHECKING:\n"
+            "    from .z import Engine, Plan\n"
+            "__all__ = ['exported']\n"
+            "def f(engine: 'Engine') -> list['Plan']:\n"
+            "    return [os.path.sep, np.int64]\n"
+        ),
+        "pkg/__init__.py": "from .x import unlisted\n",
+    })
+    assert run_rules(tmp_path, ["QL010"]) == []
+
+
+def test_ql010_stays_silent_on_the_live_tree():
+    assert run_rules(REPO / "src" / "repro", ["QL010"]) == []
 
 
 # ---------------------------------------------------------------------------

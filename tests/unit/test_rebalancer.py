@@ -29,6 +29,7 @@ from repro.sharding import (
     WorkloadProfile,
 )
 from repro.sharding.rebalancer import MIN_CENTROIDS, PROFILE_WINDOW
+from tests.property._interleavings import shard_union
 
 
 def _query_at(center, side=4.0, seq=0):
@@ -152,7 +153,7 @@ class TestRebalancer:
         assert result is not None and result.reason == "skew"
         engine.validate_routing()
 
-    def test_rebalance_preserves_results_and_mirror(self):
+    def test_rebalance_preserves_results_and_the_live_multiset(self):
         ds = make_uniform(3_000, seed=3)
         engine = ShardedIndex(ds.store.copy(), n_shards=3)
         engine.build()
@@ -160,10 +161,10 @@ class TestRebalancer:
         queries = uniform_workload(ds.universe, 30, 1e-3, seed=4)
         for q in queries[:15]:
             engine.execute(q)
-        mirror_fp = engine.store.fingerprint()
+        live_fp = shard_union(engine).live_fingerprint()
         result = Rebalancer(min_queries=1).rebalance(engine)
         assert result is not None
-        assert engine.store.fingerprint() == mirror_fp
+        assert shard_union(engine).live_fingerprint() == live_fp
         for q in queries[15:]:
             assert np.array_equal(np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids))
 

@@ -108,11 +108,11 @@ class TestDegenerateR1:
         assert engine.kill_replica(0, 0)
         with pytest.raises(ReplicationError, match="all 1 replicas are dead"):
             engine.execute(_full())
-        rows_before = engine.store.n
+        sizes_before = engine.shard_sizes()
         with pytest.raises(ReplicationError, match="its only replica is dead"):
             engine.insert(np.array([[1.2, 1.2]]), np.array([[2.0, 2.0]]))
-        # Refused before the ingest mirror was touched.
-        assert engine.store.n == rows_before
+        # Refused before any shard was written.
+        assert engine.shard_sizes() == sizes_before
 
     def test_recovery_names_the_missing_replication_stream(self):
         engine = _replicated(n_shards=2)
@@ -264,7 +264,7 @@ class TestRecovery:
         (rec,) = events.recent(kind="replica.recover")
         assert rec.payload["sid"] == 0 and rec.payload["rid"] == 1
         assert rec.payload["replayed_ops"] == 1
-        assert rec.payload["live_rows"] == engine.store.live_count
+        assert rec.payload["live_rows"] == sum(engine.shard_sizes())
 
     def test_diverged_peer_fails_the_fingerprint_check(self):
         engine = _replicated(n_shards=1, replication=2)
@@ -363,6 +363,28 @@ class TestCompactionAcrossReplicas:
         assert standby.store.n_dead == 0
         lo = np.array([[1.2, 1.2]])
         assert np.array_equal(engine.insert(lo, lo + 1.0, victim), victim)
+
+    def test_a_policy_pass_sweeps_a_recovered_standbys_replayed_tombstones(self):
+        # The shard's dead fraction is its worst live replica's: a
+        # standby rebuilt by replay holds tombstones its primary already
+        # compacted away, and only it would refuse their ids.
+        rng = np.random.default_rng(4)
+        lo = rng.uniform(0, 90, size=(4_000, 2))
+        engine = _replicated(BoxStore(lo, lo + 2.0), n_shards=2, replication=2)
+        victims = engine.shards[0].store.ids[:300].copy()
+        engine.delete(victims)
+        assert engine.maybe_compact(0.05) == 300
+        engine.kill_replica(0, 1)
+        engine.recover_replica(0, 1)
+        shard = engine.shards[0]
+        standby = shard.replicas[1]
+        assert shard.store.n_dead == 0 and standby.store.n_dead == 300
+        assert engine.maybe_compact(0.0) == 0  # the primary had none
+        assert standby.store.n_dead == 0
+        again = victims[:1]
+        box = lo[again]
+        assert np.array_equal(engine.insert(box, box + 2.0, again), again)
+        engine.validate_routing()
 
 
 class TestTelemetry:

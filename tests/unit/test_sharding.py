@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError, DatasetError
 from repro.geometry import Box
 from repro.index import SpatialIndex
 from repro.queries import Query, uniform_workload
-from repro.sharding import QueryExecutor, ShardedIndex, partitioner
+from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex, partitioner
 from repro.sharding.executor import BACKENDS
 
 
@@ -141,10 +141,10 @@ class TestShardedIndex:
     def test_delete_unknown_id_raises_and_changes_nothing(self):
         engine = ShardedIndex(_grid_store(4), n_shards=2)
         engine.build()
-        before = engine.store.live_count
+        before = engine.shard_sizes()
         with pytest.raises(DatasetError, match="not live"):
             engine.delete(np.array([999]))
-        assert engine.store.live_count == before
+        assert engine.shard_sizes() == before
         engine.validate_routing()
 
     def test_insert_colliding_live_id_rejected(self):
@@ -189,8 +189,8 @@ class TestShardedIndex:
             engine.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         with pytest.raises(ConfigurationError, match="does not support"):
             engine.delete(np.array([0]))
-        # The rejected updates never touched the ingest mirror: the
-        # engine keeps serving instead of failing epoch checks.
+        # The rejected updates wrote nothing: the engine keeps serving
+        # instead of failing epoch checks.
         assert engine.store.epoch == 0
         assert engine.execute(_window((-1.0, -1.0), (100.0, 100.0), seq=1)).ids.size == 16
 
@@ -226,6 +226,46 @@ class TestShardedIndex:
         engine.build()
         assert engine.balance_factor() == pytest.approx(1.0, abs=0.2)
         assert engine.memory_bytes() > 0
+
+    def test_writes_never_touch_the_build_input(self):
+        # The shards are the store: after build() inserts, deletes,
+        # both compaction verbs and a rebalance reach shard stores only.
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
+        engine.build()
+        input_store = engine.store
+        fingerprint, epoch = input_store.fingerprint(), input_store.epoch
+        new = engine.insert(np.array([[3.0, 3.0]] * 5), np.array([[4.0, 4.0]] * 5))
+        engine.delete(np.concatenate([np.arange(0, 60, 3), new[:2]]))
+        engine.maybe_compact(0.05)
+        engine.compact()
+        engine.execute(_window((0.0, 0.0), (95.0, 45.0)))
+        assert Rebalancer().rebalance(engine) is not None
+        engine.delete(np.array([99]))
+        assert input_store.fingerprint() == fingerprint
+        assert input_store.epoch == epoch
+        engine.validate_routing()
+        assert engine.execute(_window((-1.0, -1.0), (100.0, 100.0), 1)).count == 82
+
+    def test_deleted_original_id_can_be_reinserted_after_compaction(self):
+        # Every victim sits in one shard, so a policy pass compacts that
+        # shard alone; the id is then free although the build input
+        # still lists it.
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
+        engine.build()
+        victims = engine.shards[0].store.ids[:5].copy()
+        assert engine.delete(victims) == 5
+        assert engine.maybe_compact(0.1) == 5
+        again = victims[:1]
+        assert np.array_equal(
+            engine.insert(np.array([[55.0, 55.0]]), np.array([[56.0, 56.0]]), again),
+            again,
+        )
+        engine.validate_routing()
+        hit = engine.execute(_window((54.0, 54.0), (57.0, 57.0))).ids
+        assert int(again[0]) in hit.tolist()
+        # Fresh ids still continue past every id the input store held.
+        fresh = engine.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
+        assert fresh.tolist() == [100]
 
     def test_out_of_band_store_mutation_fails_loudly(self):
         engine = ShardedIndex(_grid_store(4), n_shards=2)

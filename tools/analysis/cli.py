@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant analyzer for the QUASII engine: "
             "mutation/compaction/concurrency discipline, dtype and "
-            "telemetry-vocabulary checks (rules QL001..QL009)."
+            "telemetry-vocabulary checks (rules QL001..QL010)."
         ),
     )
     parser.add_argument(

@@ -32,6 +32,7 @@ __all__ = [
     "SourceFile",
     "analyze",
     "flatten_targets",
+    "literal_strings",
     "self_assign_targets",
 ]
 
@@ -350,6 +351,18 @@ def self_assign_targets(
                 ):
                     attrs.add(leaf.attr)
     return attrs
+
+
+def literal_strings(node: ast.expr) -> list[str]:
+    """The string constants of a list/tuple literal (``__all__``)."""
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return [
+            element.value
+            for element in node.elts
+            if isinstance(element, ast.Constant)
+            and isinstance(element.value, str)
+        ]
+    return []
 
 
 def flatten_targets(target: ast.expr) -> Iterator[ast.expr]:

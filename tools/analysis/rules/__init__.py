@@ -48,5 +48,5 @@ def all_rules() -> list[Rule]:
 
 # Importing the modules populates the registry.
 from . import (  # noqa: E402,F401
-    ql001, ql004, ql005, ql006, ql007, ql008, ql009,
+    ql001, ql004, ql005, ql006, ql007, ql008, ql009, ql010,
 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 
-from ..core import AnalysisConfig, Finding, RepoIndex
+from ..core import AnalysisConfig, Finding, RepoIndex, literal_strings
 from . import register
 
 
@@ -49,7 +49,7 @@ class ExportDiscipline:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             if target.id == "__all__":
-                                dunder_all = _literal_strings(node.value)
+                                dunder_all = literal_strings(node.value)
                                 all_lineno = node.lineno
                             else:
                                 defined[target.id] = node.lineno
@@ -109,14 +109,3 @@ class ExportDiscipline:
                     )
                 )
         return findings
-
-
-def _literal_strings(node: ast.expr) -> list[str]:
-    if isinstance(node, (ast.List, ast.Tuple)):
-        return [
-            element.value
-            for element in node.elts
-            if isinstance(element, ast.Constant)
-            and isinstance(element.value, str)
-        ]
-    return []
