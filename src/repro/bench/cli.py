@@ -7,7 +7,7 @@ Examples::
     quasii-bench all --scale small        # every figure at default scale
     quasii-bench soak --smoke             # latency-over-time serving soak
     quasii-bench soak --smoke --serve-metrics 9464  # + live /metrics endpoint
-    quasii-bench soak --smoke --chaos     # + replica kills, oracle-verified
+    quasii-bench soak --smoke --chaos     # + worker SIGKILLs, oracle-verified
     quasii-bench soak --json-out results  # also persist BENCH_soak.json
 
 Reports print to stdout.  With ``--json-out DIR`` each run is also
@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help=(
-            "soak only: serve from replicated shards, kill a replica every "
-            "soak.chaos_every ops (self-healing by ledger replay), "
+            "soak only: serve through the processes backend, SIGKILL a "
+            "worker every soak.chaos_every ops (the pool respawns it), "
             "and verify every query against a Scan oracle"
         ),
     )

@@ -12,8 +12,8 @@ The serving engine is measured elsewhere: ``benchmarks/ledger/`` (1M
 boxes, brute-force oracle, bounds enforced by ``compare.py``) owns
 throughput, latency and the per-layer breakdown.  The one engine verb
 here is ``soak`` (:mod:`repro.bench.soak`), which reports what the
-ledger does not — a windowed trajectory under rebalancing and replica
-kills.
+ledger does not — a windowed trajectory under rebalancing and worker
+SIGKILLs.
 
 Run via ``python -m repro.bench <experiment> [--scale small]`` or the
 ``quasii-bench`` console script; programmatic access through

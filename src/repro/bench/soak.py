@@ -4,7 +4,8 @@ The one serving-engine verb in ``repro.bench``.  Throughput, latency and
 the per-layer breakdown of the engine are the ledger's job
 (``benchmarks/ledger/``, 1M boxes, bounds enforced); the soak stays
 because it reports what the ledger does not: the ledger runs
-``rebalance=False`` and R = 1 and reports one aggregate per workload,
+``rebalance=False``, never kills a worker, and reports one aggregate
+per workload,
 while a serving engine's real behavior is a *trajectory* — p99 is fine
 until a compaction pass stalls the loop for 40 ms, and an aggregate over
 the whole run averages the stall away.  The soak drives a time-bounded
@@ -29,6 +30,9 @@ engine call is timed.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -38,6 +42,7 @@ import numpy as np
 from repro.baselines.scan import ScanIndex
 from repro.bench.reporting import ExperimentReport
 from repro.datasets.generators import make_uniform
+from repro.parallel.pool import WORKER_NAME_PREFIX
 from repro.queries.query import Query
 from repro.queries.workloads import WorkloadOp, drifting_hotspot_workload
 from repro.sharding.executor import QueryExecutor
@@ -57,6 +62,7 @@ from repro.telemetry.naming import (
     SHARDS_BALANCE,
     STORE_DEAD_FRACTION,
     STORE_LIVE,
+    WORKER_RESPAWNS,
     record_stats_delta,
     stats_metric,
 )
@@ -78,7 +84,6 @@ QUERY_FRACTION = 1e-4
 INSERT_EVERY = 3          # every Nth op inserts a batch ...
 INSERT_BATCH = 64         # ... of this many boxes
 DELETE_EVERY = 25         # ops between delete storms
-CHAOS_REPLICATION = 2     # replicas per shard under ``chaos``
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ class SoakScale:
     ops: int = 1200             # generated op-cycle length
     delete_batch: int = 2000    # rows tombstoned per storm
     slow_ms: float = 10.0       # slow-query event threshold (ms)
-    chaos_every: int = 150      # executed ops between replica kills
+    chaos_every: int = 150      # executed ops between worker kills
 
 
 def _soak_ops(universe, sizing: SoakScale, seed: int) -> list[WorkloadOp]:
@@ -141,31 +146,26 @@ def soak_experiment(
     report ends with the slowest of them, fully attributed.
 
     With ``chaos`` on (the CLI's ``--chaos`` flag), the engine serves
-    from ``CHAOS_REPLICATION`` replicas per shard, a
-    deterministic replica kill fires every ``scale.soak.chaos_every``
-    executed ops (always leaving each shard at least one live replica),
-    and the maintenance scheduler heals corpses by ledger replay
-    (``recover_replicas=True``).  Every query's result is verified
-    against a Scan oracle — the run reports the mismatch count (which
-    must be zero) next to the kill/recovery tallies, so the chaos soak
-    doubles as an end-to-end correctness harness under failure.
+    through the ``processes`` backend and every ``scale.soak.chaos_every``
+    executed ops one of its worker processes, chosen by a seeded RNG, is
+    SIGKILLed between batches; the pool respawns it and republishes its
+    shards from the driver at the next batch that needs it.  Every
+    query's result is verified against a Scan oracle — the run reports
+    the mismatch count (which must be zero) next to the kill and respawn
+    tallies, so the chaos soak doubles as an end-to-end correctness
+    harness under failure.
     """
     report = ExperimentReport(
         "soak",
         "Steady-state serving soak: windowed latency histograms with "
         "maintenance-pause span attribution (drifting hotspot + "
         "ingestion bursts + delete storms, maintenance on"
-        + (", replica-kill chaos with oracle verification" if chaos else "")
+        + (", worker-SIGKILL chaos with oracle verification" if chaos else "")
         + ")",
     )
     sizing = scale.soak
-    replication = CHAOS_REPLICATION if chaos else 1
     ds = make_uniform(sizing.n_objects, seed=scale.seed)
-    engine = ShardedIndex(
-        ds.store.copy(),
-        n_shards=sizing.n_shards,
-        replication=replication,
-    )
+    engine = ShardedIndex(ds.store.copy(), n_shards=sizing.n_shards)
     engine.build()
     # The oracle's store starts as the same copy, so both sides assign
     # identical id streams and every query is exactly comparable.
@@ -178,11 +178,12 @@ def soak_experiment(
         max_balance=1.2,
         max_query_skew=2.5,
         min_queries=16,
-        recover_replicas=chaos,
     )
     executor = QueryExecutor(
         engine,
         max_workers=2,
+        # Only the process tier has a worker to kill.
+        backend="processes" if chaos else None,
         maintenance=policy,
         telemetry=telemetry,
         events=events,
@@ -227,16 +228,22 @@ def soak_experiment(
         pending.clear()
 
     def chaos_tick() -> None:
-        # Deterministic periodic kill: a random live replica of a random
-        # shard, but never the shard's last one — availability outages
-        # are the fault-injection suites' territory; the chaos soak
-        # proves *degraded* serving stays correct while healing.
+        # SIGKILL one live worker between batches, found by its process
+        # name among this process's children; the pool notices at its
+        # next send/recv to that worker.
         flush_queries()
-        sid = int(chaos_rng.integers(engine.n_shards))
-        live = engine.shards[sid].live_replicas()
-        if len(live) >= 2:
-            rid = int(chaos_rng.choice([r.rid for r in live]))
-            engine.kill_replica(sid, rid)
+        workers = sorted(
+            (
+                p
+                for p in multiprocessing.active_children()
+                if p.name.startswith(WORKER_NAME_PREFIX)
+            ),
+            key=lambda p: p.name,
+        )
+        if workers:
+            victim = workers[int(chaos_rng.integers(len(workers)))]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
             chaos_state["kills"] += 1
 
     def write_tick(op: WorkloadOp, seq: int) -> None:
@@ -292,6 +299,7 @@ def soak_experiment(
             recorder.tick(now)
         flush_queries()
     finally:
+        executor.close()
         if server is not None:
             server.stop()
     now = time.perf_counter()
@@ -485,19 +493,13 @@ def soak_experiment(
             f"{events.dropped} event(s) dropped past the event-log ring "
             "(emitted counter still complete)"
         )
-    replica_events: dict[str, int] = {}
+    respawns = registry.counter(WORKER_RESPAWNS).value
     if chaos:
-        for record in events.recent():
-            if record.kind.startswith("replica."):
-                replica_events[record.kind] = (
-                    replica_events.get(record.kind, 0) + 1
-                )
         report.add_note(
-            f"chaos: {chaos_state['kills']} replica kill(s), "
-            f"{scheduler.report.replicas_recovered} ledger-replay "
-            f"recover(ies); {chaos_state['verified']} quer(ies) verified "
-            f"against the Scan oracle with {chaos_state['mismatches']} "
-            "mismatch(es)"
+            f"chaos: {chaos_state['kills']} worker SIGKILL(s), "
+            f"{respawns} respawn(s); {chaos_state['verified']} quer(ies) "
+            f"verified against the Scan oracle with "
+            f"{chaos_state['mismatches']} mismatch(es)"
         )
 
     # -- machine-readable trajectory --------------------------------------
@@ -528,12 +530,10 @@ def soak_experiment(
         "slow_queries": [e.to_dict() for e in top_slow],
         "chaos": {
             "enabled": chaos,
-            "replication": replication,
             "kills": chaos_state["kills"],
-            "recoveries": scheduler.report.replicas_recovered,
+            "respawns": respawns,
             "verified_queries": chaos_state["verified"],
             "mismatches": chaos_state["mismatches"],
-            "replica_events": replica_events,
         },
         "events": {
             "emitted": events.emitted,

@@ -29,10 +29,6 @@ class QueryError(ReproError):
     """Raised when a query is malformed or incompatible with an index."""
 
 
-class ReplicationError(ReproError):
-    """Raised when a replicated shard cannot serve (e.g. all replicas dead)."""
-
-
 class ParallelError(ReproError):
     """Raised when the process-parallel serving tier fails unrecoverably
     (e.g. a worker process keeps dying faster than it can be respawned)."""

@@ -14,9 +14,9 @@ the pool:
    rows in a small delta segment, deleted ids and compaction markers in
    the message — which the worker replays on its warm index: a write
    costs what it changed.  A full publish recurs only where physical
-   identity changes or the worker's state is gone: another primary
-   store (a rebalance rebuild, a failover), a respawned worker, one
-   that answered ``err``, a log that outgrew its base.  The driver's
+   identity changes or the worker's state is gone: another shard store
+   (a rebalance rebuild), a respawned worker, one that answered
+   ``err``, a log that outgrew its base.  The driver's
    shard store, flushed on every sync, stays the authoritative copy; no
    delta history is kept.
 2. **Dispatches and collects** — sends the sub-batch, decodes result
@@ -63,13 +63,16 @@ if TYPE_CHECKING:
     from repro.telemetry import Telemetry
     from repro.telemetry.events import EventLog
 
-__all__ = ["ProcessPool"]
+__all__ = ["WORKER_NAME_PREFIX", "ProcessPool"]
 
 #: Pipe-level failures that mean "the worker process is gone".
 _PIPE_ERRORS = (BrokenPipeError, ConnectionResetError, EOFError, OSError)
 
 #: Respawns tolerated for one worker within one batch before giving up.
 _MAX_RESPAWNS_PER_BATCH = 3
+
+#: Worker ``wid``'s process name is this prefix plus the wid.
+WORKER_NAME_PREFIX = "quasii-shard-worker-"
 
 
 def _start_method() -> str:
@@ -161,7 +164,7 @@ class ProcessPool:
         process = process_cls(
             target=worker_main,
             args=(child_conn, wid, True),
-            name=f"quasii-shard-worker-{wid}",
+            name=f"{WORKER_NAME_PREFIX}{wid}",
             daemon=True,
         )
         process.start()
@@ -225,12 +228,12 @@ class ProcessPool:
         every routed row, and a driver store that physically holds every
         row its worker's does also holds every tombstone the worker's
         does — the worker's id gate never refuses what the driver's
-        admitted.  The worker mirrors the shard's primary; replicas
-        share one live multiset and one op log, so after a failover the
-        new primary's store is simply a new base.
+        admitted.  A shard whose store is not the one its base was cut
+        from (a rebalance rebuilt it), or whose worker lost its copy
+        (:meth:`_drop`), gets a new base.
         """
         shard = self._index.shards[sid]
-        store = shard.serving().store
+        store = shard.store
         shard.flush_updates()
         segment = self._segments.get(sid)
         log = shard.oplog

@@ -312,10 +312,10 @@ class SharedStoreView:
 class ShardSegment:
     """Driver-side record of one published segment (the owning handle).
 
-    A base also remembers the shard's primary
+    A base also remembers the shard's
     :class:`~repro.datasets.store.BoxStore` it was published from: a
-    rebalance rebuild or a failover puts another store in its place, and
-    with it every row's physical identity — what no delta can describe.
+    rebalance rebuild puts another store in its place, and with it every
+    row's physical identity — what no delta can describe.
     """
 
     __slots__ = ("spec", "shm", "store_token")

@@ -18,10 +18,9 @@ touched by one thread; the only thing a backend chooses is *who serves*:
     ``max_workers`` workers answering from shared-memory snapshots —
     the one way shard work overlaps.
 
-Both serve each shard's *primary* replica and both compose with any
-``replication``: replicas share one live multiset, so the only thing a
-failover changes for a worker is which physical store its base was cut
-from, and the pool cuts a new one.
+Both serve each shard's one store+index: the driver's shard store is
+what a worker's base is cut from, so a worker that dies is respawned
+and handed a new base (:class:`~repro.parallel.pool.ProcessPool`).
 
 An explicit ``backend=`` argument wins; otherwise
 ``QUASII_EXECUTOR_BACKEND`` is honored when the resolved ``max_workers``
@@ -212,8 +211,6 @@ class QueryExecutor:
         )
         self._events = events
         self._slow_query_threshold = slow_query_threshold
-        if events is not None:
-            index.attach_event_log(events)
         self._scheduler = (
             MaintenanceScheduler(
                 index,

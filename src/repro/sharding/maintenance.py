@@ -64,12 +64,6 @@ class MaintenancePolicy:
     min_queries:
         Profiled queries required before the first pass after (re)build
         or a previous pass; guards against re-tiling on noise.
-    recover_replicas:
-        Whether maintenance checks heal dead replicas of a sharded
-        engine (ledger replay via ``recover_all``; needs
-        ``replication > 1``).  Irrelevant for plain indexes; ``False``
-        leaves recovery to explicit calls (fault-injection tests want
-        the corpse to stay dead).
     """
 
     check_every: int = 64
@@ -78,7 +72,6 @@ class MaintenancePolicy:
     max_balance: float = 1.5
     max_query_skew: float = 2.5
     min_queries: int = 64
-    recover_replicas: bool = False
 
     def __post_init__(self) -> None:
         if self.check_every < 1:
@@ -113,17 +106,14 @@ class MaintenanceReport:
         Maintenance checks performed (every ``check_every`` ops).
     compaction_passes:
         Checks on which compaction actually reclaimed rows (a sharded
-        engine's shard primaries, or a plain index's store).
+        engine's shards, or a plain index's store).
     rows_reclaimed:
         Rows reclaimed by those compactions — each deleted row counted
-        once, where its shard primary drops it (standby copies excluded).
+        once, where its shard drops it.
     rebalances:
         Rebalancing passes applied.
     rows_migrated:
         Rows whose owning shard changed across those passes.
-    replicas_recovered:
-        Dead replicas healed by ledger replay during checks (only with
-        ``policy.recover_replicas`` on a sharded engine).
     seconds:
         Wall-clock spent inside maintenance (off the per-query timings;
         the amortized price of staying tight).
@@ -136,7 +126,6 @@ class MaintenanceReport:
     rows_reclaimed: int = 0
     rebalances: int = 0
     rows_migrated: int = 0
-    replicas_recovered: int = 0
     seconds: float = 0.0
     last_rebalance: RebalanceResult | None = field(default=None, repr=False)
 
@@ -268,19 +257,7 @@ class MaintenanceScheduler:
                             seconds=time.perf_counter() - tr,
                             check=self.report.checks,
                         )
-            recovered = 0
-            if self.policy.recover_replicas and isinstance(index, ShardedIndex):
-                # Self-healing: ledger-replay every dead replica back to
-                # life.  Last in the check so recovery fingerprints
-                # compare against already-compacted, already-rebalanced
-                # peers.
-                recovered = index.recover_all()
-                self.report.replicas_recovered += recovered
-            check.set(
-                rows_reclaimed=reclaimed,
-                rows_migrated=rows_migrated,
-                replicas_recovered=recovered,
-            )
+            check.set(rows_reclaimed=reclaimed, rows_migrated=rows_migrated)
         self.report.seconds += time.perf_counter() - t0
         return self.report
 

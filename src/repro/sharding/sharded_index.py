@@ -23,7 +23,7 @@ the full :class:`MutableSpatialIndex` contract over the fleet:
   :meth:`ShardedIndex.maybe_compact` compacts every shard whose
   tombstoned fraction crosses a policy threshold (re-tightening its
   pruning MBB), and :meth:`ShardedIndex.compact` every shard holding a
-  tombstone; both count the rows the shard primaries reclaimed.
+  tombstone; both count the rows the shards reclaimed.
 
 The shards' stores are the engine's rows.  The store handed to the
 constructor is the build input: :meth:`ShardedIndex.build` partitions
@@ -32,18 +32,14 @@ physically permute them), and it is never written again — it only
 hands out fresh ids (``reserve_ids`` / ``claim_ids`` write no rows and
 leave its epoch alone, so a caller who mutates it still fails the epoch
 check).  Explicit insert ids are checked against the engine's own id
-set: the ownership map plus the tombstones live replicas still hold.
+set: the ownership map plus the tombstones the shards still hold.
 
 Every read — ``execute`` is a batch of one — runs as route → serve →
 merge (:meth:`ShardedIndex.route_batch`, :meth:`ShardedIndex.serve_local`);
 the :class:`~repro.sharding.executor.QueryExecutor` drives the same
 halves and can swap the in-thread server for worker processes.
 
-Every shard keeps ``replication`` replicas (default 1; see
-:mod:`repro.sharding.shard` for the serving primary, the write stream,
-failover and recovery), and the engine owns the fault seam: a
-:class:`~repro.sharding.replication.FaultInjector` is ticked once per
-routed query, insert or delete on the coordinating thread.
+Every shard is one store plus one index (:mod:`repro.sharding.shard`).
 
 The engine also observes its own traffic: every planned query's centroid
 is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
@@ -64,20 +60,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.datasets.store import BoxStore
-from repro.errors import ConfigurationError, DatasetError, ReplicationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.geometry.predicates import boxes_intersect_window
 from repro.index.base import WORK_COUNTERS, MutableSpatialIndex, SpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
 from repro.sharding import partitioner
 from repro.sharding.rebalancer import WorkloadProfile
-from repro.sharding.replication import (
-    Fault,
-    FaultInjector,
-    IndexFactory,
-    ShardReplica,
-)
-from repro.sharding.shard import Shard
-from repro.telemetry.events import EventLog
+from repro.sharding.shard import IndexFactory, Shard
 
 
 def _default_factory(store: BoxStore) -> SpatialIndex:
@@ -98,22 +87,9 @@ class ShardedIndex(MutableSpatialIndex):
     n_shards:
         Number of shards ``K >= 1``.
     index_factory:
-        Callable building one index per replica store (so replicas are
+        Callable building one index per shard store (so shards are
         structurally homogeneous); defaults to
         :class:`~repro.core.quasii.QuasiiIndex`.
-    replication:
-        Replicas per shard ``R >= 1``: one serving primary plus
-        ``R - 1`` standbys.  Only with ``R > 1`` do shards keep a
-        replication stream, so at the default 1 a killed replica cannot
-        be recovered.
-    fault_injector:
-        Optional :class:`~repro.sharding.replication.FaultInjector`,
-        ticked once per engine operation (query routing, insert,
-        delete) on the coordinating thread; due faults are applied
-        before the operation proceeds.
-    events:
-        Optional :class:`~repro.telemetry.events.EventLog` receiving
-        the canonical ``replica.*`` events.
 
     Examples
     --------
@@ -133,21 +109,11 @@ class ShardedIndex(MutableSpatialIndex):
         store: BoxStore,
         n_shards: int = 4,
         index_factory: IndexFactory | None = None,
-        replication: int = 1,
-        fault_injector: FaultInjector | None = None,
-        events: EventLog | None = None,
     ) -> None:
         super().__init__(store)
         if n_shards < 1:
             raise ConfigurationError(f"need n_shards >= 1, got {n_shards}")
-        if replication < 1:
-            raise ConfigurationError(
-                f"need replication >= 1, got {replication}"
-            )
         self._n_shards = int(n_shards)
-        self._replication = int(replication)
-        self._fault_injector = fault_injector
-        self._events = events
         self._factory: IndexFactory = index_factory or _default_factory
         self._shards: list[Shard] = []
         #: id -> owning shard sid, maintained for every *live* object.
@@ -165,12 +131,7 @@ class ShardedIndex(MutableSpatialIndex):
         #: :class:`~repro.sharding.rebalancer.Rebalancer`'s drift
         #: detection and its query-driven split cut.
         self.profile = WorkloadProfile()
-        tiling = f"strx{self._n_shards}"
-        self.name = (
-            f"Replicated[{tiling}xR{self._replication}]"
-            if self._replication > 1
-            else f"Sharded[{tiling}]"
-        )
+        self.name = f"Sharded[strx{self._n_shards}]"
 
     def sync_shard_work(self) -> None:
         """Fold the fleet's work counters into this engine's stats.
@@ -189,9 +150,9 @@ class ShardedIndex(MutableSpatialIndex):
     def _rebaseline_work(self) -> None:
         """Restart the fleet work totals from the indexes as they are.
 
-        A rebuilt shard or a recovered replica starts with zeroed index
-        counters; :meth:`sync_shard_work` must never see that as a
-        negative delta.  Callers sync first, so nothing is lost.
+        A rebuilt shard starts with zeroed index counters;
+        :meth:`sync_shard_work` must never see that as a negative delta.
+        Callers sync first, so nothing is lost.
         """
         for name in WORK_COUNTERS:
             self._work_seen[name] = sum(
@@ -210,19 +171,6 @@ class ShardedIndex(MutableSpatialIndex):
     def shards(self) -> tuple[Shard, ...]:
         """The shard fleet (read-only view; built after :meth:`build`)."""
         return tuple(self._shards)
-
-    @property
-    def replication(self) -> int:
-        """Replicas per shard."""
-        return self._replication
-
-    def attach_event_log(self, events: EventLog) -> None:
-        """Attach an event log for ``replica.*`` events (keeps an
-        already-attached log — the constructor wins over the executor)."""
-        if self._events is None:
-            self._events = events
-            for shard in self._shards:
-                shard.on_event = events.emit
 
     def owner_of(self, obj_id: int) -> int:
         """Owning shard sid of a live object id (raises if not live)."""
@@ -258,23 +206,8 @@ class ShardedIndex(MutableSpatialIndex):
     # ------------------------------------------------------------------
     # Build: partition + per-shard index construction
     # ------------------------------------------------------------------
-    def _make_shard(
-        self,
-        sid: int,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        ids: np.ndarray,
-        via_insert: bool = False,
-    ) -> Shard:
-        """A fresh, fully live shard of this engine's factory and R
-        (it takes ownership of the row arrays)."""
-        on_event = self._events.emit if self._events is not None else None
-        return Shard(
-            sid, self._factory, self._replication, lo, hi, ids, via_insert, on_event
-        )
-
     def build(self) -> None:
-        """Partition the store's live rows and build R replicas per shard."""
+        """Partition the store's live rows and build one index per shard."""
         if self._built:
             return
         store = self._store
@@ -283,9 +216,7 @@ class ShardedIndex(MutableSpatialIndex):
         for sid in range(self._n_shards):
             mine = rows[owners == sid]
             self._shards.append(
-                self._make_shard(
-                    sid, store.lo[mine], store.hi[mine], store.ids[mine]
-                )
+                Shard(sid, self._factory, store.lo[mine], store.hi[mine], store.ids[mine])
             )
         ids = store.ids[rows]
         self._owner = dict(zip(ids.tolist(), owners.tolist()))
@@ -317,10 +248,8 @@ class ShardedIndex(MutableSpatialIndex):
         on the coordinating thread.  Each planned window's centroid is
         also recorded in :attr:`profile` — routing is the one spot every
         query goes through exactly once, whoever serves it, so the
-        observed-traffic record stays exact — and, for the same reason,
-        the spot where the fault clock ticks.
+        observed-traffic record stays exact.
         """
-        self._tick_faults()
         self.profile.record(query)
         hits = self._hits(query)
         self.stats.shards_visited += int(hits.size)
@@ -332,9 +261,8 @@ class ShardedIndex(MutableSpatialIndex):
 
         The one routing loop — every batch, whoever serves it, is
         planned here on the coordinating thread, so each query moves the
-        prune counters, the traffic profile (its window in
-        :meth:`plan_shards`, its per-shard count here) and the fault
-        clock exactly once.
+        prune counters and the traffic profile (its window in
+        :meth:`plan_shards`, its per-shard count here) exactly once.
         """
         if not self._built:
             raise ConfigurationError(
@@ -358,13 +286,12 @@ class ShardedIndex(MutableSpatialIndex):
         candidate matrices and QUASII shards amortize their merges — and
         the call is timed, so shard skew is as visible here as behind
         :meth:`~repro.parallel.pool.ProcessPool.run_batch`, which returns
-        the same shape.  The primary answers (:meth:`Shard.serving`
-        refuses a shard with no live replica).
+        the same shape.
         """
         served: dict[int, tuple[list[int], list[QueryResult], float]] = {}
         for sid, idxs in queues.items():
             w0 = time.perf_counter()
-            sub = self._shards[sid].serving().index.execute_batch(
+            sub = self._shards[sid].index.execute_batch(
                 [queries[i] for i in idxs]
             )
             served[sid] = (idxs, sub, time.perf_counter() - w0)
@@ -483,7 +410,7 @@ class ShardedIndex(MutableSpatialIndex):
         """Before :meth:`build`, the input store's gate.  After it, shape
         and geometry from that gate and explicit ids against the engine's
         own: taken if repeated in the batch, owned (live or buffered), or
-        still tombstoned in a live replica, whose gate would refuse it
+        still tombstoned in a shard, whose gate would refuse it
         mid-route."""
         if not self._built:
             return super()._validate_insert(lo, hi, ids)
@@ -511,7 +438,6 @@ class ShardedIndex(MutableSpatialIndex):
         if not self._built:
             # Pre-build rows join the input store; build() partitions them.
             return self._store.append_validated(lo, hi, ids)
-        self._tick_faults()
         self._require_mutable_shards()
         # The input store allocates ids (no rows, no epoch), so the
         # engine's id stream is the one a Scan over the same input sees.
@@ -542,17 +468,10 @@ class ShardedIndex(MutableSpatialIndex):
                     f"shard index {shard.index.name!r} does not support "
                     "updates; use a MutableSpatialIndex factory"
                 )
-            if shard.ledger is None and not shard.replicas[0].alive:
-                raise ReplicationError(
-                    f"shard {shard.sid}: its only replica is dead and an "
-                    "R=1 shard keeps no replication stream, so a write "
-                    "routed there would be lost"
-                )
 
     def _delete(self, ids: np.ndarray) -> int:
         if not self._built:
             return self._store.delete_ids(ids)
-        self._tick_faults()
         self._require_mutable_shards()
         id_list = np.unique(ids).tolist()
         missing = [i for i in id_list if i not in self._owner]
@@ -572,8 +491,8 @@ class ShardedIndex(MutableSpatialIndex):
     # Compaction: reclaim dead space shard by shard
     # ------------------------------------------------------------------
     def compact(self) -> int:
-        """Compact every shard holding a tombstone in a live replica;
-        returns the rows the shard primaries reclaimed.
+        """Compact every shard holding a tombstone; returns the rows
+        reclaimed.
 
         :meth:`maybe_compact` at threshold 0 — the engine has no rows of
         its own, so the whole-store verb is a loop over the shards too.
@@ -587,16 +506,15 @@ class ShardedIndex(MutableSpatialIndex):
         )
 
     def maybe_compact(self, dead_fraction: float = 0.3) -> int:
-        """Policy-driven compaction; returns the rows the shard
-        primaries reclaimed.
+        """Policy-driven compaction; returns the rows the shards
+        reclaimed.
 
         The serving-loop maintenance verb: every shard whose tombstoned
-        fraction (:attr:`Shard.dead_fraction`, its worst live replica's)
-        exceeds ``dead_fraction`` is compacted, shrinking its pruning
-        MBB and restoring its load counters to live-row reality.  Shards
-        below the threshold are untouched, so steady-state calls are
-        cheap — sprinkle this between batches instead of scheduling
-        stop-the-world rebuilds.
+        fraction (:attr:`Shard.dead_fraction`) exceeds ``dead_fraction``
+        is compacted, shrinking its pruning MBB and restoring its load
+        counters to live-row reality.  Shards below the threshold are
+        untouched, so steady-state calls are cheap — sprinkle this
+        between batches instead of scheduling stop-the-world rebuilds.
         """
         if not 0.0 <= dead_fraction < 1.0:
             raise ConfigurationError(
@@ -627,8 +545,7 @@ class ShardedIndex(MutableSpatialIndex):
         The fleet-wide form of
         :meth:`~repro.index.base.MutableSpatialIndex.flush_updates`:
         after it returns, every owned row is physically present in its
-        shard's store (in every live replica's, see :meth:`Shard.flush_updates`)
-        — the precondition for migrating rows between shards.  Returns
+        shard's store — the precondition for migrating rows between shards.  Returns
         the total rows merged across the fleet, one count per shard.
         """
         flushed = sum(s.flush_updates() for s in self._shards)
@@ -648,21 +565,19 @@ class ShardedIndex(MutableSpatialIndex):
     def rebuild_shard(
         self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     ) -> None:
-        """Replace shard ``sid`` with a fresh replica set over the rows.
+        """Replace shard ``sid`` with a fresh shard over the rows.
 
         Mutable shard indexes are rebuilt through their own insert/flush
-        path (see :func:`~repro.sharding.replication.build_replica`), so
-        post-rebuild queries do not re-crack the shard from scratch on
-        the serving path.  The new set starts fully live with a fresh
-        ledger — a re-replication point, so faults on the old set are
-        wiped.  The pruning MBB is re-derived from the new store (a stale
+        path (``via_insert``, see :class:`~repro.sharding.shard.Shard`),
+        so post-rebuild queries do not re-crack the shard from scratch
+        on the serving path.  The pruning MBB is re-derived from the new store (a stale
         one would mis-route the next insert), ownership is rewritten for
         every row, and the fleet work totals are recalibrated.
         """
         # Fold the outgoing indexes' unsynced work before discarding them.
         self.sync_shard_work()
-        self._shards[sid] = self._make_shard(
-            sid, lo.copy(), hi.copy(), ids.copy(), via_insert=True
+        self._shards[sid] = Shard(
+            sid, self._factory, lo.copy(), hi.copy(), ids.copy(), via_insert=True
         )
         for obj_id in ids.tolist():
             self._owner[int(obj_id)] = sid
@@ -676,56 +591,6 @@ class ShardedIndex(MutableSpatialIndex):
         self.profile.rebaseline()
         self._stack_lo = self._stack_hi = None
         self.sync_shard_work()
-
-    # ------------------------------------------------------------------
-    # Fault seam: ticked on the routing path, applied on the coordinator
-    # ------------------------------------------------------------------
-    def _tick_faults(self) -> None:
-        injector = self._fault_injector
-        if injector is not None:
-            for fault in injector.advance():
-                self.apply_fault(fault)
-
-    def apply_fault(self, fault: Fault) -> bool:
-        """Apply one fault now; returns whether it changed anything."""
-        if not 0 <= fault.sid < self._n_shards:
-            raise ConfigurationError(
-                f"fault targets shard {fault.sid}; engine has "
-                f"{self._n_shards} shards"
-            )
-        if not 0 <= fault.rid < self._replication:
-            raise ConfigurationError(
-                f"fault targets replica {fault.rid}; shards have "
-                f"{self._replication} replicas"
-            )
-        return self.kill_replica(fault.sid, fault.rid)
-
-    def kill_replica(self, sid: int, rid: int) -> bool:
-        """Kill one replica; a standby takes over if it was the primary."""
-        return self._shards[sid].kill(rid)
-
-    def dead_replicas(self) -> list[tuple[int, int]]:
-        """All currently-dead ``(sid, rid)`` pairs."""
-        return [(s.sid, rid) for s in self._shards for rid in s.dead_rids()]
-
-    def recover_replica(self, sid: int, rid: int) -> ShardReplica:
-        """Ledger-replay one dead replica back to life (needs R > 1).
-
-        Folds the outgoing replica's unsynced work into the engine's
-        stats first, then recalibrates the fleet work baseline for the
-        fresh replica's zeroed counters.
-        """
-        self.sync_shard_work()
-        replica = self._shards[sid].recover(rid)
-        self._rebaseline_work()
-        return replica
-
-    def recover_all(self) -> int:
-        """Recover every dead replica fleet-wide; returns the count."""
-        dead = self.dead_replicas()
-        for sid, rid in dead:
-            self.recover_replica(sid, rid)
-        return len(dead)
 
     def validate_routing(self) -> None:
         """Assert the ownership map matches shard stores exactly (tests)."""
@@ -748,7 +613,4 @@ class ShardedIndex(MutableSpatialIndex):
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ShardedIndex(n_shards={self._n_shards}, "
-            f"replication={self._replication}, built={self._built})"
-        )
+        return f"ShardedIndex(n_shards={self._n_shards}, built={self._built})"

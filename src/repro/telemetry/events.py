@@ -52,19 +52,6 @@ EVENTS: dict[str, str] = {
         "a rebalancing pass was applied; payload carries rows_migrated "
         "and the pass duration"
     ),
-    "replica.kill": (
-        "a shard replica was killed (fault injection); payload carries "
-        "the shard sid and replica rid"
-    ),
-    "replica.recover": (
-        "a dead replica was rebuilt by ledger replay and fingerprint-"
-        "verified; payload carries sid, rid, replayed_ops, live_rows"
-    ),
-    "replica.failover": (
-        "a shard's primary replica died and a standby took over (cold: "
-        "it has never answered a read); payload carries sid, from_rid, "
-        "to_rid"
-    ),
     "worker.spawn": (
         "a shard-serving worker process started; payload carries the "
         "worker wid, its pid, and the pool's start method"
@@ -77,7 +64,7 @@ EVENTS: dict[str, str] = {
     "worker.refresh": (
         "a shard's whole base segment was (re)published and its worker "
         "rebuilt its index from nothing: first touch, shard rebuild, "
-        "failover, worker respawn or err reply, or an op log that outgrew its "
+        "worker respawn or err reply, or an op log that outgrew its "
         "base — never an ordinary write; payload carries sid, segment "
         "version, rows, and epoch"
     ),

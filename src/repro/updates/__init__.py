@@ -8,7 +8,8 @@ reproduction:
   pre-reserved identifiers; lazy-merging indexes (QUASII) drain it into
   the store as an appended run on the next query.
 * :class:`UpdateLedger` — the executable form of the store's
-  multiset-of-live-rows invariant, for tests and verification.
+  multiset-of-live-rows invariant: the tests' model of what a store or
+  engine must hold, never consulted on the serving path.
 * :func:`apply_write` — the write step of an op stream (resolve delete
   victims deterministically → timed engine call → live-set update),
   shared by :func:`repro.bench.runner.run_workload` and the soak loop.

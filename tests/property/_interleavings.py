@@ -1,15 +1,19 @@
 """The one interleaving strategy the mutation property suites share.
 
-``test_prop_{updates,compaction,sharding,rebalance,replication,backends}``
+``test_prop_{updates,compaction,sharding,rebalance,backends}``
 all drive an initial dataset through a Hypothesis-drawn interleaving of
 queries and mutations; they differ only in which extra op kinds they mix
 in and how long the streams get.  This module is the single place that
 draws the stream — and the single place that constructs the queries.
 It also holds :func:`shard_union`, the engine-level store the sharded
-suites check their ledgers and fingerprints against.
+suites check their ledgers and fingerprints against, and
+:func:`sigkill_worker`, the one failure the serving tier survives.
 """
 
 from __future__ import annotations
+
+import os
+import signal
 
 import numpy as np
 from hypothesis import strategies as st
@@ -105,7 +109,7 @@ def full_window(ndim: int) -> Query:
 def shard_union(engine) -> BoxStore:
     """A sharded engine's rows as one store, without flushing anything.
 
-    Every shard primary's live rows plus the rows its index still holds
+    Every shard's live rows plus the rows its index still holds
     in an update buffer: the engine keeps no unpartitioned copy, so this
     union is what its live ``(id, box)`` multiset means.
     """
@@ -122,3 +126,23 @@ def shard_union(engine) -> BoxStore:
             his.append(buffer._hi)
             ids.append(buffer.ids)
     return BoxStore(np.concatenate(los), np.concatenate(his), np.concatenate(ids))
+
+
+def sigkill_worker(executor, wid: int) -> int | None:
+    """SIGKILL worker ``wid`` of a ``processes`` executor's pool and wait
+    until it is dead; returns its pid.
+
+    The pool notices at its next send to (or receive from) that worker,
+    respawns it and republishes its shards from the driver.  A no-op
+    (``None``) where there is no live worker to kill: on ``sequential``,
+    before the pool's first batch, and while a killed worker awaits its
+    respawn.
+    """
+    pool = executor._pool
+    if pool is None or not pool._workers[wid].is_alive():
+        return None
+    worker = pool._workers[wid]
+    pid = worker.pid
+    os.kill(pid, signal.SIGKILL)
+    worker.process.join(timeout=5.0)
+    return pid

@@ -1,20 +1,19 @@
-"""Property tests: every backend × replication cell is observationally equal.
+"""Property tests: every executor backend is observationally equal.
 
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
 batches, delete batches, full and policy-driven compactions, reinserts
-of deleted ids, replica kills and recoveries.  The same interleaving
-runs against one engine per cell of the executor backend
-(``sequential``, ``processes``) × replication (R ∈ {1, 2}) matrix — no
-cell is refused or downgraded — with the executors kept alive across
+of deleted ids and worker SIGKILLs.  The same interleaving runs against
+one engine per backend (``sequential``, ``processes``) — no backend is
+refused or downgraded — with the executors kept alive across
 operations, so the process pool's warm workers must absorb every
 mutation (insert/delete/compact between batches) as a shard delta,
-admitting exactly the ids the driver admitted, and the R=2 engines must
-keep serving after a mid-stream kill: on ``processes`` a primary kill
-cuts the worker a new base from the standby that took over.
-:func:`test_every_cell_is_served_or_refused` walks each cell through
-the same story as a fixed script, down to the one refusal left: a shard
-with no live replica.
+admitting exactly the ids the driver admitted, and must keep serving
+after a worker is killed between ops: the pool respawns it and
+republishes its shards from the driver (a kill is a no-op on
+``sequential``, which has no worker).
+:func:`test_every_cell_is_served_or_refused` walks each backend through
+the same story as a fixed script.
 
 Invariants, after every single operation:
 
@@ -42,7 +41,7 @@ from hypothesis import strategies as st
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
-from repro.errors import ConfigurationError, DatasetError, ReplicationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.queries import hotspot_workload, uniform_workload
 from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
@@ -54,10 +53,8 @@ from tests.property._interleavings import (
     dataset_and_ops,
     full_window,
     shard_union,
+    sigkill_worker,
 )
-
-REPLICATION_FACTORS = (1, 2)
-MATRIX = [(b, r) for b in BACKENDS for r in REPLICATION_FACTORS]
 
 #: The query shapes the interleavings draw from: (predicate, mode, k).
 QUERY_SHAPES = (
@@ -68,11 +65,11 @@ QUERY_SHAPES = (
     ("contains", "boxes", None),
 )
 
-KINDS = (*BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill", "recover")
-#: A kill names (shard, replica) directly: three shards, at most R=2;
-#: a policy compaction its dead-fraction threshold; a reinsert a seed.
+KINDS = (*BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill")
+#: A kill names the worker wid of the two-worker pool; a policy
+#: compaction its dead-fraction threshold; a reinsert a seed.
 PAYLOADS = {
-    "kill": st.tuples(st.integers(0, 2), st.integers(0, 1)),
+    "kill": st.integers(0, 1),
     "maybe_compact": st.sampled_from((0.0, 0.02, 0.1)),
     "reinsert": SEEDS,
 }
@@ -110,15 +107,14 @@ def test_backends_agree_with_scan_under_interleavings(case):
     (lo, hi), ops = case
     scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
     engines = {
-        (backend, replication): ShardedIndex(
+        backend: ShardedIndex(
             BoxStore(lo.copy(), hi.copy()),
             n_shards=3,
             index_factory=lambda s: QuasiiIndex(
                 s, QuasiiConfig(2, (8, 4)), max_runs=2
             ),
-            replication=replication,
         )
-        for backend, replication in MATRIX
+        for backend in BACKENDS
     }
     for engine in engines.values():
         engine.build()
@@ -127,14 +123,14 @@ def test_backends_agree_with_scan_under_interleavings(case):
 
     with ExitStack() as stack:
         executors = {
-            cell: stack.enter_context(
+            backend: stack.enter_context(
                 QueryExecutor(
                     engine,
-                    max_workers=1 if cell[0] == "sequential" else 2,
-                    backend=cell[0],
+                    max_workers=1 if backend == "sequential" else 2,
+                    backend=backend,
                 )
             )
-            for cell, engine in engines.items()
+            for backend, engine in engines.items()
         }
 
         for kind, payload in ops:
@@ -157,18 +153,10 @@ def test_backends_agree_with_scan_under_interleavings(case):
                     )
                 ledger.record_insert(blo, bhi, expect_ids)
             elif kind == "kill":
-                # Only where a peer survives: an R=1 kill is an outage
-                # (unit-tested), not a cell of this matrix.
-                sid, rid = payload
-                for engine in engines.values():
-                    if len(engine.shards[sid].live_replicas()) > 1:
-                        engine.kill_replica(sid, rid)
-            elif kind == "recover":
-                for engine in engines.values():
-                    serving = [s.store for s in engine.shards]
-                    engine.recover_all()
-                    # A recovered replica rejoins as a standby.
-                    assert [s.store for s in engine.shards] == serving
+                # Between ops, as an OOM kill would land; the next batch
+                # that needs the worker respawns it.
+                for ex in executors.values():
+                    sigkill_worker(ex, payload)
             elif kind == "delete":
                 count, victim_seed = payload
                 live = ledger.live_ids()
@@ -231,29 +219,87 @@ def test_backends_agree_with_scan_under_interleavings(case):
         ledger.assert_matches(shard_union(engine))
 
 
-def _small_engine(replication=1):
-    lo = np.arange(12, dtype=np.float64).reshape(6, 2)
-    return ShardedIndex(
-        BoxStore(lo, lo + 1.0), n_shards=2, replication=replication
+SHARD_COUNTS = (1, 2, 7)
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@given(
+    dataset_and_ops(
+        kinds=(*BASE_KINDS, "compact", "kill", "kill"),
+        payloads={"kill": st.integers(0, 1)},
+        max_rows=40,
+        max_ops=12,
     )
+)
+@settings(max_examples=6, deadline=None)
+def test_worker_kills_at_every_shard_count(n_shards, case):
+    """One copy per shard survives worker SIGKILLs whatever the
+    shard-to-worker map: with one shard the second worker serves
+    nothing (its kill goes unnoticed), with seven each worker serves
+    several.  Every answer matches Scan, and at the end the shards hold
+    exactly the ledger's live multiset with ownership intact."""
+    (lo, hi), ops = case
+    scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
+    engine = ShardedIndex(
+        BoxStore(lo.copy(), hi.copy()),
+        n_shards=n_shards,
+        index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4)), max_runs=2),
+    )
+    engine.build()
+    ledger = UpdateLedger(scan.store)
+    with QueryExecutor(engine, max_workers=2, backend="processes") as ex:
+        for kind, payload in ops:
+            if kind == "query":
+                got = ex.run([payload]).results[0]
+                want = scan.execute(payload).ids
+                assert np.array_equal(np.sort(got), np.sort(want))
+            elif kind == "insert":
+                blo, bhi = payload
+                ids = scan.insert(blo, bhi)
+                assert np.array_equal(engine.insert(blo, bhi), ids)
+                ledger.record_insert(blo, bhi, ids)
+            elif kind == "delete":
+                count, victim_seed = payload
+                live = ledger.live_ids()
+                count = min(count, live.size)
+                if count == 0:
+                    continue
+                victims = np.random.default_rng(victim_seed).choice(
+                    live, size=count, replace=False
+                )
+                assert engine.delete(victims) == scan.delete(victims) == count
+                ledger.record_delete(victims)
+            elif kind == "kill":
+                sigkill_worker(ex, payload)
+            else:  # compact
+                scan.compact()
+                engine.compact()
+                assert all(s.store.n_dead == 0 for s in engine.shards)
+        got = ex.run([full_window(2)]).results[0]
+        assert np.array_equal(np.sort(got), ledger.live_ids())
+    ledger.assert_matches(shard_union(engine))
+    engine.validate_routing()
+
+
+def _small_engine():
+    lo = np.arange(12, dtype=np.float64).reshape(6, 2)
+    return ShardedIndex(BoxStore(lo, lo + 1.0), n_shards=2)
 
 
 def _segments() -> set[str]:
     return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
 
-@pytest.mark.parametrize("backend,replication", MATRIX)
-def test_every_cell_is_served_or_refused(backend, replication):
-    """The matrix has no refused and no downgraded cell: each one serves
-    from the backend it asked for through reads, writes, compaction, a
-    primary kill between batches and a ``recover_all()``, oracle-checked
-    at every step, and leaves no shared-memory name behind.  What a
-    cell still refuses, loudly and on either server, is a shard with no
-    live replica."""
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_cell_is_served_or_refused(backend):
+    """No backend is refused or downgraded: each one serves from the
+    backend it asked for through reads, writes, compaction and — on
+    ``processes`` — a worker SIGKILL between batches, oracle-checked at
+    every step, and leaves no shared-memory name behind."""
     ds = make_uniform(4_000, seed=11)
     scan = ScanIndex(ds.store.copy())
     events = EventLog()
-    engine = ShardedIndex(ds.store.copy(), n_shards=3, replication=replication)
+    engine = ShardedIndex(ds.store.copy(), n_shards=3)
     queries = uniform_workload(ds.universe, 24, 2e-3, seed=12)
     before = _segments()
 
@@ -261,11 +307,11 @@ def test_every_cell_is_served_or_refused(backend, replication):
         out = ex.run(batch)
         assert out.mode == backend
         for got, q in zip(out.query_results, batch):
-            _check_payload(got, scan.execute(q), f"{backend} x R{replication}")
+            _check_payload(got, scan.execute(q), backend)
 
     with QueryExecutor(engine, max_workers=2, backend=backend, events=events) as ex:
         assert ex.backend == backend
-        check(ex, queries[:6])
+        check(ex, [full_window(3), *queries[:6]])
         rng = np.random.default_rng(13)
         lo = rng.uniform(0, 9_000, size=(300, 3))
         ids = engine.insert(lo, lo + 25.0)
@@ -276,61 +322,33 @@ def test_every_cell_is_served_or_refused(backend, replication):
             index.delete(gone)
             index.compact()
         check(ex, queries[12:16])
-        if replication > 1:
-            bases = len(events.recent("worker.refresh"))
-            for shard in engine.shards:
-                assert engine.kill_replica(shard.sid, shard.primary().rid)
-            assert len(events.recent("replica.failover")) == engine.n_shards
-            check(ex, queries[16:20])
-            if backend == "processes":
-                # Each standby that took over is a new base for its
-                # worker: the existing first-touch path, nothing else.
-                refreshed = len(events.recent("worker.refresh")) - bases
-                assert refreshed == engine.n_shards
-            lo2 = rng.uniform(0, 9_000, size=(40, 3))
-            assert np.array_equal(
-                engine.insert(lo2, lo2 + 25.0), scan.insert(lo2, lo2 + 25.0)
-            )
-            serving = [s.store for s in engine.shards]
-            assert engine.recover_all() == engine.n_shards
-            # Sticky: a recovered replica does not take the primary back,
-            # so the workers keep their warm bases.
-            assert [s.store for s in engine.shards] == serving
-            assert [s.primary().rid for s in engine.shards] == [1] * 3
-            bases = len(events.recent("worker.refresh"))
+        bases = len(events.recent("worker.refresh"))
+        victim = sigkill_worker(ex, 0)
+        assert (victim is None) == (backend == "sequential")
+        lo2 = rng.uniform(0, 9_000, size=(40, 3))
+        assert np.array_equal(
+            engine.insert(lo2, lo2 + 25.0), scan.insert(lo2, lo2 + 25.0)
+        )
+        # The full window reaches every shard, so the dead worker too.
+        check(ex, [full_window(3), *queries[16:20]])
+        republished = events.recent("worker.refresh")[bases:]
+        if backend == "processes":
+            (respawn,) = events.recent("worker.respawn")
+            assert respawn.payload["old_pid"] == victim
+            # Worker 0 serves the even sids; each gets a base cut from
+            # the driver's current shard, worker 1 keeps its warm copy.
+            assert sorted(e.payload["sid"] for e in republished) == [0, 2]
+            assert [e.payload["rows"] for e in republished] == [
+                engine.shards[e.payload["sid"]].owned_count for e in republished
+            ]
+        else:
+            assert events.recent("worker.respawn") == republished == []
+        bases = len(events.recent("worker.refresh"))
         check(ex, queries[20:])
         check(ex, [full_window(3)])
-        if replication > 1:
-            assert len(events.recent("worker.refresh")) == bases
-        for rid in range(replication):
-            engine.kill_replica(0, rid)
-        with pytest.raises(ReplicationError, match=f"all {replication} replicas"):
-            ex.run([full_window(3)])
-        if replication > 1:
-            # The stream outlives the outage; the next batch is served.
-            assert engine.recover_all() == replication
-            check(ex, [full_window(3)])
+        assert len(events.recent("worker.refresh")) == bases
     assert all(s.oplog is None for s in engine.shards)
-    assert _segments() == before, "a failover republish leaked a segment"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_standby_never_cracks(backend):
-    """R = 2 costs its copies and its writes, never a second forest: the
-    same read stream cracks exactly as much as on R = 1."""
-    ds = make_uniform(6_000, seed=21)
-    queries = hotspot_workload(ds.universe, 96, 2e-3, seed=22)
-    cracks = {}
-    for replication in REPLICATION_FACTORS:
-        engine = ShardedIndex(ds.store.copy(), n_shards=4, replication=replication)
-        with QueryExecutor(engine, max_workers=2, backend=backend) as ex:
-            for i in range(0, len(queries), 32):
-                ex.run(queries[i : i + 32])
-        cracks[replication] = engine.stats.cracks
-        for shard in engine.shards:
-            for standby in shard.replicas[1:]:
-                assert standby.index.stats.queries == 0
-    assert cracks[1] == cracks[2] > 0
+    assert _segments() == before, "a respawn republish leaked a segment"
 
 
 def test_traffic_profile_agrees_across_backends():

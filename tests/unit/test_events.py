@@ -83,3 +83,28 @@ class TestEventLog:
         assert "slow_query" in EVENTS
         assert "maintenance.compact" in EVENTS
         assert "maintenance.rebalance" in EVENTS
+
+    def test_every_canonical_kind_has_a_meaning(self):
+        for kind, meaning in EVENTS.items():
+            assert isinstance(meaning, str) and meaning.strip(), kind
+
+    def test_the_vocabulary_is_the_executor_scheduler_and_worker_kinds(self):
+        # The process tier's lifecycle is the only failure vocabulary:
+        # a worker is spawned, dies and is respawned, and its shards
+        # reach it as bases (refresh) and deltas.
+        assert set(EVENTS) == {
+            "slow_query",
+            "maintenance.compact",
+            "maintenance.rebalance",
+            "worker.spawn",
+            "worker.respawn",
+            "worker.refresh",
+            "worker.delta",
+        }
+
+    def test_the_log_takes_kinds_outside_the_vocabulary(self):
+        log = EventLog()
+        record = log.emit("custom.kind", n=1)
+        assert "custom.kind" not in EVENTS
+        assert record.kind == "custom.kind"
+        assert [r.kind for r in log.recent("custom.kind")] == ["custom.kind"]

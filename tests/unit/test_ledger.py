@@ -1,11 +1,10 @@
 """Direct unit coverage for :class:`UpdateLedger`.
 
-The ledger is the property suites' oracle *and* (since the replication
-tier) the per-shard replication stream, so its own edges need direct
+The ledger is the property suites' oracle, so its own edges need direct
 tests rather than indirect coverage: the delete-of-never-inserted and
 reinsert-after-delete edges of ``live_ids``/``expected_result``, the
-all-or-nothing batch validation, and the op-log replay/truncate APIs
-recovery depends on.
+all-or-nothing batch validation, and its agreement with the store it
+models.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class TestLiveIdsEdges:
             ledger.record_insert(blo, bhi, np.array([2, 1]))
         # Neither row of the rejected batch landed (id 2 stayed unknown).
         assert np.array_equal(ledger.live_ids(), np.array([1]))
-        assert ledger.log_length == 1
+        assert len(ledger) == 1
 
     def test_duplicate_within_one_batch_raises(self):
         ledger = UpdateLedger()
@@ -103,64 +102,115 @@ class TestExpectedResultEdges:
         assert np.array_equal(hits, np.array([0, 2]))
 
 
-class TestReplayAndTruncate:
-    def _scripted_ledger(self):
-        store = BoxStore(
-            np.array([[0.0, 0.0], [10.0, 10.0]]),
-            np.array([[1.0, 1.0], [11.0, 11.0]]),
-        )
+class TestModelOfAStore:
+    """The ledger as the suites use it: a model a store is held to."""
+
+    def test_seeding_takes_only_the_live_rows(self):
+        lo, hi = _boxes([(0, 0, 1), (5, 5, 2), (9, 1, 1)])
+        store = BoxStore(lo, hi)
+        store.delete_ids(np.array([1]))
         ledger = UpdateLedger(store)
-        lo, hi = _boxes([(5, 5, 1), (20, 20, 2)])
-        ledger.record_insert(lo, hi, np.array([2, 3]))
-        ledger.record_delete(np.array([0, 3]))
-        return store, ledger
+        assert len(ledger) == 2
+        assert ledger.live_ids().tolist() == [0, 2]
+        ledger.assert_matches(store)
 
-    def test_rebuild_store_matches_ledger(self):
-        _, ledger = self._scripted_ledger()
-        assert ledger.log_length == 2
-        rebuilt = ledger.rebuild_store()
-        ledger.assert_matches(rebuilt)
-        assert np.array_equal(
-            np.sort(rebuilt.ids[rebuilt.live_rows()]), ledger.live_ids()
-        )
-
-    def test_rebuild_matches_store_that_applied_same_stream(self):
-        store, ledger = self._scripted_ledger()
-        lo, hi = _boxes([(5, 5, 1), (20, 20, 2)])
-        store.append(lo, hi, np.array([2, 3]))
-        store.delete_ids(np.array([0, 3]))
-        rebuilt = ledger.rebuild_store()
-        assert rebuilt.live_fingerprint() == store.live_fingerprint()
-
-    def test_truncate_folds_log_into_base(self):
-        _, ledger = self._scripted_ledger()
-        live_before = ledger.live_ids()
-        dropped = ledger.truncate()
-        assert dropped == 2 and ledger.log_length == 0
-        assert np.array_equal(ledger.live_ids(), live_before)
-        rebuilt = ledger.rebuild_store()
-        ledger.assert_matches(rebuilt)
-
-    def test_replay_handles_reinsert_after_delete(self):
+    def test_len_follows_inserts_and_deletes(self):
         ledger = UpdateLedger()
+        lo, hi = _boxes([(0, 0, 1), (2, 2, 1), (4, 4, 1)])
+        ledger.record_insert(lo, hi, np.array([7, 8, 9]))
+        assert len(ledger) == 3
+        ledger.record_delete(np.array([8]))
+        assert len(ledger) == 2
+        ledger.record_insert(lo[1:2], hi[1:2], np.array([8]))
+        assert len(ledger) == 3
+
+    def test_live_ids_are_sorted_whatever_the_insert_order(self):
+        ledger = UpdateLedger()
+        lo, hi = _boxes([(0, 0, 1)] * 4)
+        ledger.record_insert(lo, hi, np.array([40, 3, 17, 9]))
+        out = ledger.live_ids()
+        assert out.tolist() == [3, 9, 17, 40] and out.dtype == np.int64
+
+    def test_a_rejected_delete_batch_changes_nothing(self):
+        ledger = UpdateLedger()
+        lo, hi = _boxes([(0, 0, 1), (2, 2, 1)])
+        ledger.record_insert(lo, hi, np.array([1, 2]))
+        with pytest.raises(DatasetError, match="unknown id 5"):
+            ledger.record_delete(np.array([1, 5]))
+        assert ledger.live_ids().tolist() == [1, 2]
+
+    def test_a_single_flat_box_is_one_row(self):
+        ledger = UpdateLedger()
+        ledger.record_insert(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 6)
+        assert ledger.live_ids().tolist() == [6]
+        store = BoxStore(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), np.array([6]))
+        ledger.assert_matches(store)
+
+    def test_matches_store_sees_a_moved_box(self):
+        lo, hi = _boxes([(0, 0, 1), (5, 5, 1)])
+        ledger = UpdateLedger(BoxStore(lo, hi))
+        moved = hi.copy()
+        moved[1, 0] += 0.5
+        assert not ledger.matches_store(BoxStore(lo, moved))
+        assert ledger.matches_store(BoxStore(lo, hi))
+
+    def test_matches_store_sees_a_missing_or_foreign_row(self):
+        lo, hi = _boxes([(0, 0, 1), (5, 5, 1)])
+        ledger = UpdateLedger(BoxStore(lo, hi))
+        fewer = BoxStore(lo, hi)
+        fewer.delete_ids(np.array([0]))
+        assert not ledger.matches_store(fewer)
+        # Same size, same boxes, another id.
+        assert not ledger.matches_store(BoxStore(lo, hi, np.array([0, 3])))
+
+    def test_assert_matches_names_both_counts(self):
+        lo, hi = _boxes([(0, 0, 1), (5, 5, 1), (7, 7, 1)])
+        ledger = UpdateLedger(BoxStore(lo, hi))
+        with pytest.raises(AssertionError, match="2 live rows vs 3 ledger rows"):
+            ledger.assert_matches(BoxStore(lo[:2], hi[:2]))
+
+    def test_empty_batches_leave_the_ledger_alone(self):
         lo, hi = _boxes([(0, 0, 1)])
-        ledger.record_insert(lo, hi, np.array([4]))
-        ledger.record_delete(np.array([4]))
-        lo2, hi2 = _boxes([(7, 7, 1)])
-        ledger.record_insert(lo2, hi2, np.array([4]))
-        rebuilt = ledger.rebuild_store()
-        ledger.assert_matches(rebuilt)
-        assert np.array_equal(ledger.live_ids(), np.array([4]))
+        store = BoxStore(lo, hi)
+        ledger = UpdateLedger(store)
+        ledger.record_insert(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, np.int64))
+        ledger.record_delete(np.empty(0, np.int64))
+        assert len(ledger) == 1
+        ledger.assert_matches(store)
 
-    def test_rebuild_without_any_rows_raises(self):
-        with pytest.raises(DatasetError, match="never saw a row"):
-            UpdateLedger().rebuild_store()
+    def test_follows_a_store_through_reinsert_after_compaction(self):
+        lo, hi = _boxes([(0, 0, 1), (3, 3, 1), (6, 6, 1)])
+        store = BoxStore(lo, hi)
+        ledger = UpdateLedger(store)
+        store.delete_ids(np.array([1]))
+        ledger.record_delete(np.array([1]))
+        ledger.assert_matches(store)
+        store.compact()
+        ledger.assert_matches(store)
+        # The freed id comes back with another box.
+        nlo, nhi = _boxes([(8, 1, 2)])
+        store.append(nlo, nhi, np.array([1]))
+        ledger.record_insert(nlo, nhi, np.array([1]))
+        ledger.assert_matches(store)
+        hits = ledger.expected_result(np.array([7.5, 0.0]), np.array([9.0, 2.0]))
+        assert hits.tolist() == [1]
 
-    def test_empty_batches_do_not_grow_the_log(self):
-        _, ledger = self._scripted_ledger()
-        before = ledger.log_length
-        ledger.record_insert(
-            np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64)
-        )
-        ledger.record_delete(np.empty(0, dtype=np.int64))
-        assert ledger.log_length == before
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_expected_result_is_a_scan_of_the_live_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0, 50, size=(200, 2))
+        hi = lo + rng.uniform(0, 5, size=(200, 2))
+        store = BoxStore(lo, hi)
+        ledger = UpdateLedger(store)
+        victims = rng.choice(200, size=40, replace=False)
+        store.delete_ids(victims)
+        ledger.record_delete(victims)
+        for _ in range(10):
+            wlo = rng.uniform(0, 45, size=2)
+            whi = wlo + rng.uniform(1, 15, size=2)
+            live = store.live_rows()
+            hit = np.all(store.lo[live] <= whi, axis=1) & np.all(
+                store.hi[live] >= wlo, axis=1
+            )
+            want = np.sort(store.ids[live][hit])
+            assert np.array_equal(ledger.expected_result(wlo, whi), want)

@@ -7,7 +7,15 @@ import pytest
 
 from repro.baselines.scan import ScanIndex
 from repro.datasets import make_uniform
-from repro.errors import QueryError
+from repro.datasets import BoxStore
+from repro.errors import (
+    ConfigurationError,
+    DatasetError,
+    GeometryError,
+    ParallelError,
+    QueryError,
+    ReproError,
+)
 from repro.geometry import Box
 from repro.index import IndexStats
 from repro.queries import Query, uniform_workload
@@ -91,3 +99,53 @@ class TestScan:
     def test_memory_is_zero(self):
         ds = make_uniform(10, seed=8)
         assert ScanIndex(ds.store).memory_bytes() == 0
+
+
+def _raise_geometry():
+    Box((1.0, 0.0), (0.0, 1.0))
+
+
+def _raise_configuration():
+    from repro.sharding import ShardedIndex
+
+    ShardedIndex(BoxStore(np.zeros((1, 2)), np.ones((1, 2))), n_shards=0)
+
+
+def _raise_dataset():
+    BoxStore(np.zeros((2, 2)), np.ones((3, 2)))
+
+
+def _raise_query():
+    index = ScanIndex(BoxStore(np.zeros((1, 2)), np.ones((1, 2))))
+    index.execute(Query(Box((0.0,) * 3, (1.0,) * 3)))
+
+
+def _raise_parallel():
+    from repro.parallel import ProcessPool
+    from repro.sharding import ShardedIndex
+
+    engine = ShardedIndex(BoxStore(np.zeros((2, 2)), np.ones((2, 2))), n_shards=1)
+    engine.build()
+    pool = ProcessPool(engine, n_workers=1)
+    pool.close()
+    pool.run_batch([Query(Box((0.0, 0.0), (1.0, 1.0)))], {0: [0]})
+
+
+class TestErrorHierarchy:
+    """One ``except ReproError`` catches every deliberate library failure."""
+
+    @pytest.mark.parametrize(
+        "error, trigger",
+        [
+            (GeometryError, _raise_geometry),
+            (ConfigurationError, _raise_configuration),
+            (DatasetError, _raise_dataset),
+            (QueryError, _raise_query),
+            (ParallelError, _raise_parallel),
+        ],
+        ids=["geometry", "configuration", "dataset", "query", "parallel"],
+    )
+    def test_library_failures_are_repro_errors(self, error, trigger):
+        with pytest.raises(ReproError) as caught:
+            trigger()
+        assert type(caught.value) is error

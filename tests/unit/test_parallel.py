@@ -7,7 +7,7 @@ Covers the four layers of the subsystem:
 * the wire — query/result codecs across the full predicate/mode
   matrix, including the ``None`` payloads of count-mode results;
 * backend resolution — explicit argument vs ``QUASII_EXECUTOR_BACKEND``
-  vs worker-count default, and the replicated-engine guard;
+  vs worker-count default;
 * the serving pool — oracle parity through the executor (including
   across writes, which ride to the warm workers as deltas), telemetry
   golden-equivalence with the sequential backend, worker SIGKILL
@@ -46,12 +46,14 @@ from repro.queries import Query, uniform_workload
 from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry import Telemetry
-from repro.telemetry.events import EventLog
+from repro.telemetry.events import EVENTS, EventLog
 from repro.telemetry.naming import (
     QUERY_SECONDS,
     WORKER_BATCH_SECONDS,
     WORKER_QUERY_SECONDS,
+    WORKER_RESPAWNS,
 )
+from tests.property._interleavings import sigkill_worker
 
 
 def _store(n: int = 50, ndim: int = 2, seed: int = 0) -> BoxStore:
@@ -368,17 +370,6 @@ class TestBackendResolution:
         with pytest.raises(ConfigurationError, match=BACKEND_ENV):
             QueryExecutor(self._engine(), max_workers=2)
 
-    def test_replicated_engine_resolves_like_any_other(self, monkeypatch):
-        def engine():
-            return self._engine(n_shards=2, replication=2)
-
-        assert (
-            QueryExecutor(engine(), max_workers=2, backend="processes").backend
-            == "processes"
-        )
-        monkeypatch.setenv(BACKEND_ENV, "processes")
-        assert QueryExecutor(engine(), max_workers=2).backend == "processes"
-
 
 # ----------------------------------------------------------------------
 # The serving pool, through the executor
@@ -558,6 +549,116 @@ class TestProcessBackend:
             write(30, first[10:20])
             check(ex.run(queries))
             assert len(events.recent("worker.refresh")) == bases + 2
+
+    @pytest.mark.parametrize("wid", [0, 1])
+    def test_a_sigkill_republishes_only_the_dead_workers_shards(self, dataset, wid):
+        queries = uniform_workload(dataset.universe, 15, 1e-2, seed=5)
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        events = EventLog()
+        telemetry = Telemetry()
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events,
+            telemetry=telemetry,
+        ) as ex:
+            _assert_matches(scan, queries, ex.run(queries))
+            survivor = ex._pool.worker_pids[1 - wid]
+            victim = sigkill_worker(ex, wid)
+            assert victim is not None
+            bases = len(events.recent("worker.refresh"))
+            _assert_matches(scan, queries, ex.run(queries))
+            (respawn,) = events.recent("worker.respawn")
+            assert respawn.payload["wid"] == wid
+            assert respawn.payload["old_pid"] == victim
+            assert respawn.payload["new_pid"] == ex._pool.worker_pids[wid]
+            assert ex._pool.worker_pids[1 - wid] == survivor
+            republished = events.recent("worker.refresh")[bases:]
+            assert sorted(e.payload["sid"] for e in republished) == [wid, wid + 2]
+            assert telemetry.registry.counter(WORKER_RESPAWNS).value == 1
+
+    def test_killing_every_worker_respawns_each_once(self, dataset):
+        queries = uniform_workload(dataset.universe, 15, 1e-2, seed=6)
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        events = EventLog()
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        ) as ex:
+            ex.run(queries)
+            victims = {sigkill_worker(ex, wid) for wid in (0, 1)}
+            bases = len(events.recent("worker.refresh"))
+            _assert_matches(scan, queries, ex.run(queries))
+            respawns = events.recent("worker.respawn")
+            assert sorted(e.payload["wid"] for e in respawns) == [0, 1]
+            assert {e.payload["old_pid"] for e in respawns} == victims
+            assert not victims & set(ex._pool.worker_pids)
+            republished = events.recent("worker.refresh")[bases:]
+            assert sorted(e.payload["sid"] for e in republished) == [0, 1, 2, 3]
+            # Warm again: the next batch kills nothing and ships nothing.
+            _assert_matches(scan, queries, ex.run(queries))
+            assert len(events.recent("worker.respawn")) == 2
+            assert len(events.recent("worker.refresh")) == bases + 4
+
+    def test_a_respawned_worker_takes_later_writes_as_deltas(self, dataset):
+        queries = uniform_workload(dataset.universe, 15, 1e-2, seed=7)
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        events = EventLog()
+        rng = np.random.default_rng(3)
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        ) as ex:
+            ex.run(queries)
+            sigkill_worker(ex, 0)
+            ex.run(queries)
+            bases = len(events.recent("worker.refresh"))
+            blo = rng.uniform(0, 9_000, size=(40, 3))
+            bhi = blo + rng.uniform(1, 50, size=(40, 3))
+            assert np.array_equal(engine.insert(blo, bhi), scan.insert(blo, bhi))
+            victims = dataset.store.ids[100:130].copy()
+            assert engine.delete(victims) == scan.delete(victims)
+            _assert_matches(scan, queries, ex.run(queries))
+            # The write reached both workers as deltas, the respawned one
+            # included: no base was cut again.
+            assert len(events.recent("worker.refresh")) == bases
+            deltas = events.recent("worker.delta")
+            assert sum(e.payload["rows"] for e in deltas) == 40
+            assert {e.payload["sid"] % 2 for e in deltas} == {0, 1}
+
+    def test_every_event_the_process_tier_emits_is_canonical(self, dataset):
+        queries = uniform_workload(dataset.universe, 10, 1e-2, seed=8)
+        engine = self._engine(dataset)
+        events = EventLog()
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        ) as ex:
+            ex.run(queries)
+            engine.insert(np.zeros((3, 3)), np.ones((3, 3)))
+            ex.run(queries)
+            sigkill_worker(ex, 1)
+            ex.run(queries)
+        kinds = {e.kind for e in events.recent()}
+        assert {"worker.spawn", "worker.respawn", "worker.refresh"} <= kinds
+        assert kinds <= set(EVENTS)
+
+    def test_the_kill_helper_needs_a_live_worker(self, dataset):
+        queries = uniform_workload(dataset.universe, 5, 1e-2, seed=9)
+        with QueryExecutor(
+            self._engine(dataset), max_workers=2, backend="sequential"
+        ) as ex:
+            ex.run(queries)
+            assert sigkill_worker(ex, 0) is None  # sequential: no worker
+        events = EventLog()
+        with QueryExecutor(
+            self._engine(dataset), max_workers=2, backend="processes",
+            events=events,
+        ) as ex:
+            assert sigkill_worker(ex, 0) is None  # no pool before a batch
+            ex.run(queries)
+            assert sigkill_worker(ex, 0) is not None
+            assert sigkill_worker(ex, 0) is None  # dead, not yet respawned
+            ex.run(queries)
+            assert len(events.recent("worker.respawn")) == 1
 
     def test_rebalance_republishes_and_rearms_the_rebuilt_shards(self, dataset):
         queries = uniform_workload(dataset.universe, 20, 1e-2, seed=8)

@@ -29,6 +29,8 @@ from repro.sharding import (
     WorkloadProfile,
 )
 from repro.sharding.rebalancer import MIN_CENTROIDS, PROFILE_WINDOW
+from repro.telemetry import Telemetry
+from repro.telemetry.events import EventLog
 from tests.property._interleavings import shard_union
 
 
@@ -322,6 +324,48 @@ class TestMaintenance:
         assert sched.report.compaction_passes == 1
         assert sched.report.rows_reclaimed == 60
         assert store.n_dead == 0
+
+    def test_scheduler_compacts_only_a_sharded_engines_dirty_shards(self):
+        engine = ShardedIndex(_grid_store(), n_shards=2)
+        engine.build()
+        dirty = engine.shards[0].store.ids[:30].copy()
+        clean = engine.shards[1].store.ids[:2].copy()
+        engine.delete(np.concatenate([dirty, clean]))
+        events = EventLog()
+        sched = MaintenanceScheduler(
+            engine,
+            MaintenancePolicy(check_every=1, dead_fraction=0.2, rebalance=False),
+            events=events,
+        )
+        sched.run()
+        assert sched.report.compaction_passes == 1
+        assert sched.report.rows_reclaimed == 30
+        assert engine.shards[0].store.n_dead == 0
+        assert engine.shards[1].store.n_dead == 2
+        (compact,) = events.recent("maintenance.compact")
+        assert compact.payload["rows_reclaimed"] == 30
+        assert compact.payload["check"] == 1
+        # Below the threshold the next check reclaims nothing.
+        sched.run()
+        assert sched.report.compaction_passes == 1
+        assert len(events.recent("maintenance.compact")) == 1
+
+    def test_the_check_span_carries_the_pass_totals_only(self):
+        engine = ShardedIndex(_grid_store(), n_shards=2)
+        engine.build()
+        engine.delete(engine.shards[1].store.ids[:40].copy())
+        telemetry = Telemetry()
+        sched = MaintenanceScheduler(
+            engine,
+            MaintenancePolicy(check_every=1, dead_fraction=0.1, rebalance=False),
+            tracer=telemetry.tracer,
+        )
+        sched.run()
+        (check,) = telemetry.tracer.spans("maintenance.check")
+        assert check.attrs == {"rows_reclaimed": 40, "rows_migrated": 0}
+        with pytest.raises(TypeError, match="recover_replicas"):
+            MaintenancePolicy(recover_replicas=True)
+        assert not hasattr(sched.report, "replicas_recovered")
 
     def test_scheduler_rebalances_sharded_engines(self):
         engine = ShardedIndex(_grid_store(), n_shards=2)

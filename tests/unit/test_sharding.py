@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.baselines import ScanIndex
+from repro.baselines import RTreeIndex, ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
 from repro.geometry import Box
 from repro.index import SpatialIndex
 from repro.queries import Query, uniform_workload
-from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex, partitioner
+from repro.sharding import (
+    QueryExecutor,
+    Rebalancer,
+    Shard,
+    ShardedIndex,
+    partitioner,
+)
 from repro.sharding.executor import BACKENDS
+from repro.updates import UpdateLedger
+from tests.property._interleavings import shard_union
 
 
 def _grid_store(side: int = 10, spacing: float = 10.0) -> BoxStore:
@@ -267,12 +278,350 @@ class TestShardedIndex:
         fresh = engine.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         assert fresh.tolist() == [100]
 
+    def test_an_entombed_id_is_refused_until_its_shard_compacts(self):
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
+        engine.build()
+        victim = engine.shards[1].store.ids[:1].copy()
+        engine.delete(victim)
+        sizes = engine.shard_sizes()
+        box = np.array([[55.0, 55.0]])
+        with pytest.raises(DatasetError, match="tombstoned"):
+            engine.insert(box, box + 1.0, victim)
+        # Refused before any shard was written.
+        assert engine.shard_sizes() == sizes
+        assert engine.pending_updates() == 0
+        assert engine.compact() == 1
+        assert np.array_equal(engine.insert(box, box + 1.0, victim), victim)
+        engine.validate_routing()
+
+    def test_compaction_leaves_no_tombstone_in_any_shard(self):
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
+        engine.build()
+        ledger = UpdateLedger(engine.store)
+        victims = np.arange(0, 100, 7)
+        engine.delete(victims)
+        ledger.record_delete(victims)
+        assert sum(s.store.n_dead for s in engine.shards) == victims.size
+        assert engine.compact() == victims.size
+        assert engine.stats.compactions == 1
+        for shard in engine.shards:
+            assert shard.store.n_dead == 0 and shard.dead_fraction == 0.0
+        ledger.assert_matches(shard_union(engine))
+        # Nothing left to reclaim: the second pass is free.
+        assert engine.compact() == 0
+        assert engine.stats.compactions == 1
+
+    def test_a_policy_pass_compacts_only_the_shards_past_its_threshold(self):
+        rng = np.random.default_rng(4)
+        lo = rng.uniform(0, 90, size=(4_000, 2))
+        engine = ShardedIndex(BoxStore(lo, lo + 2.0), n_shards=2)
+        engine.build()
+        hot = engine.shards[0].store.ids[:300].copy()
+        cold = engine.shards[1].store.ids[:10].copy()
+        engine.delete(np.concatenate([hot, cold]))
+        assert engine.maybe_compact(0.5) == 0
+        assert engine.maybe_compact(0.05) == 300
+        assert engine.shards[0].store.n_dead == 0
+        assert engine.shards[1].store.n_dead == 10
+        assert engine.maybe_compact(0.0) == 10
+        # Every swept id is free again, and routes like any new row.
+        again = hot[:3]
+        assert np.array_equal(engine.insert(lo[again], lo[again] + 2.0, again), again)
+        engine.validate_routing()
+
+    def test_traffic_skew_on_one_tile_asks_for_a_retile(self):
+        # One copy serves each shard, so every read lands in the
+        # profile: a hot tile is skew, whoever serves it.
+        engine = ShardedIndex(_grid_store(6, 3.0), n_shards=2)
+        engine.build()
+        for i in range(6):
+            engine.execute(_window((0.0, 0.0), (2.0, 2.0), seq=i))
+        assert engine.profile.query_skew(engine.shards) == 2.0
+        rebalancer = Rebalancer(min_queries=1, max_query_skew=1.2)
+        assert rebalancer.drift_reason(engine) == "skew"
+
+    def test_work_counters_stay_monotone_through_a_shard_rebuild(self):
+        engine = ShardedIndex(
+            _grid_store(6, 3.0),
+            n_shards=2,
+            index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
+        )
+        engine.build()
+        seen = []
+        for i in range(12):
+            if i == 4:
+                shard = engine.shards[0]
+                rows = shard.store.live_rows()
+                engine.rebuild_shard(
+                    0, shard.store.lo[rows], shard.store.hi[rows],
+                    shard.store.ids[rows],
+                )
+                # The rebuilt index starts at zero work.
+                assert engine.shards[0].work_counter("objects_tested") == 0
+            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
+            engine.sync_shard_work()
+            seen.append(engine.stats.objects_tested)
+        assert seen == sorted(seen) and seen[-1] > seen[3]
+        # The engine's total is exactly its folded history: what the
+        # discarded index did before the rebuild plus what the fleet
+        # has done since.
+        fleet = sum(s.work_counter("objects_tested") for s in engine.shards)
+        assert engine.stats.objects_tested >= fleet > 0
+
+    def test_dropped_engine_is_freed_without_the_cyclic_collector(self):
+        # Shards must not reference their engine: a cycle keeps every
+        # store of a dropped engine alive until the collector runs —
+        # +200 MB per 1M-row engine.
+        engine = ShardedIndex(
+            _grid_store(6, 3.0),
+            n_shards=2,
+            index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
+        )
+        engine.build()
+        engine.execute(_window((-1.0, -1.0), (100.0, 100.0)))
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_out_of_band_store_mutation_fails_loudly(self):
         engine = ShardedIndex(_grid_store(4), n_shards=2)
         engine.build()
         engine.store.append(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
         with pytest.raises(Exception, match="epoch"):
             engine.execute(_window((0.0, 0.0), (5.0, 5.0)))
+
+
+# ----------------------------------------------------------------------
+# Shard: one store, one index
+# ----------------------------------------------------------------------
+class TestShard:
+    @staticmethod
+    def _shard(factory=QuasiiIndex, side=6):
+        store = _grid_store(side)
+        return Shard(0, factory, store.lo, store.hi, store.ids)
+
+    def test_the_store_takes_the_rows_without_a_copy(self):
+        store = _grid_store(6)
+        shard = Shard(0, QuasiiIndex, store.lo, store.hi, store.ids)
+        assert shard.index.store is shard.store
+        assert np.shares_memory(shard.store.lo, store.lo)
+        assert np.shares_memory(shard.store.ids, store.ids)
+        assert shard.memory_bytes() == (
+            store.lo.nbytes + store.hi.nbytes + store.ids.nbytes
+            + shard.store.live.nbytes + shard.index.memory_bytes()
+        )
+
+    def test_dead_fraction_and_tombstone_gate_read_the_one_store(self):
+        shard = self._shard()
+        assert shard.dead_fraction == 0.0
+        assert not shard.entombs(np.array([3]))
+        shard.apply_delete(np.array([3, 4, 5]))
+        assert shard.dead_fraction == pytest.approx(3 / 36)
+        assert shard.entombs(np.array([99, 4])) and not shard.entombs(np.array([6]))
+        assert shard.compact() == 3
+        assert shard.dead_fraction == 0.0 and not shard.entombs(np.array([4]))
+
+    def test_compaction_marker_rides_the_oplog_only_when_rows_went(self):
+        shard = self._shard()
+        shard.oplog = []
+        assert shard.compact() == 0
+        assert shard.oplog == []
+        lo = np.array([[1.5, 1.5]])
+        shard.apply_insert(lo, lo + 1.0, np.array([100]))
+        shard.apply_delete(np.array([0]))
+        assert shard.compact() == 1
+        assert [op[0] for op in shard.oplog] == ["insert", "delete", "compact"]
+
+    def test_via_insert_rebuild_falls_back_for_a_static_factory(self):
+        store = _grid_store(6)
+        shard = Shard(0, RTreeIndex, store.lo, store.hi, store.ids, via_insert=True)
+        assert shard.store.n == 36 and shard.flush_updates() == 0
+        assert shard.compact() == 0
+        hits = shard.index.execute(_window((-1.0, -1.0), (100.0, 100.0))).ids
+        assert np.array_equal(np.sort(hits), store.ids)
+
+    def test_owned_count_counts_inserts_still_in_the_buffer(self):
+        shard = self._shard()
+        lo = np.array([[2.0, 2.0], [12.0, 2.0]])
+        shard.apply_insert(lo, lo + 1.0, np.array([100, 101]))
+        assert shard.index.pending_updates() == 2
+        assert shard.store.live_count == 36
+        assert shard.owned_count == 38
+        assert shard.flush_updates() == 2
+        assert shard.store.live_count == shard.owned_count == 38
+
+    def test_an_empty_shard_intersects_nothing(self):
+        empty = np.empty((0, 2))
+        shard = Shard(0, QuasiiIndex, empty, empty.copy(), np.empty(0, np.int64))
+        assert shard.owned_count == 0 and shard.dead_fraction == 0.0
+        assert np.all(shard.mbb_lo == np.inf) and np.all(shard.mbb_hi == -np.inf)
+        # An empty batch leaves the identity box alone; a real one is
+        # covered exactly.
+        shard.expand(empty, empty)
+        assert np.all(shard.mbb_lo == np.inf)
+        lo = np.array([[4.0, 7.0]])
+        shard.apply_insert(lo, lo + 2.0, np.array([5]))
+        assert shard.mbb_lo.tolist() == [4.0, 7.0]
+        assert shard.mbb_hi.tolist() == [6.0, 9.0]
+
+    @pytest.mark.parametrize("factory", [QuasiiIndex, ScanIndex], ids=["quasii", "scan"])
+    def test_an_insert_grows_the_mbb_before_any_flush(self, factory):
+        shard = self._shard(factory)
+        assert shard.mbb_lo.tolist() == [0.0, 0.0]
+        assert shard.mbb_hi.tolist() == [51.0, 51.0]
+        lo = np.array([[-5.0, 20.0], [30.0, 70.0]])
+        shard.apply_insert(lo, lo + 1.0, np.array([100, 101]))
+        assert shard.mbb_lo.tolist() == [-5.0, 0.0]
+        assert shard.mbb_hi.tolist() == [51.0, 71.0]
+
+    def test_a_delete_never_shrinks_the_mbb(self):
+        shard = self._shard()
+        # Column x = 50 holds ids 30..35: the MBB's whole right edge.
+        shard.apply_delete(np.arange(30, 36))
+        assert shard.mbb_hi.tolist() == [51.0, 51.0]
+
+    @pytest.mark.parametrize("factory", [QuasiiIndex, ScanIndex], ids=["quasii", "scan"])
+    def test_compaction_retightens_the_mbb_to_the_survivors(self, factory):
+        shard = self._shard(factory)
+        shard.apply_delete(np.arange(30, 36))
+        assert shard.compact() == 6
+        assert shard.mbb_lo.tolist() == [0.0, 0.0]
+        assert shard.mbb_hi.tolist() == [41.0, 51.0]
+
+    def test_compaction_keeps_the_mbb_loose_while_inserts_are_buffered(self):
+        shard = self._shard()
+        lo = np.array([[90.0, 90.0]])
+        shard.apply_insert(lo, lo + 1.0, np.array([100]))
+        shard.apply_delete(np.arange(30, 36))
+        assert shard.compact() == 6
+        # The buffered row is not in the store yet: re-tightening to the
+        # store would prune it away.
+        assert shard.index.pending_updates() == 1
+        assert shard.mbb_hi.tolist() == [91.0, 91.0]
+        hits = shard.index.execute(_window((89.0, 89.0), (92.0, 92.0))).ids
+        assert hits.tolist() == [100]
+
+    def test_compacting_every_row_away_inverts_the_mbb(self):
+        shard = self._shard(side=3)
+        shard.apply_delete(np.arange(9))
+        assert shard.dead_fraction == 1.0
+        assert shard.compact() == 9
+        assert shard.store.n == 0 and shard.dead_fraction == 0.0
+        assert np.all(shard.mbb_lo == np.inf) and np.all(shard.mbb_hi == -np.inf)
+
+    def test_an_unarmed_shard_keeps_no_oplog(self):
+        shard = self._shard()
+        lo = np.array([[1.5, 1.5]])
+        shard.apply_insert(lo, lo + 1.0, np.array([100]))
+        shard.apply_delete(np.array([0]))
+        assert shard.compact() == 1
+        assert shard.oplog is None
+
+    def test_oplog_entries_alias_the_batches_they_record(self):
+        shard = self._shard()
+        shard.oplog = []
+        lo, hi = np.array([[1.5, 1.5]]), np.array([[2.5, 2.5]])
+        ids, victims = np.array([100]), np.array([3, 4])
+        shard.apply_insert(lo, hi, ids)
+        shard.apply_delete(victims)
+        (insert, delete) = shard.oplog
+        assert insert[0] == "insert"
+        assert insert[1] is lo and insert[2] is hi and insert[3] is ids
+        assert delete[0] == "delete"
+        assert delete[1] is None and delete[2] is None and delete[3] is victims
+
+    def test_empty_batches_leave_the_oplog_alone(self):
+        shard = self._shard()
+        shard.oplog = []
+        empty = np.empty((0, 2))
+        shard.apply_insert(empty, empty.copy(), np.empty(0, np.int64))
+        shard.apply_delete(np.empty(0, np.int64))
+        assert shard.oplog == []
+        assert shard.owned_count == 36
+
+    def test_work_counter_reads_the_index_stats(self):
+        shard = self._shard()
+        assert shard.work_counter("objects_tested") == 0
+        shard.index.execute(_window((-1.0, -1.0), (100.0, 100.0)))
+        tested = shard.index.stats.objects_tested
+        assert tested > 0
+        assert shard.work_counter("objects_tested") == tested
+        assert isinstance(shard.work_counter("cracks"), int)
+
+    def test_memory_bytes_follow_the_store(self):
+        shard = self._shard()
+        before = shard.memory_bytes()
+        lo = np.array([[2.0, 2.0]] * 8)
+        shard.apply_insert(lo, lo + 1.0, np.arange(100, 108))
+        shard.flush_updates()
+        store = shard.store
+        assert shard.memory_bytes() == (
+            store.lo.nbytes + store.hi.nbytes + store.ids.nbytes
+            + store.live.nbytes + shard.index.memory_bytes()
+        )
+        assert shard.memory_bytes() > before
+
+    @pytest.mark.parametrize("factory", [QuasiiIndex, ScanIndex], ids=["quasii", "scan"])
+    def test_via_insert_build_serves_the_rows_of_a_plain_build(self, factory):
+        store = _grid_store(6)
+        plain = Shard(0, factory, store.lo.copy(), store.hi.copy(), store.ids.copy())
+        via = Shard(
+            1, factory, store.lo.copy(), store.hi.copy(), store.ids.copy(),
+            via_insert=True,
+        )
+        # The rows went through the index's own insert path and were
+        # flushed into its store: nothing is left pending.
+        assert via.index.stats.inserts == 36
+        assert via.index.pending_updates() == 0
+        assert via.store.live_fingerprint() == plain.store.live_fingerprint()
+        assert via.mbb_lo.tolist() == plain.mbb_lo.tolist()
+        assert via.mbb_hi.tolist() == plain.mbb_hi.tolist()
+        for q in (
+            _window((-1.0, -1.0), (100.0, 100.0)),
+            _window((8.0, 8.0), (31.0, 22.0), seq=1),
+        ):
+            assert np.array_equal(
+                np.sort(via.index.execute(q).ids), np.sort(plain.index.execute(q).ids)
+            )
+
+    def test_via_insert_build_of_no_rows_is_an_empty_shard(self):
+        empty = np.empty((0, 2))
+        shard = Shard(
+            0, QuasiiIndex, empty, empty.copy(), np.empty(0, np.int64),
+            via_insert=True,
+        )
+        assert shard.store.n == 0 and shard.index.stats.inserts == 0
+        assert np.all(shard.mbb_lo == np.inf)
+
+    def test_the_factory_must_build_over_the_shard_store(self):
+        store, other = _grid_store(3), _grid_store(2)
+        for via_insert in (False, True):
+            with pytest.raises(ConfigurationError, match="shard store"):
+                Shard(
+                    0, lambda s: ScanIndex(other),
+                    store.lo, store.hi, store.ids, via_insert=via_insert,
+                )
+
+    def test_shard_stores_share_no_memory(self):
+        engine = ShardedIndex(_grid_store(6), n_shards=3)
+        engine.build()
+        stores = [s.store for s in engine.shards]
+        for i, a in enumerate(stores):
+            assert not np.shares_memory(a.lo, engine.store.lo)
+            for b in stores[i + 1:]:
+                assert not np.shares_memory(a.lo, b.lo)
+                assert not np.shares_memory(a.ids, b.ids)
+
+    def test_the_engine_takes_no_replication_arguments(self):
+        engine = ShardedIndex(_grid_store(4), n_shards=3)
+        assert engine.name == "Sharded[strx3]"
+        for removed in ("replication", "fault_injector", "events"):
+            with pytest.raises(TypeError, match=removed):
+                ShardedIndex(_grid_store(4), **{removed: None})
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Eight checks, all filesystem/CLI-only:
+Nine checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -34,6 +34,11 @@ Eight checks, all filesystem/CLI-only:
    ``examples/`` never cite ``ROADMAP item <n>``: ROADMAP renumbers its
    items at every re-anchor, so a pointer names what it points at
    instead.  ROADMAP.md and CHANGES.md themselves are exempt.
+9. **No orphan event kinds** — every kind in
+   ``repro.telemetry.events.EVENTS`` is the literal first argument of
+   some ``.emit(...)`` call under ``src/repro``.  Check 4 and quasii-lint
+   rule QL005 hold vocabulary <-> docs and code -> vocabulary; this is
+   vocabulary -> code, so a kind cannot outlive its last emitter.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -43,6 +48,7 @@ otherwise.  Run from the repository root::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -257,6 +263,40 @@ def check_roadmap_pointers() -> list[str]:
     return problems
 
 
+def emitted_event_kinds() -> set[str]:
+    """Every string literal passed first to an ``.emit(...)`` call
+    under ``src/repro`` (the spelling QL005 holds to the vocabulary)."""
+    kinds = set()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                kinds.add(node.args[0].value)
+    return kinds
+
+
+def orphan_event_problems(canonical: set[str], emitted: set[str]) -> list[str]:
+    """Canonical event kinds no code emits."""
+    return [
+        f"repro/telemetry/events.py: event {kind!r} is never emitted "
+        "under src/repro"
+        for kind in sorted(canonical - emitted)
+    ]
+
+
+def check_orphan_events() -> list[str]:
+    """Every canonical event kind has an emitter under ``src/repro``."""
+    from repro.telemetry.events import EVENTS
+
+    return orphan_event_problems(set(EVENTS), emitted_event_kinds())
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -266,6 +306,7 @@ def main() -> int:
         + check_analysis_docs()
         + check_query_layer_hooks()
         + check_roadmap_pointers()
+        + check_orphan_events()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -276,7 +317,8 @@ def main() -> int:
         "docs-check: README/docs links, BENCH.md verbs, CLI help, "
         "OBSERVABILITY.md metric/span/event/endpoint tables, the "
         "ANALYSIS.md lint-rule table, ARCHITECTURE.md's query-layer "
-        "hooks and the ROADMAP pointers all consistent"
+        "hooks, the ROADMAP pointers and the event emitters all "
+        "consistent"
     )
     return 0
 
