@@ -147,7 +147,7 @@ class QuasiiIndex(MutableSpatialIndex):
         if config is None:
             config = QuasiiConfig.for_dataset(max(store.n, 1), store.ndim, tau)
         if config.ndim != store.ndim:
-            raise ValueError(
+            raise ConfigurationError(
                 f"config is for {config.ndim} dims, store has {store.ndim}"
             )
         if representative not in REPRESENTATIVES:

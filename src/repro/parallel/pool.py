@@ -264,7 +264,9 @@ class ProcessPool:
         self._drop(sid)
         version = self._versions.get(sid, -1) + 1
         self._versions[sid] = version
-        spec, shm = publish_segment(store, sid, version)
+        spec, shm = publish_segment(
+            store, sid, version, self._index.config, self._index.max_runs
+        )
         self._segments[sid] = ShardSegment(spec, shm, store)
         shard.oplog = []
         if self._events is not None:

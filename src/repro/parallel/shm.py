@@ -14,7 +14,8 @@ the same :meth:`SharedStoreView.attach`:
   tombstones are simply not shipped).  The worker-side
   :class:`~repro.datasets.store.BoxStore` over it starts at epoch 0
   with every row live — a valid store by construction — and the owning
-  worker builds its warm index there.
+  worker builds its warm index there, from the ``config`` and
+  ``max_runs`` its spec carries: the driver's shard index, rebuilt.
 * A **delta segment** holds only the rows inserted into a shard since
   its previous batch (:func:`publish_delta`): a write ships what it
   wrote.  The worker copies them out and lets go at once; the driver
@@ -62,6 +63,7 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
+from repro.core.config import QuasiiConfig
 from repro.datasets.store import BoxStore
 from repro.errors import ParallelError
 from repro.updates.ledger import LedgerOp
@@ -85,9 +87,9 @@ _INT = np.dtype(np.int64)
 class SegmentSpec:
     """Everything a worker needs to map one shard snapshot.
 
-    Strings and integers only — picklable by construction (QL008), and
-    small enough that shipping one per refresh is noise next to the
-    rows it describes.
+    Strings and integers only (``config`` is a frozen dataclass of
+    ints) — picklable by construction (QL008), and small enough that
+    shipping one per refresh is noise next to the rows it describes.
 
     Attributes
     ----------
@@ -104,6 +106,9 @@ class SegmentSpec:
         Box dimensionality.
     epoch:
         The source store's epoch at publish time (diagnostic only).
+    config, max_runs:
+        The engine's shard-index settings, which the worker builds its
+        index from (:func:`~repro.sharding.shard.build_index`).
     """
 
     name: str
@@ -112,6 +117,8 @@ class SegmentSpec:
     n_rows: int
     ndim: int
     epoch: int
+    config: QuasiiConfig | None
+    max_runs: int
 
 
 def segment_nbytes(n_rows: int, ndim: int) -> int:
@@ -131,15 +138,17 @@ def _layout(
 
 
 def publish_segment(
-    store: BoxStore, sid: int, version: int
+    store: BoxStore, sid: int, version: int,
+    config: QuasiiConfig | None = None, max_runs: int = 8,
 ) -> tuple[SegmentSpec, SharedMemory]:
     """Snapshot a store's live rows into a fresh shared-memory segment.
 
     Driver-side half of the protocol.  Gathers the live rows (packed,
     tombstones dropped) into a newly created segment and returns the
-    spec plus the owning handle — the caller keeps the handle so it can
-    later :meth:`~multiprocessing.shared_memory.SharedMemory.unlink`
-    the segment (see :class:`ShardSegment`).
+    spec, which carries the index settings, plus the owning handle —
+    the caller keeps the handle so it can later
+    :meth:`~multiprocessing.shared_memory.SharedMemory.unlink` the
+    segment (see :class:`ShardSegment`).
     """
     rows = store.live_rows()
     n_rows = int(rows.size)
@@ -169,6 +178,8 @@ def publish_segment(
         n_rows=n_rows,
         ndim=ndim,
         epoch=store.epoch,
+        config=config,
+        max_runs=max_runs,
     )
     return spec, shm
 

@@ -8,12 +8,10 @@ the process boundary) and keeps, per owned shard, one
 (the zero-copy store over the shard's base segment) and a
 :class:`~repro.core.quasii.QuasiiIndex` over it, which keeps *cracking
 adaptively* from batch to batch and **across writes** — the warm
-structure is the whole point of a persistent pool.
-
-The worker-side index is always QUASII regardless of the engine's
-``index_factory``: factory callables are exactly the kind of payload
-the process boundary refuses to ship (QL008), and result correctness is
-index-independent (every index is exact over its store).
+structure is the whole point of a persistent pool.  The index is built
+by :func:`~repro.sharding.shard.build_index` from the ``config`` and
+``max_runs`` the base's :class:`~repro.parallel.shm.SegmentSpec`
+carries, exactly as the driver builds its shard's.
 
 Messages arrive as plain tuples of wire dataclasses (see
 :mod:`repro.parallel.wire`).  Besides its queries a ``batch`` message
@@ -47,6 +45,7 @@ from repro.parallel.wire import (
     decode_queries,
     encode_results,
 )
+from repro.sharding.shard import build_index
 from repro.telemetry.metrics import LatencyHistogram
 from repro.telemetry.naming import WORKER_BATCH_SECONDS, WORKER_QUERY_SECONDS
 
@@ -77,12 +76,11 @@ class _ShardState:
     __slots__ = ("view", "index")
 
     def __init__(self, view: SharedStoreView) -> None:
-        """Build the warm local index over an attached view."""
-        from repro.core.quasii import QuasiiIndex
-
+        """Build the warm local index over an attached view, as its
+        spec describes it."""
+        spec = view.spec
         self.view = view
-        self.index = QuasiiIndex(view.store)
-        self.index.build()
+        self.index = build_index(view.store, spec.config, spec.max_runs)
 
     def apply(
         self, delta: ShardDelta | None, owned_count: int, tracker_shared: bool

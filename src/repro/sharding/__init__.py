@@ -8,8 +8,9 @@ keeping per-shard incremental cracking intact:
 * :mod:`~repro.sharding.partitioner` — the build-time STR row split
   (``assign``) and least-enlargement insert routing (``route``).
 * :class:`Shard` — one shard: a private :class:`BoxStore` copy of its
-  rows, the index an :data:`IndexFactory` built over it, and the MBB
-  used for query pruning.
+  rows, the QUASII index built over it from the engine's
+  ``QuasiiConfig`` and ``max_runs`` (the same values a process worker
+  builds its copy from), and the MBB used for query pruning.
 * :class:`ShardedIndex` — the engine: the full
   :class:`~repro.index.base.MutableSpatialIndex` contract over K shards
   with pruned fan-out queries, merged + deduplicated results, and
@@ -49,12 +50,11 @@ from repro.sharding.rebalancer import (
     ShardLoad,
     WorkloadProfile,
 )
-from repro.sharding.shard import IndexFactory, Shard
+from repro.sharding.shard import Shard
 from repro.sharding.sharded_index import ShardedIndex
 
 __all__ = [
     "BatchResult",
-    "IndexFactory",
     "MaintenancePolicy",
     "MaintenanceReport",
     "MaintenanceScheduler",

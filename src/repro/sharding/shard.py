@@ -1,13 +1,14 @@
-"""One shard of the serving engine: one store, one index, one pruning MBB.
+"""One shard of the serving engine: one store, one QUASII index, one MBB.
 
 A :class:`Shard` owns a private :class:`~repro.datasets.store.BoxStore`
-holding its slice of the data (incremental indexes physically permute
-their store, so shards cannot share row ranges of one array) plus
-whatever :class:`SpatialIndex` the engine's :data:`IndexFactory` built
-over it.  A shard is one copy: the failure that can happen on one host,
-a worker process dying, is survived by the process pool respawning the
-worker and republishing from this store (docs/ARCHITECTURE.md, Worker
-failure).
+holding its slice of the data (QUASII physically permutes its store, so
+shards cannot share row ranges of one array) plus the QUASII index
+:func:`build_index` built over it from the engine's ``config`` and
+``max_runs`` — plain data, from which a process worker builds its copy
+through the same function.  A shard is one copy: the failure that can
+happen on one host, a worker process dying, is survived by the process
+pool respawning the worker and republishing from this store
+(docs/ARCHITECTURE.md, Worker failure).
 
 The shard tracks its minimum bounding box for query pruning; the MBB is
 exact at build time, *expands* when routed inserts arrive (covering
@@ -29,56 +30,39 @@ entry each (aliasing their arguments) for the pool to drain.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
+from repro.core.config import QuasiiConfig
+from repro.core.quasii import QuasiiIndex
 from repro.datasets.store import BoxStore
-from repro.errors import ConfigurationError
-from repro.index.base import MutableSpatialIndex, SpatialIndex
 from repro.updates.ledger import LedgerOp
-
-#: Builds one shard's index over the private store it is handed.
-IndexFactory = Callable[[BoxStore], SpatialIndex]
 
 _INF = float("inf")
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
-def _build_index(
-    factory: IndexFactory, store: BoxStore, via_insert: bool = False
-) -> SpatialIndex:
-    """Build one shard index over ``store``, which the index then owns.
+def build_index(
+    store: BoxStore, config: QuasiiConfig | None, max_runs: int, via_insert: bool = False
+) -> QuasiiIndex:
+    """Build the index a shard runs over ``store``, which it then owns.
 
-    The single spelling of "factory, contract check, build" that engine
-    build and shard rebuild both go through.  With ``via_insert`` a
-    mutable factory starts empty and takes the rows through its own
-    insert/flush path: a large batch then lands as an STR bulk-loaded,
-    already-refined run (``bulk_flush_threshold``) instead of one coarse
-    slice, so queries after a rebuild do not re-crack the shard from
-    scratch on the serving path.
+    The one place that decides it: engine build, shard rebuild and the
+    process worker all come here.  With ``via_insert`` the index starts
+    empty and takes the rows through its own insert/flush path: a large
+    batch then lands as an STR bulk-loaded, already-refined run
+    (``bulk_flush_threshold``) instead of one coarse slice, so queries
+    after a rebuild do not re-crack the shard from scratch on the
+    serving path.
     """
-    rows: BoxStore | None = None
+    rows = store
     if via_insert:
         empty = np.empty((0, store.ndim), dtype=np.float64)
-        rows, store = store, BoxStore(empty, empty.copy())
-    index = factory(store)
-    if index.store is not store:
-        raise ConfigurationError(
-            "index_factory must build the index over the shard store "
-            "it was given"
-        )
-    if rows is None:
-        index.build()
-    elif not isinstance(index, MutableSpatialIndex):
-        # The cheap empty-store probe only told us the factory is
-        # immutable; build the real index over the populated store.
-        return _build_index(factory, rows)
-    else:
-        index.build()
-        if rows.n:
-            index.insert(rows.lo, rows.hi, rows.ids)
-            index.flush_updates()
+        store = BoxStore(empty, empty.copy())
+    index = QuasiiIndex(store, config, max_runs=max_runs)
+    index.build()
+    if via_insert and rows.n:
+        index.insert(rows.lo, rows.hi, rows.ids)
+        index.flush_updates()
     return index
 
 
@@ -87,7 +71,7 @@ class Shard:
 
     Built by the engine over the rows ``lo``/``hi``/``ids``, which the
     shard's store takes as they are (no copy), and indexed by
-    ``factory`` (``via_insert`` as in :func:`_build_index`).
+    :func:`build_index` with ``config``, ``max_runs`` and ``via_insert``.
     """
 
     __slots__ = ("sid", "store", "index", "mbb_lo", "mbb_hi", "oplog")
@@ -95,14 +79,15 @@ class Shard:
     def __init__(
         self,
         sid: int,
-        factory: IndexFactory,
         lo: np.ndarray,
         hi: np.ndarray,
         ids: np.ndarray,
+        config: QuasiiConfig | None = None,
+        max_runs: int = 8,
         via_insert: bool = False,
     ) -> None:
         self.sid = sid
-        self.index = _build_index(factory, BoxStore(lo, hi, ids), via_insert)
+        self.index = build_index(BoxStore(lo, hi, ids), config, max_runs, via_insert)
         self.store = self.index.store
         #: Mutations the serving pool has yet to drain (module docstring).
         self.oplog: list[LedgerOp] | None = None
@@ -210,10 +195,6 @@ class Shard:
         """Compact the index's store; re-tighten the MBB.  Returns the
         rows reclaimed (the engine's accounting unit)."""
         index = self.index
-        # Immutable indexes are never routed a delete, and every shard
-        # store starts tombstone-free: nothing to reclaim.
-        if not isinstance(index, MutableSpatialIndex):
-            return 0
         reclaimed = index.compact()
         if reclaimed and index.pending_updates() == 0:
             # Buffered (not yet drained) inserts are covered by the MBB
@@ -227,9 +208,7 @@ class Shard:
     def flush_updates(self) -> int:
         """Force the index's pending buffer into its structure; returns
         the rows merged."""
-        if isinstance(self.index, MutableSpatialIndex):
-            return self.index.flush_updates()
-        return 0
+        return self.index.flush_updates()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Shard(sid={self.sid}, n={self.store.n}, index={self.index.name})"

@@ -5,10 +5,10 @@ into a partition-then-search architecture ("The Case for Learned Spatial
 Indexes" shows this layout dominating monolithic structures; LiLIS builds
 a distributed framework the same way): an STR split
 (:func:`~repro.sharding.partitioner.assign`) cuts the rows into
-``n_shards`` spatial tiles, an index factory builds one
-:class:`SpatialIndex` per shard (QUASII by default, so every shard keeps
-*cracking adaptively* on its own slice forest), and the engine exposes
-the full :class:`MutableSpatialIndex` contract over the fleet:
+``n_shards`` spatial tiles, every shard runs one
+:class:`~repro.core.quasii.QuasiiIndex` (so each keeps *cracking
+adaptively* on its own slice forest), and the engine exposes the full
+:class:`MutableSpatialIndex` contract over the fleet:
 
 * **Queries** fan out only to shards whose MBB intersects the window
   (``shards_visited`` / ``shards_pruned`` count the pruning), and the
@@ -39,7 +39,8 @@ merge (:meth:`ShardedIndex.route_batch`, :meth:`ShardedIndex.serve_local`);
 the :class:`~repro.sharding.executor.QueryExecutor` drives the same
 halves and can swap the in-thread server for worker processes.
 
-Every shard is one store plus one index (:mod:`repro.sharding.shard`).
+Every shard is one store plus one QUASII index, built from the engine's
+``config`` and ``max_runs`` (:mod:`repro.sharding.shard`).
 
 The engine also observes its own traffic: every planned query's centroid
 is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
@@ -59,24 +60,20 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.config import QuasiiConfig
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, DatasetError
 from repro.geometry.predicates import boxes_intersect_window
-from repro.index.base import WORK_COUNTERS, MutableSpatialIndex, SpatialIndex
+from repro.index.base import WORK_COUNTERS, MutableSpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
 from repro.sharding import partitioner
 from repro.sharding.rebalancer import WorkloadProfile
-from repro.sharding.shard import IndexFactory, Shard
-
-
-def _default_factory(store: BoxStore) -> SpatialIndex:
-    from repro.core.quasii import QuasiiIndex
-
-    return QuasiiIndex(store)
+from repro.sharding.shard import Shard
 
 
 class ShardedIndex(MutableSpatialIndex):
-    """K per-shard indexes behind one :class:`MutableSpatialIndex` facade.
+    """K per-shard QUASII indexes behind one :class:`MutableSpatialIndex`
+    facade.
 
     Parameters
     ----------
@@ -86,10 +83,13 @@ class ShardedIndex(MutableSpatialIndex):
         that (see the module docstring).
     n_shards:
         Number of shards ``K >= 1``.
-    index_factory:
-        Callable building one index per shard store (so shards are
-        structurally homogeneous); defaults to
-        :class:`~repro.core.quasii.QuasiiIndex`.
+    config:
+        The threshold ladder every shard index uses, its ``ndim`` that
+        of ``store``; ``None`` (default) lets each index derive its
+        ladder from the rows it is built over (Equation 1, τ = 60).
+    max_runs:
+        Each shard index's cap on appended insert runs (see
+        :class:`~repro.core.quasii.QuasiiIndex`).
 
     Examples
     --------
@@ -108,13 +108,20 @@ class ShardedIndex(MutableSpatialIndex):
         self,
         store: BoxStore,
         n_shards: int = 4,
-        index_factory: IndexFactory | None = None,
+        config: QuasiiConfig | None = None,
+        max_runs: int = 8,
     ) -> None:
         super().__init__(store)
         if n_shards < 1:
             raise ConfigurationError(f"need n_shards >= 1, got {n_shards}")
+        if config is not None and config.ndim != store.ndim:
+            raise ConfigurationError(
+                f"config is for {config.ndim} dims, store has {store.ndim}"
+            )
+        if max_runs < 1:
+            raise ConfigurationError(f"max_runs must be >= 1, got {max_runs}")
         self._n_shards = int(n_shards)
-        self._factory: IndexFactory = index_factory or _default_factory
+        self._config, self._max_runs = config, int(max_runs)
         self._shards: list[Shard] = []
         #: id -> owning shard sid, maintained for every *live* object.
         self._owner: dict[int, int] = {}
@@ -168,6 +175,16 @@ class ShardedIndex(MutableSpatialIndex):
         return self._n_shards
 
     @property
+    def config(self) -> QuasiiConfig | None:
+        """Every shard index's ladder (``None``: derived from its rows)."""
+        return self._config
+
+    @property
+    def max_runs(self) -> int:
+        """Every shard index's cap on appended insert runs."""
+        return self._max_runs
+
+    @property
     def shards(self) -> tuple[Shard, ...]:
         """The shard fleet (read-only view; built after :meth:`build`)."""
         return tuple(self._shards)
@@ -215,9 +232,8 @@ class ShardedIndex(MutableSpatialIndex):
         owners = partitioner.assign(store.lo[rows], store.hi[rows], self._n_shards)
         for sid in range(self._n_shards):
             mine = rows[owners == sid]
-            self._shards.append(
-                Shard(sid, self._factory, store.lo[mine], store.hi[mine], store.ids[mine])
-            )
+            lo, hi, ids = store.lo[mine], store.hi[mine], store.ids[mine]
+            self._shards.append(Shard(sid, lo, hi, ids, self.config, self.max_runs))
         ids = store.ids[rows]
         self._owner = dict(zip(ids.tolist(), owners.tolist()))
         self._seen_epoch = store.epoch
@@ -282,8 +298,7 @@ class ShardedIndex(MutableSpatialIndex):
 
         Each routed shard answers its whole sub-batch through its index's
         *native* ``execute_batch`` — one call per shard instead of one
-        per (query, shard) pair, so vectorized shard indexes batch their
-        candidate matrices and QUASII shards amortize their merges — and
+        per (query, shard) pair, so shards amortize their merges — and
         the call is timed, so shard skew is as visible here as behind
         :meth:`~repro.parallel.pool.ProcessPool.run_batch`, which returns
         the same shape.
@@ -438,7 +453,6 @@ class ShardedIndex(MutableSpatialIndex):
         if not self._built:
             # Pre-build rows join the input store; build() partitions them.
             return self._store.append_validated(lo, hi, ids)
-        self._require_mutable_shards()
         # The input store allocates ids (no rows, no epoch), so the
         # engine's id stream is the one a Scan over the same input sees.
         if ids is None:
@@ -460,19 +474,9 @@ class ShardedIndex(MutableSpatialIndex):
         self.sync_shard_work()
         return assigned
 
-    def _require_mutable_shards(self) -> None:
-        """Raise before any mutation if the fleet cannot absorb updates."""
-        for shard in self._shards:
-            if not isinstance(shard.index, MutableSpatialIndex):
-                raise ConfigurationError(
-                    f"shard index {shard.index.name!r} does not support "
-                    "updates; use a MutableSpatialIndex factory"
-                )
-
     def _delete(self, ids: np.ndarray) -> int:
         if not self._built:
             return self._store.delete_ids(ids)
-        self._require_mutable_shards()
         id_list = np.unique(ids).tolist()
         missing = [i for i in id_list if i not in self._owner]
         if missing:
@@ -533,11 +537,7 @@ class ShardedIndex(MutableSpatialIndex):
 
     def pending_updates(self) -> int:
         """Rows staged in shard-level update buffers, fleet-wide."""
-        return sum(
-            s.index.pending_updates()
-            for s in self._shards
-            if isinstance(s.index, MutableSpatialIndex)
-        )
+        return sum(s.index.pending_updates() for s in self._shards)
 
     def flush_updates(self) -> int:
         """Force every shard's pending buffer into its structure now.
@@ -567,8 +567,8 @@ class ShardedIndex(MutableSpatialIndex):
     ) -> None:
         """Replace shard ``sid`` with a fresh shard over the rows.
 
-        Mutable shard indexes are rebuilt through their own insert/flush
-        path (``via_insert``, see :class:`~repro.sharding.shard.Shard`),
+        The shard index is rebuilt through its own insert/flush path
+        (``via_insert``, see :func:`~repro.sharding.shard.build_index`),
         so post-rebuild queries do not re-crack the shard from scratch
         on the serving path.  The pruning MBB is re-derived from the new store (a stale
         one would mis-route the next insert), ownership is rewritten for
@@ -577,7 +577,8 @@ class ShardedIndex(MutableSpatialIndex):
         # Fold the outgoing indexes' unsynced work before discarding them.
         self.sync_shard_work()
         self._shards[sid] = Shard(
-            sid, self._factory, lo.copy(), hi.copy(), ids.copy(), via_insert=True
+            sid, lo.copy(), hi.copy(), ids.copy(), self.config, self.max_runs,
+            via_insert=True,
         )
         for obj_id in ids.tolist():
             self._owner[int(obj_id)] = sid

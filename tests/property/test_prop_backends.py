@@ -13,7 +13,10 @@ after a worker is killed between ops: the pool respawns it and
 republishes its shards from the driver (a kill is a no-op on
 ``sequential``, which has no worker).
 :func:`test_every_cell_is_served_or_refused` walks each backend through
-the same story as a fixed script.
+the same story as a fixed script.  The Hypothesis engines run the
+small ladder ``QuasiiConfig(2, (8, 4))`` with ``max_runs=2``, the
+process workers included, so refinement and run collapse happen at toy
+sizes.
 
 Invariants, after every single operation:
 
@@ -39,7 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ScanIndex
-from repro.core import QuasiiConfig, QuasiiIndex
+from repro.core import QuasiiConfig
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
 from repro.queries import hotspot_workload, uniform_workload
@@ -110,9 +113,8 @@ def test_backends_agree_with_scan_under_interleavings(case):
         backend: ShardedIndex(
             BoxStore(lo.copy(), hi.copy()),
             n_shards=3,
-            index_factory=lambda s: QuasiiIndex(
-                s, QuasiiConfig(2, (8, 4)), max_runs=2
-            ),
+            config=QuasiiConfig(2, (8, 4)),
+            max_runs=2,
         )
         for backend in BACKENDS
     }
@@ -243,7 +245,8 @@ def test_worker_kills_at_every_shard_count(n_shards, case):
     engine = ShardedIndex(
         BoxStore(lo.copy(), hi.copy()),
         n_shards=n_shards,
-        index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4)), max_runs=2),
+        config=QuasiiConfig(2, (8, 4)),
+        max_runs=2,
     )
     engine.build()
     ledger = UpdateLedger(scan.store)

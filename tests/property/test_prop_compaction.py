@@ -112,9 +112,8 @@ def test_sharded_compaction_under_interleavings(n_shards, case):
     engine = ShardedIndex(
         BoxStore(lo.copy(), hi.copy()),
         n_shards=n_shards,
-        index_factory=lambda s: QuasiiIndex(
-            s, QuasiiConfig(2, (8, 4)), max_runs=2
-        ),
+        config=QuasiiConfig(2, (8, 4)),
+        max_runs=2,
     )
     engine.build()
     ledger = UpdateLedger(scan.store)

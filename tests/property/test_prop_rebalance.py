@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines import ScanIndex
-from repro.core import QuasiiConfig, QuasiiIndex
+from repro.core import QuasiiConfig
 from repro.datasets import BoxStore
 from repro.sharding import (
     MaintenancePolicy,
@@ -48,9 +48,8 @@ KINDS = (*BASE_KINDS, "rebalance", "compact", "maintain")
 SHARD_COUNTS = (1, 2, 7)
 
 
-def _small_quasii(store: BoxStore) -> QuasiiIndex:
-    # A handcrafted tiny ladder keeps refinement exercised at toy sizes.
-    return QuasiiIndex(store, QuasiiConfig(2, (8, 4)), max_runs=2)
+#: A handcrafted tiny ladder keeps refinement exercised at toy sizes.
+SMALL = QuasiiConfig(2, (8, 4))
 
 
 def _assert_routing_mbbs_fresh(engine: ShardedIndex) -> None:
@@ -78,7 +77,8 @@ def test_rebalancing_preserves_all_invariants(n_shards, case):
     engine = ShardedIndex(
         BoxStore(lo.copy(), hi.copy()),
         n_shards=n_shards,
-        index_factory=_small_quasii,
+        config=SMALL,
+        max_runs=2,
     )
     engine.build()
     ledger = UpdateLedger(scan.store)

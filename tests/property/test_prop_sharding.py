@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines import ScanIndex
-from repro.core import QuasiiConfig, QuasiiIndex
+from repro.core import QuasiiConfig
 from repro.datasets import BoxStore
 from repro.sharding import ShardedIndex
 from repro.updates import UpdateLedger
@@ -34,9 +34,8 @@ from tests.property._interleavings import (
 SHARD_COUNTS = (1, 2, 7)
 
 
-def _small_quasii(store: BoxStore) -> QuasiiIndex:
-    # A handcrafted tiny ladder keeps refinement exercised at toy sizes.
-    return QuasiiIndex(store, QuasiiConfig(2, (8, 4)), max_runs=2)
+#: A handcrafted tiny ladder keeps refinement exercised at toy sizes.
+SMALL = QuasiiConfig(2, (8, 4))
 
 
 # Ids name the tiling as ``engine.name`` spells it (``Sharded[strxK]``).
@@ -49,7 +48,8 @@ def test_sharded_matches_scan_under_interleavings(n_shards, case):
     engine = ShardedIndex(
         BoxStore(lo.copy(), hi.copy()),
         n_shards=n_shards,
-        index_factory=_small_quasii,
+        config=SMALL,
+        max_runs=2,
     )
     engine.build()
     ledger = UpdateLedger(scan.store)

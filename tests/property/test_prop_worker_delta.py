@@ -29,7 +29,6 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.baselines import ScanIndex
-from repro.core import QuasiiIndex
 from repro.datasets import BoxStore
 from repro.errors import DatasetError
 from repro.geometry import Box
@@ -54,7 +53,7 @@ class _Pair:
     def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
         ids = np.arange(lo.shape[0], dtype=np.int64)
         self.scan = ScanIndex(BoxStore(lo.copy(), hi.copy(), ids.copy()))
-        self.shard = Shard(0, QuasiiIndex, lo.copy(), hi.copy(), ids)
+        self.shard = Shard(0, lo.copy(), hi.copy(), ids)
         self.next_id = int(ids.size)
         self.deleted: list[int] = []
         spec, self.base = publish_segment(self.shard.store, 0, 0)

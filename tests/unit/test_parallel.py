@@ -17,14 +17,17 @@ Covers the four layers of the subsystem:
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import time
+from dataclasses import replace
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
 
 from repro.baselines import ScanIndex
+from repro.core import QuasiiConfig
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, ParallelError
 from repro.geometry import Box
@@ -42,6 +45,7 @@ from repro.parallel import (
     segment_nbytes,
 )
 from repro.parallel import shm as shm_module
+from repro.parallel.worker import _ShardState
 from repro.queries import Query, uniform_workload
 from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
@@ -143,6 +147,24 @@ class TestSegments:
             shm.close()
             shm.unlink()
 
+    def test_a_base_spec_carries_the_index_settings_as_plain_data(self):
+        config = QuasiiConfig(2, (8, 4))
+        spec, shm = publish_segment(_store(8), 0, 0, config, max_runs=2)
+        try:
+            back = pickle.loads(pickle.dumps(spec))
+            assert isinstance(back, SegmentSpec) and back == spec
+            assert (back.config, back.max_runs) == (config, 2)
+            view = SharedStoreView.attach(back, tracker_shared=True)
+            state = _ShardState(view)
+            try:
+                assert state.index.config == config
+                assert state.index._max_runs == 2
+            finally:
+                state.close()
+        finally:
+            shm.close()
+            shm.unlink()
+
     def test_view_is_zero_copy_over_the_mapping(self):
         store = _store(16)
         spec, shm = publish_segment(store, sid=0, version=0)
@@ -193,14 +215,7 @@ class TestSegments:
         store = _store(8)
         spec, shm = publish_segment(store, sid=0, version=0)
         try:
-            lying = SegmentSpec(
-                name=spec.name,
-                sid=spec.sid,
-                version=spec.version,
-                n_rows=spec.n_rows * 100,
-                ndim=spec.ndim,
-                epoch=spec.epoch,
-            )
+            lying = replace(spec, n_rows=spec.n_rows * 100)
             with pytest.raises(ParallelError, match="bytes"):
                 SharedStoreView.attach(lying, tracker_shared=True)
         finally:
@@ -575,6 +590,35 @@ class TestProcessBackend:
             republished = events.recent("worker.refresh")[bases:]
             assert sorted(e.payload["sid"] for e in republished) == [wid, wid + 2]
             assert telemetry.registry.counter(WORKER_RESPAWNS).value == 1
+
+    def test_workers_crack_as_the_driver_would_with_the_engine_config(self):
+        """Driver and workers build a shard's index from the same
+        settings: a small-ladder engine cracks as often under
+        ``processes`` as under ``sequential``, all of it in the workers,
+        and a SIGKILLed worker's replacement starts over from the same
+        ladder."""
+        store = _store(400)
+        queries = uniform_workload(
+            Box((0.0, 0.0), (100.0, 100.0)), 20, 1e-2, seed=1
+        )
+        cracks = {}
+        for backend in BACKENDS:
+            engine = ShardedIndex(
+                store.copy(), n_shards=2, config=QuasiiConfig(2, (8, 4)),
+                max_runs=2,
+            )
+            with QueryExecutor(engine, max_workers=2, backend=backend) as ex:
+                ex.run(queries)
+                cracks[backend] = engine.stats.cracks
+                if backend == "processes":
+                    for wid in (0, 1):
+                        sigkill_worker(ex, wid)
+                    ex.run(queries)
+                    # The replacements re-crack the driver's rows from
+                    # scratch, as a fresh engine-config index does.
+                    assert engine.stats.cracks == 2 * cracks["sequential"]
+                    assert sum(s.work_counter("cracks") for s in engine.shards) == 0
+        assert cracks["processes"] == cracks["sequential"] > 0
 
     def test_killing_every_worker_respawns_each_once(self, dataset):
         queries = uniform_workload(dataset.universe, 15, 1e-2, seed=6)

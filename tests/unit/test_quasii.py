@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
+from repro.errors import ConfigurationError
 from repro.geometry import Box
 from repro.queries import Query, uniform_workload
 
@@ -40,7 +41,7 @@ class TestInitialState:
 
     def test_dim_mismatch_rejected(self):
         store = grid_store_2d()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="3 dims, store has 2"):
             QuasiiIndex(store, QuasiiConfig(3, (10, 10, 10)))
 
 

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "tools"))
 
@@ -46,7 +48,7 @@ def test_registry_holds_the_documented_rule_set():
         # QL002 (compaction hooks) with the mutable baselines: the hook
         # is abstract on MutableSpatialIndex.  Ids are never renumbered.
         "QL001", "QL004", "QL005", "QL006", "QL007", "QL008", "QL009",
-        "QL010",
+        "QL010", "QL011",
     ]
     for rule in analysis.all_rules():
         assert rule.id in analysis.RULES
@@ -374,6 +376,50 @@ def test_ql010_accepts_reads_annotations_exports_and_packages(tmp_path):
 
 def test_ql010_stays_silent_on_the_live_tree():
     assert run_rules(REPO / "src" / "repro", ["QL010"]) == []
+
+
+# ---------------------------------------------------------------------------
+# QL011 mutable argument defaults
+# ---------------------------------------------------------------------------
+def test_ql011_flags_mutable_displays_and_constructors(tmp_path):
+    write_tree(tmp_path, {"mod.py": (
+        "import collections\n"
+        "def f(a, b=[], *, c={}, d=None):\n"
+        "    def inner(e={1}, f=[i for i in range(3)]):\n"
+        "        return e\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def m(self, g=set(), h=collections.deque(), /, i=dict(a=1)):\n"
+        "        return g\n"
+        "k = lambda seen=list(): seen\n"
+    )})
+    tags = sorted(f.tag for f in run_rules(tmp_path, ["QL011"]))
+    assert tags == [
+        "<lambda>:seen", "C.m:g", "C.m:h", "C.m:i",
+        "f.inner:e", "f.inner:f", "f:b", "f:c",
+    ]
+
+
+def test_ql011_accepts_immutable_and_none_defaults(tmp_path):
+    write_tree(tmp_path, {"mod.py": (
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    seen: list = field(default_factory=list)\n"
+        "def f(a=(), b=frozenset(), c=None, d=0, e='x', *, g=np.float64, h=tuple()):\n"
+        "    return [] if c is None else c\n"
+        "def h(x=lambda: []):\n"
+        "    return x\n"
+    )})
+    assert run_rules(tmp_path, ["QL011"]) == []
+
+
+@pytest.mark.parametrize(
+    "tree", ["src", "tools", "tests", "examples", "benchmarks"]
+)
+def test_ql011_stays_silent_on_the_live_tree(tree):
+    assert run_rules(REPO / tree, ["QL011"]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.baselines import RTreeIndex, ScanIndex
-from repro.core import QuasiiConfig, QuasiiIndex
+from repro.baselines import ScanIndex
+from repro.core import QuasiiConfig
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
 from repro.geometry import Box
-from repro.index import SpatialIndex
 from repro.queries import Query, uniform_workload
 from repro.sharding import (
     QueryExecutor,
@@ -36,6 +36,12 @@ def _grid_store(side: int = 10, spacing: float = 10.0) -> BoxStore:
 
 def _window(lo, hi, seq=0) -> Query:
     return Query(Box(tuple(lo), tuple(hi)), seq=seq)
+
+
+#: A handcrafted tiny ladder keeps refinement exercised at toy sizes.
+SMALL = QuasiiConfig(2, (8, 4))
+#: A shard index derives its ladder from its rows, or takes the engine's.
+CONFIGS, CONFIG_IDS = [None, SMALL], ["derived", "small"]
 
 
 # ----------------------------------------------------------------------
@@ -184,40 +190,35 @@ class TestShardedIndex:
         assert ShardedIndex._merge([a]) is a
         assert ShardedIndex._merge([]).size == 0
 
-    def test_immutable_factory_supports_queries_but_rejects_updates(self):
-        class FrozenScan(SpatialIndex):
-            name = "FrozenScan"
+    def test_a_config_the_store_cannot_take_is_refused_at_construction(self):
+        store = _grid_store(4)
+        with pytest.raises(ConfigurationError, match="3 dims, store has 2"):
+            ShardedIndex(store, n_shards=2, config=QuasiiConfig(3, (9, 6, 3)))
+        with pytest.raises(ConfigurationError, match="max_runs"):
+            ShardedIndex(store, n_shards=2, max_runs=0)
 
-            def _candidates(self, query):
-                return np.arange(self._store.n)  # every row is a candidate
-
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_every_shard_index_is_built_from_the_engine_settings(self, config):
         engine = ShardedIndex(
-            _grid_store(4), n_shards=2, index_factory=FrozenScan
+            _grid_store(6, 3.0), n_shards=3, config=config, max_runs=3
         )
         engine.build()
-        assert engine.execute(_window((-1.0, -1.0), (100.0, 100.0))).ids.size == 16
-        with pytest.raises(ConfigurationError, match="does not support"):
-            engine.insert(np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]]))
-        with pytest.raises(ConfigurationError, match="does not support"):
-            engine.delete(np.array([0]))
-        # The rejected updates wrote nothing: the engine keeps serving
-        # instead of failing epoch checks.
-        assert engine.store.epoch == 0
-        assert engine.execute(_window((-1.0, -1.0), (100.0, 100.0), seq=1)).ids.size == 16
-
-    def test_factory_must_use_given_store(self):
-        other = _grid_store(3)
-        engine = ShardedIndex(
-            _grid_store(4), n_shards=2, index_factory=lambda s: ScanIndex(other)
+        shard = engine.shards[1]
+        rows = shard.store.live_rows()
+        engine.rebuild_shard(
+            1, shard.store.lo[rows], shard.store.hi[rows], shard.store.ids[rows]
         )
-        with pytest.raises(ConfigurationError, match="shard store"):
-            engine.build()
+        assert (engine.config, engine.max_runs) == (config, 3)
+        for shard in engine.shards:
+            want = config or QuasiiConfig.for_dataset(shard.store.n, 2)
+            assert shard.index.config == want
+            assert shard.index._max_runs == 3
 
     def test_fleet_work_counters_roll_up(self):
         engine = ShardedIndex(
             _grid_store(10),
             n_shards=4,
-            index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
+            config=SMALL,
         )
         engine.build()
         engine.execute(_window((-1.0, -1.0), (95.0, 95.0)))
@@ -344,7 +345,7 @@ class TestShardedIndex:
         engine = ShardedIndex(
             _grid_store(6, 3.0),
             n_shards=2,
-            index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
+            config=SMALL,
         )
         engine.build()
         seen = []
@@ -375,7 +376,7 @@ class TestShardedIndex:
         engine = ShardedIndex(
             _grid_store(6, 3.0),
             n_shards=2,
-            index_factory=lambda s: QuasiiIndex(s, QuasiiConfig(2, (8, 4))),
+            config=SMALL,
         )
         engine.build()
         engine.execute(_window((-1.0, -1.0), (100.0, 100.0)))
@@ -400,13 +401,13 @@ class TestShardedIndex:
 # ----------------------------------------------------------------------
 class TestShard:
     @staticmethod
-    def _shard(factory=QuasiiIndex, side=6):
+    def _shard(config=None, side=6):
         store = _grid_store(side)
-        return Shard(0, factory, store.lo, store.hi, store.ids)
+        return Shard(0, store.lo, store.hi, store.ids, config)
 
     def test_the_store_takes_the_rows_without_a_copy(self):
         store = _grid_store(6)
-        shard = Shard(0, QuasiiIndex, store.lo, store.hi, store.ids)
+        shard = Shard(0, store.lo, store.hi, store.ids)
         assert shard.index.store is shard.store
         assert np.shares_memory(shard.store.lo, store.lo)
         assert np.shares_memory(shard.store.ids, store.ids)
@@ -436,14 +437,6 @@ class TestShard:
         assert shard.compact() == 1
         assert [op[0] for op in shard.oplog] == ["insert", "delete", "compact"]
 
-    def test_via_insert_rebuild_falls_back_for_a_static_factory(self):
-        store = _grid_store(6)
-        shard = Shard(0, RTreeIndex, store.lo, store.hi, store.ids, via_insert=True)
-        assert shard.store.n == 36 and shard.flush_updates() == 0
-        assert shard.compact() == 0
-        hits = shard.index.execute(_window((-1.0, -1.0), (100.0, 100.0))).ids
-        assert np.array_equal(np.sort(hits), store.ids)
-
     def test_owned_count_counts_inserts_still_in_the_buffer(self):
         shard = self._shard()
         lo = np.array([[2.0, 2.0], [12.0, 2.0]])
@@ -456,7 +449,7 @@ class TestShard:
 
     def test_an_empty_shard_intersects_nothing(self):
         empty = np.empty((0, 2))
-        shard = Shard(0, QuasiiIndex, empty, empty.copy(), np.empty(0, np.int64))
+        shard = Shard(0, empty, empty.copy(), np.empty(0, np.int64))
         assert shard.owned_count == 0 and shard.dead_fraction == 0.0
         assert np.all(shard.mbb_lo == np.inf) and np.all(shard.mbb_hi == -np.inf)
         # An empty batch leaves the identity box alone; a real one is
@@ -468,9 +461,9 @@ class TestShard:
         assert shard.mbb_lo.tolist() == [4.0, 7.0]
         assert shard.mbb_hi.tolist() == [6.0, 9.0]
 
-    @pytest.mark.parametrize("factory", [QuasiiIndex, ScanIndex], ids=["quasii", "scan"])
-    def test_an_insert_grows_the_mbb_before_any_flush(self, factory):
-        shard = self._shard(factory)
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_an_insert_grows_the_mbb_before_any_flush(self, config):
+        shard = self._shard(config)
         assert shard.mbb_lo.tolist() == [0.0, 0.0]
         assert shard.mbb_hi.tolist() == [51.0, 51.0]
         lo = np.array([[-5.0, 20.0], [30.0, 70.0]])
@@ -484,9 +477,9 @@ class TestShard:
         shard.apply_delete(np.arange(30, 36))
         assert shard.mbb_hi.tolist() == [51.0, 51.0]
 
-    @pytest.mark.parametrize("factory", [QuasiiIndex, ScanIndex], ids=["quasii", "scan"])
-    def test_compaction_retightens_the_mbb_to_the_survivors(self, factory):
-        shard = self._shard(factory)
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_compaction_retightens_the_mbb_to_the_survivors(self, config):
+        shard = self._shard(config)
         shard.apply_delete(np.arange(30, 36))
         assert shard.compact() == 6
         assert shard.mbb_lo.tolist() == [0.0, 0.0]
@@ -565,12 +558,12 @@ class TestShard:
         )
         assert shard.memory_bytes() > before
 
-    @pytest.mark.parametrize("factory", [QuasiiIndex, ScanIndex], ids=["quasii", "scan"])
-    def test_via_insert_build_serves_the_rows_of_a_plain_build(self, factory):
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_via_insert_build_serves_the_rows_of_a_plain_build(self, config):
         store = _grid_store(6)
-        plain = Shard(0, factory, store.lo.copy(), store.hi.copy(), store.ids.copy())
+        plain = Shard(0, store.lo.copy(), store.hi.copy(), store.ids.copy(), config)
         via = Shard(
-            1, factory, store.lo.copy(), store.hi.copy(), store.ids.copy(),
+            1, store.lo.copy(), store.hi.copy(), store.ids.copy(), config,
             via_insert=True,
         )
         # The rows went through the index's own insert path and were
@@ -591,20 +584,10 @@ class TestShard:
     def test_via_insert_build_of_no_rows_is_an_empty_shard(self):
         empty = np.empty((0, 2))
         shard = Shard(
-            0, QuasiiIndex, empty, empty.copy(), np.empty(0, np.int64),
-            via_insert=True,
+            0, empty, empty.copy(), np.empty(0, np.int64), via_insert=True,
         )
         assert shard.store.n == 0 and shard.index.stats.inserts == 0
         assert np.all(shard.mbb_lo == np.inf)
-
-    def test_the_factory_must_build_over_the_shard_store(self):
-        store, other = _grid_store(3), _grid_store(2)
-        for via_insert in (False, True):
-            with pytest.raises(ConfigurationError, match="shard store"):
-                Shard(
-                    0, lambda s: ScanIndex(other),
-                    store.lo, store.hi, store.ids, via_insert=via_insert,
-                )
 
     def test_shard_stores_share_no_memory(self):
         engine = ShardedIndex(_grid_store(6), n_shards=3)
@@ -622,6 +605,10 @@ class TestShard:
         for removed in ("replication", "fault_injector", "events"):
             with pytest.raises(TypeError, match=removed):
                 ShardedIndex(_grid_store(4), **{removed: None})
+        # Two settings describe every shard index; no index is passed in.
+        assert list(inspect.signature(ShardedIndex).parameters) == [
+            "store", "n_shards", "config", "max_runs",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -744,7 +731,7 @@ class TestQueryExecutor:
         engine = ShardedIndex(
             dataset.store.copy(),
             n_shards=4,
-            index_factory=lambda s: QuasiiIndex(s, tau=16),
+            config=QuasiiConfig.for_dataset(1_250, 3, tau=16),
         )
         # Pinned to sequential: the point is that *driver-side* shard
         # indexes crack under the executor and stay valid (the process
