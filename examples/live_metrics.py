@@ -10,9 +10,9 @@ scrapes `/metrics`, `/healthz`, and `/spans` with `urllib` and prints
 excerpts, then finishes with the slowest queries straight from the
 event log.
 
-The same server rides inside the soak benchmark via
-`quasii-bench soak --smoke --serve-metrics 9464` — point a real
-scraper (or `curl localhost:9464/metrics`) at it mid-run.
+To scrape your own serving loop, start a `MetricsServer` on a fixed
+port (say 9464) and point a real scraper, or
+`curl localhost:9464/metrics`, at it mid-run.
 
 Run:  python examples/live_metrics.py
 """

@@ -65,7 +65,6 @@ from repro.telemetry import (
     LatencyHistogram,
     MetricsRegistry,
     Telemetry,
-    TimeSeriesRecorder,
     Tracer,
 )
 from repro.updates import UpdateBuffer, UpdateLedger
@@ -101,7 +100,6 @@ __all__ = [
     "ShardedIndex",
     "SpatialIndex",
     "Telemetry",
-    "TimeSeriesRecorder",
     "Tracer",
     "UniformGridIndex",
     "UpdateBuffer",

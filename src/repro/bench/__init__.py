@@ -16,7 +16,6 @@ from repro.bench.reporting import (
     write_bench_json,
 )
 from repro.bench.runner import OpTiming, RunResult, run_workload
-from repro.bench.soak import SoakScale, soak_experiment
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -26,14 +25,12 @@ __all__ = [
     "RunResult",
     "SCALES",
     "Scale",
-    "SoakScale",
     "break_even_query",
     "converged_slowdown",
     "cumulative_ratio",
     "data_to_insight_factor",
     "run_experiment",
     "run_workload",
-    "soak_experiment",
     "speedup_tail",
     "to_json_dict",
     "validate_bench_json",

@@ -5,10 +5,7 @@ Examples::
     quasii-bench headline                 # the paper's headline numbers
     quasii-bench fig7 fig8 --scale smoke  # quick versions of two figures
     quasii-bench all --scale small        # every figure at default scale
-    quasii-bench soak --smoke             # latency-over-time serving soak
-    quasii-bench soak --smoke --serve-metrics 9464  # + live /metrics endpoint
-    quasii-bench soak --smoke --chaos     # + worker SIGKILLs, oracle-verified
-    quasii-bench soak --json-out results  # also persist BENCH_soak.json
+    quasii-bench fig6a --json-out results # also persist BENCH_fig6a.json
 
 Reports print to stdout.  With ``--json-out DIR`` each run is also
 persisted as ``DIR/BENCH_<verb>.json`` (schema ``repro-bench/1``; see
@@ -52,11 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload size preset (default: small)",
     )
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shorthand for --scale smoke",
-    )
-    parser.add_argument(
         "--output",
         default=None,
         help="also append the rendered reports to this file",
@@ -70,32 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: nothing is written)"
         ),
     )
-    parser.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "soak only: serve live /metrics, /snapshot.json, /spans, "
-            "/events, /healthz on this port for the duration of the run "
-            "(0 = ephemeral)"
-        ),
-    )
-    parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "soak only: serve through the processes backend, SIGKILL a "
-            "worker every soak.chaos_every ops (the pool respawns it), "
-            "and verify every query against a Scan oracle"
-        ),
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    scale = "smoke" if args.smoke else args.scale
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
@@ -107,23 +78,15 @@ def main(argv: list[str] | None = None) -> int:
         json_dir.mkdir(parents=True, exist_ok=True)
     chunks: list[str] = []
     for name in names:
-        # Per-verb extras ride through run_experiment's kwargs; only the
-        # soak knows how to serve live metrics mid-run or inject chaos.
-        kwargs: dict = {}
-        if name == "soak":
-            if args.serve_metrics is not None:
-                kwargs["serve_metrics"] = args.serve_metrics
-            if args.chaos:
-                kwargs["chaos"] = True
         t0 = time.perf_counter()
-        report = run_experiment(name, scale, **kwargs)
+        report = run_experiment(name, args.scale)
         elapsed = time.perf_counter() - t0
         text = report.render()
         chunks.append(text)
         print(text)
-        done = f"[{name} completed in {elapsed:.1f}s at scale '{scale}'"
+        done = f"[{name} completed in {elapsed:.1f}s at scale '{args.scale}'"
         if json_dir is not None:
-            done += f" -> {write_bench_json(report, json_dir, scale, elapsed)}"
+            done += f" -> {write_bench_json(report, json_dir, args.scale, elapsed)}"
         print(done + "]\n")
     if args.output:
         with open(args.output, "a", encoding="utf-8") as fh:

@@ -10,10 +10,8 @@ claims that can be asserted without a stopwatch.
 
 The serving engine is measured elsewhere: ``benchmarks/ledger/`` (1M
 boxes, brute-force oracle, bounds enforced by ``compare.py``) owns
-throughput, latency and the per-layer breakdown.  The one engine verb
-here is ``soak`` (:mod:`repro.bench.soak`), which reports what the
-ledger does not — a windowed trajectory under rebalancing and worker
-SIGKILLs.
+throughput, latency and the per-layer breakdown; this module has no
+engine verb.
 
 Run via ``python -m repro.bench <experiment> [--scale small]`` or the
 ``quasii-bench`` console script; programmatic access through
@@ -50,7 +48,6 @@ from repro.bench.metrics import (
 )
 from repro.bench.reporting import ExperimentReport
 from repro.bench.runner import RunResult, run_workload
-from repro.bench.soak import SoakScale, soak_experiment
 from repro.core import QuasiiIndex
 from repro.datasets import Dataset, make_neuro_like, make_uniform
 from repro.errors import ConfigurationError
@@ -85,9 +82,6 @@ class Scale:
     grid_uniform_parts: int = 16       # (100) tuned grid, uniform data
     grid_neuro_parts: int = 24         # (220) tuned grid, skewed data
     seed: int = 7
-    # Everything above sizes the paper's figures; the soak verb (beyond
-    # the paper) reads only ``seed`` and this nested preset.
-    soak: SoakScale = SoakScale()
 
 
 SCALES: dict[str, Scale] = {
@@ -107,19 +101,6 @@ SCALES: dict[str, Scale] = {
         grid_candidates=(6, 10, 16),
         grid_uniform_parts=10,
         grid_neuro_parts=16,
-        soak=SoakScale(
-            n_objects=20_000,
-            n_shards=4,
-            seconds=4.0,
-            window=0.4,
-            ops=600,
-            delete_batch=400,
-            # Low enough that even a smoke soak logs a handful of
-            # slow-query events, so the slowest-queries table is exercised.
-            slow_ms=1.0,
-            # Frequent enough that a 4 s chaos smoke sees several kills.
-            chaos_every=60,
-        ),
     ),
     # Default: large enough that build-vs-query cost ratios have the
     # paper's sign (docs/BENCH.md, "Scales").
@@ -145,7 +126,6 @@ SCALES: dict[str, Scale] = {
         grid_candidates=(16, 32, 64, 128, 256),
         grid_uniform_parts=64,
         grid_neuro_parts=128,
-        soak=SoakScale(seconds=120.0, window=10.0),
     ),
 }
 
@@ -1260,11 +1240,6 @@ EXPERIMENTS: dict[str, tuple[Callable[[Scale], ExperimentReport], str]] = {
     "fig10": (fig10, "uniform workload convergence + cumulative"),
     "fig11": (fig11, "scalability across dataset sizes"),
     "fig12": (fig12, "impact of query selectivity"),
-    "soak": (
-        soak_experiment,
-        "steady-state soak: windowed latency histograms with "
-        "maintenance-pause span attribution",
-    ),
     "headline": (headline, "paper headline numbers"),
     "ablation-rep": (ablation_representative, "representative coordinate ablation"),
     "ablation-tau": (ablation_tau, "leaf threshold sensitivity"),
@@ -1274,15 +1249,8 @@ EXPERIMENTS: dict[str, tuple[Callable[[Scale], ExperimentReport], str]] = {
 }
 
 
-def run_experiment(
-    name: str, scale: Scale | str = "small", **kwargs
-) -> ExperimentReport:
-    """Run one experiment by id; accepts a scale preset name or object.
-
-    Extra keyword arguments are forwarded to the experiment function —
-    used by the CLI to thread per-verb options (e.g. the soak's
-    ``serve_metrics`` port) without widening every experiment signature.
-    """
+def run_experiment(name: str, scale: Scale | str = "small") -> ExperimentReport:
+    """Run one experiment by id; accepts a scale preset name or object."""
     if isinstance(scale, str):
         try:
             scale = SCALES[scale]
@@ -1296,4 +1264,4 @@ def run_experiment(
         raise ConfigurationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
-    return func(scale, **kwargs)
+    return func(scale)

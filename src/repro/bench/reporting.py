@@ -49,8 +49,7 @@ class ExperimentReport:
     #: Machine-readable payload persisted verbatim into the JSON result
     #: (must be JSON-serializable).  The figures put the
     #: machine-independent totals behind their claims here (what
-    #: ``benchmarks/test_*.py`` asserts on); the soak its windowed
-    #: histograms and span attributions.
+    #: ``benchmarks/test_*.py`` asserts on).
     metrics: dict = field(default_factory=dict)
 
     def add_table(
@@ -165,10 +164,7 @@ def write_bench_json(
 def validate_bench_json(doc: object) -> list[str]:
     """Check a document against the ``repro-bench/1`` schema.
 
-    Returns a list of human-readable problems (empty = valid).  Soak
-    results get extra scrutiny: a trajectory point without time windows
-    or span attributions is useless to the next reader, so the schema
-    requires at least 3 windowed snapshots and a span list.
+    Returns a list of human-readable problems (empty = valid).
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -217,18 +213,4 @@ def validate_bench_json(doc: object) -> list[str]:
                 )
     if not all(isinstance(n, str) for n in doc["notes"]):
         problems.append("field 'notes' must contain only strings")
-    if doc["verb"] == "soak":
-        windows = doc["metrics"].get("windows")
-        if not isinstance(windows, list) or len(windows) < 3:
-            problems.append(
-                "soak metrics must contain >= 3 time-windowed snapshots"
-            )
-        else:
-            for i, w in enumerate(windows):
-                if not isinstance(w, dict) or not {
-                    "start", "end", "histograms", "counters"
-                } <= set(w):
-                    problems.append(f"metrics.windows[{i}] is malformed")
-        if not isinstance(doc["metrics"].get("spans"), list):
-            problems.append("soak metrics must contain a 'spans' list")
     return problems

@@ -32,10 +32,10 @@ keeping per-shard incremental cracking intact:
 
 Batch throughput, pruning, balance and the two backends head to head are
 measured by the ledger's ``sharded-serve`` / ``sharded-churn`` workloads
-(``python3 benchmarks/ledger/run.py``); rebalancing under a drifting
-hotspot with skewed ingestion, and serving through worker SIGKILLs, by
-``quasii-bench soak [--chaos]``.  ``docs/BENCH.md`` maps each question to
-its row.
+(``python3 benchmarks/ledger/run.py``).  Rebalancing and serving
+through worker SIGKILLs are oracle-checked by the property suite
+(``tests/property/test_prop_backends.py``), not timed.
+``docs/BENCH.md`` maps each question to its row.
 """
 
 from repro.sharding.executor import BatchResult, QueryExecutor

@@ -178,7 +178,9 @@ class QueryExecutor:
         event into ``events``, carrying the query window,
         predicate/mode, its seconds, and the owning batch's fan-out
         profile (per-shard seconds, shards visited/pruned, phase
-        split).  ``None`` (default) disables the check entirely.
+        split).  ``None`` (default) disables the check entirely; a
+        threshold without ``events`` raises ``ConfigurationError``
+        (there would be nowhere to emit to).
     """
 
     def __init__(
@@ -199,6 +201,10 @@ class QueryExecutor:
             raise ConfigurationError(
                 "slow_query_threshold must be >= 0 seconds, got "
                 f"{slow_query_threshold}"
+            )
+        if slow_query_threshold is not None and events is None:
+            raise ConfigurationError(
+                "slow_query_threshold needs an events log to emit into"
             )
         self._index = index
         if max_workers is None:
@@ -299,8 +305,7 @@ class QueryExecutor:
         """Flow one batch's timings and stats delta into the registry.
 
         Runs *after* the maintenance tick so work triggered by this
-        batch (compaction, rebalancing) lands in the same stats delta —
-        window attribution in a TimeSeriesRecorder then lines up with
+        batch (compaction, rebalancing) lands in the same stats delta as
         the scheduler's spans.
         """
         reg = tel.registry

@@ -1,4 +1,4 @@
-"""Telemetry: streaming metrics, time-series windows, span tracing.
+"""Telemetry: streaming metrics, span tracing, events, a live endpoint.
 
 The observability layer for the serving engine.  It is deliberately
 dependency-light (stdlib ``math``/``time``/``threading`` only) and
@@ -8,8 +8,8 @@ single ``is None`` test per batch.
 
     telemetry = Telemetry()
     executor = QueryExecutor(engine, maintenance=policy, telemetry=telemetry)
-    recorder = TimeSeriesRecorder(telemetry.registry, window=2.0)
-    ...serve...; recorder.tick(time.perf_counter())
+    server = MetricsServer(telemetry, port=9464).start()
+    ...serve...; server.stop()
 
 See ``docs/OBSERVABILITY.md`` for the metric/span vocabulary and the
 ``BENCH_*.json`` schema the bench harness persists.
@@ -23,15 +23,12 @@ from repro.telemetry.export import (
     json_snapshot,
     registry_prometheus,
     render_prometheus,
-    snapshot_prometheus,
 )
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    TimeSeriesRecorder,
-    WindowSnapshot,
 )
 from repro.telemetry.naming import (
     METRICS,
@@ -58,15 +55,12 @@ __all__ = [
     "Span",
     "SpanRecord",
     "Telemetry",
-    "TimeSeriesRecorder",
     "Tracer",
-    "WindowSnapshot",
     "histogram_from_snapshot",
     "json_snapshot",
     "record_stats_delta",
     "registry_prometheus",
     "render_prometheus",
-    "snapshot_prometheus",
     "stats_metric",
 ]
 
@@ -77,9 +71,9 @@ class Telemetry:
     The convenience bundle instrumented components accept: a
     :class:`MetricsRegistry` for counters/gauges/histograms and a
     :class:`Tracer` whose finished spans also land in ``span.<name>``
-    histograms of the same registry (so pause durations appear in time
-    windows).  Construct with ``enabled=False`` to keep the handles but
-    silence the tracer.
+    histograms of the same registry (so pause durations appear next to
+    the latency histograms on ``/metrics``).  Construct with
+    ``enabled=False`` to keep the handles but silence the tracer.
     """
 
     def __init__(self, enabled: bool = True, max_spans: int = 32_768) -> None:

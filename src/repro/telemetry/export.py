@@ -1,12 +1,9 @@
 """Exporters: render metrics as Prometheus text or a JSON snapshot.
 
 The telemetry core records; this module makes the recordings
-*consumable*.  Two formats, both produced by pure functions over plain
-``counters``/``gauges``/``histograms`` mappings, so the same renderers
-serve a live :class:`~repro.telemetry.metrics.MetricsRegistry` (the
-``/metrics`` endpoint) and a closed
-:class:`~repro.telemetry.metrics.WindowSnapshot` delta (per-window
-exposition in tests and tooling):
+*consumable*.  Two formats over a live
+:class:`~repro.telemetry.metrics.MetricsRegistry` (the ``/metrics`` and
+``/snapshot.json`` endpoints):
 
 * **Prometheus text exposition** (:func:`render_prometheus`) — counters
   get the conventional ``_total`` suffix, gauges export verbatim, and a
@@ -32,18 +29,13 @@ from __future__ import annotations
 
 import re
 
-from repro.telemetry.metrics import (
-    LatencyHistogram,
-    MetricsRegistry,
-    WindowSnapshot,
-)
+from repro.telemetry.metrics import LatencyHistogram, MetricsRegistry
 
 __all__ = [
     "histogram_from_snapshot",
     "json_snapshot",
     "registry_prometheus",
     "render_prometheus",
-    "snapshot_prometheus",
 ]
 
 #: Prefix stamped onto every exported metric name.
@@ -111,8 +103,8 @@ def render_prometheus(
 ) -> str:
     """Prometheus text exposition over plain instrument mappings.
 
-    Pure function: callers pass whatever view they hold — a live
-    registry's cumulative state or one window's deltas.  ``help_text``
+    Pure function over whatever view the caller holds (a registry's
+    cumulative state in :func:`registry_prometheus`).  ``help_text``
     optionally maps *original* metric names to ``# HELP`` lines.
     """
     help_text = help_text or {}
@@ -145,18 +137,6 @@ def registry_prometheus(
         registry.counters(),
         registry.gauges(),
         registry.histograms(),
-        namespace=namespace,
-    )
-
-
-def snapshot_prometheus(
-    window: WindowSnapshot, namespace: str = NAMESPACE
-) -> str:
-    """One closed window's deltas as Prometheus text (same renderer)."""
-    return render_prometheus(
-        window.counters,
-        window.gauges,
-        window.histograms,
         namespace=namespace,
     )
 

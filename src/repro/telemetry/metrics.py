@@ -1,24 +1,19 @@
-"""Low-overhead streaming metrics: histograms, counters, gauges, windows.
+"""Low-overhead streaming metrics: histograms, counters, gauges.
 
 The serving engine needs to *see itself run* without perturbing what it
-measures.  Three pieces, composable and dependency-free:
+measures.  Two pieces, composable and dependency-free:
 
 * :class:`LatencyHistogram` — a fixed-bucket log-scale streaming
   histogram.  Recording a sample is one ``log10`` plus a list increment
   (no allocation, no sorting); percentiles are reconstructed from the
   bucket counts with relative error bounded by the bucket growth factor
   (~6% at the default 40 buckets/decade).  Histograms over the same
-  layout merge associatively, so per-shard or per-window histograms
+  layout merge associatively, so per-shard or per-worker histograms
   roll up exactly.
 * :class:`MetricsRegistry` — a flat namespace of named
   :class:`Counter`/:class:`Gauge`/:class:`LatencyHistogram` instruments
   with get-or-create semantics, so instrumentation sites never need
   set-up order.
-* :class:`TimeSeriesRecorder` — snapshots a registry into aligned,
-  fixed-width time windows, emitting *deltas* per window (counter
-  differences, bucket-wise histogram differences).  This is what turns
-  cumulative counters into a latency-over-time trajectory in which a
-  maintenance pause shows up as a p99 spike in one window.
 
 Canonical metric names live in :mod:`repro.telemetry.naming`;
 ``docs/OBSERVABILITY.md`` documents them and ``tools/check_docs.py``
@@ -29,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import Any, TypeVar
 
 from repro.errors import ConfigurationError
@@ -41,8 +35,6 @@ __all__ = [
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
-    "TimeSeriesRecorder",
-    "WindowSnapshot",
 ]
 
 
@@ -61,9 +53,7 @@ class LatencyHistogram:
     inside the range.
 
     Two histograms with the same ``(lo, hi, buckets_per_decade)`` layout
-    merge associatively and commutatively via :meth:`merge`;
-    :meth:`delta_since` subtracts an earlier snapshot bucket-wise, which
-    is how :class:`TimeSeriesRecorder` builds per-window histograms.
+    merge associatively and commutatively via :meth:`merge`.
     """
 
     __slots__ = ("lo", "hi", "buckets_per_decade", "_n_buckets", "_scale",
@@ -165,8 +155,8 @@ class LatencyHistogram:
         The mutating sibling of :meth:`merge`, used where the receiving
         instrument must keep its registry identity — e.g. a driver
         registry absorbing the per-batch histograms worker *processes*
-        ship back, so ``/metrics`` and soak windows see process-backend
-        samples exactly like sequential-backend ones.
+        ship back, so ``/metrics`` sees process-backend samples exactly
+        like sequential-backend ones.
         """
         self._check_layout(other)
         for i, c in enumerate(other.counts):
@@ -176,30 +166,6 @@ class LatencyHistogram:
         self.sum += other.sum
         if other.max > self.max:
             self.max = other.max
-
-    def delta_since(self, before: LatencyHistogram) -> LatencyHistogram:
-        """Bucket-wise difference ``self - before`` (a window's samples).
-
-        ``before`` must be an earlier snapshot of this stream.  The
-        delta's ``max`` is reconstructed from its highest non-empty
-        bucket (upper edge) because the true window maximum is not
-        recoverable from two cumulative states; the error is bounded by
-        one bucket width.
-        """
-        self._check_layout(before)
-        out = LatencyHistogram(self.lo, self.hi, self.buckets_per_decade)
-        out.counts = [a - b for a, b in zip(self.counts, before.counts)]
-        if any(c < 0 for c in out.counts):
-            raise ConfigurationError(
-                "delta_since requires an earlier snapshot of the same stream"
-            )
-        out.count = self.count - before.count
-        out.sum = self.sum - before.sum
-        for i in range(self._n_buckets - 1, -1, -1):
-            if out.counts[i]:
-                out.max = self._bucket_bounds(i)[1]
-                break
-        return out
 
     def copy(self) -> LatencyHistogram:
         """An independent snapshot of the current state."""
@@ -337,123 +303,3 @@ class MetricsRegistry:
             if isinstance(i, LatencyHistogram)
         }
 
-
-@dataclass
-class WindowSnapshot:
-    """One closed time window of registry activity (all values deltas).
-
-    ``counters`` holds per-window increments, ``histograms`` per-window
-    sample sets (bucket-wise deltas), ``gauges`` the value observed at
-    window close (gauges are levels, not flows).
-    """
-
-    index: int
-    start: float
-    end: float
-    counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, LatencyHistogram] = field(default_factory=dict)
-
-    def to_dict(self, origin: float = 0.0, include_buckets: bool = True) -> dict:
-        """JSON-ready form; ``origin`` rebases timestamps (run start = 0)."""
-        return {
-            "index": self.index,
-            "start": self.start - origin,
-            "end": self.end - origin,
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                n: h.to_dict(include_buckets=include_buckets)
-                for n, h in self.histograms.items()
-            },
-        }
-
-
-class TimeSeriesRecorder:
-    """Chop a registry's cumulative state into aligned delta windows.
-
-    The recorder is clock-agnostic: callers feed explicit ``now``
-    timestamps to :meth:`tick` (``time.perf_counter()`` in production,
-    synthetic values in tests), so window alignment is deterministic and
-    testable.  Windows are ``[start + k*window, start + (k+1)*window)``
-    where ``start`` is the first tick.  A tick that jumps several
-    boundaries closes several windows: all activity since the last close
-    lands in the first of them (the recorder cannot subdivide what it
-    never observed) and the rest are emitted empty, so the time axis has
-    no holes.  :meth:`flush` closes the final partial window.
-    """
-
-    def __init__(self, registry: MetricsRegistry, window: float) -> None:
-        if window <= 0:
-            raise ConfigurationError(f"window must be > 0, got {window}")
-        self._registry = registry
-        self.window = float(window)
-        self._start: float | None = None
-        self._boundary = 0.0  # end of the currently open window
-        self._prev_counters: dict[str, int] = {}
-        self._prev_hists: dict[str, LatencyHistogram] = {}
-        #: Closed windows, oldest first.
-        self.windows: list[WindowSnapshot] = []
-
-    @property
-    def start(self) -> float | None:
-        """Timestamp of the first tick (``None`` before any tick)."""
-        return self._start
-
-    def _close(self, start: float, end: float) -> None:
-        reg = self._registry
-        counters = reg.counters()
-        hists = reg.histograms()
-        snap = WindowSnapshot(
-            index=len(self.windows),
-            start=start,
-            end=end,
-            counters={
-                n: v - self._prev_counters.get(n, 0)
-                for n, v in counters.items()
-            },
-            gauges=reg.gauges(),
-            histograms={
-                n: (
-                    h.delta_since(self._prev_hists[n])
-                    if n in self._prev_hists
-                    else h
-                )
-                for n, h in hists.items()
-            },
-        )
-        self.windows.append(snap)
-        self._prev_counters = counters
-        self._prev_hists = {n: h.copy() for n, h in hists.items()}
-
-    def tick(self, now: float) -> int:
-        """Advance the clock; close every window boundary crossed.
-
-        Returns the number of windows closed by this tick (usually 0).
-        """
-        if self._start is None:
-            self._start = now
-            self._boundary = now + self.window
-            return 0
-        closed = 0
-        while now >= self._boundary:
-            self._close(self._boundary - self.window, self._boundary)
-            self._boundary += self.window
-            closed += 1
-        return closed
-
-    def flush(self, now: float) -> WindowSnapshot | None:
-        """Close the trailing partial window (end = ``now``), if any.
-
-        Call once at run end so the last samples are not dropped.
-        Returns the partial window, or ``None`` when ``now`` sits
-        exactly on a boundary already closed by :meth:`tick`.
-        """
-        if self._start is None:
-            return None
-        self.tick(now)
-        open_start = self._boundary - self.window
-        if now <= open_start:
-            return None
-        self._close(open_start, now)
-        return self.windows[-1]

@@ -24,16 +24,10 @@ __all__ = [
     "BATCH_MERGE_SECONDS",
     "BATCH_ROUTE_SECONDS",
     "BATCH_SECONDS",
-    "DELETE_SECONDS",
-    "INSERT_SECONDS",
     "METRICS",
-    "OPS",
     "QUERY_SECONDS",
-    "SHARDS_BALANCE",
     "SHARD_BATCH_SECONDS",
     "SPANS",
-    "STORE_DEAD_FRACTION",
-    "STORE_LIVE",
     "WORKER_BATCH_SECONDS",
     "WORKER_DISPATCHES",
     "WORKER_QUERY_SECONDS",
@@ -44,8 +38,6 @@ __all__ = [
 
 # -- histogram names (all record seconds) ---------------------------------
 QUERY_SECONDS = "query.seconds"
-INSERT_SECONDS = "insert.seconds"
-DELETE_SECONDS = "delete.seconds"
 BATCH_SECONDS = "batch.seconds"
 BATCH_ROUTE_SECONDS = "batch.route.seconds"
 BATCH_FANOUT_SECONDS = "batch.fanout.seconds"
@@ -55,20 +47,14 @@ WORKER_BATCH_SECONDS = "worker.batch.seconds"
 WORKER_QUERY_SECONDS = "worker.query.seconds"
 
 # -- counter / gauge names ------------------------------------------------
-OPS = "ops"
 WORKER_DISPATCHES = "worker.dispatches"
 WORKER_RESPAWNS = "worker.respawns"
-STORE_LIVE = "store.live"
-STORE_DEAD_FRACTION = "store.dead_fraction"
-SHARDS_BALANCE = "shards.balance"
 
 #: Every canonical metric name -> one-line meaning.  ``span.<name>``
 #: histograms (auto-created by a registry-backed tracer) are documented
 #: via :data:`SPANS` instead of being repeated here.
 METRICS: dict[str, str] = {
     QUERY_SECONDS: "histogram: per-query wall-clock latency",
-    INSERT_SECONDS: "histogram: per-insert-batch wall-clock latency",
-    DELETE_SECONDS: "histogram: per-delete-batch wall-clock latency",
     BATCH_SECONDS: "histogram: whole query-batch wall-clock (QueryExecutor.run)",
     BATCH_ROUTE_SECONDS: "histogram: batch routing/queueing phase (shard planning)",
     BATCH_FANOUT_SECONDS: "histogram: batch fan-out phase (shard sub-batches being served)",
@@ -80,16 +66,12 @@ METRICS: dict[str, str] = {
     WORKER_QUERY_SECONDS: (
         "histogram: per-query seconds measured inside a worker process"
     ),
-    OPS: "counter: operations executed (queries + inserts + deletes)",
     WORKER_DISPATCHES: (
         "counter: per-shard sub-batches dispatched to process workers"
     ),
     WORKER_RESPAWNS: (
         "counter: worker processes respawned after a crash mid-service"
     ),
-    STORE_LIVE: "gauge: live rows across the shards, buffered included",
-    STORE_DEAD_FRACTION: "gauge: tombstoned fraction of the shard primaries' rows",
-    SHARDS_BALANCE: "gauge: live-row balance factor (max/mean shard size)",
 }
 
 

@@ -1,6 +1,6 @@
 """Live metrics endpoint: a stdlib HTTP thread over a `Telemetry` handle.
 
-A running soak (or any serving loop) should be scrapeable *mid-flight*,
+A running serving loop should be scrapeable *mid-flight*,
 not only explicable post-hoc.  :class:`MetricsServer` wraps one
 :class:`~repro.telemetry.Telemetry` handle (and optionally one
 :class:`~repro.telemetry.events.EventLog`) in a daemon-threaded

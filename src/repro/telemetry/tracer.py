@@ -10,9 +10,8 @@ Each finished span becomes an immutable :class:`SpanRecord` (name, start
 time, duration, nesting depth, parent name, attributes).  When the
 tracer is constructed with a :class:`~repro.telemetry.metrics.MetricsRegistry`,
 every finished span additionally records its duration into the
-``span.<name>`` histogram — which is what lets the
-:class:`~repro.telemetry.metrics.TimeSeriesRecorder` attribute a p99
-spike in some window to the maintenance pass that ran inside it.
+``span.<name>`` histogram, so ``/metrics`` exports maintenance pause
+durations next to the query latency histograms they compete with.
 
 Disabled tracers (``Tracer(enabled=False)``, or the shared
 :data:`DISABLED` singleton) hand out one preallocated no-op span:
@@ -135,9 +134,9 @@ class Tracer:
     registry:
         Optional :class:`MetricsRegistry`; finished spans then record
         their duration into the ``span.<name>`` histogram, making pause
-        durations visible per time window.
+        durations visible on ``/metrics``.
     max_spans:
-        Record-ring cap (memory bound for long soaks).  The ring keeps
+        Record-ring cap (memory bound for long-running servers).  The ring keeps
         the *most recent* ``max_spans`` records — past the cap the
         oldest record is evicted per finished span and counted in
         :attr:`dropped`; the registry histograms stay complete either

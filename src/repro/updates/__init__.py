@@ -12,7 +12,7 @@ reproduction:
   engine must hold, never consulted on the serving path.
 * :func:`apply_write` — the write step of an op stream (resolve delete
   victims deterministically → timed engine call → live-set update),
-  shared by :func:`repro.bench.runner.run_workload` and the soak loop.
+  the step :func:`repro.bench.runner.run_workload` runs per write.
 
 The write verbs themselves live on the indexes
 (:class:`repro.index.base.MutableSpatialIndex`): QUASII cracks appended

@@ -1,8 +1,8 @@
 """The write step of an op stream: victim resolution + one timed engine call.
 
-:func:`apply_write` is what every op-stream driver
-(:func:`repro.bench.runner.run_workload`, the soak loop) runs for an
-``insert`` / ``delete`` :class:`~repro.queries.workloads.WorkloadOp`.
+:func:`apply_write` is what the op-stream driver
+(:func:`repro.bench.runner.run_workload`) runs for an ``insert`` /
+``delete`` :class:`~repro.queries.workloads.WorkloadOp`.
 
 Delete resolution: a ``delete`` op carries only a count — which live ids
 die is decided by :func:`resolve_delete_victims`, an RNG seeded from
@@ -46,7 +46,7 @@ def apply_write(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run one ``insert``/``delete`` op; returns ``(ids, live, seconds)``.
 
-    The one write step every op-stream driver shares: resolve the victims
+    The write step of an op stream: resolve the victims
     (deletes, from ``(victim_seed, seq)`` over ``live``), call the index,
     update the live-id array.  ``seconds`` brackets the
     ``index.insert`` / ``index.delete`` call alone — victim resolution

@@ -3,15 +3,17 @@
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
 batches, delete batches, full and policy-driven compactions, reinserts
-of deleted ids and worker SIGKILLs.  The same interleaving runs against
-one engine per backend (``sequential``, ``processes``) — no backend is
-refused or downgraded — with the executors kept alive across
+of deleted ids, forced rebalances and worker SIGKILLs.  The same
+interleaving runs against one engine per backend (``sequential``,
+``processes``) — no backend is refused or downgraded — with the
+executors kept alive across
 operations, so the process pool's warm workers must absorb every
 mutation (insert/delete/compact between batches) as a shard delta,
 admitting exactly the ids the driver admitted, and must keep serving
 after a worker is killed between ops: the pool respawns it and
 republishes its shards from the driver (a kill is a no-op on
-``sequential``, which has no worker).
+``sequential``, which has no worker).  A rebalance rebuilds two shards
+on the driver, so the warm workers must take new bases for them.
 :func:`test_every_cell_is_served_or_refused` walks each backend through
 the same story as a fixed script.  The Hypothesis engines run the
 small ladder ``QuasiiConfig(2, (8, 4))`` with ``max_runs=2``, the
@@ -25,6 +27,8 @@ Invariants, after every single operation:
   equal corner matrices, no matter which backend served it.
 * **Id-stream agreement** — inserts assign identical identifiers on
   every engine, so the ledger stays a single source of truth.
+* **Rebalance closure** — a rebalance leaves each engine's live
+  multiset unchanged and its routing valid.
 * **Ledger closure** — a final full-window query returns exactly the
   ledger's live id set on every backend, and the union of each engine's
   shards holds exactly the ledger's live multiset.
@@ -68,11 +72,15 @@ QUERY_SHAPES = (
     ("contains", "boxes", None),
 )
 
-KINDS = (*BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill")
+KINDS = (
+    *BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill", "rebalance",
+)
 #: A kill names the worker wid of the two-worker pool; a policy
-#: compaction its dead-fraction threshold; a reinsert a seed.
+#: compaction its dead-fraction threshold; a reinsert a seed; a
+#: rebalance the drift it fixes.
 PAYLOADS = {
     "kill": st.integers(0, 1),
+    "rebalance": st.sampled_from(("balance", "skew")),
     "maybe_compact": st.sampled_from((0.0, 0.02, 0.1)),
     "reinsert": SEEDS,
 }
@@ -173,6 +181,14 @@ def test_backends_agree_with_scan_under_interleavings(case):
                     assert engine.delete(victims) == count
                 ledger.record_delete(victims)
                 deleted += victims.tolist()
+            elif kind == "rebalance":
+                for backend, engine in engines.items():
+                    fp = shard_union(engine).live_fingerprint()
+                    Rebalancer(min_queries=1).rebalance(engine, reason=payload)
+                    assert shard_union(engine).live_fingerprint() == fp, (
+                        f"{backend}: rebalance changed the live multiset"
+                    )
+                    engine.validate_routing()
             elif kind == "maybe_compact":
                 for backend, engine in engines.items():
                     fp = shard_union(engine).live_fingerprint()
@@ -352,6 +368,60 @@ def test_every_cell_is_served_or_refused(backend):
         assert len(events.recent("worker.refresh")) == bases
     assert all(s.oplog is None for s in engine.shards)
     assert _segments() == before, "a respawn republish leaked a segment"
+
+
+@pytest.mark.parametrize("reason", ("balance", "skew"))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_serving_through_a_rebalance_and_a_kill(backend, reason):
+    """A rebalance between batches rebuilds two shards on the driver;
+    a worker SIGKILLed right after it is respawned.  Every answer before
+    and after matches Scan, writes keep flowing, the live multiset and
+    the routing survive the pass, and on ``processes`` exactly the
+    rebuilt shards and the dead worker's shards get new bases, with no
+    shared-memory name left behind."""
+    ds = make_uniform(4_000, seed=21)
+    scan = ScanIndex(ds.store.copy())
+    events = EventLog()
+    engine = ShardedIndex(ds.store.copy(), n_shards=4)
+    queries = hotspot_workload(ds.universe, 48, 2e-3, seed=22)
+    before = _segments()
+
+    def check(ex, batch):
+        for got, q in zip(ex.run(batch).query_results, batch):
+            _check_payload(got, scan.execute(q), backend)
+
+    with QueryExecutor(engine, max_workers=2, backend=backend, events=events) as ex:
+        check(ex, [full_window(3), *queries[:16]])
+        rng = np.random.default_rng(23)
+        lo = rng.uniform(0, 2_000, size=(400, 3))  # skewed ingestion
+        assert np.array_equal(
+            engine.insert(lo, lo + 20.0), scan.insert(lo, lo + 20.0)
+        )
+        fp = shard_union(engine).live_fingerprint()
+        bases = len(events.recent("worker.refresh"))
+        result = Rebalancer(min_queries=1).rebalance(engine, reason=reason)
+        assert result is not None and result.reason == reason
+        assert shard_union(engine).live_fingerprint() == fp
+        engine.validate_routing()
+        victim = sigkill_worker(ex, 0)
+        assert (victim is None) == (backend == "sequential")
+        check(ex, [full_window(3), *queries[16:32]])
+        refreshed = {
+            e.payload["sid"] for e in events.recent("worker.refresh")[bases:]
+        }
+        if backend == "processes":
+            # Worker 0 serves the even sids and starts over; worker 1
+            # keeps its warm bases except for the rebuilt shards.
+            assert refreshed == {0, 2, result.hot_sid, result.cold_sid}
+            assert len(events.recent("worker.respawn")) == 1
+        else:
+            assert refreshed == set()
+        gone = scan.store.ids[:100]
+        assert engine.delete(gone) == scan.delete(gone) == 100
+        check(ex, [full_window(3), *queries[32:]])
+    ledger = UpdateLedger(scan.store)
+    ledger.assert_matches(shard_union(engine))
+    assert _segments() == before, "a rebalance or respawn leaked a segment"
 
 
 def test_traffic_profile_agrees_across_backends():

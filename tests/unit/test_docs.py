@@ -55,8 +55,8 @@ def test_every_event_kind_has_an_emitter():
     emitted = check_docs.emitted_event_kinds()
     assert {"slow_query", "worker.respawn", "maintenance.compact"} <= emitted
     # A kind whose last emitter was deleted is flagged by name.
-    assert check_docs.orphan_event_problems(
-        set(EVENTS) | {"replica.kill"}, emitted
+    assert check_docs.orphan_problems(
+        set(EVENTS) | {"replica.kill"}, emitted, check_docs.ORPHAN_EVENT
     ) == [
         "repro/telemetry/events.py: event 'replica.kill' is never emitted "
         "under src/repro"
@@ -85,8 +85,10 @@ def test_only_literal_kinds_of_emit_calls_count_as_emitted(tmp_path, monkeypatch
 
 
 def test_every_orphan_is_named_once_in_sorted_order():
-    problems = check_docs.orphan_event_problems(
-        {"z.last", "a.first", "kept"}, {"kept", "extra.emitted"}
+    problems = check_docs.orphan_problems(
+        {"z.last", "a.first", "kept"},
+        {"kept", "extra.emitted"},
+        check_docs.ORPHAN_EVENT,
     )
     assert problems == [
         "repro/telemetry/events.py: event 'a.first' is never emitted under src/repro",
@@ -94,7 +96,9 @@ def test_every_orphan_is_named_once_in_sorted_order():
     ]
     # An emitted kind outside the vocabulary is QL005's business, not
     # an orphan.
-    assert check_docs.orphan_event_problems({"kept"}, {"kept", "extra"}) == []
+    assert check_docs.orphan_problems(
+        {"kept"}, {"kept", "extra"}, check_docs.ORPHAN_EVENT
+    ) == []
 
 
 def test_the_orphan_check_reads_the_live_vocabulary(monkeypatch):
@@ -103,6 +107,65 @@ def test_the_orphan_check_reads_the_live_vocabulary(monkeypatch):
     monkeypatch.setattr(events, "EVENTS", {**events.EVENTS, "gone.kind": "x"})
     assert check_docs.check_orphan_events() == [
         "repro/telemetry/events.py: event 'gone.kind' is never emitted under src/repro"
+    ]
+
+
+def test_every_metric_constant_has_a_recorder():
+    assert check_docs.check_orphan_metrics() == []
+    constants = check_docs.metric_constants()
+    assert {"QUERY_SECONDS", "WORKER_RESPAWNS", "BATCH_SECONDS"} <= constants
+    # A constant whose last recorder was deleted is flagged by name.
+    assert check_docs.orphan_problems(
+        constants | {"STORE_LIVE"},
+        check_docs.referenced_names(),
+        check_docs.ORPHAN_METRIC,
+    ) == [
+        "repro/telemetry/naming.py: metric 'STORE_LIVE' is never referenced "
+        "under src/repro"
+    ]
+
+
+def test_every_hand_listed_metric_has_a_constant():
+    from repro.index.base import IndexStats
+    from repro.telemetry import naming
+
+    generated = {naming.stats_metric(name) for name in IndexStats().as_dict()}
+    hand_listed = set(naming.METRICS) - generated
+    assert hand_listed == {
+        getattr(naming, name) for name in check_docs.metric_constants()
+    }
+
+
+def test_only_names_used_outside_naming_count_as_referenced(tmp_path, monkeypatch):
+    tel = tmp_path / "src" / "repro" / "telemetry"
+    tel.mkdir(parents=True)
+    (tel / "naming.py").write_text(
+        'DEFINED_ONLY = "d"\nMETRICS = {DEFINED_ONLY: "x"}\n', encoding="utf-8"
+    )
+    (tel / "user.py").write_text(
+        "from repro.telemetry.naming import BARE\n"
+        "reg.histogram(BARE)\n"
+        "reg.counter(naming.DOTTED)\n"
+        "s = 'QUOTED'\n",
+        encoding="utf-8",
+    )
+    # Outside src/repro nothing counts, however it is spelled.
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "b.py").write_text("record(TOOLS_ONLY)\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    names = check_docs.referenced_names()
+    assert {"BARE", "DOTTED"} <= names
+    assert not {"DEFINED_ONLY", "QUOTED", "TOOLS_ONLY"} & names
+
+
+def test_the_orphan_metric_check_reads_the_live_vocabulary(monkeypatch):
+    from repro.telemetry import naming
+
+    monkeypatch.setattr(naming, "GONE_SECONDS", "gone.seconds", raising=False)
+    monkeypatch.setitem(naming.METRICS, "gone.seconds", "histogram: nobody")
+    assert check_docs.check_orphan_metrics() == [
+        "repro/telemetry/naming.py: metric 'GONE_SECONDS' is never referenced "
+        "under src/repro"
     ]
 
 

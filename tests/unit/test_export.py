@@ -14,12 +14,10 @@ import re
 from repro.telemetry import (
     LatencyHistogram,
     MetricsRegistry,
-    TimeSeriesRecorder,
     histogram_from_snapshot,
     json_snapshot,
     registry_prometheus,
     render_prometheus,
-    snapshot_prometheus,
 )
 from repro.telemetry.export import _metric_name
 
@@ -100,20 +98,23 @@ class TestPrometheusText:
         )
         assert "# HELP repro_ops_total line one\\nback\\\\slash" in text
 
-    def test_registry_and_window_renderers_share_format(self):
+    def test_registry_renderer_exports_live_cumulative_state(self):
         reg = MetricsRegistry()
         reg.counter("ops").inc(5)
+        reg.gauge("shards.balance").set(1.25)
         reg.histogram("q.seconds").record(0.01)
-        live = registry_prometheus(reg)
-        assert "repro_ops_total 5" in live
-        assert "repro_q_seconds_count 1" in live
-        recorder = TimeSeriesRecorder(reg, window=1.0)
-        recorder.tick(0.0)
-        recorder.tick(1.0)  # close window 0 (holds the pre-existing state)
+        first = registry_prometheus(reg)
+        assert "repro_ops_total 5" in first
+        assert "repro_shards_balance 1.25" in first
+        assert "repro_q_seconds_count 1" in first
         reg.counter("ops").inc(2)
-        recorder.flush(2.0)
-        window = snapshot_prometheus(recorder.windows[1])
-        assert "repro_ops_total 2" in window  # the delta, not the total
+        reg.histogram("q.seconds").record(0.02)
+        later = registry_prometheus(reg)  # cumulative, not a delta
+        assert "repro_ops_total 7" in later
+        assert "repro_q_seconds_count 2" in later
+        assert registry_prometheus(reg, namespace="x").startswith(
+            "# TYPE x_ops_total counter"
+        )
 
 
 class TestJsonSnapshot:

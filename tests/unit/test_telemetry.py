@@ -1,10 +1,8 @@
-"""Telemetry core: histograms, registry, recorder, tracer, instrumentation.
+"""Telemetry core: histograms, registry, tracer, instrumentation.
 
 The histogram accuracy tests compare against ``numpy.percentile`` on
 random samples — the contract is a bounded *relative* error (one bucket
-of slack at 40 buckets/decade), not exact agreement.  Recorder tests
-drive synthetic clocks: window alignment must be a pure function of the
-tick timestamps.
+of slack at 40 buckets/decade), not exact agreement.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.telemetry import (
     LatencyHistogram,
     MetricsRegistry,
     Telemetry,
-    TimeSeriesRecorder,
     Tracer,
 )
 from repro.telemetry.naming import METRICS, QUERY_SECONDS, SPANS, stats_metric
@@ -112,23 +109,31 @@ class TestLatencyHistogram:
         with pytest.raises(ConfigurationError, match="layout"):
             LatencyHistogram().merge(LatencyHistogram(lo=1e-3))
 
-    def test_delta_since(self):
-        hist = LatencyHistogram()
-        hist.record(1e-3)
-        before = hist.copy()
-        hist.record(1e-2)
-        delta = hist.delta_since(before)
-        assert delta.count == 1
-        assert delta.sum == pytest.approx(1e-2)
-        # Delta max is a bucket upper edge: >= the true window max,
-        # within one bucket factor of it.
-        assert 1e-2 <= delta.max <= 1e-2 * 10 ** (1 / 40) * 1.01
+    def test_absorb_folds_in_place(self):
+        # The pool folds worker histograms into the driver's registry
+        # instrument, which must keep its identity.
+        target, shipped = LatencyHistogram(), LatencyHistogram()
+        target.record(1e-3)
+        for s in (1e-4, 2e-2):
+            shipped.record(s)
+        want = target.merge(shipped)
+        same = target
+        target.absorb(shipped)
+        assert target is same
+        assert target.counts == want.counts and target.count == 3
+        assert target.sum == pytest.approx(want.sum) and target.max == 2e-2
+        assert shipped.count == 2  # the source is left as it was
+        with pytest.raises(ConfigurationError, match="layout"):
+            target.absorb(LatencyHistogram(lo=1e-3))
 
-    def test_delta_since_rejects_non_prefix(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        b.record(1e-3)
-        with pytest.raises(ConfigurationError, match="earlier snapshot"):
-            a.delta_since(b)
+    def test_copy_is_an_independent_snapshot(self):
+        hist = LatencyHistogram(lo=1e-4, hi=1.0, buckets_per_decade=10)
+        hist.record(1e-3)
+        snap = hist.copy()
+        hist.record(5e-1)
+        assert (snap.lo, snap.hi, snap.buckets_per_decade) == (1e-4, 1.0, 10)
+        assert snap.count == 1 and snap.max == 1e-3 and sum(snap.counts) == 1
+        assert hist.count == 2 and hist.max == 5e-1
 
     def test_to_dict_keys_and_buckets(self):
         hist = LatencyHistogram()
@@ -178,84 +183,6 @@ class TestMetricsRegistry:
     def test_counter_rejects_negative(self):
         with pytest.raises(ConfigurationError, match="only increase"):
             MetricsRegistry().counter("c").inc(-1)
-
-
-# ----------------------------------------------------------------------
-# TimeSeriesRecorder
-# ----------------------------------------------------------------------
-class TestTimeSeriesRecorder:
-    def test_window_alignment(self):
-        reg = MetricsRegistry()
-        rec = TimeSeriesRecorder(reg, window=1.0)
-        rec.tick(10.0)
-        reg.counter("ops").inc(5)
-        assert rec.tick(10.9) == 0
-        assert rec.tick(11.0) == 1  # boundary is exclusive of the window
-        w = rec.windows[0]
-        assert (w.start, w.end) == (10.0, 11.0)
-        assert w.counters["ops"] == 5
-
-    def test_deltas_not_cumulative(self):
-        reg = MetricsRegistry()
-        rec = TimeSeriesRecorder(reg, window=1.0)
-        rec.tick(0.0)
-        reg.counter("ops").inc(2)
-        reg.histogram("lat").record(1e-3)
-        rec.tick(1.0)
-        reg.counter("ops").inc(7)
-        reg.histogram("lat").record(1e-2)
-        rec.tick(2.0)
-        assert [w.counters["ops"] for w in rec.windows] == [2, 7]
-        assert [w.histograms["lat"].count for w in rec.windows] == [1, 1]
-
-    def test_jump_emits_empty_windows(self):
-        reg = MetricsRegistry()
-        rec = TimeSeriesRecorder(reg, window=1.0)
-        rec.tick(0.0)
-        reg.counter("ops").inc(4)
-        assert rec.tick(3.5) == 3
-        assert [w.counters.get("ops", 0) for w in rec.windows] == [4, 0, 0]
-        assert [(w.start, w.end) for w in rec.windows] == [
-            (0.0, 1.0), (1.0, 2.0), (2.0, 3.0),
-        ]
-
-    def test_flush_partial_window(self):
-        reg = MetricsRegistry()
-        rec = TimeSeriesRecorder(reg, window=1.0)
-        rec.tick(0.0)
-        rec.tick(1.0)
-        reg.counter("ops").inc(1)
-        partial = rec.flush(1.25)
-        assert partial is not None
-        assert (partial.start, partial.end) == (1.0, 1.25)
-        assert partial.counters["ops"] == 1
-        # Flush exactly on a boundary adds nothing extra.
-        reg2 = MetricsRegistry()
-        rec2 = TimeSeriesRecorder(reg2, window=1.0)
-        rec2.tick(0.0)
-        assert rec2.flush(1.0) is None
-        assert len(rec2.windows) == 1
-
-    def test_gauges_are_levels(self):
-        reg = MetricsRegistry()
-        rec = TimeSeriesRecorder(reg, window=1.0)
-        rec.tick(0.0)
-        reg.gauge("g").set(5.0)
-        rec.tick(1.0)
-        rec.tick(2.0)
-        assert [w.gauges["g"] for w in rec.windows] == [5.0, 5.0]
-
-    def test_window_to_dict_rebases(self):
-        reg = MetricsRegistry()
-        rec = TimeSeriesRecorder(reg, window=1.0)
-        rec.tick(100.0)
-        rec.tick(101.0)
-        d = rec.windows[0].to_dict(origin=100.0)
-        assert (d["start"], d["end"]) == (0.0, 1.0)
-
-    def test_invalid_window_raises(self):
-        with pytest.raises(ConfigurationError, match="window"):
-            TimeSeriesRecorder(MetricsRegistry(), window=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -459,6 +386,13 @@ class TestInstrumentation:
             QueryExecutor(
                 engine, events=EventLog(), slow_query_threshold=-1.0
             )
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.01])
+    def test_executor_rejects_threshold_without_event_log(self, threshold):
+        # 0.0 ("every query is slow") is a threshold too, not "unset".
+        _, engine = self._engine()
+        with pytest.raises(ConfigurationError, match="events"):
+            QueryExecutor(engine, slow_query_threshold=threshold)
 
     def test_scheduler_emits_compaction_event_when_work_happens(self):
         ds, engine = self._engine()

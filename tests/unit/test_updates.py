@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,30 @@ class TestExecutor:
         )
         assert live.size == 5 and not np.isin(gone, live).any()
         assert index.store.live_count == 5
+
+    def test_delete_seconds_exclude_victim_resolution(self, monkeypatch):
+        # Resolution is stalled well past a 200-row delete: the stall
+        # shows up in wall-clock, never in the seconds apply_write reports.
+        import repro.updates.executor as executor
+
+        stall = 0.05
+        resolve = executor.resolve_delete_victims
+        calls = []
+
+        def stalled(*args):
+            calls.append(args)
+            time.sleep(stall)
+            return resolve(*args)
+
+        monkeypatch.setattr(executor, "resolve_delete_victims", stalled)
+        index = ScanIndex(_store(n=200))
+        live = index.store.ids.copy()
+        t0 = time.perf_counter()
+        gone, _, seconds = apply_write(
+            index, WorkloadOp("delete", 0, count=20), live, 0, 3
+        )
+        assert time.perf_counter() - t0 >= stall and len(calls) == 1
+        assert gone.size == 20 and seconds < stall
 
     def test_rejects_non_mutable_index(self):
         ds = make_uniform(200, ndim=2, seed=5)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Nine checks, all filesystem/CLI-only:
+Ten checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -39,6 +39,11 @@ Nine checks, all filesystem/CLI-only:
    some ``.emit(...)`` call under ``src/repro``.  Check 4 and quasii-lint
    rule QL005 hold vocabulary <-> docs and code -> vocabulary; this is
    vocabulary -> code, so a kind cannot outlive its last emitter.
+10. **No orphan metrics** — every hand-listed metric constant of
+    ``repro.telemetry.naming`` (a ``METRICS`` name; the generated
+    ``stats.*`` family has no constants) is referenced by name in some
+    module under ``src/repro`` other than ``naming.py``, so a metric
+    cannot outlive its last recorder.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -51,6 +56,7 @@ from __future__ import annotations
 import ast
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -263,12 +269,20 @@ def check_roadmap_pointers() -> list[str]:
     return problems
 
 
+def src_trees() -> Iterator[tuple[str, ast.AST]]:
+    """``(repo-relative path, parsed module)`` for every module under
+    ``src/repro``: what the orphan checks search."""
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(REPO).as_posix()
+        yield rel, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def emitted_event_kinds() -> set[str]:
     """Every string literal passed first to an ``.emit(...)`` call
     under ``src/repro`` (the spelling QL005 holds to the vocabulary)."""
     kinds = set()
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in src_trees():
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -281,20 +295,55 @@ def emitted_event_kinds() -> set[str]:
     return kinds
 
 
-def orphan_event_problems(canonical: set[str], emitted: set[str]) -> list[str]:
-    """Canonical event kinds no code emits."""
-    return [
-        f"repro/telemetry/events.py: event {kind!r} is never emitted "
-        "under src/repro"
-        for kind in sorted(canonical - emitted)
-    ]
+#: One problem line per orphan, by vocabulary.
+ORPHAN_EVENT = "repro/telemetry/events.py: event {!r} is never emitted under src/repro"
+ORPHAN_METRIC = (
+    "repro/telemetry/naming.py: metric {!r} is never referenced under src/repro"
+)
+
+
+def orphan_problems(canonical: set[str], used: set[str], message: str) -> list[str]:
+    """One ``message`` per canonical name that ``used`` lacks, sorted."""
+    return [message.format(name) for name in sorted(canonical - used)]
 
 
 def check_orphan_events() -> list[str]:
     """Every canonical event kind has an emitter under ``src/repro``."""
     from repro.telemetry.events import EVENTS
 
-    return orphan_event_problems(set(EVENTS), emitted_event_kinds())
+    return orphan_problems(set(EVENTS), emitted_event_kinds(), ORPHAN_EVENT)
+
+
+def metric_constants() -> set[str]:
+    """The hand-listed metric constants: module-level names of
+    ``repro.telemetry.naming`` bound to a ``METRICS`` key."""
+    from repro.telemetry import naming
+
+    return {
+        name
+        for name, value in vars(naming).items()
+        if name.isupper() and isinstance(value, str) and value in naming.METRICS
+    }
+
+
+def referenced_names() -> set[str]:
+    """Every bare or attribute name used under ``src/repro``, outside
+    ``naming.py`` (where each constant is defined, not recorded)."""
+    names = set()
+    for rel, tree in src_trees():
+        if rel == "src/repro/telemetry/naming.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def check_orphan_metrics() -> list[str]:
+    """Every hand-listed metric constant is used under ``src/repro``."""
+    return orphan_problems(metric_constants(), referenced_names(), ORPHAN_METRIC)
 
 
 def main() -> int:
@@ -307,6 +356,7 @@ def main() -> int:
         + check_query_layer_hooks()
         + check_roadmap_pointers()
         + check_orphan_events()
+        + check_orphan_metrics()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -317,8 +367,8 @@ def main() -> int:
         "docs-check: README/docs links, BENCH.md verbs, CLI help, "
         "OBSERVABILITY.md metric/span/event/endpoint tables, the "
         "ANALYSIS.md lint-rule table, ARCHITECTURE.md's query-layer "
-        "hooks, the ROADMAP pointers and the event emitters all "
-        "consistent"
+        "hooks, the ROADMAP pointers, the event emitters and the metric "
+        "recorders all consistent"
     )
     return 0
 
