@@ -13,11 +13,9 @@ input, and no write or compaction touches it after ``build()``.
 This demo builds the engine, serves a batch of queries on the in-thread
 server and through worker processes, verifies both against a full scan,
 pushes a stream of updates through the ownership routing, and finally
-turns on automatic maintenance: a MaintenancePolicy attached to the
-executor compacts tombstone-heavy shards and — when skewed ingestion
-drifts the balance factor — splits the hot shard along the observed
-query centroids (query-driven rebalancing, QUASII's principle applied
-to the partition layout).
+turns on automatic maintenance: after a delete-heavy burst, a
+MaintenancePolicy attached to the executor compacts the tombstone-heavy
+shards between batches, on the query path.
 
 Run:  python examples/sharded_serving.py
 """
@@ -48,8 +46,7 @@ def main() -> None:
     # 2. Build the engine: STR split into 8 shards, one QUASII per shard.
     engine = ShardedIndex(dataset.store.copy(), n_shards=8)
     engine.build()
-    print(f"engine: {engine.name}, shard sizes {engine.shard_sizes()}, "
-          f"balance {engine.balance_factor():.2f}\n")
+    print(f"engine: {engine.name}, shard sizes {engine.shard_sizes()}\n")
 
     # 3. Serve a batch of small queries two ways and check both vs Scan.
     queries = uniform_workload(dataset.universe, 300, 1e-4, seed=7)
@@ -136,35 +133,35 @@ def main() -> None:
     print(f"compaction reclaimed {dead} shard rows; the build input was "
           f"never written\n")
 
-    # 6. Automatic maintenance: skew the ingestion into one corner, then
-    #    let the executor's MaintenancePolicy rebalance on the query path.
-    burst = rng.uniform(0, 2_000, size=(30_000, 3))
-    engine.insert(burst - 2.0, burst + 2.0)
-    scan.insert(burst - 2.0, burst + 2.0)
-    print(f"after a skewed burst: balance factor {engine.balance_factor():.2f} "
-          f"(max/mean owned rows)")
+    # 6. Compaction on the query path: a delete-heavy burst leaves a
+    #    quarter of every shard tombstoned, and the executor's
+    #    MaintenancePolicy compacts the shards past its dead fraction
+    #    between batches — no maintenance call in the serving loop.
+    burst = np.arange(5_000, dataset.n, 4)
+    engine.delete(burst)
+    scan.delete(burst)
+    dead = sum(s.store.n_dead for s in engine.shards)
+    print(f"after a delete-heavy burst: {dead:,} tombstoned shard rows")
     serve = QueryExecutor(
         engine,
         max_workers=1,
-        maintenance=MaintenancePolicy(check_every=64, max_balance=1.3,
-                                      max_query_skew=2.5, min_queries=32),
+        maintenance=MaintenancePolicy(check_every=64, dead_fraction=0.1),
     )
-    corner = hotspot_workload(dataset.universe, 300, 1e-4,
-                              hotspot_volume=0.002, seed=17)
-    batch = serve.run(corner)
+    batch = serve.run(hot)
     report = serve.scheduler.report
+    assert report.compaction_passes == 1 and report.rows_reclaimed == dead
+    assert sum(s.store.n_dead for s in engine.shards) == 0
     print(f"served {batch.n_queries} hotspot queries; maintenance ran "
-          f"{report.checks} checks, {report.rebalances} rebalancing pass(es), "
-          f"migrated {report.rows_migrated:,} rows in {report.seconds*1000:.0f}ms")
-    print(f"balance factor now {engine.balance_factor():.2f}; results still "
-          f"match the oracle: ", end="")
+          f"{report.checks} check(s), {report.compaction_passes} compaction "
+          f"pass(es), reclaimed {report.rows_reclaimed:,} rows in "
+          f"{report.seconds*1000:.0f}ms")
     check = uniform_workload(dataset.universe, 30, 1e-3, seed=19)
-    ok = all(
+    assert all(
         np.array_equal(np.sort(engine.execute(q).ids), np.sort(scan.execute(q).ids))
         for q in check
     )
     engine.validate_routing()
-    print("yes" if ok else "NO")
+    print("results still match the Scan oracle; ownership intact")
 
 
 if __name__ == "__main__":

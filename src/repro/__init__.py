@@ -47,7 +47,6 @@ from repro.queries import (
     QueryResult,
     WorkloadOp,
     clustered_workload,
-    drifting_hotspot_workload,
     hotspot_workload,
     mixed_workload,
     uniform_workload,
@@ -57,9 +56,7 @@ from repro.sharding import (
     MaintenancePolicy,
     MaintenanceScheduler,
     QueryExecutor,
-    Rebalancer,
     ShardedIndex,
-    WorkloadProfile,
 )
 from repro.telemetry import (
     LatencyHistogram,
@@ -93,7 +90,6 @@ __all__ = [
     "QueryPlan",
     "QueryResult",
     "RTreeIndex",
-    "Rebalancer",
     "SFCIndex",
     "SFCrackerIndex",
     "ScanIndex",
@@ -105,10 +101,8 @@ __all__ = [
     "UpdateBuffer",
     "UpdateLedger",
     "WorkloadOp",
-    "WorkloadProfile",
     "__version__",
     "clustered_workload",
-    "drifting_hotspot_workload",
     "hotspot_workload",
     "load_dataset",
     "make_gaussian_mixture",

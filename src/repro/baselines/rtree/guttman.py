@@ -24,12 +24,6 @@ def _volume(lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.prod(hi - lo))
 
 
-def _enlargement(node_lo, node_hi, lo, hi) -> float:
-    merged_lo = np.minimum(node_lo, lo)
-    merged_hi = np.maximum(node_hi, hi)
-    return _volume(merged_lo, merged_hi) - _volume(node_lo, node_hi)
-
-
 class GuttmanRTree:
     """An R-Tree built by repeated insertion.
 
@@ -83,12 +77,14 @@ class GuttmanRTree:
             if node.rows.size > self._capacity:
                 return self._split_leaf(node)
             return None
-        # ChooseLeaf: child needing least volume enlargement, ties by volume.
-        best, best_key = None, None
-        for child in node.children:
-            key = (_enlargement(child.lo, child.hi, lo, hi), _volume(child.lo, child.hi))
-            if best_key is None or key < best_key:
-                best, best_key = child, key
+        # ChooseLeaf: child needing least volume enlargement, ties by
+        # volume, then by child order (lexsort is stable).
+        child_lo, child_hi = node.child_lo, node.child_hi
+        volume = np.prod(child_hi - child_lo, axis=1)
+        merged = np.prod(
+            np.maximum(child_hi, hi) - np.minimum(child_lo, lo), axis=1
+        )
+        best = node.children[int(np.lexsort((volume, merged - volume))[0])]
         split = self._insert_into(best, row, lo, hi)
         if split is not None:
             node.children.append(split)
@@ -110,20 +106,16 @@ class GuttmanRTree:
         Returns boolean membership masks for the two groups.
         """
         m = lo.shape[0]
-        # PickSeeds: pair wasting the most area if grouped together.
-        worst, seeds = -np.inf, (0, 1)
-        for i in range(m):
-            merged_lo = np.minimum(lo[i], lo[i + 1 :])
-            merged_hi = np.maximum(hi[i], hi[i + 1 :])
-            waste = (
-                np.prod(merged_hi - merged_lo, axis=1)
-                - _volume(lo[i], hi[i])
-                - np.prod(hi[i + 1 :] - lo[i + 1 :], axis=1)
-            )
-            if waste.size:
-                j = int(np.argmax(waste))
-                if waste[j] > worst:
-                    worst, seeds = float(waste[j]), (i, i + 1 + j)
+        # PickSeeds: pair (i < j) wasting the most area if grouped
+        # together; argmax keeps the first maximum in row-major order.
+        volume = np.prod(hi - lo, axis=1)
+        merged = np.prod(
+            np.maximum(hi[:, None], hi[None, :]) - np.minimum(lo[:, None], lo[None, :]),
+            axis=2,
+        )
+        waste = merged - volume[:, None] - volume[None, :]
+        waste[np.tril_indices(m)] = -np.inf
+        seeds = divmod(int(np.argmax(waste)), m)
         g1_lo, g1_hi = lo[seeds[0]].copy(), hi[seeds[0]].copy()
         g2_lo, g2_hi = lo[seeds[1]].copy(), hi[seeds[1]].copy()
         in_g1 = np.zeros(m, dtype=bool)

@@ -75,7 +75,7 @@ class RunResult:
     stats:
         The index's :class:`~repro.index.base.IndexStats` delta over the
         run (``inserts``, ``deletes``, ``merges``, ``compactions``,
-        ``rebalances``, ``shards_visited``, ...).
+        ``shards_visited``, ...).
     maintenance_seconds:
         Wall-clock the maintenance scheduler spent between ops (0.0
         without a policy) — *excluded* from every per-op timing, so
@@ -193,8 +193,8 @@ def run_workload(
 
     With ``maintenance`` given, a
     :class:`~repro.sharding.maintenance.MaintenanceScheduler` is ticked
-    after every op: compaction and (for sharded engines) rebalancing run
-    between ops under the policy's thresholds.  Their cost lands in
+    after every op: compaction runs between ops under the policy's
+    threshold.  Their cost lands in
     ``maintenance_seconds`` and their work in ``stats``, never in an
     op's own timing.
     """

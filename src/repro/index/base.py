@@ -102,16 +102,6 @@ class IndexStats:
         Store compactions absorbed through
         :meth:`MutableSpatialIndex.compact` (tombstoned rows physically
         reclaimed and positions remapped).
-    rebalances:
-        Shard-rebalancing passes applied
-        (:class:`repro.sharding.Rebalancer`; 0 for unsharded indexes).
-        Each pass splits a hot shard along the observed query
-        distribution and merges a cold one away.
-    rows_migrated:
-        Rows physically moved between shards by rebalancing passes —
-        the sharding layer's analogue of ``rows_reorganized``: migration
-        is reorganization work paid to keep load balanced, exactly as
-        cracking is reorganization work paid to keep scans short.
     shards_visited:
         Shards whose MBB intersected a query window and were fanned out
         to (:class:`repro.sharding.ShardedIndex`; 0 for unsharded
@@ -132,8 +122,6 @@ class IndexStats:
     deletes: int = 0
     merges: int = 0
     compactions: int = 0
-    rebalances: int = 0
-    rows_migrated: int = 0
     shards_visited: int = 0
     shards_pruned: int = 0
 
@@ -609,10 +597,9 @@ class MutableSpatialIndex(SpatialIndex):
         """Force pending (buffered) inserts into the main structure now.
 
         Lazy implementations (QUASII) normally merge their update buffer
-        on the next query; maintenance operations that relocate rows —
-        shard rebalancing migrates a shard's *store*, so a row still
-        sitting in a buffer would be invisible to the move — need every
-        owned row physically present first.  Returns the number of rows
+        on the next query; operations that copy a store — publishing a
+        shard's base to a worker process, which must carry every routed
+        row — need every owned row physically present first.  Returns the number of rows
         merged (0 when nothing was pending); eager implementations keep
         the default no-op.  Counts toward the ``merges`` counter exactly
         like a query-triggered merge.  Does not change query results:

@@ -13,10 +13,10 @@ the pool:
    is drained into a :class:`~repro.parallel.shm.ShardDelta` — inserted
    rows in a small delta segment, deleted ids and compaction markers in
    the message — which the worker replays on its warm index: a write
-   costs what it changed.  A full publish recurs only where physical
-   identity changes or the worker's state is gone: another shard store
-   (a rebalance rebuild), a respawned worker, one that answered
-   ``err``, a log that outgrew its base.  The driver's
+   costs what it changed.  A shard's store is fixed once the engine is
+   built, so a full publish recurs only where the worker's state is
+   gone or a delta would cost more than a base: a respawned worker, one
+   that answered ``err``, a log that outgrew its base.  The driver's
    shard store, flushed on every sync, stays the authoritative copy; no
    delta history is kept.
 2. **Dispatches and collects** — sends the sub-batch, decodes result
@@ -228,12 +228,10 @@ class ProcessPool:
         every routed row, and a driver store that physically holds every
         row its worker's does also holds every tombstone the worker's
         does — the worker's id gate never refuses what the driver's
-        admitted.  A shard whose store is not the one its base was cut
-        from (a rebalance rebuilt it), or whose worker lost its copy
-        (:meth:`_drop`), gets a new base.
+        admitted.  A shard whose worker lost its copy (:meth:`_drop`), or
+        whose log outgrew its base, gets a new base.
         """
         shard = self._index.shards[sid]
-        store = shard.store
         shard.flush_updates()
         segment = self._segments.get(sid)
         log = shard.oplog
@@ -242,7 +240,7 @@ class ProcessPool:
                 f"shard {sid} is already served by another live process "
                 "pool; close() that one before serving from a second"
             )
-        if segment is not None and segment.store_token is store and log is not None:
+        if segment is not None and log is not None:
             if not log:
                 return None, None, shard.owned_count
             # A delta larger than its base is a new base.
@@ -250,7 +248,7 @@ class ProcessPool:
                 delta, shm = publish_delta(log, sid, segment.spec.version)
                 log.clear()
                 if delta.rows is not None and shm is not None:
-                    self._deltas.append(ShardSegment(delta.rows, shm, None))
+                    self._deltas.append(ShardSegment(delta.rows, shm))
                 if self._events is not None:
                     self._events.emit(
                         "worker.delta",
@@ -265,9 +263,9 @@ class ProcessPool:
         version = self._versions.get(sid, -1) + 1
         self._versions[sid] = version
         spec, shm = publish_segment(
-            store, sid, version, self._index.config, self._index.max_runs
+            shard.store, sid, version, self._index.config, self._index.max_runs
         )
-        self._segments[sid] = ShardSegment(spec, shm, store)
+        self._segments[sid] = ShardSegment(spec, shm)
         shard.oplog = []
         if self._events is not None:
             self._events.emit(

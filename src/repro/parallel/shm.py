@@ -321,22 +321,13 @@ class SharedStoreView:
 
 
 class ShardSegment:
-    """Driver-side record of one published segment (the owning handle).
+    """Driver-side record of one published segment (the owning handle)."""
 
-    A base also remembers the shard's
-    :class:`~repro.datasets.store.BoxStore` it was published from: a
-    rebalance rebuild puts another store in its place, and with it every
-    row's physical identity — what no delta can describe.
-    """
+    __slots__ = ("spec", "shm")
 
-    __slots__ = ("spec", "shm", "store_token")
-
-    def __init__(
-        self, spec: SegmentSpec, shm: SharedMemory, store_token: BoxStore | None
-    ) -> None:
+    def __init__(self, spec: SegmentSpec, shm: SharedMemory) -> None:
         self.spec = spec
         self.shm = shm
-        self.store_token = store_token
 
     def destroy(self) -> None:
         """Close the driver's mapping and unlink the OS object.

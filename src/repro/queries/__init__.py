@@ -10,7 +10,6 @@ from repro.queries.query import (
 from repro.queries.workloads import (
     WorkloadOp,
     clustered_workload,
-    drifting_hotspot_workload,
     hotspot_workload,
     mixed_workload,
     sequential_workload,
@@ -26,7 +25,6 @@ __all__ = [
     "RESULT_MODES",
     "WorkloadOp",
     "clustered_workload",
-    "drifting_hotspot_workload",
     "hotspot_workload",
     "mixed_workload",
     "sequential_workload",

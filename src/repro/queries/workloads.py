@@ -21,10 +21,7 @@ Beyond the paper, :func:`mixed_workload` interleaves window queries with
 insert/delete batches — the update subsystem's mixed read/write scenario
 (the paper leaves updates as future work; see :mod:`repro.updates`) —
 :func:`hotspot_workload` generates the skewed 90/10 serving traffic
-that concentrates on few shards (shard balance and pruning), and
-:func:`drifting_hotspot_workload` moves that hot region across phases
-(optionally with skewed ingestion into it) — the scenario shard
-rebalancing exists for.
+that concentrates on few shards (shard balance and pruning).
 """
 
 from __future__ import annotations
@@ -256,7 +253,11 @@ def hotspot_workload(
     side = side_for_volume_fraction(universe, volume_fraction)
     uni_lo = np.asarray(universe.lo)
     uni_hi = np.asarray(universe.hi)
-    hot_lo, hot_hi = _hotspot_box(universe, hotspot_volume, seed)
+    hot_side = side_for_volume_fraction(universe, hotspot_volume)
+    hot_lo = np.random.default_rng(seed).uniform(
+        uni_lo, np.maximum(uni_hi - hot_side, uni_lo)
+    )
+    hot_hi = np.minimum(hot_lo + hot_side, uni_hi)
     queries: list[Query] = []
     for k in range(n_queries):
         qrng = np.random.default_rng((seed, k))
@@ -265,147 +266,6 @@ def hotspot_workload(
         center = qrng.uniform(lo, hi)
         queries.append(Query(_window_at(center, side, universe), seq=k))
     return queries
-
-
-def _hotspot_box(
-    universe: Box, hotspot_volume: float, seed: int | tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Place one hot sub-box of the given volume fraction, from ``seed``."""
-    rng = np.random.default_rng(seed)
-    hot_side = side_for_volume_fraction(universe, hotspot_volume)
-    uni_lo = np.asarray(universe.lo)
-    uni_hi = np.asarray(universe.hi)
-    hot_lo = rng.uniform(uni_lo, np.maximum(uni_hi - hot_side, uni_lo))
-    hot_hi = np.minimum(hot_lo + hot_side, uni_hi)
-    return hot_lo, hot_hi
-
-
-def drifting_hotspot_workload(
-    universe: Box,
-    n_ops: int = 600,
-    phases: int = 3,
-    volume_fraction: float = 1e-3,
-    hotspot_fraction: float = 0.9,
-    hotspot_volume: float = 0.05,
-    insert_every: int = 0,
-    insert_batch: int = 32,
-    box_sides: tuple[float, float] = (1.0, 10.0),
-    seed: int = 0,
-) -> list[WorkloadOp]:
-    """Hotspot traffic whose hot region *moves* — the rebalancing workload.
-
-    Serving traffic is not stationary: today's hot region is not
-    yesterday's — but it is usually *near* yesterday's.  This generator
-    splits ``n_ops`` into ``phases`` equal stretches; the first phase's
-    hot sub-box is placed at random, and each later phase's box takes a
-    random-walk step of about one box side from the previous one
-    (clipped to the universe), so the hotspot wanders through a coherent
-    neighborhood instead of teleporting.  Within a phase, operations
-    follow the :func:`hotspot_workload` 90/10 shape, and — when
-    ``insert_every > 0`` — every ``insert_every``-th operation is
-    instead an insert batch of ``insert_batch`` boxes placed *inside the
-    current hot region* (skewed ingestion: new data arrives where the
-    traffic is).  The combination drifts both rebalancing signals at
-    once and lets them compound: traffic keeps returning to the same
-    spatial neighborhood, so the shards covering it accrete rows phase
-    after phase (balance factor) while serving most of the queries
-    (query-load skew).
-
-    Every draw comes from a counter-based stream seeded by
-    ``(seed, phase, op)``, so workloads are prefix-stable per phase and
-    comparable across ``n_ops`` sweeps.
-
-    Parameters
-    ----------
-    universe:
-        Box to draw hot regions, query centers, and inserted boxes from.
-    n_ops:
-        Total operation count across all phases.
-    phases:
-        Number of hot-region placements (>= 1); the hot box takes one
-        random-walk step at each phase boundary.
-    volume_fraction:
-        Per-query window volume as a fraction of the universe volume.
-    hotspot_fraction:
-        Fraction of queries whose centers fall in the current hot region.
-    hotspot_volume:
-        Hot region volume as a fraction of the universe volume.
-    insert_every:
-        Cadence of insert ops (0 disables inserts; 4 means every fourth
-        op is an insert batch).
-    insert_batch:
-        Boxes per insert batch.
-    box_sides:
-        Per-dimension side-length range of inserted boxes.
-    seed:
-        Base RNG seed.
-
-    Returns
-    -------
-    list[WorkloadOp]
-        ``n_ops`` operations (queries and insert batches) ready for
-        :func:`repro.bench.runner.run_workload`.
-    """
-    if n_ops < 1:
-        raise ConfigurationError(f"need at least one operation, got {n_ops}")
-    if phases < 1:
-        raise ConfigurationError(f"need at least one phase, got {phases}")
-    if insert_every < 0:
-        raise ConfigurationError(
-            f"insert_every must be >= 0, got {insert_every}"
-        )
-    if insert_batch < 1:
-        raise ConfigurationError(
-            f"insert_batch must be >= 1, got {insert_batch}"
-        )
-    if not 0.0 <= hotspot_fraction <= 1.0:
-        raise ConfigurationError(
-            f"hotspot_fraction must be in [0, 1], got {hotspot_fraction}"
-        )
-    side = side_for_volume_fraction(universe, volume_fraction)
-    uni_lo = np.asarray(universe.lo)
-    uni_hi = np.asarray(universe.hi)
-    per_phase = -(-n_ops // phases)  # ceil division
-    hot_side = side_for_volume_fraction(universe, hotspot_volume)
-    ops: list[WorkloadOp] = []
-    for seq in range(n_ops):
-        phase, k = divmod(seq, per_phase)
-        if k == 0:
-            if phase == 0:
-                hot_lo, hot_hi = _hotspot_box(
-                    universe, hotspot_volume, (seed, phase)
-                )
-            else:
-                # Random-walk drift: step about one box side in a random
-                # direction, clipped so the box stays in the universe.
-                prng = np.random.default_rng((seed, phase))
-                step = prng.uniform(-1.0, 1.0, size=universe.ndim) * hot_side
-                hot_lo = np.clip(
-                    hot_lo + step, uni_lo, np.maximum(uni_hi - hot_side, uni_lo)
-                )
-                hot_hi = np.minimum(hot_lo + hot_side, uni_hi)
-        rng = np.random.default_rng((seed, phase, 1 + k))
-        if insert_every and (k + 1) % insert_every == 0:
-            centers = rng.uniform(hot_lo, hot_hi, size=(insert_batch, universe.ndim))
-            half = rng.uniform(
-                box_sides[0], box_sides[1], size=(insert_batch, universe.ndim)
-            ) / 2.0
-            blo = np.maximum(centers - half, uni_lo)
-            bhi = np.minimum(centers + half, uni_hi)
-            bhi = np.maximum(bhi, blo)
-            ops.append(WorkloadOp("insert", seq, lo=blo, hi=bhi))
-        else:
-            in_hot = rng.uniform() < hotspot_fraction
-            lo, hi = (hot_lo, hot_hi) if in_hot else (uni_lo, uni_hi)
-            center = rng.uniform(lo, hi)
-            ops.append(
-                WorkloadOp(
-                    "query",
-                    seq,
-                    query=Query(_window_at(center, side, universe), seq=seq),
-                )
-            )
-    return ops
 
 
 @dataclass(frozen=True, eq=False)

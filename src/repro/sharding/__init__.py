@@ -19,21 +19,15 @@ keeping per-shard incremental cracking intact:
   one route → serve → merge pipeline behind two servers: the in-thread
   ``sequential`` one and the ``processes`` pool of :mod:`repro.parallel`,
   which respawns a worker that dies and republishes its shards.
-* :class:`WorkloadProfile` / :class:`ShardLoad` — the observed query
-  distribution: recent query windows plus per-shard routed-query counts.
-* :class:`Rebalancer` / :class:`RebalanceResult` — query-driven shard
-  rebalancing: split hot shards along the observed query centroids,
-  merge cold ones away, migrate rows while preserving the live multiset
-  and the ownership map.
 * :class:`MaintenancePolicy` / :class:`MaintenanceScheduler` /
   :class:`MaintenanceReport` — automatic maintenance on the query path:
-  dead-fraction-gated compaction plus drift-gated rebalancing, ticked
-  by the executors instead of ad-hoc call sites.
+  dead-fraction-gated compaction, ticked by the executors instead of
+  ad-hoc call sites.
 
 Batch throughput, pruning, balance and the two backends head to head are
 measured by the ledger's ``sharded-serve`` / ``sharded-churn`` workloads
-(``python3 benchmarks/ledger/run.py``).  Rebalancing and serving
-through worker SIGKILLs are oracle-checked by the property suite
+(``python3 benchmarks/ledger/run.py``).  Serving through worker
+SIGKILLs is oracle-checked by the property suite
 (``tests/property/test_prop_backends.py``), not timed.
 ``docs/BENCH.md`` maps each question to its row.
 """
@@ -44,12 +38,6 @@ from repro.sharding.maintenance import (
     MaintenanceReport,
     MaintenanceScheduler,
 )
-from repro.sharding.rebalancer import (
-    RebalanceResult,
-    Rebalancer,
-    ShardLoad,
-    WorkloadProfile,
-)
 from repro.sharding.shard import Shard
 from repro.sharding.sharded_index import ShardedIndex
 
@@ -59,10 +47,6 @@ __all__ = [
     "MaintenanceReport",
     "MaintenanceScheduler",
     "QueryExecutor",
-    "RebalanceResult",
-    "Rebalancer",
     "Shard",
-    "ShardLoad",
     "ShardedIndex",
-    "WorkloadProfile",
 ]

@@ -31,8 +31,7 @@ whenever it is set.
 Passing a :class:`~repro.sharding.maintenance.MaintenancePolicy` makes
 the executor the maintenance driver too: after every batch it ticks a
 :class:`~repro.sharding.maintenance.MaintenanceScheduler`, which
-compacts tombstone-heavy shards and rebalances drifted ones — the
-serving loop needs no ad-hoc ``maybe_compact`` calls sprinkled between
+compacts tombstone-heavy shards — the serving loop needs no ad-hoc ``maybe_compact`` calls sprinkled between
 batches.  Maintenance time is charged to the scheduler's report, not to
 any batch's ``seconds``.
 """
@@ -157,7 +156,7 @@ class QueryExecutor:
     maintenance:
         Optional :class:`MaintenancePolicy`; when given, a
         :class:`MaintenanceScheduler` is ticked after every executed
-        batch, so compaction and rebalancing ride the serving loop
+        batch, so compaction rides the serving loop
         (cracking-style) instead of needing ad-hoc call sites.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  When given,
@@ -281,7 +280,7 @@ class QueryExecutor:
 
         With a maintenance policy configured, the scheduler is ticked
         once per executed query *after* the batch completes — its
-        compaction/rebalancing work happens between batches and is
+        compaction work happens between batches and is
         charged to the scheduler's report, never to the batch's
         ``seconds``.
         """
@@ -305,7 +304,7 @@ class QueryExecutor:
         """Flow one batch's timings and stats delta into the registry.
 
         Runs *after* the maintenance tick so work triggered by this
-        batch (compaction, rebalancing) lands in the same stats delta as
+        batch (compaction) lands in the same stats delta as
         the scheduler's spans.
         """
         reg = tel.registry

@@ -1,38 +1,31 @@
-"""Automatic maintenance on the query path: compaction + rebalancing.
+"""Automatic maintenance on the query path: compaction.
 
 Database cracking's core bargain is that maintenance rides on queries —
 no stop-the-world rebuilds, just bounded work amortized over the requests
-that need it.  This module extends the bargain to the two maintenance
-verbs the update subsystem introduced:
+that need it.  This module extends the bargain to the maintenance verb
+the update subsystem introduced: **compaction**
+(:meth:`~repro.sharding.sharded_index.ShardedIndex.maybe_compact` /
+:meth:`~repro.index.base.MutableSpatialIndex.compact`), which physically
+reclaims tombstoned rows once the dead fraction crosses a threshold.
 
-* **Compaction**
-  (:meth:`~repro.sharding.sharded_index.ShardedIndex.maybe_compact` /
-  :meth:`~repro.index.base.MutableSpatialIndex.compact`) — physically
-  reclaim tombstoned rows once the dead fraction crosses a threshold.
-* **Rebalancing** (:class:`~repro.sharding.rebalancer.Rebalancer`) —
-  split hot shards / merge cold ones once the observed balance or
-  query-load skew drifts.
-
-A :class:`MaintenancePolicy` is pure data (thresholds + cadence); a
+A :class:`MaintenancePolicy` is pure data (threshold + cadence); a
 :class:`MaintenanceScheduler` binds one policy to one index and is
 ticked from the query path — the
 :class:`~repro.sharding.executor.QueryExecutor` ticks it after every
 batch, and :func:`repro.bench.runner.run_workload` after every
 operation, replacing ad-hoc ``maybe_compact`` call sites with one
 uniform, policy-driven hook.  The scheduler works for *any*
-:class:`~repro.index.base.MutableSpatialIndex` (plain indexes get
-dead-fraction-gated compaction; sharded engines additionally get
-per-shard compaction and rebalancing).
+:class:`~repro.index.base.MutableSpatialIndex` (plain indexes compact
+their store; sharded engines compact each shard past the threshold).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.index.base import MutableSpatialIndex
-from repro.sharding.rebalancer import Rebalancer, RebalanceResult
 from repro.sharding.sharded_index import ShardedIndex
 from repro.telemetry.events import EventLog
 from repro.telemetry.tracer import DISABLED, Tracer
@@ -53,25 +46,16 @@ class MaintenancePolicy:
         Tombstoned fraction above which a store (or shard) compacts
         (what ``maybe_compact`` takes).
     rebalance:
-        Whether to rebalance sharded engines at all (compaction-only
-        policies set this ``False``).
-    max_balance:
-        Live-row balance factor (max/mean shard size) that triggers a
-        rebalancing pass — drifts under skewed *ingestion*.
-    max_query_skew:
-        Query-load skew (max/mean fan-out executions) that triggers a
-        pass — drifts under skewed *traffic*.
-    min_queries:
-        Profiled queries required before the first pass after (re)build
-        or a previous pass; guards against re-tiling on noise.
+        Always ``False``.  Query-driven shard rebalancing was removed
+        (no drifting-hotspot run at 1M boxes showed it paying for the
+        cracked shard indexes each pass threw away); the field stays
+        only so existing ``rebalance=False`` call sites keep working,
+        and ``True`` is refused.
     """
 
     check_every: int = 64
     dead_fraction: float = 0.3
-    rebalance: bool = True
-    max_balance: float = 1.5
-    max_query_skew: float = 2.5
-    min_queries: int = 64
+    rebalance: bool = False
 
     def __post_init__(self) -> None:
         if self.check_every < 1:
@@ -82,17 +66,10 @@ class MaintenancePolicy:
             raise ConfigurationError(
                 f"dead_fraction must be in [0, 1), got {self.dead_fraction}"
             )
-        if self.max_balance < 1.0:
+        if self.rebalance:
             raise ConfigurationError(
-                f"max_balance must be >= 1.0, got {self.max_balance}"
-            )
-        if self.max_query_skew < 1.0:
-            raise ConfigurationError(
-                f"max_query_skew must be >= 1.0, got {self.max_query_skew}"
-            )
-        if self.min_queries < 1:
-            raise ConfigurationError(
-                f"min_queries must be >= 1, got {self.min_queries}"
+                "rebalance=True is not supported: query-driven shard "
+                "rebalancing was removed; maintenance only compacts"
             )
 
 
@@ -110,24 +87,15 @@ class MaintenanceReport:
     rows_reclaimed:
         Rows reclaimed by those compactions — each deleted row counted
         once, where its shard drops it.
-    rebalances:
-        Rebalancing passes applied.
-    rows_migrated:
-        Rows whose owning shard changed across those passes.
     seconds:
         Wall-clock spent inside maintenance (off the per-query timings;
         the amortized price of staying tight).
-    last_rebalance:
-        The most recent pass's :class:`RebalanceResult`, if any.
     """
 
     checks: int = 0
     compaction_passes: int = 0
     rows_reclaimed: int = 0
-    rebalances: int = 0
-    rows_migrated: int = 0
     seconds: float = 0.0
-    last_rebalance: RebalanceResult | None = field(default=None, repr=False)
 
 
 class MaintenanceScheduler:
@@ -136,11 +104,9 @@ class MaintenanceScheduler:
     Executors call :meth:`after_ops` once per executed operation (or
     batch); every ``policy.check_every`` accumulated operations the
     scheduler runs one maintenance check: dead-fraction-gated compaction
-    first (reclaiming space also re-tightens shard MBBs, which makes the
-    subsequent drift measurement honest), then — for sharded engines
-    with ``policy.rebalance`` — one bounded rebalancing pass if the
-    observed drift crossed a threshold.  All work is attributed to
-    :attr:`report`, never to the caller's per-op timings.
+    (which also re-tightens the compacted shards' pruning MBBs).  All
+    work is attributed to :attr:`report`, never to the caller's per-op
+    timings.
     """
 
     def __init__(
@@ -157,25 +123,16 @@ class MaintenanceScheduler:
             )
         self._index = index
         self.policy = policy or MaintenancePolicy()
-        #: Spans named ``maintenance.check`` / ``maintenance.compact`` /
-        #: ``maintenance.rebalance`` trace every pass when a tracer is
-        #: given (docs/OBSERVABILITY.md); the shared disabled tracer
-        #: keeps the code branch-free otherwise.
+        #: Spans named ``maintenance.check`` / ``maintenance.compact``
+        #: trace every pass when a tracer is given
+        #: (docs/OBSERVABILITY.md); the shared disabled tracer keeps the
+        #: code branch-free otherwise.
         self.tracer = tracer if tracer is not None else DISABLED
-        #: Optional event log: work-performing passes emit
-        #: ``maintenance.compact`` / ``maintenance.rebalance`` events
-        #: mirroring the spans above (attrs + pass duration), so a
-        #: structured log can explain a pause without span access.
+        #: Optional event log: passes that reclaim rows emit a
+        #: ``maintenance.compact`` event mirroring the span above
+        #: (attrs + pass duration), so a structured log can explain a
+        #: pause without span access.
         self.events = events
-        self._rebalancer = (
-            Rebalancer(
-                self.policy.max_balance,
-                self.policy.max_query_skew,
-                self.policy.min_queries,
-            )
-            if self.policy.rebalance and isinstance(index, ShardedIndex)
-            else None
-        )
         self._pending_ops = 0
         #: Cumulative outcome across all ticks (read it at run end).
         self.report = MaintenanceReport()
@@ -206,8 +163,8 @@ class MaintenanceScheduler:
     def run(self) -> MaintenanceReport:
         """Run one maintenance check now, regardless of cadence.
 
-        Compaction first, then rebalancing; both are no-ops unless their
-        thresholds are crossed.  Returns the cumulative :attr:`report`.
+        A no-op unless a store (or shard) is past the dead-fraction
+        threshold.  Returns the cumulative :attr:`report`.
         """
         t0 = time.perf_counter()
         self.report.checks += 1
@@ -236,28 +193,7 @@ class MaintenanceScheduler:
                         seconds=time.perf_counter() - tc,
                         check=self.report.checks,
                     )
-            rows_migrated = 0
-            if self._rebalancer is not None:
-                tr = time.perf_counter()
-                with self.tracer.span("maintenance.rebalance") as span:
-                    result = self._rebalancer.maybe_rebalance(index)
-                    if result is not None:
-                        rows_migrated = result.rows_migrated
-                    span.set(
-                        applied=result is not None, rows_migrated=rows_migrated
-                    )
-                if result is not None:
-                    self.report.rebalances += 1
-                    self.report.rows_migrated += result.rows_migrated
-                    self.report.last_rebalance = result
-                    if self.events is not None:
-                        self.events.emit(
-                            "maintenance.rebalance",
-                            rows_migrated=rows_migrated,
-                            seconds=time.perf_counter() - tr,
-                            check=self.report.checks,
-                        )
-            check.set(rows_reclaimed=reclaimed, rows_migrated=rows_migrated)
+            check.set(rows_reclaimed=reclaimed)
         self.report.seconds += time.perf_counter() - t0
         return self.report
 

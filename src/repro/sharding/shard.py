@@ -42,27 +42,15 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def build_index(
-    store: BoxStore, config: QuasiiConfig | None, max_runs: int, via_insert: bool = False
+    store: BoxStore, config: QuasiiConfig | None, max_runs: int
 ) -> QuasiiIndex:
     """Build the index a shard runs over ``store``, which it then owns.
 
-    The one place that decides it: engine build, shard rebuild and the
-    process worker all come here.  With ``via_insert`` the index starts
-    empty and takes the rows through its own insert/flush path: a large
-    batch then lands as an STR bulk-loaded, already-refined run
-    (``bulk_flush_threshold``) instead of one coarse slice, so queries
-    after a rebuild do not re-crack the shard from scratch on the
-    serving path.
+    The one place that decides it: engine build and the process worker
+    both come here.
     """
-    rows = store
-    if via_insert:
-        empty = np.empty((0, store.ndim), dtype=np.float64)
-        store = BoxStore(empty, empty.copy())
     index = QuasiiIndex(store, config, max_runs=max_runs)
     index.build()
-    if via_insert and rows.n:
-        index.insert(rows.lo, rows.hi, rows.ids)
-        index.flush_updates()
     return index
 
 
@@ -71,7 +59,7 @@ class Shard:
 
     Built by the engine over the rows ``lo``/``hi``/``ids``, which the
     shard's store takes as they are (no copy), and indexed by
-    :func:`build_index` with ``config``, ``max_runs`` and ``via_insert``.
+    :func:`build_index` with ``config`` and ``max_runs``.
     """
 
     __slots__ = ("sid", "store", "index", "mbb_lo", "mbb_hi", "oplog")
@@ -84,10 +72,9 @@ class Shard:
         ids: np.ndarray,
         config: QuasiiConfig | None = None,
         max_runs: int = 8,
-        via_insert: bool = False,
     ) -> None:
         self.sid = sid
-        self.index = build_index(BoxStore(lo, hi, ids), config, max_runs, via_insert)
+        self.index = build_index(BoxStore(lo, hi, ids), config, max_runs)
         self.store = self.index.store
         #: Mutations the serving pool has yet to drain (module docstring).
         self.oplog: list[LedgerOp] | None = None

@@ -40,17 +40,11 @@ the :class:`~repro.sharding.executor.QueryExecutor` drives the same
 halves and can swap the in-thread server for worker processes.
 
 Every shard is one store plus one QUASII index, built from the engine's
-``config`` and ``max_runs`` (:mod:`repro.sharding.shard`).
-
-The engine also observes its own traffic: every planned query's centroid
-is recorded in a :class:`~repro.sharding.rebalancer.WorkloadProfile`, and
-per-shard load is counted where batches are routed — the same on both
-servers.  When the balance factor or query-load skew drifts, a
-:class:`~repro.sharding.rebalancer.Rebalancer` splits the hot shard
-along the observed query distribution and merges the coldest one away —
-see :mod:`repro.sharding.rebalancer` for the mechanics and
-:mod:`repro.sharding.maintenance` for the scheduling policy that runs
-both rebalancing and compaction on the query path.
+``config`` and ``max_runs`` (:mod:`repro.sharding.shard`).  The STR
+tiling is fixed at :meth:`ShardedIndex.build`: rows never move between
+shards, so each shard keeps the forest its queries cracked.
+:mod:`repro.sharding.maintenance` schedules compaction on the query
+path.
 """
 
 from __future__ import annotations
@@ -67,7 +61,6 @@ from repro.geometry.predicates import boxes_intersect_window
 from repro.index.base import WORK_COUNTERS, MutableSpatialIndex
 from repro.queries.query import Query, QueryPlan, QueryResult
 from repro.sharding import partitioner
-from repro.sharding.rebalancer import WorkloadProfile
 from repro.sharding.shard import Shard
 
 
@@ -133,11 +126,6 @@ class ShardedIndex(MutableSpatialIndex):
         # Fleet work totals already rolled into self.stats (so roll-ups
         # survive an outer stats.reset() without double counting).
         self._work_seen = dict.fromkeys(WORK_COUNTERS, 0)
-        #: The observed query distribution: recent planned-query
-        #: windows plus per-shard routed-query counts.  Feeds the
-        #: :class:`~repro.sharding.rebalancer.Rebalancer`'s drift
-        #: detection and its query-driven split cut.
-        self.profile = WorkloadProfile()
         self.name = f"Sharded[strx{self._n_shards}]"
 
     def sync_shard_work(self) -> None:
@@ -153,18 +141,6 @@ class ShardedIndex(MutableSpatialIndex):
             if delta:
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
                 self._work_seen[name] = total
-
-    def _rebaseline_work(self) -> None:
-        """Restart the fleet work totals from the indexes as they are.
-
-        A rebuilt shard starts with zeroed index counters;
-        :meth:`sync_shard_work` must never see that as a negative delta.
-        Callers sync first, so nothing is lost.
-        """
-        for name in WORK_COUNTERS:
-            self._work_seen[name] = sum(
-                s.work_counter(name) for s in self._shards
-            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -198,22 +174,8 @@ class ShardedIndex(MutableSpatialIndex):
 
     def shard_sizes(self) -> list[int]:
         """Owned live rows per shard, buffered inserts included (the
-        balance profile; also the load vector for insert routing)."""
+        load vector for insert routing)."""
         return [s.owned_count for s in self._shards]
-
-    def balance_factor(self) -> float:
-        """Max/mean owned live rows across shards (1.0 = perfect balance).
-
-        The drift signal skewed *ingestion* moves: inserts concentrating
-        on few shards push it up, and the
-        :class:`~repro.sharding.rebalancer.Rebalancer` pulls it back
-        down by splitting the largest shard.  Counts buffered inserts
-        (see :attr:`Shard.owned_count`) so a burst is visible before any
-        query drains it.
-        """
-        sizes = self.shard_sizes()
-        mean = sum(sizes) / len(sizes) if sizes else 0.0
-        return max(sizes) / mean if mean > 0 else 1.0
 
     def memory_bytes(self) -> int:
         """Shard store copies plus per-shard index structures."""
@@ -261,12 +223,8 @@ class ShardedIndex(MutableSpatialIndex):
 
         The *routing* half of planning (the cost-estimating half is the
         inherited :meth:`~repro.index.base.SpatialIndex.plan`), always
-        on the coordinating thread.  Each planned window's centroid is
-        also recorded in :attr:`profile` — routing is the one spot every
-        query goes through exactly once, whoever serves it, so the
-        observed-traffic record stays exact.
+        on the coordinating thread.
         """
-        self.profile.record(query)
         hits = self._hits(query)
         self.stats.shards_visited += int(hits.size)
         self.stats.shards_pruned += self._n_shards - int(hits.size)
@@ -277,8 +235,7 @@ class ShardedIndex(MutableSpatialIndex):
 
         The one routing loop — every batch, whoever serves it, is
         planned here on the coordinating thread, so each query moves the
-        prune counters and the traffic profile (its window in
-        :meth:`plan_shards`, its per-shard count here) exactly once.
+        prune counters exactly once.
         """
         if not self._built:
             raise ConfigurationError(
@@ -288,7 +245,6 @@ class ShardedIndex(MutableSpatialIndex):
         for i, q in enumerate(queries):
             for shard in self.plan_shards(q):
                 queues.setdefault(shard.sid, []).append(i)
-        self.profile.count_routed(queues)
         return queues
 
     def serve_local(
@@ -356,8 +312,8 @@ class ShardedIndex(MutableSpatialIndex):
     def _plan(self, query: Query) -> QueryPlan:
         """Aggregate the sub-plans of every shard the query would touch.
 
-        Pure estimation: no prune counters, no profile recording — the
-        side-effecting routing lives in :meth:`plan_shards`.
+        Pure estimation: no prune counters — the side-effecting routing
+        lives in :meth:`plan_shards`.
         """
         if not self._built:
             raise ConfigurationError(
@@ -545,53 +501,13 @@ class ShardedIndex(MutableSpatialIndex):
         The fleet-wide form of
         :meth:`~repro.index.base.MutableSpatialIndex.flush_updates`:
         after it returns, every owned row is physically present in its
-        shard's store — the precondition for migrating rows between shards.  Returns
-        the total rows merged across the fleet, one count per shard.
+        shard's store.  Returns the total rows merged across the fleet,
+        one count per shard.
         """
         flushed = sum(s.flush_updates() for s in self._shards)
         if flushed:
             self.sync_shard_work()
         return flushed
-
-    # ------------------------------------------------------------------
-    # Rebalancing: shard-to-shard row migration
-    # ------------------------------------------------------------------
-    # The verbs below only move rows *between shards*, so the union of
-    # the shards' live rows — the engine's live (id, box) multiset — is
-    # preserved by construction, and the build input is never touched.
-    # rebuild_shard + finish_rebalance are the engine half of a
-    # :class:`~repro.sharding.rebalancer.Rebalancer` pass.
-
-    def rebuild_shard(
-        self, sid: int, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
-    ) -> None:
-        """Replace shard ``sid`` with a fresh shard over the rows.
-
-        The shard index is rebuilt through its own insert/flush path
-        (``via_insert``, see :func:`~repro.sharding.shard.build_index`),
-        so post-rebuild queries do not re-crack the shard from scratch
-        on the serving path.  The pruning MBB is re-derived from the new store (a stale
-        one would mis-route the next insert), ownership is rewritten for
-        every row, and the fleet work totals are recalibrated.
-        """
-        # Fold the outgoing indexes' unsynced work before discarding them.
-        self.sync_shard_work()
-        self._shards[sid] = Shard(
-            sid, lo.copy(), hi.copy(), ids.copy(), self.config, self.max_runs,
-            via_insert=True,
-        )
-        for obj_id in ids.tolist():
-            self._owner[int(obj_id)] = sid
-        self._rebaseline_work()
-        self._stack_lo = self._stack_hi = None
-
-    def finish_rebalance(self, rows_migrated: int) -> None:
-        """Seal a rebalancing pass: counters, profile baseline, MBBs."""
-        self.stats.rebalances += 1
-        self.stats.rows_migrated += int(rows_migrated)
-        self.profile.rebaseline()
-        self._stack_lo = self._stack_hi = None
-        self.sync_shard_work()
 
     def validate_routing(self) -> None:
         """Assert the ownership map matches shard stores exactly (tests)."""

@@ -48,10 +48,6 @@ EVENTS: dict[str, str] = {
         "a compaction pass reclaimed rows; payload carries rows_reclaimed "
         "and the pass duration"
     ),
-    "maintenance.rebalance": (
-        "a rebalancing pass was applied; payload carries rows_migrated "
-        "and the pass duration"
-    ),
     "worker.spawn": (
         "a shard-serving worker process started; payload carries the "
         "worker wid, its pid, and the pool's start method"

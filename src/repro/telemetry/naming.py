@@ -92,9 +92,8 @@ METRICS.update(
 #: Every span name -> one-line meaning.  A registry-backed tracer also
 #: exposes each as a ``span.<name>`` duration histogram.
 SPANS: dict[str, str] = {
-    "maintenance.check": "one MaintenanceScheduler check (compaction + rebalance gates)",
+    "maintenance.check": "one MaintenanceScheduler check (its compaction gate)",
     "maintenance.compact": "dead-fraction-gated compaction pass inside a check",
-    "maintenance.rebalance": "shard rebalancing pass inside a check",
 }
 
 

@@ -2,9 +2,9 @@
 
 A :class:`Tracer` hands out context-manager spans::
 
-    with tracer.span("maintenance.rebalance", shard=3) as span:
+    with tracer.span("maintenance.compact", shard=3) as span:
         ...
-        span.set(rows_migrated=1234)
+        span.set(rows_reclaimed=1234)
 
 Each finished span becomes an immutable :class:`SpanRecord` (name, start
 time, duration, nesting depth, parent name, attributes).  When the

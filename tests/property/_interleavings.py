@@ -1,6 +1,6 @@
 """The one interleaving strategy the mutation property suites share.
 
-``test_prop_{updates,compaction,sharding,rebalance,backends}``
+``test_prop_{updates,compaction,sharding,backends}``
 all drive an initial dataset through a Hypothesis-drawn interleaving of
 queries and mutations; they differ only in which extra op kinds they mix
 in and how long the streams get.  This module is the single place that

@@ -2,18 +2,20 @@
 
 Hypothesis drives an initial dataset plus an arbitrary interleaving of
 first-class queries (across predicates and result modes), insert
-batches, delete batches, full and policy-driven compactions, reinserts
-of deleted ids, forced rebalances and worker SIGKILLs.  The same
+batches, delete batches, full and policy-driven compactions, maintenance
+checks, reinserts of deleted ids and worker SIGKILLs.  The same
 interleaving runs against one engine per backend (``sequential``,
-``processes``) — no backend is refused or downgraded — with the
+``processes``), at every shard count K ∈ {1, 2, 7} — no backend is
+refused or downgraded — with the
 executors kept alive across
 operations, so the process pool's warm workers must absorb every
 mutation (insert/delete/compact between batches) as a shard delta,
 admitting exactly the ids the driver admitted, and must keep serving
 after a worker is killed between ops: the pool respawns it and
 republishes its shards from the driver (a kill is a no-op on
-``sequential``, which has no worker).  A rebalance rebuilds two shards
-on the driver, so the warm workers must take new bases for them.
+``sequential``, which has no worker).  A maintenance check is a
+compaction-only :meth:`MaintenanceScheduler.run`: its compaction
+markers reach the warm workers as deltas, like any other write.
 :func:`test_every_cell_is_served_or_refused` walks each backend through
 the same story as a fixed script.  The Hypothesis engines run the
 small ladder ``QuasiiConfig(2, (8, 4))`` with ``max_runs=2``, the
@@ -27,8 +29,8 @@ Invariants, after every single operation:
   equal corner matrices, no matter which backend served it.
 * **Id-stream agreement** — inserts assign identical identifiers on
   every engine, so the ledger stays a single source of truth.
-* **Rebalance closure** — a rebalance leaves each engine's live
-  multiset unchanged and its routing valid.
+* **Maintenance closure** — a maintenance check leaves each engine's
+  live multiset unchanged and its routing valid.
 * **Ledger closure** — a final full-window query returns exactly the
   ledger's live id set on every backend, and the union of each engine's
   shards holds exactly the ledger's live multiset.
@@ -49,8 +51,13 @@ from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
-from repro.queries import hotspot_workload, uniform_workload
-from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
+from repro.queries import uniform_workload
+from repro.sharding import (
+    MaintenancePolicy,
+    MaintenanceScheduler,
+    QueryExecutor,
+    ShardedIndex,
+)
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry.events import EventLog
 from repro.updates import UpdateLedger
@@ -73,17 +80,43 @@ QUERY_SHAPES = (
 )
 
 KINDS = (
-    *BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill", "rebalance",
+    *BASE_KINDS, "compact", "maybe_compact", "reinsert", "kill", "maintain",
 )
 #: A kill names the worker wid of the two-worker pool; a policy
-#: compaction its dead-fraction threshold; a reinsert a seed; a
-#: rebalance the drift it fixes.
+#: compaction and a maintenance check their dead-fraction threshold; a
+#: reinsert a seed.
+DEAD_FRACTIONS = st.sampled_from((0.0, 0.02, 0.1))
 PAYLOADS = {
     "kill": st.integers(0, 1),
-    "rebalance": st.sampled_from(("balance", "skew")),
-    "maybe_compact": st.sampled_from((0.0, 0.02, 0.1)),
+    "maintain": DEAD_FRACTIONS,
+    "maybe_compact": DEAD_FRACTIONS,
     "reinsert": SEEDS,
 }
+
+
+SHARD_COUNTS = (1, 2, 7)
+
+
+def _maintain(engine: ShardedIndex, dead_fraction: float, label: str) -> None:
+    """One compaction-only scheduler check.  The live multiset and the
+    ownership map survive it, and every pruning MBB still covers its
+    shard's live rows, the stacked routing MBBs agreeing (a compaction
+    re-tightens them)."""
+    fp = shard_union(engine).live_fingerprint()
+    policy = MaintenancePolicy(check_every=1, dead_fraction=dead_fraction)
+    MaintenanceScheduler(engine, policy).run()
+    assert shard_union(engine).live_fingerprint() == fp, (
+        f"{label}: a maintenance check changed the live multiset"
+    )
+    engine.validate_routing()
+    stack_lo, stack_hi = engine._mbb_stacks()
+    for shard in engine.shards:
+        assert np.array_equal(stack_lo[shard.sid], shard.mbb_lo), label
+        assert np.array_equal(stack_hi[shard.sid], shard.mbb_hi), label
+        rows = shard.store.live_rows()
+        if rows.size:
+            assert np.all(shard.mbb_lo <= shard.store.lo[rows].min(axis=0)), label
+            assert np.all(shard.mbb_hi >= shard.store.hi[rows].max(axis=0)), label
 
 
 def _check_payload(result, want, label):
@@ -103,6 +136,7 @@ def _check_payload(result, want, label):
             ), f"{label}: box payload diverged"
 
 
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 @given(
     dataset_and_ops(
         kinds=KINDS,
@@ -114,13 +148,13 @@ def _check_payload(result, want, label):
     )
 )
 @settings(max_examples=10, deadline=None)
-def test_backends_agree_with_scan_under_interleavings(case):
+def test_backends_agree_with_scan_under_interleavings(n_shards, case):
     (lo, hi), ops = case
     scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
     engines = {
         backend: ShardedIndex(
             BoxStore(lo.copy(), hi.copy()),
-            n_shards=3,
+            n_shards=n_shards,
             config=QuasiiConfig(2, (8, 4)),
             max_runs=2,
         )
@@ -181,14 +215,9 @@ def test_backends_agree_with_scan_under_interleavings(case):
                     assert engine.delete(victims) == count
                 ledger.record_delete(victims)
                 deleted += victims.tolist()
-            elif kind == "rebalance":
+            elif kind == "maintain":
                 for backend, engine in engines.items():
-                    fp = shard_union(engine).live_fingerprint()
-                    Rebalancer(min_queries=1).rebalance(engine, reason=payload)
-                    assert shard_union(engine).live_fingerprint() == fp, (
-                        f"{backend}: rebalance changed the live multiset"
-                    )
-                    engine.validate_routing()
+                    _maintain(engine, payload, f"{backend} K={n_shards}")
             elif kind == "maybe_compact":
                 for backend, engine in engines.items():
                     fp = shard_union(engine).live_fingerprint()
@@ -237,25 +266,23 @@ def test_backends_agree_with_scan_under_interleavings(case):
         ledger.assert_matches(shard_union(engine))
 
 
-SHARD_COUNTS = (1, 2, 7)
-
-
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 @given(
     dataset_and_ops(
-        kinds=(*BASE_KINDS, "compact", "kill", "kill"),
-        payloads={"kill": st.integers(0, 1)},
+        kinds=(*BASE_KINDS, "compact", "kill", "kill", "maintain"),
+        payloads={"kill": st.integers(0, 1), "maintain": DEAD_FRACTIONS},
         max_rows=40,
         max_ops=12,
     )
 )
 @settings(max_examples=6, deadline=None)
 def test_worker_kills_at_every_shard_count(n_shards, case):
-    """One copy per shard survives worker SIGKILLs whatever the
-    shard-to-worker map: with one shard the second worker serves
-    nothing (its kill goes unnoticed), with seven each worker serves
-    several.  Every answer matches Scan, and at the end the shards hold
-    exactly the ledger's live multiset with ownership intact."""
+    """One copy per shard survives worker SIGKILLs and scheduler
+    compactions whatever the shard-to-worker map: with one shard the
+    second worker serves nothing (its kill goes unnoticed), with seven
+    each worker serves several.  Every answer matches Scan, and at the
+    end the shards hold exactly the ledger's live multiset with
+    ownership intact."""
     (lo, hi), ops = case
     scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
     engine = ShardedIndex(
@@ -290,6 +317,8 @@ def test_worker_kills_at_every_shard_count(n_shards, case):
                 ledger.record_delete(victims)
             elif kind == "kill":
                 sigkill_worker(ex, payload)
+            elif kind == "maintain":
+                _maintain(engine, payload, f"K={n_shards}")
             else:  # compact
                 scan.compact()
                 engine.compact()
@@ -368,83 +397,6 @@ def test_every_cell_is_served_or_refused(backend):
         assert len(events.recent("worker.refresh")) == bases
     assert all(s.oplog is None for s in engine.shards)
     assert _segments() == before, "a respawn republish leaked a segment"
-
-
-@pytest.mark.parametrize("reason", ("balance", "skew"))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_serving_through_a_rebalance_and_a_kill(backend, reason):
-    """A rebalance between batches rebuilds two shards on the driver;
-    a worker SIGKILLed right after it is respawned.  Every answer before
-    and after matches Scan, writes keep flowing, the live multiset and
-    the routing survive the pass, and on ``processes`` exactly the
-    rebuilt shards and the dead worker's shards get new bases, with no
-    shared-memory name left behind."""
-    ds = make_uniform(4_000, seed=21)
-    scan = ScanIndex(ds.store.copy())
-    events = EventLog()
-    engine = ShardedIndex(ds.store.copy(), n_shards=4)
-    queries = hotspot_workload(ds.universe, 48, 2e-3, seed=22)
-    before = _segments()
-
-    def check(ex, batch):
-        for got, q in zip(ex.run(batch).query_results, batch):
-            _check_payload(got, scan.execute(q), backend)
-
-    with QueryExecutor(engine, max_workers=2, backend=backend, events=events) as ex:
-        check(ex, [full_window(3), *queries[:16]])
-        rng = np.random.default_rng(23)
-        lo = rng.uniform(0, 2_000, size=(400, 3))  # skewed ingestion
-        assert np.array_equal(
-            engine.insert(lo, lo + 20.0), scan.insert(lo, lo + 20.0)
-        )
-        fp = shard_union(engine).live_fingerprint()
-        bases = len(events.recent("worker.refresh"))
-        result = Rebalancer(min_queries=1).rebalance(engine, reason=reason)
-        assert result is not None and result.reason == reason
-        assert shard_union(engine).live_fingerprint() == fp
-        engine.validate_routing()
-        victim = sigkill_worker(ex, 0)
-        assert (victim is None) == (backend == "sequential")
-        check(ex, [full_window(3), *queries[16:32]])
-        refreshed = {
-            e.payload["sid"] for e in events.recent("worker.refresh")[bases:]
-        }
-        if backend == "processes":
-            # Worker 0 serves the even sids and starts over; worker 1
-            # keeps its warm bases except for the rebuilt shards.
-            assert refreshed == {0, 2, result.hot_sid, result.cold_sid}
-            assert len(events.recent("worker.respawn")) == 1
-        else:
-            assert refreshed == set()
-        gone = scan.store.ids[:100]
-        assert engine.delete(gone) == scan.delete(gone) == 100
-        check(ex, [full_window(3), *queries[32:]])
-    ledger = UpdateLedger(scan.store)
-    ledger.assert_matches(shard_union(engine))
-    assert _segments() == before, "a rebalance or respawn leaked a segment"
-
-
-def test_traffic_profile_agrees_across_backends():
-    """Routed queries are counted where batches are routed, so skew —
-    and the hot/cold pair a skew pass picks — is the same whoever
-    serves (the driver-side shard indexes of a process-served engine
-    never answer a query)."""
-    ds = make_uniform(6_000, seed=31)
-    queries = hotspot_workload(ds.universe, 128, 1e-3, seed=32)
-    seen = {}
-    for backend in BACKENDS:
-        engine = ShardedIndex(ds.store.copy(), n_shards=4)
-        with QueryExecutor(engine, max_workers=2, backend=backend) as ex:
-            for i in range(0, len(queries), 32):
-                ex.run(queries[i : i + 32])
-            loads = engine.profile.shard_loads(engine.shards)
-            skew = engine.profile.query_skew(engine.shards)
-            result = Rebalancer(min_queries=1).rebalance(engine, reason="skew")
-            seen[backend] = (loads, skew, result.hot_sid, result.cold_sid)
-            assert engine.profile.query_skew(engine.shards) == 1.0  # rebaselined
-    assert seen["sequential"] == seen["processes"]
-    loads, skew, *_ = seen["sequential"]
-    assert sum(l.queries for l in loads) >= len(queries) and skew > 1.5
 
 
 def test_mistyped_env_fails_even_where_it_is_not_honored(monkeypatch):

@@ -169,6 +169,83 @@ def test_the_orphan_metric_check_reads_the_live_vocabulary(monkeypatch):
     ]
 
 
+def test_every_index_stats_counter_has_a_writer():
+    from repro.index.base import WORK_COUNTERS, IndexStats
+
+    assert check_docs.check_orphan_counters() == []
+    written = check_docs.written_counters()
+    assert set(WORK_COUNTERS) | {"queries", "shards_pruned"} <= written
+    # A counter whose last writer was deleted is flagged by name.
+    assert check_docs.orphan_problems(
+        set(IndexStats().as_dict()) | {"rows_shipped"},
+        written,
+        check_docs.ORPHAN_COUNTER,
+    ) == [
+        "repro/index/base.py: IndexStats counter 'rows_shipped' is never "
+        "written under src/repro"
+    ]
+
+
+def test_only_stats_assignments_outside_the_dataclass_count_as_written(
+    tmp_path, monkeypatch
+):
+    from repro.index.base import WORK_COUNTERS
+
+    pkg = tmp_path / "src" / "repro" / "sub"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        "self.stats.bumped += 1\n"
+        "stats.assigned = 0\n"
+        "index.stats.chained += 2\n"
+        "print(stats.read_only)\n"
+        "other.not_stats += 1\n"
+        "setattr(stats, 'by_setattr', 1)\n"
+        "class IndexStats:\n"
+        "    def reset(self):\n"
+        "        stats.inside_the_body = 0\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "b.py").write_text("stats.in_tools = 1\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    assert check_docs.written_counters() == set(WORK_COUNTERS) | {
+        "bumped", "assigned", "chained"
+    }
+
+
+def test_the_orphan_counter_check_reads_the_live_vocabulary(monkeypatch):
+    from dataclasses import dataclass
+
+    from repro.index import base
+
+    @dataclass
+    class Extended(base.IndexStats):
+        passes_applied: int = 0
+
+    monkeypatch.setattr(base, "IndexStats", Extended)
+    assert check_docs.check_orphan_counters() == [
+        "repro/index/base.py: IndexStats counter 'passes_applied' is never "
+        "written under src/repro"
+    ]
+
+
+def test_the_script_runs_the_counter_check(monkeypatch, capsys):
+    from dataclasses import dataclass
+
+    from repro.index import base
+
+    assert check_docs.main() == 0
+    assert "counter writers" in capsys.readouterr().out
+
+    @dataclass
+    class Extended(base.IndexStats):
+        rows_shipped: int = 0
+
+    monkeypatch.setattr(base, "IndexStats", Extended)
+    assert check_docs.main() == 1
+    assert "IndexStats counter 'rows_shipped'" in capsys.readouterr().err
+
+
 def test_lint_rule_table_matches_the_registry_both_ways():
     assert check_docs.check_analysis_docs() == []
 

@@ -82,7 +82,6 @@ class TestEventLog:
         # The documented contract: executor + scheduler event kinds.
         assert "slow_query" in EVENTS
         assert "maintenance.compact" in EVENTS
-        assert "maintenance.rebalance" in EVENTS
 
     def test_every_canonical_kind_has_a_meaning(self):
         for kind, meaning in EVENTS.items():
@@ -95,7 +94,6 @@ class TestEventLog:
         assert set(EVENTS) == {
             "slow_query",
             "maintenance.compact",
-            "maintenance.rebalance",
             "worker.spawn",
             "worker.respawn",
             "worker.refresh",

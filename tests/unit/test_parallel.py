@@ -47,7 +47,7 @@ from repro.parallel import (
 from repro.parallel import shm as shm_module
 from repro.parallel.worker import _ShardState
 from repro.queries import Query, uniform_workload
-from repro.sharding import QueryExecutor, Rebalancer, ShardedIndex
+from repro.sharding import MaintenancePolicy, QueryExecutor, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EVENTS, EventLog
@@ -225,7 +225,7 @@ class TestSegments:
     def test_destroy_unlinks_the_os_object(self):
         store = _store(8)
         spec, shm = publish_segment(store, sid=0, version=0)
-        segment = ShardSegment(spec, shm, None)
+        segment = ShardSegment(spec, shm)
         segment.destroy()
         with pytest.raises(FileNotFoundError):
             SharedMemory(name=spec.name, create=False)
@@ -704,37 +704,18 @@ class TestProcessBackend:
             ex.run(queries)
             assert len(events.recent("worker.respawn")) == 1
 
-    def test_rebalance_republishes_and_rearms_the_rebuilt_shards(self, dataset):
+    def test_the_op_logs_have_one_consumer_and_close_disarms_them(self, dataset):
         queries = uniform_workload(dataset.universe, 20, 1e-2, seed=8)
         scan = ScanIndex(dataset.store.copy())
         engine = self._engine(dataset)
         engine.build()
         assert all(s.oplog is None for s in engine.shards)
-        events = EventLog()
-
-        def check(batch):
-            _assert_matches(scan, queries, batch)
-
-        ex = QueryExecutor(
-            engine, max_workers=2, backend="processes", events=events
-        )
+        ex = QueryExecutor(engine, max_workers=2, backend="processes")
         try:
-            check(ex.run(queries))
-            armed = engine.shards
-            assert all(s.oplog == [] for s in armed)
-            result = Rebalancer().rebalance(engine, reason="balance")
-            rebuilt = {result.hot_sid, result.cold_sid}
-            for shard in engine.shards:
-                if shard.sid in rebuilt:
-                    assert shard is not armed[shard.sid]
-                    assert shard.oplog is None
-            bases = len(events.recent("worker.refresh"))
-            check(ex.run(queries))
-            republished = events.recent("worker.refresh")[bases:]
-            assert {e.payload["sid"] for e in republished} == rebuilt
+            _assert_matches(scan, queries, ex.run(queries))
             assert all(s.oplog == [] for s in engine.shards)
-            assert not events.recent("worker.delta")
-            # The op logs have one consumer: a second live pool is refused.
+            # A second live pool is refused at its first publish, and
+            # leaves the first pool's logs armed.
             second = ProcessPool(engine, n_workers=1)
             try:
                 with pytest.raises(ParallelError, match="another live"):
@@ -749,6 +730,75 @@ class TestProcessBackend:
         QueryExecutor(engine, max_workers=1).run(queries)
         engine.insert(np.zeros((1, 3)), np.ones((1, 3)))
         assert all(s.oplog is None for s in engine.shards)
+
+    def test_scheduler_compaction_reaches_workers_as_a_delta_marker(self, dataset):
+        # A shard's store is fixed once built, so after the first touch
+        # every write — deletes, the scheduler's compaction, reinserts
+        # of the reclaimed ids — reaches the warm workers as deltas.
+        everything = Query(Box((-1.0,) * 3, (1e6,) * 3))
+        queries = [everything, *uniform_workload(dataset.universe, 12, 1e-2, seed=3)]
+        scan = ScanIndex(dataset.store.copy())
+        engine = self._engine(dataset)
+        events = EventLog()
+        policy = MaintenancePolicy(check_every=1, dead_fraction=0.01)
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events,
+            maintenance=policy,
+        ) as ex:
+            _assert_matches(scan, queries, ex.run(queries))
+            assert len(events.recent("worker.refresh")) == engine.n_shards
+            victims = dataset.store.ids[::10].copy()
+            assert engine.delete(victims) == scan.delete(victims)
+            # The deletes ride this batch; the tick after it compacts.
+            _assert_matches(scan, queries, ex.run(queries))
+            report = ex.scheduler.report
+            assert report.compaction_passes == 1
+            assert report.rows_reclaimed == victims.size
+            markers = {s.sid for s in engine.shards if s.oplog}
+            assert markers == set(range(engine.n_shards))
+            assert all(
+                [op[0] for op in s.oplog] == ["compact"] for s in engine.shards
+            )
+            seen = len(events.recent("worker.delta"))
+            _assert_matches(scan, queries, ex.run(queries))
+            shipped = events.recent("worker.delta")[seen:]
+            assert {e.payload["sid"] for e in shipped} == markers
+            assert all(
+                (e.payload["ops"], e.payload["rows"], e.payload["bytes"]) == (1, 0, 0)
+                for e in shipped
+            )
+            # The workers let go of the tombstones with their shards: an
+            # id they still held dead would be refused (an err reply).
+            scan.compact()
+            lo = np.random.default_rng(4).uniform(0, 9_000, size=(victims.size, 3))
+            assert np.array_equal(engine.insert(lo, lo + 5.0, victims), victims)
+            scan.insert(lo, lo + 5.0, victims)
+            _assert_matches(scan, queries, ex.run(queries))
+            assert len(events.recent("worker.refresh")) == engine.n_shards
+            assert not events.recent("worker.respawn")
+
+    def test_a_base_is_cut_once_and_later_writes_drain_as_deltas(self, dataset):
+        engine = self._engine(dataset, n_shards=2)
+        engine.build()
+        pool = ProcessPool(engine, n_workers=1)
+        try:
+            shard = engine.shards[0]
+            spec, delta, owned = pool._sync(0)
+            assert spec is not None and spec.version == 0 and delta is None
+            assert owned == spec.n_rows == shard.owned_count
+            # Nothing written: nothing to ship.
+            assert pool._sync(0) == (None, None, shard.owned_count)
+            victim = int(shard.store.ids[0])
+            engine.delete(np.array([victim]))
+            engine.compact()
+            spec, delta, owned = pool._sync(0)
+            assert spec is None and delta.rows is None
+            assert delta.ops == (("delete", 1), ("compact", 0))
+            assert delta.deleted.tolist() == [victim]
+            assert owned == shard.owned_count and shard.oplog == []
+        finally:
+            pool.close()
+        assert shard.oplog is None
 
     def test_a_log_that_outgrew_its_base_becomes_a_new_base(self):
         lo = np.arange(24, dtype=np.float64).reshape(8, 3)

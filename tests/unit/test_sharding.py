@@ -17,7 +17,6 @@ from repro.geometry import Box
 from repro.queries import Query, uniform_workload
 from repro.sharding import (
     QueryExecutor,
-    Rebalancer,
     Shard,
     ShardedIndex,
     partitioner,
@@ -203,11 +202,6 @@ class TestShardedIndex:
             _grid_store(6, 3.0), n_shards=3, config=config, max_runs=3
         )
         engine.build()
-        shard = engine.shards[1]
-        rows = shard.store.live_rows()
-        engine.rebuild_shard(
-            1, shard.store.lo[rows], shard.store.hi[rows], shard.store.ids[rows]
-        )
         assert (engine.config, engine.max_runs) == (config, 3)
         for shard in engine.shards:
             want = config or QuasiiConfig.for_dataset(shard.store.n, 2)
@@ -233,15 +227,17 @@ class TestShardedIndex:
         engine.sync_shard_work()
         assert engine.stats.merges == 0
 
-    def test_balance_factor_and_memory(self):
+    def test_shard_sizes_and_memory(self):
         engine = ShardedIndex(_grid_store(10), n_shards=4)
         engine.build()
-        assert engine.balance_factor() == pytest.approx(1.0, abs=0.2)
+        sizes = engine.shard_sizes()
+        assert sum(sizes) == 100
+        assert max(sizes) / (sum(sizes) / len(sizes)) == pytest.approx(1.0, abs=0.2)
         assert engine.memory_bytes() > 0
 
     def test_writes_never_touch_the_build_input(self):
-        # The shards are the store: after build() inserts, deletes,
-        # both compaction verbs and a rebalance reach shard stores only.
+        # The shards are the store: after build() inserts, deletes and
+        # both compaction verbs reach shard stores only.
         engine = ShardedIndex(_grid_store(10), n_shards=4)
         engine.build()
         input_store = engine.store
@@ -251,7 +247,6 @@ class TestShardedIndex:
         engine.maybe_compact(0.05)
         engine.compact()
         engine.execute(_window((0.0, 0.0), (95.0, 45.0)))
-        assert Rebalancer().rebalance(engine) is not None
         engine.delete(np.array([99]))
         assert input_store.fingerprint() == fingerprint
         assert input_store.epoch == epoch
@@ -330,44 +325,27 @@ class TestShardedIndex:
         assert np.array_equal(engine.insert(lo[again], lo[again] + 2.0, again), again)
         engine.validate_routing()
 
-    def test_traffic_skew_on_one_tile_asks_for_a_retile(self):
-        # One copy serves each shard, so every read lands in the
-        # profile: a hot tile is skew, whoever serves it.
-        engine = ShardedIndex(_grid_store(6, 3.0), n_shards=2)
+    def test_a_shard_and_its_store_are_fixed_once_built(self):
+        # Rows never move between shards: reads, writes, flushes and
+        # both compaction verbs keep every shard object, its store and
+        # each surviving row's owner, so the base a pool published for
+        # a shard is a base of that shard until the shard is dropped.
+        engine = ShardedIndex(_grid_store(10), n_shards=4, config=SMALL)
         engine.build()
+        shards = engine.shards
+        stores = [s.store for s in shards]
+        owners = {i: engine.owner_of(i) for i in range(100)}
         for i in range(6):
-            engine.execute(_window((0.0, 0.0), (2.0, 2.0), seq=i))
-        assert engine.profile.query_skew(engine.shards) == 2.0
-        rebalancer = Rebalancer(min_queries=1, max_query_skew=1.2)
-        assert rebalancer.drift_reason(engine) == "skew"
-
-    def test_work_counters_stay_monotone_through_a_shard_rebuild(self):
-        engine = ShardedIndex(
-            _grid_store(6, 3.0),
-            n_shards=2,
-            config=SMALL,
-        )
-        engine.build()
-        seen = []
-        for i in range(12):
-            if i == 4:
-                shard = engine.shards[0]
-                rows = shard.store.live_rows()
-                engine.rebuild_shard(
-                    0, shard.store.lo[rows], shard.store.hi[rows],
-                    shard.store.ids[rows],
-                )
-                # The rebuilt index starts at zero work.
-                assert engine.shards[0].work_counter("objects_tested") == 0
-            engine.execute(_window((0.0, 0.0), (9.0, 9.0), seq=i))
-            engine.sync_shard_work()
-            seen.append(engine.stats.objects_tested)
-        assert seen == sorted(seen) and seen[-1] > seen[3]
-        # The engine's total is exactly its folded history: what the
-        # discarded index did before the rebuild plus what the fleet
-        # has done since.
-        fleet = sum(s.work_counter("objects_tested") for s in engine.shards)
-        assert engine.stats.objects_tested >= fleet > 0
+            engine.execute(_window((0.0, 0.0), (55.0, 55.0), seq=i))
+        engine.insert(np.array([[3.0, 3.0]] * 5), np.array([[4.0, 4.0]] * 5))
+        engine.flush_updates()
+        engine.delete(np.arange(0, 100, 4))
+        engine.maybe_compact(0.05)
+        engine.compact()
+        assert all(a is b for a, b in zip(engine.shards, shards))
+        assert all(s.store is st for s, st in zip(engine.shards, stores))
+        assert all(engine.owner_of(i) == owners[i] for i in range(100) if i % 4)
+        engine.validate_routing()
 
     def test_dropped_engine_is_freed_without_the_cyclic_collector(self):
         # Shards must not reference their engine: a cycle keeps every
@@ -558,37 +536,6 @@ class TestShard:
         )
         assert shard.memory_bytes() > before
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_via_insert_build_serves_the_rows_of_a_plain_build(self, config):
-        store = _grid_store(6)
-        plain = Shard(0, store.lo.copy(), store.hi.copy(), store.ids.copy(), config)
-        via = Shard(
-            1, store.lo.copy(), store.hi.copy(), store.ids.copy(), config,
-            via_insert=True,
-        )
-        # The rows went through the index's own insert path and were
-        # flushed into its store: nothing is left pending.
-        assert via.index.stats.inserts == 36
-        assert via.index.pending_updates() == 0
-        assert via.store.live_fingerprint() == plain.store.live_fingerprint()
-        assert via.mbb_lo.tolist() == plain.mbb_lo.tolist()
-        assert via.mbb_hi.tolist() == plain.mbb_hi.tolist()
-        for q in (
-            _window((-1.0, -1.0), (100.0, 100.0)),
-            _window((8.0, 8.0), (31.0, 22.0), seq=1),
-        ):
-            assert np.array_equal(
-                np.sort(via.index.execute(q).ids), np.sort(plain.index.execute(q).ids)
-            )
-
-    def test_via_insert_build_of_no_rows_is_an_empty_shard(self):
-        empty = np.empty((0, 2))
-        shard = Shard(
-            0, empty, empty.copy(), np.empty(0, np.int64), via_insert=True,
-        )
-        assert shard.store.n == 0 and shard.index.stats.inserts == 0
-        assert np.all(shard.mbb_lo == np.inf)
-
     def test_shard_stores_share_no_memory(self):
         engine = ShardedIndex(_grid_store(6), n_shards=3)
         engine.build()
@@ -681,7 +628,7 @@ class TestQueryExecutor:
 
     def test_sequential_executor_is_the_engine_batch(self, dataset):
         """The executor's in-thread server and the engine's native batch
-        are one pipeline: same ordered ids, same counters, same profile."""
+        are one pipeline: same ordered ids, same counters."""
         queries = uniform_workload(dataset.universe, 30, 1e-3, seed=12)
         e_native = self._engine(dataset)
         e_exec = self._engine(dataset)
@@ -691,12 +638,6 @@ class TestQueryExecutor:
         for got, want in zip(batch.query_results, native):
             assert np.array_equal(got.ids, want.ids)
         assert e_exec.stats == e_native.stats
-        assert np.array_equal(
-            e_exec.profile.centroids(), e_native.profile.centroids()
-        )
-        assert e_exec.profile.shard_loads(
-            e_exec.shards
-        ) == e_native.profile.shard_loads(e_native.shards)
 
     def test_builds_engine_on_first_use(self, dataset):
         engine = self._engine(dataset)

@@ -330,7 +330,6 @@ class TestInstrumentation:
         names = {r.name for r in telemetry.tracer.records}
         assert "maintenance.check" in names
         assert "maintenance.compact" in names
-        assert "maintenance.rebalance" in names
         # Registry-backed: durations appear as span.* histograms too.
         assert "span.maintenance.check" in telemetry.registry.names()
 
@@ -411,9 +410,6 @@ class TestInstrumentation:
         assert event.payload["seconds"] >= 0.0
         # Events mirror the report: counts must agree.
         assert scheduler.report.compaction_passes == 1
-        assert len(events.recent("maintenance.rebalance")) == (
-            scheduler.report.rebalances
-        )
 
     def test_vocabulary_covers_instrumented_names(self):
         # Every name the executor writes must be canonical.
@@ -423,6 +419,5 @@ class TestInstrumentation:
             "shard.batch.seconds",
         ):
             assert name in METRICS
-        for span in ("maintenance.check", "maintenance.compact",
-                     "maintenance.rebalance"):
+        for span in ("maintenance.check", "maintenance.compact"):
             assert span in SPANS

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Ten checks, all filesystem/CLI-only:
+Eleven checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -44,6 +44,12 @@ Ten checks, all filesystem/CLI-only:
     ``stats.*`` family has no constants) is referenced by name in some
     module under ``src/repro`` other than ``naming.py``, so a metric
     cannot outlive its last recorder.
+11. **No orphan counters** — every ``repro.index.base.IndexStats``
+    field is written under ``src/repro`` outside the dataclass body:
+    assigned as ``stats.<field>`` (``self.stats.<field> += ...`` and the
+    like), or listed in ``WORK_COUNTERS`` (which the fleet roll-ups
+    write by name), so a counter cannot outlive its last writer and
+    export a ``stats.*`` metric that always reads 0.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -300,6 +306,9 @@ ORPHAN_EVENT = "repro/telemetry/events.py: event {!r} is never emitted under src
 ORPHAN_METRIC = (
     "repro/telemetry/naming.py: metric {!r} is never referenced under src/repro"
 )
+ORPHAN_COUNTER = (
+    "repro/index/base.py: IndexStats counter {!r} is never written under src/repro"
+)
 
 
 def orphan_problems(canonical: set[str], used: set[str], message: str) -> list[str]:
@@ -346,6 +355,46 @@ def check_orphan_metrics() -> list[str]:
     return orphan_problems(metric_constants(), referenced_names(), ORPHAN_METRIC)
 
 
+def _is_stats(node: ast.expr) -> bool:
+    """``stats`` or ``<anything>.stats``: an ``IndexStats`` holder."""
+    return (isinstance(node, ast.Name) and node.id == "stats") or (
+        isinstance(node, ast.Attribute) and node.attr == "stats"
+    )
+
+
+def written_counters() -> set[str]:
+    """Every field assigned as ``stats.<field>`` under ``src/repro``
+    outside the ``IndexStats`` body, plus the ``WORK_COUNTERS`` names."""
+    from repro.index.base import WORK_COUNTERS
+
+    written = set(WORK_COUNTERS)
+    for _, tree in src_trees():
+        body = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "IndexStats"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and _is_stats(node.value)
+                and id(node) not in body
+            ):
+                written.add(node.attr)
+    return written
+
+
+def check_orphan_counters() -> list[str]:
+    """Every ``IndexStats`` counter has a writer under ``src/repro``."""
+    from repro.index import base
+
+    return orphan_problems(
+        set(base.IndexStats().as_dict()), written_counters(), ORPHAN_COUNTER
+    )
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -357,6 +406,7 @@ def main() -> int:
         + check_roadmap_pointers()
         + check_orphan_events()
         + check_orphan_metrics()
+        + check_orphan_counters()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -367,8 +417,8 @@ def main() -> int:
         "docs-check: README/docs links, BENCH.md verbs, CLI help, "
         "OBSERVABILITY.md metric/span/event/endpoint tables, the "
         "ANALYSIS.md lint-rule table, ARCHITECTURE.md's query-layer "
-        "hooks, the ROADMAP pointers, the event emitters and the metric "
-        "recorders all consistent"
+        "hooks, the ROADMAP pointers, the event emitters, the metric "
+        "recorders and the counter writers all consistent"
     )
     return 0
 
