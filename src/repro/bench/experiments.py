@@ -883,57 +883,6 @@ def fig12(scale: Scale) -> ExperimentReport:
 # ----------------------------------------------------------------------
 # Ablations (design choices the paper states without measuring)
 # ----------------------------------------------------------------------
-def ablation_representative(scale: Scale) -> ExperimentReport:
-    """Footnote 1 of Section 5.1: lower vs center vs upper representative."""
-    report = ExperimentReport(
-        "ablation-rep",
-        "Slice-assignment representative: lower (paper) vs center vs upper "
-        "coordinate — results identical, cost profile compared",
-    )
-    ds = _neuro(scale)
-    queries = _clustered_queries(scale)
-    rows = []
-    runs = {}
-    for rep in ("lower", "center", "upper"):
-        run = runs[rep] = run_workload(
-            QuasiiIndex(ds.store.copy(), representative=rep), queries
-        )
-        rows.append(
-            [
-                rep,
-                round(run.timings[0].seconds * 1000, 2),
-                round(run.total_seconds(), 3),
-                round(run.tail_mean_seconds(50) * 1000, 3),
-                run.total_objects_tested(),
-                run.total_rows_reorganized(),
-            ]
-        )
-    report.add_table(
-        "QUASII under each representative (clustered workload)",
-        [
-            "representative",
-            "first query (ms)",
-            "total (s)",
-            "tail per-query (ms)",
-            "objects tested",
-            "rows moved",
-        ],
-        rows,
-    )
-    report.add_note(
-        "paper: the alternatives 'can equally be used'; expected shape is "
-        "near-identical cost for all three (the center representative "
-        "halves the one-sided extension but extends on both sides)"
-    )
-    report.metrics = {
-        **_totals(runs),
-        "results": {
-            k: sum(t.results for t in r.timings) for k, r in runs.items()
-        },
-    }
-    return report
-
-
 def ablation_tau(scale: Scale) -> ExperimentReport:
     """Sensitivity of QUASII's single parameter (leaf threshold tau)."""
     report = ExperimentReport(
@@ -977,55 +926,6 @@ def ablation_tau(scale: Scale) -> ExperimentReport:
         "expected shape: small tau → more slices, more refinement work, "
         "finer leaves (cheaper scans); large tau → fewer slices, coarser "
         "leaves (more objects tested per query); tau = 60 balances both"
-    )
-    report.metrics = {**_totals(runs), "slices": slices}
-    return report
-
-
-def ablation_split(scale: Scale) -> ExperimentReport:
-    """Artificial refinement cut: midpoint (paper) vs median."""
-    report = ExperimentReport(
-        "ablation-split",
-        "Artificial refinement cut strategy: space-balanced midpoint "
-        "(paper's c = (xl+xu)/2) vs data-balanced median",
-    )
-    ds = _neuro(scale)
-    queries = _clustered_queries(scale)
-    rows = []
-    runs = {}
-    slices = {}
-    for split in ("midpoint", "median"):
-        index = QuasiiIndex(ds.store.copy(), artificial_split=split)
-        run = runs[split] = run_workload(index, queries)
-        slices[split] = sum(index.slice_counts())
-        rows.append(
-            [
-                split,
-                round(run.total_seconds(), 3),
-                round(run.tail_mean_seconds(50) * 1000, 3),
-                run.total_rows_reorganized(),
-                slices[split],
-                run.total_objects_tested(),
-            ]
-        )
-    report.add_table(
-        "Artificial-split strategies (clustered workload)",
-        [
-            "strategy",
-            "total (s)",
-            "tail per-query (ms)",
-            "rows moved",
-            "slices",
-            "objects tested",
-        ],
-        rows,
-    )
-    report.add_note(
-        "the paper chose the midpoint for its lower cost ('uniform and "
-        "low-cost artificial slicing'); median splitting yields more "
-        "balanced slices on skewed data at the price of a selection pass "
-        "per split — on skewed clusters expect fewer slices but more "
-        "reorganization work for median"
     )
     report.metrics = {**_totals(runs), "slices": slices}
     return report
@@ -1241,9 +1141,7 @@ EXPERIMENTS: dict[str, tuple[Callable[[Scale], ExperimentReport], str]] = {
     "fig11": (fig11, "scalability across dataset sizes"),
     "fig12": (fig12, "impact of query selectivity"),
     "headline": (headline, "paper headline numbers"),
-    "ablation-rep": (ablation_representative, "representative coordinate ablation"),
     "ablation-tau": (ablation_tau, "leaf threshold sensitivity"),
-    "ablation-split": (ablation_split, "artificial split: midpoint vs median"),
     "ablation-sequential": (ablation_sequential, "random vs sequential access"),
     "ablation-rtree": (ablation_rtree_build, "STR vs Guttman construction"),
 }

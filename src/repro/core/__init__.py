@@ -1,20 +1,12 @@
 """QUASII core: configuration, cracking kernels, slices, and the index."""
 
 from repro.core.config import PAPER_TAU, QuasiiConfig
-from repro.core.cracking import (
-    REPRESENTATIVES,
-    Frame,
-    crack,
-    crack_values,
-    range_dim_stats,
-    representative_keys,
-)
+from repro.core.cracking import Frame, crack, crack_values, range_dim_stats
 from repro.core.quasii import QuasiiIndex
 from repro.core.slices import SliceList
 
 __all__ = [
     "PAPER_TAU",
-    "REPRESENTATIVES",
     "Frame",
     "QuasiiConfig",
     "QuasiiIndex",
@@ -22,5 +14,4 @@ __all__ = [
     "crack",
     "crack_values",
     "range_dim_stats",
-    "representative_keys",
 ]

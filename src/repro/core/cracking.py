@@ -3,18 +3,17 @@
 Database cracking (Idreos et al.) reorganizes an array around query
 boundaries instead of fully sorting it.  QUASII lifts the idea to the
 spatial domain: Algorithm 2 partitions a *row range* of a
-:class:`~repro.datasets.store.BoxStore` on one dimension's
-slice-assignment representative (the **lower coordinate** by default,
-Section 5.1).  SFCracker reuses the value-level helper on its
-Morton-code array.
+:class:`~repro.datasets.store.BoxStore` on one dimension's **lower
+coordinate**, the key the paper assigns objects to slices by (Section
+5.1).  SFCracker reuses the value-level helper on its Morton-code array.
 
 The frame
 ---------
 Refining a slice cracks its range many times — once on the query's
 bounds, then recursively at artificial midpoints — and every step only
 ever looks at one dimension.  A :class:`Frame` is that dimension's
-``lo`` / ``hi`` (and the keys derived from them) copied out of the
-row-major store into contiguous 1-d columns.  :func:`crack` partitions a
+``lo`` / ``hi`` copied out of the row-major store into contiguous 1-d
+columns; ``lo`` is the key column.  :func:`crack` partitions a
 sub-range ``[a, b)`` of the frame, addressed by **position relative to
 the frame's first row**, and :func:`range_dim_stats` reduces over one;
 neither touches the store.  Alongside, the frame keeps ``perm``: which
@@ -46,11 +45,6 @@ import numpy as np
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError
 
-#: Valid slice-assignment representatives (paper Section 5.1, footnote 1:
-#: "The upper coordinate or the object's center can equally be used").
-REPRESENTATIVES = ("lower", "center", "upper")
-
-
 def _stable_order(
     keys: np.ndarray, bounds: Sequence[float]
 ) -> tuple[np.ndarray, list[int]]:
@@ -75,48 +69,21 @@ def _stable_order(
     return np.concatenate(buckets), splits
 
 
-def _keys(lo: np.ndarray, hi: np.ndarray, representative: str) -> np.ndarray:
-    if representative == "lower":
-        return lo
-    if representative == "upper":
-        return hi
-    if representative == "center":
-        return (lo + hi) * 0.5
-    raise ConfigurationError(
-        f"unknown representative {representative!r}; expected one of "
-        f"{REPRESENTATIVES}"
-    )
-
-
-def representative_keys(
-    store: BoxStore, begin: int, end: int, dim: int, representative: str
-) -> np.ndarray:
-    """The per-object slice-assignment key on ``dim`` for a row range."""
-    return _keys(store.lo[begin:end, dim], store.hi[begin:end, dim], representative)
-
-
 class Frame:
     """Dimension ``dim`` of store rows ``[begin, end)`` as contiguous columns.
 
-    ``lo`` / ``hi`` are copies, ``keys`` is the representative's column
-    (one of the two, or their midpoints), and ``perm`` — ``None`` until
-    the first crack — maps frame positions to the original frame rows.
+    ``lo`` (the key column) and ``hi`` are copies, and ``perm`` — ``None``
+    until the first crack — maps frame positions to the original frame
+    rows.
     """
 
-    __slots__ = ("store", "begin", "lo", "hi", "keys", "columns", "perm")
+    __slots__ = ("store", "begin", "lo", "hi", "perm")
 
-    def __init__(
-        self, store: BoxStore, begin: int, end: int, dim: int, representative: str = "lower"
-    ) -> None:
+    def __init__(self, store: BoxStore, begin: int, end: int, dim: int) -> None:
         self.store, self.begin = store, begin
         # Copies even when the store is 1-d: never an alias of its columns.
         self.lo = store.lo[begin:end, dim].copy()
         self.hi = store.hi[begin:end, dim].copy()
-        self.keys = _keys(self.lo, self.hi, representative)
-        #: The distinct arrays a partition step moves besides ``perm``.
-        self.columns = [self.lo, self.hi]
-        if representative == "center":
-            self.columns.append(self.keys)
         self.perm: np.ndarray | None = None
 
     def commit(self) -> None:
@@ -129,7 +96,7 @@ class Frame:
 
 
 def crack(frame: Frame, a: int, b: int, bounds: Sequence[float]) -> list[int]:
-    """Crack frame positions ``[a, b)`` on the representative key.
+    """Crack frame positions ``[a, b)`` on the lower-coordinate key.
 
     Reorders the frame's columns into ``len(bounds) + 1`` contiguous
     buckets, composes the step onto ``frame.perm``, and returns the split
@@ -141,10 +108,10 @@ def crack(frame: Frame, a: int, b: int, bounds: Sequence[float]) -> list[int]:
     A one-bound call is relational cracking's classic two-way crack; the
     three-way slicing of Algorithm 2 is a two-bound call.
     """
-    order, splits = _stable_order(frame.keys[a:b], bounds)
+    order, splits = _stable_order(frame.lo[a:b], bounds)
     if frame.perm is None:
-        frame.perm = np.arange(frame.keys.size)
-    for column in (*frame.columns, frame.perm):
+        frame.perm = np.arange(frame.lo.size)
+    for column in (frame.lo, frame.hi, frame.perm):
         column[a:b] = column[a:b][order]
     return [a + split for split in splits]
 
@@ -168,17 +135,14 @@ def crack_values(
     return begin + split
 
 
-def range_dim_stats(frame: Frame, a: int, b: int) -> tuple[float, float, float, float]:
-    """``(key min, key max, dim MBB lower, dim MBB upper)`` of positions ``[a, b)``.
+def range_dim_stats(frame: Frame, a: int, b: int) -> tuple[float, float, float]:
+    """``(min lower, max lower, max upper)`` of frame positions ``[a, b)``.
 
-    Everything slice bookkeeping needs, as contiguous reductions: the
-    representative-key range for slicing-type decisions and midpoints,
-    plus the dimension's MBB bounds (the paper's open-ended slice box
-    records ``[min lower, max upper]`` on the sliced dimension, which is
-    representative-independent).
+    Everything slice bookkeeping needs, as contiguous reductions: the key
+    range (``lo``) for slicing-type decisions and midpoints, whose minimum
+    doubles as the dimension's MBB lower bound, plus the MBB upper bound
+    (the paper's open-ended slice box records ``[min lower, max upper]``
+    on the sliced dimension).
     """
-    lo, hi, keys = frame.lo, frame.hi, frame.keys
-    dim_lo, dim_hi = float(lo[a:b].min()), float(hi[a:b].max())
-    kmin = dim_lo if keys is lo else float(keys[a:b].min())
-    kmax = dim_hi if keys is hi else float(keys[a:b].max())
-    return kmin, kmax, dim_lo, dim_hi
+    lo = frame.lo[a:b]
+    return float(lo.min()), float(lo.max()), float(frame.hi[a:b].max())

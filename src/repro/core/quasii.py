@@ -41,13 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import PAPER_TAU, QuasiiConfig
-from repro.core.cracking import (
-    REPRESENTATIVES,
-    Frame,
-    crack,
-    range_dim_stats,
-    representative_keys,
-)
+from repro.core.cracking import Frame, crack, range_dim_stats
 from repro.core.slices import COLUMN_DTYPES, Piece, SliceList
 from repro.datasets.store import BoxStore
 from repro.errors import ConfigurationError, DatasetError, GeometryError
@@ -62,6 +56,16 @@ _INF = float("inf")
 class QuasiiIndex(MutableSpatialIndex):
     """The paper's core contribution, over a shared :class:`BoxStore`.
 
+    Objects are keyed by their lower corner and artificial slices are cut
+    at the key-range midpoint, as in the paper (Section 5.1).  Appended
+    insert runs of at least the top-level threshold are *STR
+    bulk-loaded* at merge time — sorted level by level into an
+    already-refined slice hierarchy (the eager version of what queries
+    would crack out incrementally, exactly as STR inspired Algorithm 2) —
+    instead of joining the forest as one coarse run that the next
+    queries would crack from scratch; any smaller run is already
+    "refined at level 0" by definition and stays lazy.
+
     Parameters
     ----------
     store:
@@ -72,37 +76,12 @@ class QuasiiIndex(MutableSpatialIndex):
     tau:
         Bottom-level slice capacity, used only when ``config`` is omitted
         (the paper's single parameter; default 60).
-    representative:
-        Which point represents an object during slice assignment:
-        ``"lower"`` (the paper's choice — free, it is part of the MBB),
-        ``"center"``, or ``"upper"`` (footnote 1 notes these "can equally
-        be used"; the ablation bench compares them).  Query extension
-        adapts automatically: the window grows by the maximum object
-        extent on whichever side(s) the representative can under-report.
-    artificial_split:
-        How artificial refinement picks its cut: ``"midpoint"`` (the
-        paper's ``c = (xl + xu) / 2`` — space-balanced, no extra pass) or
-        ``"median"`` (data-balanced like STR's equal-count tiles, at the
-        price of a selection pass).  The ``ablation-split`` bench compares
-        them.
     max_runs:
         Cap on appended insert runs kept as separate top-level slice
         lists.  Past it, all appended runs collapse back into one coarse
         run (their refinement is discarded and re-earned by later
         queries), bounding the per-query forest walk under sustained
         ingestion.
-    bulk_flush_threshold:
-        Appended runs of at least this many rows are *STR bulk-loaded*
-        at merge time — sorted level by level into an already-refined
-        slice hierarchy (the eager version of what queries would crack
-        out incrementally, exactly as STR inspired Algorithm 2) —
-        instead of joining the forest as one coarse run.  Large flushes
-        would otherwise be cracked from scratch by the next queries that
-        touch them, repeatedly paying O(run) passes; one bulk sort is
-        cheaper and leaves nothing to converge.  ``None`` (default)
-        derives the threshold as the top-level ladder threshold: any
-        smaller run is already "refined at level 0" by definition and
-        stays lazy.
 
     Examples
     --------
@@ -116,26 +95,16 @@ class QuasiiIndex(MutableSpatialIndex):
 
     name = "QUASII"
 
-    #: Supported artificial-refinement cut strategies.
-    ARTIFICIAL_SPLITS = ("midpoint", "median")
-
     def __init__(
         self,
         store: BoxStore,
         config: QuasiiConfig | None = None,
         tau: int = PAPER_TAU,
-        representative: str = "lower",
-        artificial_split: str = "midpoint",
         max_runs: int = 8,
-        bulk_flush_threshold: int | None = None,
     ) -> None:
         super().__init__(store)
         if max_runs < 1:
             raise ConfigurationError(f"max_runs must be >= 1, got {max_runs}")
-        if bulk_flush_threshold is not None and bulk_flush_threshold < 1:
-            raise ConfigurationError(
-                f"bulk_flush_threshold must be >= 1, got {bulk_flush_threshold}"
-            )
         self._max_runs = int(max_runs)
         # Auto-derived configs over an *empty* store are provisional:
         # the ladder is re-derived from the first absorbed run's actual
@@ -150,25 +119,7 @@ class QuasiiIndex(MutableSpatialIndex):
             raise ConfigurationError(
                 f"config is for {config.ndim} dims, store has {store.ndim}"
             )
-        if representative not in REPRESENTATIVES:
-            raise ConfigurationError(
-                f"unknown representative {representative!r}; expected one "
-                f"of {REPRESENTATIVES}"
-            )
-        if artificial_split not in self.ARTIFICIAL_SPLITS:
-            raise ConfigurationError(
-                f"unknown artificial_split {artificial_split!r}; expected "
-                f"one of {self.ARTIFICIAL_SPLITS}"
-            )
         self._config = config
-        self._representative = representative
-        self._artificial_split = artificial_split
-        self._explicit_bulk_flush = bulk_flush_threshold is not None
-        self._bulk_flush_threshold = (
-            int(bulk_flush_threshold)
-            if bulk_flush_threshold is not None
-            else config.threshold(0)
-        )
         # Query extension margin: per-dimension maximum object extent
         # (Stefanakis et al.); refreshed whenever an absorbed insert run
         # contains a larger object (growing it is conservative-safe).
@@ -195,11 +146,6 @@ class QuasiiIndex(MutableSpatialIndex):
         return self._config
 
     @property
-    def representative(self) -> str:
-        """The slice-assignment representative in use."""
-        return self._representative
-
-    @property
     def _top(self) -> SliceList:
         """The main hierarchy (over the store's initial rows)."""
         return self._tops[0]
@@ -210,23 +156,20 @@ class QuasiiIndex(MutableSpatialIndex):
         return len(self._tops)
 
     def _extended_bounds(self, query: Query) -> tuple[list[float], ...]:
-        """Per-dimension key range of ``query``, extended for the representative.
+        """Per-dimension key range of ``query``, extended on the lower side.
 
-        An object intersecting the window can have its representative key
-        outside the window by at most the maximum object extent (lower
-        representative: only below; upper: only above; center: half on
-        each side) — the query-extension technique of Section 5.2.
-        Computed once per query, as ``(key lo, key hi, window lo, window
-        hi)`` lists; the walk and Algorithm 2 index them by level.
+        An object intersecting the window can have its lower-corner key
+        below the window by at most the maximum object extent, never
+        above it — the query-extension technique of Section 5.2.
+        Computed once per query, as ``(key lo, window lo, window hi)``
+        lists (the key range ends at the window's upper bound); the walk
+        and Algorithm 2 index them by level.
         """
-        ext = self._max_extent
-        if self._representative == "lower":
-            lo, hi = query.lo - ext, query.hi
-        elif self._representative == "upper":
-            lo, hi = query.lo, query.hi + ext
-        else:
-            lo, hi = query.lo - ext / 2.0, query.hi + ext / 2.0
-        return lo.tolist(), hi.tolist(), query.lo.tolist(), query.hi.tolist()
+        return (
+            (query.lo - self._max_extent).tolist(),
+            query.lo.tolist(),
+            query.hi.tolist(),
+        )
 
     def build(self) -> None:
         """No-op: QUASII has no pre-processing step (that is the point)."""
@@ -282,7 +225,7 @@ class QuasiiIndex(MutableSpatialIndex):
         """
         nodes = 0
         candidates = len(self._buffer)
-        key_lo, key_hi = self._extended_bounds(query)[:2]
+        key_lo, _, key_hi = self._extended_bounds(query)
         stack: list[SliceList] = list(self._tops)
         while stack:
             lst = stack.pop()
@@ -374,8 +317,6 @@ class QuasiiIndex(MutableSpatialIndex):
             self._config = QuasiiConfig.for_dataset(
                 max(end, 1), self._store.ndim, self._tau
             )
-            if not self._explicit_bulk_flush:
-                self._bulk_flush_threshold = self._config.threshold(0)
             self._provisional_config = False
         tail = self._tops[-1] if self._tops else None
         coalesce = (
@@ -394,7 +335,7 @@ class QuasiiIndex(MutableSpatialIndex):
             len(self._tops) > 1 or self._initial_rows == 0
         )
         run_begin = int(tail.begin[0]) if tail_is_insert_run else begin
-        if end - run_begin >= self._bulk_flush_threshold:
+        if end - run_begin >= self._config.threshold(0):
             # Large run: STR bulk load it into an already-refined slice
             # hierarchy instead of leaving a coarse run for queries to
             # crack from scratch.
@@ -441,7 +382,7 @@ class QuasiiIndex(MutableSpatialIndex):
     ) -> SliceList:
         """STR bulk load rows ``[begin, end)``: one sibling run plus children.
 
-        Sort the range on the level's representative key, cut it into
+        Sort the range on the level's lower-corner key, cut it into
         slabs of at most the level threshold, recurse on the next dimension
         inside each slab: the hierarchy the incremental path would converge
         to if queries covered the run, built eagerly for ``d`` sorts over
@@ -452,12 +393,11 @@ class QuasiiIndex(MutableSpatialIndex):
         indistinguishable — by later queries.
         """
         store = self._store
-        keys = representative_keys(store, begin, end, level, self._representative)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(store.lo[begin:end, level], kind="stable")
         store.apply_order_range(begin, end, order)
         self.stats.rows_reorganized += end - begin
-        # Re-read after the permutation: the range is now key-sorted.
-        keys = representative_keys(store, begin, end, level, self._representative)
+        # Read after the permutation: the range is now key-sorted.
+        keys = store.lo[begin:end, level]
         tau = self._config.threshold(level)
         pieces: list[Piece] = []
         pos = begin
@@ -597,7 +537,7 @@ class QuasiiIndex(MutableSpatialIndex):
         """Algorithm 1 over one sibling list: probe once, Python per hit."""
         dim = lst.level
         bottom = dim == self._config.ndim - 1
-        key_lo, key_hi = keys[0][dim], keys[1][dim]
+        key_lo, key_hi = keys[0][dim], keys[2][dim]
         start, stop, hits = lst.probe(key_lo, key_hi, query.lo, query.hi)
         visited = stop - start
         n = 0
@@ -649,23 +589,21 @@ class QuasiiIndex(MutableSpatialIndex):
         begin, size = int(lst.begin[h]), int(lst.end[h] - lst.begin[h])
         if lst.final[h] or size <= tau:
             return False
-        frame = Frame(self._store, begin, begin + size, dim, self._representative)
-        kmin, kmax, dim_lo, dim_hi = range_dim_stats(frame, 0, size)
+        frame = Frame(self._store, begin, begin + size, dim)
+        kmin, kmax, dim_hi = range_dim_stats(frame, 0, size)
         # Tighten the recorded open-ended bounds while we have them.
-        lst.mbb_lo[h, dim] = dim_lo
+        lst.mbb_lo[h, dim] = kmin
         lst.mbb_hi[h, dim] = dim_hi
         if kmin == kmax:
-            # Every representative key identical: this dimension cannot
-            # discriminate.  Treat as refined; deeper levels take over.
+            # Every key identical: this dimension cannot discriminate.
+            # Treat as refined; deeper levels take over.
             return False
-        extended_lo, extended_hi = keys[0][dim], keys[1][dim]
         # Upper crack bound is exclusive ("keys < b"), so nudge one ulp up
-        # to keep keys == the extended upper bound inside the middle slice.
-        upper = float(np.nextafter(extended_hi, _INF))
-        bounds = [b for b in (extended_lo, upper) if kmin < b <= kmax]
-        # Deduplicate the degenerate case extended_lo == upper.
-        if len(bounds) == 2 and bounds[0] == bounds[1]:
-            bounds = bounds[:1]
+        # to keep keys == the window's upper bound inside the middle slice.
+        # The extended lower bound never exceeds the window's, so the two
+        # bounds are strictly increasing.
+        upper = float(np.nextafter(keys[2][dim], _INF))
+        bounds = [b for b in (keys[0][dim], upper) if kmin < b <= kmax]
         edges = [0, size]
         if bounds:
             # Three-way (both bounds interior) or two-way slicing;
@@ -676,7 +614,7 @@ class QuasiiIndex(MutableSpatialIndex):
             self.stats.rows_reorganized += size
         pieces: list[Piece] = []
         cut_los = [float(lst.cut_lo[h]), *bounds]
-        window = keys[2][dim], keys[3][dim]
+        window = keys[1][dim], keys[2][dim]
         for cut_lo, a, b in zip(cut_los, edges, edges[1:]):
             self._emit_refined(frame, a, b, cut_lo, window, tau, pieces)
         # Before finalize, which reduces over store rows; a frame that only
@@ -707,19 +645,18 @@ class QuasiiIndex(MutableSpatialIndex):
         """
         if a == b:
             return  # drop empty slices (paper's s23)
-        kmin, kmax, dim_lo, dim_hi = range_dim_stats(frame, a, b)
-        # Overlap against the *recorded extents*, which cover the objects
-        # regardless of the representative in use.
-        overlaps = dim_hi >= window[0] and dim_lo <= window[1]
+        kmin, kmax, dim_hi = range_dim_stats(frame, a, b)
+        overlaps = dim_hi >= window[0] and kmin <= window[1]
         if b - a <= tau or not overlaps or kmin == kmax:
-            out.append((cut_lo, frame.begin + a, frame.begin + b, dim_lo, dim_hi))
+            out.append((cut_lo, frame.begin + a, frame.begin + b, kmin, dim_hi))
             return
-        if self._artificial_split == "median":
-            mid = float(np.median(frame.keys[a:b]))
-        else:
-            mid = (kmin + kmax) / 2.0
-        # The cut can coincide with kmin (skewed median, adjacent floats);
-        # cracking needs a cut with a non-empty left side.
+        mid = (kmin + kmax) / 2.0
+        if not np.isfinite(mid):
+            # Two keys near the float maximum overflow their sum; halving
+            # first cannot, and ordinary keys never take this branch.
+            mid = kmin / 2.0 + kmax / 2.0
+        # The midpoint of adjacent floats rounds to kmin; cracking needs a
+        # cut with a non-empty left side.
         if mid <= kmin:
             mid = float(np.nextafter(kmin, kmax))
         (split,) = crack(frame, a, b, [mid])
@@ -823,9 +760,7 @@ class QuasiiIndex(MutableSpatialIndex):
             sizes = lst.end - lst.begin
             assert np.all(sizes > 0), "empty slice materialized"
             assert np.all(np.diff(lst.cut_lo) > 0), "cut bounds not increasing"
-            keys = representative_keys(
-                store, begin, end, lst.level, self._representative
-            )
+            keys = store.lo[begin:end, lst.level]
             next_cut = np.append(lst.cut_lo[1:], _INF)
             assert np.all(keys >= np.repeat(lst.cut_lo, sizes)) and np.all(
                 keys < np.repeat(next_cut, sizes)

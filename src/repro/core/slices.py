@@ -83,7 +83,7 @@ class SliceList:
         Zero-based level/dimension (0 = x ... d-1 = bottom).
     cut_lo:
         ``float64[n]``, strictly increasing; ``-inf`` for the first
-        sibling.  All representative keys in slice ``i`` are
+        sibling.  All lower-corner keys in slice ``i`` are
         ``>= cut_lo[i]`` and ``< cut_lo[i + 1]``.
     begin, end:
         ``int64[n]`` physical row ranges ``[begin, end)`` in the store;

@@ -68,6 +68,15 @@ from repro.geometry.box import Box
 _HEADROOM_SHIFT = 3
 
 
+def _check_corners(lo: np.ndarray, hi: np.ndarray, rows: str) -> None:
+    """Reject non-finite corners and inverted boxes; ``rows`` names them."""
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise GeometryError(f"{rows} corners must be finite")
+    if np.any(lo > hi):
+        bad = int(np.argmax(np.any(lo > hi, axis=1)))
+        raise GeometryError(f"{rows} row {bad}: lower corner exceeds upper corner")
+
+
 class BoxStore:
     """A columnar store of ``n`` axis-aligned boxes supporting in-place reorder.
 
@@ -117,9 +126,7 @@ class BoxStore:
             )
         if lo.shape[1] == 0:
             raise DatasetError("boxes need at least one dimension")
-        if np.any(lo > hi):
-            bad = int(np.argmax(np.any(lo > hi, axis=1)))
-            raise GeometryError(f"row {bad}: lower corner exceeds upper corner")
+        _check_corners(lo, hi, "box")
         if ids is None:
             ids = np.arange(lo.shape[0], dtype=np.int64)
         else:
@@ -415,13 +422,7 @@ class BoxStore:
             raise DatasetError(
                 f"batch boxes have {lo.shape[1]} dims, store has {self.ndim}"
             )
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise GeometryError("batch corners must be finite")
-        if np.any(lo > hi):
-            bad = int(np.argmax(np.any(lo > hi, axis=1)))
-            raise GeometryError(
-                f"batch row {bad}: lower corner exceeds upper corner"
-            )
+        _check_corners(lo, hi, "batch")
         if ids is not None:
             ids = np.ascontiguousarray(ids, dtype=np.int64)
             if ids.shape != (lo.shape[0],):

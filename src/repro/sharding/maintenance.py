@@ -123,8 +123,8 @@ class MaintenanceScheduler:
             )
         self._index = index
         self.policy = policy or MaintenancePolicy()
-        #: Spans named ``maintenance.check`` / ``maintenance.compact``
-        #: trace every pass when a tracer is given
+        #: One span named ``maintenance.compact`` traces every check
+        #: when a tracer is given
         #: (docs/OBSERVABILITY.md); the shared disabled tracer keeps the
         #: code branch-free otherwise.
         self.tracer = tracer if tracer is not None else DISABLED
@@ -169,32 +169,27 @@ class MaintenanceScheduler:
         t0 = time.perf_counter()
         self.report.checks += 1
         index = self._index
-        with self.tracer.span("maintenance.check") as check:
-            tc = time.perf_counter()
-            with self.tracer.span("maintenance.compact") as span:
-                if isinstance(index, ShardedIndex):
-                    reclaimed = index.maybe_compact(self.policy.dead_fraction)
-                else:
-                    store = index.store
-                    reclaimed = 0
-                    if (
-                        store.n
-                        and store.n_dead / store.n > self.policy.dead_fraction
-                    ):
-                        reclaimed = index.compact()
-                span.set(rows_reclaimed=reclaimed)
-            if reclaimed:
-                self.report.compaction_passes += 1
-                self.report.rows_reclaimed += reclaimed
-                if self.events is not None:
-                    self.events.emit(
-                        "maintenance.compact",
-                        rows_reclaimed=reclaimed,
-                        seconds=time.perf_counter() - tc,
-                        check=self.report.checks,
-                    )
-            check.set(rows_reclaimed=reclaimed)
-        self.report.seconds += time.perf_counter() - t0
+        with self.tracer.span("maintenance.compact") as span:
+            if isinstance(index, ShardedIndex):
+                reclaimed = index.maybe_compact(self.policy.dead_fraction)
+            else:
+                store = index.store
+                reclaimed = 0
+                if store.n and store.n_dead / store.n > self.policy.dead_fraction:
+                    reclaimed = index.compact()
+            span.set(rows_reclaimed=reclaimed)
+        seconds = time.perf_counter() - t0
+        self.report.seconds += seconds
+        if reclaimed:
+            self.report.compaction_passes += 1
+            self.report.rows_reclaimed += reclaimed
+            if self.events is not None:
+                self.events.emit(
+                    "maintenance.compact",
+                    rows_reclaimed=reclaimed,
+                    seconds=seconds,
+                    check=self.report.checks,
+                )
         return self.report
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import REPRESENTATIVES, Frame, crack, crack_values, range_dim_stats
+from repro.core import Frame, crack, crack_values, range_dim_stats
 from repro.datasets import BoxStore
 
 FLOATS = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
@@ -23,9 +23,9 @@ def test_two_way_partition_postcondition(keys, bound):
     frame = key_frame(keys)
     (split,) = crack(frame, 0, len(keys), [bound])
     assert sorted(frame.perm.tolist()) == list(range(len(keys)))
-    assert np.array_equal(frame.keys, np.array(keys)[frame.perm])
-    assert np.all(frame.keys[:split] < bound)
-    assert np.all(frame.keys[split:] >= bound)
+    assert np.array_equal(frame.lo, np.array(keys)[frame.perm])
+    assert np.all(frame.lo[:split] < bound)
+    assert np.all(frame.lo[split:] >= bound)
 
 
 @given(KEYS, st.tuples(FLOATS, FLOATS).filter(lambda t: t[0] < t[1]))
@@ -33,10 +33,10 @@ def test_three_way_partition_postcondition(keys, bounds):
     lo, hi = bounds
     frame = key_frame(keys)
     s0, s1 = crack(frame, 0, len(keys), [lo, hi])
-    assert np.array_equal(frame.keys, np.array(keys)[frame.perm])
-    assert np.all(frame.keys[:s0] < lo)
-    assert np.all((frame.keys[s0:s1] >= lo) & (frame.keys[s0:s1] < hi))
-    assert np.all(frame.keys[s1:] >= hi)
+    assert np.array_equal(frame.lo, np.array(keys)[frame.perm])
+    assert np.all(frame.lo[:s0] < lo)
+    assert np.all((frame.lo[s0:s1] >= lo) & (frame.lo[s0:s1] < hi))
+    assert np.all(frame.lo[s1:] >= hi)
 
 
 @given(
@@ -89,19 +89,18 @@ def test_crack_values_postcondition(values, bound):
     assert sorted(zip(codes.tolist(), payload.tolist())) == pairs_before
 
 
-def _reference_crack(lo, hi, ids, keys_of, a, b, bounds):
+def _reference_crack(lo, hi, ids, a, b, bounds):
     """One stable crack of rows ``[a, b)`` applied directly to the arrays:
     a stable sort on the bucket number, the kernel's definition."""
-    buckets = np.searchsorted(np.array(bounds), keys_of(lo[a:b, 0], hi[a:b, 0]), "right")
+    buckets = np.searchsorted(np.array(bounds), lo[a:b, 0], "right")
     order = np.argsort(buckets, kind="stable")
     for column in (lo, hi, ids):
         column[a:b] = column[a:b][order]
     return [a + int(np.count_nonzero(buckets <= i)) for i in range(len(bounds))]
 
 
-def _reference_stats(lo, hi, keys_of, a, b):
-    keys = keys_of(lo[a:b, 0], hi[a:b, 0])
-    return keys.min(), keys.max(), lo[a:b, 0].min(), hi[a:b, 0].max()
+def _reference_stats(lo, hi, a, b):
+    return lo[a:b, 0].min(), lo[a:b, 0].max(), hi[a:b, 0].max()
 
 
 @given(st.data())
@@ -109,12 +108,6 @@ def _reference_stats(lo, hi, keys_of, a, b):
 def test_nested_cracks_compose_into_one_permutation(data):
     """Random nested 2-/3-way cracks on a frame, committed once, equal the
     same cracks applied one by one to the rows themselves."""
-    representative = data.draw(st.sampled_from(REPRESENTATIVES))
-    keys_of = {
-        "lower": lambda lo, hi: lo,
-        "upper": lambda lo, hi: hi,
-        "center": lambda lo, hi: (lo + hi) * 0.5,
-    }[representative]
     n = data.draw(st.integers(1, 60))
     begin = data.draw(st.integers(0, 3))
     total = begin + n + data.draw(st.integers(0, 3))
@@ -124,7 +117,7 @@ def test_nested_cracks_compose_into_one_permutation(data):
     hi = lo + np.array(data.draw(st.lists(st.tuples(cell, cell), min_size=total, max_size=total)))
     store = BoxStore(lo.copy(), hi.copy())
     ref_lo, ref_hi, ref_ids = lo.copy(), hi.copy(), np.arange(total)
-    frame = Frame(store, begin, begin + n, 0, representative)
+    frame = Frame(store, begin, begin + n, 0)
     pieces = [(0, n)]
     for _ in range(data.draw(st.integers(0, 6))):
         a, b = pieces.pop(data.draw(st.integers(0, len(pieces) - 1)))
@@ -133,13 +126,13 @@ def test_nested_cracks_compose_into_one_permutation(data):
         )
         splits = crack(frame, a, b, bounds)
         assert [begin + s for s in splits] == _reference_crack(
-            ref_lo, ref_hi, ref_ids, keys_of, begin + a, begin + b, bounds
+            ref_lo, ref_hi, ref_ids, begin + a, begin + b, bounds
         )
         edges = [a, *splits, b]
         pieces += [(p, q) for p, q in zip(edges, edges[1:]) if p < q]
         for p, q in pieces:
             assert range_dim_stats(frame, p, q) == _reference_stats(
-                ref_lo, ref_hi, keys_of, begin + p, begin + q
+                ref_lo, ref_hi, begin + p, begin + q
             )
     if frame.perm is not None:
         assert sorted(frame.perm.tolist()) == list(range(n))

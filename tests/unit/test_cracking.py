@@ -27,15 +27,15 @@ class TestPartitionOrder:
     def test_two_way(self):
         frame = make_frame([5.0, 1.0, 3.0, 9.0, 2.0])
         assert crack(frame, 0, 5, [3.0]) == [2]
-        assert np.all(frame.keys[:2] < 3.0)
-        assert np.all(frame.keys[2:] >= 3.0)
+        assert np.all(frame.lo[:2] < 3.0)
+        assert np.all(frame.lo[2:] >= 3.0)
 
     def test_three_way(self):
         frame = make_frame([5.0, 1.0, 3.0, 9.0, 2.0, 7.0])
         s0, s1 = crack(frame, 0, 6, [3.0, 7.0])
-        assert np.all(frame.keys[:s0] < 3.0)
-        assert np.all((frame.keys[s0:s1] >= 3.0) & (frame.keys[s0:s1] < 7.0))
-        assert np.all(frame.keys[s1:] >= 7.0)
+        assert np.all(frame.lo[:s0] < 3.0)
+        assert np.all((frame.lo[s0:s1] >= 3.0) & (frame.lo[s0:s1] < 7.0))
+        assert np.all(frame.lo[s1:] >= 7.0)
 
     def test_stability(self):
         frame = make_frame([1.0, 1.0, 0.0, 1.0])
@@ -152,50 +152,27 @@ class TestCrackValues:
 
 
 class TestRangeDimStats:
-    def make(self, representative: str = "lower") -> Frame:
+    def make(self) -> Frame:
         lo = np.array([[1.0], [5.0], [3.0]])
         hi = np.array([[2.0], [9.0], [3.5]])
-        return Frame(BoxStore(lo, hi), 0, 3, 0, representative)
+        return Frame(BoxStore(lo, hi), 0, 3, 0)
 
-    def test_stats_lower(self):
-        kmin, kmax, dlo, dhi = range_dim_stats(self.make(), 0, 3)
-        assert (kmin, kmax, dlo, dhi) == (1.0, 5.0, 1.0, 9.0)
+    def test_stats(self):
+        assert range_dim_stats(self.make(), 0, 3) == (1.0, 5.0, 9.0)
 
     def test_subrange(self):
-        kmin, kmax, dlo, dhi = range_dim_stats(self.make(), 1, 3)
-        assert (kmin, kmax, dlo, dhi) == (3.0, 5.0, 3.0, 9.0)
-
-    def test_stats_upper(self):
-        kmin, kmax, dlo, dhi = range_dim_stats(self.make("upper"), 0, 3)
-        assert (kmin, kmax) == (2.0, 9.0)
-        assert (dlo, dhi) == (1.0, 9.0)
-
-    def test_stats_center(self):
-        kmin, kmax, dlo, dhi = range_dim_stats(self.make("center"), 0, 3)
-        assert (kmin, kmax) == (1.5, 7.0)
-        assert (dlo, dhi) == (1.0, 9.0)
+        assert range_dim_stats(self.make(), 1, 3) == (3.0, 5.0, 9.0)
 
     def test_stats_follow_the_cracks(self):
-        frame = self.make("center")  # centres 1.5, 7.0, 3.25
+        frame = self.make()
         (split,) = crack(frame, 0, 3, [3.0])
-        assert range_dim_stats(frame, 0, split) == (1.5, 1.5, 1.0, 2.0)
-        assert range_dim_stats(frame, split, 3) == (3.25, 7.0, 3.0, 9.0)
+        assert range_dim_stats(frame, 0, split) == (1.0, 1.0, 2.0)
+        assert range_dim_stats(frame, split, 3) == (3.0, 5.0, 9.0)
 
-    def test_rejects_unknown_representative(self):
-        with pytest.raises(ConfigurationError):
-            self.make("corner")
-
-
-class TestRepresentativeCrack:
-    def make(self, representative: str) -> Frame:
+    def test_cracks_on_the_lower_coordinate(self):
+        # Upper coordinates sort the other way round; they ride along.
         lo = np.array([[0.0], [4.0], [8.0]])
-        hi = np.array([[2.0], [6.0], [10.0]])  # centers 1, 5, 9
-        return Frame(BoxStore(lo, hi), 0, 3, 0, representative)
-
-    def test_crack_on_center(self):
-        frame = self.make("center")
-        assert crack(frame, 0, 3, [5.0]) == [1]  # only center 1 < 5
-
-    def test_crack_on_upper(self):
-        frame = self.make("upper")
-        assert crack(frame, 0, 3, [7.0]) == [2]  # uppers 2 and 6 < 7
+        hi = np.array([[20.0], [6.0], [10.0]])
+        frame = Frame(BoxStore(lo, hi), 0, 3, 0)
+        assert crack(frame, 0, 3, [5.0]) == [2]
+        assert frame.hi.tolist() == [20.0, 6.0, 10.0]

@@ -272,3 +272,103 @@ def test_docs_and_code_carry_no_numbered_roadmap_pointers():
         "doc.md:2: numbered pointer 'ROADMAP item 3'; name what it "
         "points at instead",
     ]
+
+
+def _parameter_problems(source: str) -> list[str]:
+    import ast
+    import textwrap
+
+    return check_docs.parameter_doc_problems("m.py", ast.parse(textwrap.dedent(source)))
+
+
+def test_every_parameters_section_matches_its_signature():
+    assert check_docs.check_documented_parameters() == []
+
+
+def test_parameter_sections_that_match_are_silent():
+    assert _parameter_problems(
+        '''
+        def f(lo, hi, *rest, seed=0, **extra):
+            """Summary.
+
+            Parameters
+            ----------
+            lo, hi:
+                Two names on one line.
+            *rest:
+                Star-args by their bare name.
+            seed : int
+                A numpydoc type after the colon.
+            **extra:
+                Keyword catch-all.
+
+            Examples
+            --------
+            >>> f(1, 2)  # lines past the next header are not entries
+            """
+
+
+        class Server:
+            """Summary.
+
+            Parameters
+            ----------
+            host / port:
+                Also two names.
+            """
+
+            def __init__(self, host, port):
+                pass
+
+
+        @dataclass(frozen=True)
+        class Point:
+            """Summary.
+
+            Parameters
+            ----------
+            x:
+                A field of the generated __init__.
+            """
+
+            x: float
+
+
+        def undocumented(a, b):
+            """No Parameters section: nothing to check."""
+        '''
+    ) == []
+
+
+def test_parameter_sections_fire_both_ways():
+    assert _parameter_problems(
+        '''
+        class Index:
+            """Summary.
+
+            Parameters
+            ----------
+            store:
+                Kept.
+            representative:
+                An option the signature lost.
+            """
+
+            def __init__(self, store, tau=60):
+                pass
+
+
+        class Plain:
+            """Summary.
+
+            Parameters
+            ----------
+            x:
+                Nothing to hold it to.
+            """
+        '''
+    ) == [
+        "m.py:2: Index documents 'representative', not a parameter",
+        "m.py:2: Index does not document parameter 'tau'",
+        "m.py:17: Plain documents Parameters but has no __init__",
+    ]

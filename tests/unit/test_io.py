@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset, make_uniform, save_dataset
-from repro.errors import DatasetError
+from repro.errors import DatasetError, GeometryError
 
 
 class TestRoundTrip:
@@ -37,4 +37,14 @@ class TestRoundTrip:
         path = tmp_path / "foreign.npz"
         np.savez(path, something=np.arange(3))
         with pytest.raises(DatasetError, match="not a repro dataset"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corners_rejected(self, tmp_path, bad):
+        path = save_dataset(make_uniform(50, seed=13), tmp_path / "data")
+        with np.load(path) as archive:
+            fields = dict(archive)
+        fields["lo"][7, 1] = bad
+        np.savez(path, **fields)
+        with pytest.raises(GeometryError, match="corners must be finite"):
             load_dataset(path)

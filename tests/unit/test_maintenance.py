@@ -142,7 +142,7 @@ class TestMaintenance:
         assert sched.report.compaction_passes == 1
         assert len(events.recent("maintenance.compact")) == 1
 
-    def test_the_check_span_carries_the_pass_totals_only(self):
+    def test_one_span_per_check_carries_the_pass_totals_only(self):
         engine = ShardedIndex(_grid_store(), n_shards=2)
         engine.build()
         engine.delete(engine.shards[1].store.ids[:40].copy())
@@ -153,8 +153,11 @@ class TestMaintenance:
             tracer=telemetry.tracer,
         )
         sched.run()
-        (check,) = telemetry.tracer.spans("maintenance.check")
-        assert check.attrs == {"rows_reclaimed": 40}
+        sched.run()  # below the threshold now: the gate stays shut
+        assert [r.name for r in telemetry.tracer.records] == ["maintenance.compact"] * 2
+        first, second = telemetry.tracer.spans("maintenance.compact")
+        assert first.attrs == {"rows_reclaimed": 40}
+        assert second.attrs == {"rows_reclaimed": 0}
         with pytest.raises(TypeError, match="recover_replicas"):
             MaintenancePolicy(recover_replicas=True)
         assert not hasattr(sched.report, "replicas_recovered")

@@ -15,6 +15,7 @@ from repro.geometry import (
     lower_corners_in_window,
     mbr_of,
 )
+from repro.geometry.predicates import batch_predicate_masks
 
 
 @pytest.fixture
@@ -53,6 +54,32 @@ class TestIntersectWindow:
         lo = np.empty((0, 2))
         mask = boxes_intersect_window(lo, lo, np.zeros(2), np.ones(2))
         assert mask.shape == (0,)
+
+
+class TestBatchMasks:
+    """``batch_predicate_masks`` against per-window closed-box rules,
+    with windows that only touch the boxes' faces."""
+
+    #: Window edges on, just inside and just outside the sample's faces.
+    WINDOWS = (
+        np.array([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0], [0.0, 0.0], [6.0, 5.0]]),
+        np.array([[2.0, 2.0], [5.0, 5.0], [3.0, 3.0], [1.0, 1.0], [7.0, 6.0]]),
+    )
+    RULES = {
+        "intersects": lambda lo, hi, a, b: np.all(lo <= b, 1) & np.all(hi >= a, 1),
+        "within": lambda lo, hi, a, b: np.all(lo >= a, 1) & np.all(hi <= b, 1),
+        "contains": lambda lo, hi, a, b: np.all(lo <= a, 1) & np.all(hi >= b, 1),
+    }
+
+    @pytest.mark.parametrize("predicate", sorted(RULES))
+    def test_touching_faces_follow_the_closed_rule(self, sample, predicate):
+        lo, hi = sample
+        wlo, whi = self.WINDOWS
+        masks = batch_predicate_masks(predicate, lo, hi, wlo, whi)
+        rule = self.RULES[predicate]
+        expect = np.array([rule(lo, hi, a, b) for a, b in zip(wlo, whi)])
+        assert np.array_equal(masks, expect)
+        assert masks.any() and not masks.all()
 
 
 class TestContainment:

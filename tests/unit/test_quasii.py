@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
-from repro.datasets import BoxStore, make_uniform
+from repro.datasets import BoxStore, make_neuro_like, make_uniform
 from repro.errors import ConfigurationError
 from repro.geometry import Box
-from repro.queries import Query, uniform_workload
+from repro.queries import Query, clustered_workload, uniform_workload
 
 
 def grid_store_2d(n_side: int = 8, extent: float = 0.4) -> BoxStore:
@@ -106,6 +107,69 @@ class TestLowerCoordinateAssignment:
         second = np.sort(idx.execute(q).ids)
         assert np.array_equal(first, second)
 
+    def test_wide_objects_straddling_cuts(self):
+        # Wide boxes around the query windows: the lower-side extension
+        # must reach every box that starts left of a window and overlaps it.
+        lo = np.array(
+            [[0.0, 0.0], [3.0, 0.0], [5.2, 0.0], [9.0, 0.0], [4.9, 0.0]]
+        )
+        hi = np.array(
+            [[5.0, 1.0], [4.0, 1.0], [5.4, 1.0], [9.5, 1.0], [8.0, 1.0]]
+        )
+        store = BoxStore(lo, hi)
+        scan = ScanIndex(store.copy())
+        index = QuasiiIndex(store, tau=1)
+        for window in (
+            Box((4.5, 0.0), (5.5, 1.0)),
+            Box((0.0, 0.0), (0.5, 1.0)),
+            Box((9.6, 0.0), (9.9, 1.0)),
+        ):
+            q = Query(window)
+            assert np.array_equal(
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
+            ), f"window={window}"
+
+
+class TestMatchesScan:
+    def test_uniform(self):
+        ds = make_uniform(2_000, seed=31)
+        index = QuasiiIndex(ds.store.copy())
+        scan = ScanIndex(ds.store.copy())
+        for q in uniform_workload(ds.universe, 25, 1e-2, seed=32):
+            assert np.array_equal(
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
+            )
+        index.validate_structure()
+
+    def test_clustered(self):
+        ds = make_neuro_like(2_000, seed=33)
+        index = QuasiiIndex(ds.store.copy())
+        scan = ScanIndex(ds.store.copy())
+        for q in clustered_workload(ds.universe, 2, 15, 1e-3, seed=34):
+            assert np.array_equal(
+                np.sort(index.execute(q).ids), np.sort(scan.execute(q).ids)
+            )
+        index.validate_structure()
+
+    def test_touching_windows_on_a_lattice(self):
+        # Integer corners: many boxes meet a window only at its edge, and
+        # slice boxes share bounds with windows.  The expected answer is
+        # a plain closed-box test, not the program's own predicate.
+        rng = np.random.default_rng(37)
+        lo = rng.integers(0, 40, size=(3_000, 2)).astype(np.float64)
+        hi = lo + rng.integers(0, 4, size=(3_000, 2))
+        index = QuasiiIndex(BoxStore(lo.copy(), hi.copy()), QuasiiConfig(2, (32, 8)))
+        scan = ScanIndex(BoxStore(lo.copy(), hi.copy()))
+        for _ in range(60):
+            qlo = rng.integers(0, 40, size=2).astype(np.float64)
+            q = Query(Box(tuple(qlo), tuple(qlo + rng.integers(0, 6, size=2))))
+            expect = np.flatnonzero(
+                np.all(lo <= q.window.hi, axis=1) & np.all(hi >= q.window.lo, axis=1)
+            )
+            assert np.array_equal(np.sort(index.execute(q).ids), expect)
+            assert np.array_equal(np.sort(scan.execute(q).ids), expect)
+        index.validate_structure()
+
 
 class TestConvergence:
     def test_repeated_query_stops_cracking(self):
@@ -193,4 +257,49 @@ class TestDegenerateData:
         idx = QuasiiIndex(store, QuasiiConfig(2, (8, 4)))
         hits = idx.execute(Query(Box((2.0, 2.0), (5.0, 5.0)))).ids
         assert hits.size == 100
+        idx.validate_structure()
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ((4.0, 4.0), (4.0, 4.0)),  # a point on a lattice corner
+            ((-np.inf, 2.0), (3.0, 5.0)),  # no lower bound on x
+            ((3.0, 2.0), (np.inf, 5.0)),  # no upper bound on x
+            ((-np.inf, -np.inf), (np.inf, np.inf)),  # everything
+            ((np.inf, 0.0), (np.inf, 9.0)),  # past every box
+        ],
+        ids=["point", "open-below", "open-above", "all", "beyond"],
+    )
+    def test_point_and_unbounded_windows(self, window):
+        # Crack bounds at the window's edges: an extended lower bound
+        # equal to the point, or an infinite one, must crack nothing wrong.
+        store = grid_store_2d(extent=1.0)
+        lo, hi = store.lo.copy(), store.hi.copy()
+        idx = QuasiiIndex(store, QuasiiConfig(2, (4, 2)))
+        q = Query(Box(*window))
+        expect = np.flatnonzero(
+            np.all(lo <= q.window.hi, axis=1) & np.all(hi >= q.window.lo, axis=1)
+        )
+        assert np.array_equal(np.sort(idx.execute(q).ids), expect)
+        idx.validate_structure()
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            (1.0e308, 1.2e308, 1.5e308, 1.7e308),
+            (-1.7e308, -1.5e308, -1.2e308, -1.0e308),
+            (-1.7e308, -1.0e308, 1.0e308, 1.7e308),
+        ],
+        ids=["near-max", "near-min", "both-extremes"],
+    )
+    def test_keys_near_the_float_limits_split(self, keys):
+        # The sum of two keys near the float maximum overflows: the
+        # artificial midpoint must still fall inside the key range, or the
+        # crack leaves one side empty and refinement recurses forever.
+        lo = np.array(keys).reshape(-1, 1)
+        store = BoxStore(lo, lo)
+        idx = QuasiiIndex(store, QuasiiConfig(1, (1,)))
+        window = Query(Box((-1.79e308,), (1.79e308,)))
+        assert sorted(idx.execute(window).ids.tolist()) == [0, 1, 2, 3]
+        assert idx.slice_counts() == [4]
         idx.validate_structure()

@@ -1,4 +1,8 @@
-"""Unit tests for QUASII's STR bulk loading of large update-buffer flushes."""
+"""Unit tests for QUASII's STR bulk loading of large update-buffer flushes.
+
+An appended run bulk-loads when it holds at least the top-level threshold
+of rows, so each test picks that size through a handcrafted ladder.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ import pytest
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.errors import ConfigurationError
 from repro.geometry import Box
 from repro.queries import Query
 
@@ -26,20 +29,28 @@ def _batch(k, seed=1, ndim=2):
 
 
 FULL = Query(Box((-10.0, -10.0), (120.0, 120.0)), seq=0)
-CONFIG = QuasiiConfig(2, (8, 4))
+
+
+def _config(bulk: int) -> QuasiiConfig:
+    """A two-level ladder whose appended runs bulk-load from ``bulk`` rows."""
+    return QuasiiConfig(2, (bulk, 4))
 
 
 class TestBulkFlush:
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ConfigurationError, match="bulk_flush_threshold"):
-            QuasiiIndex(_store(), CONFIG, bulk_flush_threshold=0)
-
-    def test_default_threshold_is_top_level(self):
-        index = QuasiiIndex(_store(), CONFIG)
-        assert index._bulk_flush_threshold == CONFIG.threshold(0)
+    @pytest.mark.parametrize("rows, bulk_loaded", [(9, False), (10, True)])
+    def test_threshold_is_the_top_level_threshold(self, rows, bulk_loaded):
+        index = QuasiiIndex(_store(), _config(10))
+        index.execute(FULL)  # crack the main hierarchy: runs append
+        moved = index.stats.rows_reorganized
+        index.insert(*_batch(rows))
+        index.flush_updates()
+        assert index.runs == 2
+        # A bulk load sorts the run once per level; a lazy run moves nothing.
+        assert index.stats.rows_reorganized - moved == (2 * rows if bulk_loaded else 0)
+        index.validate_structure()
 
     def test_large_flush_is_fully_refined_on_arrival(self):
-        index = QuasiiIndex(_store(), CONFIG, bulk_flush_threshold=10)
+        index = QuasiiIndex(_store(), _config(10))
         scan = ScanIndex(index.store.copy())
         lo, hi = _batch(40)
         index.insert(lo, hi)
@@ -55,7 +66,8 @@ class TestBulkFlush:
         assert index.stats.cracks == cracks_before
 
     def test_bulk_run_slices_honor_thresholds(self):
-        index = QuasiiIndex(_store(), CONFIG, bulk_flush_threshold=10)
+        config = _config(10)
+        index = QuasiiIndex(_store(), config)
         lo, hi = _batch(60)
         index.insert(lo, hi)
         index.execute(FULL)
@@ -65,13 +77,13 @@ class TestBulkFlush:
         for top in index._tops:
             for s in top:
                 assert s.final
-                assert s.size <= CONFIG.threshold(0)
+                assert s.size <= config.threshold(0)
                 if s.children is not None:
                     for c in s.children:
-                        assert c.size <= CONFIG.threshold(1)
+                        assert c.size <= config.threshold(1)
 
     def test_small_flush_stays_lazy(self):
-        index = QuasiiIndex(_store(), CONFIG, bulk_flush_threshold=50)
+        index = QuasiiIndex(_store(), _config(50))
         lo, hi = _batch(5)
         index.insert(lo, hi)
         moved_before = index.stats.rows_reorganized
@@ -83,7 +95,7 @@ class TestBulkFlush:
         assert index.stats.rows_reorganized >= moved_before
 
     def test_duplicate_keys_bulk_load(self):
-        index = QuasiiIndex(_store(), CONFIG, bulk_flush_threshold=10)
+        index = QuasiiIndex(_store(), _config(10))
         scan = ScanIndex(index.store.copy())
         lo = np.full((30, 2), 42.0)
         hi = lo + 1.0
@@ -96,7 +108,7 @@ class TestBulkFlush:
         # Two small batches accumulate in the buffer; together they pass
         # the threshold, so the drain bulk loads them as one refined run
         # while the (never-queried) main hierarchy stays untouched.
-        index = QuasiiIndex(_store(4, seed=7), CONFIG, bulk_flush_threshold=30)
+        index = QuasiiIndex(_store(4, seed=7), _config(30))
         scan = ScanIndex(index.store.copy())
         for seed, k in ((2, 10), (3, 25)):
             lo, hi = _batch(k, seed=seed)
@@ -111,7 +123,7 @@ class TestBulkFlush:
         # Regression: a large flush into a store that has never been
         # queried must bulk load only the appended rows — eagerly sorting
         # the whole initial array would forfeit query-driven building.
-        index = QuasiiIndex(_store(40, seed=11), CONFIG, bulk_flush_threshold=10)
+        index = QuasiiIndex(_store(40, seed=11), _config(10))
         lo, hi = _batch(12, seed=12)
         index.insert(lo, hi)
         moved_before = index.stats.rows_reorganized
@@ -126,7 +138,7 @@ class TestBulkFlush:
     def test_empty_start_store_bulk_loads_whole_ingest(self):
         d = 2
         store = BoxStore(np.empty((0, d)), np.empty((0, d)))
-        index = QuasiiIndex(store, CONFIG, bulk_flush_threshold=10)
+        index = QuasiiIndex(store, _config(10))
         scan_store = BoxStore(np.empty((0, d)), np.empty((0, d)))
         scan = ScanIndex(scan_store)
         lo, hi = _batch(30, seed=13)
@@ -136,9 +148,20 @@ class TestBulkFlush:
         index.validate_structure()
         assert index.runs == 1  # the ingest run is the whole forest
 
+    def test_start_empty_index_bulk_loads_on_the_ladder_of_its_first_run(self):
+        # No explicit config: the ladder is re-derived from the first
+        # absorbed run, and so is the bulk-load size (its top threshold).
+        index = QuasiiIndex(BoxStore(np.empty((0, 2)), np.empty((0, 2))), tau=4)
+        index.insert(*_batch(400, seed=14))
+        index.flush_updates()
+        top = index.config.threshold(0)
+        assert index.config == QuasiiConfig.for_dataset(400, 2, 4) and top < 400
+        assert index.runs == 1 and all(s.final and s.size <= top for s in index._top)
+        index.validate_structure()
+
     def test_interleaved_bulk_flushes_match_oracle(self):
         rng = np.random.default_rng(9)
-        index = QuasiiIndex(_store(30, seed=8), CONFIG, bulk_flush_threshold=12)
+        index = QuasiiIndex(_store(30, seed=8), _config(12))
         scan = ScanIndex(index.store.copy())
         for t in range(15):
             k = int(rng.integers(1, 25))

@@ -1,29 +1,21 @@
-"""Unit tests for QUASII's optional knobs: artificial split strategy and
-the structure pretty-printer."""
+"""Unit tests for QUASII's artificial (midpoint) slicing and the structure
+pretty-printer."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore, make_neuro_like, make_uniform
-from repro.errors import ConfigurationError
 from repro.geometry import Box
 from repro.queries import Query, uniform_workload
 
 
-class TestArtificialSplit:
-    def test_rejects_unknown(self):
-        ds = make_uniform(100, seed=1)
-        with pytest.raises(ConfigurationError):
-            QuasiiIndex(ds.store.copy(), artificial_split="thirds")
-
-    @pytest.mark.parametrize("split", ["midpoint", "median"])
-    def test_matches_scan(self, split):
+class TestArtificialSlicing:
+    def test_matches_scan_on_skewed_data(self):
         ds = make_neuro_like(2_500, seed=41)
-        index = QuasiiIndex(ds.store.copy(), artificial_split=split)
+        index = QuasiiIndex(ds.store.copy())
         scan = ScanIndex(ds.store.copy())
         for q in uniform_workload(ds.universe, 20, 1e-2, seed=42):
             assert np.array_equal(
@@ -31,35 +23,25 @@ class TestArtificialSplit:
             )
         index.validate_structure()
 
-    def test_median_balances_skewed_slices(self):
-        # Heavily skewed keys: midpoint splitting produces lopsided
-        # pieces, median splitting produces balanced ones.
-        rng = np.random.default_rng(43)
-        keys = rng.exponential(1.0, size=512)  # long right tail
-        lo = np.zeros((512, 2))
-        lo[:, 0] = keys
-        store_mid = BoxStore(lo, lo + 0.01)
-        store_med = BoxStore(lo.copy(), lo.copy() + 0.01)
-        config = QuasiiConfig(2, (64, 32))
-        covering = Query(Box((-1.0, -1.0), (1000.0, 2.0)))
-
-        def top_sizes(index):
-            index.execute(covering)
-            return [s.size for s in index._top]
-
-        mid_sizes = top_sizes(QuasiiIndex(store_mid, config))
-        med_sizes = top_sizes(QuasiiIndex(store_med, config, artificial_split="median"))
-        # Balance measure: largest / smallest slice size.
-        assert max(med_sizes) / min(med_sizes) <= max(mid_sizes) / min(mid_sizes)
-
-    def test_median_with_duplicate_heavy_keys_terminates(self):
+    def test_duplicate_heavy_keys_terminate(self):
         lo = np.zeros((200, 2))
-        lo[:150, 0] = 5.0  # 75% duplicates at the median
+        lo[:150, 0] = 5.0  # 75% duplicates
         lo[150:, 0] = np.linspace(0, 10, 50)
         store = BoxStore(lo, lo + 0.1)
-        index = QuasiiIndex(store, QuasiiConfig(2, (16, 8)), artificial_split="median")
+        index = QuasiiIndex(store, QuasiiConfig(2, (16, 8)))
         hits = index.execute(Query(Box((-1.0, -1.0), (11.0, 1.0)))).ids
         assert hits.size == 200
+        index.validate_structure()
+
+    def test_midpoint_of_adjacent_floats_still_splits(self):
+        # (a + b) / 2 rounds to a for adjacent floats: the cut must still
+        # leave a non-empty left side.
+        a = 1.0
+        b = float(np.nextafter(a, 2.0))
+        lo = np.array([[a, 0.0]] * 3 + [[b, 0.0]] * 3)
+        index = QuasiiIndex(BoxStore(lo, lo + 0.5), QuasiiConfig(2, (2, 1)))
+        assert index.execute(Query(Box((0.0, 0.0), (3.0, 1.0)))).ids.size == 6
+        assert [s.size for s in index._top] == [3, 3]
         index.validate_structure()
 
 

@@ -119,10 +119,9 @@ class TestBatchEqualsLoop:
 
 
 class TestPlanSharesTheWalk:
-    @pytest.mark.parametrize("representative", ["lower", "center", "upper"])
-    def test_plan_equals_execution_on_a_converged_forest(self, representative):
+    def test_plan_equals_execution_on_a_converged_forest(self):
         ds = make_uniform(5_000, seed=21)
-        idx = QuasiiIndex(ds.store.copy(), representative=representative)
+        idx = QuasiiIndex(ds.store.copy())
         queries = [
             Query(window=q.window)
             for q in uniform_workload(ds.universe, 20, 1e-3, seed=8)
@@ -157,9 +156,7 @@ def _line_index(sizes=(4, 4, 4, 4, 4)):
 class TestWritersWriteThrough:
     def test_coalesce_extends_the_tail_run_in_place(self):
         ds = make_uniform(200, seed=1)
-        idx = QuasiiIndex(
-            ds.store.copy(), QuasiiConfig(3, (8, 4, 2)), bulk_flush_threshold=10**6
-        )
+        idx = QuasiiIndex(ds.store.copy(), QuasiiConfig(3, (8, 4, 2)))
         idx.execute(next(iter(uniform_workload(ds.universe, 1, 1e-2, seed=1))))
         assert len(idx._tops[0]) > 1  # main hierarchy cracked: runs append
         idx.insert(np.full((3, 3), 10.0), np.full((3, 3), 11.0))
@@ -167,13 +164,26 @@ class TestWritersWriteThrough:
         tail = idx._tops[-1]
         assert idx.runs == 2 and tail.final[0]  # 3 rows <= tau: exact box
         assert tail.mbb_lo[0].tolist() == [10.0] * 3
-        idx.insert(np.full((9, 3), 20.0), np.full((9, 3), 25.0))
+        # 3 + 4 rows stay below the top threshold, so no bulk load.
+        idx.insert(np.full((4, 3), 20.0), np.full((4, 3), 25.0))
         idx.flush_updates()
         assert idx.runs == 2 and idx._tops[-1] is tail
-        assert (tail.begin[0], tail.end[0]) == (200, 212)
-        assert not tail.final[0]  # 12 rows > tau: coarse again
+        assert (tail.begin[0], tail.end[0]) == (200, 207)
+        assert tail.final[0]
         assert tail.mbb_lo[0].tolist() == [10.0] * 3
         assert tail.mbb_hi[0].tolist() == [25.0] * 3
+        idx.validate_structure()
+
+    def test_coalesce_into_the_virgin_main_run_stays_coarse(self):
+        ds = make_uniform(200, seed=1)
+        idx = QuasiiIndex(ds.store.copy(), QuasiiConfig(3, (8, 4, 2)))
+        (main,) = idx._tops
+        idx.insert(np.full((3, 3), 10.0), np.full((3, 3), 11.0))
+        idx.flush_updates()
+        assert idx._tops == [main]  # never queried: the batch joins it
+        assert (main.begin[0], main.end[0]) == (0, 203)
+        assert not main.final[0]  # 203 rows > tau: still coarse, box open
+        assert main.mbb_lo[0].tolist() == [-INF] * 3
         idx.validate_structure()
 
     def test_compaction_remaps_drops_and_merges_columns(self):

@@ -31,6 +31,16 @@ class TestConstruction:
         with pytest.raises(GeometryError, match="row 1"):
             BoxStore(np.array([[0.0], [5.0]]), np.array([[1.0], [4.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("corner", ["lo", "hi"])
+    def test_rejects_non_finite_corners(self, bad, corner):
+        # The same gate as append(): a NaN corner would make max_extent
+        # NaN, and QUASII's extended windows would then match nothing.
+        lo, hi = np.zeros((3, 2)), np.ones((3, 2))
+        {"lo": lo, "hi": hi}[corner][1, 0] = bad
+        with pytest.raises(GeometryError, match="box corners must be finite"):
+            BoxStore(lo, hi)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DatasetError):
             BoxStore(np.zeros((2, 2)), np.zeros((3, 2)))

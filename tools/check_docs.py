@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Eleven checks, all filesystem/CLI-only:
+Twelve checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -50,6 +50,12 @@ Eleven checks, all filesystem/CLI-only:
     like), or listed in ``WORK_COUNTERS`` (which the fleet roll-ups
     write by name), so a counter cannot outlive its last writer and
     export a ``stats.*`` metric that always reads 0.
+12. **Documented parameters match the signature** — every numpydoc
+    ``Parameters`` section under ``src/repro`` names exactly the
+    parameters of its function, or of its class's ``__init__`` (``self``
+    aside; ``a, b:`` and ``host / port:`` entries name two), in both
+    directions, so a deleted option cannot stay documented and a new one
+    cannot ship undocumented.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -60,6 +66,7 @@ otherwise.  Run from the repository root::
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 import sys
 from collections.abc import Iterator
@@ -395,6 +402,92 @@ def check_orphan_counters() -> list[str]:
     )
 
 
+#: A numpydoc section underline.
+_RULE = re.compile(r"-{3,}")
+
+
+def documented_parameters(doc: str) -> list[str] | None:
+    """The names a numpydoc ``Parameters`` section lists, in order;
+    ``None`` when ``doc`` has no such section.
+
+    Entries are the section's unindented lines, up to the next section
+    header; an entry's names run to its first colon, split at commas
+    and slashes.
+    """
+    lines = inspect.cleandoc(doc).splitlines()
+    headers = [
+        i for i in range(len(lines) - 1)
+        if lines[i].strip() and _RULE.fullmatch(lines[i + 1].strip())
+    ]
+    start = next((i for i in headers if lines[i].strip() == "Parameters"), None)
+    if start is None:
+        return None
+    end = min((i for i in headers if i > start), default=len(lines))
+    names = []
+    for line in lines[start + 2 : end]:
+        if line.strip() and not line[0].isspace():
+            entry = line.split(":", 1)[0]
+            names += [name.strip().lstrip("*") for name in re.split(r"[,/]", entry)]
+    return names
+
+
+def _signature(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    args = func.args
+    names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+    names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    return [name for name in names if name not in ("self", "cls")]
+
+
+def _init_parameters(cls: ast.ClassDef) -> list[str] | None:
+    """The parameters of ``cls.__init__``: its own, or a dataclass's
+    generated one (the annotated fields); ``None`` when it has neither."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return _signature(item)
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return [
+            item.target.id
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+    return None
+
+
+def parameter_doc_problems(rel: str, tree: ast.AST) -> list[str]:
+    """Check 12 over one parsed module (``rel`` labels the problems)."""
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        doc = ast.get_docstring(node, clean=False)
+        documented = documented_parameters(doc) if doc else None
+        if documented is None:
+            continue
+        where = f"{rel}:{node.lineno}: {node.name}"
+        actual = (
+            _init_parameters(node) if isinstance(node, ast.ClassDef) else _signature(node)
+        )
+        if actual is None:
+            problems.append(f"{where} documents Parameters but has no __init__")
+            continue
+        for name in documented:
+            if name not in actual:
+                problems.append(f"{where} documents {name!r}, not a parameter")
+        for name in actual:
+            if name not in documented:
+                problems.append(f"{where} does not document parameter {name!r}")
+    return problems
+
+
+def check_documented_parameters() -> list[str]:
+    """Every ``Parameters`` section under ``src/repro`` fits its signature."""
+    problems = []
+    for rel, tree in src_trees():
+        problems += parameter_doc_problems(rel, tree)
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -407,6 +500,7 @@ def main() -> int:
         + check_orphan_events()
         + check_orphan_metrics()
         + check_orphan_counters()
+        + check_documented_parameters()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -418,7 +512,8 @@ def main() -> int:
         "OBSERVABILITY.md metric/span/event/endpoint tables, the "
         "ANALYSIS.md lint-rule table, ARCHITECTURE.md's query-layer "
         "hooks, the ROADMAP pointers, the event emitters, the metric "
-        "recorders and the counter writers all consistent"
+        "recorders, the counter writers and the documented parameters "
+        "all consistent"
     )
     return 0
 
