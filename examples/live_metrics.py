@@ -2,7 +2,7 @@
 """Scrape a serving loop live: MetricsServer + slow-query events.
 
 A short sharded serving run with the full observability stack on: a
-`Telemetry` handle feeding counters/gauges/histograms/spans, an
+`Telemetry` handle feeding counters/histograms/spans, an
 `EventLog` catching slow-query events from the executor, and a
 stdlib-only `MetricsServer` exposing all of it over HTTP *while the
 loop runs*.  The script plays its own Prometheus: between batches it

@@ -3,7 +3,9 @@
 
 Generates a synthetic 3-d dataset, runs a handful of window queries through
 QUASII (no build step!), and shows the index growing and query times
-dropping as the same region is queried again.
+dropping as the same region is queried again.  Then it runs the rest of
+README's quickstart: other predicates and result modes, a covers-point
+lookup, a query plan, and an insert/delete round trip.
 
 Run:  python examples/quickstart.py
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro import QuasiiIndex, make_uniform, uniform_workload
+from repro import QuasiiIndex, Query, make_uniform, uniform_workload
 
 
 def main() -> None:
@@ -51,6 +53,27 @@ def main() -> None:
     print(f"cumulative rows moved:    {index.stats.rows_reorganized:,} "
           f"(~{index.stats.rows_reorganized / dataset.n:.1f} passes over the "
           f"data; an STR build sorts every row at every level)")
+
+    # 4. Other predicates and result modes hang off the same surface.
+    window = queries[0].window
+    n_hits = index.execute(Query(window, mode="count")).count
+    inside = index.execute(Query(window, predicate="within")).count
+    biggest = index.execute(Query(window, mode="top_k", k=5))
+    at_point = index.execute(Query.point((5000.0, 5000.0, 5000.0)))
+    print(f"\nquery {queries[0].seq}: {n_hits} intersect, {inside} lie within, "
+          f"top-5 by volume {biggest.ids.tolist()}; "
+          f"{at_point.count} boxes cover the center point")
+    assert inside <= n_hits and biggest.ids.size == min(5, n_hits)
+
+    # 5. What would a query touch?  plan() estimates without executing.
+    explained = index.plan(Query(window)).explain()
+    print(f"plan: {explained}")
+    assert explained.startswith("QUASII: predicate=intersects mode=ids")
+
+    # 6. Updates (beyond the paper): stage inserts, tombstone deletes.
+    new_ids = index.insert([[10.0, 10.0, 10.0]], [[12.0, 11.0, 11.0]])
+    index.delete(new_ids)
+    assert index.execute(Query(window, mode="count")).count == n_hits
 
     # The structural invariants can be checked at any point:
     index.validate_structure()

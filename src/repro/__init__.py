@@ -27,16 +27,7 @@ from repro.baselines import (
     UniformGridIndex,
 )
 from repro.core import PAPER_TAU, QuasiiConfig, QuasiiIndex
-from repro.datasets import (
-    BoxStore,
-    Dataset,
-    load_dataset,
-    make_gaussian_mixture,
-    make_neuro_like,
-    make_points,
-    make_uniform,
-    save_dataset,
-)
+from repro.datasets import BoxStore, Dataset, make_neuro_like, make_uniform
 from repro.geometry import Box
 from repro.index import IndexStats, MutableSpatialIndex, SpatialIndex
 from repro.queries import (
@@ -64,7 +55,7 @@ from repro.telemetry import (
     Telemetry,
     Tracer,
 )
-from repro.updates import UpdateBuffer, UpdateLedger
+from repro.updates import UpdateBuffer
 
 __version__ = "1.0.0"
 
@@ -99,17 +90,12 @@ __all__ = [
     "Tracer",
     "UniformGridIndex",
     "UpdateBuffer",
-    "UpdateLedger",
     "WorkloadOp",
     "__version__",
     "clustered_workload",
     "hotspot_workload",
-    "load_dataset",
-    "make_gaussian_mixture",
     "make_neuro_like",
-    "make_points",
     "make_uniform",
     "mixed_workload",
-    "save_dataset",
     "uniform_workload",
 ]

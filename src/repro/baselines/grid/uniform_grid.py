@@ -274,9 +274,3 @@ class UniformGridIndex(SpatialIndex):
         if not self._built:
             return 0
         return int(self._sorted_rows.nbytes + self._offsets.nbytes)
-
-    def replication_factor(self) -> float:
-        """Stored copies per live object (1.0 under query extension)."""
-        if not self._built:
-            raise QueryError("grid not built yet")
-        return self._sorted_rows.size / max(self._store.live_count, 1)

@@ -212,29 +212,6 @@ class MosaicIndex(SpatialIndex):
         )
 
     # ------------------------------------------------------------------
-    def partition_count(self) -> int:
-        """Number of leaf partitions currently materialized."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            part = stack.pop()
-            if part.is_leaf:
-                count += 1
-            else:
-                stack.extend(part.children)
-        return count
-
-    def max_depth_reached(self) -> int:
-        """Deepest materialized partition."""
-        deepest = 0
-        stack = [self._root]
-        while stack:
-            part = stack.pop()
-            deepest = max(deepest, part.depth)
-            if not part.is_leaf:
-                stack.extend(part.children)
-        return deepest
-
     def memory_bytes(self) -> int:
         """Partition objects plus row arrays."""
         total = 0

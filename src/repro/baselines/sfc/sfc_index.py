@@ -56,11 +56,6 @@ class SFCIndex(SpatialIndex):
         self._sorted_codes: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
 
-    @property
-    def grid(self) -> ZGrid:
-        """The shared coordinate-to-cell mapping."""
-        return self._grid
-
     def build(self) -> None:
         """Compute all codes and fully sort — the static pre-processing."""
         if self._built:

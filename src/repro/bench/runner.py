@@ -29,7 +29,6 @@ import numpy as np
 from repro.index.base import IndexStats, SpatialIndex
 from repro.queries.query import Query
 from repro.queries.workloads import WorkloadOp
-from repro.sharding.maintenance import MaintenancePolicy, MaintenanceScheduler
 from repro.updates.executor import apply_write
 
 
@@ -76,10 +75,6 @@ class RunResult:
         The index's :class:`~repro.index.base.IndexStats` delta over the
         run (``inserts``, ``deletes``, ``merges``, ``compactions``,
         ``shards_visited``, ...).
-    maintenance_seconds:
-        Wall-clock the maintenance scheduler spent between ops (0.0
-        without a policy) — *excluded* from every per-op timing, so
-        throughput and maintenance cost can be priced separately.
     final_live:
         Live objects after the last op.
     """
@@ -90,7 +85,6 @@ class RunResult:
     build_work: int = 0
     query_results: list[np.ndarray | None] = field(default_factory=list)
     stats: IndexStats = field(default_factory=IndexStats)
-    maintenance_seconds: float = 0.0
     final_live: int = 0
 
     @property
@@ -176,7 +170,6 @@ def run_workload(
     ops: Iterable[Query | WorkloadOp],
     build: bool = True,
     victim_seed: int = 0,
-    maintenance: MaintenancePolicy | None = None,
 ) -> RunResult:
     """Build (optionally) then execute every op, timing each one.
 
@@ -190,24 +183,12 @@ def run_workload(
     to resolve delete victims; the index is never consulted for
     membership, so a broken index cannot steer the workload.  Write ops
     need a :class:`~repro.index.base.MutableSpatialIndex`.
-
-    With ``maintenance`` given, a
-    :class:`~repro.sharding.maintenance.MaintenanceScheduler` is ticked
-    after every op: compaction runs between ops under the policy's
-    threshold.  Their cost lands in
-    ``maintenance_seconds`` and their work in ``stats``, never in an
-    op's own timing.
     """
     build_seconds = 0.0
     if build and not index.is_built:
         t0 = time.perf_counter()
         index.build()
         build_seconds = time.perf_counter() - t0
-    scheduler = (
-        MaintenanceScheduler(index, maintenance)
-        if maintenance is not None
-        else None
-    )
     store = index.store
     # Maintained incrementally as a flat array: converting/sorting a
     # Python set per delete op would dominate the harness at scale
@@ -248,10 +229,6 @@ def run_workload(
                 rows_reorganized=stats.rows_reorganized - before[2],
             )
         )
-        if scheduler is not None:
-            scheduler.after_ops(1)
     result.stats = stats.delta_since(start)
-    if scheduler is not None:
-        result.maintenance_seconds = scheduler.report.seconds
     result.final_live = int(live.size)
     return result

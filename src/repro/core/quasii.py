@@ -680,18 +680,20 @@ class QuasiiIndex(MutableSpatialIndex):
 
         def walk(lst: SliceList, depth: int) -> None:
             dim = dims[lst.level] if lst.level < len(dims) else str(lst.level)
-            for shown, s in enumerate(lst):
-                if shown == max_slices_per_level:
-                    lines.append("  " * depth + f"... {len(lst) - shown} more")
+            for i in range(len(lst)):
+                if i == max_slices_per_level:
+                    lines.append("  " * depth + f"... {len(lst) - i} more")
                     break
-                state = "final" if s.final else "coarse"
+                begin, end = lst.begin[i], lst.end[i]
+                state = "final" if lst.final[i] else "coarse"
                 lines.append(
                     "  " * depth
-                    + f"{dim}-slice rows[{s.begin}:{s.end}) "
-                    + f"cut>={s.cut_lo:g} |{s.size}| {state}"
+                    + f"{dim}-slice rows[{begin}:{end}) "
+                    + f"cut>={lst.cut_lo[i]:g} |{end - begin}| {state}"
                 )
-                if s.children is not None:
-                    walk(s.children, depth + 1)
+                child = lst.child(i)
+                if child is not None:
+                    walk(child, depth + 1)
 
         for run_idx, top in enumerate(self._tops):
             if run_idx:

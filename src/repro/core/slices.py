@@ -31,7 +31,7 @@ and quasii-lint (QL009) keeps all other modules read-only.
 from __future__ import annotations
 
 import sys
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,33 +45,6 @@ Piece = tuple[float, int, int, float, float]
 COLUMN_DTYPES = {
     "cut_lo": "f8", "begin": "i8", "end": "i8", "mbb_lo": "f8", "mbb_hi": "f8", "final": "?",
 }
-
-
-class Slice(NamedTuple):
-    """Read-only handle on one slice of a :class:`SliceList` (tests, debugging).
-
-    Holds no slice data: the column names, ``size`` and ``children`` read
-    the owner's columns at the slice's current row.  The slice is named by
-    ``key``, its first data-array position, which splicing its siblings
-    never changes; the handle follows whatever slice starts there and
-    dies (``LookupError``) when none does.
-    """
-
-    owner: SliceList
-    key: int
-
-    def __getattr__(self, name: str) -> Any:
-        owner = self.owner
-        row = int(owner.begin.searchsorted(self.key))
-        if row == len(owner) or owner.begin[row] != self.key:
-            raise LookupError(f"no slice starts at row {self.key} any more")
-        if name == "size":
-            return int(owner.end[row] - owner.begin[row])
-        if name == "children":
-            return owner.child(row)
-        if name in COLUMN_DTYPES:
-            return getattr(owner, name)[row]
-        raise AttributeError(name)
 
 
 class SliceList:
@@ -101,7 +74,7 @@ class SliceList:
         so walking the forest list by list never scans leaf slices.
     """
 
-    __slots__ = ("level", *COLUMN_DTYPES, "children", "_handles")
+    __slots__ = ("level", *COLUMN_DTYPES, "children")
 
     def __init__(
         self,
@@ -123,8 +96,6 @@ class SliceList:
         self.final = np.zeros(n, dtype=np.bool_)
         bottom = level + 1 >= self.mbb_lo.shape[1]
         self.children: list[SliceList | None] = [] if bottom else [None] * n
-        # Handles given out so far, by first row: ``lst[i] is lst[i]``.
-        self._handles: dict[int, Slice] = {}
 
     @classmethod
     def from_pieces(
@@ -148,13 +119,6 @@ class SliceList:
 
     def __len__(self) -> int:
         return int(self.cut_lo.size)
-
-    def __getitem__(self, index: int) -> Slice:
-        key = int(self.begin[index])
-        return self._handles.setdefault(key, Slice(self, key))
-
-    def __iter__(self) -> Iterator[Slice]:
-        return (self[i] for i in range(len(self)))
 
     def child(self, index: int) -> SliceList | None:
         """Slice ``index``'s child list; None when absent or at the bottom."""
@@ -200,7 +164,6 @@ class SliceList:
         """Keep only ``rows`` (ascending indices) of every column."""
         for name in COLUMN_DTYPES:
             setattr(self, name, getattr(self, name)[rows])
-        self._handles.clear()
         if self.children:
             self.children = [self.children[i] for i in rows.tolist()]
 

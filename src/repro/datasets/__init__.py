@@ -3,22 +3,15 @@
 from repro.datasets.generators import (
     PAPER_UNIVERSE_SIDE,
     Dataset,
-    make_gaussian_mixture,
     make_neuro_like,
-    make_points,
     make_uniform,
 )
-from repro.datasets.io import load_dataset, save_dataset
 from repro.datasets.store import BoxStore
 
 __all__ = [
     "PAPER_UNIVERSE_SIDE",
     "BoxStore",
     "Dataset",
-    "load_dataset",
-    "make_gaussian_mixture",
     "make_neuro_like",
-    "make_points",
     "make_uniform",
-    "save_dataset",
 ]

@@ -209,54 +209,3 @@ def make_neuro_like(
     lo, hi = _clip_to_universe(lo, hi, universe_side)
     universe = Box((0.0,) * ndim, (universe_side,) * ndim)
     return Dataset(BoxStore(lo, hi), universe, f"neuro-{n}", seed)
-
-
-def make_gaussian_mixture(
-    n: int,
-    ndim: int = 3,
-    universe_side: float = PAPER_UNIVERSE_SIDE,
-    n_clusters: int = 5,
-    cluster_std: float = 300.0,
-    side_range: tuple[float, float] = (1.0, 10.0),
-    seed: int = 0,
-) -> Dataset:
-    """A simple equal-weight Gaussian mixture of small boxes.
-
-    Useful for controlled skew experiments and tests; lighter-weight than
-    :func:`make_neuro_like`.
-    """
-    _check_common(n, ndim, universe_side)
-    if n_clusters < 1:
-        raise ConfigurationError(f"need at least one cluster, got {n_clusters}")
-    rng = np.random.default_rng(seed)
-    cluster_centers = rng.uniform(
-        0.1 * universe_side, 0.9 * universe_side, size=(n_clusters, ndim)
-    )
-    assignments = rng.integers(0, n_clusters, size=n)
-    centers = cluster_centers[assignments] + rng.normal(
-        0.0, cluster_std, size=(n, ndim)
-    )
-    sides = rng.uniform(side_range[0], side_range[1], size=(n, ndim))
-    lo = centers - sides / 2.0
-    hi = centers + sides / 2.0
-    lo, hi = _clip_to_universe(lo, hi, universe_side)
-    universe = Box((0.0,) * ndim, (universe_side,) * ndim)
-    return Dataset(BoxStore(lo, hi), universe, f"gaussian-{n}", seed)
-
-
-def make_points(
-    n: int,
-    ndim: int = 3,
-    universe_side: float = PAPER_UNIVERSE_SIDE,
-    seed: int = 0,
-) -> Dataset:
-    """Degenerate (zero-extent) boxes — pure points.
-
-    Edge-case dataset: with zero extent, query extension degenerates to the
-    plain window and replication places each object in exactly one cell.
-    """
-    _check_common(n, ndim, universe_side)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, universe_side, size=(n, ndim))
-    universe = Box((0.0,) * ndim, (universe_side,) * ndim)
-    return Dataset(BoxStore(pts, pts.copy()), universe, f"points-{n}", seed)

@@ -35,9 +35,8 @@ interleaving of queries, appends, deletes, and compactions, the live
 ``(id, box)`` multiset equals the initial multiset plus appended rows
 minus deleted ids — regardless of physical order or tombstone layout.
 :meth:`live_fingerprint` digests exactly that multiset (compaction
-preserves it by construction); the
-:class:`~repro.updates.ledger.UpdateLedger` checks it against the
-history of applied updates.
+preserves it by construction); the test suites' update ledger checks
+it against the history of applied updates.
 
 Every append/delete/compact batch advances the :attr:`epoch` counter so
 indexes holding derived state can cheaply detect staleness.
@@ -54,8 +53,6 @@ return exact-size columns.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -145,28 +142,6 @@ class BoxStore:
         # collision gate — see validate_batch / stage_ids.
         self._staged: set[int] = set()
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_boxes(
-        cls, boxes: Iterable[Box], ids: Sequence[int] | None = None
-    ) -> BoxStore:
-        """Build a store from scalar :class:`Box` values."""
-        box_list = list(boxes)
-        if not box_list:
-            raise DatasetError("cannot build a store from zero boxes")
-        ndim = box_list[0].ndim
-        for i, b in enumerate(box_list):
-            if b.ndim != ndim:
-                raise DatasetError(
-                    f"box {i} has {b.ndim} dims, expected {ndim}"
-                )
-        lo = np.array([b.lo for b in box_list], dtype=np.float64)
-        hi = np.array([b.hi for b in box_list], dtype=np.float64)
-        id_arr = None if ids is None else np.asarray(ids, dtype=np.int64)
-        return cls(lo, hi, id_arr)
-
     def _adopt(
         self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray, live: np.ndarray
     ) -> None:
@@ -255,10 +230,6 @@ class BoxStore:
         """Number of live (non-tombstoned) rows."""
         return self._lo.shape[0] - self._n_dead
 
-    def box_at(self, row: int) -> Box:
-        """The box currently stored at physical position ``row``."""
-        return Box(tuple(self._lo[row]), tuple(self._hi[row]))
-
     def id_at(self, row: int) -> int:
         """The identifier currently stored at physical position ``row``."""
         return int(self._ids[row])
@@ -305,10 +276,6 @@ class BoxStore:
     # ------------------------------------------------------------------
     # Reordering (the cracking primitive)
     # ------------------------------------------------------------------
-    def apply_order(self, order: np.ndarray) -> None:
-        """Permute the entire store by ``order`` (a full permutation)."""
-        self.apply_order_range(0, self.n, order)
-
     def apply_order_range(self, begin: int, end: int, order: np.ndarray) -> None:
         """Permute rows ``[begin, end)`` by ``order`` (relative indices).
 

@@ -11,10 +11,6 @@ from repro.geometry.predicates import (
     boxes_contain_window,
     boxes_contained_in_window,
     boxes_intersect_window,
-    centers_in_window,
-    intersects,
-    lower_corners_in_window,
-    mbr_of,
     predicate_mask,
 )
 
@@ -23,9 +19,5 @@ __all__ = [
     "boxes_contain_window",
     "boxes_contained_in_window",
     "boxes_intersect_window",
-    "centers_in_window",
-    "intersects",
-    "lower_corners_in_window",
-    "mbr_of",
     "predicate_mask",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import GeometryError
 
@@ -35,8 +35,8 @@ class Box:
     >>> b = Box((0.0, 0.0), (2.0, 3.0))
     >>> b.volume
     6.0
-    >>> b.intersects(Box((2.0, 1.0), (5.0, 5.0)))  # face contact counts
-    True
+    >>> b.sides
+    (2.0, 3.0)
     """
 
     lo: tuple[float, ...]
@@ -67,24 +67,6 @@ class Box:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_center(cls, center: Sequence[float], sides: Sequence[float]) -> Box:
-        """Build a box from its center point and full side lengths."""
-        if len(center) != len(sides):
-            raise GeometryError("center and sides must have equal length")
-        lo = tuple(c - s / 2.0 for c, s in zip(center, sides))
-        hi = tuple(c + s / 2.0 for c, s in zip(center, sides))
-        return cls(lo, hi)
-
-    @classmethod
-    def cube(cls, lo_corner: Sequence[float], side: float) -> Box:
-        """Build an axis-aligned cube with the given lower corner and side."""
-        if side < 0:
-            raise GeometryError(f"cube side must be non-negative, got {side}")
-        lo = tuple(float(v) for v in lo_corner)
-        hi = tuple(v + side for v in lo)
-        return cls(lo, hi)
-
-    @classmethod
     def unit(cls, ndim: int) -> Box:
         """The unit box ``[0, 1]^ndim``."""
         return cls((0.0,) * ndim, (1.0,) * ndim)
@@ -112,95 +94,9 @@ class Box:
         """Geometric center point."""
         return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when at least one side has zero length (a point/segment)."""
-        return any(h == l for l, h in zip(self.lo, self.hi))
-
-    # ------------------------------------------------------------------
-    # Predicates
-    # ------------------------------------------------------------------
-    def intersects(self, other: Box) -> bool:
-        """Closed-interval intersection test (touching boxes intersect)."""
-        self._check_ndim(other)
-        return all(
-            sl <= oh and ol <= sh
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
-    def contains_point(self, point: Sequence[float]) -> bool:
-        """True when the (closed) box contains the point."""
-        if len(point) != self.ndim:
-            raise GeometryError("point dimensionality mismatch")
-        return all(l <= p <= h for l, p, h in zip(self.lo, point, self.hi))
-
-    def contains_box(self, other: Box) -> bool:
-        """True when ``other`` lies entirely inside this box."""
-        self._check_ndim(other)
-        return all(
-            sl <= ol and oh <= sh
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
-    # ------------------------------------------------------------------
-    # Combinators
-    # ------------------------------------------------------------------
-    def union(self, other: Box) -> Box:
-        """Smallest box enclosing both operands."""
-        self._check_ndim(other)
-        return Box(
-            tuple(min(a, b) for a, b in zip(self.lo, other.lo)),
-            tuple(max(a, b) for a, b in zip(self.hi, other.hi)),
-        )
-
-    def intersection(self, other: Box) -> Box | None:
-        """Overlap region, or ``None`` when the boxes are disjoint."""
-        self._check_ndim(other)
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        if any(l > h for l, h in zip(lo, hi)):
-            return None
-        return Box(lo, hi)
-
-    def expanded(self, margins: Sequence[float]) -> Box:
-        """Box grown by ``margins[k]`` on *both* sides of dimension ``k``.
-
-        This implements the *query extension* technique (Stefanakis et al.)
-        used by the query-extension grid and by QUASII's refinement step:
-        enlarging a query window by the maximum object extent guarantees
-        that representing objects by a single point cannot lose results.
-        """
-        if len(margins) != self.ndim:
-            raise GeometryError("margins dimensionality mismatch")
-        if any(m < 0 for m in margins):
-            raise GeometryError("margins must be non-negative")
-        return Box(
-            tuple(l - m for l, m in zip(self.lo, margins)),
-            tuple(h + m for h, m in zip(self.hi, margins)),
-        )
-
-    def translated(self, offset: Sequence[float]) -> Box:
-        """Box shifted by the given per-dimension offset."""
-        if len(offset) != self.ndim:
-            raise GeometryError("offset dimensionality mismatch")
-        return Box(
-            tuple(l + o for l, o in zip(self.lo, offset)),
-            tuple(h + o for h, o in zip(self.hi, offset)),
-        )
-
-    def clipped_to(self, bounds: Box) -> Box | None:
-        """Alias of :meth:`intersection`, reading better for windows."""
-        return self.intersection(bounds)
-
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[tuple[float, ...]]:
         yield self.lo
         yield self.hi
-
-    def _check_ndim(self, other: Box) -> None:
-        if other.ndim != self.ndim:
-            raise GeometryError(
-                f"dimensionality mismatch: {self.ndim} vs {other.ndim}"
-            )

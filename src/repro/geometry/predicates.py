@@ -6,8 +6,8 @@ the shared hot path; they all take coordinate matrices of shape ``(n, d)``
 (``lo`` and ``hi`` corners of ``n`` boxes) and a scalar window given by two
 length-``d`` vectors, and return boolean masks of length ``n``.
 
-All interval comparisons are *closed* (touching counts as intersecting),
-matching :meth:`repro.geometry.box.Box.intersects`.
+All interval comparisons are *closed*: touching counts as intersecting,
+matching the paper's ``b ∩ q ≠ ∅`` and the closed :class:`repro.geometry.box.Box`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.box import Box
 
 
 def _as_vector(value: np.ndarray | tuple | list, ndim: int) -> np.ndarray:
@@ -120,41 +119,6 @@ def predicate_mask(
     return kernel(lo, hi, window_lo, window_hi)
 
 
-def lower_corners_in_window(
-    lo: np.ndarray,
-    window_lo: np.ndarray,
-    window_hi: np.ndarray,
-) -> np.ndarray:
-    """Mask of boxes whose *lower corner* falls inside the window.
-
-    QUASII assigns objects to slices by their lower coordinate (Section
-    5.1); combined with query extension this representative-point test is
-    exact for refinement.
-    """
-    ndim = lo.shape[1]
-    qlo = _as_vector(window_lo, ndim)
-    qhi = _as_vector(window_hi, ndim)
-    return np.all(lo >= qlo, axis=1) & np.all(lo <= qhi, axis=1)
-
-
-def centers_in_window(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    window_lo: np.ndarray,
-    window_hi: np.ndarray,
-) -> np.ndarray:
-    """Mask of boxes whose center falls inside the window.
-
-    The query-extension grid (Section 3.2 / 6.2) assigns each object to the
-    single cell containing its center.
-    """
-    centers = (lo + hi) * 0.5
-    ndim = lo.shape[1]
-    qlo = _as_vector(window_lo, ndim)
-    qhi = _as_vector(window_hi, ndim)
-    return np.all(centers >= qlo, axis=1) & np.all(centers <= qhi, axis=1)
-
-
 def batch_predicate_masks(
     predicate: str,
     lo: np.ndarray,
@@ -194,19 +158,3 @@ def batch_predicate_masks(
             mask &= obj_lo <= win_lo
             mask &= obj_hi >= win_hi
     return mask
-
-
-def intersects(a_lo, a_hi, b_lo, b_hi) -> bool:
-    """Scalar closed-interval intersection of two corner-pair boxes."""
-    a_lo = np.asarray(a_lo, dtype=np.float64)
-    a_hi = np.asarray(a_hi, dtype=np.float64)
-    b_lo = np.asarray(b_lo, dtype=np.float64)
-    b_hi = np.asarray(b_hi, dtype=np.float64)
-    return bool(np.all(a_lo <= b_hi) and np.all(b_lo <= a_hi))
-
-
-def mbr_of(lo: np.ndarray, hi: np.ndarray) -> Box:
-    """Minimum bounding box of a non-empty batch of boxes."""
-    if lo.shape[0] == 0:
-        raise GeometryError("cannot compute the MBR of zero boxes")
-    return Box(tuple(lo.min(axis=0)), tuple(hi.max(axis=0)))

@@ -145,11 +145,6 @@ class ProcessPool:
     def n_workers(self) -> int:
         return len(self._workers)
 
-    @property
-    def worker_pids(self) -> list[int | None]:
-        """Current worker pids, by wid (test/diagnostic hook)."""
-        return [w.pid for w in self._workers]
-
     def _spawn_worker(self, wid: int) -> ProcessShardWorker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         # typeshed models contexts without a Process attribute on the

@@ -12,8 +12,7 @@ A :class:`MaintenancePolicy` is pure data (threshold + cadence); a
 :class:`MaintenanceScheduler` binds one policy to one index and is
 ticked from the query path — the
 :class:`~repro.sharding.executor.QueryExecutor` ticks it after every
-batch, and :func:`repro.bench.runner.run_workload` after every
-operation, replacing ad-hoc ``maybe_compact`` call sites with one
+batch, replacing ad-hoc ``maybe_compact`` call sites with one
 uniform, policy-driven hook.  The scheduler works for *any*
 :class:`~repro.index.base.MutableSpatialIndex` (plain indexes compact
 their store; sharded engines compact each shard past the threshold).

@@ -24,8 +24,8 @@ shard no pool serves (sequential engines keep no log), a list once a
 :class:`~repro.parallel.pool.ProcessPool` has published the shard's base
 and armed it.  From then on the three mutation verbs — ``apply_insert``,
 ``apply_delete``, ``compact``: the only ways a shard's live multiset or
-layout changes — append one :data:`~repro.updates.ledger.LedgerOp`-shaped
-entry each (aliasing their arguments) for the pool to drain.
+layout changes — append one :data:`LedgerOp` entry each (aliasing their
+arguments) for the pool to drain.
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ import numpy as np
 from repro.core.config import QuasiiConfig
 from repro.core.quasii import QuasiiIndex
 from repro.datasets.store import BoxStore
-from repro.updates.ledger import LedgerOp
+
+#: One recorded mutation: ("insert", lo, hi, ids), ("delete", None, None,
+#: ids) or ("compact", None, None, <no ids>).  The process tier's deltas
+#: (:mod:`repro.parallel.shm`) carry the same shape.
+LedgerOp = tuple[str, np.ndarray | None, np.ndarray | None, np.ndarray]
 
 _INF = float("inf")
 _NO_IDS = np.empty(0, dtype=np.int64)

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from repro.telemetry.events import EVENTS, EventLog, EventRecord
 from repro.telemetry.export import (
-    histogram_from_snapshot,
     json_snapshot,
     registry_prometheus,
     render_prometheus,
 )
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     LatencyHistogram,
     MetricsRegistry,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "EVENTS",
     "EventLog",
     "EventRecord",
-    "Gauge",
     "LatencyHistogram",
     "METRICS",
     "MetricsRegistry",
@@ -56,7 +53,6 @@ __all__ = [
     "SpanRecord",
     "Telemetry",
     "Tracer",
-    "histogram_from_snapshot",
     "json_snapshot",
     "record_stats_delta",
     "registry_prometheus",
@@ -69,7 +65,7 @@ class Telemetry:
     """One registry + one registry-backed tracer, wired together.
 
     The convenience bundle instrumented components accept: a
-    :class:`MetricsRegistry` for counters/gauges/histograms and a
+    :class:`MetricsRegistry` for counters and histograms and a
     :class:`Tracer` whose finished spans also land in ``span.<name>``
     histograms of the same registry (so pause durations appear next to
     the latency histograms on ``/metrics``).  Construct with

@@ -6,7 +6,7 @@ The telemetry core records; this module makes the recordings
 ``/snapshot.json`` endpoints):
 
 * **Prometheus text exposition** (:func:`render_prometheus`) — counters
-  get the conventional ``_total`` suffix, gauges export verbatim, and a
+  get the conventional ``_total`` suffix, and a
   :class:`~repro.telemetry.metrics.LatencyHistogram` becomes cumulative
   ``_bucket{le="..."}`` lines plus ``_sum``/``_count``, derived from the
   existing log-scale buckets.  Only occupied bucket edges are emitted
@@ -14,9 +14,8 @@ The telemetry core records; this module makes the recordings
   line, so the exposition stays small while remaining valid: cumulative
   counts are monotone and the last bucket always equals ``_count``.
 * **JSON snapshot** (:func:`json_snapshot`) — a stable, sorted document
-  carrying every instrument plus each histogram's bucket layout, so
-  :func:`histogram_from_snapshot` can reconstruct a histogram (and its
-  percentiles) losslessly on the other side of the wire.
+  carrying every instrument plus each histogram's bucket layout, enough
+  to re-derive any percentile on the other side of the wire.
 
 Edge cases are part of the contract: an empty histogram exports
 ``_count 0`` with a zero ``+Inf`` bucket and no NaN anywhere; samples
@@ -32,7 +31,6 @@ import re
 from repro.telemetry.metrics import LatencyHistogram, MetricsRegistry
 
 __all__ = [
-    "histogram_from_snapshot",
     "json_snapshot",
     "registry_prometheus",
     "render_prometheus",
@@ -96,7 +94,6 @@ def _histogram_lines(
 
 def render_prometheus(
     counters: dict[str, int],
-    gauges: dict[str, float],
     histograms: dict[str, LatencyHistogram],
     namespace: str = NAMESPACE,
     help_text: dict[str, str] | None = None,
@@ -115,12 +112,6 @@ def render_prometheus(
             out.append(f"# HELP {flat} {_escape_help(help_text[name])}")
         out.append(f"# TYPE {flat} counter")
         out.append(f"{flat} {int(counters[name])}")
-    for name in sorted(gauges):
-        flat = _metric_name(name, namespace)
-        if name in help_text:
-            out.append(f"# HELP {flat} {_escape_help(help_text[name])}")
-        out.append(f"# TYPE {flat} gauge")
-        out.append(f"{flat} {_fmt(gauges[name])}")
     for name in sorted(histograms):
         flat = _metric_name(name, namespace)
         if name in help_text:
@@ -135,7 +126,6 @@ def registry_prometheus(
     """The full cumulative state of a registry as Prometheus text."""
     return render_prometheus(
         registry.counters(),
-        registry.gauges(),
         registry.histograms(),
         namespace=namespace,
     )
@@ -144,9 +134,8 @@ def registry_prometheus(
 def _histogram_dict(hist: LatencyHistogram) -> dict:
     """``to_dict(include_buckets=True)`` plus the bucket layout.
 
-    The layout makes the snapshot self-describing:
-    :func:`histogram_from_snapshot` rebuilds an identical histogram
-    without access to the producing process.
+    The layout makes the snapshot self-describing: a reader rebuilds
+    the bucket edges without access to the producing process.
     """
     out = hist.to_dict(include_buckets=True)
     out["layout"] = {
@@ -166,30 +155,8 @@ def json_snapshot(registry: MetricsRegistry) -> dict:
     """
     return {
         "counters": dict(sorted(registry.counters().items())),
-        "gauges": dict(sorted(registry.gauges().items())),
         "histograms": {
             name: _histogram_dict(hist)
             for name, hist in sorted(registry.histograms().items())
         },
     }
-
-
-def histogram_from_snapshot(doc: dict) -> LatencyHistogram:
-    """Rebuild a :class:`LatencyHistogram` from its snapshot dict.
-
-    Inverse of the histogram entries produced by :func:`json_snapshot`:
-    the returned histogram reports the same count/sum/max and the same
-    percentiles as the original (bucket counts are restored exactly).
-    """
-    layout = doc["layout"]
-    hist = LatencyHistogram(
-        lo=layout["lo"],
-        hi=layout["hi"],
-        buckets_per_decade=layout["buckets_per_decade"],
-    )
-    for key, value in doc.get("buckets", {}).items():
-        hist.counts[int(key)] = int(value)
-    hist.count = int(doc["count"])
-    hist.sum = float(doc["sum"])
-    hist.max = float(doc["max"])
-    return hist

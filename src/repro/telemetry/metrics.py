@@ -1,4 +1,4 @@
-"""Low-overhead streaming metrics: histograms, counters, gauges.
+"""Low-overhead streaming metrics: histograms and counters.
 
 The serving engine needs to *see itself run* without perturbing what it
 measures.  Two pieces, composable and dependency-free:
@@ -8,10 +8,10 @@ measures.  Two pieces, composable and dependency-free:
   (no allocation, no sorting); percentiles are reconstructed from the
   bucket counts with relative error bounded by the bucket growth factor
   (~6% at the default 40 buckets/decade).  Histograms over the same
-  layout merge associatively, so per-shard or per-worker histograms
+  layout combine associatively, so per-shard or per-worker histograms
   roll up exactly.
 * :class:`MetricsRegistry` — a flat namespace of named
-  :class:`Counter`/:class:`Gauge`/:class:`LatencyHistogram` instruments
+  :class:`Counter`/:class:`LatencyHistogram` instruments
   with get-or-create semantics, so instrumentation sites never need
   set-up order.
 
@@ -28,11 +28,10 @@ from typing import Any, TypeVar
 
 from repro.errors import ConfigurationError
 
-_Instrument = TypeVar("_Instrument", bound="Counter | Gauge | LatencyHistogram")
+_Instrument = TypeVar("_Instrument", bound="Counter | LatencyHistogram")
 
 __all__ = [
     "Counter",
-    "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
 ]
@@ -53,7 +52,7 @@ class LatencyHistogram:
     inside the range.
 
     Two histograms with the same ``(lo, hi, buckets_per_decade)`` layout
-    merge associatively and commutatively via :meth:`merge`.
+    combine associatively and commutatively via :meth:`absorb`.
     """
 
     __slots__ = ("lo", "hi", "buckets_per_decade", "_n_buckets", "_scale",
@@ -139,21 +138,11 @@ class LatencyHistogram:
                 "cannot combine histograms with different bucket layouts"
             )
 
-    def merge(self, other: LatencyHistogram) -> LatencyHistogram:
-        """A new histogram holding both sets of samples (non-mutating)."""
-        self._check_layout(other)
-        out = LatencyHistogram(self.lo, self.hi, self.buckets_per_decade)
-        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        out.count = self.count + other.count
-        out.sum = self.sum + other.sum
-        out.max = max(self.max, other.max)
-        return out
-
     def absorb(self, other: LatencyHistogram) -> None:
         """Fold ``other``'s samples into this histogram **in place**.
 
-        The mutating sibling of :meth:`merge`, used where the receiving
-        instrument must keep its registry identity — e.g. a driver
+        In place because the receiving instrument keeps its registry
+        identity — e.g. a driver
         registry absorbing the per-batch histograms worker *processes*
         ship back, so ``/metrics`` sees process-backend samples exactly
         like sequential-backend ones.
@@ -220,19 +209,6 @@ class Counter:
         self.value += int(n)
 
 
-class Gauge:
-    """A point-in-time float (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Overwrite the current value."""
-        self.value = float(value)
-
-
 class MetricsRegistry:
     """Flat namespace of instruments with get-or-create semantics.
 
@@ -242,7 +218,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | LatencyHistogram] = {}
+        self._instruments: dict[str, Counter | LatencyHistogram] = {}
 
     def _get(
         self,
@@ -265,10 +241,6 @@ class MetricsRegistry:
         """Get or create the counter called ``name``."""
         return self._get(name, Counter, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        return self._get(name, Gauge, Gauge)
-
     def histogram(self, name: str, **kwargs: Any) -> LatencyHistogram:
         """Get or create the histogram called ``name``."""
         return self._get(
@@ -285,14 +257,6 @@ class MetricsRegistry:
             n: i.value
             for n, i in self._instruments.items()
             if isinstance(i, Counter)
-        }
-
-    def gauges(self) -> dict[str, float]:
-        """Current value of every gauge."""
-        return {
-            n: i.value
-            for n, i in self._instruments.items()
-            if isinstance(i, Gauge)
         }
 
     def histograms(self) -> dict[str, LatencyHistogram]:

@@ -46,7 +46,7 @@ SHARD_BATCH_SECONDS = "shard.batch.seconds"
 WORKER_BATCH_SECONDS = "worker.batch.seconds"
 WORKER_QUERY_SECONDS = "worker.query.seconds"
 
-# -- counter / gauge names ------------------------------------------------
+# -- counter names --------------------------------------------------------
 WORKER_DISPATCHES = "worker.dispatches"
 WORKER_RESPAWNS = "worker.respawns"
 

@@ -42,7 +42,7 @@ __all__ = ["ENDPOINTS", "MetricsServer"]
 ENDPOINTS: dict[str, str] = {
     "/metrics": (
         "Prometheus text exposition of the live registry (counters as "
-        "_total, gauges, histograms as cumulative _bucket/_sum/_count)"
+        "_total, histograms as cumulative _bucket/_sum/_count)"
     ),
     "/snapshot.json": (
         "stable JSON snapshot of the registry, histograms with bucket "

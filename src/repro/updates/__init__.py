@@ -7,9 +7,6 @@ reproduction:
 * :class:`UpdateBuffer` — columnar staging area for pending inserts with
   pre-reserved identifiers; lazy-merging indexes (QUASII) drain it into
   the store as an appended run on the next query.
-* :class:`UpdateLedger` — the executable form of the store's
-  multiset-of-live-rows invariant: the tests' model of what a store or
-  engine must hold, never consulted on the serving path.
 * :func:`apply_write` — the write step of an op stream (resolve delete
   victims deterministically → timed engine call → live-set update),
   the step :func:`repro.bench.runner.run_workload` runs per write.
@@ -23,11 +20,9 @@ static.
 
 from repro.updates.buffer import UpdateBuffer
 from repro.updates.executor import apply_write, resolve_delete_victims
-from repro.updates.ledger import UpdateLedger
 
 __all__ = [
     "UpdateBuffer",
-    "UpdateLedger",
     "apply_write",
     "resolve_delete_victims",
 ]

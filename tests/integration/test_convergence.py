@@ -86,16 +86,28 @@ class TestSFCrackerConvergence:
         assert index.stats.cracks == cracks
 
 
+def _leaves(index: MosaicIndex) -> list:
+    """The materialized leaf partitions (the deepest partition is a leaf)."""
+    stack, leaves = [index._root], []
+    while stack:
+        part = stack.pop()
+        if part.is_leaf:
+            leaves.append(part)
+        else:
+            stack.extend(part.children)
+    return leaves
+
+
 class TestMosaicConvergence:
     def test_depth_stabilizes(self, neuro_ds, repeated_region_queries):
         index = MosaicIndex(neuro_ds.store.copy(), neuro_ds.universe)
         for q in repeated_region_queries:
             index.execute(q)
-        depth = index.max_depth_reached()
+        depth = max(part.depth for part in _leaves(index))
         splits = index.stats.cracks
         for q in repeated_region_queries[:10]:
             index.execute(q)
-        assert index.max_depth_reached() == depth
+        assert max(part.depth for part in _leaves(index)) == depth
         assert index.stats.cracks == splits
 
 

@@ -97,7 +97,9 @@ class TestOtherDimensions:
         ds = random_dataset(ndim, 2000, seed=57)
         index = MosaicIndex(ds.store.copy(), ds.universe, capacity=10)
         index.execute(uniform_workload(ds.universe, 1, 1e-2, seed=58)[0])
-        assert index.partition_count() == 2**ndim
+        root = index._root
+        assert not root.is_leaf and len(root.children) == 2**ndim
+        assert all(child.is_leaf for child in root.children)
 
 
 class TestSFCDimensionLimit:

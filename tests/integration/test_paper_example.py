@@ -60,7 +60,7 @@ class TestQueryOne:
         _, idx = make_figure4_index()
         idx.execute(Q1)
         top = idx._top
-        assert [s.size for s in top] == [1, 4, 5], "s1/s2/s3 of Figure 4b"
+        assert (top.end - top.begin).tolist() == [1, 4, 5], "s1/s2/s3 of Figure 4b"
         idx.validate_structure()
 
     def test_objects_partitioned_by_lower_x(self):
@@ -74,27 +74,27 @@ class TestQueryOne:
     def test_middle_slice_y_refined_two_children(self):
         _, idx = make_figure4_index()
         idx.execute(Q1)
-        middle = idx._top[1]
-        assert middle.children is not None
-        sizes = [s.size for s in middle.children]
+        middle = idx._top.child(1)
+        assert middle is not None
+        sizes = (middle.end - middle.begin).tolist()
         assert sizes == [2, 2], "s21/s22 of Figure 4c; empty s23 dropped"
 
     def test_right_slice_stays_coarse(self):
         _, idx = make_figure4_index()
         idx.execute(Q1)
-        right = idx._top[2]
-        assert right.size == 5
-        assert not right.final, "s3 exceeds τx but was not in q1's x-range"
-        assert right.children is None
+        top = idx._top
+        assert top.end[2] - top.begin[2] == 5
+        assert not top.final[2], "s3 exceeds τx but was not in q1's x-range"
+        assert top.child(2) is None
 
     def test_slice_mbbs_reflect_actual_extents(self):
         store, idx = make_figure4_index()
         idx.execute(Q1)
-        middle = idx._top[1]
-        rows_lo = store.lo[middle.begin : middle.end]
-        rows_hi = store.hi[middle.begin : middle.end]
-        assert np.all(rows_lo >= middle.mbb_lo - 1e-12)
-        assert np.all(rows_hi <= middle.mbb_hi + 1e-12)
+        top = idx._top
+        rows_lo = store.lo[top.begin[1] : top.end[1]]
+        rows_hi = store.hi[top.begin[1] : top.end[1]]
+        assert np.all(rows_lo >= top.mbb_lo[1] - 1e-12)
+        assert np.all(rows_hi <= top.mbb_hi[1] + 1e-12)
 
 
 class TestQueryTwo:
@@ -106,16 +106,19 @@ class TestQueryTwo:
     def test_only_s3_is_refined_further(self):
         _, idx = make_figure4_index()
         idx.execute(Q1)
-        left_before = idx._top[0]
-        middle_before = idx._top[1]
+        def first_two(top):
+            return top.begin[:2].tolist(), top.end[:2].tolist(), top.children[:2]
+
+        rows_before, ends_before, children_before = first_two(idx._top)
         idx.execute(Q2)
         top = idx._top
-        # s1 and s2 untouched (same objects, same children).
-        assert top[0] is left_before
-        assert top[1] is middle_before
+        # s1 and s2 untouched (same rows, same child lists).
+        rows, ends, children = first_two(top)
+        assert (rows, ends) == (rows_before, ends_before)
+        assert all(a is b for a, b in zip(children, children_before))
         # s3 replaced by smaller slices, each within τx.
         assert len(top) >= 4
-        assert all(s.size <= 4 for s in list(top)[2:])
+        assert np.all((top.end - top.begin)[2:] <= 4)
         idx.validate_structure()
 
     def test_cumulative_reorganization_bounded(self):

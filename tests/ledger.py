@@ -1,4 +1,4 @@
-"""Reference ledger of applied updates — the expected live multiset.
+"""The tests' reference ledger of applied updates: the expected live multiset.
 
 The mutable store's documented invariant is *multiset of live rows*: after
 any interleaving of queries/inserts/deletes, the store's live ``(id, box)``
@@ -8,10 +8,7 @@ sentence: it replays the same updates into a plain dictionary and can then
 be compared against a store (or answer a window query as a slow oracle).
 
 It is the test suites' model of what an engine must hold; nothing in the
-serving path reads it.  :data:`LedgerOp` lives here too: it names the
-shape of one recorded mutation, which a shard's op log
-(:attr:`~repro.sharding.shard.Shard.oplog`) and the process tier's
-deltas (:mod:`repro.parallel.shm`) share without importing each other.
+engine reads it.
 """
 
 from __future__ import annotations
@@ -20,11 +17,6 @@ import numpy as np
 
 from repro.datasets.store import BoxStore
 from repro.errors import DatasetError
-
-#: One mutation: ("insert", lo, hi, ids), ("delete", None, None, ids) or
-#: ("compact", None, None, <no ids>).
-LedgerOp = tuple[str, np.ndarray | None, np.ndarray | None, np.ndarray]
-
 
 class UpdateLedger:
     """Dictionary-of-record mirror of a store's live ``(id, box)`` rows.
@@ -81,6 +73,17 @@ class UpdateLedger:
     def live_ids(self) -> np.ndarray:
         """Sorted identifiers of all live objects."""
         return np.array(sorted(self._rows), dtype=np.int64)
+
+    def columns(self, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, lo, hi)`` of the live rows as arrays, ids ascending."""
+        ids = self.live_ids()
+        lo = [self._rows[int(i)][0] for i in ids]
+        hi = [self._rows[int(i)][1] for i in ids]
+        return (
+            ids,
+            np.array(lo, dtype=np.float64).reshape(-1, ndim),
+            np.array(hi, dtype=np.float64).reshape(-1, ndim),
+        )
 
     def expected_result(
         self, window_lo: np.ndarray, window_hi: np.ndarray

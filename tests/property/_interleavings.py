@@ -5,9 +5,17 @@ all drive an initial dataset through a Hypothesis-drawn interleaving of
 queries and mutations; they differ only in which extra op kinds they mix
 in and how long the streams get.  This module is the single place that
 draws the stream — and the single place that constructs the queries.
-It also holds :func:`shard_union`, the engine-level store the sharded
-suites check their ledgers and fingerprints against, and
-:func:`sigkill_worker`, the one failure the serving tier survives.
+A drawn flag puts every box and window corner on a coarse integer
+lattice (multiples of :data:`LATTICE`), where a box edge that lies
+exactly on a window edge or on a slice or shard bound is common rather
+than a measure-zero event; the suites
+check each answer against :func:`closed_box_ids`, a closed-interval
+predicate that shares no code with the engine or with ``ScanIndex``,
+so an open comparison on a boundary fails there even where Scan's own
+kernel is the one that went wrong.  It also holds :func:`shard_union`,
+the engine-level store the sharded suites check their ledgers and
+fingerprints against, and :func:`sigkill_worker`, the one failure the
+serving tier survives.
 """
 
 from __future__ import annotations
@@ -31,6 +39,14 @@ BASE_KINDS = ("query", "query", "insert", "delete")
 WINDOW_SHAPES = (("intersects", "ids", None),)
 
 SEEDS = st.integers(0, 2**31 - 1)
+
+#: Lattice step: eleven values per axis over the universe, so equal
+#: coordinates are frequent at the suites' 2..60 rows.
+LATTICE = 10.0
+
+
+def _on_lattice(values: np.ndarray) -> np.ndarray:
+    return np.round(values / LATTICE) * LATTICE
 
 
 @st.composite
@@ -58,12 +74,16 @@ def dataset_and_ops(
       against its ledger;
     * anything else — drawn from ``payloads[kind]`` when the suite
       supplies a strategy for it, ``None`` otherwise.
+
+    When the drawn lattice flag is set, every corner is rounded to a
+    multiple of :data:`LATTICE`.
     """
     payloads = payloads or {}
     n = draw(st.integers(min_rows, max_rows))
     rng = np.random.default_rng(draw(SEEDS))
-    lo = rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim))
-    hi = np.minimum(lo + rng.uniform(0, 10, size=(n, ndim)), UNIVERSE_SIDE)
+    snap = _on_lattice if draw(st.booleans()) else np.asarray
+    lo = snap(rng.uniform(0, UNIVERSE_SIDE, size=(n, ndim)))
+    hi = np.minimum(snap(lo + rng.uniform(0, 10, size=(n, ndim))), UNIVERSE_SIDE)
 
     n_ops = draw(st.integers(1, max_ops))
     ops = []
@@ -72,8 +92,8 @@ def dataset_and_ops(
         kind = draw(st.sampled_from(kinds))
         if kind == "query":
             predicate, mode, k = draw(st.sampled_from(query_shapes))
-            qlo = rng.uniform(-10, UNIVERSE_SIDE, size=ndim)
-            qhi = qlo + rng.uniform(0, 60, size=ndim)
+            qlo = snap(rng.uniform(-10, UNIVERSE_SIDE, size=ndim))
+            qhi = snap(qlo + rng.uniform(0, 60, size=ndim))
             query = Query(
                 Box(tuple(qlo), tuple(qhi)),
                 predicate=predicate,
@@ -85,9 +105,9 @@ def dataset_and_ops(
             ops.append(("query", query))
         elif kind == "insert":
             k = draw(st.integers(1, 5))
-            blo = rng.uniform(0, UNIVERSE_SIDE, size=(k, ndim))
+            blo = snap(rng.uniform(0, UNIVERSE_SIDE, size=(k, ndim)))
             bhi = np.minimum(
-                blo + rng.uniform(0, 8, size=(k, ndim)), UNIVERSE_SIDE
+                snap(blo + rng.uniform(0, 8, size=(k, ndim))), UNIVERSE_SIDE
             )
             ops.append(("insert", (blo, bhi)))
         elif kind == "delete":
@@ -97,6 +117,23 @@ def dataset_and_ops(
         else:
             ops.append((kind, None))
     return (lo, hi), ops
+
+
+def closed_box_ids(ledger, query: Query) -> np.ndarray:
+    """Sorted ids of the ledger's live boxes that ``query`` matches.
+
+    Closed intervals, written out here: a box touching the window on
+    any face, edge or corner intersects it.
+    """
+    ids, lo, hi = ledger.columns(query.ndim)
+    qlo, qhi = query.lo, query.hi
+    if query.predicate == "intersects":
+        mask = np.all(lo <= qhi, axis=1) & np.all(hi >= qlo, axis=1)
+    elif query.predicate == "within":
+        mask = np.all(lo >= qlo, axis=1) & np.all(hi <= qhi, axis=1)
+    else:  # contains, covers_point
+        mask = np.all(lo <= qlo, axis=1) & np.all(hi >= qhi, axis=1)
+    return np.sort(ids[mask])
 
 
 def full_window(ndim: int) -> Query:

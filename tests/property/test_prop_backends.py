@@ -60,10 +60,11 @@ from repro.sharding import (
 )
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry.events import EventLog
-from repro.updates import UpdateLedger
+from tests.ledger import UpdateLedger
 from tests.property._interleavings import (
     BASE_KINDS,
     SEEDS,
+    closed_box_ids,
     dataset_and_ops,
     full_window,
     shard_union,
@@ -181,6 +182,10 @@ def test_backends_agree_with_scan_under_interleavings(n_shards, case):
             if kind == "query":
                 query = payload
                 want = scan.execute(query)
+                closed = closed_box_ids(ledger, query)
+                assert want.count == closed.size, f"Scan miscounted query {query.seq}"
+                if query.mode in ("ids", "boxes"):
+                    assert np.array_equal(np.sort(want.ids), closed)
                 for backend, ex in executors.items():
                     batch = ex.run([query])
                     _check_payload(
@@ -297,8 +302,9 @@ def test_worker_kills_at_every_shard_count(n_shards, case):
         for kind, payload in ops:
             if kind == "query":
                 got = ex.run([payload]).results[0]
-                want = scan.execute(payload).ids
-                assert np.array_equal(np.sort(got), np.sort(want))
+                want = np.sort(scan.execute(payload).ids)
+                assert np.array_equal(want, closed_box_ids(ledger, payload))
+                assert np.array_equal(np.sort(got), want)
             elif kind == "insert":
                 blo, bhi = payload
                 ids = scan.insert(blo, bhi)

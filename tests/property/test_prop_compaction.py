@@ -31,9 +31,10 @@ from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.sharding import ShardedIndex
-from repro.updates import UpdateLedger
+from tests.ledger import UpdateLedger
 from tests.property._interleavings import (
     BASE_KINDS,
+    closed_box_ids,
     dataset_and_ops,
     full_window,
     shard_union,
@@ -57,6 +58,7 @@ def test_compaction_preserves_fingerprint_and_scan_agreement(case):
         if kind == "query":
             query = payload
             expect = np.sort(scan.execute(query).ids)
+            assert np.array_equal(expect, closed_box_ids(ledger, query))
             for idx in indexes[1:]:
                 got = np.sort(idx.execute(query).ids)
                 assert np.array_equal(got, expect), (
@@ -124,6 +126,7 @@ def test_sharded_compaction_under_interleavings(n_shards, case):
             query = payload
             seq += 1
             expect = np.sort(scan.execute(query).ids)
+            assert np.array_equal(expect, closed_box_ids(ledger, query))
             assert np.array_equal(np.sort(engine.execute(query).ids), expect)
         elif kind == "insert":
             blo, bhi = payload

@@ -1,4 +1,4 @@
-"""Property tests for Box algebra and vectorized predicates."""
+"""Property tests for the closed-box predicate kernels."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Box, boxes_intersect_window
+from repro.geometry import Box, boxes_intersect_window, predicate_mask
 
 COORD = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -21,46 +21,37 @@ def boxes(draw, ndim=None):
     return Box(tuple(lo), tuple(hi))
 
 
+def _holds(predicate, box, window):
+    lo, hi = np.array([box.lo]), np.array([box.hi])
+    return bool(predicate_mask(predicate, lo, hi, window.lo, window.hi)[0])
+
+
+PAIRS = st.integers(1, 4).flatmap(lambda d: st.tuples(boxes(ndim=d), boxes(ndim=d)))
+
+
 @given(boxes())
 def test_intersects_is_reflexive(b):
-    assert b.intersects(b)
+    assert _holds("intersects", b, b)
 
 
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(boxes(ndim=d), boxes(ndim=d))))
+@given(PAIRS)
 def test_intersects_is_symmetric(pair):
     a, b = pair
-    assert a.intersects(b) == b.intersects(a)
+    assert _holds("intersects", a, b) == _holds("intersects", b, a)
 
 
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(boxes(ndim=d), boxes(ndim=d))))
-def test_union_contains_both(pair):
+@given(PAIRS)
+def test_within_is_the_converse_of_contains(pair):
     a, b = pair
-    u = a.union(b)
-    assert u.contains_box(a) and u.contains_box(b)
+    assert _holds("within", a, b) == _holds("contains", b, a)
 
 
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(boxes(ndim=d), boxes(ndim=d))))
-def test_intersection_consistent_with_predicate(pair):
+@given(PAIRS)
+def test_every_predicate_implies_intersects(pair):
     a, b = pair
-    inter = a.intersection(b)
-    assert (inter is not None) == a.intersects(b)
-    if inter is not None:
-        assert a.contains_box(inter) and b.contains_box(inter)
-
-
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(boxes(ndim=d), boxes(ndim=d))))
-def test_intersection_volume_bounded(pair):
-    a, b = pair
-    inter = a.intersection(b)
-    if inter is not None:
-        assert inter.volume <= min(a.volume, b.volume) + 1e-6
-
-
-@given(boxes(), st.lists(st.floats(0, 100), min_size=1, max_size=4))
-def test_expanded_contains_original(b, margins):
-    margins = (margins * b.ndim)[: b.ndim]
-    grown = b.expanded(margins)
-    assert grown.contains_box(b)
+    for predicate in ("within", "contains"):
+        if _holds(predicate, a, b):
+            assert _holds("intersects", a, b)
 
 
 @given(st.integers(2, 50), st.integers(0, 2**31 - 1))
@@ -72,6 +63,8 @@ def test_vectorized_matches_scalar(n, seed):
     qlo = rng.uniform(-100, 100, size=3)
     qhi = qlo + rng.uniform(0, 100, size=3)
     mask = boxes_intersect_window(lo, hi, qlo, qhi)
-    window = Box(tuple(qlo), tuple(qhi))
+    rows_lo, rows_hi = np.tile(qlo, (n, 1)), np.tile(qhi, (n, 1))
+    assert np.array_equal(mask, predicate_mask("intersects", lo, hi, rows_lo, rows_hi))
     for i in range(n):
-        assert mask[i] == Box(tuple(lo[i]), tuple(hi[i])).intersects(window)
+        window = Box(tuple(qlo), tuple(qhi))
+        assert mask[i] == _holds("intersects", Box(tuple(lo[i]), tuple(hi[i])), window)

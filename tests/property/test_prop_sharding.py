@@ -24,8 +24,9 @@ from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig
 from repro.datasets import BoxStore
 from repro.sharding import ShardedIndex
-from repro.updates import UpdateLedger
+from tests.ledger import UpdateLedger
 from tests.property._interleavings import (
+    closed_box_ids,
     dataset_and_ops,
     full_window,
     shard_union,
@@ -58,6 +59,7 @@ def test_sharded_matches_scan_under_interleavings(n_shards, case):
         if kind == "query":
             query = payload
             expect = np.sort(scan.execute(query).ids)
+            assert np.array_equal(expect, closed_box_ids(ledger, query))
             got = np.sort(engine.execute(query).ids)
             assert np.array_equal(got, expect), (
                 f"{engine.name} diverged from Scan on query {query.seq}"

@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from repro.updates import UpdateLedger
+from tests.ledger import UpdateLedger
 from tests.property._interleavings import (
+    closed_box_ids,
     dataset_and_ops,
     full_window,
 )
@@ -39,6 +40,7 @@ def test_interleaved_updates_match_scan_and_ledger(case):
         if kind == "query":
             query = payload
             expect = np.sort(scan.execute(query).ids)
+            assert np.array_equal(expect, closed_box_ids(ledger, query))
             for idx in indexes[1:]:
                 got = np.sort(idx.execute(query).ids)
                 assert np.array_equal(got, expect), (

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import Box
+from repro.geometry import Box, predicate_mask
 
 
 class TestConstruction:
@@ -38,26 +39,8 @@ class TestConstruction:
 
     def test_degenerate_box_allowed(self):
         b = Box((1.0, 2.0), (1.0, 2.0))
-        assert b.is_degenerate
+        assert b.sides == (0.0, 0.0)
         assert b.volume == 0.0
-
-    def test_from_center(self):
-        b = Box.from_center((5.0, 5.0), (2.0, 4.0))
-        assert b.lo == (4.0, 3.0)
-        assert b.hi == (6.0, 7.0)
-
-    def test_from_center_length_mismatch(self):
-        with pytest.raises(GeometryError):
-            Box.from_center((5.0,), (2.0, 4.0))
-
-    def test_cube(self):
-        b = Box.cube((1.0, 1.0, 1.0), 2.0)
-        assert b.hi == (3.0, 3.0, 3.0)
-        assert b.volume == 8.0
-
-    def test_cube_negative_side(self):
-        with pytest.raises(GeometryError):
-            Box.cube((0.0,), -1.0)
 
     def test_unit(self):
         b = Box.unit(3)
@@ -84,95 +67,58 @@ class TestMeasures:
         assert lo == (0.0,) and hi == (1.0,)
 
 
+def _holds(predicate: str, box: Box, window: Box) -> bool:
+    """``predicate`` for one box, through the bulk kernel every index uses."""
+    lo, hi = np.array([box.lo]), np.array([box.hi])
+    return bool(predicate_mask(predicate, lo, hi, window.lo, window.hi)[0])
+
+
 class TestPredicates:
+    """Boxes are closed: the predicate kernels count face, edge and
+    corner contact."""
+
     def test_disjoint(self):
         a = Box((0.0, 0.0), (1.0, 1.0))
         b = Box((2.0, 2.0), (3.0, 3.0))
-        assert not a.intersects(b)
-        assert not b.intersects(a)
+        assert not _holds("intersects", a, b)
+        assert not _holds("intersects", b, a)
 
     def test_overlapping(self):
         a = Box((0.0, 0.0), (2.0, 2.0))
         b = Box((1.0, 1.0), (3.0, 3.0))
-        assert a.intersects(b) and b.intersects(a)
+        assert _holds("intersects", a, b) and _holds("intersects", b, a)
 
     def test_touching_faces_intersect(self):
         a = Box((0.0, 0.0), (1.0, 1.0))
         b = Box((1.0, 0.0), (2.0, 1.0))
-        assert a.intersects(b), "closed boxes sharing a face must intersect"
+        assert _holds("intersects", a, b), "closed boxes sharing a face must intersect"
 
     def test_touching_corner_intersects(self):
         a = Box((0.0, 0.0), (1.0, 1.0))
         b = Box((1.0, 1.0), (2.0, 2.0))
-        assert a.intersects(b)
+        assert _holds("intersects", a, b)
 
     def test_containment_implies_intersection(self):
         outer = Box((0.0, 0.0), (10.0, 10.0))
         inner = Box((2.0, 2.0), (3.0, 3.0))
-        assert outer.contains_box(inner)
-        assert outer.intersects(inner)
-        assert not inner.contains_box(outer)
+        assert _holds("contains", outer, inner)
+        assert _holds("within", inner, outer)
+        assert _holds("intersects", outer, inner)
+        assert not _holds("contains", inner, outer)
+
+    def test_exact_fit_is_both_within_and_contains(self):
+        b = Box((1.0, 1.0), (2.0, 2.0))
+        assert _holds("within", b, b) and _holds("contains", b, b)
 
     def test_contains_point_boundary(self):
         b = Box((0.0, 0.0), (1.0, 1.0))
-        assert b.contains_point((0.0, 1.0))
-        assert not b.contains_point((1.0, 1.5))
+        assert _holds("covers_point", b, Box((0.0, 1.0), (0.0, 1.0)))
+        assert not _holds("covers_point", b, Box((1.0, 1.5), (1.0, 1.5)))
 
     def test_contains_point_dim_mismatch(self):
         with pytest.raises(GeometryError):
-            Box.unit(2).contains_point((0.5,))
+            _holds("covers_point", Box.unit(2), Box((0.5,), (0.5,)))
 
     def test_intersects_dim_mismatch(self):
         with pytest.raises(GeometryError):
-            Box.unit(2).intersects(Box.unit(3))
-
-
-class TestCombinators:
-    def test_union(self):
-        a = Box((0.0, 0.0), (1.0, 1.0))
-        b = Box((2.0, -1.0), (3.0, 0.5))
-        u = a.union(b)
-        assert u.lo == (0.0, -1.0)
-        assert u.hi == (3.0, 1.0)
-
-    def test_intersection_overlap(self):
-        a = Box((0.0, 0.0), (2.0, 2.0))
-        b = Box((1.0, 1.0), (3.0, 3.0))
-        inter = a.intersection(b)
-        assert inter == Box((1.0, 1.0), (2.0, 2.0))
-
-    def test_intersection_disjoint_is_none(self):
-        a = Box((0.0,), (1.0,))
-        b = Box((2.0,), (3.0,))
-        assert a.intersection(b) is None
-
-    def test_intersection_touching_is_degenerate(self):
-        a = Box((0.0,), (1.0,))
-        b = Box((1.0,), (2.0,))
-        inter = a.intersection(b)
-        assert inter is not None and inter.is_degenerate
-
-    def test_expanded(self):
-        b = Box((1.0, 1.0), (2.0, 2.0)).expanded((0.5, 1.0))
-        assert b.lo == (0.5, 0.0)
-        assert b.hi == (2.5, 3.0)
-
-    def test_expanded_rejects_negative(self):
-        with pytest.raises(GeometryError):
-            Box.unit(1).expanded((-0.1,))
-
-    def test_translated(self):
-        b = Box((0.0, 0.0), (1.0, 1.0)).translated((5.0, -1.0))
-        assert b.lo == (5.0, -1.0)
-        assert b.hi == (6.0, 0.0)
-
-    def test_clipped_to(self):
-        window = Box((0.0, 0.0), (10.0, 10.0))
-        b = Box((-5.0, 5.0), (5.0, 15.0))
-        clipped = b.clipped_to(window)
-        assert clipped == Box((0.0, 5.0), (5.0, 10.0))
-
-    def test_union_volume_superadditive(self):
-        a = Box((0.0, 0.0), (1.0, 1.0))
-        b = Box((5.0, 5.0), (6.0, 6.0))
-        assert a.union(b).volume >= a.volume + b.volume
+            _holds("intersects", Box.unit(2), Box.unit(3))

@@ -156,14 +156,14 @@ class TestQuasiiDefragmentation:
             stack = [top]
             while stack:
                 lst = stack.pop()
-                for s in lst:
-                    if s.final:
-                        sub_lo = store.lo[s.begin : s.end]
-                        sub_hi = store.hi[s.begin : s.end]
-                        assert np.allclose(s.mbb_lo, sub_lo.min(axis=0))
-                        assert np.allclose(s.mbb_hi, sub_hi.max(axis=0))
-                    if s.children is not None:
-                        stack.append(s.children)
+                for i in range(len(lst)):
+                    if lst.final[i]:
+                        sub_lo = store.lo[lst.begin[i] : lst.end[i]]
+                        sub_hi = store.hi[lst.begin[i] : lst.end[i]]
+                        assert np.allclose(lst.mbb_lo[i], sub_lo.min(axis=0))
+                        assert np.allclose(lst.mbb_hi[i], sub_hi.max(axis=0))
+                    if lst.child(i) is not None:
+                        stack.append(lst.child(i))
 
     def test_compact_with_pending_buffer_keeps_staged_rows(self):
         idx = self._refined()

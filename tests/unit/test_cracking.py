@@ -82,14 +82,13 @@ class TestCrackStore:
 
     def test_crack_subrange_leaves_rest_alone(self):
         store = make_store([5.0, 1.0, 3.0, 9.0, 2.0])
-        before_first = store.box_at(0)
-        before_last = store.box_at(4)
+        before = store.lo[[0, 4]].copy(), store.hi[[0, 4]].copy()
         # A frame over rows [1, 4), and a crack of its positions [0, 3).
         frame = Frame(store, 1, 4, 0)
         assert crack(frame, 0, 3, [4.0]) == [2]
         frame.commit()
-        assert store.box_at(0) == before_first
-        assert store.box_at(4) == before_last
+        assert np.array_equal(store.lo[[0, 4]], before[0])
+        assert np.array_equal(store.hi[[0, 4]], before[1])
         assert np.all(store.lo[1:3, 0] < 4.0) and store.lo[3, 0] == 9.0
         # A sub-range crack inside a frame leaves the frame's rest alone.
         frame = Frame(store, 0, 5, 0)

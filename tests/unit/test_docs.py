@@ -9,6 +9,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import check_docs  # noqa: E402
@@ -271,6 +273,52 @@ def test_docs_and_code_carry_no_numbered_roadmap_pointers():
         "points at instead",
         "doc.md:2: numbered pointer 'ROADMAP item 3'; name what it "
         "points at instead",
+    ]
+
+
+def test_dotted_repro_names_in_the_docs_resolve():
+    assert check_docs.check_dotted_names() == []
+
+
+@pytest.mark.parametrize(
+    "cited",
+    [
+        "`repro.bench`",  # a package
+        "`repro.bench.runner.run_workload(index, ops)`",  # a called function
+        "`repro.core.slices.SliceList.probe`",  # a method, via its class
+        "`repro.telemetry.naming.METRICS`",  # a module constant
+    ],
+)
+def test_dotted_names_that_resolve_are_silent(cited):
+    assert check_docs.dotted_name_problems("doc.md", f"see {cited}.") == []
+
+
+@pytest.mark.parametrize(
+    "dotted",
+    [
+        "repro.datasets.io",  # a deleted module
+        "repro.updates.ledger.UpdateLedger",  # a class in a deleted module
+        "repro.geometry.Box.intersects",  # a deleted method
+        "repro.nowhere",  # never was
+    ],
+)
+def test_a_dotted_name_that_does_not_resolve_fires(dotted):
+    assert check_docs.dotted_name_problems("doc.md", f"`{dotted}`") == [
+        f"doc.md: `{dotted}` does not resolve"
+    ]
+
+
+def test_dotted_names_that_do_not_resolve_fire_once_each():
+    text = (
+        "`repro.updates.ledger.UpdateLedger` and `repro.datasets.io` are gone, "
+        "`repro.geometry.Box.intersects` was deleted, twice: "
+        "`repro.geometry.Box.intersects`; `repro.nowhere.at_all` never was."
+    )
+    assert check_docs.dotted_name_problems("doc.md", text) == [
+        "doc.md: `repro.datasets.io` does not resolve",
+        "doc.md: `repro.geometry.Box.intersects` does not resolve",
+        "doc.md: `repro.nowhere.at_all` does not resolve",
+        "doc.md: `repro.updates.ledger.UpdateLedger` does not resolve",
     ]
 
 

@@ -14,7 +14,6 @@ import re
 from repro.telemetry import (
     LatencyHistogram,
     MetricsRegistry,
-    histogram_from_snapshot,
     json_snapshot,
     registry_prometheus,
     render_prometheus,
@@ -33,13 +32,11 @@ class TestPrometheusText:
         for v in (5.0, 0.5, 500.0, 5000.0):  # 0.5 underflows, 5000 overflows
             hist.record(v)
         text = render_prometheus(
-            {"ops": 3}, {"shards.balance": 1.5}, {"q.seconds": hist}
+            {"ops": 3}, {"q.seconds": hist}
         )
         assert text == (
             "# TYPE repro_ops_total counter\n"
             "repro_ops_total 3\n"
-            "# TYPE repro_shards_balance gauge\n"
-            "repro_shards_balance 1.5\n"
             "# TYPE repro_q_seconds histogram\n"
             'repro_q_seconds_bucket{le="10"} 2\n'
             'repro_q_seconds_bucket{le="+Inf"} 4\n'
@@ -53,18 +50,18 @@ class TestPrometheusText:
         # 5000 s sample) — only under +Inf.
         hist = _simple_hist()
         hist.record(5000.0)
-        text = render_prometheus({}, {}, {"h": hist})
+        text = render_prometheus({}, {"h": hist})
         assert 'le="1000"' not in text
         assert 'repro_h_bucket{le="+Inf"} 1' in text
 
     def test_underflow_sits_under_lowest_edge(self):
         hist = _simple_hist()
         hist.record(0.001)  # below lo=1.0: clamps into bucket 0
-        text = render_prometheus({}, {}, {"h": hist})
+        text = render_prometheus({}, {"h": hist})
         assert 'repro_h_bucket{le="10"} 1' in text
 
     def test_empty_histogram_exports_count_zero_no_nan(self):
-        text = render_prometheus({}, {}, {"empty.seconds": _simple_hist()})
+        text = render_prometheus({}, {"empty.seconds": _simple_hist()})
         assert text == (
             "# TYPE repro_empty_seconds histogram\n"
             'repro_empty_seconds_bucket{le="+Inf"} 0\n'
@@ -77,7 +74,7 @@ class TestPrometheusText:
         hist = LatencyHistogram()  # production layout, 40 buckets/decade
         for i in range(500):
             hist.record(10 ** ((i % 70) / 10.0 - 6))
-        text = render_prometheus({}, {}, {"h": hist})
+        text = render_prometheus({}, {"h": hist})
         counts = [
             int(m.group(1))
             for m in re.finditer(r'le="[^"]+"} (\d+)', text)
@@ -93,7 +90,7 @@ class TestPrometheusText:
 
     def test_help_escaping(self):
         text = render_prometheus(
-            {"ops": 1}, {}, {},
+            {"ops": 1}, {},
             help_text={"ops": "line one\nback\\slash"},
         )
         assert "# HELP repro_ops_total line one\\nback\\\\slash" in text
@@ -101,11 +98,9 @@ class TestPrometheusText:
     def test_registry_renderer_exports_live_cumulative_state(self):
         reg = MetricsRegistry()
         reg.counter("ops").inc(5)
-        reg.gauge("shards.balance").set(1.25)
         reg.histogram("q.seconds").record(0.01)
         first = registry_prometheus(reg)
         assert "repro_ops_total 5" in first
-        assert "repro_shards_balance 1.25" in first
         assert "repro_q_seconds_count 1" in first
         reg.counter("ops").inc(2)
         reg.histogram("q.seconds").record(0.02)
@@ -122,33 +117,32 @@ class TestJsonSnapshot:
         reg = MetricsRegistry()
         reg.counter("z.ops").inc(2)
         reg.counter("a.ops").inc(1)
-        reg.gauge("balance").set(1.25)
         reg.histogram("q.seconds").record(0.02)
         doc = json_snapshot(reg)
+        assert list(doc) == ["counters", "histograms"]
         assert list(doc["counters"]) == ["a.ops", "z.ops"]
-        assert doc["gauges"]["balance"] == 1.25
         hist_doc = doc["histograms"]["q.seconds"]
         assert hist_doc["count"] == 1
         assert hist_doc["layout"]["buckets_per_decade"] == 40
 
-    def test_histogram_round_trip_preserves_percentiles(self):
+    def test_histogram_entry_carries_its_buckets_and_layout(self):
         reg = MetricsRegistry()
         hist = reg.histogram("q.seconds")
         for i in range(1, 300):
             hist.record(i / 1000.0)
         doc = json_snapshot(reg)["histograms"]["q.seconds"]
-        rebuilt = histogram_from_snapshot(doc)
-        assert rebuilt.count == hist.count
-        assert rebuilt.sum == hist.sum
-        assert rebuilt.max == hist.max
-        for q in (50, 90, 99):
-            assert rebuilt.percentile(q) == hist.percentile(q)
+        assert doc["layout"] == {
+            "lo": hist.lo, "hi": hist.hi,
+            "buckets_per_decade": hist.buckets_per_decade,
+        }
+        assert (doc["count"], doc["sum"], doc["max"]) == (hist.count, hist.sum, hist.max)
+        assert sum(doc["buckets"].values()) == hist.count
+        for key, value in doc["buckets"].items():
+            assert hist.counts[int(key)] == value
 
-    def test_empty_histogram_round_trip(self):
+    def test_empty_histogram_entry(self):
         reg = MetricsRegistry()
         reg.histogram("empty")
         doc = json_snapshot(reg)["histograms"]["empty"]
-        rebuilt = histogram_from_snapshot(doc)
-        assert rebuilt.count == 0
-        assert rebuilt.percentile(99) == 0.0
-        assert rebuilt.mean == 0.0
+        assert doc["count"] == 0 and doc["buckets"] == {}
+        assert doc["p99"] == 0.0 and doc["mean"] == 0.0

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import (
-    make_gaussian_mixture,
-    make_neuro_like,
-    make_points,
-    make_uniform,
-)
+from repro.datasets import make_neuro_like, make_uniform
 from repro.errors import ConfigurationError
 
 
@@ -129,20 +124,6 @@ class TestNeuroLike:
 
 
 class TestOtherGenerators:
-    def test_gaussian_mixture(self):
-        ds = make_gaussian_mixture(500, n_clusters=2, seed=1)
-        assert ds.n == 500
-        assert np.all(ds.store.lo <= ds.store.hi)
-
-    def test_gaussian_rejects_zero_clusters(self):
-        with pytest.raises(ConfigurationError):
-            make_gaussian_mixture(100, n_clusters=0)
-
-    def test_points_have_zero_extent(self):
-        ds = make_points(300, seed=1)
-        assert np.all(ds.store.lo == ds.store.hi)
-        assert np.allclose(ds.store.max_extent, 0.0)
-
     def test_2d_generation(self):
         ds = make_uniform(200, ndim=2, seed=1)
         assert ds.ndim == 2

@@ -7,10 +7,15 @@ import pytest
 
 from repro.baselines import ScanIndex
 from repro.baselines.grid import UniformGridIndex
-from repro.datasets import BoxStore, make_points, make_uniform
+from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
 from repro.queries import Query, uniform_workload
+
+
+def _stored_copies(idx: UniformGridIndex) -> int:
+    """Row entries across all cells: one per object unless replicated."""
+    return int(idx._sorted_rows.size)
 
 
 class TestConfiguration:
@@ -49,7 +54,7 @@ class TestQueryExtensionAssignment:
         ds = make_uniform(500, seed=2)
         idx = UniformGridIndex(ds.store, ds.universe, 8)
         idx.build()
-        assert idx.replication_factor() == pytest.approx(1.0)
+        assert _stored_copies(idx) == ds.n
 
     def test_straddling_object_found(self):
         # Object centered in cell A extends into cell B; a query inside B
@@ -69,13 +74,14 @@ class TestReplicationAssignment:
         ds = make_uniform(2_000, seed=3)
         idx = UniformGridIndex(ds.store, ds.universe, 100, "replication")
         idx.build()
-        assert idx.replication_factor() > 1.0
+        assert _stored_copies(idx) > ds.n
 
     def test_points_never_replicate(self):
-        ds = make_points(500, seed=4)
-        idx = UniformGridIndex(ds.store, ds.universe, 16, "replication")
+        ds = make_uniform(500, seed=4)
+        pts = ds.store.lo
+        idx = UniformGridIndex(BoxStore(pts, pts.copy()), ds.universe, 16, "replication")
         idx.build()
-        assert idx.replication_factor() == pytest.approx(1.0)
+        assert _stored_copies(idx) == 500
 
     def test_no_duplicate_results(self):
         lo = np.array([[0.0, 0.0]])

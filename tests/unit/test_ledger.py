@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets import BoxStore
 from repro.errors import DatasetError
-from repro.updates import UpdateLedger
+from tests.ledger import UpdateLedger
 
 
 def _boxes(rows):
@@ -100,6 +100,23 @@ class TestExpectedResultEdges:
         ledger.record_delete(np.array([1]))
         hits = ledger.expected_result(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         assert np.array_equal(hits, np.array([0, 2]))
+
+
+class TestColumns:
+    def test_columns_are_the_live_rows_in_id_order(self):
+        ledger = UpdateLedger()
+        lo, hi = _boxes([(5, 5, 1), (0, 0, 2), (9, 9, 3)])
+        ledger.record_insert(lo, hi, np.array([9, 4, 6]))
+        ledger.record_delete(np.array([6]))
+        ids, clo, chi = ledger.columns(2)
+        assert ids.tolist() == [4, 9]
+        assert clo.tolist() == [[0.0, 0.0], [5.0, 5.0]]
+        assert chi.tolist() == [[2.0, 2.0], [6.0, 6.0]]
+        assert clo.dtype == chi.dtype == np.float64
+
+    def test_an_empty_ledger_has_empty_columns_of_the_given_width(self):
+        ids, lo, hi = UpdateLedger().columns(3)
+        assert ids.shape == (0,) and lo.shape == hi.shape == (0, 3)
 
 
 class TestModelOfAStore:

@@ -1,6 +1,7 @@
 """Unit tests for query-path maintenance: the policy, the scheduler's
-compaction checks, and their threading through the executor and the
-op-stream runner, plus the fleet-wide ``flush_updates`` verb.
+compaction checks, and their threading through the executor and
+between the ops of a mixed stream, plus the fleet-wide
+``flush_updates`` verb.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import ScanIndex
-from repro.bench import run_workload
 from repro.core import QuasiiIndex
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError
@@ -24,6 +24,7 @@ from repro.sharding import (
 from repro.sharding.executor import BACKENDS
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog
+from repro.updates import apply_write
 
 
 def _grid_store(n_side=10, spacing=10.0, ndim=2) -> BoxStore:
@@ -212,27 +213,35 @@ class TestMaintenance:
     }
 
     @pytest.mark.parametrize("kind", sorted(ENGINES))
-    def test_mixed_workload_runner_reports_maintenance(self, kind):
+    def test_maintenance_between_mixed_ops_keeps_answers(self, kind):
         ds = make_uniform(4_000, seed=8)
         engine = self.ENGINES[kind](ds.store.copy())
+        engine.build()
+        scan = ScanIndex(ds.store.copy())
+        sched = MaintenanceScheduler(
+            engine, MaintenancePolicy(check_every=8, dead_fraction=0.02)
+        )
         ops = mixed_workload(
             ds.universe, n_ops=80, write_ratio=0.5, delete_fraction=0.75,
             batch_size=64, volume_fraction=1e-3, seed=10,
         )
-        result = run_workload(
-            engine,
-            ops,
-            maintenance=MaintenancePolicy(check_every=8, dead_fraction=0.02),
-        )
-        assert result.stats.compactions >= 1
-        assert result.maintenance_seconds > 0
-        # Maintained engine still matches the Scan oracle.
-        scan = ScanIndex(ds.store.copy())
-        oracle = run_workload(scan, ops)
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(result.query_results, oracle.query_results)
-        )
+        compactions = engine.stats.compactions
+        live = {
+            name: index.store.ids[index.store.live_rows()].copy()
+            for name, index in (("engine", engine), ("scan", scan))
+        }
+        for op in ops:
+            if op.query is not None:
+                assert np.array_equal(
+                    np.sort(engine.execute(op.query).ids),
+                    np.sort(scan.execute(op.query).ids),
+                )
+            else:
+                for name, index in (("engine", engine), ("scan", scan)):
+                    _, live[name], _ = apply_write(index, op, live[name], op.seq, 0)
+            sched.after_ops(1)
+        assert engine.stats.compactions > compactions
+        assert sched.report.compaction_passes >= 1 and sched.report.seconds > 0
 
 
 class TestCompactionChecks:

@@ -23,7 +23,6 @@ def live():
     """A running server over a telemetry handle with some state."""
     telemetry = Telemetry()
     telemetry.registry.counter("ops").inc(3)
-    telemetry.registry.gauge("shards.balance").set(1.5)
     telemetry.registry.histogram("query.seconds").record(0.002)
     with telemetry.tracer.span("maintenance.compact") as span:
         span.set(rows_reclaimed=10)
@@ -40,7 +39,6 @@ class TestMetricsServer:
         assert status == 200
         assert ctype.startswith("text/plain")
         assert "repro_ops_total 3" in body
-        assert "repro_shards_balance 1.5" in body
         assert "repro_query_seconds_count 1" in body
         assert 'le="+Inf"' in body
 

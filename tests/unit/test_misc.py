@@ -72,7 +72,12 @@ class TestScan:
         q = uniform_workload(ds.universe, 1, 1e-2, seed=2)[0]
         hits = set(scan.execute(q).ids.tolist())
         for row in range(ds.n):
-            expected = ds.store.box_at(row).intersects(q.window)
+            expected = all(
+                lo <= w_hi and w_lo <= hi
+                for lo, hi, w_lo, w_hi in zip(
+                    ds.store.lo[row], ds.store.hi[row], q.window.lo, q.window.hi
+                )
+            )
             assert (ds.store.id_at(row) in hits) == expected
 
     def test_tests_every_object(self):

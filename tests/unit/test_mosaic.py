@@ -13,6 +13,22 @@ from repro.geometry import Box
 from repro.queries import Query, uniform_workload
 
 
+def _leaves(index: MosaicIndex) -> list:
+    """The materialized leaf partitions (the deepest partition is a leaf)."""
+    stack, leaves = [index._root], []
+    while stack:
+        part = stack.pop()
+        if part.is_leaf:
+            leaves.append(part)
+        else:
+            stack.extend(part.children)
+    return leaves
+
+
+def _depth(index: MosaicIndex) -> int:
+    return max(part.depth for part in _leaves(index))
+
+
 class TestConfiguration:
     def test_rejects_bad_args(self):
         ds = make_uniform(10, seed=1)
@@ -26,8 +42,8 @@ class TestConfiguration:
     def test_starts_with_one_partition(self):
         ds = make_uniform(100, seed=2)
         idx = MosaicIndex(ds.store, ds.universe)
-        assert idx.partition_count() == 1
-        assert idx.max_depth_reached() == 0
+        assert len(_leaves(idx)) == 1
+        assert _depth(idx) == 0
 
 
 class TestIncrementalSplitting:
@@ -36,8 +52,8 @@ class TestIncrementalSplitting:
         idx = MosaicIndex(ds.store, ds.universe)
         q = uniform_workload(ds.universe, 1, 1e-3, seed=4)[0]
         idx.execute(q)
-        assert idx.partition_count() == 8, "root splits into 2^3 children"
-        assert idx.max_depth_reached() == 1
+        assert len(_leaves(idx)) == 8, "root splits into 2^3 children"
+        assert _depth(idx) == 1
 
     def test_one_level_of_deepening_per_query(self):
         ds = make_uniform(5_000, seed=5)
@@ -45,14 +61,14 @@ class TestIncrementalSplitting:
         q = uniform_workload(ds.universe, 1, 1e-4, seed=6)[0]
         for expected_depth in (1, 2, 3):
             idx.execute(q)
-            assert idx.max_depth_reached() == expected_depth
+            assert _depth(idx) == expected_depth
 
     def test_small_partitions_stop_splitting(self):
         ds = make_uniform(50, seed=7)
         idx = MosaicIndex(ds.store, ds.universe, capacity=60)
         q = uniform_workload(ds.universe, 1, 1e-2, seed=8)[0]
         idx.execute(q)
-        assert idx.partition_count() == 1, "root within capacity never splits"
+        assert len(_leaves(idx)) == 1, "root within capacity never splits"
 
     def test_max_depth_respected_with_duplicates(self):
         lo = np.tile(np.array([[5.0, 5.0, 5.0]]), (200, 1))
@@ -62,7 +78,7 @@ class TestIncrementalSplitting:
         q = Query(Box((4.0,) * 3, (6.0,) * 3))
         for _ in range(10):
             assert idx.execute(q).ids.size == 200
-        assert idx.max_depth_reached() <= 4
+        assert _depth(idx) <= 4
 
     def test_repartitioning_cost_counted(self):
         # The paper's criticism: frequently queried data is reassigned

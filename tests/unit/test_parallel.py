@@ -110,6 +110,11 @@ def created_names(monkeypatch):
     return names
 
 
+def _pids(pool) -> list[int | None]:
+    """The pool's current worker pids, by wid."""
+    return [worker.pid for worker in pool._workers]
+
+
 def _assert_matches(scan, queries, batch) -> None:
     """Every id-mode answer of ``batch`` equals the Scan oracle's."""
     for q, got in zip(queries, batch.results):
@@ -186,7 +191,7 @@ class TestSegments:
         before, size = bytes(shm.buf), shm.size
         fresh = np.array([[1.0, 2.0]])
         view.store.append(fresh, fresh + 1.0)
-        view.store.apply_order(np.arange(17)[::-1].copy())
+        view.store.apply_order_range(0, view.store.n, np.arange(17)[::-1].copy())
         assert view.store.n == 17
         assert bytes(shm.buf) == before and shm.size == size
         backing = np.frombuffer(shm.buf, dtype=np.uint8)
@@ -496,7 +501,7 @@ class TestProcessBackend:
             for got, want in zip(first.results, expected):
                 assert np.array_equal(np.sort(got), want)
             pool = ex._pool
-            victim = pool.worker_pids[0]
+            victim = _pids(pool)[0]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 5.0
             while (
@@ -509,11 +514,11 @@ class TestProcessBackend:
             respawns = events.recent("worker.respawn")
             assert len(respawns) == 1
             assert respawns[0].payload["old_pid"] == victim
-            assert pool.worker_pids[0] != victim
+            assert _pids(pool)[0] != victim
 
     @staticmethod
     def _kill(pool, wid):
-        victim = pool.worker_pids[wid]
+        victim = _pids(pool)[wid]
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 5.0
         while pool._workers[wid].is_alive() and time.monotonic() < deadline:
@@ -577,7 +582,7 @@ class TestProcessBackend:
             telemetry=telemetry,
         ) as ex:
             _assert_matches(scan, queries, ex.run(queries))
-            survivor = ex._pool.worker_pids[1 - wid]
+            survivor = _pids(ex._pool)[1 - wid]
             victim = sigkill_worker(ex, wid)
             assert victim is not None
             bases = len(events.recent("worker.refresh"))
@@ -585,8 +590,8 @@ class TestProcessBackend:
             (respawn,) = events.recent("worker.respawn")
             assert respawn.payload["wid"] == wid
             assert respawn.payload["old_pid"] == victim
-            assert respawn.payload["new_pid"] == ex._pool.worker_pids[wid]
-            assert ex._pool.worker_pids[1 - wid] == survivor
+            assert respawn.payload["new_pid"] == _pids(ex._pool)[wid]
+            assert _pids(ex._pool)[1 - wid] == survivor
             republished = events.recent("worker.refresh")[bases:]
             assert sorted(e.payload["sid"] for e in republished) == [wid, wid + 2]
             assert telemetry.registry.counter(WORKER_RESPAWNS).value == 1
@@ -635,7 +640,7 @@ class TestProcessBackend:
             respawns = events.recent("worker.respawn")
             assert sorted(e.payload["wid"] for e in respawns) == [0, 1]
             assert {e.payload["old_pid"] for e in respawns} == victims
-            assert not victims & set(ex._pool.worker_pids)
+            assert not victims & set(_pids(ex._pool))
             republished = events.recent("worker.refresh")[bases:]
             assert sorted(e.payload["sid"] for e in republished) == [0, 1, 2, 3]
             # Warm again: the next batch kills nothing and ships nothing.

@@ -10,10 +10,7 @@ from repro.geometry import (
     Box,
     boxes_contained_in_window,
     boxes_intersect_window,
-    centers_in_window,
-    intersects,
-    lower_corners_in_window,
-    mbr_of,
+    predicate_mask,
 )
 from repro.geometry.predicates import batch_predicate_masks
 
@@ -36,14 +33,34 @@ class TestIntersectWindow:
         mask = boxes_intersect_window(lo, hi, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         assert mask[0] and mask[1]
 
-    def test_agrees_with_scalar_box(self, sample):
+    def test_agrees_with_per_interval_rule(self, sample):
         lo, hi = sample
         window = Box((0.5, 2.5), (5.5, 5.5))
         mask = boxes_intersect_window(
             lo, hi, np.asarray(window.lo), np.asarray(window.hi)
         )
         for i in range(lo.shape[0]):
-            assert mask[i] == Box(tuple(lo[i]), tuple(hi[i])).intersects(window)
+            overlap = all(
+                lo[i, k] <= window.hi[k] and window.lo[k] <= hi[i, k]
+                for k in range(lo.shape[1])
+            )
+            assert mask[i] == overlap
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("face", ["lower", "upper"])
+    def test_one_touching_face_suffices_and_a_hair_off_misses(self, face, dim):
+        lo, hi = np.array([[2.0, 3.0]]), np.array([[4.0, 5.0]])
+        wlo, whi = lo[0] - 10.0, hi[0] + 10.0
+        if face == "lower":  # the window ends on the box's lower face
+            whi[dim] = lo[0, dim]
+            nudge = (wlo, whi.copy())
+            nudge[1][dim] = np.nextafter(lo[0, dim], -np.inf)
+        else:  # the window starts on the box's upper face
+            wlo[dim] = hi[0, dim]
+            nudge = (wlo.copy(), whi)
+            nudge[0][dim] = np.nextafter(hi[0, dim], np.inf)
+        assert boxes_intersect_window(lo, hi, wlo, whi).tolist() == [True]
+        assert boxes_intersect_window(lo, hi, *nudge).tolist() == [False]
 
     def test_bad_window_shape(self, sample):
         lo, hi = sample
@@ -94,36 +111,24 @@ class TestContainment:
         assert boxes_contained_in_window(lo, hi, np.array([1.0, 1.0]), np.array([2.0, 2.0]))[0]
 
 
-class TestRepresentativePoints:
-    def test_lower_corner_mask(self, sample):
+class TestPredicateMask:
+    def test_unknown_predicate_raises(self, sample):
         lo, hi = sample
-        mask = lower_corners_in_window(lo, np.array([0.0, 0.0]), np.array([2.0, 4.0]))
-        assert mask.tolist() == [True, True, False, True]
+        with pytest.raises(GeometryError, match="unknown predicate"):
+            predicate_mask("overlaps", lo, hi, np.zeros(2), np.ones(2))
 
-    def test_centers_mask(self, sample):
+    def test_covers_point_holds_on_the_boundary(self, sample):
         lo, hi = sample
-        # Centers: (0.5,0.5), (2.5,2.5), (5.5,5.5), (1.5,4.5)
-        mask = centers_in_window(lo, hi, np.array([1.0, 1.0]), np.array([3.0, 5.0]))
-        assert mask.tolist() == [False, True, False, True]
+        point = np.array([1.0, 1.0])
+        mask = predicate_mask("covers_point", lo, hi, point, point)
+        assert mask.tolist() == [True, False, False, False]
 
-    def test_lower_corner_is_subset_of_intersection(self, sample):
+    @pytest.mark.parametrize("predicate", ["intersects", "within", "contains"])
+    def test_per_row_windows_match_one_window(self, sample, predicate):
         lo, hi = sample
-        qlo, qhi = np.array([0.5, 0.5]), np.array([5.5, 5.5])
-        corners = lower_corners_in_window(lo, qlo, qhi)
-        inter = boxes_intersect_window(lo, hi, qlo, qhi)
-        assert np.all(~corners | inter), "corner-in implies intersecting"
-
-
-class TestScalarHelpers:
-    def test_intersects_scalar(self):
-        assert intersects([0, 0], [1, 1], [1, 1], [2, 2])
-        assert not intersects([0, 0], [1, 1], [1.1, 0], [2, 1])
-
-    def test_mbr_of(self, sample):
-        lo, hi = sample
-        m = mbr_of(lo, hi)
-        assert m == Box((0.0, 0.0), (6.0, 6.0))
-
-    def test_mbr_of_empty_raises(self):
-        with pytest.raises(GeometryError):
-            mbr_of(np.empty((0, 2)), np.empty((0, 2)))
+        wlo, whi = np.array([0.5, 0.5]), np.array([5.5, 5.5])
+        rows = lo.shape[0]
+        per_row = predicate_mask(
+            predicate, lo, hi, np.tile(wlo, (rows, 1)), np.tile(whi, (rows, 1))
+        )
+        assert np.array_equal(per_row, predicate_mask(predicate, lo, hi, wlo, whi))

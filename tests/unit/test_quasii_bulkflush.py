@@ -75,12 +75,12 @@ class TestBulkFlush:
         # Every slice of the bulk-loaded run is final (exact MBB, at or
         # below its level threshold) — the converged shape, eagerly.
         for top in index._tops:
-            for s in top:
-                assert s.final
-                assert s.size <= config.threshold(0)
-                if s.children is not None:
-                    for c in s.children:
-                        assert c.size <= config.threshold(1)
+            assert top.final.all()
+            assert np.all(top.end - top.begin <= config.threshold(0))
+            for i in range(len(top)):
+                child = top.child(i)
+                if child is not None:
+                    assert np.all(child.end - child.begin <= config.threshold(1))
 
     def test_small_flush_stays_lazy(self):
         index = QuasiiIndex(_store(), _config(50))
@@ -156,7 +156,9 @@ class TestBulkFlush:
         index.flush_updates()
         top = index.config.threshold(0)
         assert index.config == QuasiiConfig.for_dataset(400, 2, 4) and top < 400
-        assert index.runs == 1 and all(s.final and s.size <= top for s in index._top)
+        first = index._top
+        assert index.runs == 1 and first.final.all()
+        assert np.all(first.end - first.begin <= top)
         index.validate_structure()
 
     def test_interleaved_bulk_flushes_match_oracle(self):

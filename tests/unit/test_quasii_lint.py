@@ -48,7 +48,7 @@ def test_registry_holds_the_documented_rule_set():
         # QL002 (compaction hooks) with the mutable baselines: the hook
         # is abstract on MutableSpatialIndex.  Ids are never renumbered.
         "QL001", "QL004", "QL005", "QL006", "QL007", "QL008", "QL009",
-        "QL010", "QL011",
+        "QL010", "QL011", "QL012",
     ]
     for rule in analysis.all_rules():
         assert rule.id in analysis.RULES
@@ -420,6 +420,142 @@ def test_ql011_accepts_immutable_and_none_defaults(tmp_path):
 )
 def test_ql011_stays_silent_on_the_live_tree(tree):
     assert run_rules(REPO / tree, ["QL011"]) == []
+
+
+# ---------------------------------------------------------------------------
+# QL012 orphan definitions
+# ---------------------------------------------------------------------------
+def _ql012(tmp_path: Path, src: dict[str, str], **others: dict[str, str]):
+    """QL012 over ``tmp_path/src`` with ``others`` as reference roots —
+    all but ``tests``, which, as in the CLI, is written and never read."""
+    write_tree(tmp_path / "src", src)
+    for tree, files in others.items():
+        write_tree(tmp_path / tree, files)
+    config = AnalysisConfig(
+        reference_roots=tuple(tmp_path / tree for tree in others if tree != "tests")
+    )
+    return sorted(f.tag for f in run_rules(tmp_path / "src", ["QL012"], config))
+
+
+_ENGINE = (
+    "class Engine:\n"
+    "    def serve(self):\n"
+    "        return self.serve  # its own body does not count\n"
+    "    def _private(self):\n"
+    "        return 0\n"
+    "def helper(x):\n"
+    "    return helper(x - 1) if x else 0\n"
+)
+
+
+def test_ql012_flags_definitions_only_tests_reach(tmp_path):
+    tags = _ql012(
+        tmp_path,
+        {
+            "pkg/__init__.py": (
+                "from pkg.engine import Engine, helper\n"
+                "__all__ = ['Engine', 'helper']\n"
+            ),
+            "pkg/engine.py": _ENGINE,
+            "pkg/main.py": "from pkg.engine import Engine\nENGINE = Engine()\n",
+        },
+        tests={"test_engine.py": "from pkg import helper\nhelper(3)\nEngine().serve()\n"},
+    )
+    assert tags == ["orphan:Engine.serve", "orphan:helper"]
+
+
+def test_ql012_re_exports_are_not_references(tmp_path):
+    # Imported by the package, listed in __all__, imported again by a
+    # module that never reads it: still nobody's caller.
+    tags = _ql012(
+        tmp_path,
+        {
+            "pkg/__init__.py": "from pkg.mod import lonely\n__all__ = ['lonely']\n",
+            "pkg/mod.py": "def lonely():\n    return 1\n",
+            "pkg/other.py": "from pkg.mod import lonely  # noqa: F401\n",
+        },
+    )
+    assert tags == ["orphan:lonely"]
+
+
+def test_ql012_counts_attribute_and_string_annotation_references(tmp_path):
+    src = {
+        "pkg/mod.py": (
+            "def ping():\n    return 1\n"
+            "class Plan:\n    pass\n"
+        ),
+        "pkg/use.py": (
+            "from pkg import mod\n"
+            "def run(plan: 'mod.Plan') -> int:\n"
+            "    return mod.ping()\n"
+        ),
+    }
+    assert _ql012(tmp_path, src, examples={"go.py": "from pkg.use import run\nrun(None)\n"}) == []
+
+
+def test_ql012_matches_by_name_so_a_namesake_keeps_an_orphan_alive(tmp_path):
+    src = {
+        "a.py": "class Reader:\n    def close(self):\n        return 0\n",
+        "b.py": "class Writer:\n    def close(self):\n        return 1\n",
+    }
+    caller = "from a import Reader\nfrom b import Writer\nReader()\nWriter().close()\n"
+    # Only Writer.close is called, yet Reader.close passes: same name.
+    assert _ql012(tmp_path, src, tools={"run.py": caller}) == []
+
+
+@pytest.mark.parametrize("tree", ["examples", "tools", "benchmarks"])
+def test_ql012_accepts_a_reference_from_any_reference_root(tmp_path, tree):
+    caller = (
+        "from pkg.engine import Engine, helper\n"
+        "Engine().serve()\n"
+        "helper(1)\n"
+    )
+    assert _ql012(tmp_path, {"pkg/engine.py": _ENGINE}, **{tree: {"run.py": caller}}) == []
+
+
+def test_ql012_exempts_protocols_nested_classes_annotations_and_pragmas(tmp_path):
+    src = {
+        "mod.py": (
+            "from __future__ import annotations\n"
+            "from typing import Protocol\n"
+            "class Sink(Protocol):\n"
+            "    def write(self, rows) -> None: ...\n"
+            "class Plan:\n"
+            "    pass\n"
+            "class Server:\n"
+            "    def _make_handler(self):\n"
+            "        class Handler:\n"
+            "            def do_GET(self):\n"
+            "                return 0\n"
+            "        return Handler\n"
+            "def check(rows) -> None:  # ql: allow[QL012] test oracle\n"
+            "    return None\n"
+        ),
+        "use.py": (
+            "from mod import Server, Sink\n"
+            "def run(sink: Sink, server: Server) -> 'list[Plan]':\n"
+            "    return [server._make_handler()]\n"
+        ),
+    }
+    assert _ql012(tmp_path, src, examples={"run.py": "from use import run\nrun(None, None)\n"}) == []
+
+
+def test_ql012_stays_silent_on_the_live_tree():
+    from analysis.cli import REFERENCE_ROOTS
+
+    config = AnalysisConfig(reference_roots=REFERENCE_ROOTS)
+    assert run_rules(REPO / "src" / "repro", ["QL012"], config) == []
+
+
+def test_ql012_pragmas_in_the_live_tree_name_a_test_oracle():
+    pragmas = [
+        line
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "allow[QL012]" in line
+    ]
+    assert pragmas, "the three test oracles carry the pragma"
+    assert all("test oracle" in line.split("allow[QL012]", 1)[1] for line in pragmas)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class TestArtificialSlicing:
         lo = np.array([[a, 0.0]] * 3 + [[b, 0.0]] * 3)
         index = QuasiiIndex(BoxStore(lo, lo + 0.5), QuasiiConfig(2, (2, 1)))
         assert index.execute(Query(Box((0.0, 0.0), (3.0, 1.0)))).ids.size == 6
-        assert [s.size for s in index._top] == [3, 3]
+        assert (index._top.end - index._top.begin).tolist() == [3, 3]
         index.validate_structure()
 
 
@@ -63,6 +63,22 @@ class TestFormatStructure:
         assert "x-slice" in text
         assert "y-slice" in text
         assert "final" in text
+
+    def test_top_lines_are_the_top_list_columns(self):
+        ds = make_uniform(2_000, seed=45)
+        index = QuasiiIndex(ds.store.copy(), tau=30)
+        index.execute(uniform_workload(ds.universe, 1, 1e-2, seed=46)[0])
+        top = index._top
+        want = [
+            f"x-slice rows[{b}:{e}) cut>={c:g} |{e - b}| "
+            + ("final" if f else "coarse")
+            for b, e, c, f in zip(
+                top.begin.tolist(), top.end.tolist(), top.cut_lo.tolist(),
+                top.final.tolist(),
+            )
+        ]
+        lines = index.format_structure(max_slices_per_level=len(top)).splitlines()
+        assert [line for line in lines if line.startswith("x-")] == want
 
     def test_elision(self):
         ds = make_uniform(5_000, seed=47)

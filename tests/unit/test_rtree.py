@@ -15,7 +15,7 @@ from repro.baselines.rtree import (
     build_str_rtree,
     str_pack,
 )
-from repro.datasets import BoxStore, make_neuro_like, make_points, make_uniform
+from repro.datasets import BoxStore, make_neuro_like, make_uniform
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry import Box
 from repro.queries import Query, uniform_workload
@@ -177,21 +177,27 @@ def _tree_digest(root) -> str:
     return digest.hexdigest()
 
 
+def _points(n: int, ndim: int, seed: int) -> BoxStore:
+    """``n`` zero-extent boxes, uniform over the ``10,000^ndim`` universe."""
+    pts = np.random.default_rng(seed).uniform(0.0, 10_000.0, size=(n, ndim))
+    return BoxStore(pts, pts.copy())
+
+
 #: Trees recorded with the per-child / per-entry Python loops that
 #: ChooseLeaf and PickSeeds ran before they were vectorised: the
 #: vectorised build must reproduce them bit for bit, tie-breaks
 #: included (the point set ties on volume everywhere).
 RECORDED_TREES = {
     "uniform-3d-c8": (
-        lambda: make_uniform(2_000, seed=41), 8,
+        lambda: make_uniform(2_000, seed=41).store, 8,
         "1da7cb05cd4c3e1f2606e375b9c90b5aeeddbe18f0a0d9da43d900f771b342de",
     ),
     "neuro-3d-c16": (
-        lambda: make_neuro_like(2_000, seed=42), 16,
+        lambda: make_neuro_like(2_000, seed=42).store, 16,
         "2685522b660907ae44ae5c819c1d594a69ccf21357c2f12ba0242fdcb3481561",
     ),
     "points-2d-c6": (
-        lambda: make_points(2_000, ndim=2, seed=43), 6,
+        lambda: _points(2_000, ndim=2, seed=43), 6,
         "c61dab3e9b5d957139a3a76e4104224437262985cb26874788b34af17e6ebc73",
     ),
 }
@@ -253,7 +259,7 @@ class TestGuttman:
     @pytest.mark.parametrize("case", sorted(RECORDED_TREES))
     def test_insertion_builds_the_recorded_tree(self, case):
         make, capacity, want = RECORDED_TREES[case]
-        root = GuttmanRTree(make().store, capacity=capacity).insert_all()
+        root = GuttmanRTree(make(), capacity=capacity).insert_all()
         assert _tree_digest(root) == want
 
     # (leaf A, leaf B) MBBs and the box inserted under their parent, with

@@ -56,10 +56,10 @@ class TestSFCracker:
     def test_first_query_initializes(self):
         ds = make_uniform(500, seed=8)
         idx = SFCrackerIndex(ds.store, ds.universe)
-        assert idx.piece_count == 1
+        assert not idx._bounds  # one piece: the whole code array
         q = uniform_workload(ds.universe, 1, 1e-2, seed=9)[0]
         idx.execute(q)
-        assert idx.piece_count > 1
+        assert len(idx._bounds) - 1 > 1
         idx.validate_pieces()
 
     def test_matches_scan_over_sequence(self):

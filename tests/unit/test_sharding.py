@@ -22,7 +22,7 @@ from repro.sharding import (
     partitioner,
 )
 from repro.sharding.executor import BACKENDS
-from repro.updates import UpdateLedger
+from tests.ledger import UpdateLedger
 from tests.property._interleavings import shard_union
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the column-store SliceList and its Slice handles."""
+"""Unit tests for the column-store SliceList."""
 
 from __future__ import annotations
 
@@ -96,6 +96,23 @@ class TestProbe:
         assert lst.probe(-INF, INF, lo, hi) == (0, 3, [1])
         # Touching counts: closed boxes sharing a face intersect.
         assert lst.probe(-INF, INF, np.array([3.5, 0.0]), hi)[2] == [0, 1]
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("face", ["lower", "upper"])
+    def test_a_window_touching_one_face_hits_and_a_hair_off_misses(self, face, dim):
+        box_lo, box_hi = np.array([2.0, 3.0]), np.array([4.0, 5.0])
+        lst = SliceList(0, [-INF], [0], [4], box_lo, box_hi)
+        lo, hi = box_lo - 10.0, box_hi + 10.0
+        if face == "lower":  # the window ends on the box's lower face
+            hi[dim] = box_lo[dim]
+            off = lo.copy(), hi.copy()
+            off[1][dim] = np.nextafter(box_lo[dim], -INF)
+        else:  # the window starts on the box's upper face
+            lo[dim] = box_hi[dim]
+            off = lo.copy(), hi.copy()
+            off[0][dim] = np.nextafter(box_hi[dim], INF)
+        assert lst.probe(-INF, INF, lo, hi)[2] == [0]
+        assert lst.probe(-INF, INF, *off)[2] == []
 
     def test_hit_indices_are_absolute(self):
         lst = make_list()
@@ -218,30 +235,26 @@ class TestSelectAndFinalize:
         assert lst.memory_bytes() == 3 * (24 + 32 + 1) + sys.getsizeof(lst.children)
 
 
-class TestSliceHandles:
-    def test_handles_read_the_columns(self):
+class TestColumnReads:
+    """One slice is one row: tests and ``format_structure`` read it from
+    the columns, and the list keeps no per-slice objects."""
+
+    def test_a_slice_is_read_from_its_row(self):
         lst = make_list()
         kid = SliceList(1, [-INF], [2], [5], *OPEN)
         lst.children[1] = kid
-        s = lst[1]
-        assert (s.begin, s.end, s.size, s.cut_lo) == (2, 5, 3, 3.0)
-        assert not s.final and s.children is kid
-        assert [h.size for h in lst] == [2, 3, 4]
-        lst.final[1] = True
-        assert s.final  # no copy: the handle reads the live column
+        assert (lst.begin[1], lst.end[1], lst.cut_lo[1]) == (2, 5, 3.0)
+        assert not lst.final[1] and lst.child(1) is kid
+        assert (lst.end - lst.begin).tolist() == [2, 3, 4]
 
-    def test_handle_identity_survives_sibling_splices(self):
+    def test_a_splice_leaves_the_outer_rows_in_place(self):
         lst = make_list()
-        first, last = lst[0], lst[2]
+        lst.children[2] = kid = SliceList(1, [-INF], [5], [9], *OPEN)
         lst.replace(1, pieces_for(lst, 1, 3))
-        assert lst[0] is first and lst[4] is last
-        assert last.begin == 5 and last.size == 4
+        assert (lst.begin[0], lst.end[0]) == (0, 2)
+        assert (lst.begin[4], lst.end[4], lst.cut_lo[4]) == (5, 9, 7.0)
+        assert lst.child(4) is kid
 
-    def test_stale_handle_raises(self):
-        lst = make_list()
-        gone = lst[1]
-        lst.select(np.array([0, 2]))
-        with pytest.raises(LookupError):
-            gone.size
-        with pytest.raises(AttributeError):
-            lst[0].no_such_column
+    def test_the_list_keeps_no_per_slice_state(self):
+        assert SliceList.__slots__ == ("level", *COLUMN_DTYPES, "children")
+        assert not hasattr(make_list(), "__dict__")

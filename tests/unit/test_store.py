@@ -53,32 +53,19 @@ class TestConstruction:
         with pytest.raises(DatasetError):
             BoxStore(np.zeros(3), np.ones(3))
 
-    def test_from_boxes(self):
-        s = BoxStore.from_boxes([Box((0.0,), (1.0,)), Box((2.0,), (3.0,))])
-        assert s.n == 2 and s.ndim == 1
-        assert s.box_at(1) == Box((2.0,), (3.0,))
-
-    def test_from_boxes_empty(self):
-        with pytest.raises(DatasetError):
-            BoxStore.from_boxes([])
-
-    def test_from_boxes_mixed_dims(self):
-        with pytest.raises(DatasetError):
-            BoxStore.from_boxes([Box((0.0,), (1.0,)), Box.unit(2)])
-
     def test_aliased_corners_are_decoupled(self):
         # BoxStore(pts, pts) must not leave lo and hi sharing one buffer:
-        # apply_order would otherwise permute the shared array twice.
+        # apply_order_range would otherwise permute the shared array twice.
         pts = np.array([[3.0], [1.0], [2.0]])
         store = BoxStore(pts, pts)
-        store.apply_order(np.array([1, 2, 0]))
+        store.apply_order_range(0, store.n, np.array([1, 2, 0]))
         assert store.lo[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert store.hi[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert not np.shares_memory(store.lo, store.hi)
 
     def test_copy_is_independent(self, store):
         dup = store.copy()
-        dup.apply_order(np.array([3, 2, 1, 0]))
+        dup.apply_order_range(0, dup.n, np.array([3, 2, 1, 0]))
         assert store.id_at(0) == 0
         assert dup.id_at(0) == 3
 
@@ -97,7 +84,7 @@ class TestMeasures:
 
     def test_max_extent_cached_and_stable_under_permutation(self, store):
         before = store.max_extent.copy()
-        store.apply_order(np.array([2, 0, 3, 1]))
+        store.apply_order_range(0, store.n, np.array([2, 0, 3, 1]))
         assert np.array_equal(store.max_extent, before)
 
 
@@ -105,7 +92,8 @@ class TestReordering:
     def test_apply_order_range_moves_ids_and_coords(self, store):
         store.apply_order_range(1, 3, np.array([1, 0]))
         assert store.ids.tolist() == [0, 2, 1, 3]
-        assert store.box_at(1) == Box((4.0, 1.0), (5.0, 2.0))
+        assert store.lo[1].tolist() == [4.0, 1.0]
+        assert store.hi[1].tolist() == [5.0, 2.0]
 
     def test_apply_order_invalid_range(self, store):
         with pytest.raises(DatasetError):
@@ -129,7 +117,7 @@ class TestReordering:
 
     def test_fingerprint_permutation_invariant(self, store):
         fp = store.fingerprint()
-        store.apply_order(np.array([3, 1, 0, 2]))
+        store.apply_order_range(0, store.n, np.array([3, 1, 0, 2]))
         assert store.fingerprint() == fp
 
     def test_fingerprint_detects_mutation(self, store):

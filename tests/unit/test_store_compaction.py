@@ -55,7 +55,7 @@ class TestCompact:
     def test_compact_after_permutation(self):
         store = _small_store(8)
         store.delete_ids(np.array([0, 5]))
-        store.apply_order(np.random.default_rng(3).permutation(8))
+        store.apply_order_range(0, store.n, np.random.default_rng(3).permutation(8))
         fp = store.live_fingerprint()
         remap = store.compact()
         assert store.live_fingerprint() == fp
@@ -148,7 +148,7 @@ class TestFingerprintDtype:
         store = _small_store(12, seed=5)
         fp = store.fingerprint()
         live_fp = store.live_fingerprint()
-        store.apply_order(np.random.default_rng(9).permutation(12))
+        store.apply_order_range(0, store.n, np.random.default_rng(9).permutation(12))
         assert store.fingerprint() == fp
         assert store.live_fingerprint() == live_fp
 

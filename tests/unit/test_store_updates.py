@@ -121,7 +121,7 @@ class TestDelete:
         store = _small_store(6)
         store.delete_ids(np.array([0, 5]))
         rng = np.random.default_rng(3)
-        store.apply_order(rng.permutation(6))
+        store.apply_order_range(0, store.n, rng.permutation(6))
         dead_positions = np.flatnonzero(~store.live)
         assert sorted(store.ids[dead_positions].tolist()) == [0, 5]
         assert sorted(store.ids[store.live]) == [1, 2, 3, 4]
@@ -132,7 +132,7 @@ class TestInvariantSurface:
         store = _small_store(6)
         store.delete_ids(np.array([2]))
         fp = store.live_fingerprint()
-        store.apply_order(np.random.default_rng(1).permutation(6))
+        store.apply_order_range(0, store.n, np.random.default_rng(1).permutation(6))
         assert store.live_fingerprint() == fp
 
     def test_live_fingerprint_changes_with_updates(self):

@@ -77,20 +77,21 @@ class TestLatencyHistogram:
         assert hist.counts[0] == 1
         assert hist.counts[-1] == 1
 
-    def test_merge_matches_single_stream(self):
+    def test_absorb_matches_single_stream(self):
         rng = np.random.default_rng(3)
         a, b = LatencyHistogram(), LatencyHistogram()
         both = LatencyHistogram()
         for i, s in enumerate(rng.lognormal(-7, 1.0, size=2000)):
             (a if i % 2 else b).record(s)
             both.record(s)
-        merged = a.merge(b)
+        merged = a.copy()
+        merged.absorb(b)
         assert merged.counts == both.counts
         assert merged.count == both.count
         assert merged.max == both.max
         assert merged.sum == pytest.approx(both.sum)
 
-    def test_merge_associative_and_commutative(self):
+    def test_absorb_associative_and_commutative(self):
         rng = np.random.default_rng(4)
         hists = []
         for _ in range(3):
@@ -99,32 +100,37 @@ class TestLatencyHistogram:
                 h.record(s)
             hists.append(h)
         a, b, c = hists
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        swapped = c.merge(a.merge(b))
+        def fold(*parts):
+            out = parts[0].copy()
+            for part in parts[1:]:
+                out.absorb(part)
+            return out
+
+        left = fold(fold(a, b), c)
+        right = fold(a, fold(b, c))
+        swapped = fold(c, fold(a, b))
         assert left.counts == right.counts == swapped.counts
         assert left.count == right.count == swapped.count
 
-    def test_merge_layout_mismatch_raises(self):
+    def test_absorb_layout_mismatch_raises(self):
         with pytest.raises(ConfigurationError, match="layout"):
-            LatencyHistogram().merge(LatencyHistogram(lo=1e-3))
+            LatencyHistogram().absorb(LatencyHistogram(lo=1e-3))
 
     def test_absorb_folds_in_place(self):
         # The pool folds worker histograms into the driver's registry
         # instrument, which must keep its identity.
-        target, shipped = LatencyHistogram(), LatencyHistogram()
+        target, shipped, want = (LatencyHistogram() for _ in range(3))
         target.record(1e-3)
         for s in (1e-4, 2e-2):
             shipped.record(s)
-        want = target.merge(shipped)
+        for s in (1e-3, 1e-4, 2e-2):
+            want.record(s)
         same = target
         target.absorb(shipped)
         assert target is same
         assert target.counts == want.counts and target.count == 3
         assert target.sum == pytest.approx(want.sum) and target.max == 2e-2
         assert shipped.count == 2  # the source is left as it was
-        with pytest.raises(ConfigurationError, match="layout"):
-            target.absorb(LatencyHistogram(lo=1e-3))
 
     def test_copy_is_an_independent_snapshot(self):
         hist = LatencyHistogram(lo=1e-4, hi=1.0, buckets_per_decade=10)
@@ -160,25 +166,22 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h") is reg.histogram("h")
-        assert reg.gauge("g") is reg.gauge("g")
 
     def test_kind_collision_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ConfigurationError, match="already registered"):
-            reg.gauge("x")
+            reg.histogram("x")
 
     def test_snapshot_views(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
-        reg.gauge("g").set(1.5)
         reg.histogram("h").record(1e-3)
         assert reg.counters() == {"c": 3}
-        assert reg.gauges() == {"g": 1.5}
         snap = reg.histograms()["h"]
         reg.histogram("h").record(1e-3)
         assert snap.count == 1  # snapshot copies are independent
-        assert reg.names() == ["c", "g", "h"]
+        assert reg.names() == ["c", "h"]
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ConfigurationError, match="only increase"):

@@ -13,12 +13,8 @@ from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
 from repro.queries import mixed_workload
 from repro.queries.workloads import WorkloadOp
-from repro.updates import (
-    UpdateBuffer,
-    UpdateLedger,
-    apply_write,
-    resolve_delete_victims,
-)
+from repro.updates import UpdateBuffer, apply_write, resolve_delete_victims
+from tests.ledger import UpdateLedger
 
 
 def _store(n: int = 5, ndim: int = 2, seed: int = 0) -> BoxStore:

@@ -6,7 +6,7 @@ dtypes, the canonical telemetry vocabulary, picklable process-boundary
 payloads, and the slice-column writers.  This package parses
 ``src/repro`` with :mod:`ast`, builds a lightweight module/class/call
 index (:class:`~analysis.core.RepoIndex`), and runs pluggable rules
-(QL001..QL010 minus the two retired ids, 002 and 003; registered in
+(QL001..QL012 minus the two retired ids, 002 and 003; registered in
 :mod:`analysis.rules`) over it.
 
 Usage (from the repository root)::

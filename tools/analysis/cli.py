@@ -29,6 +29,11 @@ __all__ = ["main", "mypy_burn_down"]
 REPO = Path(__file__).resolve().parents[2]
 DEFAULT_ROOT = REPO / "src" / "repro"
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
+#: The trees whose references keep a definition alive (QL012); tests
+#: are not among them.
+REFERENCE_ROOTS = tuple(
+    REPO / tree for tree in ("src", "benchmarks", "examples", "tools")
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant analyzer for the QUASII engine: "
             "mutation/compaction/concurrency discipline, dtype and "
-            "telemetry-vocabulary checks (rules QL001..QL010)."
+            "telemetry-vocabulary checks, orphan definitions (rules QL001..QL012)."
         ),
     )
     parser.add_argument(
@@ -163,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"quasii-lint: no such directory: {root}", file=sys.stderr)
         return 2
 
-    config = AnalysisConfig()
+    config = AnalysisConfig(reference_roots=REFERENCE_ROOTS)
     if not args.no_vocab:
         try:
             config = config.with_vocab(load_repo_vocab(REPO))

@@ -34,6 +34,7 @@ __all__ = [
     "flatten_targets",
     "literal_strings",
     "self_assign_targets",
+    "string_annotations",
 ]
 
 #: Inline suppression: ``# ql: allow[QL004]`` or ``# ql: allow[QL001, QL006]``
@@ -154,7 +155,7 @@ class AnalysisConfig:
     )
     # QL005 -- telemetry vocabulary
     vocab_calls: frozenset[str] = frozenset(
-        {"histogram", "counter", "gauge", "span", "emit"}
+        {"histogram", "counter", "span", "emit"}
     )
     #: Canonical metric/span/event names; ``None`` skips QL005 (the CLI
     #: always supplies the live vocabulary via :mod:`analysis.vocab`).
@@ -203,6 +204,12 @@ class AnalysisConfig:
             "SharedMemory",
         }
     )
+
+    # QL012 -- every public definition has a non-test caller
+    #: Trees whose modules count as references besides the scan root
+    #: (the CLI passes ``src``, ``benchmarks``, ``examples`` and
+    #: ``tools``; ``tests`` is deliberately absent).
+    reference_roots: tuple[Path, ...] = ()
 
     # QL009 -- slice-column write discipline
     slice_list_class: str = "SliceList"
@@ -363,6 +370,32 @@ def literal_strings(node: ast.expr) -> list[str]:
             and isinstance(element.value, str)
         ]
     return []
+
+
+def string_annotations(node: ast.AST) -> Iterator[ast.expr]:
+    """The parsed expressions of ``node``'s string annotations.
+
+    Under postponed evaluation ``def f(a: "Engine") -> "list[Plan]"``
+    still names ``Engine`` and ``Plan``; an unparseable string names
+    nothing.
+    """
+    annotations: list[ast.expr] = []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = node.args
+        every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        every += [a for a in (args.vararg, args.kwarg) if a is not None]
+        annotations = [a.annotation for a in every if a.annotation is not None]
+        if node.returns is not None:
+            annotations.append(node.returns)
+    elif isinstance(node, ast.AnnAssign):
+        annotations = [node.annotation]
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    yield ast.parse(sub.value, mode="eval").body
+                except SyntaxError:
+                    continue
 
 
 def flatten_targets(target: ast.expr) -> Iterator[ast.expr]:

@@ -7,7 +7,7 @@ direction: an instrumentation site spelling a string literal inline
 (``registry.histogram("query.sceonds")``) would silently create an
 undocumented, misspelled metric.  This rule closes that direction:
 every *string literal* passed as the name argument of a
-``histogram()``/``counter()``/``gauge()``/``span()``/``emit()`` call
+``histogram()``/``counter()``/``span()``/``emit()`` call
 must be a canonical name.  Non-literal arguments (the ``naming.py``
 constants, ``stats_metric(...)``, f-strings) are the sanctioned
 spelling and pass untouched.

@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import ast
 
-from ..core import AnalysisConfig, Finding, RepoIndex, literal_strings
+from ..core import (
+    AnalysisConfig,
+    Finding,
+    RepoIndex,
+    literal_strings,
+    string_annotations,
+)
 from . import register
 
 
@@ -65,31 +71,9 @@ def _names_read(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        for annotation in _annotations(node):
-            for sub in ast.walk(annotation):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    names |= _names_in_string(sub.value)
+        for expr in string_annotations(node):
+            names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
     return names
-
-
-def _annotations(node: ast.AST) -> list[ast.expr]:
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = node.args
-        every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        every += [a for a in (args.vararg, args.kwarg) if a is not None]
-        found = [a.annotation for a in every if a.annotation is not None]
-        return found + ([node.returns] if node.returns is not None else [])
-    if isinstance(node, ast.AnnAssign):
-        return [node.annotation]
-    return []
-
-
-def _names_in_string(text: str) -> set[str]:
-    try:
-        expr = ast.parse(text, mode="eval")
-    except SyntaxError:
-        return set()
-    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
 
 
 def _dunder_all(tree: ast.Module) -> set[str]:

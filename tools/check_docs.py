@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by CI and the test suite).
 
-Twelve checks, all filesystem/CLI-only:
+Thirteen checks, all filesystem/CLI-only:
 
 1. **Internal links resolve** — every relative markdown link in
    ``README.md`` and ``docs/*.md`` points at a file that exists.
@@ -56,6 +56,10 @@ Twelve checks, all filesystem/CLI-only:
     aside; ``a, b:`` and ``host / port:`` entries name two), in both
     directions, so a deleted option cannot stay documented and a new one
     cannot ship undocumented.
+13. **Dotted names in the docs resolve** — every backticked
+    ``repro.…`` dotted path in ``README.md`` and ``docs/*.md`` imports
+    (its longest importable module prefix) and resolves the rest by
+    ``getattr``, so the docs cannot keep citing a deleted name.
 
 Exit status 0 when everything holds; 1 with a per-problem report
 otherwise.  Run from the repository root::
@@ -66,6 +70,7 @@ otherwise.  Run from the repository root::
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 import sys
@@ -106,6 +111,8 @@ _HOOK = re.compile(r"`(_[a-z][a-z_]*)[`(]")
 _ROADMAP_ITEM = re.compile(r"ROADMAP(?:\.md)?\s+item\s+\d+")
 #: Where such pointers are refused (ROADMAP.md and CHANGES.md are not).
 POINTER_FREE = ["README.md", "docs/*.md", "src/**/*.py", "examples/*.py"]
+#: A backticked dotted path into the package: `repro.bench.runner.run_workload`.
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)")
 
 
 def check_links() -> list[str]:
@@ -488,6 +495,42 @@ def check_documented_parameters() -> list[str]:
     return problems
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain off the
+    longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def dotted_name_problems(rel: str, text: str) -> list[str]:
+    """Every backticked ``repro.…`` path in one file that does not resolve."""
+    return [
+        f"{rel}: `{dotted}` does not resolve"
+        for dotted in sorted(set(_DOTTED.findall(text)))
+        if not resolves(dotted)
+    ]
+
+
+def check_dotted_names() -> list[str]:
+    """README.md and docs/*.md cite only ``repro`` names that exist."""
+    problems = []
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        problems += dotted_name_problems(
+            str(path.relative_to(REPO)), path.read_text(encoding="utf-8")
+        )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_links()
@@ -501,6 +544,7 @@ def main() -> int:
         + check_orphan_metrics()
         + check_orphan_counters()
         + check_documented_parameters()
+        + check_dotted_names()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -512,8 +556,8 @@ def main() -> int:
         "OBSERVABILITY.md metric/span/event/endpoint tables, the "
         "ANALYSIS.md lint-rule table, ARCHITECTURE.md's query-layer "
         "hooks, the ROADMAP pointers, the event emitters, the metric "
-        "recorders, the counter writers and the documented parameters "
-        "all consistent"
+        "recorders, the counter writers, the documented parameters and "
+        "the dotted repro names all consistent"
     )
     return 0
 
