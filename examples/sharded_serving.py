@@ -63,8 +63,8 @@ def main() -> None:
           f"({sequential.throughput():.0f} queries/s), "
           f"{pruned}/{visited + pruned} shard visits pruned")
 
-    # The process backend owns OS resources (workers, shared-memory
-    # segments): the `with` block tears them down deterministically.
+    # The process backend owns OS resources (its worker processes):
+    # the `with` block tears them down deterministically.
     # A write between two batches costs what it changes: the new row
     # reaches the warm worker as a delta, and no shard is republished
     # (`worker.refresh` is the event of a worker starting over).

@@ -47,8 +47,8 @@ The four columns are ``[:n]`` views over *capacity buffers* that
 :meth:`append` grows geometrically (:data:`_HEADROOM_SHIFT`), so
 absorbing a batch costs O(rows written), not O(store).  A store wrapped
 around caller arrays starts at capacity ``n`` — it aliases them until
-the first growth and never writes past or resizes them (the
-shared-memory view relies on this) — and :meth:`copy` / :meth:`compact`
+the first growth and never writes past or resizes them (a process
+worker's store over the rows it received relies on this) — and :meth:`copy` / :meth:`compact`
 return exact-size columns.
 """
 
@@ -584,7 +584,7 @@ class BoxStore:
         """
         return self._digest(np.arange(self.n, dtype=np.int64), with_live=True)
 
-    def live_fingerprint(self) -> bytes:
+    def live_fingerprint(self) -> bytes:  # ql: allow[QL012] test oracle
         """Order-insensitive digest of the *live* (id, box) multiset.
 
         This is the store's documented invariant surface under mixed

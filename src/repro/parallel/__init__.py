@@ -1,24 +1,26 @@
-"""Process-parallel shard serving over shared-memory stores.
+"""Process-parallel shard serving: warm workers fed by message.
 
 A QUASII query reorganizes the store it reads, so an index is never
 shared across a thread pool — and the GIL would cap one at interleaving
 anyway: the adaptive cracking that makes QUASII fast is pure Python.
 This package overlaps shard work the only way left, by moving shard
-serving into real OS processes without paying data movement:
+serving into real OS processes that keep their shards warm, so rows
+cross the process boundary only when a worker's copy is cut:
 
-* :mod:`~repro.parallel.shm` — shard rows as shared-memory *segments*
+* :mod:`~repro.parallel.shm` — shard rows packed into one buffer
   (a base per shard, a small delta per write), with
-  :class:`~repro.parallel.shm.SharedStoreView` giving workers a
-  zero-copy :class:`~repro.datasets.store.BoxStore` over the mapping.
+  :func:`~repro.parallel.shm.segment_store` giving workers a zero-copy
+  :class:`~repro.datasets.store.BoxStore` over the buffer they received.
 * :mod:`~repro.parallel.wire` — compact numpy wire structures for the
   query/result round trip (per-shard sub-batches are the dispatch
   unit, exactly as in the in-thread server).
-* :mod:`~repro.parallel.worker` — the worker loop: attach a base, keep
+* :mod:`~repro.parallel.worker` — the worker loop: take a base, keep
   a warm local index, absorb deltas into it, serve, report telemetry.
 * :mod:`~repro.parallel.pool` — the driver:
-  :class:`~repro.parallel.pool.ProcessPool` owns segment lifecycle
-  (a base on first touch, shard deltas afterwards), worker lifecycle
-  (spawn, crash-respawn, shutdown), and the telemetry fold-back.
+  :class:`~repro.parallel.pool.ProcessPool` decides what each worker
+  is owed (a base on first touch, shard deltas afterwards), sends it
+  one message per round, owns worker lifecycle (spawn, crash-respawn,
+  shutdown), and folds the telemetry back.
 
 The user-facing switch is the executor seam:
 ``QueryExecutor(engine, backend="processes")`` (or
@@ -30,12 +32,10 @@ from repro.parallel.pool import ProcessPool
 from repro.parallel.shm import (
     SegmentSpec,
     ShardDelta,
-    ShardSegment,
-    SharedStoreView,
-    attach_segment,
     publish_delta,
     publish_segment,
     segment_nbytes,
+    segment_store,
 )
 from repro.parallel.wire import (
     QueryBatchWire,
@@ -59,9 +59,6 @@ __all__ = [
     "ResultBatchWire",
     "SegmentSpec",
     "ShardDelta",
-    "ShardSegment",
-    "SharedStoreView",
-    "attach_segment",
     "decode_queries",
     "decode_results",
     "encode_queries",
@@ -69,5 +66,6 @@ __all__ = [
     "publish_delta",
     "publish_segment",
     "segment_nbytes",
+    "segment_store",
     "worker_main",
 ]

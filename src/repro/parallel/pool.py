@@ -4,52 +4,55 @@
 spawns its workers **once** (fork-preferred — see
 :func:`_start_method`) and keeps them warm across batches *and
 across writes*.  Shard ``sid`` always goes to worker ``sid % n_workers``
-(one process cracks a given shard, ever); per batch and touched shard
-the pool:
+(one process cracks a given shard, ever); per batch the pool:
 
-1. **Brings the worker's copy up to date** (:meth:`ProcessPool._sync`).
-   The first touch publishes the shard's *base segment* and arms its op
-   log (:attr:`~repro.sharding.shard.Shard.oplog`); afterwards the log
-   is drained into a :class:`~repro.parallel.shm.ShardDelta` — inserted
-   rows in a small delta segment, deleted ids and compaction markers in
-   the message — which the worker replays on its warm index: a write
-   costs what it changed.  A shard's store is fixed once the engine is
-   built, so a full publish recurs only where the worker's state is
-   gone or a delta would cost more than a base: a respawned worker, one
-   that answered ``err``, a log that outgrew its base.  The driver's
-   shard store, flushed on every sync, stays the authoritative copy; no
-   delta history is kept.
-2. **Dispatches and collects** — sends the sub-batch, decodes result
-   wires into :class:`~repro.queries.query.QueryResult` lists, absorbs
-   the workers' histograms into the driver registry, folds their
-   work-counter deltas into the engine's ``IndexStats``, and destroys
-   the batch's delta segments whether it returns or raises.
+1. **Brings each touched shard's worker copy up to date**
+   (:meth:`ProcessPool._sync`).  The first touch packs the shard's
+   *base* (its live rows, :func:`~repro.parallel.shm.publish_segment`)
+   and arms its op log (:attr:`~repro.sharding.shard.Shard.oplog`);
+   afterwards the log is drained into a
+   :class:`~repro.parallel.shm.ShardDelta` — inserted rows packed the
+   same way, deleted ids and compaction markers — which the worker
+   replays on its warm index: a write costs what it changed.  A shard's
+   store is fixed once the engine is built, so a base is cut again only
+   where the worker's state is gone or a delta would cost more than a
+   base: a respawned worker, one that answered ``err``, a log that
+   outgrew its base.  The driver's shard store, flushed on every sync,
+   stays the authoritative copy; no delta history is kept.
+2. **Dispatches and collects** — one message per worker per round,
+   holding every shard that worker is owed (rows included), all written
+   before any reply is read; then decodes result wires into
+   :class:`~repro.queries.query.QueryResult` lists, absorbs the
+   workers' histograms into the driver registry and folds their
+   work-counter deltas into the engine's ``IndexStats``.
 
 A worker that dies mid-service (OOM kill, SIGKILL, segfault) surfaces
 as a broken pipe on send or EOF on recv; the pool respawns it, forgets
-the bases it had attached, re-dispatches what it still owed (with new
-bases, cut from the driver's current state) and emits
-``worker.respawn`` — the batch completes with no caller-visible
-difference.  Only a worker that keeps dying faster than it can be
-respawned raises :class:`~repro.errors.ParallelError`.  The op logs
-have one consumer: a second live pool over an armed engine is refused
-at its first publish, and :meth:`ProcessPool.close` disarms what it
-armed.
+the bases it held, re-dispatches what it still owed (with new bases,
+cut from the driver's current state) and emits ``worker.respawn`` — the
+batch completes with no caller-visible difference.  Only a worker that
+keeps dying faster than it can be respawned raises
+:class:`~repro.errors.ParallelError`.  A driver that dies reaches every
+worker as EOF, and the worker exits.  The op logs have one consumer: a
+second live pool over an armed engine is refused at its first sync,
+and :meth:`ProcessPool.close` disarms what it armed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from multiprocessing import resource_tracker
+from multiprocessing import util
+from operator import methodcaller
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
 from repro.index.base import WORK_COUNTERS
 from repro.parallel.shm import (
     SegmentSpec,
     ShardDelta,
-    ShardSegment,
     publish_delta,
     publish_segment,
 )
@@ -114,9 +117,8 @@ class ProcessPool:
     ) -> None:
         # Teardown state first: __del__ runs even when construction
         # raises below, and close() must find a coherent (empty) pool.
-        self._segments: dict[int, ShardSegment] = {}
-        #: Delta segments of the batch in flight (destroyed at its end).
-        self._deltas: list[ShardSegment] = []
+        #: The spec of the base each served shard's worker holds.
+        self._bases: dict[int, SegmentSpec] = {}
         self._versions: dict[int, int] = {}
         self._workers: list[ProcessShardWorker] = []
         self._closed = False
@@ -129,13 +131,6 @@ class ProcessPool:
         self._events = events
         self.start_method = _start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
-        # Start the driver's resource tracker BEFORE forking: a forked
-        # worker inherits (and shares) whatever tracker exists at fork
-        # time.  Without this, the first worker to attach a segment
-        # starts its own private tracker, whose exit-time "leak"
-        # cleanup unlinks driver-owned segments when that worker dies —
-        # exactly the crash the respawn path must survive.
-        resource_tracker.ensure_running()
         self._workers = [self._spawn_worker(wid) for wid in range(n_workers)]
 
     # ------------------------------------------------------------------
@@ -151,14 +146,13 @@ class ProcessPool:
         # base class; the runtime attribute is the whole point of
         # get_context, so fetch it dynamically.
         process_cls: Any = getattr(self._ctx, "Process")  # noqa: B009
-        # Workers always share the driver's resource tracker: fork and
-        # forkserver children inherit its pipe fd, and spawn children
-        # receive it through multiprocessing's preparation data.  Only a
-        # genuinely foreign process (attaching by name from outside this
-        # process tree) runs its own tracker and would pass False here.
+        # No forked child may keep the driver's end — this worker, later
+        # ones, any other fork — or a dead driver would never surface as
+        # EOF on the worker's recv, and the worker would outlive it.
+        util.register_after_fork(parent_conn, methodcaller("close"))
         process = process_cls(
             target=worker_main,
-            args=(child_conn, wid, True),
+            args=(child_conn, wid),
             name=f"{WORKER_NAME_PREFIX}{wid}",
             daemon=True,
         )
@@ -189,8 +183,8 @@ class ProcessPool:
             join(timeout=1.0)
         replacement = self._spawn_worker(wid)
         self._workers[wid] = replacement
-        # What the dead process had attached and absorbed died with it.
-        for sid in [s for s in self._segments if s % self.n_workers == wid]:
+        # What the dead process had received and absorbed died with it.
+        for sid in [s for s in self._bases if s % self.n_workers == wid]:
             self._drop(sid)
         self._count(WORKER_RESPAWNS)
         if self._events is not None:
@@ -203,19 +197,17 @@ class ProcessPool:
             )
 
     # ------------------------------------------------------------------
-    # Segment lifecycle
+    # Bases and deltas
     # ------------------------------------------------------------------
     def _drop(self, sid: int) -> None:
         """Forget shard ``sid``'s base — its worker's copy is gone or
         suspect — so the next touch is a first touch again."""
-        segment = self._segments.pop(sid, None)
-        if segment is not None:
-            segment.destroy()
+        if self._bases.pop(sid, None) is not None:
             self._index.shards[sid].oplog = None
 
     def _sync(
         self, sid: int
-    ) -> tuple[SegmentSpec | None, ShardDelta | None, int]:
+    ) -> tuple[tuple[SegmentSpec, np.ndarray] | None, ShardDelta | None, int]:
         """What shard ``sid``'s worker needs before it may serve:
         ``(new base | None, delta | None, rows the shard owns)``.
 
@@ -228,39 +220,38 @@ class ProcessPool:
         """
         shard = self._index.shards[sid]
         shard.flush_updates()
-        segment = self._segments.get(sid)
+        spec = self._bases.get(sid)
         log = shard.oplog
-        if segment is None and log is not None:
+        if spec is None and log is not None:
             raise ParallelError(
                 f"shard {sid} is already served by another live process "
                 "pool; close() that one before serving from a second"
             )
-        if segment is not None and log is not None:
+        if spec is not None and log is not None:
             if not log:
                 return None, None, shard.owned_count
             # A delta larger than its base is a new base.
-            if sum(int(op[3].size) for op in log) <= segment.spec.n_rows:
-                delta, shm = publish_delta(log, sid, segment.spec.version)
+            if sum(int(op[3].size) for op in log) <= spec.n_rows:
+                delta = publish_delta(log, sid, spec.version)
                 log.clear()
-                if delta.rows is not None and shm is not None:
-                    self._deltas.append(ShardSegment(delta.rows, shm))
                 if self._events is not None:
+                    rows, packed = delta.rows or (None, None)
                     self._events.emit(
                         "worker.delta",
                         sid=sid,
-                        version=segment.spec.version,
+                        version=spec.version,
                         ops=len(delta.ops),
-                        rows=delta.rows.n_rows if delta.rows else 0,
-                        bytes=shm.size if shm else 0,
+                        rows=rows.n_rows if rows else 0,
+                        bytes=packed.size if packed is not None else 0,
                     )
                 return None, delta, shard.owned_count
         self._drop(sid)
         version = self._versions.get(sid, -1) + 1
         self._versions[sid] = version
-        spec, shm = publish_segment(
+        spec, packed = publish_segment(
             shard.store, sid, version, self._index.config, self._index.max_runs
         )
-        self._segments[sid] = ShardSegment(spec, shm)
+        self._bases[sid] = spec
         shard.oplog = []
         if self._events is not None:
             self._events.emit(
@@ -270,7 +261,7 @@ class ProcessPool:
                 rows=spec.n_rows,
                 epoch=spec.epoch,
             )
-        return spec, None, shard.owned_count
+        return (spec, packed), None, shard.owned_count
 
     # ------------------------------------------------------------------
     # Serving
@@ -299,8 +290,6 @@ class ProcessPool:
         try:
             replies = self._dispatch(wires, pending)
         finally:
-            while self._deltas:
-                self._deltas.pop().destroy()
             # Left unanswered by a failure: the worker's copy may have
             # missed a delta already drained for it.
             for sid in pending:
@@ -311,40 +300,43 @@ class ProcessPool:
         self, wires: dict[int, QueryBatchWire], pending: set[int]
     ) -> dict[int, tuple[Any, ...]]:
         """Sync, send and collect until ``pending`` is empty or a worker
-        answers ``err`` (raised once the pipes are drained — a reply
-        left behind would answer the next batch)."""
+        answers ``err`` (raised once the round's replies are all read —
+        a reply left behind would answer the next batch).
+
+        A round writes one message to each worker, holding every shard
+        that worker is owed, before it reads any reply, then reads one
+        reply per worker.  Each worker is waiting in ``recv`` when its
+        message is written, so no write waits on another write, however
+        large the batch.
+        """
         replies: dict[int, tuple[Any, ...]] = {}
         respawns: dict[int, int] = {}
         failure: str | None = None
         while pending and failure is None:
-            by_worker: dict[int, list[int]] = {}
+            # Sync every shard before sending any: a refused second pool
+            # then leaves nothing in a pipe.
+            owed: dict[int, list[tuple[Any, ...]]] = {}
             for sid in sorted(pending):
-                by_worker.setdefault(sid % self.n_workers, []).append(sid)
-            # Sync every shard before sending any: a failed publish (or
-            # a refused second pool) then leaves nothing in a pipe.
-            synced = {sid: self._sync(sid) for sid in sorted(pending)}
+                owed.setdefault(sid % self.n_workers, []).append(
+                    (sid, *self._sync(sid), wires[sid])
+                )
             dead: set[int] = set()
-            for wid, sids in by_worker.items():
-                worker = self._workers[wid]
-                for sid in sids:
-                    try:
-                        worker.conn.send(
-                            ("batch", sid, *synced[sid], wires[sid])
-                        )
-                    except _PIPE_ERRORS:
-                        dead.add(wid)
-                        break
-                    self._count(WORKER_DISPATCHES)
-            for wid, sids in by_worker.items():
+            for wid, shards in owed.items():
+                try:
+                    self._workers[wid].conn.send(("batch", shards))
+                except _PIPE_ERRORS:
+                    dead.add(wid)
+                    continue
+                self._count(WORKER_DISPATCHES, len(shards))
+            for wid in owed:
                 if wid in dead:
                     continue
-                worker = self._workers[wid]
-                for _ in sids:
-                    try:
-                        reply = worker.conn.recv()
-                    except _PIPE_ERRORS:
-                        dead.add(wid)
-                        break
+                try:
+                    answers = self._workers[wid].conn.recv()
+                except _PIPE_ERRORS:
+                    dead.add(wid)
+                    continue
+                for reply in answers:
                     sid = int(reply[1])
                     if reply[0] == "err":
                         failure = failure or (
@@ -360,8 +352,7 @@ class ProcessPool:
                         f"worker {wid} died {respawns[wid]} times in one "
                         f"batch; giving up"
                     )
-                owed = [s for s in by_worker.get(wid, []) if s in pending]
-                self._respawn(wid, owed)
+                self._respawn(wid, [shard[0] for shard in owed[wid]])
         if failure is not None:
             raise ParallelError(failure)
         return replies
@@ -398,14 +389,9 @@ class ProcessPool:
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut workers down, destroy every published segment and disarm
-        every shard op log this pool armed.
-
-        After this returns no pool-created name remains in the OS
-        shared-memory namespace (the cleanup test attaches by name and
-        expects ``FileNotFoundError``), and every worker process has
-        exited (joined, or terminated if it ignored shutdown).
-        """
+        """Shut workers down and disarm every shard op log this pool
+        armed.  After this returns every worker process has exited
+        (joined, or terminated if it ignored shutdown)."""
         if self._closed:
             return
         self._closed = True
@@ -431,7 +417,7 @@ class ProcessPool:
             except OSError:  # pragma: no cover - already torn down
                 pass
         self._workers = []
-        for sid in list(self._segments):
+        for sid in list(self._bases):
             self._drop(sid)
 
     def __enter__(self) -> ProcessPool:

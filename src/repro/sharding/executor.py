@@ -15,8 +15,9 @@ touched by one thread; the only thing a backend chooses is *who serves*:
     coordinating thread answers each routed shard's sub-batch in turn.
 ``"processes"``
     A persistent :class:`~repro.parallel.pool.ProcessPool` of
-    ``max_workers`` workers answering from shared-memory snapshots —
-    the one way shard work overlaps.
+    ``max_workers`` workers, each answering from warm copies of its
+    shards that the pool keeps current by message — the one way shard
+    work overlaps.
 
 Both serve each shard's one store+index: the driver's shard store is
 what a worker's base is cut from, so a worker that dies is respawned

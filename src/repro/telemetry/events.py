@@ -58,16 +58,16 @@ EVENTS: dict[str, str] = {
         "old and new pids, and the sids re-dispatched"
     ),
     "worker.refresh": (
-        "a shard's whole base segment was (re)published and its worker "
-        "rebuilt its index from nothing: first touch, shard rebuild, "
-        "worker respawn or err reply, or an op log that outgrew its "
-        "base — never an ordinary write; payload carries sid, segment "
+        "a shard's whole base (its packed live rows) was (re)published "
+        "to its worker, which rebuilt its index from nothing: first "
+        "touch, worker respawn or err reply, or an op log that outgrew "
+        "its base — never an ordinary write; payload carries sid, base "
         "version, rows, and epoch"
     ),
     "worker.delta": (
         "a shard's mutations since its last batch were shipped to its "
         "warm worker as a delta; payload carries sid, base version, the "
-        "ops replayed, and the rows and bytes of the delta segment"
+        "ops replayed, and the rows and bytes of its packed inserted rows"
     ),
 }
 

@@ -5,7 +5,8 @@ any interleaving of queries/inserts/deletes, the store's live ``(id, box)``
 set must equal the initial contents plus every applied insert minus every
 applied delete.  :class:`UpdateLedger` is the executable form of that
 sentence: it replays the same updates into a plain dictionary and can then
-be compared against a store (or answer a window query as a slow oracle).
+be compared against a store; :func:`closed_box_ids` answers a query over
+its rows as a slow window oracle.
 
 It is the test suites' model of what an engine must hold; nothing in the
 engine reads it.
@@ -17,6 +18,8 @@ import numpy as np
 
 from repro.datasets.store import BoxStore
 from repro.errors import DatasetError
+from repro.queries import Query
+
 
 class UpdateLedger:
     """Dictionary-of-record mirror of a store's live ``(id, box)`` rows.
@@ -85,18 +88,6 @@ class UpdateLedger:
             np.array(hi, dtype=np.float64).reshape(-1, ndim),
         )
 
-    def expected_result(
-        self, window_lo: np.ndarray, window_hi: np.ndarray
-    ) -> np.ndarray:
-        """Sorted ids intersecting the window — a pure-ledger scan oracle."""
-        hits = [
-            obj_id
-            for obj_id, (lo, hi) in self._rows.items()
-            if all(l <= wh for l, wh in zip(lo, window_hi))
-            and all(wl <= h for wl, h in zip(window_lo, hi))
-        ]
-        return np.array(sorted(hits), dtype=np.int64)
-
     def matches_store(self, store: BoxStore) -> bool:
         """Whether the store's live ``(id, box)`` multiset equals the ledger."""
         rows = store.live_rows()
@@ -121,3 +112,20 @@ class UpdateLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"UpdateLedger(live={len(self._rows)})"
+
+
+def closed_box_ids(ledger: UpdateLedger, query: Query) -> np.ndarray:
+    """Sorted ids of the ledger's live boxes that ``query`` matches.
+
+    Closed intervals, written out here: a box touching the window on
+    any face, edge or corner intersects it.
+    """
+    ids, lo, hi = ledger.columns(query.ndim)
+    qlo, qhi = query.lo, query.hi
+    if query.predicate == "intersects":
+        mask = np.all(lo <= qhi, axis=1) & np.all(hi >= qlo, axis=1)
+    elif query.predicate == "within":
+        mask = np.all(lo >= qlo, axis=1) & np.all(hi <= qhi, axis=1)
+    else:  # contains, covers_point
+        mask = np.all(lo <= qlo, axis=1) & np.all(hi >= qhi, axis=1)
+    return np.sort(ids[mask])

@@ -9,13 +9,14 @@ A drawn flag puts every box and window corner on a coarse integer
 lattice (multiples of :data:`LATTICE`), where a box edge that lies
 exactly on a window edge or on a slice or shard bound is common rather
 than a measure-zero event; the suites
-check each answer against :func:`closed_box_ids`, a closed-interval
-predicate that shares no code with the engine or with ``ScanIndex``,
-so an open comparison on a boundary fails there even where Scan's own
-kernel is the one that went wrong.  It also holds :func:`shard_union`,
-the engine-level store the sharded suites check their ledgers and
-fingerprints against, and :func:`sigkill_worker`, the one failure the
-serving tier survives.
+check each answer against :func:`tests.ledger.closed_box_ids`, a
+closed-interval predicate that shares no code with the engine or with
+``ScanIndex``, so an open comparison on a boundary fails there even
+where Scan's own kernel is the one that went wrong.  It also holds
+:func:`shard_union`, the engine-level store the sharded suites check
+their ledgers and fingerprints against, :func:`sigkill_worker`, the one
+failure the serving tier survives, and :func:`pid_alive`, which checks
+that no worker outlives its pool.
 """
 
 from __future__ import annotations
@@ -119,23 +120,6 @@ def dataset_and_ops(
     return (lo, hi), ops
 
 
-def closed_box_ids(ledger, query: Query) -> np.ndarray:
-    """Sorted ids of the ledger's live boxes that ``query`` matches.
-
-    Closed intervals, written out here: a box touching the window on
-    any face, edge or corner intersects it.
-    """
-    ids, lo, hi = ledger.columns(query.ndim)
-    qlo, qhi = query.lo, query.hi
-    if query.predicate == "intersects":
-        mask = np.all(lo <= qhi, axis=1) & np.all(hi >= qlo, axis=1)
-    elif query.predicate == "within":
-        mask = np.all(lo >= qlo, axis=1) & np.all(hi <= qhi, axis=1)
-    else:  # contains, covers_point
-        mask = np.all(lo <= qlo, axis=1) & np.all(hi >= qhi, axis=1)
-    return np.sort(ids[mask])
-
-
 def full_window(ndim: int) -> Query:
     """A window past the universe on every side: the whole live set."""
     return Query(
@@ -183,3 +167,19 @@ def sigkill_worker(executor, wid: int) -> int | None:
     os.kill(pid, signal.SIGKILL)
     worker.process.join(timeout=5.0)
     return pid
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` still runs; a zombie (exited, not yet
+    reaped by whoever inherited it) does not."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False

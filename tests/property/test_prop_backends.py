@@ -40,8 +40,6 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,13 +58,13 @@ from repro.sharding import (
 )
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
 from repro.telemetry.events import EventLog
-from tests.ledger import UpdateLedger
+from tests.ledger import UpdateLedger, closed_box_ids
 from tests.property._interleavings import (
     BASE_KINDS,
     SEEDS,
-    closed_box_ids,
     dataset_and_ops,
     full_window,
+    pid_alive,
     shard_union,
     sigkill_worker,
 )
@@ -340,22 +338,17 @@ def _small_engine():
     return ShardedIndex(BoxStore(lo, lo + 1.0), n_shards=2)
 
 
-def _segments() -> set[str]:
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_every_cell_is_served_or_refused(backend):
     """No backend is refused or downgraded: each one serves from the
     backend it asked for through reads, writes, compaction and — on
     ``processes`` — a worker SIGKILL between batches, oracle-checked at
-    every step, and leaves no shared-memory name behind."""
+    every step, and leaves no worker process behind."""
     ds = make_uniform(4_000, seed=11)
     scan = ScanIndex(ds.store.copy())
     events = EventLog()
     engine = ShardedIndex(ds.store.copy(), n_shards=3)
     queries = uniform_workload(ds.universe, 24, 2e-3, seed=12)
-    before = _segments()
 
     def check(ex, batch):
         out = ex.run(batch)
@@ -402,7 +395,9 @@ def test_every_cell_is_served_or_refused(backend):
         check(ex, [full_window(3)])
         assert len(events.recent("worker.refresh")) == bases
     assert all(s.oplog is None for s in engine.shards)
-    assert _segments() == before, "a respawn republish leaked a segment"
+    spawned = [e.payload["pid"] for e in events.recent("worker.spawn")]
+    assert len(spawned) == (3 if backend == "processes" else 0)
+    assert not [pid for pid in spawned if pid_alive(pid)]
 
 
 def test_mistyped_env_fails_even_where_it_is_not_honored(monkeypatch):

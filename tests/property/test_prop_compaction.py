@@ -31,10 +31,9 @@ from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
 from repro.sharding import ShardedIndex
-from tests.ledger import UpdateLedger
+from tests.ledger import UpdateLedger, closed_box_ids
 from tests.property._interleavings import (
     BASE_KINDS,
-    closed_box_ids,
     dataset_and_ops,
     full_window,
     shard_union,

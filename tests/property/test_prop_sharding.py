@@ -24,9 +24,8 @@ from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig
 from repro.datasets import BoxStore
 from repro.sharding import ShardedIndex
-from tests.ledger import UpdateLedger
+from tests.ledger import UpdateLedger, closed_box_ids
 from tests.property._interleavings import (
-    closed_box_ids,
     dataset_and_ops,
     full_window,
     shard_union,

@@ -19,9 +19,8 @@ from hypothesis import given, settings
 from repro.baselines import ScanIndex
 from repro.core import QuasiiConfig, QuasiiIndex
 from repro.datasets import BoxStore
-from tests.ledger import UpdateLedger
+from tests.ledger import UpdateLedger, closed_box_ids
 from tests.property._interleavings import (
-    closed_box_ids,
     dataset_and_ops,
     full_window,
 )

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 
-import pytest
-
 from repro.index.base import WORK_COUNTERS, IndexStats
 from repro.telemetry import MetricsRegistry, record_stats_delta, stats_metric
 

@@ -2,9 +2,9 @@
 
 The ledger is the property suites' oracle, so its own edges need direct
 tests rather than indirect coverage: the delete-of-never-inserted and
-reinsert-after-delete edges of ``live_ids``/``expected_result``, the
-all-or-nothing batch validation, and its agreement with the store it
-models.
+reinsert-after-delete edges of ``live_ids`` and of the window oracle
+``closed_box_ids``, the all-or-nothing batch validation, and its
+agreement with the store it models.
 """
 
 from __future__ import annotations
@@ -14,13 +14,21 @@ import pytest
 
 from repro.datasets import BoxStore
 from repro.errors import DatasetError
-from tests.ledger import UpdateLedger
+from repro.geometry import Box
+from repro.queries import Query
+from tests.ledger import UpdateLedger, closed_box_ids
 
 
 def _boxes(rows):
     lo = np.array([[x, y] for x, y, _ in rows], dtype=np.float64)
     hi = lo + np.array([[s, s] for _, _, s in rows], dtype=np.float64)
     return lo, hi
+
+
+def _hits(ledger, lo, hi, predicate="intersects"):
+    """``closed_box_ids`` for the window ``[lo, hi]``."""
+    window = Box(tuple(map(float, lo)), tuple(map(float, hi)))
+    return closed_box_ids(ledger, Query(window, predicate=predicate))
 
 
 class TestLiveIdsEdges:
@@ -53,9 +61,9 @@ class TestLiveIdsEdges:
         ledger.record_insert(lo2, hi2, np.array([5]))
         assert np.array_equal(ledger.live_ids(), np.array([5]))
         # The reinserted geometry (not the original) answers windows.
-        hits = ledger.expected_result(np.array([8.0, 8.0]), np.array([12.0, 12.0]))
+        hits = _hits(ledger, [8.0, 8.0], [12.0, 12.0])
         assert np.array_equal(hits, np.array([5]))
-        miss = ledger.expected_result(np.array([-1.0, -1.0]), np.array([2.0, 2.0]))
+        miss = _hits(ledger, [-1.0, -1.0], [2.0, 2.0])
         assert miss.size == 0
 
     def test_duplicate_insert_is_all_or_nothing(self):
@@ -77,10 +85,10 @@ class TestLiveIdsEdges:
         assert len(ledger) == 0
 
 
-class TestExpectedResultEdges:
+class TestClosedBoxIdsEdges:
     def test_empty_ledger_returns_empty(self):
         ledger = UpdateLedger()
-        out = ledger.expected_result(np.array([0.0, 0.0]), np.array([9.0, 9.0]))
+        out = _hits(ledger, [0.0, 0.0], [9.0, 9.0])
         assert out.size == 0 and out.dtype == np.int64
 
     def test_touching_edges_count_as_intersecting(self):
@@ -88,17 +96,17 @@ class TestExpectedResultEdges:
         lo, hi = _boxes([(0, 0, 2)])  # box [0,2]^2
         ledger.record_insert(lo, hi, np.array([11]))
         # Window starting exactly at the box's upper corner touches it.
-        hits = ledger.expected_result(np.array([2.0, 2.0]), np.array([5.0, 5.0]))
+        hits = _hits(ledger, [2.0, 2.0], [5.0, 5.0])
         assert np.array_equal(hits, np.array([11]))
         # Strictly beyond misses.
-        miss = ledger.expected_result(np.array([2.1, 2.1]), np.array([5.0, 5.0]))
+        miss = _hits(ledger, [2.1, 2.1], [5.0, 5.0])
         assert miss.size == 0
 
     def test_deleted_rows_never_match(self):
         store = BoxStore(np.zeros((3, 2)), np.ones((3, 2)))
         ledger = UpdateLedger(store)
         ledger.record_delete(np.array([1]))
-        hits = ledger.expected_result(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        hits = _hits(ledger, [0.0, 0.0], [1.0, 1.0])
         assert np.array_equal(hits, np.array([0, 2]))
 
 
@@ -209,11 +217,11 @@ class TestModelOfAStore:
         store.append(nlo, nhi, np.array([1]))
         ledger.record_insert(nlo, nhi, np.array([1]))
         ledger.assert_matches(store)
-        hits = ledger.expected_result(np.array([7.5, 0.0]), np.array([9.0, 2.0]))
+        hits = _hits(ledger, [7.5, 0.0], [9.0, 2.0])
         assert hits.tolist() == [1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_expected_result_is_a_scan_of_the_live_rows(self, seed):
+    def test_closed_box_ids_is_a_scan_of_the_live_rows(self, seed):
         rng = np.random.default_rng(seed)
         lo = rng.uniform(0, 50, size=(200, 2))
         hi = lo + rng.uniform(0, 5, size=(200, 2))
@@ -222,12 +230,23 @@ class TestModelOfAStore:
         victims = rng.choice(200, size=40, replace=False)
         store.delete_ids(victims)
         ledger.record_delete(victims)
+        live = store.live_rows()
+        tests = {
+            "intersects": lambda b, w: b[0] <= w[1] and w[0] <= b[1],
+            "within": lambda b, w: w[0] <= b[0] and b[1] <= w[1],
+            "contains": lambda b, w: b[0] <= w[0] and w[1] <= b[1],
+        }
         for _ in range(10):
             wlo = rng.uniform(0, 45, size=2)
             whi = wlo + rng.uniform(1, 15, size=2)
-            live = store.live_rows()
-            hit = np.all(store.lo[live] <= whi, axis=1) & np.all(
-                store.hi[live] >= wlo, axis=1
-            )
-            want = np.sort(store.ids[live][hit])
-            assert np.array_equal(ledger.expected_result(wlo, whi), want)
+            for predicate, holds in tests.items():
+                want = sorted(
+                    int(store.ids[row])
+                    for row in live
+                    if all(
+                        holds((store.lo[row, d], store.hi[row, d]), (wlo[d], whi[d]))
+                        for d in range(2)
+                    )
+                )
+                got = _hits(ledger, wlo, whi, predicate)
+                assert got.tolist() == want, predicate

@@ -2,8 +2,9 @@
 
 Covers the four layers of the subsystem:
 
-* segments — publish/attach round trips preserve the live multiset,
-  views are genuinely zero-copy, destroy unlinks the OS object;
+* segments — publish round trips (through a pickle, as on the pipe)
+  preserve the live multiset, and a worker's store is a zero-copy view
+  of the buffer it received;
 * the wire — query/result codecs across the full predicate/mode
   matrix, including the ``None`` payloads of count-mode results;
 * backend resolution — explicit argument vs ``QUASII_EXECUTOR_BACKEND``
@@ -11,17 +12,18 @@ Covers the four layers of the subsystem:
 * the serving pool — oracle parity through the executor (including
   across writes, which ride to the warm workers as deltas), telemetry
   golden-equivalence with the sequential backend, worker SIGKILL
-  recovery, op-log arming, and shared-memory cleanup on every exit.
+  recovery, op-log arming, a batch too large for the pipes' buffers,
+  and no worker outliving its pool or its driver.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
 import time
 from dataclasses import replace
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
@@ -34,8 +36,6 @@ from repro.geometry import Box
 from repro.parallel import (
     ProcessPool,
     SegmentSpec,
-    ShardSegment,
-    SharedStoreView,
     decode_queries,
     decode_results,
     encode_queries,
@@ -43,9 +43,9 @@ from repro.parallel import (
     publish_delta,
     publish_segment,
     segment_nbytes,
+    segment_store,
 )
-from repro.parallel import shm as shm_module
-from repro.parallel.worker import _ShardState
+from repro.parallel.worker import _absorb, _build
 from repro.queries import Query, uniform_workload
 from repro.sharding import MaintenancePolicy, QueryExecutor, ShardedIndex
 from repro.sharding.executor import BACKEND_ENV, BACKENDS
@@ -54,10 +54,11 @@ from repro.telemetry.events import EVENTS, EventLog
 from repro.telemetry.naming import (
     QUERY_SECONDS,
     WORKER_BATCH_SECONDS,
+    WORKER_DISPATCHES,
     WORKER_QUERY_SECONDS,
     WORKER_RESPAWNS,
 )
-from tests.property._interleavings import sigkill_worker
+from tests.property._interleavings import pid_alive, sigkill_worker
 
 
 def _store(n: int = 50, ndim: int = 2, seed: int = 0) -> BoxStore:
@@ -95,21 +96,6 @@ def _query_matrix(ndim: int = 2, span: float = 100.0) -> list[Query]:
     return queries
 
 
-@pytest.fixture
-def created_names(monkeypatch):
-    """Names of every segment the code under test creates."""
-    names: list[str] = []
-
-    class Recording(SharedMemory):
-        def __init__(self, name=None, create=False, size=0):
-            super().__init__(name=name, create=create, size=size)
-            if create:
-                names.append(self.name)
-
-    monkeypatch.setattr(shm_module, "SharedMemory", Recording)
-    return names
-
-
 def _pids(pool) -> list[int | None]:
     """The pool's current worker pids, by wid."""
     return [worker.pid for worker in pool._workers]
@@ -121,134 +107,116 @@ def _assert_matches(scan, queries, batch) -> None:
         assert np.array_equal(np.sort(got), np.sort(scan.execute(q).ids))
 
 
-def _assert_gone(names: list[str]) -> None:
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            SharedMemory(name=name, create=False)
+def _in_child(target):
+    """Start ``target(conn)`` in a forked child process; return the
+    process and the pipe end it reports on."""
+    ctx = multiprocessing.get_context("fork")
+    reports, conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=target, args=(conn,))
+    process.start()
+    conn.close()
+    return process, reports
+
+
+def _report(process, reports, timeout: float):
+    """The child's first report, or a failure (the child SIGKILLed)
+    when none arrives within ``timeout`` seconds."""
+    try:
+        if not reports.poll(timeout):
+            pytest.fail(f"the child sent nothing within {timeout:.0f} s")
+        return reports.recv()
+    finally:
+        if process.is_alive():
+            os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10.0)
+        reports.close()
+
+
+class _Recording:
+    """A worker's pipe end that logs what the driver sends through it."""
+
+    def __init__(self, conn, wid: int, log: list) -> None:
+        self.conn, self.wid, self.log = conn, wid, log
+
+    def send(self, msg) -> None:
+        self.log.append((self.wid, msg))
+        self.conn.send(msg)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the child-process tests fork",
+)
 
 
 # ----------------------------------------------------------------------
 # Segments
 # ----------------------------------------------------------------------
 class TestSegments:
-    def test_publish_attach_roundtrip_preserves_live_multiset(self):
+    def test_publish_roundtrip_preserves_live_multiset(self):
         store = _store(40)
         store.delete_ids(np.arange(0, 40, 3, dtype=np.int64))
-        spec, shm = publish_segment(store, sid=7, version=2)
-        try:
-            assert spec.sid == 7 and spec.version == 2
-            assert spec.n_rows == store.live_count
-            assert spec.epoch == store.epoch
-            # A same-process attach shares this process's (sole) resource
-            # tracker registration, so it must be left alone: tracker_shared.
-            view = SharedStoreView.attach(spec, tracker_shared=True)
-            try:
-                assert view.store.n == store.live_count
-                assert view.store.live_count == view.store.n
-                assert view.live_fingerprint() == store.live_fingerprint()
-            finally:
-                view.close()
-        finally:
-            shm.close()
-            shm.unlink()
+        spec, packed = publish_segment(store, sid=7, version=2)
+        assert spec.sid == 7 and spec.version == 2
+        assert spec.n_rows == store.live_count
+        assert spec.epoch == store.epoch
+        assert packed.dtype == np.uint8
+        assert packed.size == segment_nbytes(spec.n_rows, spec.ndim)
+        # What the worker reads is what the pipe delivered: a pickle.
+        back = segment_store(*pickle.loads(pickle.dumps((spec, packed))))
+        assert back.n == store.live_count
+        assert back.live_count == back.n
+        assert back.live_fingerprint() == store.live_fingerprint()
 
     def test_a_base_spec_carries_the_index_settings_as_plain_data(self):
         config = QuasiiConfig(2, (8, 4))
-        spec, shm = publish_segment(_store(8), 0, 0, config, max_runs=2)
-        try:
-            back = pickle.loads(pickle.dumps(spec))
-            assert isinstance(back, SegmentSpec) and back == spec
-            assert (back.config, back.max_runs) == (config, 2)
-            view = SharedStoreView.attach(back, tracker_shared=True)
-            state = _ShardState(view)
-            try:
-                assert state.index.config == config
-                assert state.index._max_runs == 2
-            finally:
-                state.close()
-        finally:
-            shm.close()
-            shm.unlink()
+        spec, packed = publish_segment(_store(8), 0, 0, config, max_runs=2)
+        back = pickle.loads(pickle.dumps(spec))
+        assert isinstance(back, SegmentSpec) and back == spec
+        assert (back.config, back.max_runs) == (config, 2)
+        index = _build((back, packed))
+        assert index.config == config
+        assert index._max_runs == 2
 
-    def test_view_is_zero_copy_over_the_mapping(self):
-        store = _store(16)
-        spec, shm = publish_segment(store, sid=0, version=0)
-        view = SharedStoreView(spec, shm)
-        backing = np.frombuffer(shm.buf, dtype=np.uint8)
-        assert np.shares_memory(view.store.lo, backing)
-        assert np.shares_memory(view.store.hi, backing)
-        assert np.shares_memory(view.store.ids, backing)
-        # Release our raw view of the buffer before closing the mapping —
-        # mmap refuses to close while exported pointers exist.
-        del backing
-        view.close()
-        shm.unlink()
+    def test_store_is_zero_copy_over_the_received_buffer(self):
+        spec, packed = publish_segment(_store(16), sid=0, version=0)
+        received = pickle.loads(pickle.dumps(packed))
+        store = segment_store(spec, received)
+        for column in (store.lo, store.hi, store.ids):
+            assert np.shares_memory(column, received)
+            assert column.flags.writeable
+        # The worker cracks in place: a permutation moves the buffer.
+        before = received.copy()
+        store.apply_order_range(0, store.n, np.arange(16)[::-1].copy())
+        assert not np.array_equal(received, before)
 
-    def test_appending_to_a_view_store_leaves_the_mapping_alone(self):
-        store = _store(16)
-        spec, shm = publish_segment(store, sid=0, version=0)
-        view = SharedStoreView(spec, shm)
-        before, size = bytes(shm.buf), shm.size
+    def test_appending_to_a_segment_store_leaves_the_buffer_alone(self):
+        spec, packed = publish_segment(_store(16), sid=0, version=0)
+        store = segment_store(spec, packed)
+        before = packed.copy()
         fresh = np.array([[1.0, 2.0]])
-        view.store.append(fresh, fresh + 1.0)
-        view.store.apply_order_range(0, view.store.n, np.arange(17)[::-1].copy())
-        assert view.store.n == 17
-        assert bytes(shm.buf) == before and shm.size == size
-        backing = np.frombuffer(shm.buf, dtype=np.uint8)
-        assert not np.shares_memory(view.store.lo, backing)
-        assert not np.shares_memory(view.store.ids, backing)
-        del backing
-        view.close()
-        shm.unlink()
+        store.append(fresh, fresh + 1.0)
+        store.apply_order_range(0, store.n, np.arange(17)[::-1].copy())
+        assert store.n == 17
+        assert np.array_equal(packed, before)
+        assert not np.shares_memory(store.lo, packed)
+        assert not np.shares_memory(store.ids, packed)
 
     def test_empty_snapshot_is_representable(self):
         store = _store(5)
         store.delete_ids(store.ids.copy())
-        spec, shm = publish_segment(store, sid=1, version=0)
-        try:
-            assert spec.n_rows == 0
-            view = SharedStoreView.attach(spec, tracker_shared=True)
-            try:
-                assert view.store.n == 0
-            finally:
-                view.close()
-        finally:
-            shm.close()
-            shm.unlink()
+        spec, packed = publish_segment(store, sid=1, version=0)
+        assert spec.n_rows == 0 and packed.size == 0
+        assert segment_store(spec, packed).n == 0
 
-    def test_attach_rejects_undersized_segment(self):
-        store = _store(8)
-        spec, shm = publish_segment(store, sid=0, version=0)
-        try:
-            lying = replace(spec, n_rows=spec.n_rows * 100)
-            with pytest.raises(ParallelError, match="bytes"):
-                SharedStoreView.attach(lying, tracker_shared=True)
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_destroy_unlinks_the_os_object(self):
-        store = _store(8)
-        spec, shm = publish_segment(store, sid=0, version=0)
-        segment = ShardSegment(spec, shm)
-        segment.destroy()
-        with pytest.raises(FileNotFoundError):
-            SharedMemory(name=spec.name, create=False)
-
-    def test_failed_publish_unlinks_its_segment(self, created_names):
-        class Exploding(BoxStore):
-            __slots__ = ()
-
-            @property
-            def ids(self):
-                raise RuntimeError("gather failed")
-
-        rng = np.random.default_rng(0)
-        lo = rng.uniform(0, 100, size=(8, 2))
-        with pytest.raises(RuntimeError, match="gather failed"):
-            publish_segment(Exploding(lo, lo + 1.0), sid=0, version=0)
-        assert len(created_names) == 1
-        _assert_gone(created_names)
+    def test_segment_store_rejects_an_undersized_buffer(self):
+        spec, packed = publish_segment(_store(8), sid=0, version=0)
+        lying = replace(spec, n_rows=spec.n_rows * 100)
+        with pytest.raises(ParallelError, match="bytes"):
+            segment_store(lying, packed)
 
     def test_delta_packs_inserted_rows_and_ordered_ops(self):
         lo = np.arange(12, dtype=np.float64).reshape(6, 2)
@@ -261,27 +229,33 @@ class TestSegments:
             ("compact", None, None, none),
             ("insert", lo[4:], lo[4:] + 1.0, ids[4:]),
         ]
-        delta, shm = publish_delta(log, sid=3, version=5)
-        try:
-            assert delta.ops == (
-                ("insert", 4), ("delete", 2), ("compact", 0), ("insert", 2),
-            )
-            assert np.array_equal(delta.deleted, gone)
-            assert (delta.rows.sid, delta.rows.version) == (3, 5)
-            assert shm.size == segment_nbytes(6, 2)
-            view = SharedStoreView.attach(delta.rows, tracker_shared=True)
-            try:
-                assert np.array_equal(view.store.ids, ids)
-                assert np.array_equal(view.store.lo, lo)
-            finally:
-                view.close()
-        finally:
-            shm.close()
-            shm.unlink()
-        # Without inserts there is nothing to map.
-        delta, shm = publish_delta(log[1:3], sid=3, version=5)
-        assert shm is None and delta.rows is None
+        delta = pickle.loads(pickle.dumps(publish_delta(log, sid=3, version=5)))
+        assert delta.ops == (
+            ("insert", 4), ("delete", 2), ("compact", 0), ("insert", 2),
+        )
+        assert np.array_equal(delta.deleted, gone)
+        spec, packed = delta.rows
+        assert (spec.sid, spec.version) == (3, 5)
+        assert packed.size == segment_nbytes(6, 2)
+        rows = segment_store(spec, packed)
+        assert np.array_equal(rows.ids, ids)
+        assert np.array_equal(rows.lo, lo)
+        # Without inserts there are no rows to pack.
+        delta = publish_delta(log[1:3], sid=3, version=5)
+        assert delta.rows is None
         assert delta.ops == (("delete", 2), ("compact", 0))
+
+    def test_a_copy_that_disagrees_with_the_driver_refuses_to_serve(self):
+        store = _store(12)
+        index = _build(publish_segment(store, sid=0, version=0))
+        _absorb(index, None, 12)
+        with pytest.raises(ParallelError, match="owns 12 rows, the driver's 13"):
+            _absorb(index, None, 13)
+        delta = publish_delta(
+            [("delete", None, None, store.ids[:2].copy())], sid=0, version=0
+        )
+        with pytest.raises(ParallelError, match="owns 10 rows, the driver's 12"):
+            _absorb(index, delta, 12)
 
     def test_segment_nbytes_matches_layout(self):
         assert segment_nbytes(0, 3) == 0
@@ -788,16 +762,19 @@ class TestProcessBackend:
         pool = ProcessPool(engine, n_workers=1)
         try:
             shard = engine.shards[0]
-            spec, delta, owned = pool._sync(0)
-            assert spec is not None and spec.version == 0 and delta is None
+            base, delta, owned = pool._sync(0)
+            assert base is not None and delta is None
+            spec, packed = base
+            assert spec.version == 0
             assert owned == spec.n_rows == shard.owned_count
+            assert packed.size == segment_nbytes(spec.n_rows, spec.ndim)
             # Nothing written: nothing to ship.
             assert pool._sync(0) == (None, None, shard.owned_count)
             victim = int(shard.store.ids[0])
             engine.delete(np.array([victim]))
             engine.compact()
-            spec, delta, owned = pool._sync(0)
-            assert spec is None and delta.rows is None
+            base, delta, owned = pool._sync(0)
+            assert base is None and delta.rows is None
             assert delta.ops == (("delete", 1), ("compact", 0))
             assert delta.deleted.tolist() == [victim]
             assert owned == shard.owned_count and shard.oplog == []
@@ -836,17 +813,19 @@ class TestProcessBackend:
                 sid for sid in range(2) if written[sid]
             } - outgrown
 
-    def test_worker_err_mid_batch_leaks_no_delta_segment(
-        self, dataset, created_names
+    def test_worker_err_mid_batch_recuts_only_the_failed_shards_base(
+        self, dataset
     ):
         queries = uniform_workload(dataset.universe, 15, 1e-2, seed=4)
         scan = ScanIndex(dataset.store.copy())
         engine = self._engine(dataset)
-        ex = QueryExecutor(engine, max_workers=2, backend="processes")
+        events = EventLog()
+        ex = QueryExecutor(
+            engine, max_workers=2, backend="processes", events=events
+        )
         try:
             ex.run(queries)
-            bases = list(created_names)
-            assert len(bases) == engine.n_shards
+            assert len(events.recent("worker.refresh")) == engine.n_shards
             rng = np.random.default_rng(2)
             blo = rng.uniform(0, 9_000, size=(80, 3))
             engine.insert(blo, blo + 5.0)
@@ -860,35 +839,100 @@ class TestProcessBackend:
             )
             with pytest.raises(ParallelError, match="shard 1"):
                 ex.run(queries)
-            deltas = created_names[len(bases):]
-            assert deltas, "the failed batch must have shipped delta segments"
-            _assert_gone(deltas)
-            # The failed shard's copy is suspect: its base is gone too and
-            # the next batch cuts a new one from the driver's state.
+            # The failed shard's copy is suspect: its base is forgotten
+            # and the next batch cuts a new one from the driver's state;
+            # the shards answered in the same reply keep theirs.
             assert poisoned.oplog is None
-            _assert_gone(bases[1:2])
+            assert all(
+                s.oplog is not None for s in engine.shards if s.sid != 1
+            )
             _assert_matches(scan, queries, ex.run(queries))
+            recut = events.recent("worker.refresh")[engine.n_shards:]
+            assert [(e.payload["sid"], e.payload["version"]) for e in recut] == [
+                (1, 1)
+            ]
         finally:
             ex.close()
-        _assert_gone(created_names)
 
-    def test_close_leaves_no_shared_memory_behind(self, dataset):
+    def test_close_stops_every_worker(self, dataset):
         engine = self._engine(dataset)
         ex = QueryExecutor(engine, max_workers=2, backend="processes")
         ex.run(uniform_workload(dataset.universe, 5, 1e-3, seed=6))
-        pool = ex._pool
-        names = [seg.spec.name for seg in pool._segments.values()]
-        workers = list(pool._workers)
-        assert names, "a served batch must have published segments"
+        workers = list(ex._pool._workers)
         ex.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name, create=False)
         for worker in workers:
             assert not worker.is_alive()
+            assert not pid_alive(worker.pid)
         assert ex._pool is None
+        assert all(s.oplog is None for s in engine.shards)
         # close() is idempotent.
         ex.close()
+
+    def test_a_round_sends_each_worker_one_message(self, dataset):
+        queries = uniform_workload(dataset.universe, 40, 1e-2, seed=3)
+        engine = self._engine(dataset)
+        telemetry = Telemetry()
+        with QueryExecutor(
+            engine, max_workers=2, backend="processes", telemetry=telemetry
+        ) as ex:
+            ex.run(queries[:1])
+            counter = telemetry.registry.counter(WORKER_DISPATCHES)
+            before = counter.value
+            sent: list[tuple[int, tuple]] = []
+            for worker in ex._pool._workers:
+                worker.conn = _Recording(worker.conn, worker.wid, sent)
+            ex.run(queries)
+            # Every shard was touched: one message per worker, each
+            # holding all of that worker's shards; a dispatch is still
+            # counted per shard sub-batch.
+            assert sorted(
+                (wid, [shard[0] for shard in msg[1]]) for wid, msg in sent
+            ) == [(0, [0, 2]), (1, [1, 3])]
+            assert counter.value - before == 4
+
+    @needs_fork
+    def test_a_batch_larger_than_the_pipe_buffers_is_answered(self):
+        """12,000 windows over K = 4 shards on W = 2 workers: each
+        worker's message and reply run to about a megabyte, far past a
+        socket buffer.  The batch runs in a child under a timeout, so a pipe
+        deadlock fails this test instead of stalling the suite."""
+
+        def serve(conn):
+            ds = make_uniform(20_000, seed=1)
+            queries = uniform_workload(ds.universe, 12_000, 1e-3, seed=5)
+            engine = ShardedIndex(ds.store.copy(), n_shards=4)
+            with QueryExecutor(engine, max_workers=2, backend="processes") as ex:
+                got = ex.run(queries).results
+            want = ScanIndex(ds.store.copy()).execute_batch(queries)
+            conn.send(
+                sum(
+                    not np.array_equal(np.sort(g), np.sort(w.ids))
+                    for g, w in zip(got, want)
+                )
+            )
+
+        assert _report(*_in_child(serve), timeout=120.0) == 0
+
+    @needs_fork
+    def test_workers_exit_when_their_driver_is_sigkilled(self):
+        def drive(conn):
+            ds = make_uniform(4_000, seed=11)
+            engine = ShardedIndex(ds.store.copy(), n_shards=4)
+            ex = QueryExecutor(engine, max_workers=2, backend="processes")
+            ex.run(uniform_workload(ds.universe, 20, 1e-2, seed=1))
+            conn.send(_pids(ex._pool))
+            time.sleep(600.0)  # warm and idle until killed
+
+        # _report SIGKILLs the driver once it has named its workers.
+        pids = _report(*_in_child(drive), timeout=60.0)
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(map(pid_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in pids if pid_alive(pid)]
+        for pid in left:  # a failure must not leave them running
+            os.kill(pid, signal.SIGKILL)
+        assert not left
 
     def test_pool_refuses_batches_after_close(self, dataset):
         engine = self._engine(dataset)

@@ -236,17 +236,17 @@ def test_ql008_covers_the_frozen_dataclass_setattr_idiom(tmp_path):
 
 
 def test_ql008_covers_the_delta_payload(tmp_path):
-    # The delta names its row segment by spec; holding the mapping
-    # itself would try to pickle an OS handle into the batch message.
+    # The delta carries its rows as a packed buffer; holding a file
+    # handle instead would try to pickle an OS handle into the batch
+    # message.
     write_tree(tmp_path, {"parallel/shm.py": (
-        "from multiprocessing.shared_memory import SharedMemory\n"
         "class ShardDelta:\n"
-        "    def __init__(self, ops, name):\n"
+        "    def __init__(self, ops, path):\n"
         "        self.ops = ops\n"
-        "        self.rows = SharedMemory(name=name)\n"
+        "        self.rows = open(path, 'rb')\n"
     )})
     findings = run_rules(tmp_path, ["QL008"])
-    assert [f.tag for f in findings] == ["resource-attr:SharedMemory"]
+    assert [f.tag for f in findings] == ["resource-attr:open"]
 
 
 def test_ql008_stays_silent_on_the_live_parallel_package():

@@ -11,10 +11,11 @@ from repro.baselines import MosaicIndex, ScanIndex
 from repro.bench import run_workload
 from repro.datasets import BoxStore, make_uniform
 from repro.errors import ConfigurationError, DatasetError
-from repro.queries import mixed_workload
+from repro.geometry import Box
+from repro.queries import Query, mixed_workload
 from repro.queries.workloads import WorkloadOp
 from repro.updates import UpdateBuffer, apply_write, resolve_delete_victims
-from tests.ledger import UpdateLedger
+from tests.ledger import UpdateLedger, closed_box_ids
 
 
 def _store(n: int = 5, ndim: int = 2, seed: int = 0) -> BoxStore:
@@ -88,14 +89,14 @@ class TestUpdateLedger:
         with pytest.raises(DatasetError, match="unknown id"):
             ledger.record_delete(np.array([7]))
 
-    def test_expected_result_is_a_window_oracle(self):
+    def test_closed_box_ids_is_a_window_oracle(self):
         ledger = UpdateLedger()
         ledger.record_insert(
             np.array([[0.0, 0.0], [10.0, 10.0]]),
             np.array([[1.0, 1.0], [11.0, 11.0]]),
             np.array([1, 2]),
         )
-        hits = ledger.expected_result(np.array([0.5, 0.5]), np.array([5.0, 5.0]))
+        hits = closed_box_ids(ledger, Query(Box((0.5, 0.5), (5.0, 5.0))))
         assert hits.tolist() == [1]
 
 
