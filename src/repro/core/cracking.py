@@ -74,25 +74,26 @@ class Frame:
 
     ``lo`` (the key column) and ``hi`` are copies, and ``perm`` — ``None``
     until the first crack — maps frame positions to the original frame
-    rows.
+    rows; handed in, it is the order the columns start in.
     """
 
     __slots__ = ("store", "begin", "lo", "hi", "perm")
 
-    def __init__(self, store: BoxStore, begin: int, end: int, dim: int) -> None:
-        self.store, self.begin = store, begin
+    def __init__(
+        self, store: BoxStore, begin: int, end: int, dim: int, perm: np.ndarray | None = None
+    ) -> None:
+        self.store, self.begin, self.perm = store, begin, perm
+        lo, hi = store.lo[begin:end, dim], store.hi[begin:end, dim]
         # Copies even when the store is 1-d: never an alias of its columns.
-        self.lo = store.lo[begin:end, dim].copy()
-        self.hi = store.hi[begin:end, dim].copy()
-        self.perm: np.ndarray | None = None
+        self.lo, self.hi = (lo.copy(), hi.copy()) if perm is None else (lo[perm], hi[perm])
 
     def commit(self) -> None:
-        """Apply the composed permutation to the store, if any crack made one."""
+        """Apply the composed permutation to the store, if any crack made one;
+        the spent columns are released first, for the row move to reuse."""
         if self.perm is not None:
-            self.store.apply_order_range(
-                self.begin, self.begin + self.perm.size, self.perm
-            )
-            self.perm = None
+            perm, self.perm = self.perm, None
+            self.lo = self.hi = np.empty(0, dtype=np.float64)
+            self.store.apply_order_range(self.begin, self.begin + perm.size, perm)
 
 
 def crack(frame: Frame, a: int, b: int, bounds: Sequence[float]) -> list[int]:

@@ -7,8 +7,8 @@ The index is built *as a side effect of query execution*.  Each query:
 2. *refines* every candidate slice that still exceeds its level threshold
    (Algorithm 2) by cracking the data array on the query's boundaries —
    three-way, two-way, or artificial (midpoint) slicing — with the query
-   **extended by the maximum object extent** on the lower side so that
-   representing objects by their lower coordinate never loses results;
+   **extended by its top-level list's maximum object extent** on the lower
+   side so that representing objects by their lower coordinate never loses results;
 3. collects fully refined bottom-level slices as candidate rows; the
    shared refine kernel (:mod:`repro.index.base`) then tests them
    against the raw window under the query's predicate and result mode.
@@ -23,7 +23,8 @@ merged lazily: the next query drains the buffer into the store as an
 appended run headed by a fresh coarse top-level slice, which the normal
 Algorithm 1/2 machinery then cracks exactly like any unrefined region.
 The index therefore maintains a *forest* of top-level slice lists — the
-original hierarchy plus one per absorbed run — each converging
+original hierarchy (one list per extent class) plus one per absorbed
+run — each converging
 independently under the queries that touch it.  Deletes tombstone rows in
 place (slice ranges stay valid; leaf scans skip dead rows via the store's
 live mask); :meth:`~repro.index.base.MutableSpatialIndex.compact`
@@ -51,6 +52,9 @@ from repro.updates.buffer import UpdateBuffer
 from repro.util.arrays import gather_ranges
 
 _INF = float("inf")
+
+#: The extent-class rule, derived in :meth:`QuasiiIndex._classify`.
+_LARGE_RATIO, _CLASS_STRIDE = 2.0, 64
 
 
 class QuasiiIndex(MutableSpatialIndex):
@@ -120,10 +124,6 @@ class QuasiiIndex(MutableSpatialIndex):
                 f"config is for {config.ndim} dims, store has {store.ndim}"
             )
         self._config = config
-        # Query extension margin: per-dimension maximum object extent
-        # (Stefanakis et al.); refreshed whenever an absorbed insert run
-        # contains a larger object (growing it is conservative-safe).
-        self._max_extent = store.max_extent.copy()
         # Rows present at construction: when nonzero, tops[0] is the
         # main query-built hierarchy and is never bulk-loaded by flushes.
         self._initial_rows = store.n
@@ -134,6 +134,10 @@ class QuasiiIndex(MutableSpatialIndex):
         self._tops: list[SliceList] = (
             [self._coarse_run(0, store.n)] if store.n else []
         )
+        # Per top-level list, its rows' maximum extent (Stefanakis et al.).
+        self._margins = [store.max_extent.copy()] if store.n else []
+        # Leading lists that max_runs does not count (see _classify).
+        self._main_runs, self._unclassified = 1, store.n > 0
         # Pending inserts, drained into the store by the next query.
         self._buffer = UpdateBuffer(store)
 
@@ -152,21 +156,21 @@ class QuasiiIndex(MutableSpatialIndex):
 
     @property
     def runs(self) -> int:
-        """Number of top-level slice lists (1 + absorbed insert runs)."""
-        return len(self._tops)
+        """Number of runs: 1 (the main hierarchy) + absorbed insert runs."""
+        return len(self._tops) - self._main_runs + 1
 
-    def _extended_bounds(self, query: Query) -> tuple[list[float], ...]:
+    def _extended_bounds(self, query: Query, margin: np.ndarray) -> tuple[list[float], ...]:
         """Per-dimension key range of ``query``, extended on the lower side.
 
         An object intersecting the window can have its lower-corner key
-        below the window by at most the maximum object extent, never
-        above it — the query-extension technique of Section 5.2.
-        Computed once per query, as ``(key lo, window lo, window hi)``
-        lists (the key range ends at the window's upper bound); the walk
-        and Algorithm 2 index them by level.
+        below the window by at most ``margin`` (its top-level list's maximum
+        object extent), never above it — Section 5.2's query extension.
+        Computed once per query and list, as ``(key lo, window lo, window
+        hi)`` lists (the key range ends at the window's upper bound); the
+        walk and Algorithm 2 index them by level.
         """
         return (
-            (query.lo - self._max_extent).tolist(),
+            (query.lo - margin).tolist(),
             query.lo.tolist(),
             query.hi.tolist(),
         )
@@ -225,18 +229,17 @@ class QuasiiIndex(MutableSpatialIndex):
         """
         nodes = 0
         candidates = len(self._buffer)
-        key_lo, _, key_hi = self._extended_bounds(query)
-        stack: list[SliceList] = list(self._tops)
+        stack = [(t, self._extended_bounds(query, m)) for t, m in zip(self._tops, self._margins)]
         while stack:
-            lst = stack.pop()
-            i, j, hits = lst.probe(key_lo[lst.level], key_hi[lst.level], query.lo, query.hi)
+            lst, keys = stack.pop()
+            i, j, hits = lst.probe(keys[0][lst.level], keys[2][lst.level], query.lo, query.hi)
             nodes += j - i
             for h in hits:
                 child = lst.child(h)
                 if child is None:
                     candidates += int(lst.end[h] - lst.begin[h])
                 else:
-                    stack.append(child)
+                    stack.append((child, keys))
         return QueryPlan(
             index=self.name,
             query=query,
@@ -308,7 +311,7 @@ class QuasiiIndex(MutableSpatialIndex):
             raise
         self._seen_epoch = self._store.epoch
         end = self._store.n
-        self._max_extent = np.maximum(self._max_extent, self._store.max_extent)
+        margin = (hi - lo).max(axis=0)
         if self._provisional_config and not self._tops:
             # First absorbed run of a start-empty index: the real size
             # is known now — re-derive the auto ladder for it so a bulk
@@ -319,11 +322,13 @@ class QuasiiIndex(MutableSpatialIndex):
             )
             self._provisional_config = False
         tail = self._tops[-1] if self._tops else None
+        appended = len(self._tops) > self._main_runs or self._initial_rows == 0
         coalesce = (
             tail is not None
             and len(tail) == 1
             and tail.child(0) is None
             and tail.cut_lo[0] == -_INF
+            and (appended or self._unclassified)
         )
         # A still-virgin tail *insert run* and the fresh batch form one
         # contiguous coarse region; treat them as a single run for the
@@ -331,9 +336,7 @@ class QuasiiIndex(MutableSpatialIndex):
         # load.  The main hierarchy is excluded even while virgin: bulk
         # loading governs appended runs only — eagerly sorting initial
         # rows no query asked about would forfeit query-driven building.
-        tail_is_insert_run = coalesce and (
-            len(self._tops) > 1 or self._initial_rows == 0
-        )
+        tail_is_insert_run = coalesce and appended
         run_begin = int(tail.begin[0]) if tail_is_insert_run else begin
         if end - run_begin >= self._config.threshold(0):
             # Large run: STR bulk load it into an already-refined slice
@@ -341,9 +344,11 @@ class QuasiiIndex(MutableSpatialIndex):
             # crack from scratch.
             if tail_is_insert_run:
                 self._tops.pop()
+                margin = np.maximum(margin, self._margins.pop())
             self._tops.append(
                 self._str_slices(0, run_begin, end, *self._open_box())
             )
+            self._margins.append(margin)
         elif coalesce:
             # The previous run is still one uncracked slice holding the
             # whole key range: coalesce into it (union the recorded MBB
@@ -355,9 +360,11 @@ class QuasiiIndex(MutableSpatialIndex):
             tail.mbb_hi[0] = np.maximum(tail.mbb_hi[0], hi.max(axis=0))
             tail.final[0] = False
             tail.finalize(self._store, self._config.threshold(0))
+            self._margins[-1] = np.maximum(self._margins[-1], margin)
         else:
             self._tops.append(self._coarse_run(begin, end))
-        if len(self._tops) - 1 > self._max_runs:
+            self._margins.append(margin)
+        if len(self._tops) - self._main_runs > self._max_runs:
             self._collapse_runs()
         self.stats.merges += 1
 
@@ -437,10 +444,12 @@ class QuasiiIndex(MutableSpatialIndex):
         the queries that still need it.  This bounds the per-query forest
         walk at ``max_runs + 1`` MBB tests plus the main hierarchy.
         """
-        begin = int(self._tops[1].begin[0])
-        end = int(self._tops[-1].end[-1])
-        del self._tops[1:]
+        main = self._main_runs
+        begin, end = int(self._tops[main].begin[0]), int(self._tops[-1].end[-1])
+        margin = np.max(self._margins[main:], axis=0)
+        del self._tops[main:], self._margins[main:]
         self._tops.append(self._coarse_run(begin, end))
+        self._margins.append(margin)
 
     # ------------------------------------------------------------------
     # Compaction: slice-forest defragmentation
@@ -460,9 +469,10 @@ class QuasiiIndex(MutableSpatialIndex):
         walking fragments deletes hollowed out.
         """
         pos = np.concatenate(([0], np.cumsum(remap >= 0)))
-        self._tops = [
-            top for top in self._tops if self._remap_list(top, pos) is not None
-        ]
+        alive = [self._remap_list(top, pos) is not None for top in self._tops]
+        self._tops = [top for top, keep in zip(self._tops, alive) if keep]
+        self._margins = [m for m, keep in zip(self._margins, alive) if keep]
+        self._main_runs = max(1, sum(alive[: self._main_runs]))
         # Size of the surviving main hierarchy; 0 hands "first run may
         # bulk-load" semantics over when the initial rows all died.
         self._initial_rows = int(pos[self._initial_rows])
@@ -521,11 +531,51 @@ class QuasiiIndex(MutableSpatialIndex):
         refined slices are never cracked again, and cracking any other
         slice only permutes rows inside its own disjoint range.
         """
-        keys = self._extended_bounds(query)
+        if self._unclassified:
+            self._classify(query)
         leaves: list[int] = []
-        for top in self._tops:
-            self._walk(top, query, keys, leaves)
+        for top, margin in zip(self._tops, self._margins):
+            self._walk(top, query, self._extended_bounds(query, margin), leaves)
         return leaves
+
+    def _classify(self, query: Query) -> None:
+        """Split the virgin main run into extent classes, for ``query``.
+
+        One store-wide margin (Section 5.2) widens windows by ~1,000 on the
+        paper's data (99 % of sides <= 10, 1 % up to 1,000) for rows that
+        need 10.  So a row is *large* when its largest side exceeds
+        ``_LARGE_RATIO`` x the median largest side (sampled every
+        ``_CLASS_STRIDE``-th row: 0.2 ms, not 10 ms, at 1M rows), and each
+        class is a run whose margin is its own rows' maximum extent.  One
+        size population stays under 2x its median (10 against 8.2 there),
+        a large row is ~100x it: margins (10, 10, 10) and ~1,000.  The first
+        query pays, its small-run frame starting in the stable class order.
+        """
+        self._unclassified = False
+        if not self._initial_rows:
+            return  # every initial row was compacted away first
+        store, end = self._store, int(self._tops[0].end[0])  # the main run starts at row 0
+        lo, hi = store.lo[:end], store.hi[:end]
+        bound = _LARGE_RATIO * np.median((hi[::_CLASS_STRIDE] - lo[::_CLASS_STRIDE]).max(axis=1))
+        large = np.zeros(end, dtype=np.bool_)
+        for dim in range(store.ndim):
+            large |= hi[:, dim] - lo[:, dim] > bound
+        split = end - int(np.count_nonzero(large))
+        if split == end:
+            return
+        margins = np.zeros((2, store.ndim), dtype=np.float64)
+        for dim in range(store.ndim):
+            side = hi[:, dim] - lo[:, dim]
+            margins[:, dim] = [side.max(where=rows, initial=0.0) for rows in (~large, large)]
+        order = np.concatenate((np.flatnonzero(~large), np.flatnonzero(large)))
+        frame = Frame(store, 0, end, 0, order)
+        del large, side, order  # the frame's commit frees the order
+        run = SliceList(0, [-_INF], [0], [split], *self._open_box())
+        if not self._refine(run, 0, self._extended_bounds(query, margins[0]), frame):
+            frame.commit()
+        run.finalize(store, self._config.threshold(0))
+        self._tops[0:1] = [run, self._coarse_run(split, end)]
+        self._margins[0:1], self._main_runs = list(margins), 2
 
     def _walk(
         self,
@@ -575,6 +625,7 @@ class QuasiiIndex(MutableSpatialIndex):
         lst: SliceList,
         h: int,
         keys: tuple[list[float], ...],
+        frame: Frame | None = None,
     ) -> bool:
         """Refine slice ``h`` of ``lst`` against a query's ``keys``.
 
@@ -582,14 +633,16 @@ class QuasiiIndex(MutableSpatialIndex):
         the store's rows once, and splices the replacement sibling run
         (>= 1 slices, query-overlapping ones guaranteed at/below
         threshold) over the slice; False means "already refined" — no
-        reorganization possible/needed, ``lst`` unchanged.
+        reorganization possible/needed, ``lst`` unchanged.  A ``frame``
+        handed in (:meth:`_classify`'s) is committed only on True.
         """
         dim = lst.level
         tau = self._config.threshold(dim)
         begin, size = int(lst.begin[h]), int(lst.end[h] - lst.begin[h])
         if lst.final[h] or size <= tau:
             return False
-        frame = Frame(self._store, begin, begin + size, dim)
+        if frame is None:
+            frame = Frame(self._store, begin, begin + size, dim)
         kmin, kmax, dim_hi = range_dim_stats(frame, 0, size)
         # Tighten the recorded open-ended bounds while we have them.
         lst.mbb_lo[h, dim] = kmin
@@ -696,8 +749,8 @@ class QuasiiIndex(MutableSpatialIndex):
                     walk(child, depth + 1)
 
         for run_idx, top in enumerate(self._tops):
-            if run_idx:
-                lines.append(f"-- appended run {run_idx}")
+            if run_idx >= self._main_runs:
+                lines.append(f"-- appended run {run_idx - self._main_runs + 1}")
             walk(top, 0)
         if len(self._buffer):
             lines.append(f"-- update buffer: {len(self._buffer)} pending rows")
@@ -733,9 +786,10 @@ class QuasiiIndex(MutableSpatialIndex):
         order; cut bounds strictly increase and bracket the member keys;
         recorded MBB rows cover members (finite for final slices);
         thresholds hold for final slices; levels are consistent; the
-        forest's runs tile the whole store.  Tombstoned rows participate
-        in every structural check (they stay physically in place), so the
-        invariants are unaffected by deletes.
+        forest's runs tile the whole store, the extent classes covering
+        every initial row, and each run's margin covers its rows' extent.
+        Tombstoned rows participate in every structural check (they stay
+        physically in place), so the invariants are unaffected by deletes.
         """
         d = self._config.ndim
         store = self._store
@@ -784,9 +838,14 @@ class QuasiiIndex(MutableSpatialIndex):
                     assert child.level == lst.level + 1, "child level skew"
                     check_list(child, int(lst.begin[i]), int(lst.end[i]))
 
+        assert len(self._margins) == len(self._tops), "one margin per top-level list"
         cursor = 0
-        for top in self._tops:
+        for top, margin in zip(self._tops, self._margins):
             run_end = int(top.end[-1])
             check_list(top, cursor, run_end)
+            extent = (store.hi[cursor:run_end] - store.lo[cursor:run_end]).max(axis=0)
+            assert np.all(extent <= margin), f"margin below the extent of [{cursor}, {run_end})"
             cursor = run_end
         assert cursor == store.n, "slice forest does not cover the store"
+        main_end = self._tops[self._main_runs - 1].end[-1] if self._tops else 0
+        assert main_end >= self._initial_rows, "extent classes miss initial rows"

@@ -7,8 +7,9 @@ across writes*.  Shard ``sid`` always goes to worker ``sid % n_workers``
 (one process cracks a given shard, ever); per batch the pool:
 
 1. **Brings each touched shard's worker copy up to date**
-   (:meth:`ProcessPool._sync`).  The first touch packs the shard's
-   *base* (its live rows, :func:`~repro.parallel.shm.publish_segment`)
+   (:meth:`ProcessPool._claim`, then :meth:`ProcessPool._sync`).  The
+   first touch packs the shard's *base* (its live rows,
+   :func:`~repro.parallel.shm.publish_segment`)
    and arms its op log (:attr:`~repro.sharding.shard.Shard.oplog`);
    afterwards the log is drained into a
    :class:`~repro.parallel.shm.ShardDelta` — inserted rows packed the
@@ -17,11 +18,12 @@ across writes*.  Shard ``sid`` always goes to worker ``sid % n_workers``
    store is fixed once the engine is built, so a base is cut again only
    where the worker's state is gone or a delta would cost more than a
    base: a respawned worker, one that answered ``err``, a log that
-   outgrew its base.  The driver's shard store, flushed on every sync,
-   stays the authoritative copy; no delta history is kept.
+   outgrew its base.  The driver's shard store, flushed before every
+   dispatch, stays the authoritative copy; no delta history is kept.
 2. **Dispatches and collects** — one message per worker per round,
-   holding every shard that worker is owed (rows included), all written
-   before any reply is read; then decodes result wires into
+   holding every shard that worker is owed (rows included, packed right
+   before that worker's send), all written before any reply is read;
+   then decodes result wires into
    :class:`~repro.queries.query.QueryResult` lists, absorbs the
    workers' histograms into the driver registry and folds their
    work-counter deltas into the engine's ``IndexStats``.
@@ -205,28 +207,31 @@ class ProcessPool:
         if self._bases.pop(sid, None) is not None:
             self._index.shards[sid].oplog = None
 
-    def _sync(
-        self, sid: int
-    ) -> tuple[tuple[SegmentSpec, np.ndarray] | None, ShardDelta | None, int]:
-        """What shard ``sid``'s worker needs before it may serve:
-        ``(new base | None, delta | None, rows the shard owns)``.
-
-        Buffered rows are flushed first either way: a base must hold
-        every routed row, and a driver store that physically holds every
-        row its worker's does also holds every tombstone the worker's
-        does — the worker's id gate never refuses what the driver's
-        admitted.  A shard whose worker lost its copy (:meth:`_drop`), or
-        whose log outgrew its base, gets a new base.
-        """
+    def _claim(self, sid: int) -> None:
+        """Refuse shard ``sid`` if another live pool serves it, then flush
+        its buffered rows: a base must hold every routed row, and a driver
+        store that physically holds every row its worker's does also
+        holds every tombstone the worker's does — the worker's id gate
+        never refuses what the driver's admitted."""
         shard = self._index.shards[sid]
-        shard.flush_updates()
-        spec = self._bases.get(sid)
-        log = shard.oplog
-        if spec is None and log is not None:
+        if sid not in self._bases and shard.oplog is not None:
             raise ParallelError(
                 f"shard {sid} is already served by another live process "
                 "pool; close() that one before serving from a second"
             )
+        shard.flush_updates()
+
+    def _sync(
+        self, sid: int
+    ) -> tuple[tuple[SegmentSpec, np.ndarray] | None, ShardDelta | None, int]:
+        """What shard ``sid``'s worker needs before it may serve:
+        ``(new base | None, delta | None, rows the shard owns)``, once
+        :meth:`_claim` has passed.  A shard whose worker lost its copy
+        (:meth:`_drop`), or whose log outgrew its base, gets a new base.
+        """
+        shard = self._index.shards[sid]
+        spec = self._bases.get(sid)
+        log = shard.oplog
         if spec is not None and log is not None:
             if not log:
                 return None, None, shard.owned_count
@@ -313,21 +318,28 @@ class ProcessPool:
         respawns: dict[int, int] = {}
         failure: str | None = None
         while pending and failure is None:
-            # Sync every shard before sending any: a refused second pool
-            # then leaves nothing in a pipe.
-            owed: dict[int, list[tuple[Any, ...]]] = {}
+            # Claim every shard before sending any: a refused second pool
+            # then leaves nothing in a pipe.  Each worker's bases are
+            # packed right before its own send, so the driver holds one
+            # worker's message at a time, not all of them.
+            owed: dict[int, list[int]] = {}
             for sid in sorted(pending):
-                owed.setdefault(sid % self.n_workers, []).append(
-                    (sid, *self._sync(sid), wires[sid])
-                )
+                self._claim(sid)
+                owed.setdefault(sid % self.n_workers, []).append(sid)
             dead: set[int] = set()
-            for wid, shards in owed.items():
+            for wid, sids in owed.items():
+                message = (
+                    "batch",
+                    [(sid, *self._sync(sid), wires[sid]) for sid in sids],
+                )
                 try:
-                    self._workers[wid].conn.send(("batch", shards))
+                    self._workers[wid].conn.send(message)
                 except _PIPE_ERRORS:
                     dead.add(wid)
                     continue
-                self._count(WORKER_DISPATCHES, len(shards))
+                finally:
+                    del message  # before the next worker's bases are packed
+                self._count(WORKER_DISPATCHES, len(sids))
             for wid in owed:
                 if wid in dead:
                     continue
@@ -352,7 +364,7 @@ class ProcessPool:
                         f"worker {wid} died {respawns[wid]} times in one "
                         f"batch; giving up"
                     )
-                self._respawn(wid, [shard[0] for shard in owed[wid]])
+                self._respawn(wid, owed[wid])
         if failure is not None:
             raise ParallelError(failure)
         return replies

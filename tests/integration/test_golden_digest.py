@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import QuasiiIndex
-from repro.datasets import BoxStore, make_neuro_like
+from repro.datasets import BoxStore, make_neuro_like, make_uniform
 from repro.queries import clustered_workload
 
 #: Keyed by whether 3,000 rows are tombstoned before the queries run.
@@ -30,9 +30,18 @@ GOLDEN = {
 }
 
 
-def run_digest(delete_first: bool) -> str:
-    ds = make_neuro_like(20_000, seed=1901)
-    store = BoxStore(np.round(ds.store.lo / 8.0) * 8.0, np.round(ds.store.hi / 8.0) * 8.0)
+#: The same run over the paper's two-class boxes (99 % small, 1 % large)
+#: quantized to whole units, where the first query splits the store into
+#: extent classes; recorded on the commit that introduced them.
+GOLDEN_TWO_CLASS = "58f68b35fef60f995ad13841606afc5ba79409b59a33fe5787047bb8680d9be2"
+
+
+def run_digest(delete_first: bool, two_class: bool = False) -> str:
+    if two_class:
+        ds, step = make_uniform(20_000, seed=1901), 1.0
+    else:
+        ds, step = make_neuro_like(20_000, seed=1901), 8.0
+    store = BoxStore(np.round(ds.store.lo / step) * step, np.round(ds.store.hi / step) * step)
     queries = clustered_workload(
         ds.universe, n_clusters=6, queries_per_cluster=25,
         volume_fraction=1e-3, seed=1902,
@@ -55,9 +64,15 @@ def run_digest(delete_first: bool) -> str:
         ).encode()
     )
     assert stats.cracks > 100, "the workload must actually crack"
+    # Only the two-class store splits its main rows into extent classes.
+    assert len(index._tops) == (2 if two_class else 1)
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("delete_first", list(GOLDEN), ids=["live", "tombstones"])
 def test_cracking_repeats_the_recorded_parent(delete_first):
     assert run_digest(delete_first) == GOLDEN[delete_first]
+
+
+def test_a_two_class_store_repeats_its_recorded_digest():
+    assert run_digest(False, two_class=True) == GOLDEN_TWO_CLASS

@@ -74,11 +74,14 @@ class TestCrackStore:
         assert store.lo[:, 0].tolist() == [5.0, 1.0, 3.0, 9.0, 2.0], (
             "the store moves at commit, not at crack"
         )
+        cracked = frame.lo.copy(), frame.hi.copy()
         frame.commit()
         assert store.lo[:, 0].tolist() == [1.0, 2.0, 5.0, 3.0, 9.0]
         assert store.ids.tolist() == [1, 4, 0, 2, 3]
-        assert np.array_equal(store.lo[:, 0], frame.lo)
-        assert np.array_equal(store.hi[:, 0], frame.hi)
+        assert np.array_equal(store.lo[:, 0], cracked[0])
+        assert np.array_equal(store.hi[:, 0], cracked[1])
+        # A committed frame is spent: its columns are released.
+        assert frame.perm is None and frame.lo.size == frame.hi.size == 0
 
     def test_crack_subrange_leaves_rest_alone(self):
         store = make_store([5.0, 1.0, 3.0, 9.0, 2.0])

@@ -45,6 +45,7 @@ from repro.parallel import (
     segment_nbytes,
     segment_store,
 )
+from repro.parallel import pool as pool_module
 from repro.parallel.worker import _absorb, _build
 from repro.queries import Query, uniform_workload
 from repro.sharding import MaintenancePolicy, QueryExecutor, ShardedIndex
@@ -889,6 +890,33 @@ class TestProcessBackend:
                 (wid, [shard[0] for shard in msg[1]]) for wid, msg in sent
             ) == [(0, [0, 2]), (1, [1, 3])]
             assert counter.value - before == 4
+
+    def test_each_workers_bases_are_packed_right_before_its_send(
+        self, dataset, monkeypatch
+    ):
+        # The driver then holds one worker's bases at a time, not all four.
+        engine = self._engine(dataset)
+        engine.build()
+        order: list[tuple[str, int]] = []
+        publish = pool_module.publish_segment
+
+        def recorded_publish(store, sid, *args):
+            order.append(("pack", sid))
+            return publish(store, sid, *args)
+
+        monkeypatch.setattr(pool_module, "publish_segment", recorded_publish)
+        pool = ProcessPool(engine, n_workers=2)
+        try:
+            for worker in pool._workers:
+                worker.conn = _Recording(worker.conn, worker.wid, order)
+            query = uniform_workload(dataset.universe, 1, 1e-2, seed=3)[0]
+            pool.run_batch([query], {sid: [0] for sid in range(4)})
+            order = [e if e[0] == "pack" else ("send", e[0]) for e in order]
+            assert order[:3] == [("pack", 0), ("pack", 2), ("send", 0)]
+            # Worker 1's bases are packed only after worker 0's message left.
+            assert sorted(order[3:]) == [("pack", 1), ("pack", 3), ("send", 1)]
+        finally:
+            pool.close()
 
     @needs_fork
     def test_a_batch_larger_than_the_pipe_buffers_is_answered(self):

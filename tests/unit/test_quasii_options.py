@@ -68,16 +68,19 @@ class TestFormatStructure:
         ds = make_uniform(2_000, seed=45)
         index = QuasiiIndex(ds.store.copy(), tau=30)
         index.execute(uniform_workload(ds.universe, 1, 1e-2, seed=46)[0])
-        top = index._top
+        # One top-level list per extent class: the data has two.
+        assert len(index._tops) == 2
         want = [
             f"x-slice rows[{b}:{e}) cut>={c:g} |{e - b}| "
             + ("final" if f else "coarse")
+            for top in index._tops
             for b, e, c, f in zip(
                 top.begin.tolist(), top.end.tolist(), top.cut_lo.tolist(),
                 top.final.tolist(),
             )
         ]
-        lines = index.format_structure(max_slices_per_level=len(top)).splitlines()
+        widest = max(len(top) for top in index._tops)
+        lines = index.format_structure(max_slices_per_level=widest).splitlines()
         assert [line for line in lines if line.startswith("x-")] == want
 
     def test_elision(self):

@@ -306,9 +306,9 @@ class TestStoreMovesOncePerRefinedSlice:
             permutes[0] += 1
             permute(store, begin, end, order)
 
-        def spied_refine(self, lst, h, keys):
+        def spied_refine(self, lst, h, keys, *frame):
             before = self.stats.cracks, permutes[0]
-            refine(self, lst, h, keys)
+            refine(self, lst, h, keys, *frame)
             calls.append((self.stats.cracks - before[0], permutes[0] - before[1]))
 
         monkeypatch.setattr(BoxStore, "apply_order_range", counted_permute)

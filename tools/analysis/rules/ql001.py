@@ -10,8 +10,9 @@ inside the store's own methods.  Everything else goes through the
 public views (``store.lo``/``store.live``) and the verb methods.
 
 A class other than the store may own a same-named attribute of its own
-(``QuasiiIndex`` keeps a ``self._max_extent``); ``self.X`` accesses are
-therefore exempt when the enclosing class itself assigns ``X``.
+(the frozen ``Query`` caches its corners as ``self._lo`` / ``self._hi``);
+``self.X`` accesses are therefore exempt when the enclosing class itself
+assigns ``X``.
 """
 
 from __future__ import annotations
