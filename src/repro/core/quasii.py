@@ -13,6 +13,11 @@ The index is built *as a side effect of query execution*.  Each query:
    shared refine kernel (:mod:`repro.index.base`) then tests them
    against the raw window under the query's predicate and result mode.
 
+A batch walks level by level instead: a read-only *frontier* tests all
+its (query, slice) pairs of a level at once and answers every query before
+the first that hits a slice step 2 would crack, which walks alone, in
+order, with all later ones (as a batch of one always does).
+
 The hierarchy converges toward an STR-like tiling of exactly the regions
 queries touch; untouched regions stay coarse (a single unsorted run of the
 data array).
@@ -180,73 +185,150 @@ class QuasiiIndex(MutableSpatialIndex):
         self._built = True
 
     def _execute_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """Crack per query, refine once per batch (``execute`` is a batch of one).
+        """One frontier walk per batch level; only queries that crack walk alone.
 
         The update buffer is drained at most once per batch, and the merge
-        is charged to the index, not to any query's stats.  Each query
-        then walks — and refines — the forest in submission order
-        (cracking is inherently per-query, that is the point of the
-        index) but only *collects* its leaves; the candidate rows of the
-        whole batch are gathered in one pass and handed to the stacked
+        is charged to the index, not to any query's stats.  The read-only
+        :meth:`_frontier` then walks the whole batch level by level.  If no
+        query hits a slice Algorithm 2 would crack, it answers them all;
+        otherwise it answers the queries before the first such one, and
+        that query and every later one walk — and refine — the forest in
+        submission order through the scalar :meth:`_leaves` (cracking is
+        inherently per-query, that is the point of the index).  Either
+        way each query only *collects* its leaves; the candidate rows of
+        the whole batch are gathered in one pass and handed to the stacked
         refine kernel.  :meth:`_leaves` says why reading them late is safe.
+        A batch of one always takes the scalar walk, as does every batch
+        before :meth:`_classify` ran: a frontier level costs a fixed dozen
+        array calls, which only a batch amortizes.
         """
         t0 = perf_counter()
         if len(self._buffer):
             self._absorb_pending()
         stats = self.stats
+        k, per_stats, offsets = 0, [], [0]  # offsets: candidate rows up to each query
+        if len(queries) > 1 and not self._unclassified:
+            k, visited, found = self._frontier(queries)
+            tested = np.bincount(found[0], found[2] - found[1], k).astype(np.int64)
+            per_stats = [
+                IndexStats(objects_tested=t, nodes_visited=v)
+                for t, v in zip(tested.tolist(), visited[:k].tolist())
+            ]
+            stats.nodes_visited += int(visited[:k].sum())
+            offsets += np.cumsum(tested).tolist()
         leaves: list[int] = []
-        offsets = [0]  # candidate rows up to and including each query
-        per_stats: list[IndexStats] = []
-        for query in queries:
+        for query in queries[k:]:
             before = (stats.cracks, stats.rows_reorganized, stats.nodes_visited)
-            found = self._leaves(query)
-            leaves += found
-            tested = sum(found[1::2]) - sum(found[0::2])
-            offsets.append(offsets[-1] + tested)
+            found_one = self._leaves(query)
+            leaves += found_one
+            n = sum(found_one[1::2]) - sum(found_one[0::2])
+            offsets.append(offsets[-1] + n)
             per_stats.append(
                 IndexStats(
-                    objects_tested=tested,
+                    objects_tested=n,
                     cracks=stats.cracks - before[0],
                     rows_reorganized=stats.rows_reorganized - before[1],
                     nodes_visited=stats.nodes_visited - before[2],
                 )
             )
         stats.objects_tested += offsets[-1]
-        rows = gather_ranges(leaves[0::2], leaves[1::2])
+        begins, ends = leaves[0::2], leaves[1::2]
+        if k:
+            begins, ends = np.concatenate((found[1], begins)), np.concatenate((found[2], ends))
+        rows = gather_ranges(begins, ends)
         rows_list = [rows[a:b] for a, b in zip(offsets, offsets[1:])]
         payloads = self._refine_stacked(queries, rows_list)
         return self._wrap_batch(queries, payloads, per_stats, perf_counter() - t0)
 
+    def _frontier(
+        self, queries: list[Query], plan: bool = False
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Algorithm 1 for a whole batch, one level at a time, read-only.
+
+        Per level, the (query, list) pairs expand into (query, slice)
+        candidates over the reached lists' concatenated columns; the key
+        range (``next cut > key lo``, ``cut <= key hi``: the ``[i, j)`` of
+        :meth:`SliceList.probe`) and MBB tests are array operations, and
+        hits group by child list (lazy ones created as :meth:`_walk` does).
+
+        Returns ``(k, visited, found)``: ``k`` is the first query that hits
+        a slice :meth:`_refine` would crack (``len(queries)`` when none
+        does), and the frontier drops every query from ``k`` on;
+        ``visited`` counts each query's probed slices; ``found`` holds the
+        ``(query, begin, end)`` rows of the hits that end a walk, queries
+        before ``k`` only.  Pairs stay sorted by query, then row, from level
+        to level (children subdivide their parent's rows in order), so the
+        bottom hits come out in each query's depth-first order.  In
+        ``plan`` mode nothing is handed off or created: every hit with no
+        child list ends there as candidate rows.  Cracking never moves a
+        slice the frontier passes (those are final; a crack splices a
+        non-final slice into pieces), so the queries before ``k`` see the
+        forest their scalar walks would.
+        """
+        nq, d = len(queries), self._config.ndim
+        win_lo = np.array([q.lo for q in queries], np.float64).reshape(nq, d)
+        win_hi = np.array([q.hi for q in queries], np.float64).reshape(nq, d)
+        margins = np.array(self._margins, np.float64).reshape(-1, d)
+        k, visited, found, lists = nq, np.zeros(nq, np.int64), [], self._tops
+        # The pairs: query, top-level list (its margin) and reached list.
+        pq = np.repeat(np.arange(nq), len(lists))
+        pm = pl = np.tile(np.arange(len(lists)), nq)
+        while pq.size:
+            level = lists[0].level
+            cut, begin, end, mbb_lo, mbb_hi, final = (
+                np.concatenate([getattr(lst, name) for lst in lists]) for name in COLUMN_DTYPES
+            )
+            lens = np.array([len(lst) for lst in lists], np.int64)
+            stop = np.cumsum(lens)
+            nxt = np.append(cut[1:], _INF)
+            nxt[stop - 1] = _INF
+            cand = gather_ranges(stop[pl] - lens[pl], stop[pl])
+            pair = np.repeat(np.arange(pq.size), lens[pl])
+            q = pq[pair]
+            inside = (nxt[cand] > win_lo[q, level] - margins[pm[pair], level]) & (
+                cut[cand] <= win_hi[q, level]
+            )
+            cand, pair, q = cand[inside], pair[inside], q[inside]
+            visited += np.bincount(q, minlength=nq)
+            hit = ((mbb_lo[cand] <= win_hi[q]) & (mbb_hi[cand] >= win_lo[q])).all(axis=1)
+            cand, pair, q = cand[hit], pair[hit], q[hit]
+            crackable = ~final[cand] & (end[cand] - begin[cand] > self._config.threshold(level))
+            if not plan and crackable.any():
+                k = min(k, int(q[crackable].min()))
+                keep = q < k
+                cand, pair, q = cand[keep], pair[keep], q[keep]
+            if level == d - 1:
+                found.append(np.stack((q, begin[cand], end[cand])))
+                break
+            heads, inverse = np.unique(cand, return_inverse=True)
+            owner = np.searchsorted(stop, heads, "right")
+            children = []
+            for g, o in zip((heads - stop[owner] + lens[owner]).tolist(), owner.tolist()):
+                child = lists[o].children[g]
+                if child is None and not plan:
+                    child = self._default_child(lists[o], g)
+                children.append(child)
+            has = np.array([c is not None for c in children], dtype=np.bool_)
+            leaf = ~has[inverse]
+            found.append(np.stack((q[leaf], begin[cand[leaf]], end[cand[leaf]])))
+            lists = [c for c in children if c is not None]
+            pq, pm, pl = q[~leaf], pm[pair[~leaf]], (np.cumsum(has) - 1)[inverse[~leaf]]
+        rows = np.concatenate(found, axis=1) if found else np.zeros((3, 0), np.int64)
+        return k, visited, rows[:, rows[0] < k]
+
     def _plan(self, query: Query) -> QueryPlan:
         """Walk the current forest without refining or merging anything.
 
-        Counts the slices the walk would test (the same
-        :meth:`SliceList.probe` the walk runs) and the rows of every
+        Counts the slices the walk would test (the read-only
+        :meth:`_frontier`, in ``plan`` mode) and the rows of every
         overlapping deepest-materialized slice; pending buffered rows
         are added whole (execution would absorb them into a coarse run
         first).  ``exact=False`` — execution cracks oversized slices,
         so the real scan is typically narrower.
         """
-        nodes = 0
-        candidates = len(self._buffer)
-        stack = [(t, self._extended_bounds(query, m)) for t, m in zip(self._tops, self._margins)]
-        while stack:
-            lst, keys = stack.pop()
-            i, j, hits = lst.probe(keys[0][lst.level], keys[2][lst.level], query.lo, query.hi)
-            nodes += j - i
-            for h in hits:
-                child = lst.child(h)
-                if child is None:
-                    candidates += int(lst.end[h] - lst.begin[h])
-                else:
-                    stack.append((child, keys))
-        return QueryPlan(
-            index=self.name,
-            query=query,
-            nodes=nodes,
-            candidates=candidates,
-            exact=False,
-        )
+        _, visited, found = self._frontier([query], plan=True)
+        rows = len(self._buffer) + int((found[2] - found[1]).sum())
+        return QueryPlan(self.name, query, nodes=int(visited[0]), candidates=rows, exact=False)
 
     # ------------------------------------------------------------------
     # Updates: staged inserts, lazy merge, tombstone deletes
@@ -608,14 +690,17 @@ class QuasiiIndex(MutableSpatialIndex):
             else:
                 child = lst.children[h]
                 if child is None:
-                    # Lazy default child (Line 15): same rows, next level.
-                    child = lst.children[h] = SliceList(
-                        dim + 1, [-_INF], [lst.begin[h]], [lst.end[h]],
-                        lst.mbb_lo[h], lst.mbb_hi[h],
-                    )
-                    child.finalize(self._store, self._config.threshold(dim + 1))
+                    child = self._default_child(lst, h)
                 self._walk(child, query, keys, leaves)
         self.stats.nodes_visited += visited
+
+    def _default_child(self, lst: SliceList, h: int) -> SliceList:
+        """Lazy default child (Line 15) of slice ``h``: same rows, next level."""
+        child = lst.children[h] = SliceList(
+            lst.level + 1, [-_INF], [lst.begin[h]], [lst.end[h]], lst.mbb_lo[h], lst.mbb_hi[h]
+        )
+        child.finalize(self._store, self._config.threshold(lst.level + 1))
+        return child
 
     # ------------------------------------------------------------------
     # Algorithm 2: refinement

@@ -394,9 +394,13 @@ class ShardedIndex(MutableSpatialIndex):
                 f"ids shape {ids.shape} does not match {lo.shape[0]} batch rows"
             )
         listed = ids.tolist()
-        if len(set(listed)) < len(listed) or not self._owner.keys().isdisjoint(listed):
+        # Ids at or above the input store's watermark were never owned.
+        fresh = self._store.fresh_ids(ids)
+        if len(set(listed)) < len(listed) or not (
+            fresh or self._owner.keys().isdisjoint(listed)
+        ):
             raise DatasetError("batch ids collide with existing ids")
-        if any(s.entombs(ids) for s in self._shards):
+        if not fresh and any(s.entombs(ids) for s in self._shards):
             raise DatasetError(
                 "batch ids collide with ids still tombstoned in a shard "
                 "(compact() first)"

@@ -3,8 +3,11 @@
 ``ScalarWalkIndex`` below is Algorithm 1 as the paper states it — bisect
 the sorted sibling list, then MBB-test one slice at a time, re-entering
 at the same position after a refinement — written against the same
-column-store lists and the same Algorithm-2 ``_refine``.  It lives here,
-not under ``src/``: the program has exactly one walk.
+column-store lists and the same Algorithm-2 ``_refine``.  It answers
+``execute_batch`` one query at a time, so every query of its batches
+takes that walk, while the production index answers warm batch queries
+through its level-synchronous frontier.  It lives here, not under
+``src/``: the program has exactly one scalar walk.
 
 Hypothesis interleaves ``execute`` / ``execute_batch`` / ``insert`` /
 ``delete`` / ``compact`` over two indexes fed identical inputs, one per
@@ -42,6 +45,14 @@ WORK_COUNTERS = ("cracks", "rows_reorganized", "nodes_visited", "objects_tested"
 
 class ScalarWalkIndex(QuasiiIndex):
     """QUASII with the per-slice walk (the reference, ~30 lines)."""
+
+    def _execute_batch(self, queries):
+        # A query at a time: none of them reaches the batch frontier.
+        return [QuasiiIndex._execute_batch(self, [q])[0] for q in queries]
+
+    def _frontier(self, queries, plan=False):
+        assert plan, "the reference answers every query through _walk"
+        return super()._frontier(queries, plan)
 
     def _walk(self, lst, query, keys, leaves):
         dim = lst.level

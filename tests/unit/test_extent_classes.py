@@ -105,6 +105,22 @@ class TestSplitTiming:
         assert split == len(lo) - large.size
         assert sorted(store.ids[split:].tolist()) == large.tolist()
 
+    def test_a_first_batch_splits_before_any_query_is_answered(self):
+        # Thresholds above the row count leave nothing to crack, so only
+        # the split tells a first batch from its queries run one by one.
+        lo, hi = _lattice()
+        batch, loop = (
+            QuasiiIndex(_store(lo, hi), QuasiiConfig(2, (1000, 1000))) for _ in range(2)
+        )
+        queries = [WINDOW, *_windows(seed=6, k=3)]
+        got = batch.execute_batch(queries)
+        want = [loop.execute(q) for q in queries]
+        assert [r.ids.tolist() for r in got] == [r.ids.tolist() for r in want]
+        assert [r.stats.as_dict() for r in got] == [r.stats.as_dict() for r in want]
+        assert np.array_equal(batch.store.ids, loop.store.ids)
+        assert batch.format_structure() == loop.format_structure()
+        assert len(batch._tops) == 2
+
     def test_inserts_before_the_first_query_join_the_split(self):
         lo, hi = _lattice()
         index = QuasiiIndex(_store(lo, hi), QuasiiConfig(2, (8, 2)))

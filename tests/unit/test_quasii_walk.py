@@ -118,6 +118,61 @@ class TestBatchEqualsLoop:
         assert batch_idx.stats.as_dict() == loop_idx.stats.as_dict()
 
 
+def _lattice_index() -> QuasiiIndex:
+    """24 x 24 lattice points in 2-d, unit-tall, 2 wide left of x = 3 (an x
+    margin of 2), warmed over x in [8, 16]: the rows left of x = 8 stay
+    one coarse x-slice whose recorded x-extent ends at 7."""
+    x, y = np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij")
+    lo = np.stack((x.ravel(), y.ravel()), axis=1)
+    hi = lo + np.stack((np.where(lo[:, 0] < 3, 2.0, 0.0), np.ones(len(lo))), axis=1)
+    idx = QuasiiIndex(BoxStore(lo, hi), QuasiiConfig(2, (32, 4)))
+    for window in (((10, 0), (16, 24)), ((8, 0), (9, 24))):
+        idx.execute(_query(*window))
+    return idx
+
+
+# On _lattice_index(): CRACK splits the coarse slice at 1 and 6.5; SPLICED
+# probes that slice's range (its extended key range starts at 6) and misses
+# it, so the splice adds one slice to its probe; ELSEWHERE never meets it.
+CRACK = _query((3, 5), (6.5, 6))
+SPLICED = _query((8, 5), (9, 6))
+ELSEWHERE = _query((12, 15), (13, 17))
+
+
+class TestFrontierHandsOff:
+    def _same_run(self, queries):
+        batch_idx, loop_idx = _lattice_index(), _lattice_index()
+        got = batch_idx.execute_batch(queries)
+        want = [loop_idx.execute(q) for q in queries]
+        _same_results(got, want)
+        assert np.array_equal(batch_idx.store.ids, loop_idx.store.ids)
+        assert batch_idx.format_structure(10**6) == loop_idx.format_structure(10**6)
+        for counter in ("cracks", "rows_reorganized", "nodes_visited", "objects_tested"):
+            assert getattr(batch_idx.stats, counter) == getattr(loop_idx.stats, counter)
+        batch_idx.validate_structure()
+        return got
+
+    def test_the_lattice_sets_the_trap(self):
+        alone = _lattice_index().execute(SPLICED).stats
+        idx = _lattice_index()
+        assert idx.execute(CRACK).stats.cracks > 0
+        after = idx.execute(SPLICED).stats
+        assert alone.cracks == after.cracks == 0
+        assert after.nodes_visited == alone.nodes_visited + 1
+        assert _lattice_index()._frontier([SPLICED, ELSEWHERE])[0] == 2
+
+    def test_a_crack_first_sends_the_whole_batch_to_the_scalar_walk(self):
+        assert _lattice_index()._frontier([CRACK, SPLICED, ELSEWHERE])[0] == 0
+        got = self._same_run([CRACK, SPLICED, ELSEWHERE])
+        assert [r.stats.cracks > 0 for r in got] == [True, False, False]
+        assert got[1].count > 0 and got[2].count > 0
+
+    def test_the_frontier_answers_the_queries_before_the_first_crack(self):
+        assert _lattice_index()._frontier([SPLICED, ELSEWHERE, CRACK])[0] == 2
+        got = self._same_run([SPLICED, ELSEWHERE, CRACK, SPLICED])
+        assert got[0].stats.nodes_visited + 1 == got[3].stats.nodes_visited
+
+
 class TestPlanSharesTheWalk:
     def test_plan_equals_execution_on_a_converged_forest(self):
         ds = make_uniform(5_000, seed=21)

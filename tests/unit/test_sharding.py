@@ -290,6 +290,17 @@ class TestShardedIndex:
         assert np.array_equal(engine.insert(box, box + 1.0, victim), victim)
         engine.validate_routing()
 
+    def test_ids_above_the_input_watermark_skip_the_tombstone_scan(self, monkeypatch):
+        engine = ShardedIndex(_grid_store(10), n_shards=4)
+        engine.build()
+        engine.delete(engine.shards[1].store.ids[:1].copy())
+        box = np.array([[55.0, 55.0]])
+        with monkeypatch.context() as patch:
+            patch.setattr(Shard, "entombs", lambda *a: pytest.fail("scanned"))
+            assert engine.insert(box, box + 1.0, np.array([500])).tolist() == [500]
+        with pytest.raises(DatasetError, match="collide"):
+            engine.insert(box, box + 1.0, np.array([500]))
+
     def test_compaction_leaves_no_tombstone_in_any_shard(self):
         engine = ShardedIndex(_grid_store(10), n_shards=4)
         engine.build()

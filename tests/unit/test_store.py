@@ -115,6 +115,16 @@ class TestReordering:
         store.apply_order_range(0, 3, np.array([2, 0, 1], dtype=np.uint8))
         assert store.ids.tolist() == [ids[2], ids[0], ids[1], ids[3]]
 
+    def test_apply_order_out_of_range_raises_before_any_write(self, store):
+        fp, ids = store.fingerprint(), store.ids.tolist()
+        for bad in ([0, 1, 3], [0, 1, -4]):
+            with pytest.raises(IndexError):
+                store.apply_order_range(1, 4, np.array(bad))
+        assert store.fingerprint() == fp and store.ids.tolist() == ids
+        # In range, a negative index counts from the end of the range.
+        store.apply_order_range(1, 4, np.array([-1, 0, 1]))
+        assert store.ids.tolist() == [ids[0], ids[3], ids[1], ids[2]]
+
     def test_fingerprint_permutation_invariant(self, store):
         fp = store.fingerprint()
         store.apply_order_range(0, store.n, np.array([3, 1, 0, 2]))

@@ -58,6 +58,22 @@ class TestAppend:
                 ids=np.array([2]),
             )
 
+    def test_ids_at_or_above_the_watermark_skip_the_collision_scan(self, monkeypatch):
+        store = _small_store(3)
+        store.reserve_ids(2)  # ids 3 and 4: handed out, never appended
+        assert store.fresh_ids(np.array([5, 9])) and not store.fresh_ids(np.array([4, 9]))
+        assert not store.fresh_ids(np.empty(0, dtype=np.int64))
+        box = (np.array([[1.0, 1.0]] * 2), np.array([[2.0, 2.0]] * 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "isin", lambda *a, **k: pytest.fail("scanned"))
+            assert store.append(*box, ids=np.array([9, 5])).tolist() == [9, 5]
+            with pytest.raises(DatasetError, match="collide"):
+                store.append(*box, ids=np.array([11, 11]))
+        # Below the watermark the scan still runs and still refuses.
+        for taken in ([2, 20], [9, 20]):
+            with pytest.raises(DatasetError, match="collide"):
+                store.append(*box, ids=np.array(taken))
+
     def test_append_validates_geometry_and_shape(self):
         store = _small_store(3)
         with pytest.raises(GeometryError):
